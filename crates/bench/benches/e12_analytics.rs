@@ -74,14 +74,20 @@ fn tier(json: &mut String, first: bool, patients: usize, shard_patients: usize) 
         black_box(wb.cohort_profile(black_box(&selected), reference, 20));
     });
 
-    let budget_met = profile_ms <= BUDGET_MS;
+    // One verdict per read: a profile inside the budget says nothing
+    // about the timeline beside it.
+    let (profile_budget_met, timeline_budget_met) =
+        (profile_ms <= BUDGET_MS, timeline_ms <= BUDGET_MS);
+    let verdict = |met: bool| if met { "met" } else { "NOT met" };
     eprintln!(
         "{patients} patients, cohort {cohort} ({:.1}%): profile {profile_ms:.2} ms \
-         ({} histograms, budget {BUDGET_MS:.0} ms: {})  monthly {timeline_ms:.2} ms  \
-         registry-hit {hit_ms:.2} ms vs cold select+aggregate {cold_ms:.2} ms ({:.2}x)",
+         ({} histograms, budget {BUDGET_MS:.0} ms: {})  monthly {timeline_ms:.2} ms \
+         (budget: {})  registry-hit {hit_ms:.2} ms vs cold select+aggregate {cold_ms:.2} ms \
+         ({:.2}x)",
         100.0 * cohort as f64 / patients as f64,
         profile.histograms().len(),
-        if budget_met { "met" } else { "NOT met" },
+        verdict(profile_budget_met),
+        verdict(timeline_budget_met),
         cold_ms / hit_ms.max(1e-6),
     );
     if !first {
@@ -91,7 +97,8 @@ fn tier(json: &mut String, first: bool, patients: usize, shard_patients: usize) 
         json,
         "    {{\"patients\": {patients}, \"shards\": {shards}, \"cohort\": {cohort}, \
          \"profile_ms\": {profile_ms:.3}, \"timeline_ms\": {timeline_ms:.3}, \
-         \"budget_met\": {budget_met}, \"registry_hit_ms\": {hit_ms:.3}, \
+         \"profile_budget_met\": {profile_budget_met}, \
+         \"timeline_budget_met\": {timeline_budget_met}, \"registry_hit_ms\": {hit_ms:.3}, \
          \"cold_select_aggregate_ms\": {cold_ms:.3}}}"
     );
 }

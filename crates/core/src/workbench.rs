@@ -8,7 +8,7 @@
 use pastas_ingest::{
     aggregate, entry_fingerprint, DeltaBatch, EntryFingerprint, QualityReport, SourceTexts,
 };
-use pastas_model::{HistoryCollection, OpenEpoch, PatientId};
+use pastas_model::{History, HistoryCollection, OpenEpoch, PatientId};
 use pastas_ontology::integration::IntegrationOntology;
 use pastas_query::{
     align_on, sort_histories, CodeIndex, EntryPredicate, Explain, HistoryQuery, QueryPlan, SortKey,
@@ -19,6 +19,7 @@ use pastas_viz::html::{personal_timeline, PersonalTimelineOptions};
 use pastas_viz::timeline::aligned_viewport;
 use pastas_viz::{ascii, hit::HitMap, svg, AxisMode, Scene, TimelineOptions, TimelineView, Viewport};
 use std::collections::{HashMap, HashSet};
+use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -129,30 +130,26 @@ pub struct Workbench {
     filter: Option<EntryPredicate>,
 }
 
-/// FNV-1a over per-history identity (id, entry count) plus collection
-/// stats — a cheap O(histories + entries) digest that distinguishes any
-/// two collections this workspace produces. Used to key server-side
-/// response caches together with [`HistoryQuery::fingerprint`].
+/// One row's share of the collection fingerprint: a hash of `(position,
+/// patient id, entry count)`. Fixed-key, so every workbench of a process
+/// agrees; nothing persists it.
+fn row_fingerprint(position: usize, history: &History) -> u64 {
+    let mut hasher = DefaultHasher::new();
+    (position, history.id(), history.len()).hash(&mut hasher);
+    hasher.finish()
+}
+
+/// The collection fingerprint from scratch: the wrapping sum of every
+/// row's [`row_fingerprint`] — O(histories), no entry is read. It
+/// distinguishes any two collections this workspace produces and keys
+/// server-side response caches together with
+/// [`HistoryQuery::fingerprint`]. Because the rows combine by addition,
+/// [`Workbench::apply_ingest`] swaps the touched rows' shares in and out
+/// and never comes back here; construction, tests and `debug_validate`
+/// do.
 fn fingerprint_collection(collection: &HistoryCollection) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut mix = |v: u64| {
-        for byte in v.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    mix(collection.len() as u64);
-    let stats = collection.stats();
-    mix(stats.entries as u64);
-    mix(stats.events as u64);
-    mix(stats.intervals as u64);
-    for history in collection {
-        mix(history.id().0);
-        mix(history.len() as u64);
-    }
-    h
+    let rows = collection.histories().iter().enumerate();
+    rows.fold(0, |sum, (at, history)| sum.wrapping_add(row_fingerprint(at, history)))
 }
 
 impl Workbench {
@@ -211,6 +208,10 @@ impl Workbench {
     pub fn apply_ingest(&mut self, batches: &[DeltaBatch]) -> IngestStats {
         let mut stats = IngestStats::default();
         let mut epoch = OpenEpoch::new();
+        // The fingerprint less the share of every existing row this call
+        // stages a delta for; the sealed rows' shares go back in below.
+        let mut fingerprint = self.collection_fingerprint;
+        let mut staged: HashSet<PatientId> = HashSet::new();
         // Per-patient fingerprints of already-loaded entries, extended
         // with each accepted delta entry so duplicates are dropped both
         // against the collection and within this call.
@@ -244,6 +245,12 @@ impl Workbench {
                 if fresh.is_empty() && self.collection.get(pid).is_some() {
                     continue;
                 }
+                if staged.insert(pid) {
+                    if let Some(at) = self.collection.position_of(pid) {
+                        let old = row_fingerprint(at, &self.collection.histories()[at]);
+                        fingerprint = fingerprint.wrapping_sub(old);
+                    }
+                }
                 let report = epoch.append(delta.patient, fresh);
                 stats.entries_applied += report.accepted;
                 stats.dropped_pre_birth += report.dropped_pre_birth;
@@ -264,7 +271,10 @@ impl Workbench {
             })
             .collect();
         self.index = Arc::new(self.index.with_delta(&self.collection, &dirty));
-        self.collection_fingerprint = fingerprint_collection(&self.collection);
+        let histories = self.collection.histories();
+        self.collection_fingerprint = dirty.iter().fold(fingerprint, |sum, &at| {
+            sum.wrapping_add(row_fingerprint(at as usize, &histories[at as usize]))
+        });
         self.selections = SelectionCache::new();
         self.dimension_tables = Arc::new(OnceLock::new());
         // Appended patients join the end of the display order; existing
@@ -298,11 +308,12 @@ impl Workbench {
         true
     }
 
-    /// A cheap immutable snapshot sharing all heavy state — histories,
-    /// code index, ontology, and the selection cache are `Arc`-shared
-    /// (O(histories) pointer bumps, no entry data or postings copied);
-    /// only the view state (order, axis, filter) is deep-cloned so the
-    /// snapshot and the original diverge freely afterwards.
+    /// A cheap immutable snapshot sharing all heavy state: the collection
+    /// spine (row vector and id map, copy-on-write), code index, ontology,
+    /// selection cache and alignment are `Arc`-shared, so nothing is
+    /// touched per history; the collection summary and fingerprint come
+    /// along by value. Only `order` (4 bytes a row) and the filter are
+    /// copied, so the snapshot and the original diverge freely afterwards.
     ///
     /// This is the serving layer's unit of publication: readers hold a
     /// snapshot and never block a writer that is building the next one.
@@ -347,6 +358,25 @@ impl Workbench {
     pub fn collection_fingerprint(&self) -> u64 {
         self.collection_fingerprint
     }
+
+    /// Deep invariant check (debug builds only; a no-op in release): the
+    /// collection's own check (id map, maintained summary against the
+    /// from-entries walk) and the maintained fingerprint against the
+    /// from-scratch one.
+    #[cfg(debug_assertions)]
+    pub fn debug_validate(&self) {
+        self.collection.debug_validate();
+        assert_eq!(
+            self.collection_fingerprint,
+            fingerprint_collection(&self.collection),
+            "workbench: maintained fingerprint drifted from the from-scratch one"
+        );
+    }
+
+    /// Deep invariant check (debug builds only; a no-op in release).
+    #[cfg(not(debug_assertions))]
+    #[inline(always)]
+    pub fn debug_validate(&self) {}
 
     /// Number of memoized selections.
     pub fn selection_cache_len(&self) -> usize {
@@ -617,8 +647,9 @@ impl Workbench {
     // Rendering
     // ------------------------------------------------------------------
 
-    /// A default viewport covering the whole collection (calendar mode) or
-    /// ±24 months (aligned mode), showing up to 40 rows.
+    /// A default viewport covering the whole collection (calendar mode,
+    /// from the extremes the collection's summary holds) or ±24 months
+    /// (aligned mode), showing up to 40 rows.
     pub fn default_viewport(&self, width_px: f64, height_px: f64) -> Viewport {
         let rows = (self.collection.len() as f64).clamp(1.0, 40.0);
         match &self.axis {
@@ -647,9 +678,7 @@ impl Workbench {
             filter: self.filter.clone(),
             ..TimelineOptions::default()
         };
-        TimelineView::new(&self.collection, opts)
-            .with_order(self.order.clone())
-            .layout(viewport)
+        TimelineView::new(&self.collection, opts).with_order(&self.order).layout(viewport)
     }
 
     /// Render the current view as SVG at the given canvas size.
@@ -1009,6 +1038,60 @@ mod tests {
         assert_eq!(stats.entries_applied, 0);
         assert_eq!(stats.duplicates_dropped, 1);
         assert_eq!(wb.collection().len(), 301);
+    }
+
+    /// The fingerprint `apply_ingest` maintains from the touched rows is
+    /// the one a from-scratch pass over the same collection computes, and
+    /// every call that changes the collection changes it.
+    #[test]
+    fn maintained_fingerprint_equals_the_from_scratch_one() {
+        use pastas_codes::Code;
+        use pastas_ingest::PatientDelta;
+        use pastas_model::{Entry, Patient, Payload, SourceKind};
+        let mut wb = wb();
+        let known = *wb.collection().histories()[5].patient();
+        let other = *wb.collection().histories()[250].patient();
+        let newcomer = Patient { id: PatientId(900_001), ..known };
+        let event = |day: u32| {
+            Entry::event(
+                Date::new(2014, 3, day).unwrap().at_midnight(),
+                Payload::Diagnosis(Code::icpc("T90")),
+                SourceKind::PrimaryCare,
+            )
+        };
+        let batch = |deltas: &[(Patient, Vec<u32>)]| DeltaBatch {
+            deltas: deltas
+                .iter()
+                .map(|(patient, days)| PatientDelta {
+                    patient: *patient,
+                    entries: days.iter().map(|&d| event(d)).collect(),
+                })
+                .collect(),
+            ..DeltaBatch::default()
+        };
+        let calls = [
+            vec![batch(&[(known, vec![1])])],
+            vec![batch(&[(newcomer, vec![2]), (other, vec![3, 4])])],
+            // One call, the same rows twice: their shares leave once.
+            vec![batch(&[(newcomer, vec![5]), (known, vec![6])]), batch(&[(known, vec![7])])],
+            vec![batch(&[(Patient { id: PatientId(900_002), ..other }, vec![])])],
+        ];
+        let mut seen = vec![wb.collection_fingerprint()];
+        assert_eq!(seen[0], fingerprint_collection(wb.collection()));
+        for call in &calls {
+            let stats = wb.apply_ingest(call);
+            assert!(stats.patients_touched > 0);
+            let fp = wb.collection_fingerprint();
+            assert_eq!(fp, fingerprint_collection(wb.collection()), "after {call:?}");
+            assert!(!seen.contains(&fp), "ingest must change the fingerprint");
+            seen.push(fp);
+            wb.debug_validate();
+        }
+        // A replay nets out to nothing and leaves the fingerprint alone.
+        let stats = wb.apply_ingest(&calls[2]);
+        assert_eq!((stats.patients_touched, stats.duplicates_dropped), (0, 3));
+        assert_eq!(Some(&wb.collection_fingerprint()), seen.last());
+        assert_eq!(wb.collection().len(), 302);
     }
 
     #[test]

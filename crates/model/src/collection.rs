@@ -3,7 +3,7 @@
 use crate::{History, PatientId};
 use pastas_time::DateTime;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Summary statistics over a collection, shown in the workbench status bar
 /// and used by the scalability experiments.
@@ -25,6 +25,77 @@ pub struct CollectionStats {
     pub mean_entries: f64,
 }
 
+/// The entry-level part of [`CollectionStats`]: the five numbers only a
+/// walk over every entry can produce. A collection keeps its own current
+/// (see [`HistoryCollection::stats`]), so the walk runs at most once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+struct Summary {
+    entries: usize,
+    events: usize,
+    intervals: usize,
+    first: Option<DateTime>,
+    last: Option<DateTime>,
+}
+
+impl Summary {
+    /// One history's contribution (two passes over its columns).
+    fn of(h: &History) -> Summary {
+        let intervals = h.entries().iter().filter(|e| e.is_interval()).count();
+        Summary {
+            entries: h.len(),
+            events: h.len() - intervals,
+            intervals,
+            first: h.first_time(),
+            last: h.last_time(),
+        }
+    }
+
+    /// The from-entries walk: O(entries). Reached from the lazy first
+    /// [`HistoryCollection::stats`] call, the recompute after a mutation
+    /// that dropped the summary, tests and `debug_validate` — never from a
+    /// publish or a request.
+    fn walk(histories: &[Arc<History>]) -> Summary {
+        let mut total = Summary::default();
+        for h in histories {
+            total.add(&Summary::of(h));
+        }
+        total
+    }
+
+    fn add(&mut self, h: &Summary) {
+        self.entries += h.entries;
+        self.events += h.events;
+        self.intervals += h.intervals;
+        self.first = match (self.first, h.first) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        };
+        self.last = match (self.last, h.last) {
+            (Some(a), Some(b)) => Some(a.max(b)),
+            (a, b) => a.or(b),
+        };
+    }
+
+    /// Replace `old`'s contribution with `new`'s. Returns false, leaving
+    /// `self` stale, when `old` held an extreme that `new` no longer
+    /// reaches: the extreme is then some other history's, and only a walk
+    /// finds it. A history that grew (streamed ingest) never does that.
+    fn swap(&mut self, old: &Summary, new: &Summary) -> bool {
+        let held_first = old.first.is_some() && old.first == self.first;
+        let held_last = old.last.is_some() && old.last == self.last;
+        if (held_first && new.first.is_none_or(|t| Some(t) > old.first))
+            || (held_last && new.last.is_none_or(|t| Some(t) < old.last))
+        {
+            return false;
+        }
+        self.entries -= old.entries;
+        self.events -= old.events;
+        self.intervals -= old.intervals;
+        self.add(new);
+        true
+    }
+}
+
 /// An ordered collection of patient histories with id-based lookup.
 ///
 /// Order is significant: it is the vertical order of the visualization, and
@@ -34,10 +105,18 @@ pub struct CollectionStats {
 /// workbench's cohort selection) copies pointers, not the histories
 /// themselves — O(matches) regardless of history size. Mutation goes
 /// through [`Self::get_mut`], which copy-on-writes a shared history.
+///
+/// The spine is shared copy-on-write as well: a clone is two pointer
+/// bumps, the first replaced history after a clone copies the pointer
+/// vector (nothing per entry), and only a brand-new patient copies the id
+/// map.
 #[derive(Debug, Clone, Default)]
 pub struct HistoryCollection {
-    histories: Vec<Arc<History>>,
-    by_id: HashMap<PatientId, usize>,
+    histories: Arc<Vec<Arc<History>>>,
+    by_id: Arc<HashMap<PatientId, usize>>,
+    /// Unset until the first [`Self::stats`] call; from then on every
+    /// mutator keeps it current or drops it.
+    summary: OnceLock<Summary>,
 }
 
 impl HistoryCollection {
@@ -69,12 +148,22 @@ impl HistoryCollection {
     }
 
     /// Insert or replace the history for a patient, sharing the allocation.
+    /// An initialised summary is adjusted from the replaced and the
+    /// replacing history alone.
     pub fn upsert_shared(&mut self, history: Arc<History>) {
-        match self.by_id.get(&history.id()) {
-            Some(&i) => self.histories[i] = history,
+        let at = self.by_id.get(&history.id()).copied();
+        if let Some(summary) = self.summary.get_mut() {
+            // A brand-new patient replaces an empty contribution.
+            let old = at.map_or_else(Summary::default, |i| Summary::of(&self.histories[i]));
+            if !summary.swap(&old, &Summary::of(&history)) {
+                self.summary.take();
+            }
+        }
+        match at {
+            Some(i) => Arc::make_mut(&mut self.histories)[i] = history,
             None => {
-                self.by_id.insert(history.id(), self.histories.len());
-                self.histories.push(history);
+                Arc::make_mut(&mut self.by_id).insert(history.id(), self.histories.len());
+                Arc::make_mut(&mut self.histories).push(history);
             }
         }
     }
@@ -102,9 +191,13 @@ impl HistoryCollection {
     }
 
     /// Mutable lookup by patient id. Copy-on-write: if the history is
-    /// shared with another collection, it is cloned once here.
+    /// shared with another collection, it is cloned once here. What the
+    /// caller does to the history is out of sight, so the summary is
+    /// dropped and the next [`Self::stats`] walks again.
     pub fn get_mut(&mut self, id: PatientId) -> Option<&mut History> {
-        self.by_id.get(&id).map(|&i| Arc::make_mut(&mut self.histories[i]))
+        let i = *self.by_id.get(&id)?;
+        self.summary.take();
+        Some(Arc::make_mut(&mut Arc::make_mut(&mut self.histories)[i]))
     }
 
     /// Number of histories.
@@ -136,53 +229,63 @@ impl HistoryCollection {
     /// Reorder the collection by a key function (the workbench "sorting
     /// histories" operation). Stable.
     pub fn sort_by_key<K: Ord, F: Fn(&History) -> K>(&mut self, key: F) {
-        self.histories.sort_by_key(|h| key(h));
-        self.reindex();
-    }
-
-    fn reindex(&mut self) {
+        Arc::make_mut(&mut self.histories).sort_by_key(|h| key(h));
         self.by_id =
-            self.histories.iter().enumerate().map(|(i, h)| (h.id(), i)).collect();
+            Arc::new(self.histories.iter().enumerate().map(|(i, h)| (h.id(), i)).collect());
     }
 
-    /// Compute summary statistics.
+    /// Summary statistics. O(1) once the collection has its summary: the
+    /// first call on a freshly built collection walks the entries, every
+    /// clone inherits the result, and [`Self::upsert_shared`] (so also
+    /// [`crate::OpenEpoch::seal_into`]) keeps it current from the touched
+    /// histories. Only a replacement that may have moved an extreme
+    /// inwards, or [`Self::get_mut`], makes the next call walk again.
     pub fn stats(&self) -> CollectionStats {
-        let mut entries = 0usize;
-        let mut events = 0usize;
-        let mut intervals = 0usize;
-        let mut first: Option<DateTime> = None;
-        let mut last: Option<DateTime> = None;
-        for h in &self.histories {
-            entries += h.len();
-            for e in h.entries() {
-                if e.is_event() {
-                    events += 1;
-                } else {
-                    intervals += 1;
-                }
-            }
-            first = match (first, h.first_time()) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
-            last = match (last, h.last_time()) {
-                (Some(a), Some(b)) => Some(a.max(b)),
-                (a, b) => a.or(b),
-            };
-        }
+        let s = *self.summary.get_or_init(|| Summary::walk(&self.histories));
         CollectionStats {
             patients: self.histories.len(),
-            entries,
-            events,
-            intervals,
-            first,
-            last,
+            entries: s.entries,
+            events: s.events,
+            intervals: s.intervals,
+            first: s.first,
+            last: s.last,
             mean_entries: if self.histories.is_empty() {
                 0.0
             } else {
-                entries as f64 / self.histories.len() as f64
+                s.entries as f64 / self.histories.len() as f64
             },
         }
+    }
+
+    /// Deep invariant check (debug builds only; a no-op in release).
+    ///
+    /// Panics unless the id map addresses every row and a maintained
+    /// summary equals the from-entries walk. Histories and arenas have
+    /// their own checks (see `Snapshot::debug_validate` in `pastas-serve`).
+    #[cfg(debug_assertions)]
+    pub fn debug_validate(&self) {
+        assert_eq!(self.by_id.len(), self.histories.len(), "collection: id map and rows differ");
+        for (i, h) in self.histories.iter().enumerate() {
+            assert_eq!(self.by_id.get(&h.id()), Some(&i), "collection: {} not at row {i}", h.id());
+        }
+        if let Some(summary) = self.summary.get() {
+            assert_eq!(
+                *summary,
+                Summary::walk(&self.histories),
+                "collection: maintained summary drifted from the from-entries walk"
+            );
+        }
+    }
+
+    /// Deep invariant check (debug builds only; a no-op in release).
+    #[cfg(not(debug_assertions))]
+    #[inline(always)]
+    pub fn debug_validate(&self) {}
+
+    /// True while [`Self::stats`] answers without walking.
+    #[cfg(test)]
+    pub(crate) fn holds_summary(&self) -> bool {
+        self.summary.get().is_some()
     }
 
     /// The distinct arenas backing this collection, in first-appearance
@@ -227,7 +330,7 @@ impl IntoIterator for HistoryCollection {
     type Item = History;
     type IntoIter = std::iter::Map<std::vec::IntoIter<Arc<History>>, fn(Arc<History>) -> History>;
     fn into_iter(self) -> Self::IntoIter {
-        self.histories.into_iter().map(Arc::unwrap_or_clone)
+        Arc::unwrap_or_clone(self.histories).into_iter().map(Arc::unwrap_or_clone)
     }
 }
 

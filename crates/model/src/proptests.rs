@@ -44,6 +44,22 @@ fn patient() -> Patient {
     Patient { id: PatientId(7), birth_date: Date::new(1940, 1, 1).unwrap(), sex: Sex::Male }
 }
 
+/// [`CollectionStats`] from materialized entries, sharing no code with the
+/// collection's own summary.
+fn walked_stats(c: &HistoryCollection) -> CollectionStats {
+    let all: Vec<Entry> = c.iter().flat_map(|h| h.entries().to_vec()).collect();
+    let events = all.iter().filter(|e| !e.is_interval()).count();
+    CollectionStats {
+        patients: c.len(),
+        entries: all.len(),
+        events,
+        intervals: all.len() - events,
+        first: all.iter().map(Entry::start).min(),
+        last: all.iter().map(Entry::end).max(),
+        mean_entries: if c.is_empty() { 0.0 } else { all.len() as f64 / c.len() as f64 },
+    }
+}
+
 proptest! {
     /// Intervals always normalize to start <= end.
     #[test]
@@ -165,6 +181,87 @@ proptest! {
         prop_assert_eq!(s.patients, sizes.len());
         prop_assert_eq!(s.entries, sizes.iter().sum::<usize>());
         prop_assert_eq!(s.events + s.intervals, s.entries);
+    }
+
+    /// The summary a collection maintains equals the from-entries walk
+    /// after every step of a random mutation sequence, and the steps
+    /// streamed ingest is made of (a history that grew, a brand-new
+    /// patient, a sealed epoch) as well as sorting and cloning keep it
+    /// held: none of them sends the next `stats()` back to the walk.
+    #[test]
+    fn maintained_summary_equals_the_walk(
+        seed in proptest::collection::vec(arb_entry(), 0..6),
+        steps in proptest::collection::vec(
+            (0u8..9, 0u64..5, proptest::collection::vec(arb_entry(), 0..5), 0usize..4),
+            1..24,
+        ),
+    ) {
+        let person = |id: u64| Patient { id: PatientId(id), ..patient() };
+        let history = |id: u64, entries: Vec<Entry>| {
+            let mut h = History::new(person(id));
+            h.insert_all(entries);
+            h
+        };
+        let mut c = HistoryCollection::from_histories(
+            (0..3u64).map(|id| history(id, seed.iter().skip(id as usize).cloned().collect())),
+        );
+        prop_assert!(!c.holds_summary(), "construction does not walk");
+        prop_assert_eq!(c.stats(), walked_stats(&c));
+        let mut epoch = OpenEpoch::new();
+        for (kind, id, entries, k) in steps {
+            let held = c.holds_summary();
+            let mut keeps = true;
+            let existing = c.get(PatientId(id)).map(|h| h.entries().to_vec());
+            match kind {
+                // A history that grew: everything it had, and more.
+                0 => {
+                    let mut all = existing.unwrap_or_default();
+                    all.extend(entries);
+                    c.upsert(history(id, all));
+                }
+                // A shrinking replacement may pull an extreme inwards.
+                1 => {
+                    let mut all = existing.unwrap_or_default();
+                    all.truncate(k);
+                    c.upsert(history(id, all));
+                    keeps = false;
+                }
+                2 => c.upsert(history(100 + c.len() as u64, entries)),
+                3 | 4 => {
+                    keeps = false;
+                    if let Some(h) = c.get_mut(PatientId(id)) {
+                        if kind == 3 {
+                            h.insert_all(entries);
+                        } else if let Some(e) = entries.into_iter().next() {
+                            h.insert(e);
+                        }
+                    }
+                }
+                5 => c.sort_by_key(|h| std::cmp::Reverse(h.len())),
+                6 => {
+                    let sub = c.extract(|h| h.id().0 % 2 == id % 2);
+                    prop_assert!(!sub.holds_summary(), "extraction does not walk");
+                    prop_assert_eq!(sub.stats(), walked_stats(&sub));
+                }
+                7 => {
+                    let copy = c.clone();
+                    prop_assert_eq!(copy.holds_summary(), held);
+                    c.upsert(history(id, entries));
+                    prop_assert_eq!(copy.stats(), walked_stats(&copy), "the clone kept its own");
+                    keeps = false;
+                }
+                _ => {
+                    epoch.append(person(id), entries.clone());
+                    epoch.append(person(200 + c.len() as u64), entries);
+                    epoch.seal_into(&mut c);
+                }
+            }
+            c.debug_validate();
+            if keeps {
+                prop_assert_eq!(c.holds_summary(), held, "step {} dropped or built the summary", kind);
+            }
+            prop_assert_eq!(c.stats(), walked_stats(&c), "after step {}", kind);
+        }
     }
 
     /// extract ∘ extract == extract of the conjunction.

@@ -31,6 +31,7 @@ use crate::history::{History, Patient, ValidationReport};
 use crate::HistoryCollection;
 use pastas_codes::Code;
 use pastas_time::DateTime;
+use std::collections::HashSet;
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
@@ -861,14 +862,18 @@ pub struct MemoryFootprint {
 impl MemoryFootprint {
     /// Measure a collection.
     pub fn measure(collection: &crate::HistoryCollection) -> MemoryFootprint {
-        let mut seen: Vec<*const EventStore> = Vec::new();
+        // Neighbours usually share an arena, so the previous pointer
+        // answers most rows; the set keeps the rest O(1) once streamed
+        // ingest has given every touched patient a store of its own.
+        let mut seen: HashSet<*const EventStore> = HashSet::new();
+        let mut previous = std::ptr::null();
         let mut f = MemoryFootprint::default();
         for h in collection.iter() {
             let ptr = Arc::as_ptr(h.store());
-            if !seen.contains(&ptr) {
-                seen.push(ptr);
+            if ptr != previous && seen.insert(ptr) {
                 f.columnar_bytes += h.store().heap_bytes();
             }
+            previous = ptr;
             f.entries += h.len();
             f.aos_bytes += h.len() * std::mem::size_of::<Entry>();
             for e in h.entries() {

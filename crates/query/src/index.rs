@@ -308,11 +308,13 @@ impl CodeIndex {
     /// A successor index marking `newly_dirty` history positions (and any
     /// previously dirty ones) as served by the side-index: the main
     /// shards are shared untouched (`Arc` clones — no posting copied),
-    /// and the side postings are rebuilt by scanning only the dirty
-    /// histories of `collection` — O(dirty · entries-per-history), not
-    /// O(collection). The streaming path (`Workbench::apply_ingest`)
-    /// calls this after every sealed delta batch; [`Self::compact`]
-    /// folds the accumulated side postings back into the shards.
+    /// the side vocabulary and postings carry over, and only the
+    /// histories of this batch are walked and posted (afresh, if they
+    /// were dirty already) — O(batch · entries-per-history) string work
+    /// plus a copy of the side postings, whatever the debt already is.
+    /// The streaming path (`Workbench::apply_ingest`) calls this after
+    /// every sealed delta batch; [`Self::compact`] folds the accumulated
+    /// side postings back into the shards.
     pub fn with_delta(&self, collection: &HistoryCollection, newly_dirty: &[u32]) -> CodeIndex {
         let rows = collection.len() as u32;
         let mut extra: Vec<u32> = newly_dirty.to_vec();
@@ -323,46 +325,44 @@ impl CodeIndex {
         // Side vocabulary + postings: the complete current code set of
         // every dirty history (not just the delta), so side evaluation
         // answers any plan shape over the dirty universe exactly.
+        let mut vocab = self.side.vocab.clone();
+        let mut postings = self.side.postings.clone();
+        if extra.iter().any(|p| self.side.dirty.binary_search(p).is_ok()) {
+            for list in &mut postings {
+                list.retain(|p| extra.binary_search(p).is_err());
+            }
+        }
         let histories = collection.histories();
-        let mut values: Vec<&str> = Vec::new();
-        for &p in &dirty {
+        for &p in &extra {
             // lint:allow(no-panic-hot-path) dirty positions index the collection
             for e in histories[p as usize].entries() {
-                if let Some(c) = e.code() {
-                    values.push(c.value.as_str());
-                }
-            }
-        }
-        values.sort_unstable();
-        values.dedup();
-        let mut postings: Vec<Vec<u32>> = vec![Vec::new(); values.len()];
-        for &p in &dirty {
-            // lint:allow(no-panic-hot-path) dirty positions index the collection
-            for e in histories[p as usize].entries() {
-                if let Some(c) = e.code() {
-                    let slot = values
-                        .binary_search(&c.value.as_str())
-                        // lint:allow(no-panic-hot-path) every dirty value was merged above
-                        .expect("dirty code value is in the side vocabulary");
-                    // lint:allow(no-panic-hot-path) slot < values.len() by construction
-                    let list = &mut postings[slot];
-                    if list.last() != Some(&p) {
-                        list.push(p);
+                let Some(c) = e.code() else { continue };
+                let value = c.value.as_str();
+                let slot = match vocab.binary_search_by(|v| (**v).cmp(value)) {
+                    Ok(slot) => slot,
+                    Err(slot) => {
+                        vocab.insert(slot, Box::from(value));
+                        postings.insert(slot, Vec::new());
+                        slot
                     }
+                };
+                // lint:allow(no-panic-hot-path) slot < postings.len(): found or just inserted
+                let list = &mut postings[slot];
+                if let Err(at) = list.binary_search(&p) {
+                    list.insert(at, p);
                 }
             }
         }
+        // A history posted afresh may have left a value behind.
+        let (vocab, postings) =
+            vocab.into_iter().zip(postings).filter(|(_, list)| !list.is_empty()).unzip();
         CodeIndex {
             vocab: self.vocab.clone(),
             counts: self.counts.clone(),
             shards: self.shards.clone(),
             rows,
             shard_rows: self.shard_rows,
-            side: SideIndex {
-                dirty,
-                vocab: values.into_iter().map(Box::from).collect(),
-                postings,
-            },
+            side: SideIndex { dirty, vocab, postings },
             compiled: Mutex::new(HashMap::new()),
         }
     }
@@ -1173,6 +1173,63 @@ mod tests {
         for q in streaming_queries() {
             assert_eq!(compacted.select(&c, &q), select_scan(&c, &q), "query {q:?}");
         }
+    }
+
+    /// The side-index rebuilt from every dirty history: what `with_delta`
+    /// did per batch before it carried the side postings over.
+    fn side_from_scratch(c: &HistoryCollection, dirty: &[u32]) -> SideIndex {
+        let mut posted: Vec<(&str, u32)> = Vec::new();
+        for &p in dirty {
+            for e in c.histories()[p as usize].entries() {
+                if let Some(code) = e.code() {
+                    posted.push((code.value.as_str(), p));
+                }
+            }
+        }
+        posted.sort_unstable();
+        posted.dedup();
+        let mut side = SideIndex { dirty: dirty.to_vec(), ..SideIndex::default() };
+        for (value, p) in posted {
+            if side.vocab.last().map(|v| &**v) != Some(value) {
+                side.vocab.push(Box::from(value));
+                side.postings.push(Vec::new());
+            }
+            side.postings.last_mut().unwrap().push(p);
+        }
+        side
+    }
+
+    #[test]
+    fn carried_over_side_postings_equal_a_rebuild_from_the_dirty_histories() {
+        let mut c = collection();
+        let mut idx = CodeIndex::build(&c);
+        let again = *c.histories()[5].patient();
+        for round in 0..4u64 {
+            // One row dirtied in every round, one fresh row, one appended.
+            let fresh = *c.histories()[round as usize].patient();
+            idx = apply_delta(
+                &mut c,
+                &idx,
+                vec![
+                    (again, vec![diag(2010 + round as i32, ["Z98", "T90", "Q01", "Z98"][round as usize])]),
+                    (fresh, vec![diag(2016, "K74")]),
+                    (new_patient(round), vec![diag(2015, "A00")]),
+                ],
+            );
+            idx.debug_validate();
+            assert_eq!(idx.side, side_from_scratch(&c, idx.side_dirty()), "round {round}");
+        }
+        // A dirty row replaced by a shorter history gives its values up,
+        // and the one value only it held leaves the side vocabulary.
+        assert!(idx.side.vocab.iter().any(|v| &**v == "Q01"));
+        let at = c.position_of(again.id).unwrap() as u32;
+        let mut shorter = pastas_model::History::new(again);
+        shorter.insert(diag(2016, "T90"));
+        c.upsert(shorter);
+        idx = idx.with_delta(&c, &[at]);
+        idx.debug_validate();
+        assert_eq!(idx.side, side_from_scratch(&c, idx.side_dirty()));
+        assert!(!idx.side.vocab.iter().any(|v| &**v == "Q01"));
     }
 
     #[test]

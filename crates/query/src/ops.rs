@@ -10,11 +10,14 @@ use crate::predicate::EntryPredicate;
 use pastas_model::{History, HistoryCollection, PatientId};
 use pastas_time::DateTime;
 use std::collections::HashMap;
+use std::sync::Arc;
 
-/// Per-history anchors for the aligned axis mode.
+/// Per-history anchors for the aligned axis mode. Immutable once computed
+/// and shared behind an [`Arc`]: the view state, its snapshots and every
+/// render clone the handle, never the map.
 #[derive(Debug, Clone, Default)]
 pub struct Alignment {
-    anchors: HashMap<PatientId, DateTime>,
+    anchors: Arc<HashMap<PatientId, DateTime>>,
 }
 
 impl Alignment {
@@ -47,7 +50,7 @@ pub fn align_on(collection: &HistoryCollection, pred: &EntryPredicate) -> Alignm
             anchors.insert(h.id(), e.start());
         }
     }
-    Alignment { anchors }
+    Alignment { anchors: Arc::new(anchors) }
 }
 
 /// Sort keys for the vertical order of the display.

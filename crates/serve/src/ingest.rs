@@ -16,7 +16,8 @@
 //! the previous snapshot throughout and see the appended rows the moment
 //! the pointer swaps, served by the query side-index. When the side-index
 //! grows past a threshold (or on an explicit `POST /compact`), the worker
-//! folds it into the main roaring postings and publishes again.
+//! folds it into the main roaring postings and publishes again. The
+//! worker's passes are paced by the entries they applied (`ApplyPacer`).
 
 use crate::state::ServeState;
 use pastas_core::Workbench;
@@ -24,7 +25,7 @@ use pastas_ingest::{parse_delta, DeltaBatch, DeltaFormat, IdentityRegistry};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Ingest tuning knobs, a sub-config of
 /// [`ServerConfig`](crate::server::ServerConfig).
@@ -78,6 +79,51 @@ pub struct AppliedReport {
     pub compacted: bool,
     /// Version of the last snapshot this pass published (0 = none).
     pub version: u64,
+}
+
+/// What the compaction worker waits, per entry it applied, before it
+/// starts its next pass: the background writer takes 4,000 entries a
+/// second and no more.
+const PAUSE_PER_APPLIED_ENTRY: Duration = Duration::from_micros(250);
+
+/// Longest pause one pass can earn, so that a bulk load is not held to the
+/// streaming rate: passes of more than 320 entries run 12.5 times a second.
+const MAX_APPLY_PAUSE: Duration = Duration::from_millis(80);
+
+/// Paces the compaction worker's passes by the entries they applied. A
+/// batch that arrives after a quiet spell is applied at once; under a
+/// sustained stream the passes follow a clock (a 200-entry increment every
+/// 50 ms) and whatever queued up meanwhile rides in one publish. Every
+/// publish copies the row pointers and the view order (12 MB at 1M
+/// patients) and retires every cached response, so the pace bounds what a
+/// writer can cost the readers, and it makes a streamed batch's lag to
+/// visibility the pause its predecessor earned rather than what the
+/// scheduler made of the hand-offs between client, connection worker and
+/// compactor. A synchronous `POST /compact` is not paced.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ApplyPacer {
+    /// Earliest start of the next pass that has batches to apply.
+    next: Instant,
+}
+
+impl ApplyPacer {
+    pub(crate) fn new(now: Instant) -> ApplyPacer {
+        ApplyPacer { next: now }
+    }
+
+    /// When a pass that finds batches queued at `now` may start.
+    pub(crate) fn due(&self, now: Instant) -> Instant {
+        now.max(self.next)
+    }
+
+    /// Account for a pass that was due at `due` and applied `entries`. The
+    /// pause counts from the nominal start, not from the wake-up, so a late
+    /// wake-up does not push the later passes back.
+    pub(crate) fn applied(&mut self, due: Instant, entries: usize) {
+        let entries = u32::try_from(entries).unwrap_or(u32::MAX);
+        let pause = PAUSE_PER_APPLIED_ENTRY.saturating_mul(entries).min(MAX_APPLY_PAUSE);
+        self.next = self.next.max(due + pause);
+    }
 }
 
 struct QueueInner {
@@ -280,6 +326,27 @@ mod tests {
         assert!(report.compacted);
         assert_eq!(queue.compactions_total(), 1);
         assert!(state.snapshot().workbench.index().side_is_empty());
+    }
+
+    #[test]
+    fn pacer_spaces_streamed_passes_by_the_entries_they_applied() {
+        let t0 = Instant::now();
+        let ms = Duration::from_millis;
+        let mut pacer = ApplyPacer::new(t0);
+        assert_eq!(pacer.due(t0), t0, "a first batch is applied at once");
+        pacer.applied(t0, 200);
+        // The next increment was queued 5 ms later and waits out the pause.
+        assert_eq!(pacer.due(t0 + ms(5)), t0 + ms(50));
+        pacer.applied(t0 + ms(50), 280);
+        assert_eq!(pacer.due(t0 + ms(60)), t0 + ms(120));
+        // An idle pass inside the pause does not shorten it.
+        pacer.applied(t0 + ms(75), 0);
+        assert_eq!(pacer.due(t0 + ms(76)), t0 + ms(120));
+        // A bulk pass earns the longest pause and no more.
+        pacer.applied(t0 + ms(120), 1_000_000);
+        assert_eq!(pacer.due(t0 + ms(121)), t0 + ms(200));
+        // After a quiet spell nothing is owed.
+        assert_eq!(pacer.due(t0 + ms(900)), t0 + ms(900));
     }
 
     #[test]

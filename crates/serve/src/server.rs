@@ -17,7 +17,7 @@
 //!   starts) before the workers are joined.
 
 use crate::http::{HttpError, Limits, RequestReader, Response};
-use crate::ingest::IngestConfig;
+use crate::ingest::{ApplyPacer, IngestConfig};
 use crate::router::{route, RouterCtx};
 use pastas_par::pool::{Submitter, WorkerPool};
 use std::io::{self, ErrorKind, Write as _};
@@ -158,18 +158,26 @@ pub fn serve(
 }
 
 /// The compaction worker: sleep until a delta batch arrives (or the idle
-/// timeout ticks), drain-and-apply, publish. Readers are never blocked —
+/// timeout ticks) and the pause the last pass earned is over
+/// ([`ApplyPacer`]), drain-and-apply, publish. Readers are never blocked —
 /// each pass builds the next snapshot off to the side and publishes it
 /// with one pointer swap. On drain the final pass force-compacts so every
 /// batch the server 202'd is applied before the threads join.
 fn compaction_loop(shared: &ServerShared) {
+    let mut pacer = ApplyPacer::new(Instant::now());
     loop {
         shared.ctx.ingest.wait_for_work(Duration::from_millis(25));
         let draining = shared.draining.load(Ordering::SeqCst);
-        let _ = shared.ctx.ingest.drain_and_apply(&shared.ctx.state, draining);
+        let mut due = Instant::now();
+        if !draining && shared.ctx.ingest.depth() > 0 {
+            due = pacer.due(due);
+            std::thread::sleep(due.saturating_duration_since(Instant::now()));
+        }
+        let report = shared.ctx.ingest.drain_and_apply(&shared.ctx.state, draining);
         if draining {
             break;
         }
+        pacer.applied(due, report.entries_applied);
     }
 }
 

@@ -4,9 +4,12 @@
 //! lock held for nanoseconds and then work entirely on their private
 //! snapshot — a slow render never blocks a `/command` or an ingest, and
 //! vice versa. Writers serialize among themselves, build the *next*
-//! snapshot off to the side ([`pastas_core::Workbench::snapshot`] makes
-//! that an O(histories) pointer copy), and publish it with one pointer
-//! swap. Every snapshot carries a monotone version; response-cache keys
+//! snapshot off to the side ([`pastas_core::Workbench::snapshot`] shares
+//! the collection spine, so that touches nothing per history), and
+//! publish it with one pointer swap. A publish costs what changed: a view
+//! command copies the display order, an ingest copies the row-pointer
+//! vector once and adjusts summary, fingerprint and side-index from the
+//! touched rows. Every snapshot carries a monotone version; response-cache keys
 //! include it, so stale cached responses are unreachable the moment a new
 //! snapshot lands.
 
@@ -23,8 +26,8 @@ pub struct Snapshot {
     /// Monotone publication counter (1 = the initial state).
     pub version: u64,
     /// The date `age(..)` clauses evaluate at: the collection's last
-    /// event. Computed once at publication — `CollectionStats` walks every
-    /// entry, far too slow for the per-request path.
+    /// event, read at publication from the summary the collection
+    /// maintains (O(1); no publish walks the entries).
     pub reference_date: Date,
 }
 
@@ -42,21 +45,27 @@ impl Snapshot {
     /// Deep invariant check (debug builds only; a no-op in release).
     ///
     /// Run at every publication: validates each history's span and
-    /// ordering, each *distinct* backing arena exactly once (collections
-    /// usually share one store, so this stays O(entries), not
-    /// O(histories × entries)), and the inverted code index.
+    /// ordering, each *distinct* backing arena exactly once (previous
+    /// pointer first, then a set: O(entries) however many private stores
+    /// streamed ingest has left behind), the inverted code index, and
+    /// what a publish maintains instead of recomputing — the collection
+    /// summary against the from-entries walk, the fingerprint against the
+    /// from-scratch one, the reference date against the summary.
     #[cfg(debug_assertions)]
     pub fn debug_validate(&self) {
-        let mut seen_stores = Vec::new();
+        let mut seen_stores = std::collections::HashSet::new();
+        let mut previous = std::ptr::null();
         for history in self.workbench.collection().histories() {
             history.debug_validate();
             let ptr = std::sync::Arc::as_ptr(history.store());
-            if !seen_stores.contains(&ptr) {
-                seen_stores.push(ptr);
+            if ptr != previous && seen_stores.insert(ptr) {
                 history.store().debug_validate();
             }
+            previous = ptr;
         }
         self.workbench.index().debug_validate();
+        self.workbench.debug_validate();
+        assert_eq!(self.reference_date, reference_date_of(&self.workbench));
     }
 
     /// Deep invariant check (debug builds only; a no-op in release).
@@ -158,13 +167,18 @@ impl ServeState {
         // Debug builds prove the deep invariants of everything the
         // readers are about to share; release builds skip the walk.
         next.debug_validate();
-        *self.current.write().unwrap_or_else(|e| e.into_inner()) = next;
+        // Swap under the lock, drop after it: if this was the last handle
+        // on the previous state, releasing its row vector is O(histories)
+        // and must not stall readers.
+        let previous =
+            std::mem::replace(&mut *self.current.write().unwrap_or_else(|e| e.into_inner()), next);
+        drop(previous);
         version
     }
 }
 
-/// Walks the whole collection — call only at publication, never per
-/// request.
+/// The collection's last event, from its maintained summary: O(1) on every
+/// publish after the first (which builds the summary, once per process).
 fn reference_date_of(workbench: &Workbench) -> Date {
     workbench
         .collection()
@@ -205,6 +219,68 @@ mod tests {
         assert_eq!(
             before.workbench.collection_fingerprint(),
             after.workbench.collection_fingerprint()
+        );
+    }
+
+    /// A view command publishes a new version that shares everything a
+    /// view command cannot change: the row allocation itself (so nothing
+    /// was copied or ref-counted per history), fingerprint and reference
+    /// date.
+    #[test]
+    fn view_commands_share_the_collection_spine() {
+        let state = state();
+        let before = state.snapshot();
+        for command in [
+            ViewCommand::Sort(SortKey::Span),
+            ViewCommand::AlignOnCode("T90".into()),
+            ViewCommand::SetFilter(None),
+            ViewCommand::ClearAlignment,
+        ] {
+            let version = state.apply(&command).unwrap();
+            let after = state.snapshot();
+            assert_eq!(after.version, version);
+            assert!(version > before.version);
+            let (rows_before, rows_after) =
+                (before.workbench.collection().histories(), after.workbench.collection().histories());
+            assert!(std::ptr::eq(rows_before, rows_after), "{command:?} copied the rows");
+            assert_eq!(after.reference_date, before.reference_date);
+            assert_eq!(
+                after.workbench.collection_fingerprint(),
+                before.workbench.collection_fingerprint()
+            );
+        }
+        let rows = before.workbench.collection().histories();
+        assert!(rows.iter().all(|h| Arc::strong_count(h) == 1), "no per-history refcount moved");
+    }
+
+    /// An ingest publish moves reference date and fingerprint with the
+    /// touched rows, and (debug builds) `publish` has checked both against
+    /// their from-scratch oracles.
+    #[test]
+    fn ingest_publishes_advance_the_maintained_summary() {
+        use pastas_ingest::{parse_delta, DeltaFormat, IdentityRegistry};
+        let state = state();
+        let before = state.snapshot();
+        let mut registry = IdentityRegistry::new();
+        let persons = "nin;birth_date;sex\nNIN-0900001;1950-01-01;F\n";
+        let claims =
+            "claim_id;patient;date;provider;icpc;note\nK1;NIN-0900001;04.05.2031;GP;T90;\n";
+        let batches = [
+            parse_delta(DeltaFormat::Persons, persons, &mut registry),
+            parse_delta(DeltaFormat::Claims, claims, &mut registry),
+        ];
+        let (version, stats) = state.ingest(&batches);
+        assert_eq!((version, stats.patients_created), (2, 1));
+        let after = state.snapshot();
+        assert_eq!(after.reference_date, Date::new(2031, 5, 4).unwrap());
+        assert!(after.reference_date > before.reference_date);
+        assert_ne!(
+            after.workbench.collection_fingerprint(),
+            before.workbench.collection_fingerprint()
+        );
+        assert_eq!(
+            after.workbench.collection().stats().entries,
+            before.workbench.collection().stats().entries + 1
         );
     }
 

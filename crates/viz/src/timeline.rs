@@ -69,11 +69,14 @@ impl Default for TimelineOptions {
     }
 }
 
-/// A timeline view: a collection in a display order plus options.
+/// A timeline view: a collection in a display order plus options. The
+/// view borrows both, so laying out forty visible rows of a million
+/// allocates for forty.
 #[derive(Debug)]
 pub struct TimelineView<'a> {
     collection: &'a HistoryCollection,
-    order: Vec<u32>,
+    /// History position per display row; `None` is collection order.
+    order: Option<&'a [u32]>,
     /// Layout options.
     pub options: TimelineOptions,
 }
@@ -81,20 +84,19 @@ pub struct TimelineView<'a> {
 impl<'a> TimelineView<'a> {
     /// A view in natural collection order.
     pub fn new(collection: &'a HistoryCollection, options: TimelineOptions) -> TimelineView<'a> {
-        TimelineView { collection, order: (0..collection.len() as u32).collect(), options }
+        TimelineView { collection, order: None, options }
     }
 
     /// Replace the display order (from `pastas_query::sort_histories`).
-    /// Indexes out of range are dropped.
-    pub fn with_order(mut self, order: Vec<u32>) -> TimelineView<'a> {
-        let n = self.collection.len() as u32;
-        self.order = order.into_iter().filter(|&i| i < n).collect();
+    /// A position out of range leaves its row blank.
+    pub fn with_order(mut self, order: &'a [u32]) -> TimelineView<'a> {
+        self.order = Some(order);
         self
     }
 
     /// Number of display rows.
     pub fn rows(&self) -> usize {
-        self.order.len()
+        self.order.map_or(self.collection.len(), <[u32]>::len)
     }
 
     /// The x pixel of an instant for a given history, or `None` when the
@@ -118,8 +120,11 @@ impl<'a> TimelineView<'a> {
         let bar_h = (row_h * 0.62).clamp(1.0, 26.0);
         let histories = self.collection.histories();
 
-        for row in vp.visible_rows(self.order.len()) {
-            let hist = &histories[self.order[row] as usize];
+        for row in vp.visible_rows(self.rows()) {
+            let position = self.order.map_or(row, |order| order[row] as usize);
+            let Some(hist) = histories.get(position) else {
+                continue;
+            };
             let y_top = vp.y_of_row(row);
             let y_bar = y_top + (row_h - bar_h) / 2.0;
             let patient = hist.id();
@@ -176,7 +181,7 @@ impl<'a> TimelineView<'a> {
                         hits.push(HitRecord {
                             bbox,
                             row,
-                            history_index: self.order[row] as usize,
+                            history_index: position,
                             entry_index: ei,
                             details: e.describe(),
                         });
@@ -555,10 +560,11 @@ mod tests {
     #[test]
     fn custom_order_is_respected() {
         let c = sample_collection();
-        let view =
-            TimelineView::new(&c, TimelineOptions::default()).with_order(vec![2, 0, 99]);
-        assert_eq!(view.rows(), 2, "out-of-range order entries dropped");
-        let (_, hits) = view.layout(&vp());
+        let view = TimelineView::new(&c, TimelineOptions::default()).with_order(&[2, 0, 99]);
+        assert_eq!(view.rows(), 3);
+        let (scene, hits) = view.layout(&vp());
+        assert_eq!(scene.count_class_prefix("viz:Row/bar"), 2, "out-of-range row stays blank");
+        assert!(hits.iter().any(|r| r.row == 0 && r.history_index == 2));
         assert!(hits.iter().all(|r| r.history_index == 2 || r.history_index == 0));
     }
 

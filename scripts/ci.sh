@@ -21,6 +21,14 @@ stage() {
 
 stage "cargo build --release" cargo build --release
 stage "cargo test" cargo test -q
+# The benchmark harness (BENCHMARK.json, benchmark/) is a package outside
+# this workspace that compiles against crate internals (`Workbench::
+# snapshot`, `CodeIndex::with_delta`, `ServerHandle::ctx`, ...), so the
+# root `cargo test` never builds it. Its unit tests plus a smoke run of
+# both workloads at 2,000 patients: a crate change that breaks the
+# harness fails here, not in the next benchmark run.
+stage "benchmark harness tests" \
+    cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
 # Repo-specific invariants (DESIGN.md §9 and §14): no panics on hot
 # paths, no wall clocks in determinism layers, budget-clamped
 # allocations, plus the interprocedural flow rules (lock-order cycles,
