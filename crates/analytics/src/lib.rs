@@ -8,21 +8,23 @@
 //! source, events-per-patient band, history-span band, dominant ICD-10
 //! chapter, dominant ATC main group, first-contact year, top-k codes —
 //! plus a condition breakdown resolved through the integration ontology)
-//! over the sharded columnar `EventStore` in **one parallel pass**.
+//! over the selected patients.
 //!
 //! The design is dense ids end to end: [`dimensions`] fixes small bucket
-//! vocabularies per dimension, a per-arena table maps every interned
-//! `CodeId` to its chapter/group/condition/global ids once per pass, and
-//! the fold indexes `u32` accumulator arrays — no strings, no hashing,
-//! no allocation inside the per-entry loop. Partial accumulators merge
-//! by vector addition via `pastas_par::par_fold`, so the profile is
-//! deterministic and independent of thread count, which the property
-//! tests check against the naive serial oracle
-//! ([`cohort_profile_serial`]).
+//! vocabularies per dimension, and a [`PatientColumns`] digest column —
+//! one 24-byte row per patient plus its distinct global code ids, built
+//! once per collection and carried across ingests from the touched rows —
+//! holds every patient-level attribute, so the fold indexes `u32`
+//! accumulator arrays over `|cohort|` rows: no entries, no strings, no
+//! hashing. Partial accumulators merge by vector addition via
+//! `pastas_par::par_fold`, so the profile is deterministic and
+//! independent of thread count, which the property tests check against
+//! the naive serial per-entry oracle ([`cohort_profile_serial`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod columns;
 pub mod dimensions;
 pub mod profile;
 mod tables;
@@ -30,8 +32,7 @@ mod tables;
 #[cfg(test)]
 mod proptests;
 
+pub use columns::PatientColumns;
 pub use profile::{
-    cohort_monthly, cohort_profile, cohort_profile_prepared, cohort_profile_serial,
-    CohortProfile, Histogram, DEFAULT_TOP_K,
+    cohort_monthly, cohort_profile_serial, CohortProfile, Histogram, DEFAULT_TOP_K,
 };
-pub use tables::Tables as DimensionTables;

@@ -1,20 +1,21 @@
-//! The one-pass cohort dimension aggregation and its serial oracle.
+//! The cohort dimension aggregation and its serial oracle.
 //!
-//! [`cohort_profile`] folds the selected histories — given as sorted
-//! positions into the collection, exactly what the query planner returns
-//! — into a [`CohortProfile`] in a single parallel pass: each worker
-//! carries a dense [`Accum`] of `u32` bucket arrays (plus a
-//! vocabulary-sized count column for top-k codes) and the partial
-//! accumulators merge by vector addition, so the result is independent
-//! of chunking and thread count. [`cohort_profile_serial`] is the
-//! deliberately naive per-history reference implementation the property
-//! tests diff against.
+//! [`PatientColumns::profile`] folds the digest rows of the selected
+//! patients — given as sorted positions into the collection, exactly
+//! what the query planner returns — into a [`CohortProfile`] in one
+//! parallel pass: each worker carries a dense [`Accum`] of `u32` bucket
+//! arrays (plus a vocabulary-sized count column for top-k codes) and the
+//! partial accumulators merge by vector addition, so the result is
+//! independent of chunking and thread count. [`cohort_profile_serial`]
+//! is the deliberately naive per-history, per-entry reference
+//! implementation the property tests diff against.
 
+use crate::columns::{dominant, Digest, PatientColumns, NO_YEAR};
 use crate::dimensions::*;
-use crate::tables::{ArenaTables, Tables, NO_BUCKET};
-use pastas_model::{History, HistoryCollection, Sex, SourceKind};
+use crate::tables::NO_BUCKET;
+use pastas_model::{HistoryCollection, Sex, SourceKind};
 use pastas_ontology::integration::{IntegrationOntology, CONDITIONS};
-use pastas_time::Date;
+use pastas_time::{Date, DateTime};
 use std::collections::BTreeMap;
 
 /// How many top codes a profile reports by default.
@@ -106,6 +107,25 @@ impl CohortProfile {
         out
     }
 
+    /// This profile cut to its `top_k` most frequent codes: what the fold
+    /// would have returned for that `top_k`, given it ran with a larger
+    /// one (the top codes are a sorted prefix).
+    pub fn with_top_k(&self, top_k: usize) -> CohortProfile {
+        let mut cut = self.clone();
+        cut.top_codes.truncate(top_k);
+        cut
+    }
+
+    /// Approximate heap bytes the profile holds (what a cache of profiles
+    /// charges for one).
+    pub fn heap_bytes(&self) -> usize {
+        const BANDS: usize = AGE_BANDS + SEX_BANDS + SOURCE_BANDS + ENTRY_BANDS + SPAN_BANDS
+            + ICD_BANDS + ATC_BANDS + FIRST_CONTACT_BANDS;
+        let labelled = self.top_codes.iter().chain(&self.conditions);
+        labelled.map(|(label, _)| std::mem::size_of::<(String, u64)>() + label.len()).sum::<usize>()
+            + BANDS * std::mem::size_of::<u64>()
+    }
+
     /// The profile as a JSON document (hand-written like the rest of the
     /// serve layer; labels are escaped).
     pub fn to_json(&self) -> String {
@@ -166,14 +186,7 @@ struct Accum {
     first_contact: [u32; FIRST_CONTACT_BANDS],
     /// Patients carrying each global code (per-patient-distinct).
     code_counts: Vec<u32>,
-    /// Last history serial that touched each code — the stamp trick that
-    /// makes per-patient-distinct counting allocation-free in the loop.
-    code_stamp: Vec<u32>,
     cond_counts: [u32; CONDITIONS.len()],
-    /// Serial of the history currently being folded (per worker).
-    stamp: u32,
-    /// Last arena-table index hit, fed back to [`Tables::for_history`].
-    arena_hint: usize,
 }
 
 impl Accum {
@@ -190,78 +203,36 @@ impl Accum {
             atc: [0; ATC_BANDS],
             first_contact: [0; FIRST_CONTACT_BANDS],
             code_counts: vec![0; vocab_len],
-            code_stamp: vec![u32::MAX; vocab_len],
             cond_counts: [0; CONDITIONS.len()],
-            stamp: 0,
-            arena_hint: 0,
         }
     }
 
-    /// Fold one history into the accumulator.
-    fn add(&mut self, history: &History, tables: &ArenaTables, reference: Date) {
+    /// Fold one patient's digest row into the accumulator.
+    fn add(&mut self, row: &Digest, codes: &[u32], reference: Date) {
         self.cohort += 1;
-        self.entries += history.len() as u64;
-        self.age[age_bucket(history.age_at(reference))] += 1;
-        self.sex[match history.patient().sex {
-            Sex::Female => 0,
-            Sex::Male => 1,
+        self.entries += u64::from(row.entries);
+        self.age[age_bucket(reference.months_between(row.birth).div_euclid(12))] += 1;
+        self.sex[row.sex as usize] += 1;
+        self.entry_bands[entry_bucket(row.entries as usize)] += 1;
+        self.first_contact[match row.first_year {
+            NO_YEAR => FIRST_CONTACT_NONE,
+            year => first_contact_bucket(reference.year(), i32::from(year)),
         }] += 1;
-        self.entry_bands[entry_bucket(history.len())] += 1;
-        self.first_contact[match history.first_time() {
-            Some(t) => first_contact_bucket(reference.year(), t.date().year()),
-            None => FIRST_CONTACT_NONE,
-        }] += 1;
-
-        let mut per_source = [0u32; SourceKind::ALL.len()];
-        let mut per_chapter = [0u32; ICD_BANDS - 1];
-        let mut per_atc = [0u32; ATC_BANDS - 1];
-        let mut cond_mask = 0u32;
-        // One fused columnar pass: provenance, code-derived buckets and
-        // the span's max end time together, so `history.span()` (a
-        // second full traversal of the end column) never runs here. The
-        // max is tracked as a monotone integer key — one branchless
-        // `max` per entry instead of the field-wise `DateTime` compare,
-        // with 0 meaning "no entries".
-        let mut last_end_key = 0u64;
-        for (source, code, end) in history.entries().scan() {
-            per_source[source.dense_index()] += 1;
-            last_end_key = last_end_key.max(end.sort_key());
-            if let Some(id) = code {
-                // One packed record per code: every code-derived bucket
-                // comes out of a single 12-byte read.
-                let dims = tables.codes[id.0 as usize];
-                if dims.chapter != NO_BUCKET {
-                    per_chapter[dims.chapter as usize] += 1;
-                }
-                if dims.atc != NO_BUCKET {
-                    per_atc[dims.atc as usize] += 1;
-                }
-                cond_mask |= dims.cond_mask;
-                let gid = dims.global as usize;
-                if self.code_stamp[gid] != self.stamp {
-                    self.code_stamp[gid] = self.stamp;
-                    self.code_counts[gid] += 1;
-                }
-            }
-        }
-        let span_days = history
-            .first_time()
-            .zip(pastas_time::DateTime::from_sort_key(last_end_key))
-            .map(|(first, last)| (last - first).as_days_f64());
-        self.span[span_bucket(span_days)] += 1;
-        self.source[dominant(&per_source).unwrap_or(SOURCE_BANDS - 1)] += 1;
-        self.chapters[dominant(&per_chapter).unwrap_or(ICD_BANDS - 1)] += 1;
-        self.atc[dominant(&per_atc).unwrap_or(ATC_BANDS - 1)] += 1;
-        let mut mask = cond_mask;
+        self.span[row.span as usize] += 1;
+        self.source[row.source as usize] += 1;
+        self.chapters[row.chapter as usize] += 1;
+        self.atc[row.atc as usize] += 1;
+        let mut mask = row.cond_mask;
         while mask != 0 {
-            let i = mask.trailing_zeros() as usize;
-            self.cond_counts[i] += 1;
+            self.cond_counts[mask.trailing_zeros() as usize] += 1;
             mask &= mask - 1;
         }
-        self.stamp = self.stamp.wrapping_add(1);
+        for &id in codes {
+            self.code_counts[id as usize] += 1;
+        }
     }
 
-    /// Merge a partial accumulator (vector addition; stamps don't carry).
+    /// Merge a partial accumulator (vector addition).
     fn merge(mut self, other: Accum) -> Accum {
         fn add_into(a: &mut [u32], b: &[u32]) {
             for (x, y) in a.iter_mut().zip(b) {
@@ -284,58 +255,24 @@ impl Accum {
     }
 }
 
-/// Index of the most frequent bucket, lowest index winning ties; `None`
-/// if every count is zero (empty history / no coded entries).
-fn dominant(counts: &[u32]) -> Option<usize> {
-    let (best, &max) = counts
-        .iter()
-        .enumerate()
-        .max_by(|(i, a), (j, b)| a.cmp(b).then(j.cmp(i)))?;
-    (max > 0).then_some(best)
-}
-
-/// Compute the full dimension profile of the cohort at `positions`
-/// (sorted indices into `collection.histories()`, as returned by the
-/// query planner) in one parallel pass.
-///
-/// `ontology` resolves condition membership — pass a saturated instance
-/// (e.g. `Workbench::ontology()`); construction is expensive.
-pub fn cohort_profile(
-    collection: &HistoryCollection,
-    ontology: &IntegrationOntology,
-    positions: &[u32],
-    reference: Date,
-    top_k: usize,
-) -> CohortProfile {
-    let tables = Tables::build(collection, ontology);
-    cohort_profile_prepared(collection, &tables, positions, reference, top_k)
-}
-
-/// [`cohort_profile`] against pre-built dimension tables. Building the
-/// tables walks every interned code through the parsers and the
-/// ontology — milliseconds of fixed cost at scale — so callers that
-/// profile the same immutable snapshot repeatedly (the serve workbench)
-/// build once and pass the tables here.
-pub fn cohort_profile_prepared(
-    collection: &HistoryCollection,
-    tables: &Tables,
-    positions: &[u32],
-    reference: Date,
-    top_k: usize,
-) -> CohortProfile {
-    let histories = collection.histories();
-    let folded = pastas_par::par_fold(
-        positions,
-        || Accum::new(tables.vocab.len()),
-        |mut acc, &pos| {
-            let history = &histories[pos as usize];
-            let arena = tables.for_history(history, &mut acc.arena_hint);
-            acc.add(history, arena, reference);
-            acc
-        },
-        Accum::merge,
-    );
-    finish(folded, &tables.vocab, reference, top_k)
+impl PatientColumns {
+    /// The full dimension profile of the cohort at `positions` (sorted
+    /// indices into the collection this column describes, as returned by
+    /// the query planner), aged against `reference`: one parallel fold
+    /// over `positions.len()` digest rows. No entry is read.
+    pub fn profile(&self, positions: &[u32], reference: Date, top_k: usize) -> CohortProfile {
+        let folded = pastas_par::par_fold(
+            positions,
+            || Accum::new(self.vocab.labels.len()),
+            |mut acc, &pos| {
+                let (row, codes) = self.row(pos);
+                acc.add(row, codes, reference);
+                acc
+            },
+            Accum::merge,
+        );
+        finish(folded, &self.vocab.labels, reference, top_k)
+    }
 }
 
 /// Widen a folded accumulator into the public profile.
@@ -370,8 +307,8 @@ fn finish(acc: Accum, vocab: &[String], reference: Date, top_k: usize) -> Cohort
     }
 }
 
-/// The serial naive reference: one history at a time, sets and maps
-/// instead of stamps and dense columns, no sharding, no `pastas_par`.
+/// The serial naive reference: one history at a time and every entry of
+/// it, sets and maps instead of digest rows, no sharding, no `pastas_par`.
 /// Exists so the property tests can diff the parallel pass against an
 /// independently structured implementation.
 pub fn cohort_profile_serial(
@@ -422,9 +359,9 @@ pub fn cohort_profile_serial(
                 seen.insert(code.to_string());
             }
         }
-        acc.source[dominant(&per_source).unwrap_or(SOURCE_BANDS - 1)] += 1;
-        acc.chapters[dominant(&per_chapter).unwrap_or(ICD_BANDS - 1)] += 1;
-        acc.atc[dominant(&per_atc).unwrap_or(ATC_BANDS - 1)] += 1;
+        acc.source[dominant(&per_source)] += 1;
+        acc.chapters[dominant(&per_chapter)] += 1;
+        acc.atc[dominant(&per_atc)] += 1;
         for label in seen {
             *code_patients.entry(label).or_insert(0) += 1;
         }
@@ -450,47 +387,42 @@ pub fn cohort_profile_serial(
 /// Monthly event counts over the cohort at `positions`: one
 /// `(first-of-month, entries starting that month)` row per month between
 /// the cohort's first and last entry, gaps filled with zeros. One
-/// parallel pass; merge is map addition.
+/// parallel pass over the histories' contiguous `starts` columns into a
+/// dense slot array (`year * 12 + month`) spanning the collection's
+/// summary, so the per-entry step is one array increment.
 pub fn cohort_monthly(collection: &HistoryCollection, positions: &[u32]) -> Vec<(Date, u64)> {
     let histories = collection.histories();
-    let folded = pastas_par::par_fold(
+    let stats = collection.stats();
+    let (Some(first), Some(last)) = (stats.first, stats.last) else {
+        return Vec::new();
+    };
+    let slot = |t: DateTime| t.date().year() * 12 + t.date().month() as i32 - 1;
+    let base = slot(first);
+    let counts = pastas_par::par_fold(
         positions,
-        BTreeMap::<(i32, u32), u64>::new,
+        || vec![0u64; (slot(last) - base + 1) as usize],
         |mut acc, &pos| {
-            for entry in histories[pos as usize].entries().iter() {
-                let d = entry.start().date();
-                *acc.entry((d.year(), d.month())).or_insert(0) += 1;
+            for &start in histories[pos as usize].entries().starts() {
+                acc[(slot(start) - base) as usize] += 1;
             }
             acc
         },
         |mut a, b| {
-            for (k, v) in b {
-                *a.entry(k).or_insert(0) += v;
-            }
+            a.iter_mut().zip(&b).for_each(|(mine, theirs)| *mine += theirs);
             a
         },
     );
-    let (Some((&first, _)), Some((&last, _))) =
-        (folded.first_key_value(), folded.last_key_value())
-    else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    let (mut year, mut month) = first;
-    loop {
-        // lint:allow(transitive-no-panic-hot-path) month stays in 1..=12 by the rollover below; day 1 is valid in every month
-        let date = Date::new(year, month, 1).expect("month key is valid");
-        out.push((date, folded.get(&(year, month)).copied().unwrap_or(0)));
-        if (year, month) == last {
-            break;
-        }
-        month += 1;
-        if month > 12 {
-            month = 1;
-            year += 1;
-        }
-    }
-    out
+    // The cohort's own first and last month bound the series.
+    let end = counts.iter().rposition(|&c| c > 0).map_or(0, |at| at + 1);
+    let begin = counts.iter().position(|&c| c > 0).unwrap_or(end);
+    let months = counts[begin..end].iter().zip(base + begin as i32..);
+    months
+        .map(|(&count, slot)| {
+            let (year, month) = (slot.div_euclid(12), slot.rem_euclid(12) as u32 + 1);
+            // lint:allow(transitive-no-panic-hot-path) the slot lies between two dates of the collection, so the year is in range; the month is 1..=12 and day 1 is valid in every month
+            (Date::new(year, month, 1).expect("month slot is valid"), count)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -508,11 +440,20 @@ mod tests {
         (collection, IntegrationOntology::new(), reference)
     }
 
+    fn folded(
+        collection: &HistoryCollection,
+        ontology: &IntegrationOntology,
+        positions: &[u32],
+        reference: Date,
+    ) -> CohortProfile {
+        PatientColumns::build(collection, ontology).profile(positions, reference, DEFAULT_TOP_K)
+    }
+
     #[test]
     fn partitions_sum_to_cohort_size() {
         let (collection, ontology, reference) = fixture();
         let positions: Vec<u32> = (0..collection.len() as u32).collect();
-        let p = cohort_profile(&collection, &ontology, &positions, reference, DEFAULT_TOP_K);
+        let p = folded(&collection, &ontology, &positions, reference);
         assert_eq!(p.cohort_size, collection.len() as u64);
         for h in p.histograms().iter().filter(|h| h.partition) {
             let total: u64 = h.buckets.iter().map(|&(_, c)| c).sum();
@@ -524,7 +465,7 @@ mod tests {
     fn parallel_equals_serial_on_full_cohort() {
         let (collection, ontology, reference) = fixture();
         let positions: Vec<u32> = (0..collection.len() as u32).collect();
-        let par = cohort_profile(&collection, &ontology, &positions, reference, DEFAULT_TOP_K);
+        let par = folded(&collection, &ontology, &positions, reference);
         let ser =
             cohort_profile_serial(&collection, &ontology, &positions, reference, DEFAULT_TOP_K);
         assert_eq!(par, ser);
@@ -533,7 +474,7 @@ mod tests {
     #[test]
     fn empty_cohort_profiles_cleanly() {
         let (collection, ontology, reference) = fixture();
-        let p = cohort_profile(&collection, &ontology, &[], reference, DEFAULT_TOP_K);
+        let p = folded(&collection, &ontology, &[], reference);
         assert_eq!(p.cohort_size, 0);
         assert!(p.top_codes.is_empty());
         assert!(cohort_monthly(&collection, &[]).is_empty());

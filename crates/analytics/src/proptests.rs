@@ -1,20 +1,23 @@
-//! Property tests: the parallel sharded dimension pass must agree with
-//! the serial naive per-history fold on arbitrary collections, cohorts
-//! and thread counts, and every partition histogram's bucket totals must
-//! sum to the cohort size.
+//! Property tests: the digest-column fold must agree with the serial
+//! naive per-entry fold, and the dense monthly walk with a naive
+//! per-entry map, on arbitrary collections, cohorts and thread counts;
+//! every partition histogram's bucket totals must sum to the cohort size.
 
-use crate::profile::{cohort_monthly, cohort_profile, cohort_profile_serial};
+use crate::profile::{cohort_monthly, cohort_profile_serial};
+use crate::PatientColumns;
+use pastas_model::{History, HistoryCollection, Patient, PatientId, Sex};
 use pastas_ontology::integration::IntegrationOntology;
 use pastas_synth::{generate_collection, SynthConfig};
 use pastas_time::Date;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// Thread counts the parallel pass must be invariant over (1 is the
 /// exact serial chunking).
 const THREADS: [usize; 2] = [1, 4];
 
 /// Tiny deterministic PRNG (splitmix64), same scheme as the query
-/// crate's proptests — the vendored proptest has no Vec strategies.
+/// crate's proptests.
 struct Rng(u64);
 
 impl Rng {
@@ -28,26 +31,62 @@ impl Rng {
 }
 
 /// A random sorted cohort: every position kept with probability ~`keep`
-/// in 16ths — the shape `select_positions` hands the profile pass.
+/// in 16ths (0 keeps nobody) — the shape `select_positions` hands the
+/// profile pass.
 fn random_cohort(rng: &mut Rng, len: usize, keep: u64) -> Vec<u32> {
     (0..len as u32).filter(|_| rng.next() % 16 < keep).collect()
+}
+
+/// The timeline the slow way: one ordered-map probe per entry, then the
+/// gaps between the first and the last month filled with zeros.
+fn naive_monthly(collection: &HistoryCollection, positions: &[u32]) -> Vec<(Date, u64)> {
+    let mut months: BTreeMap<(i32, u32), u64> = BTreeMap::new();
+    for &pos in positions {
+        for entry in collection.histories()[pos as usize].entries().iter() {
+            let date = entry.start().date();
+            *months.entry((date.year(), date.month())).or_insert(0) += 1;
+        }
+    }
+    let (Some((&first, _)), Some((&last, _))) = (months.first_key_value(), months.last_key_value())
+    else {
+        return Vec::new();
+    };
+    let mut out = Vec::new();
+    let (mut year, mut month) = first;
+    while (year, month) <= last {
+        let count = months.get(&(year, month)).copied().unwrap_or(0);
+        out.push((Date::new(year, month, 1).expect("first of a month"), count));
+        (year, month) = if month == 12 { (year + 1, 1) } else { (year, month + 1) };
+    }
+    out
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
 
     #[test]
-    fn parallel_profile_equals_serial_oracle(
+    fn column_fold_equals_serial_oracle(
         collection_seed in 0u64..50,
         cohort_seed in 0u64..u64::MAX,
         patients in 60usize..220,
         shard_patients in 40usize..120,
-        keep in 1u64..16,
+        persons_only in 0u64..4,
+        keep in 0u64..16,
     ) {
         // Multi-arena on purpose: shard_patients < patients forces the
-        // per-arena table translation the single-arena tests never hit.
+        // per-interner table translation the single-arena tests never hit.
         let config = SynthConfig { shard_patients, ..SynthConfig::with_patients(patients) };
-        let collection = generate_collection(config, collection_seed);
+        let mut collection = generate_collection(config, collection_seed);
+        // Patients the person register knows and no source has seen:
+        // empty histories, each on a store and interner of its own.
+        for id in 0..persons_only {
+            collection.upsert(History::new(Patient {
+                id: PatientId(5_000_000 + id),
+                // Leap-day births: the age's one calendar edge.
+                birth_date: Date::new(1904 + 28 * id as i32, 2, 29).expect("leap year"),
+                sex: if id % 2 == 0 { Sex::Female } else { Sex::Male },
+            }));
+        }
         let ontology = IntegrationOntology::new();
         let reference = collection
             .stats()
@@ -59,16 +98,11 @@ proptest! {
 
         let serial =
             cohort_profile_serial(&collection, &ontology, &positions, reference, 25);
-        let serial_monthly = {
-            // The serial reference for the timeline: thread count 1.
-            pastas_par::with_threads(1, || cohort_monthly(&collection, &positions))
-        };
+        let serial_monthly = naive_monthly(&collection, &positions);
         for threads in THREADS {
             let (profile, monthly) = pastas_par::with_threads(threads, || {
-                (
-                    cohort_profile(&collection, &ontology, &positions, reference, 25),
-                    cohort_monthly(&collection, &positions),
-                )
+                let columns = PatientColumns::build(&collection, &ontology);
+                (columns.profile(&positions, reference, 25), cohort_monthly(&collection, &positions))
             });
             prop_assert_eq!(&profile, &serial, "threads {}", threads);
             prop_assert_eq!(&monthly, &serial_monthly, "threads {}", threads);

@@ -1,20 +1,18 @@
-//! Per-arena dimension tables: one `CodeId → packed dimension record`
-//! column, built once per collection and reusable across profile calls.
+//! Code → dimension translation: the global vocabulary the digest
+//! column's code lists index into, and the bulk builder's per-interner
+//! `CodeId → CodeDims` tables.
 //!
-//! `CodeId`s are arena-local (each shard of a sharded collection interns
-//! its own symbol table), so the tables are keyed by arena: for every
-//! distinct `EventStore` the collection's histories view, one
-//! [`ArenaTables`] maps each interned code to its ICD-10 chapter, ATC
-//! main group, condition bitmask and global vocabulary id — packed into
-//! a single 12-byte record so a coded entry's contribution to every
-//! code-derived dimension is **one** array read (one cache line), not
-//! four scattered ones. The hot aggregation loop never touches a string
-//! or a hash map.
+//! `CodeId`s are interner-local (each shard of a sharded collection
+//! interns its own symbol table), so a [`Vocab`] assigns every distinct
+//! code one global id and keeps its ICD-10 chapter, ATC main group and
+//! condition bitmask in a 12-byte record. [`Tables`] resolves every code
+//! of every distinct interner once, so the bulk build's per-entry loop
+//! is one array read and never touches a string or a hash map.
 
 use pastas_codes::atc::AtcCode;
 use pastas_codes::icd10::Icd10Code;
 use pastas_codes::{Code, CodeSystem};
-use pastas_model::{EventStore, History, HistoryCollection};
+use pastas_model::{CodeInterner, History};
 use pastas_ontology::integration::{IntegrationOntology, CONDITIONS};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -22,7 +20,7 @@ use std::sync::Arc;
 /// Sentinel for "this code has no bucket in the dimension".
 pub(crate) const NO_BUCKET: u8 = u8::MAX;
 
-/// Everything the dimension pass needs to know about one interned code.
+/// Everything the digest builder needs to know about one code.
 #[derive(Clone, Copy)]
 pub(crate) struct CodeDims {
     /// ICD-10 chapter index (`NO_BUCKET` for non-ICD codes).
@@ -31,89 +29,89 @@ pub(crate) struct CodeDims {
     pub atc: u8,
     /// Bit `i` set ⇔ the code indicates `CONDITIONS[i]`.
     pub cond_mask: u32,
-    /// Dense id into the profile-wide vocabulary.
+    /// Dense id into the vocabulary.
     pub global: u32,
 }
 
-/// One arena's code-id-indexed dimension column.
-pub(crate) struct ArenaTables {
-    /// Packed dimension record per interned code.
-    pub codes: Vec<CodeDims>,
+/// The global code vocabulary of one digest column. Append-only: a code
+/// keeps its id across ingest publishes, so rows built against an older
+/// vocabulary stay valid against every later one.
+#[derive(Clone, Default)]
+pub(crate) struct Vocab {
+    /// Display labels (`"ICPC2:T90"`), indexed by global code id.
+    pub labels: Vec<String>,
+    dims: Vec<CodeDims>,
+    ids: HashMap<Code, u32>,
 }
 
-/// Dimension tables for every distinct arena of a collection, plus the
-/// merged global code vocabulary. Build once per collection (the
-/// workbench memoizes one per snapshot) and reuse across profile calls —
-/// construction parses every interned code and consults the ontology,
-/// which is milliseconds of fixed cost the per-request path should not
-/// pay.
-pub struct Tables {
-    /// `(Arc::as_ptr of the arena, its tables)`, first-seen order. A
-    /// handful of entries even at 10M patients, so lookups are a hinted
-    /// linear scan rather than a per-history hash.
-    arenas: Vec<(usize, ArenaTables)>,
-    /// Display labels (`"ICPC2:T90"`), indexed by global code id.
-    pub(crate) vocab: Vec<String>,
+impl Vocab {
+    /// The dimension record of a code the vocabulary already holds.
+    pub fn get(&self, code: &Code) -> Option<CodeDims> {
+        self.ids.get(code).map(|&id| self.dims[id as usize])
+    }
+
+    /// Add `code` (not yet held): parse it and resolve its conditions
+    /// through `ontology`, once.
+    pub fn insert(&mut self, code: &Code, ontology: &IntegrationOntology) -> CodeDims {
+        const _: () = assert!(CONDITIONS.len() <= 32, "condition mask is a u32");
+        let dims = CodeDims {
+            chapter: chapter_of(code),
+            atc: atc_group_of(code),
+            cond_mask: condition_mask(ontology, code),
+            global: self.labels.len() as u32,
+        };
+        self.labels.push(code.to_string());
+        self.dims.push(dims);
+        self.ids.insert(code.clone(), dims.global);
+        dims
+    }
+}
+
+/// `CodeId → CodeDims` for every distinct interner behind a run of
+/// histories — the bulk builder's translation, dropped when the build
+/// ends. Keyed by interner identity, and holding the `Arc` so the
+/// address cannot be recycled under the key.
+pub(crate) struct Tables {
+    interners: Vec<(Arc<CodeInterner>, Vec<CodeDims>)>,
+    by_address: HashMap<usize, usize>,
 }
 
 impl Tables {
-    /// Build the tables for `collection`, resolving condition membership
-    /// through `ontology` (reuse a saturated instance — construction is
-    /// expensive).
-    pub fn build(collection: &HistoryCollection, ontology: &IntegrationOntology) -> Tables {
-        const _: () = assert!(CONDITIONS.len() <= 32, "condition mask is a u32");
-        let mut seen: HashMap<usize, ()> = HashMap::new();
-        let mut stores: Vec<(usize, &Arc<EventStore>)> = Vec::new();
-        for history in collection.histories() {
-            let key = Arc::as_ptr(history.store()) as usize;
-            if seen.insert(key, ()).is_none() {
-                stores.push((key, history.store()));
+    /// Resolve every code of every interner `histories` view, extending
+    /// `vocab` in first-seen order.
+    pub fn build(
+        histories: &[Arc<History>],
+        vocab: &mut Vocab,
+        ontology: &IntegrationOntology,
+    ) -> Tables {
+        let mut tables = Tables { interners: Vec::new(), by_address: HashMap::new() };
+        let mut previous = std::ptr::null();
+        for history in histories {
+            let interner = history.store().interner_arc();
+            let address = Arc::as_ptr(interner);
+            if address == previous || tables.by_address.contains_key(&(address as usize)) {
+                continue;
             }
+            previous = address;
+            let dims = interner
+                .iter()
+                .map(|code| vocab.get(code).unwrap_or_else(|| vocab.insert(code, ontology)))
+                .collect();
+            tables.by_address.insert(address as usize, tables.interners.len());
+            tables.interners.push((Arc::clone(interner), dims));
         }
-
-        let mut vocab: Vec<String> = Vec::new();
-        let mut global_ids: HashMap<(CodeSystem, String), u32> = HashMap::new();
-        let mut arenas = Vec::with_capacity(stores.len());
-        for (key, store) in stores {
-            let interner = store.interner();
-            let mut codes = Vec::with_capacity(interner.len());
-            for code in interner.iter() {
-                let gid = *global_ids.entry((code.system, code.value.clone())).or_insert_with(
-                    || {
-                        vocab.push(code.to_string());
-                        (vocab.len() - 1) as u32
-                    },
-                );
-                codes.push(CodeDims {
-                    chapter: chapter_of(code),
-                    atc: atc_group_of(code),
-                    cond_mask: condition_mask(ontology, code),
-                    global: gid,
-                });
-            }
-            arenas.push((key, ArenaTables { codes }));
-        }
-        Tables { arenas, vocab }
+        tables
     }
 
-    /// The tables of the arena backing `history`. `hint` is the caller's
-    /// last hit — positions arrive sorted, so consecutive histories
-    /// nearly always share an arena and the scan is O(1) amortized.
-    pub(crate) fn for_history(&self, history: &History, hint: &mut usize) -> &ArenaTables {
-        let key = Arc::as_ptr(history.store()) as usize;
-        if let Some((k, tables)) = self.arenas.get(*hint) {
-            if *k == key {
-                return tables;
-            }
+    /// The table of the interner behind `history`. `hint` is the caller's
+    /// last hit: neighbouring rows nearly always share an arena.
+    pub fn of(&self, history: &History, hint: &mut usize) -> &[CodeDims] {
+        let interner = history.store().interner_arc();
+        if !self.interners.get(*hint).is_some_and(|(held, _)| Arc::ptr_eq(held, interner)) {
+            // lint:allow(transitive-no-panic-hot-path) Tables::build registered the interner of every history it was given
+            *hint = self.by_address[&(Arc::as_ptr(interner) as usize)];
         }
-        let idx = self
-            .arenas
-            .iter()
-            .position(|&(k, _)| k == key)
-            // lint:allow(transitive-no-panic-hot-path) Tables::build registers every arena the snapshot's histories point at
-            .expect("history's arena is in the tables");
-        *hint = idx;
-        &self.arenas[idx].1
+        &self.interners[*hint].1
     }
 }
 

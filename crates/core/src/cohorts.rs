@@ -11,15 +11,26 @@
 //! answers `410 Gone` with a re-materialize hint built from the stored
 //! query text.
 //!
-//! The registry is bounded by handle count and by bitmap bytes;
-//! least-recently-used handles are evicted first. Re-materializing an
-//! identical selection (same canonical fingerprint, same version) is
-//! deduplicated onto the existing handle.
+//! A handle also owns its aggregates: the first stats or panel read
+//! folds the profile (with [`MEMO_TOP_K`] top codes, so any `k` a request
+//! may ask for is a prefix), the first timeline read the monthly series;
+//! every later read serializes the memo, which dies with the handle.
+//!
+//! The registry is bounded by handle count and by handle bytes (bitmap
+//! plus memos); least-recently-used handles are evicted first.
+//! Re-materializing an identical selection (same canonical fingerprint,
+//! same version) is deduplicated onto the existing handle.
 
+use crate::Workbench;
+use pastas_analytics::CohortProfile;
 use pastas_query::Bitmap;
+use pastas_time::Date;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
+
+/// Top codes a handle's memoized profile keeps: the most a read may ask.
+pub const MEMO_TOP_K: usize = 200;
 
 /// A frozen selection: the posting bitmap of a cohort at one snapshot
 /// version, plus what is needed to re-materialize it.
@@ -37,16 +48,29 @@ pub struct CohortHandle {
     pub query: String,
     /// The frozen history positions.
     pub positions: Bitmap,
+    /// Filled by [`CohortRegistry::profile`], with [`MEMO_TOP_K`] codes.
+    profile: OnceLock<CohortProfile>,
+    /// Filled by [`CohortRegistry::monthly`].
+    monthly: OnceLock<Vec<(Date, u64)>>,
 }
 
 impl CohortHandle {
-    /// Approximate heap bytes the handle pins.
+    /// Approximate heap bytes the handle pins, filled memos included.
     fn bytes(&self) -> usize {
         std::mem::size_of::<CohortHandle>()
             + self.positions.heap_bytes()
             + self.id.len()
             + self.fingerprint.len()
             + self.query.len()
+            + self.profile.get().map_or(0, CohortProfile::heap_bytes)
+            + self.monthly.get().map_or(0, |m| m.len() * std::mem::size_of::<(Date, u64)>())
+    }
+
+    /// The frozen positions, decoded (sorted).
+    fn decode(&self) -> Vec<u32> {
+        let mut positions = Vec::with_capacity(self.count as usize);
+        self.positions.decode_into(0, &mut positions);
+        positions
     }
 }
 
@@ -93,7 +117,14 @@ struct Inner {
     handles: HashMap<String, Entry>,
     next_id: u64,
     tick: u64,
-    bytes: usize,
+}
+
+impl Inner {
+    /// Bytes pinned by live handles, summed on demand: a handle grows
+    /// when a read fills a memo, long after it was inserted.
+    fn bytes(&self) -> usize {
+        self.handles.values().map(|e| e.handle.bytes()).sum()
+    }
 }
 
 /// Bounded, versioned store of materialized cohort handles. Thread-safe;
@@ -103,6 +134,7 @@ pub struct CohortRegistry {
     config: RegistryConfig,
     materializations: AtomicU64,
     stale_hits: AtomicU64,
+    profile_folds: AtomicU64,
 }
 
 impl CohortRegistry {
@@ -113,11 +145,11 @@ impl CohortRegistry {
                 handles: HashMap::new(),
                 next_id: 1,
                 tick: 0,
-                bytes: 0,
             }),
             config,
             materializations: AtomicU64::new(0),
             stale_hits: AtomicU64::new(0),
+            profile_folds: AtomicU64::new(0),
         }
     }
 
@@ -149,12 +181,13 @@ impl CohortRegistry {
             fingerprint: fingerprint.to_owned(),
             query: query.to_owned(),
             positions: Bitmap::from_sorted(positions),
+            profile: OnceLock::new(),
+            monthly: OnceLock::new(),
         });
         inner.next_id += 1;
-        let bytes = handle.bytes();
         while !inner.handles.is_empty()
             && (inner.handles.len() >= self.config.max_handles
-                || inner.bytes + bytes > self.config.max_bytes)
+                || inner.bytes() + handle.bytes() > self.config.max_bytes)
         {
             let Some(oldest) = inner
                 .handles
@@ -164,11 +197,8 @@ impl CohortRegistry {
             else {
                 break;
             };
-            if let Some(evicted) = inner.handles.remove(&oldest) {
-                inner.bytes -= evicted.handle.bytes();
-            }
+            inner.handles.remove(&oldest);
         }
-        inner.bytes += bytes;
         inner
             .handles
             .insert(handle.id.clone(), Entry { handle: Arc::clone(&handle), last_used: tick });
@@ -194,12 +224,37 @@ impl CohortRegistry {
         let Some(stale) = inner.handles.remove(id) else {
             return CohortLookup::Missing;
         };
-        inner.bytes -= stale.handle.bytes();
         self.stale_hits.fetch_add(1, Ordering::Relaxed);
         CohortLookup::Stale {
             version: stale.handle.version,
             query: stale.handle.query.clone(),
         }
+    }
+
+    /// The profile of `handle`'s cohort with [`MEMO_TOP_K`] top codes (cut
+    /// it with [`CohortProfile::with_top_k`]). The first call per handle
+    /// folds it over `workbench` — the snapshot the handle is pinned to —
+    /// and counts in [`Self::profile_folds_total`]; later ones are the memo.
+    pub fn profile<'h>(
+        &self,
+        handle: &'h CohortHandle,
+        workbench: &Workbench,
+        reference: Date,
+    ) -> &'h CohortProfile {
+        handle.profile.get_or_init(|| {
+            self.profile_folds.fetch_add(1, Ordering::Relaxed);
+            workbench.cohort_profile(&handle.decode(), reference, MEMO_TOP_K)
+        })
+    }
+
+    /// The monthly series of `handle`'s cohort: walked over `workbench`
+    /// on the first call per handle, the memo afterwards.
+    pub fn monthly<'h>(
+        &self,
+        handle: &'h CohortHandle,
+        workbench: &Workbench,
+    ) -> &'h [(Date, u64)] {
+        handle.monthly.get_or_init(|| workbench.cohort_monthly(&handle.decode()))
     }
 
     /// Number of live handles.
@@ -212,9 +267,9 @@ impl CohortRegistry {
         self.len() == 0
     }
 
-    /// Approximate bytes pinned by live handles.
+    /// Approximate bytes pinned by live handles, memos included.
     pub fn bytes(&self) -> usize {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner()).bytes
+        self.inner.lock().unwrap_or_else(|e| e.into_inner()).bytes()
     }
 
     /// Handles materialized since startup (dedup hits not counted).
@@ -225,6 +280,12 @@ impl CohortRegistry {
     /// Lookups that found a stale handle since startup.
     pub fn stale_hits_total(&self) -> u64 {
         self.stale_hits.load(Ordering::Relaxed)
+    }
+
+    /// Profiles folded since startup: one per handle whose stats or panel
+    /// was ever read, however many reads followed.
+    pub fn profile_folds_total(&self) -> u64 {
+        self.profile_folds.load(Ordering::Relaxed)
     }
 }
 

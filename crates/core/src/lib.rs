@@ -36,7 +36,7 @@ pub mod recognition;
 pub mod session;
 pub mod workbench;
 
-pub use cohorts::{CohortHandle, CohortLookup, CohortRegistry, RegistryConfig};
+pub use cohorts::{CohortHandle, CohortLookup, CohortRegistry, RegistryConfig, MEMO_TOP_K};
 pub use error::CoreError;
 pub use recognition::{simulate_study, RecognitionModel, StudyOutcome};
 pub use session::{Selection, Session, ViewCommand};

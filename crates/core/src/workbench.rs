@@ -5,6 +5,7 @@
 //! benches against Shneiderman's 0.1 s budget: select, sort, align, filter,
 //! zoom, hover.
 
+use pastas_analytics::PatientColumns;
 use pastas_ingest::{
     aggregate, entry_fingerprint, DeltaBatch, EntryFingerprint, QualityReport, SourceTexts,
 };
@@ -18,7 +19,7 @@ use pastas_time::{Date, Duration};
 use pastas_viz::html::{personal_timeline, PersonalTimelineOptions};
 use pastas_viz::timeline::aligned_viewport;
 use pastas_viz::{ascii, hit::HitMap, svg, AxisMode, Scene, TimelineOptions, TimelineView, Viewport};
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -43,12 +44,15 @@ pub struct ViewState {
 /// collection changes ([`Workbench::set_collection`]), which leaves
 /// snapshots of the *old* collection consistent with their own cache.
 ///
+/// Bounded ([`SelectionMemo`]): a server whose every query is new would
+/// otherwise pin one position vector per query it ever answered.
+///
 /// Also home to the plan-path counters the serve layer exports:
 /// `index_hits` counts uncached selections answered by posting-list set
 /// algebra, `scan_fallbacks` those whose plan evaluated the query against
 /// every history.
 struct SelectionCache {
-    entries: Mutex<HashMap<String, Vec<u32>>>,
+    entries: Mutex<SelectionMemo>,
     hits: AtomicU64,
     misses: AtomicU64,
     index_hits: AtomicU64,
@@ -60,7 +64,7 @@ struct SelectionCache {
 impl SelectionCache {
     fn new() -> Arc<SelectionCache> {
         Arc::new(SelectionCache {
-            entries: Mutex::new(HashMap::new()),
+            entries: Mutex::new(SelectionMemo::default()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             index_hits: AtomicU64::new(0),
@@ -85,6 +89,32 @@ impl SelectionCache {
         if stats.pattern_automaton_runs > 0 {
             self.pattern_automaton_runs
                 .fetch_add(stats.pattern_automaton_runs, Ordering::Relaxed);
+        }
+    }
+}
+
+/// Most bytes of positions a [`SelectionMemo`] keeps.
+const SELECTION_MEMO_BYTES: usize = 32 << 20;
+
+/// Selection results by canonical fingerprint, first in first out beyond
+/// [`SELECTION_MEMO_BYTES`]; the newest result always stays.
+#[derive(Default)]
+struct SelectionMemo {
+    results: HashMap<String, Vec<u32>>,
+    oldest_first: VecDeque<String>,
+    bytes: usize,
+}
+
+impl SelectionMemo {
+    fn insert(&mut self, fingerprint: String, positions: Vec<u32>) {
+        self.bytes += positions.len() * 4;
+        match self.results.insert(fingerprint.clone(), positions) {
+            Some(replaced) => self.bytes -= replaced.len() * 4,
+            None => self.oldest_first.push_back(fingerprint),
+        }
+        while self.bytes > SELECTION_MEMO_BYTES && self.oldest_first.len() > 1 {
+            let evicted = self.oldest_first.pop_front().and_then(|k| self.results.remove(&k));
+            self.bytes -= evicted.map_or(0, |positions| positions.len() * 4);
         }
     }
 }
@@ -118,12 +148,12 @@ pub struct Workbench {
     ontology: Arc<IntegrationOntology>,
     quality: Option<QualityReport>,
     selections: Arc<SelectionCache>,
-    /// Lazily built dimension tables for `collection` (see
-    /// `pastas-analytics`): the first [`Self::cohort_profile`] call pays
-    /// the build, every later profile of this collection reuses it.
-    /// `Arc`-shared with snapshots and *replaced* (never cleared) when
-    /// the collection changes, like the selection cache.
-    dimension_tables: Arc<OnceLock<pastas_analytics::DimensionTables>>,
+    /// The per-patient digest column of `collection` (see
+    /// `pastas-analytics`): the first [`Self::cohort_profile`] call
+    /// builds it, snapshots share it, and [`Self::apply_ingest`] carries
+    /// a built one forward from the touched rows, so no later read or
+    /// publish walks the collection for it again.
+    columns: Arc<OnceLock<PatientColumns>>,
     // View state.
     order: Vec<u32>,
     axis: AxisMode,
@@ -165,7 +195,7 @@ impl Workbench {
             ontology: Arc::new(IntegrationOntology::new()),
             quality: None,
             selections: SelectionCache::new(),
-            dimension_tables: Arc::new(OnceLock::new()),
+            columns: Arc::new(OnceLock::new()),
             order,
             axis: AxisMode::Calendar,
             filter: None,
@@ -187,7 +217,7 @@ impl Workbench {
         self.collection_fingerprint = fingerprint_collection(&collection);
         self.collection = collection;
         self.selections = SelectionCache::new();
-        self.dimension_tables = Arc::new(OnceLock::new());
+        self.columns = Arc::new(OnceLock::new());
     }
 
     /// Apply parsed ingest deltas ([`pastas_ingest::parse_delta`])
@@ -276,7 +306,11 @@ impl Workbench {
             sum.wrapping_add(row_fingerprint(at as usize, &histories[at as usize]))
         });
         self.selections = SelectionCache::new();
-        self.dimension_tables = Arc::new(OnceLock::new());
+        // A new cell, not a write into the shared one: snapshots of the
+        // old collection keep the column that describes it.
+        let carried =
+            self.columns.get().map(|c| c.with_rows(&self.collection, &self.ontology, &dirty));
+        self.columns = Arc::new(carried.map_or_else(OnceLock::new, OnceLock::from));
         // Appended patients join the end of the display order; existing
         // rows keep their positions, so the current sort/alignment stays
         // meaningful.
@@ -325,7 +359,7 @@ impl Workbench {
             ontology: Arc::clone(&self.ontology),
             quality: self.quality.clone(),
             selections: Arc::clone(&self.selections),
-            dimension_tables: Arc::clone(&self.dimension_tables),
+            columns: Arc::clone(&self.columns),
             order: self.order.clone(),
             axis: self.axis.clone(),
             filter: self.filter.clone(),
@@ -361,8 +395,8 @@ impl Workbench {
 
     /// Deep invariant check (debug builds only; a no-op in release): the
     /// collection's own check (id map, maintained summary against the
-    /// from-entries walk) and the maintained fingerprint against the
-    /// from-scratch one.
+    /// from-entries walk), the maintained fingerprint against the
+    /// from-scratch one, and a built digest column against a rebuilt one.
     #[cfg(debug_assertions)]
     pub fn debug_validate(&self) {
         self.collection.debug_validate();
@@ -371,6 +405,12 @@ impl Workbench {
             fingerprint_collection(&self.collection),
             "workbench: maintained fingerprint drifted from the from-scratch one"
         );
+        if let Some(columns) = self.columns.get() {
+            assert!(
+                *columns == PatientColumns::build(&self.collection, &self.ontology),
+                "workbench: maintained digest column drifted from the rebuilt one"
+            );
+        }
     }
 
     /// Deep invariant check (debug builds only; a no-op in release).
@@ -378,9 +418,16 @@ impl Workbench {
     #[inline(always)]
     pub fn debug_validate(&self) {}
 
+    /// True while [`Self::cohort_profile`] answers without walking the
+    /// collection.
+    #[cfg(test)]
+    pub(crate) fn holds_columns(&self) -> bool {
+        self.columns.get().is_some()
+    }
+
     /// Number of memoized selections.
     pub fn selection_cache_len(&self) -> usize {
-        self.selections.entries.lock().unwrap_or_else(|e| e.into_inner()).len()
+        self.selections.entries.lock().unwrap_or_else(|e| e.into_inner()).results.len()
     }
 
     /// Selection-cache hits since this collection was installed.
@@ -480,7 +527,7 @@ impl Workbench {
         let fingerprint = plan.canonical_fingerprint().to_owned();
         {
             let cache = self.selections.entries.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(hit) = cache.get(&fingerprint) {
+            if let Some(hit) = cache.results.get(&fingerprint) {
                 self.selections.hits.fetch_add(1, Ordering::Relaxed);
                 return hit.clone();
             }
@@ -540,27 +587,20 @@ impl Workbench {
     /// The nine-dimension composition profile of the cohort at
     /// `positions` (sorted history positions, e.g. a
     /// [`Self::select_positions`] result or a materialized handle's
-    /// decoded bitmap), aged against `reference`. One parallel columnar
-    /// pass — see `pastas-analytics`. Does **not** touch the planner or
-    /// the selection cache. The code→dimension tables are built on first
-    /// use and memoized per collection (shared with snapshots), so a
-    /// warm workbench pays only the fold itself.
+    /// decoded bitmap), aged against `reference`: one parallel fold over
+    /// `positions.len()` rows of the digest column — see
+    /// `pastas-analytics`. Reads no entry and does **not** touch the
+    /// planner or the selection cache. The first call on a collection
+    /// nobody has profiled yet builds the column (a walk of every entry).
     pub fn cohort_profile(
         &self,
         positions: &[u32],
         reference: Date,
         top_k: usize,
     ) -> pastas_analytics::CohortProfile {
-        let tables = self.dimension_tables.get_or_init(|| {
-            pastas_analytics::DimensionTables::build(&self.collection, &self.ontology)
-        });
-        pastas_analytics::cohort_profile_prepared(
-            &self.collection,
-            tables,
-            positions,
-            reference,
-            top_k,
-        )
+        let columns =
+            self.columns.get_or_init(|| PatientColumns::build(&self.collection, &self.ontology));
+        columns.profile(positions, reference, top_k)
     }
 
     /// Monthly event counts of the cohort at `positions` (gap-filled,
@@ -795,6 +835,27 @@ mod tests {
         let q2 = QueryBuilder::new().has_code("K86").unwrap().build();
         let _ = wb.select_positions(&q2);
         assert_eq!(wb.selection_cache_len(), 2);
+    }
+
+    /// The selection memo holds at most its byte bound: the oldest
+    /// results leave first, the newest always stays, and replacing a
+    /// result charges it once.
+    #[test]
+    fn selection_memo_is_bounded_first_in_first_out() {
+        let third = SELECTION_MEMO_BYTES / 4 / 3;
+        let mut memo = SelectionMemo::default();
+        for key in ["a", "b", "c"] {
+            memo.insert(key.to_owned(), vec![0; third]);
+        }
+        memo.insert("b".to_owned(), vec![0; third]);
+        assert_eq!((memo.results.len(), memo.bytes), (3, third * 12), "a replacement is no growth");
+        memo.insert("d".to_owned(), vec![0; third]);
+        let mut held: Vec<&str> = memo.results.keys().map(String::as_str).collect();
+        held.sort_unstable();
+        assert_eq!(held, ["b", "c", "d"], "the oldest result left");
+        memo.insert("whole".to_owned(), vec![0; SELECTION_MEMO_BYTES / 4 + 1]);
+        assert_eq!(memo.results.len(), 1, "an oversized newest result still stays");
+        assert_eq!(memo.bytes, SELECTION_MEMO_BYTES + 4);
     }
 
     #[test]
@@ -1094,6 +1155,58 @@ mod tests {
         assert_eq!(wb.collection().len(), 302);
     }
 
+    /// One ingest batch of T90-style diagnosis events: `(patient, code,
+    /// day of March 2014)` per delta.
+    fn diagnosis_batch(deltas: &[(pastas_model::Patient, pastas_codes::Code, u32)]) -> DeltaBatch {
+        use pastas_ingest::PatientDelta;
+        use pastas_model::{Entry, Payload, SourceKind};
+        DeltaBatch {
+            deltas: deltas
+                .iter()
+                .map(|(patient, code, day)| PatientDelta {
+                    patient: *patient,
+                    entries: vec![Entry::event(
+                        Date::new(2014, 3, *day).unwrap().at_midnight(),
+                        Payload::Diagnosis(code.clone()),
+                        SourceKind::PrimaryCare,
+                    )],
+                })
+                .collect(),
+            ..DeltaBatch::default()
+        }
+    }
+
+    /// The first cohort read after an ingest publish pays no
+    /// full-collection walk: whoever built the digest column, every
+    /// snapshot shares it and `apply_ingest` carries it forward.
+    #[test]
+    fn ingest_publishes_carry_the_digest_column() {
+        use pastas_codes::Code;
+        let mut wb = wb();
+        let reference = Date::new(2014, 12, 31).unwrap();
+        assert!(!wb.holds_columns(), "construction does not walk for it");
+        let reader = wb.snapshot();
+        let before = reader.cohort_profile(&[5, 250], reference, 20);
+        assert!(wb.holds_columns(), "a snapshot's first read fills the shared cell");
+        let known = *wb.collection().histories()[5].patient();
+        let newcomer = pastas_model::Patient { id: PatientId(900_001), ..known };
+        let batch =
+            diagnosis_batch(&[(known, Code::icpc("T90"), 1), (newcomer, Code::icd10("Z99"), 2)]);
+        assert_eq!(wb.apply_ingest(&[batch]).patients_touched, 2);
+        assert!(wb.holds_columns() && wb.snapshot().holds_columns(), "ingest kept the column");
+        wb.debug_validate();
+        let after = wb.snapshot().cohort_profile(&[5, 250], reference, 20);
+        assert_eq!(after.total_entries, before.total_entries + 1);
+        assert_eq!(after, pastas_analytics::cohort_profile_serial(
+            wb.collection(), wb.ontology(), &[5, 250], reference, 20,
+        ));
+        // The pre-ingest snapshot still reads the column of its own rows.
+        assert_eq!(reader.cohort_profile(&[5, 250], reference, 20), before);
+        // A collection swap starts over.
+        wb.set_collection(generate_collection(SynthConfig::with_patients(50), 7));
+        assert!(!wb.holds_columns());
+    }
+
     #[test]
     fn compact_folds_the_side_index_without_changing_results() {
         use pastas_ingest::{parse_delta, DeltaFormat, IdentityRegistry};
@@ -1187,5 +1300,73 @@ mod tests {
         let svg = wb.render_svg(400.0, 200.0);
         assert!(svg.contains("<svg"));
         assert!(wb.select_ids(&HistoryQuery::All).is_empty());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 8,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// The digest column `apply_ingest` carries forward equals the one
+        /// rebuilt from scratch after every publish of a random ingest
+        /// sequence — an existing patient extended, a new patient
+        /// appended, a code no vocabulary has seen, a replayed batch that
+        /// nets out to nothing, and one fixed row dirtied every round —
+        /// and no publish drops it.
+        #[test]
+        fn maintained_columns_equal_the_rebuilt_ones(
+            collection_seed in 0u64..20,
+            steps in proptest::collection::vec((0u8..4, 0usize..1000, 1u32..29), 1..8),
+        ) {
+            use pastas_codes::Code;
+            use proptest::prelude::*;
+            // Several arenas, several chunks, a partial last chunk.
+            let config = SynthConfig { shard_patients: 100, ..SynthConfig::with_patients(300) };
+            let mut wb = Workbench::from_collection(generate_collection(config, collection_seed));
+            let reference = Date::new(2014, 12, 31).unwrap();
+            let _ = wb.cohort_profile(&[], reference, 5);
+            prop_assert!(wb.holds_columns(), "the first read builds the column");
+            let pinned = *wb.collection().histories()[7].patient();
+            let mut replay: Option<DeltaBatch> = None;
+            for (round, (kind, at, day)) in steps.into_iter().enumerate() {
+                let rows = wb.collection().len();
+                let existing = *wb.collection().histories()[at % rows].patient();
+                let batch = match (kind, replay.take()) {
+                    (0, _) => diagnosis_batch(&[(existing, Code::icpc("K74"), day)]),
+                    (1, _) => {
+                        let newcomer = pastas_model::Patient {
+                            id: PatientId(900_000 + round as u64),
+                            ..existing
+                        };
+                        diagnosis_batch(&[(newcomer, Code::atc("C07AB02"), day)])
+                    }
+                    (2, _) => {
+                        let unseen = Code::icd10(&format!("Z{round}{day}"));
+                        diagnosis_batch(&[(existing, unseen, day)])
+                    }
+                    (_, Some(last)) => last,
+                    (_, None) => DeltaBatch::default(),
+                };
+                let pin = diagnosis_batch(&[(pinned, Code::icpc("T90"), round as u32 % 28 + 1)]);
+                let before = wb.snapshot();
+                wb.apply_ingest(&[batch.clone(), pin]);
+                replay = Some(batch);
+                prop_assert!(wb.holds_columns(), "round {} dropped the column", round);
+                let rebuilt = PatientColumns::build(wb.collection(), wb.ontology());
+                prop_assert!(wb.columns.get() == Some(&rebuilt), "round {} (kind {})", round, kind);
+                wb.debug_validate();
+                // What a reader sees, on the new snapshot and on the old.
+                for snapshot in [wb.snapshot(), before] {
+                    let all: Vec<u32> = (0..snapshot.collection().len() as u32).collect();
+                    prop_assert_eq!(
+                        snapshot.cohort_profile(&all, reference, 30),
+                        pastas_analytics::cohort_profile_serial(
+                            snapshot.collection(), snapshot.ontology(), &all, reference, 30,
+                        )
+                    );
+                }
+            }
+        }
     }
 }

@@ -165,8 +165,8 @@ const HOT_ROOTS: &[(&str, &str)] = &[
     ("serve", "route"),
     ("query", "execute"),
     ("query", "execute_explain"),
-    ("analytics", "cohort_profile"),
-    ("analytics", "cohort_profile_prepared"),
+    ("analytics", "profile"),
+    ("analytics", "cohort_monthly"),
     ("core", "cohort_profile"),
 ];
 

@@ -1,9 +1,9 @@
 // lint-fixture-path: crates/analytics/src/flow_panic.rs
-//! Fixture: a panic two calls below the `cohort_profile` hot-path root.
+//! Fixture: a panic two calls below the `cohort_monthly` hot-path root.
 //! The token rule never sees this — the panic lives in a helper the root
 //! only reaches through the call graph.
 
-pub fn cohort_profile(rows: &[u32]) -> u32 {
+pub fn cohort_monthly(rows: &[u32]) -> u32 {
     fold_rows(rows)
 }
 

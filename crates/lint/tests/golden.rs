@@ -210,7 +210,7 @@ fn flow_transitive_panic_reaches_through_two_calls() {
     let findings = check_flow_fixture("flow_transitive_panic");
     assert_eq!(shape(&findings), vec![("transitive-no-panic-hot-path", 15)]);
     assert!(
-        findings[0].message.contains("cohort_profile -> fold_rows -> first_row"),
+        findings[0].message.contains("cohort_monthly -> fold_rows -> first_row"),
         "witness path names the whole chain: {}",
         findings[0].message
     );

@@ -260,6 +260,29 @@ mod tests {
         assert_eq!(collection.get(PatientId(2)).unwrap().len(), 1);
     }
 
+    /// Streamed entries whose codes the shard already interned must not
+    /// deep-clone its symbol table: the rebuilt history shares it.
+    #[test]
+    fn extending_with_known_codes_shares_the_interner() {
+        let mut collection = HistoryCollection::new();
+        let mut epoch = OpenEpoch::new();
+        epoch.append(patient(1), vec![diag(2015, 1, 1, "T90"), diag(2015, 2, 1, "K74")]);
+        epoch.append(patient(2), vec![diag(2015, 3, 1, "A01")]);
+        epoch.seal_into(&mut collection);
+        let old = Arc::clone(collection.get_shared(PatientId(1)).unwrap());
+        epoch.append(patient(1), vec![diag(2016, 1, 1, "K74"), diag(2016, 2, 1, "A01")]);
+        epoch.seal_into(&mut collection);
+        let new = collection.get(PatientId(1)).unwrap();
+        assert_eq!(new.len(), 4);
+        assert!(Arc::ptr_eq(new.store().interner_arc(), old.store().interner_arc()));
+        // A code the table lacks still gets its own, grown, copy.
+        epoch.append(patient(1), vec![diag(2017, 1, 1, "R95")]);
+        epoch.seal_into(&mut collection);
+        let grown = collection.get(PatientId(1)).unwrap();
+        assert!(!Arc::ptr_eq(grown.store().interner_arc(), old.store().interner_arc()));
+        assert_eq!(grown.store().interner().len(), old.store().interner().len() + 1);
+    }
+
     #[test]
     fn persons_only_delta_creates_an_empty_history() {
         let mut collection = HistoryCollection::new();

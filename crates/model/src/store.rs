@@ -315,14 +315,20 @@ impl EventStore {
         &self.interner
     }
 
+    /// The id of `code` in this store's symbol table. Looks it up first:
+    /// `make_mut` on an interner shared with a shard's arena deep-clones
+    /// the whole table, which only a code the table lacks is worth.
+    fn intern(&mut self, code: &Code) -> u32 {
+        match self.interner.lookup(code) {
+            Some(id) => id.0,
+            None => Arc::make_mut(&mut self.interner).intern(code).0,
+        }
+    }
+
     fn encode(&mut self, payload: &Payload) -> (u8, u32) {
         match payload {
-            Payload::Diagnosis(c) => {
-                (TAG_DIAGNOSIS, Arc::make_mut(&mut self.interner).intern(c).0)
-            }
-            Payload::Medication(c) => {
-                (TAG_MEDICATION, Arc::make_mut(&mut self.interner).intern(c).0)
-            }
+            Payload::Diagnosis(c) => (TAG_DIAGNOSIS, self.intern(c)),
+            Payload::Medication(c) => (TAG_MEDICATION, self.intern(c)),
             Payload::Measurement { kind, value } => {
                 self.measurements.push((*kind, *value));
                 let idx = u32::try_from(self.measurements.len() - 1)
@@ -747,6 +753,12 @@ impl<'a> Entries<'a> {
     /// Iterate the span.
     pub fn iter(&self) -> EntriesIter<'a> {
         EntriesIter { store: self.store, next: self.lo, hi: self.hi }
+    }
+
+    /// The span's start times as one contiguous column slice (sorted,
+    /// like the entries) — what the cohort timeline walks.
+    pub fn starts(&self) -> &'a [DateTime] {
+        &self.store.starts[self.lo as usize..self.hi as usize]
     }
 
     /// Fused columnar scan: `(source, interned code id, end time)` per

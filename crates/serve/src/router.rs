@@ -6,9 +6,9 @@
 //! |---|---|
 //! | `POST /select` | body = query-language text → cohort ids/counts |
 //! | `POST /cohort` | body = query text → materialized cohort handle id |
-//! | `GET /cohort/{id}/stats?k=` | dimension histograms over a frozen cohort |
-//! | `GET /cohort/{id}/timeline` | monthly event counts over a frozen cohort |
-//! | `GET /cohort/{id}.svg?w=&h=` | histogram small-multiples panel (SVG) |
+//! | `GET /cohort/{id}/stats?k=` | dimension histograms over a frozen cohort (handle memo) |
+//! | `GET /cohort/{id}/timeline` | monthly event counts over a frozen cohort (handle memo) |
+//! | `GET /cohort/{id}.svg?w=&h=` | histogram small-multiples panel (SVG; the stats memo) |
 //! | `GET /timeline/{patient}` | one patient's personal timeline (HTML) |
 //! | `GET /cohort.svg?w=&h=&overview=` | current view rendered as SVG |
 //! | `GET /cohort.txt?cols=&rows=` | current view rendered as terminal text |
@@ -27,7 +27,9 @@ use crate::http::{Request, Response};
 use crate::ingest::{IngestConfig, IngestQueue};
 use crate::state::{ServeState, Snapshot};
 use pastas_core::export::json_string;
-use pastas_core::{CohortLookup, CohortRegistry, RegistryConfig, Selection, ViewCommand};
+use pastas_core::{
+    CohortLookup, CohortRegistry, RegistryConfig, Selection, ViewCommand, MEMO_TOP_K,
+};
 use pastas_ingest::json::Json;
 use pastas_ingest::DeltaFormat;
 use pastas_model::PatientId;
@@ -267,20 +269,19 @@ fn cohort_read(path: &str, req: &Request, ctx: &RouterCtx) -> Response {
         }
         CohortLookup::Missing => return error_json(404, &format!("no cohort {id:?}")),
     };
-    // Cold reads decode the frozen bitmap once and aggregate; the
-    // planner never runs. Warm reads stop at the response cache.
-    let decode = || {
-        let mut positions = Vec::with_capacity(handle.count as usize);
-        handle.positions.decode_into(0, &mut positions);
-        positions
+    // The handle owns its aggregates: the first stats or panel read
+    // folds the profile, the first timeline read walks the months, and
+    // every other `k` or canvas size serializes the memo. The planner
+    // never runs. Repeats of one URL stop at the response cache.
+    let profile = |k: usize| {
+        ctx.cohorts.profile(&handle, &snapshot.workbench, snapshot.reference_date).with_top_k(k)
     };
     match kind {
         "stats" => {
-            let k = req.param_or("k", 20_usize).clamp(1, 200);
+            let k = req.param_or("k", 20_usize).clamp(1, MEMO_TOP_K);
             let suffix = format!("cohort:{}:stats:{k}", handle.id);
             cached(ctx, &snapshot, &suffix, || {
-                let profile =
-                    snapshot.workbench.cohort_profile(&decode(), snapshot.reference_date, k);
+                let profile = profile(k);
                 Response::json(
                     200,
                     format!(
@@ -295,7 +296,7 @@ fn cohort_read(path: &str, req: &Request, ctx: &RouterCtx) -> Response {
         "timeline" => {
             let suffix = format!("cohort:{}:timeline", handle.id);
             cached(ctx, &snapshot, &suffix, || {
-                let months = snapshot.workbench.cohort_monthly(&decode());
+                let months = ctx.cohorts.monthly(&handle, &snapshot.workbench);
                 let mut body = String::with_capacity(64 + months.len() * 16);
                 let _ = write!(
                     body,
@@ -320,9 +321,7 @@ fn cohort_read(path: &str, req: &Request, ctx: &RouterCtx) -> Response {
             let h = dim(req, "h", 600.0);
             let suffix = format!("cohort:{}:svg:{w}:{h}", handle.id);
             cached(ctx, &snapshot, &suffix, || {
-                let profile =
-                    snapshot.workbench.cohort_profile(&decode(), snapshot.reference_date, 20);
-                let svg = pastas_viz::histogram::panel_svg(&profile, w, h);
+                let svg = pastas_viz::histogram::panel_svg(&profile(20), w, h);
                 Response::with_body(200, "image/svg+xml", svg)
             })
         }
@@ -561,6 +560,7 @@ fn metrics_response(ctx: &RouterCtx) -> Response {
         ("cohort_registry_bytes", ctx.cohorts.bytes() as f64),
         ("cohort_materializations_total", ctx.cohorts.materializations_total() as f64),
         ("cohort_stale_hits_total", ctx.cohorts.stale_hits_total() as f64),
+        ("cohort_profile_folds_total", ctx.cohorts.profile_folds_total() as f64),
     ];
     if let Some(pool) = ctx.pool_stats.get() {
         extra.push(("queue_depth", pool.queue_depth() as f64));
@@ -897,6 +897,124 @@ mod tests {
         assert_eq!(warm.body, cold.body);
         assert_eq!(ctx.cache.hits(), hits + 1, "warm stats is a response-cache hit");
         assert_eq!(counters(), before, "warm stats never touches the planner");
+    }
+
+    fn folds(ctx: &RouterCtx) -> u64 {
+        ctx.cohorts.profile_folds_total()
+    }
+
+    /// `stats` → `.svg` → `stats?k=5` on one handle fold the profile
+    /// once; the second and third are the memo cut and serialized, and
+    /// say exactly what a fold with their own `k` says.
+    #[test]
+    fn one_handle_folds_its_profile_once() {
+        let ctx = ctx();
+        let id = cohort_id(&route(&post("/cohort", "has(K.*) and lacks(T90)"), &ctx).body);
+        assert_eq!(folds(&ctx), 0, "materializing folds nothing");
+        let bytes_bare = ctx.cohorts.bytes();
+        let stats = route(&get(&format!("/cohort/{id}/stats")), &ctx);
+        assert_eq!((stats.status, folds(&ctx)), (200, 1));
+        let bytes_profiled = ctx.cohorts.bytes();
+        assert!(bytes_profiled > bytes_bare, "the registry charges for the memo");
+        let svg = route(&get(&format!("/cohort/{id}.svg?w=800&h=500")), &ctx);
+        let top5 = route(&get(&format!("/cohort/{id}/stats?k=5")), &ctx);
+        assert_eq!((svg.status, top5.status, folds(&ctx)), (200, 200, 1));
+        assert_eq!(ctx.cache.hits(), 0, "three URLs, three response-cache misses");
+        assert_eq!(route(&get(&format!("/cohort/{id}/timeline")), &ctx).status, 200);
+        assert_eq!(folds(&ctx), 1, "the timeline is not a profile fold");
+        assert!(ctx.cohorts.bytes() > bytes_profiled, "nor is its memo free");
+        let metrics = String::from_utf8(route(&get("/metrics"), &ctx).body).unwrap();
+        assert!(metrics.contains("\"cohort_profile_folds_total\":1"), "{metrics}");
+
+        let snapshot = ctx.state.snapshot();
+        let CohortLookup::Hit(handle) = ctx.cohorts.lookup(&id, snapshot.version) else {
+            panic!("handle is live");
+        };
+        let mut positions = Vec::new();
+        handle.positions.decode_into(0, &mut positions);
+        let direct = |k| snapshot.workbench.cohort_profile(&positions, snapshot.reference_date, k);
+        let top5_body = String::from_utf8(top5.body).unwrap();
+        let expected = format!("\"profile\":{}}}", direct(5).to_json());
+        assert!(top5_body.ends_with(&expected), "{top5_body}");
+        assert_eq!(
+            String::from_utf8(svg.body).unwrap(),
+            pastas_viz::histogram::panel_svg(&direct(20), 800.0, 500.0)
+        );
+        // Another handle is another fold.
+        let other = cohort_id(&route(&post("/cohort", "has(T90)"), &ctx).body);
+        route(&get(&format!("/cohort/{other}.svg")), &ctx);
+        assert_eq!(folds(&ctx), 2);
+    }
+
+    #[test]
+    fn a_gone_handle_drops_its_memos() {
+        let ctx = ctx();
+        let id = cohort_id(&route(&post("/cohort", "has(T90)"), &ctx).body);
+        assert_eq!(route(&get(&format!("/cohort/{id}/stats")), &ctx).status, 200);
+        assert_eq!(route(&get(&format!("/cohort/{id}/timeline")), &ctx).status, 200);
+        let weak = match ctx.cohorts.lookup(&id, ctx.state.version()) {
+            CohortLookup::Hit(handle) => Arc::downgrade(&handle),
+            other => panic!("expected a live handle, got {other:?}"),
+        };
+        assert!(weak.upgrade().is_some() && ctx.cohorts.bytes() > 0);
+        route(&post("/ingest?format=persons", DELTA_PERSONS), &ctx);
+        assert_eq!(route(&post("/compact", ""), &ctx).status, 200);
+        assert_eq!(route(&get(&format!("/cohort/{id}/stats")), &ctx).status, 410);
+        assert!(weak.upgrade().is_none(), "handle, profile and months freed together");
+        assert_eq!(ctx.cohorts.bytes(), 0);
+        // The next handle folds for itself, against the new snapshot.
+        let remade = cohort_id(&route(&post("/cohort", "has(T90)"), &ctx).body);
+        assert_eq!(route(&get(&format!("/cohort/{remade}/stats")), &ctx).status, 200);
+        assert_eq!(folds(&ctx), 2);
+    }
+
+    /// FNV-1a over a response body.
+    fn fnv(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+    }
+
+    /// The three cohort reads over the benchmark's six query kinds at
+    /// 5,000 patients answer byte for byte what the entry-walk fold
+    /// answered: the hashes were taken at the commit before the digest
+    /// column (25a8ab7), with this very test body.
+    #[test]
+    fn cohort_reads_are_byte_identical_to_the_entry_walk() {
+        const GOLDEN: [(&str, [u64; 3]); 6] = [
+            ("has(T90|K86)", [0x8856ca2dd2da1b5c, 0x58615ca8bff74e1b, 0x7b5793b1b2e585f1]),
+            ("lacks(T90)", [0x933ac0e7ae608b1b, 0xb4a6b55bbe5220bd, 0x69a84d8e6f5e26ab]),
+            (
+                "has(K.*) and lacks(E11) and age(0..120)",
+                [0x2ba8e398e767d3e0, 0xd9e1db68927353da, 0x36bfefac8cc228ed],
+            ),
+            (
+                "count(T90) >= 2 and age(30..90)",
+                [0xe3dd3abdbd19f316, 0x7a24a4f62ad4faf1, 0x4adc3b27e4ca0434],
+            ),
+            ("has(T90) or has(R95)", [0x70dba919f4cf534c, 0x7b4db40264364ba6, 0x9812737d1ff7383e]),
+            (
+                "sex(F) and age(40..80) and has(K.*)",
+                [0x2e9f6529a63fb8b1, 0x25eea5a46d878c8e, 0xc20ceaefe1f3b236],
+            ),
+        ];
+        let ctx = RouterCtx::new(
+            Workbench::from_collection(generate_collection(SynthConfig::with_patients(5000), 2016)),
+            64,
+            1 << 20,
+        );
+        for (query, golden) in GOLDEN {
+            let id = cohort_id(&route(&post("/cohort", query), &ctx).body);
+            let reads = [
+                format!("/cohort/{id}/stats?k=20"),
+                format!("/cohort/{id}/timeline"),
+                format!("/cohort/{id}.svg?w=900&h=600"),
+            ];
+            let hashes = reads.map(|url| {
+                let response = route(&get(&url), &ctx);
+                assert_eq!(response.status, 200, "{url}");
+                fnv(&response.body)
+            });
+            assert_eq!(hashes, golden, "{query}: {hashes:#x?}");
+        }
     }
 
     #[test]

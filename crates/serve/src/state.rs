@@ -50,7 +50,8 @@ impl Snapshot {
     /// streamed ingest has left behind), the inverted code index, and
     /// what a publish maintains instead of recomputing — the collection
     /// summary against the from-entries walk, the fingerprint against the
-    /// from-scratch one, the reference date against the summary.
+    /// from-scratch one, a built digest column against a rebuilt one, the
+    /// reference date against the summary.
     #[cfg(debug_assertions)]
     pub fn debug_validate(&self) {
         let mut seen_stores = std::collections::HashSet::new();

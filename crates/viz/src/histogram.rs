@@ -141,7 +141,7 @@ pub fn panel_ascii(profile: &CohortProfile, cols: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pastas_analytics::cohort_profile;
+    use pastas_analytics::PatientColumns;
     use pastas_ontology::integration::IntegrationOntology;
     use pastas_synth::{generate_collection, SynthConfig};
     use pastas_time::Date;
@@ -154,7 +154,7 @@ mod tests {
             .map(|dt| dt.date())
             .unwrap_or_else(|| Date::new(2013, 1, 1).expect("valid"));
         let positions: Vec<u32> = (0..collection.len() as u32).collect();
-        cohort_profile(&collection, &IntegrationOntology::new(), &positions, reference, 10)
+        PatientColumns::build(&collection, &IntegrationOntology::new()).profile(&positions, reference, 10)
     }
 
     #[test]
@@ -181,9 +181,7 @@ mod tests {
     #[test]
     fn empty_profile_renders_without_panicking() {
         let collection = generate_collection(SynthConfig::with_patients(10), 31);
-        let p = cohort_profile(
-            &collection,
-            &IntegrationOntology::new(),
+        let p = PatientColumns::build(&collection, &IntegrationOntology::new()).profile(
             &[],
             Date::new(2013, 1, 1).expect("valid"),
             10,

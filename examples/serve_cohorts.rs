@@ -16,8 +16,9 @@
 //! for a brand-new patient, a synchronous `POST /compact`, then checks that
 //! the patient is selectable, has a timeline, and that the ingest gauges
 //! read fully drained. `--smoke-analytics` exercises the materialized-
-//! cohort lifecycle: `POST /cohort`, stats/timeline/SVG reads, an ingest
-//! delta + compact that must turn the handle `410 Gone`, and a successful
+//! cohort lifecycle: `POST /cohort`, stats/timeline/SVG reads that fold
+//! the profile exactly once between them, an ingest delta + compact that
+//! must turn the handle `410 Gone` and free its memos, and a successful
 //! re-materialization at the new version.
 
 use pastas_ingest::json::Json;
@@ -398,11 +399,25 @@ fn run_smoke_analytics(addr: std::net::SocketAddr) -> u32 {
             .is_ok_and(|r| r.status == 200 && r.body_str().contains("\"months\":[")),
         format!("{:?}", timeline.as_ref().map(|r| r.status)),
     );
-    let svg = conn.get(&format!("/cohort/{id}.svg?w=900&h=600"));
+    let svg = conn.get(&format!("/cohort/{id}.svg?w=800&h=500"));
     check(
         "GET /cohort/{id}.svg",
         svg.as_ref().is_ok_and(|r| r.status == 200 && r.body_str().contains("<svg")),
         format!("{:?}", svg.as_ref().map(|r| r.status)),
+    );
+
+    // The handle owns its aggregates: stats, the panel and another `k`
+    // are one fold between them.
+    let top5 = conn.get(&format!("/cohort/{id}/stats?k=5"));
+    let gauge_now = |conn: &mut client::Conn, name: &str| {
+        let metrics = conn.get("/metrics").ok().filter(|r| r.status == 200)?;
+        Json::parse(&metrics.body_str()).ok()?.get(name).and_then(Json::as_f64)
+    };
+    let folds = gauge_now(&mut conn, "cohort_profile_folds_total");
+    check(
+        "stats, .svg and stats?k=5 on one handle fold once",
+        top5.as_ref().is_ok_and(|r| r.status == 200) && folds == Some(1.0),
+        format!("{:?}, cohort_profile_folds_total {folds:?}", top5.as_ref().map(|r| r.status)),
     );
 
     // Publish a new version: the handle must go stale, not silently
@@ -432,6 +447,13 @@ fn run_smoke_analytics(addr: std::net::SocketAddr) -> u32 {
                 && r.body_str().contains("re-materialize")
         }),
         format!("{gone:?}"),
+    );
+
+    let pinned = gauge_now(&mut conn, "cohort_registry_bytes");
+    check(
+        "the gone handle took its memos with it",
+        pinned == Some(0.0),
+        format!("cohort_registry_bytes {pinned:?}"),
     );
 
     // Re-materializing at the new version sees the streamed patient.

@@ -91,9 +91,11 @@ stage "serve smoke (loopback)" \
 stage "ingest smoke (streaming)" \
     cargo run --release --example serve_cohorts -- --smoke-ingest --patients 1500
 # Materialized-cohort smoke: POST /cohort freezes a selection, the three
-# /cohort/{id}/* reads answer over the frozen bitmap, an ingest delta +
-# /compact turns the handle 410 Gone (with a re-materialize hint), and
-# re-materializing at the new version sees the streamed patient. Also
+# /cohort/{id}/* reads answer over the frozen bitmap and fold its profile
+# once between them (cohort_profile_folds_total), an ingest delta +
+# /compact turns the handle 410 Gone (with a re-materialize hint) and
+# frees its memos, and re-materializing at the new version sees the
+# streamed patient. Also
 # asserts the registry gauges on /metrics. Exits non-zero on any failure.
 stage "analytics smoke (cohort registry)" \
     cargo run --release --example serve_cohorts -- --smoke-analytics --patients 1500
