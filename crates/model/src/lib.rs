@@ -51,5 +51,43 @@ impl std::fmt::Display for PatientId {
     }
 }
 
+impl PatientId {
+    /// Append this id's [`Display`](std::fmt::Display) form (`P` and at
+    /// least seven digits) to `out` without the formatting machinery: a
+    /// response listing several hundred thousand ids spends most of its
+    /// time there otherwise.
+    pub fn push_to(self, out: &mut String) {
+        let mut digits = [b'0'; 20]; // u64::MAX has twenty
+        let mut at = digits.len();
+        let mut rest = self.0;
+        while rest > 0 {
+            at -= 1;
+            // lint:allow(no-panic-hot-path) a u64 has at most twenty digits, so at >= 0
+            // lint:allow(no-silent-truncation) rest % 10 < 10
+            digits[at] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+        }
+        out.push('P');
+        // lint:allow(no-panic-hot-path) at.min(13) <= 20 == digits.len()
+        out.extend(digits[at.min(digits.len() - 7)..].iter().map(|&d| char::from(d)));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::PatientId;
+
+    #[test]
+    fn push_to_writes_the_display_form() {
+        let mut out = String::new();
+        for id in [0, 7, 9_999_999, 10_000_000, 1_234_567_890_123, u64::MAX] {
+            out.clear();
+            PatientId(id).push_to(&mut out);
+            assert_eq!(out, PatientId(id).to_string());
+        }
+        assert_eq!(PatientId(42).to_string(), "P0000042");
+    }
+}
+
 #[cfg(test)]
 mod proptests;

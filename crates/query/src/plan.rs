@@ -14,10 +14,12 @@
 //! 2. **Physical**: [`QueryPlan::build`] maps each canonical leaf to an
 //!    operator — posting fetch for code-regex leaves (positive *and*
 //!    negative, via intersect/union/complement on compressed roaring
-//!    containers — no position list materializes mid-algebra), residual
-//!    evaluation over the candidate set
-//!    for demographic/count/temporal leaves — with a posting-size
-//!    cardinality estimate choosing index-vs-scan per subtree.
+//!    containers — no position list materializes mid-algebra), a dense
+//!    pass over the shard's patient column for `age(..)` / `sex(..)`
+//!    leaves (a set like any posting, no history read), residual
+//!    evaluation over the candidate set for count/temporal leaves — with
+//!    a posting-size cardinality estimate choosing index-vs-scan per
+//!    subtree.
 //!
 //! Execution ([`QueryPlan::execute`]) evaluates the operator tree **per
 //! index shard** on compressed bitmaps ([`crate::bitmap::Bitmap`]): each
@@ -36,7 +38,8 @@ use crate::index::{CodeIndex, IndexShard};
 use crate::normalize::{is_never, normalize};
 use crate::predicate::EntryPredicate;
 use crate::query::HistoryQuery;
-use pastas_model::HistoryCollection;
+use pastas_model::{HistoryCollection, Sex};
+use pastas_time::Date;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Per-thread minimum candidates before residual verification goes
@@ -157,15 +160,24 @@ pub enum PlanNode {
         /// Regex patterns whose matching vocabulary postings are unioned.
         patterns: Vec<String>,
     },
-    /// `0..rows` minus the child's set (negated code clauses).
+    /// The rows whose patient-column entry satisfies a demographic leaf
+    /// ([`HistoryQuery::AgeBetween`] or [`HistoryQuery::SexIs`]) — read
+    /// from the index shard's column, not from the histories. Explain
+    /// reports it as an `IndexFetch` with a `column=` detail.
+    ColumnFetch {
+        /// The demographic leaf.
+        query: HistoryQuery,
+    },
+    /// `0..rows` minus the child's set (negated code and demographic
+    /// clauses).
     Complement(Box<PlanNode>),
     /// `∩` of the children, evaluated smallest-estimate first.
     Intersect(Vec<PlanNode>),
     /// `∪` of the children.
     Union(Vec<PlanNode>),
     /// Evaluate a residual query per candidate history from the child's
-    /// set (parallel, order-preserving) — counts, demographics, temporal
-    /// patterns, anything the postings alone cannot decide.
+    /// set (parallel, order-preserving) — counts, negated temporal
+    /// patterns, anything the postings and the column cannot decide.
     Filter {
         /// The residual query verified against each candidate.
         query: HistoryQuery,
@@ -218,7 +230,7 @@ impl PlanNode {
         match self {
             PlanNode::AllRows => "AllRows",
             PlanNode::Empty => "Empty",
-            PlanNode::IndexFetch { .. } => "IndexFetch",
+            PlanNode::IndexFetch { .. } | PlanNode::ColumnFetch { .. } => "IndexFetch",
             PlanNode::Complement(_) => "Complement",
             PlanNode::Intersect(_) => "Intersect",
             PlanNode::Union(_) => "Union",
@@ -232,6 +244,7 @@ impl PlanNode {
     fn detail(&self) -> String {
         match self {
             PlanNode::IndexFetch { patterns } => patterns.join(" ∪ "),
+            PlanNode::ColumnFetch { query } => format!("column={}", query.fingerprint()),
             PlanNode::Filter { query, .. }
             | PlanNode::FullScan { query }
             | PlanNode::PatternScan { query, .. } => query.fingerprint(),
@@ -554,12 +567,19 @@ fn plan_node(index: &CodeIndex, rows: u32, q: &HistoryQuery) -> PlanNode {
         // feeds the automaton. (A *negated* pattern falls through to the
         // Not arm below — absence of a step is not bounded by postings.)
         HistoryQuery::Pattern(pat) => plan_pattern(q, pat),
-        // Post-normalization, Not only wraps residual leaves (Pattern /
-        // AgeBetween / SexIs); a scan with the negation folded in beats
-        // Complement(FullScan) — one pass, no extra merge.
-        HistoryQuery::Not(_)
-        | HistoryQuery::AgeBetween { .. }
-        | HistoryQuery::SexIs(_) => PlanNode::FullScan { query: q.clone() },
+        HistoryQuery::AgeBetween { .. } | HistoryQuery::SexIs(_) => {
+            PlanNode::ColumnFetch { query: q.clone() }
+        }
+        // Post-normalization, Not only wraps Pattern / AgeBetween / SexIs.
+        HistoryQuery::Not(inner) => match **inner {
+            HistoryQuery::AgeBetween { .. } | HistoryQuery::SexIs(_) => {
+                PlanNode::Complement(Box::new(PlanNode::ColumnFetch { query: (**inner).clone() }))
+            }
+            // Absence of a pattern is not bounded by postings; a scan with
+            // the negation folded in beats Complement(FullScan) — one
+            // pass, no extra merge.
+            _ => PlanNode::FullScan { query: q.clone() },
+        },
         HistoryQuery::And(qs) => plan_and(index, rows, qs),
         HistoryQuery::Or(qs) => plan_or(index, rows, qs),
     }
@@ -709,7 +729,8 @@ fn estimate(index: &CodeIndex, rows: u32, node: &PlanNode) -> u32 {
         PlanNode::Filter { input, .. } | PlanNode::PatternScan { input, .. } => {
             estimate(index, rows, input)
         }
-        PlanNode::FullScan { .. } => rows,
+        // No per-value statistics on the column: the honest bound.
+        PlanNode::ColumnFetch { .. } | PlanNode::FullScan { .. } => rows,
     }
 }
 
@@ -737,6 +758,13 @@ enum ExecKind<'q> {
         slots: Vec<u32>,
         side_slots: Vec<u32>,
     },
+    /// A demographic leaf bound to its column test for the shard pass;
+    /// the dirty-row pass evaluates `query` per history, as it did before
+    /// the column existed.
+    Column {
+        query: &'q HistoryQuery,
+        test: ColumnTest,
+    },
     Complement(Box<ExecNode<'q>>),
     Intersect(Vec<ExecNode<'q>>),
     Union(Vec<ExecNode<'q>>),
@@ -746,6 +774,67 @@ enum ExecKind<'q> {
     /// [`ExecStats`] (the serve layer's pattern gauges).
     PatternScan { query: &'q HistoryQuery, input: Box<ExecNode<'q>> },
     FullScan { query: &'q HistoryQuery },
+}
+
+/// What a demographic leaf asks of one patient-column entry.
+enum ColumnTest {
+    /// Born within `first..=last`, `first <= last`.
+    Born { first: Date, last: Date },
+    Sex(Sex),
+    /// An age range no birth date of the calendar falls in: reversed, or
+    /// beyond either end (or a query that is no demographic leaf, which
+    /// the planner never binds).
+    Nobody,
+}
+
+impl ColumnTest {
+    /// Bind a leaf once per plan. `History::age_at` never grows with the
+    /// birth date, so the births aged `min..=max` at `at` are one interval
+    /// of days: two binary searches over the calendar with `age_at`'s own
+    /// arithmetic find its ends, and the per-row test is two date
+    /// comparisons that agree with `HistoryQuery::matches` on every date.
+    fn bind(query: &HistoryQuery) -> ColumnTest {
+        match *query {
+            HistoryQuery::AgeBetween { at, min, max } => {
+                // First day (as a day number) of the calendar at which
+                // `older` stops holding; `older` holds on a prefix.
+                let first_not = |older: &dyn Fn(i32) -> bool| {
+                    let (mut lo, mut hi) = (Date::MIN.day_number(), Date::MAX.day_number() + 1);
+                    while lo < hi {
+                        let mid = lo + (hi - lo) / 2;
+                        let born = Date::from_day_number(mid).unwrap_or(Date::MAX);
+                        if older(at.months_between(born).div_euclid(12)) {
+                            lo = mid + 1;
+                        } else {
+                            hi = mid;
+                        }
+                    }
+                    lo
+                };
+                let first = first_not(&|age| age > max);
+                let end = first_not(&|age| age >= min);
+                match (Date::from_day_number(first), Date::from_day_number(end - 1)) {
+                    (Some(first), Some(last)) if first <= last => ColumnTest::Born { first, last },
+                    _ => ColumnTest::Nobody,
+                }
+            }
+            HistoryQuery::SexIs(sex) => ColumnTest::Sex(sex),
+            _ => ColumnTest::Nobody,
+        }
+    }
+
+    /// The shard-relative rows of `shard` that pass.
+    fn rows(&self, shard: &IndexShard) -> Bitmap {
+        match *self {
+            // `&`, not `&&`: a birth date falls inside the interval about
+            // as often as not, and a branch on that cannot be predicted.
+            ColumnTest::Born { first, last } => {
+                Bitmap::from_column(&shard.births, |born| (first <= *born) & (*born <= last))
+            }
+            ColumnTest::Sex(sex) => Bitmap::from_column(&shard.sexes, |s| *s == sex),
+            ColumnTest::Nobody => Bitmap::new(),
+        }
+    }
 }
 
 /// Cross-shard tallies of PatternScan work. Atomics because the shard
@@ -780,6 +869,9 @@ fn lower<'q>(node: &'q PlanNode, index: &CodeIndex, trace: bool) -> ExecNode<'q>
             slots: index.slots_for_patterns(patterns).unwrap_or_default(),
             side_slots: index.side_slots_for_patterns(patterns),
         },
+        PlanNode::ColumnFetch { query } => {
+            ExecKind::Column { query, test: ColumnTest::bind(query) }
+        }
         PlanNode::Complement(c) => ExecKind::Complement(Box::new(lower(c, index, trace))),
         PlanNode::Intersect(cs) => {
             ExecKind::Intersect(cs.iter().map(|c| lower(c, index, trace)).collect())
@@ -831,6 +923,7 @@ fn exec_shard(
         ExecKind::AllRows => Bitmap::full(shard.rows),
         ExecKind::Empty => Bitmap::new(),
         ExecKind::Fetch { slots, .. } => shard.union_slots(slots),
+        ExecKind::Column { test, .. } => test.rows(shard),
         ExecKind::Complement(c) => {
             let inner = child(exec_shard(c, collection, shard, trace, counters));
             inner.complement_up_to(shard.rows)
@@ -949,6 +1042,11 @@ fn exec_side(
             }
             acc
         }
+        ExecKind::Column { query, .. } | ExecKind::FullScan { query } => {
+            let histories = collection.histories();
+            // lint:allow(no-panic-hot-path) dirty positions are < rows by the index invariant
+            dirty.iter().copied().filter(|&p| query.matches(&histories[p as usize])).collect()
+        }
         ExecKind::Complement(c) => {
             reference::difference(dirty, &exec_side(c, collection, index, counters))
         }
@@ -989,11 +1087,6 @@ fn exec_side(
             // lint:allow(no-panic-hot-path) dirty positions are < rows by the index invariant
             candidates.retain(|&p| query.matches(&histories[p as usize]));
             candidates
-        }
-        ExecKind::FullScan { query } => {
-            let histories = collection.histories();
-            // lint:allow(no-panic-hot-path) dirty positions are < rows by the index invariant
-            dirty.iter().copied().filter(|&p| query.matches(&histories[p as usize])).collect()
         }
     }
 }
@@ -1146,7 +1239,6 @@ mod tests {
     use crate::index::select_scan;
     use crate::query::QueryBuilder;
     use pastas_synth::{generate_collection, SynthConfig};
-    use pastas_time::Date;
 
     #[test]
     fn reference_set_algebra_merges() {
@@ -1241,26 +1333,93 @@ mod tests {
         let (c, idx) = setup(400);
         let q = HistoryQuery::Or(vec![
             QueryBuilder::new().has_code("T90").unwrap().build(),
-            HistoryQuery::SexIs(pastas_model::Sex::Female),
+            HistoryQuery::CountAtLeast(EntryPredicate::IsDiagnosis, 6),
         ]);
         let plan = QueryPlan::build(&idx, &c, &q);
-        // The Sex branch can only scan, but the scan evaluates just that
-        // branch, and the union with the posting fetch is exact.
+        // The cover-free count can only scan, but the scan evaluates just
+        // that branch, and the union with the posting fetch is exact.
         assert!(plan.uses_full_scan());
         assert_eq!(plan.execute(&c, &idx), select_scan(&c, &q));
     }
 
     #[test]
-    fn purely_residual_query_is_one_scan() {
+    fn purely_demographic_query_is_index_served() {
         let (c, idx) = setup(300);
-        let q = HistoryQuery::And(vec![
-            HistoryQuery::SexIs(pastas_model::Sex::Male),
-            HistoryQuery::AgeBetween { at: Date::new(2013, 1, 1).unwrap(), min: 40, max: 90 },
-        ]);
-        let plan = QueryPlan::build(&idx, &c, &q);
-        assert!(plan.uses_full_scan());
-        assert!(plan.render().starts_with("FullScan"), "{}", plan.render());
-        assert_eq!(plan.execute(&c, &idx), select_scan(&c, &q));
+        let age = HistoryQuery::AgeBetween { at: Date::new(2013, 1, 1).unwrap(), min: 40, max: 90 };
+        let male = HistoryQuery::SexIs(Sex::Male);
+        let not = |q: &HistoryQuery| HistoryQuery::Not(Box::new(q.clone()));
+        let has = QueryBuilder::new().has_code("K.*").unwrap().lacks_code("T90").unwrap().build();
+        for q in [
+            HistoryQuery::And(vec![male.clone(), age.clone()]),
+            HistoryQuery::Or(vec![not(&male), not(&age)]),
+            HistoryQuery::And(vec![has, age.clone()]),
+            not(&age),
+        ] {
+            let plan = QueryPlan::build(&idx, &c, &q);
+            let rendered = plan.render();
+            assert!(!plan.uses_full_scan(), "{rendered}");
+            assert!(!rendered.contains("Filter"), "{rendered}");
+            assert!(rendered.contains("IndexFetch(column="), "{rendered}");
+            let (positions, explain) = plan.execute_explain(&c, &idx);
+            assert_eq!(positions, select_scan(&c, &q), "{rendered}");
+            assert!(!positions.is_empty() && positions.len() < c.len(), "{rendered}");
+            // No history was looked at, and the leaf names its bounds.
+            assert_eq!(explain.max_verified_candidates(), 0, "{}", explain.render_text());
+            assert!(
+                explain.render_json().contains("\"op\":\"IndexFetch\",\"detail\":\"column="),
+                "{}",
+                explain.render_json()
+            );
+        }
+    }
+
+    /// The bound birth interval against `History::age_at`, on every birth
+    /// date from 122 years before the reference date to two years after it
+    /// — so every birthday boundary ±1 day, 29 February births and
+    /// reference dates included — through the same dense pass the shards
+    /// run.
+    #[test]
+    fn bound_birth_interval_agrees_with_age_at_on_every_day() {
+        use pastas_model::{History, Patient, PatientId};
+        let ranges = [
+            (0, 0),
+            (0, 120),
+            (40, 90),
+            (65, 65),
+            (18, 17),
+            (-2, -1),
+            (100, i32::MAX),
+            (i32::MIN, 5),
+            (i32::MAX, i32::MAX),
+        ];
+        for (y, m, d) in [(2013, 1, 1), (2012, 2, 29), (2013, 2, 28), (2013, 3, 1), (2016, 12, 31)] {
+            let at = Date::new(y, m, d).unwrap();
+            let first = Date::new(y - 122, m, 1).unwrap();
+            let births: Vec<Date> =
+                (0..=at.days_since(first) + 731).map(|n| first.add_days(n)).collect();
+            let ages: Vec<i32> = births
+                .iter()
+                .map(|&birth_date| {
+                    History::new(Patient { id: PatientId(1), birth_date, sex: Sex::Female })
+                        .age_at(at)
+                })
+                .collect();
+            assert_eq!((ages[0], *ages.last().unwrap()), (122, -3), "sweep spans the ages");
+            let shard = IndexShard {
+                base: 0,
+                rows: births.len() as u32,
+                postings: Vec::new(),
+                sexes: vec![Sex::Female; births.len()],
+                births,
+            };
+            for (min, max) in ranges {
+                let q = HistoryQuery::AgeBetween { at, min, max };
+                let got = ColumnTest::bind(&q).rows(&shard).to_vec();
+                let want: Vec<u32> =
+                    (0..shard.rows).filter(|&i| (min..=max).contains(&ages[i as usize])).collect();
+                assert_eq!(got, want, "age({min}..{max}) at {at}");
+            }
+        }
     }
 
     #[test]
@@ -1363,7 +1522,7 @@ mod tests {
         let dirty: Vec<u32> =
             touched.iter().map(|&id| c.position_of(id).unwrap() as u32).collect();
         let idx = idx.with_delta(&c, &dirty);
-        idx.debug_validate();
+        idx.debug_validate(&c);
         (c, idx)
     }
 

@@ -14,6 +14,7 @@ use crate::predicate::EntryPredicate;
 use crate::query::{HistoryQuery, QueryBuilder};
 use crate::temporal::{GapBound, TemporalPattern};
 use crate::SortKey;
+use pastas_model::Sex;
 use pastas_synth::{generate_collection, SynthConfig};
 use pastas_time::{Date, Duration};
 use proptest::prelude::*;
@@ -53,6 +54,63 @@ impl Rng {
     }
 }
 
+/// A random demographic leaf, bare or negated: an age range at one of
+/// several reference dates (29 February included; ranges reach below
+/// zero and may be reversed, hence empty) or a sex.
+fn random_demographic(rng: &mut Rng) -> HistoryQuery {
+    let leaf = if rng.below(3) == 0 {
+        HistoryQuery::SexIs(if rng.below(2) == 0 { Sex::Female } else { Sex::Male })
+    } else {
+        let (y, m, d) = [(2013, 1, 1), (2012, 2, 29), (2015, 6, 15)][rng.below(3) as usize];
+        let min = rng.below(95) as i32 - 5;
+        HistoryQuery::AgeBetween {
+            at: Date::new(y, m, d).expect("valid date"),
+            min,
+            max: min + rng.below(50) as i32 - 2,
+        }
+    };
+    if rng.below(3) == 0 {
+        HistoryQuery::Not(Box::new(leaf))
+    } else {
+        leaf
+    }
+}
+
+/// A query the paper's loop is made of: demographic leaves alone, under
+/// `or`, and beside `has` / `lacks` / `count` / `seq` clauses.
+fn random_demographic_shape(rng: &mut Rng) -> HistoryQuery {
+    let pattern = |rng: &mut Rng| PATTERNS[rng.below(PATTERNS.len() as u64) as usize];
+    let code = |rng: &mut Rng| EntryPredicate::code_regex(pattern(rng)).expect("valid pattern");
+    match rng.below(6) {
+        0 => random_demographic(rng),
+        1 => HistoryQuery::Or(vec![random_demographic(rng), random_demographic(rng)]),
+        2 => HistoryQuery::And(vec![
+            build_query(pattern(rng), false),
+            build_query(pattern(rng), true),
+            random_demographic(rng),
+        ]),
+        3 => HistoryQuery::And(vec![
+            HistoryQuery::CountAtLeast(code(rng), 1 + rng.below(3) as usize),
+            random_demographic(rng),
+            random_demographic(rng),
+        ]),
+        4 => HistoryQuery::And(vec![
+            HistoryQuery::Pattern(
+                TemporalPattern::starting_with(code(rng))
+                    .then(GapBound::any_later(), EntryPredicate::IsDiagnosis),
+            ),
+            random_demographic(rng),
+        ]),
+        _ => HistoryQuery::Or(vec![
+            HistoryQuery::And(vec![build_query(pattern(rng), false), random_demographic(rng)]),
+            HistoryQuery::And(vec![
+                HistoryQuery::CountAtLeast(EntryPredicate::IsDiagnosis, 2 + rng.below(4) as usize),
+                random_demographic(rng),
+            ]),
+        ]),
+    }
+}
+
 /// A random query AST of bounded depth, exercising every leaf kind
 /// (counts both ways, temporal patterns, demographics) and every
 /// combinator including `Not`.
@@ -73,11 +131,7 @@ fn random_query(rng: &mut Rng, depth: u32) -> HistoryQuery {
             rng.below(3) as usize,
         ),
         5 => HistoryQuery::CountAtLeast(EntryPredicate::IsDiagnosis, 1 + rng.below(4) as usize),
-        6 => {
-            let at = Date::new(2013, 1, 1).expect("valid date");
-            let min = rng.below(60) as i32;
-            HistoryQuery::AgeBetween { at, min, max: min + rng.below(50) as i32 }
-        }
+        6 => random_demographic(rng),
         7 => HistoryQuery::Pattern(
             TemporalPattern::starting_with(
                 EntryPredicate::code_regex(pattern(rng)).expect("valid pattern"),
@@ -98,6 +152,29 @@ fn random_query(rng: &mut Rng, depth: u32) -> HistoryQuery {
             }
         }
     }
+}
+
+/// The planned result of `q` equals the serial scan's at every thread
+/// count (`PASTAS_THREADS=1` is `with_threads(1, ..)`), and the explain
+/// path returns the positions it annotates.
+fn planned_equals_scan(
+    c: &pastas_model::HistoryCollection,
+    idx: &CodeIndex,
+    q: &HistoryQuery,
+) -> Result<(), TestCaseError> {
+    let plan = QueryPlan::build(idx, c, q);
+    let reference = pastas_par::with_threads(1, || select_scan(c, q));
+    for threads in THREADS {
+        let planned = pastas_par::with_threads(threads, || plan.execute(c, idx));
+        prop_assert_eq!(
+            &planned, &reference,
+            "threads {}, query {:?}, plan:\n{}", threads, q, plan.render()
+        );
+    }
+    let (explained, explain) = plan.execute_explain(c, idx);
+    prop_assert_eq!(&explained, &reference, "explain path, query {:?}", q);
+    prop_assert_eq!(explain.root.rows, reference.len());
+    Ok(())
 }
 
 /// A random temporal pattern of 1–3 steps mixing gap and Allen
@@ -247,7 +324,7 @@ proptest! {
         let c = generate_collection(config, collection_seed);
         prop_assert!(c.sharded_store().shard_count() > 1);
         let idx = CodeIndex::build_with_shard_rows(&c, 256);
-        idx.debug_validate();
+        idx.debug_validate(&c);
         // The reduced-width index answers exactly like the full-width one.
         let full = CodeIndex::build(&c);
         let broad = pastas_regex::Regex::new("[KR].*").expect("valid pattern");
@@ -255,19 +332,9 @@ proptest! {
             idx.candidates_for_regex(&broad).to_vec(),
             full.candidates_for_regex(&broad).to_vec()
         );
-        let q = random_query(&mut Rng(ast_seed), depth);
-        let plan = QueryPlan::build(&idx, &c, &q);
-        let reference = pastas_par::with_threads(1, || select_scan(&c, &q));
-        for threads in THREADS {
-            let planned = pastas_par::with_threads(threads, || plan.execute(&c, &idx));
-            prop_assert_eq!(
-                &planned, &reference,
-                "threads {}, query {:?}, plan:\n{}", threads, q, plan.render()
-            );
-        }
-        let (explained, explain) = plan.execute_explain(&c, &idx);
-        prop_assert_eq!(&explained, &reference);
-        prop_assert_eq!(explain.root.rows, reference.len());
+        let mut rng = Rng(ast_seed);
+        planned_equals_scan(&c, &idx, &random_query(&mut rng, depth))?;
+        planned_equals_scan(&c, &idx, &random_demographic_shape(&mut rng))?;
     }
 
     #[test]
@@ -280,7 +347,7 @@ proptest! {
         let negate = negate_i == 1;
         let c = generate_collection(SynthConfig::with_patients(patients as usize), seed);
         let idx = CodeIndex::build(&c);
-        idx.debug_validate();
+        idx.debug_validate(&c);
         let q = build_query(PATTERNS[pattern_i as usize], negate);
         let reference = pastas_par::with_threads(1, || select_scan(&c, &q));
         for threads in THREADS {
@@ -300,20 +367,9 @@ proptest! {
     ) {
         let c = generate_collection(SynthConfig::with_patients(patients as usize), collection_seed);
         let idx = CodeIndex::build(&c);
-        let q = random_query(&mut Rng(ast_seed), depth);
-        let plan = QueryPlan::build(&idx, &c, &q);
-        let reference = pastas_par::with_threads(1, || select_scan(&c, &q));
-        for threads in THREADS {
-            let planned = pastas_par::with_threads(threads, || plan.execute(&c, &idx));
-            prop_assert_eq!(
-                &planned, &reference,
-                "threads {}, query {:?}, plan:\n{}", threads, q, plan.render()
-            );
-        }
-        // The explain path returns the same positions it annotates.
-        let (explained, explain) = plan.execute_explain(&c, &idx);
-        prop_assert_eq!(&explained, &reference);
-        prop_assert_eq!(explain.root.rows, reference.len());
+        let mut rng = Rng(ast_seed);
+        planned_equals_scan(&c, &idx, &random_query(&mut rng, depth))?;
+        planned_equals_scan(&c, &idx, &random_demographic_shape(&mut rng))?;
     }
 
     #[test]
@@ -348,7 +404,7 @@ proptest! {
         ast_seed in 0u64..u64::MAX,
     ) {
         use pastas_codes::Code;
-        use pastas_model::{Entry, OpenEpoch, Patient, PatientId, Payload, Sex, SourceKind};
+        use pastas_model::{Entry, OpenEpoch, Patient, PatientId, Payload, SourceKind};
         const CODES: [&str; 6] = ["T90", "K74", "K86", "Z98", "A01", "E10"];
         let mut c = generate_collection(
             SynthConfig { shard_patients: 64, ..SynthConfig::with_patients(150) },
@@ -367,10 +423,14 @@ proptest! {
                         *c.histories()[rng.below(c.len() as u64) as usize].patient()
                     } else {
                         next_new += 1;
+                        // Birthdays on both sides of the reference
+                        // dates' month and day, leap day included.
+                        let (m, d) = [(1, 1), (2, 29), (6, 15), (12, 31)][rng.below(4) as usize];
                         Patient {
                             id: PatientId(5_000_000 + next_new),
-                            birth_date: Date::new(1950, 6, 15).expect("valid date"),
-                            sex: if next_new.is_multiple_of(2) { Sex::Female } else { Sex::Male },
+                            birth_date: Date::new(1920 + 4 * rng.below(24) as i32, m, d)
+                                .expect("valid date"),
+                            sex: if rng.below(2) == 0 { Sex::Female } else { Sex::Male },
                         }
                     };
                     let entries: Vec<Entry> = (0..rng.below(3))
@@ -397,23 +457,17 @@ proptest! {
             } else {
                 idx = idx.compact();
             }
-            idx.debug_validate();
-            let q = random_query(&mut Rng(ast_seed ^ step), 2);
-            let plan = QueryPlan::build(&idx, &c, &q);
-            let reference = pastas_par::with_threads(1, || select_scan(&c, &q));
-            for threads in THREADS {
-                let planned = pastas_par::with_threads(threads, || plan.execute(&c, &idx));
-                prop_assert_eq!(
-                    &planned, &reference,
-                    "step {}, threads {}, query {:?}, plan:\n{}", step, threads, q, plan.render()
-                );
-            }
+            idx.debug_validate(&c);
+            let mut rng = Rng(ast_seed ^ step);
+            planned_equals_scan(&c, &idx, &random_query(&mut rng, 2))?;
+            planned_equals_scan(&c, &idx, &random_demographic_shape(&mut rng))?;
         }
         // Quiesce: one final compaction converges to the rebuilt index.
         let compacted = idx.compact();
-        compacted.debug_validate();
+        compacted.debug_validate(&c);
         prop_assert!(compacted.side_is_empty());
         let fresh = CodeIndex::build_with_shard_rows(&c, 64);
+        prop_assert_eq!(compacted.column(), fresh.column());
         let q = random_query(&mut Rng(ast_seed), 2);
         let via_compacted = QueryPlan::build(&compacted, &c, &q).execute(&c, &compacted);
         let via_fresh = QueryPlan::build(&fresh, &c, &q).execute(&c, &fresh);

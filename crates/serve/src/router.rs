@@ -27,9 +27,7 @@ use crate::http::{Request, Response};
 use crate::ingest::{IngestConfig, IngestQueue};
 use crate::state::{ServeState, Snapshot};
 use pastas_core::export::json_string;
-use pastas_core::{
-    CohortLookup, CohortRegistry, RegistryConfig, Selection, ViewCommand, MEMO_TOP_K,
-};
+use pastas_core::{CohortLookup, CohortRegistry, RegistryConfig, ViewCommand, MEMO_TOP_K};
 use pastas_ingest::json::Json;
 use pastas_ingest::DeltaFormat;
 use pastas_model::PatientId;
@@ -174,24 +172,33 @@ fn select(req: &Request, ctx: &RouterCtx) -> Response {
         pastas_query::canonical_fingerprint(&query)
     );
     cached(ctx, &snapshot, &suffix, || {
-        let (ids, explained) = if explain {
-            let (positions, info) = snapshot.workbench.select_explain(&query);
-            let histories = snapshot.workbench.collection().histories();
-            let ids: Vec<PatientId> =
-                positions.iter().filter_map(|&i| histories.get(i as usize)).map(|h| h.id()).collect();
-            (ids, Some(info))
+        // One path from positions to the body; `explain` only chooses
+        // which workbench call produces them.
+        let workbench = &snapshot.workbench;
+        let (positions, explained) = if explain {
+            let (positions, info) = workbench.select_explain(&query);
+            (positions, Some(info))
         } else {
-            (Selection::from_query(&snapshot.workbench, &query).iter().collect(), None)
+            (workbench.select_positions(&query), None)
         };
-        let mut body = String::with_capacity(32 + ids.len() * 12);
-        let _ = write!(body, "{{\"version\":{},\"count\":{}", snapshot.version, ids.len());
+        let mut body = String::with_capacity(
+            64 + if count_only { 0 } else { positions.len() * 11 },
+        );
+        let _ = write!(body, "{{\"version\":{},\"count\":{}", snapshot.version, positions.len());
         if !count_only {
+            // Ascending patient id, whatever the row order: a collection
+            // holding ingest-appended patients is not id-ordered.
+            let histories = workbench.collection().histories();
+            let mut ids: Vec<PatientId> =
+                positions.iter().filter_map(|&at| histories.get(at as usize)).map(|h| h.id()).collect();
+            if !ids.is_sorted() {
+                ids.sort_unstable();
+            }
             body.push_str(",\"ids\":[");
             for (i, id) in ids.iter().enumerate() {
-                if i > 0 {
-                    body.push(',');
-                }
-                let _ = write!(body, "\"{id}\"");
+                body.push_str(if i > 0 { ",\"" } else { "\"" });
+                id.push_to(&mut body);
+                body.push('"');
             }
             body.push(']');
         }
@@ -762,6 +769,38 @@ mod tests {
     /// not break: a `/select` answered before an ingest is never served
     /// again after the compaction publishes, while caching keeps working
     /// for post-compaction responses.
+    /// An ingest-appended patient with an id below every synthetic one
+    /// sits in the last row: ids must still come out ascending, and
+    /// identically with and without `explain=1` (the two spellings used
+    /// to take different paths, one in row order).
+    #[test]
+    fn select_lists_ids_ascending_with_and_without_explain() {
+        fn ids(body: &[u8]) -> String {
+            let text = String::from_utf8_lossy(body).into_owned();
+            let from = text.find("\"ids\":[").expect("ids in the body");
+            let to = from + text[from..].find(']').expect("ids end");
+            text[from..=to].to_owned()
+        }
+        let ctx = ctx();
+        let persons = "nin;birth_date;sex\nNIN-0000000;1950-01-01;F\n";
+        let claims = "claim_id;patient;date;provider;icpc;note\nX1;NIN-0000000;04.05.2013;GP;T90;\n";
+        assert_eq!(route(&post("/ingest?format=persons", persons), &ctx).status, 202);
+        assert_eq!(route(&post("/ingest?format=claims", claims), &ctx).status, 202);
+        assert_eq!(route(&post("/compact", ""), &ctx).status, 200);
+        let snapshot = ctx.state.snapshot();
+        let rows = snapshot.workbench.collection().histories();
+        assert_eq!(rows.last().map(|h| h.id()), Some(PatientId(0)), "appended, lowest id");
+        for query in ["has(T90)", "has(T90) and age(40..100) and sex(F)"] {
+            let plain = route(&post("/select", query), &ctx);
+            let explained = route(&post("/select?explain=1", query), &ctx);
+            assert_eq!((plain.status, explained.status), (200, 200));
+            assert!(ids(&plain.body).starts_with("\"ids\":[\"P0000000\",\"P"), "{}", ids(&plain.body));
+            assert_eq!(ids(&plain.body), ids(&explained.body), "{query}");
+            assert_eq!(count_of(&plain.body), count_of(&explained.body), "{query}");
+            assert_eq!(count_of(&plain.body) as usize, ids(&plain.body).matches('P').count());
+        }
+    }
+
     #[test]
     fn ingest_invalidates_stale_selects_without_breaking_the_cache() {
         let ctx = ctx();

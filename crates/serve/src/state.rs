@@ -64,7 +64,7 @@ impl Snapshot {
             }
             previous = ptr;
         }
-        self.workbench.index().debug_validate();
+        self.workbench.index().debug_validate(self.workbench.collection());
         self.workbench.debug_validate();
         assert_eq!(self.reference_date, reference_date_of(&self.workbench));
     }

@@ -52,10 +52,12 @@ fn flag(name: &str) -> bool {
 /// triples are (text, must_be_index_served, budgeted): `must_index`
 /// asserts the plan contains no full-scan operator — posting-list set
 /// algebra end to end — and `budgeted` additionally holds the shape to
-/// `--budget-ms`. Budgeted shapes are the pure set-algebra ones;
-/// `count(K.*) >= 2` stays index-served but its Filter verifies every
-/// candidate history (O(candidates) by construction), so a per-shape
-/// millisecond cap would measure the collection, not the planner.
+/// `--budget-ms`. Budgeted shapes are the pure set-algebra ones —
+/// code clauses on postings, `age(..)` / `sex(..)` clauses on the shard's
+/// patient column; `count(K.*) >= 2` stays index-served but its Filter
+/// verifies every candidate history (O(candidates) by construction), so
+/// a per-shape millisecond cap would measure the collection, not the
+/// planner, and a cover-free count has nothing but the scan.
 const SHAPES: &[(&str, bool, bool)] = &[
     ("has(T90)", true, true),
     ("lacks(T90)", true, true),
@@ -64,8 +66,12 @@ const SHAPES: &[(&str, bool, bool)] = &[
     ("has(T90) or has(R95)", true, true),
     ("count(K.*) >= 2", true, false),
     ("not (has(T90) and has(K74))", true, true),
-    ("sex(F) and age(50..80)", false, false),
-    ("has(K.*) or sex(F)", false, false),
+    ("sex(F) and age(50..80)", true, true),
+    ("has(K.*) or sex(F)", true, true),
+    ("has(K.*) and lacks(T90) and age(40..90)", true, true),
+    ("not age(18..64) and not sex(M)", true, true),
+    ("has(T90) and not (age(0..39) or sex(M))", true, true),
+    ("count(diagnosis) >= 3 and age(40..90)", false, false),
 ];
 
 /// Temporal `seq(...)` shapes for `--smoke-temporal`. The second field
