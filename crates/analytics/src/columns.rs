@@ -14,7 +14,7 @@ use crate::dimensions::*;
 use crate::tables::{CodeDims, Tables, Vocab, NO_BUCKET};
 use pastas_model::{CodeId, History, HistoryCollection, Sex, SourceKind};
 use pastas_ontology::integration::IntegrationOntology;
-use pastas_time::{Date, DateTime};
+use pastas_time::Date;
 use std::sync::Arc;
 
 /// Rows per copy-on-write chunk (6 KiB of digests plus the code lists).
@@ -73,21 +73,17 @@ impl Chunk {
         self.rows.push(Digest { codes_end: self.codes.len() as u32, ..*row });
     }
 
-    /// Append the digest of `history`: one fused pass over its source,
-    /// code and end columns. `dims_of` translates the history's
+    /// Append the digest of `history`: one fused pass over its source
+    /// and code columns. `dims_of` translates the history's
     /// interner-local code ids.
     fn push_history(&mut self, history: &History, mut dims_of: impl FnMut(CodeId) -> CodeDims) {
         let mut per_source = [0u32; SourceKind::ALL.len()];
         let mut per_chapter = [0u32; ICD_BANDS - 1];
         let mut per_atc = [0u32; ATC_BANDS - 1];
         let mut cond_mask = 0u32;
-        // The span's max end time as a monotone integer key: one
-        // branchless `max` per entry, 0 meaning "no entries".
-        let mut last_end_key = 0u64;
         let codes_lo = self.codes.len();
-        for (source, code, end) in history.entries().scan() {
+        for (source, code) in history.entries().scan() {
             per_source[source.dense_index()] += 1;
-            last_end_key = last_end_key.max(end.sort_key());
             if let Some(id) = code {
                 let dims = dims_of(id);
                 if dims.chapter != NO_BUCKET {
@@ -110,9 +106,7 @@ impl Chunk {
         }
         self.codes.truncate(kept);
         let first = history.first_time();
-        let span_days = first
-            .zip(DateTime::from_sort_key(last_end_key))
-            .map(|(first, last)| (last - first).as_days_f64());
+        let span_days = history.span().map(|span| span.as_days_f64());
         self.rows.push(Digest {
             birth: history.patient().birth_date,
             entries: history.len() as u32,

@@ -13,9 +13,9 @@
 use crate::columns::{dominant, Digest, PatientColumns, NO_YEAR};
 use crate::dimensions::*;
 use crate::tables::NO_BUCKET;
-use pastas_model::{HistoryCollection, Sex, SourceKind};
+use pastas_model::{HistoryCollection, Sex, SourceKind, FAR_START};
 use pastas_ontology::integration::{IntegrationOntology, CONDITIONS};
-use pastas_time::{Date, DateTime};
+use pastas_time::Date;
 use std::collections::BTreeMap;
 
 /// How many top codes a profile reports by default.
@@ -387,23 +387,43 @@ pub fn cohort_profile_serial(
 /// Monthly event counts over the cohort at `positions`: one
 /// `(first-of-month, entries starting that month)` row per month between
 /// the cohort's first and last entry, gaps filled with zeros. One
-/// parallel pass over the histories' contiguous `starts` columns into a
-/// dense slot array (`year * 12 + month`) spanning the collection's
-/// summary, so the per-entry step is one array increment.
+/// parallel pass over the histories' contiguous start-offset columns:
+/// a table over the days of the collection's summary span maps a day to
+/// its month slot, so the per-entry step is a division by a constant, a
+/// table read and an increment — the calendar is consulted once a month
+/// of the span, not once an entry.
 pub fn cohort_monthly(collection: &HistoryCollection, positions: &[u32]) -> Vec<(Date, u64)> {
     let histories = collection.histories();
     let stats = collection.stats();
     let (Some(first), Some(last)) = (stats.first, stats.last) else {
         return Vec::new();
     };
-    let slot = |t: DateTime| t.date().year() * 12 + t.date().month() as i32 - 1;
-    let base = slot(first);
+    let first_day = first.date();
+    let days = (last.date().days_since(first_day) + 1) as usize;
+    let base = first_day.year() * 12 + first_day.month() as i32 - 1;
+    let mut slot_of_day: Vec<u32> = Vec::with_capacity(days);
+    let (mut month_end, mut slots) = (first_day, 0);
+    while slot_of_day.len() < days {
+        month_end = month_end.last_of_month();
+        slot_of_day.resize(days.min(month_end.days_since(first_day) as usize + 1), slots);
+        slots += 1;
+        month_end = month_end.add_days(1);
+    }
+    let first_midnight = first_day.at_midnight();
     let counts = pastas_par::par_fold(
         positions,
-        || vec![0u64; (slot(last) - base + 1) as usize],
+        || vec![0u64; slots as usize],
         |mut acc, &pos| {
-            for &start in histories[pos as usize].entries().starts() {
-                acc[(slot(start) - base) as usize] += 1;
+            let entries = histories[pos as usize].entries();
+            let (arena_base, offsets) = entries.start_offsets();
+            // Both are midnights, so this is exact (and may be negative).
+            let base_day = arena_base.since(first_midnight).whole_days();
+            for (at, &offset) in offsets.iter().enumerate() {
+                let day = match offset {
+                    FAR_START => entries.get(at).start().since(first_midnight).whole_days(),
+                    offset => base_day + i64::from(offset / 86_400),
+                };
+                acc[slot_of_day[day as usize] as usize] += 1;
             }
             acc
         },

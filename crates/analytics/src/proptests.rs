@@ -61,6 +61,45 @@ fn naive_monthly(collection: &HistoryCollection, positions: &[u32]) -> Vec<(Date
     out
 }
 
+/// Histories whose entries are further apart than an arena's `u32`
+/// window, out to both ends of the calendar: the monthly walk reads the
+/// far starts through `EntryRef` and lands the rest in the right slot of
+/// a table as long as the collection's span.
+#[test]
+fn monthly_walk_counts_starts_outside_an_arena_window() {
+    use pastas_model::{Entry, EpisodeKind, Payload, SourceKind, FAR_START};
+    let mut collection = generate_collection(SynthConfig::with_patients(40), 5);
+    let day = |y, m, d| Date::new(y, m, d).expect("valid").at_midnight();
+    let stay = Payload::Episode(EpisodeKind::NursingHome);
+    let ancient = |id, entries: Vec<Entry>| {
+        let mut old = History::new(Patient { id: PatientId(id), birth_date: Date::MIN, sex: Sex::Female });
+        for entry in entries {
+            old.insert(entry);
+        }
+        old
+    };
+    collection.upsert(ancient(6_000_000, vec![
+        Entry::event(day(1812, 2, 29), stay.clone(), SourceKind::Municipal),
+        Entry::interval(day(1812, 3, 1), day(2013, 7, 1), stay.clone(), SourceKind::Municipal),
+        Entry::event(day(2013, 6, 1), stay.clone(), SourceKind::Municipal),
+    ]));
+    let positions: Vec<u32> = (0..collection.len() as u32).collect();
+    assert_eq!(collection.histories()[40].entries().start_offsets().1[2], FAR_START);
+    let months = cohort_monthly(&collection, &positions);
+    assert_eq!(months, naive_monthly(&collection, &positions));
+    assert_eq!(months[0], (Date::new(1812, 2, 1).expect("valid"), 1));
+    assert_eq!(cohort_monthly(&collection, &positions[40..]).len(), (2013 - 1812) * 12 + 5);
+
+    collection.upsert(ancient(6_000_001, vec![
+        Entry::event(Date::MAX.at(23, 59, 59).expect("valid"), stay.clone(), SourceKind::Hospital),
+        Entry::event(Date::MIN.at_midnight(), stay, SourceKind::Hospital),
+    ]));
+    let positions: Vec<u32> = (0..collection.len() as u32).collect();
+    let months = cohort_monthly(&collection, &positions);
+    assert_eq!(months.len(), 19_999 * 12);
+    assert_eq!(months, naive_monthly(&collection, &positions));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
 

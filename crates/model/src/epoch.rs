@@ -48,7 +48,7 @@ impl OpenEpoch {
         let mut report = ValidationReport::default();
         let lo = self.arena.len_u32();
         for e in entries {
-            if e.start().date() < patient.birth_date {
+            if !patient.admits(e.start()) {
                 report.dropped_pre_birth += 1;
             } else {
                 report.accepted += 1;

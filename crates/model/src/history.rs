@@ -33,6 +33,15 @@ pub struct Patient {
     pub sex: Sex,
 }
 
+impl Patient {
+    /// The §IV validation rule, in its one definition: an entry dated
+    /// before the patient's birth is "clearly invalid". Compares instants,
+    /// so the build and ingest paths pay no civil conversion per entry.
+    pub fn admits(&self, start: DateTime) -> bool {
+        start >= self.birth_date.at_midnight()
+    }
+}
+
 /// What happened while inserting entries into a history.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ValidationReport {
@@ -138,7 +147,7 @@ impl History {
     /// Insert one entry, enforcing the §IV validation rule: entries dated
     /// before the patient's birth are ignored. Returns `true` if accepted.
     pub fn insert(&mut self, entry: Entry) -> bool {
-        if entry.start().date() < self.patient.birth_date {
+        if !self.patient.admits(entry.start()) {
             return false;
         }
         let key = (entry.start(), entry.end());
@@ -148,7 +157,7 @@ impl History {
         let whole = self.lo == 0 && self.hi as usize == self.store.len();
         if whole {
             if let Some(store) = Arc::get_mut(&mut self.store) {
-                store.insert_at(at as usize, &entry);
+                store.insert_at(at, &entry);
                 self.hi += 1;
                 return true;
             }
@@ -175,7 +184,7 @@ impl History {
         let mut report = ValidationReport::default();
         let mut accepted: Vec<Entry> = Vec::new();
         for e in entries {
-            if e.start().date() < self.patient.birth_date {
+            if !self.patient.admits(e.start()) {
                 report.dropped_pre_birth += 1;
             } else {
                 report.accepted += 1;
@@ -219,10 +228,11 @@ impl History {
         self.entries().first().map(|e| e.start())
     }
 
-    /// Latest entry end, if any (an early long interval may end after later
-    /// entries start, so this scans — one contiguous column read).
+    /// Latest entry end, if any: the last entry's start, unless an
+    /// interval of this history ends after it (an early long interval may
+    /// end after later entries start). Looked up, not scanned.
     pub fn last_time(&self) -> Option<DateTime> {
-        self.entries().iter().map(|e| e.end()).max()
+        self.store.last_end(self.lo, self.hi)
     }
 
     /// The observed span of the history.
@@ -333,6 +343,85 @@ mod tests {
         assert_eq!(h.first_time(), Some(t(2015, 1, 1)));
         assert_eq!(h.last_time(), Some(t(2015, 12, 31))); // not the March event
         assert_eq!(h.span(), Some(Duration::days(364)));
+    }
+
+    #[test]
+    fn last_time_over_shared_and_detached_stores() {
+        let long_stay = Entry::interval(
+            t(2014, 1, 1),
+            t(2019, 1, 1),
+            Payload::Episode(EpisodeKind::NursingHome),
+            SourceKind::Municipal,
+        );
+        let short_stay = Entry::interval(
+            t(2016, 1, 1),
+            t(2016, 1, 5),
+            Payload::Episode(EpisodeKind::Inpatient),
+            SourceKind::Hospital,
+        );
+        let person = |id| Patient { id: PatientId(id), ..patient() };
+        let mut b = crate::CollectionBuilder::new();
+        // Neighbours in one arena: the spans must not see each other's
+        // intervals.
+        b.add_patient(person(1), vec![diag(2015, 1, 1, "A01"), diag(2018, 1, 1, "T90")]);
+        b.add_patient(person(2), vec![long_stay, diag(2015, 3, 1, "T90"), diag(2018, 6, 1, "K74")]);
+        b.add_patient(person(3), vec![]);
+        b.add_patient(person(4), vec![diag(2013, 1, 1, "A01"), short_stay, diag(2017, 1, 1, "T90")]);
+        let (collection, _) = b.build();
+        let last = |id| collection.get(PatientId(id)).unwrap().last_time();
+        assert_eq!(last(1), Some(t(2018, 1, 1)), "point events only: the last start");
+        assert_eq!(last(2), Some(t(2019, 1, 1)), "the early interval outlasts every later start");
+        assert_eq!(last(3), None, "empty span inside a shared arena");
+        assert_eq!(last(4), Some(t(2017, 1, 1)), "an interval that ends before the last start");
+        // Detach patient 1 onto a store of its own by mutating it.
+        let mut own = collection.get(PatientId(1)).unwrap().clone();
+        own.insert(Entry::interval(
+            t(2015, 6, 1),
+            t(2020, 1, 1),
+            Payload::Episode(EpisodeKind::HomeCare),
+            SourceKind::Municipal,
+        ));
+        assert!(!Arc::ptr_eq(own.store(), collection.get(PatientId(1)).unwrap().store()));
+        assert_eq!(own.last_time(), Some(t(2020, 1, 1)));
+        assert_eq!(own.span(), Some(t(2020, 1, 1) - t(2015, 1, 1)));
+        for h in collection.iter().chain([&own]) {
+            assert_eq!(h.last_time(), h.entries().iter().map(|e| e.end()).max());
+        }
+    }
+
+    #[test]
+    fn the_birth_rule_is_one_instant_for_every_caller() {
+        let born = patient().birth_date;
+        let at = |time| Entry::event(time, Payload::Diagnosis(Code::icpc("A01")), SourceKind::PrimaryCare);
+        let eve = at(born.add_days(-1).at(23, 59, 59).unwrap());
+        let midnight = at(born.at_midnight());
+        assert!(!patient().admits(eve.start()));
+        assert!(patient().admits(midnight.start()));
+        let batch = vec![eve.clone(), midnight.clone(), diag(2000, 1, 1, "T90")];
+        let expect = ValidationReport { accepted: 2, dropped_pre_birth: 1 };
+
+        let mut one_by_one = History::new(patient());
+        let mut report = ValidationReport::default();
+        for e in batch.clone() {
+            match one_by_one.insert(e) {
+                true => report.accepted += 1,
+                false => report.dropped_pre_birth += 1,
+            }
+        }
+        assert_eq!(report, expect);
+        let mut at_once = History::new(patient());
+        assert_eq!(at_once.insert_all(batch.clone()), expect);
+        let mut builder = crate::CollectionBuilder::new();
+        assert_eq!(builder.add_patient(patient(), batch.clone()), expect);
+        let mut epoch = crate::OpenEpoch::new();
+        assert_eq!(epoch.append(patient(), batch), expect);
+        let (built, _) = builder.build();
+        let mut streamed = crate::HistoryCollection::new();
+        epoch.seal_into(&mut streamed);
+        for h in [&one_by_one, &at_once, built.get(patient().id).unwrap(), streamed.get(patient().id).unwrap()] {
+            assert_eq!(h.first_time(), Some(midnight.start()), "00:00:00 on the birth date is kept");
+            assert_eq!(h.len(), 2);
+        }
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub use epoch::OpenEpoch;
 pub use history::{History, Patient, Sex, ValidationReport};
 pub use store::{
     CodeId, CodeInterner, CollectionBuilder, Entries, EntriesIter, EntryRef, EntryView,
-    EventStore, MemoryFootprint, PayloadRef, ShardedStore,
+    EventStore, MemoryFootprint, PayloadRef, ShardedStore, StoreBytes, FAR_START,
 };
 
 /// A patient identifier, unique within a collection.

@@ -14,6 +14,21 @@ fn arb_datetime() -> impl Strategy<Value = DateTime> {
     (631_152_000i64..1_893_456_000).prop_map(|s| DateTime::from_second_number(s).unwrap())
 }
 
+/// Any representable instant, the calendar's two edges over-weighted:
+/// two draws are usually more than the arena window's 136 years apart.
+fn arb_any_datetime() -> impl Strategy<Value = DateTime> {
+    let min = Date::MIN.at_midnight();
+    let max = Date::MAX.at(23, 59, 59).unwrap();
+    prop_oneof![
+        arb_datetime(),
+        arb_datetime(),
+        Just(min),
+        Just(max),
+        (min.second_number()..=max.second_number())
+            .prop_map(|s| DateTime::from_second_number(s).unwrap()),
+    ]
+}
+
 fn arb_payload() -> impl Strategy<Value = Payload> {
     prop_oneof![
         Just(Payload::Diagnosis(Code::icpc("T90"))),
@@ -36,6 +51,17 @@ fn arb_entry() -> impl Strategy<Value = Entry> {
             } else {
                 Entry::interval(a, b, payload, SourceKind::Hospital)
             }
+        },
+    )
+}
+
+/// Entries over the whole calendar, zero-length intervals included.
+fn arb_far_entry() -> impl Strategy<Value = Entry> {
+    (arb_any_datetime(), arb_any_datetime(), arb_payload(), 0u8..3, 0usize..5).prop_map(
+        |(a, b, payload, shape, source)| match shape {
+            0 => Entry::event(a, payload, SourceKind::ALL[source]),
+            1 => Entry::interval(a, b, payload, SourceKind::ALL[source]),
+            _ => Entry::interval(a, a, payload, SourceKind::ALL[source]),
         },
     )
 }
@@ -91,12 +117,27 @@ proptest! {
     }
 
     /// The store ⇄ `Vec<Entry>` round trip is lossless: arbitrary entries
-    /// pushed in arrival order read back identical through `EntryRef`.
+    /// — at the calendar's edges, further apart than an arena's window —
+    /// pushed in arrival order read back identical through `EntryRef`,
+    /// whether the store is fresh or starts life detached on a shared
+    /// interner.
     #[test]
-    fn event_store_round_trip(entries in proptest::collection::vec(arb_entry(), 0..40)) {
-        let store = EventStore::from_entries(&entries);
+    fn event_store_round_trip(
+        entries in proptest::collection::vec(arb_far_entry(), 0..40),
+        detached in any::<bool>(),
+    ) {
+        let mut store = EventStore::new();
+        if detached {
+            let arena = EventStore::from_entries(entries.iter().take(3));
+            store = EventStore::with_interner(std::sync::Arc::clone(arena.interner_arc()));
+        }
+        for e in &entries {
+            store.push(e);
+        }
         store.debug_validate();
         prop_assert_eq!(store.len(), entries.len());
+        let all = History::from_span(patient(), std::sync::Arc::new(store), 0, entries.len() as u32);
+        let (store, (base, offsets)) = (all.store(), all.entries().start_offsets());
         for (i, e) in entries.iter().enumerate() {
             let r = store.get(i as u32);
             // Zero-copy view agrees field by field …
@@ -108,6 +149,35 @@ proptest! {
             // … and materializes back to the identical entry.
             prop_assert_eq!(&r.to_entry(), e);
             prop_assert_eq!(r.describe(), e.describe());
+            // The offset view holds the start, or says it cannot.
+            if offsets[i] != FAR_START {
+                prop_assert_eq!(base + pastas_time::Duration::seconds(i64::from(offsets[i])), e.start());
+            }
+        }
+        let scanned: Vec<_> = all.entries().scan().collect();
+        let expect: Vec<_> = all.entries().iter().map(|e| (e.source(), e.code_id())).collect();
+        prop_assert_eq!(scanned, expect);
+    }
+
+    /// Splicing an entry into the columns in place (`insert_at`, behind
+    /// `History::insert` on a store the history owns) equals rebuilding:
+    /// intervals before, at and behind the splice keep their wide rows,
+    /// and `last_time` keeps equal to the scan it replaced.
+    #[test]
+    fn splicing_equals_rebuilding(entries in proptest::collection::vec(arb_far_entry(), 0..30)) {
+        let mut spliced = History::new(Patient { birth_date: Date::MIN, ..patient() });
+        let mut expect: Vec<Entry> = Vec::new();
+        for e in entries {
+            let key = (e.start(), e.end());
+            let at = expect.partition_point(|x| (x.start(), x.end()) <= key);
+            expect.insert(at, e.clone());
+            let before = std::sync::Arc::as_ptr(spliced.store());
+            prop_assert!(spliced.insert(e));
+            prop_assert_eq!(std::sync::Arc::as_ptr(spliced.store()), before, "spliced in place");
+            spliced.store().debug_validate();
+            spliced.debug_validate();
+            prop_assert_eq!(&spliced.entries().to_vec(), &expect);
+            prop_assert_eq!(spliced.last_time(), expect.iter().map(Entry::end).max());
         }
     }
 

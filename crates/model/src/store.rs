@@ -10,10 +10,13 @@
 //! * [`CodeInterner`] — every distinct [`Code`] appears once; entries
 //!   refer to it by [`CodeId`], so equality is an integer compare and
 //!   prefix tests are range walks over the sorted symbol table;
-//! * [`EventStore`] — parallel columns `starts`/`ends`/`sources`/`tags`
-//!   plus one `u32` of payload auxiliary data per entry (a `CodeId`, an
-//!   episode discriminant, or a side-table index for measurements and
-//!   notes). Point events store `end == start`;
+//! * [`EventStore`] — three parallel columns, 9 bytes a row: `starts`
+//!   (`u32` seconds after the arena's base midnight), `kinds` (payload
+//!   tag, source and the interval flag in one byte) and `aux` (a
+//!   `CodeId`, an episode discriminant, or a side-table index for
+//!   measurements and notes). A point event ends where it starts; the
+//!   rows that need more — intervals, and starts more than 68 years from
+//!   the base — keep both instants in the sparse, row-sorted `wide` table;
 //! * [`EntryRef`] — a zero-copy view (`&EventStore` + row index) that the
 //!   hot query/viz/align paths iterate without materializing [`Entry`];
 //! * [`Entries`] — one history's contiguous row span, iterable like the
@@ -30,7 +33,7 @@ use crate::entry::{Entry, EpisodeKind, MeasurementKind, Payload, SourceKind};
 use crate::history::{History, Patient, ValidationReport};
 use crate::HistoryCollection;
 use pastas_codes::Code;
-use pastas_time::DateTime;
+use pastas_time::{DateTime, Duration};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -164,9 +167,35 @@ const TAG_MEDICATION: u8 = 1;
 const TAG_MEASUREMENT: u8 = 2;
 const TAG_EPISODE: u8 = 3;
 const TAG_NOTE: u8 = 4;
-/// High bit of the tag column: the entry is an interval.
+/// The `kinds` byte: payload tag in bits 0–2, [`SourceKind::dense_index`]
+/// in bits 3–5, [`FLAG_INTERVAL`] on top.
+const TAG_MASK: u8 = 0x07;
+const SOURCE_SHIFT: u32 = 3;
+/// High bit of the `kinds` column: the entry is an interval.
 const FLAG_INTERVAL: u8 = 0x80;
-const TAG_MASK: u8 = 0x7f;
+
+const SECS_PER_DAY: u32 = 86_400;
+/// Days from an arena's base to its first entry: half the `u32` window.
+const DAYS_BEFORE_FIRST: i64 = (1 << 31) / SECS_PER_DAY as i64;
+
+/// The `starts` word of a row whose start the arena's window (`u32`
+/// seconds from its base) cannot hold. Such a row's instants are in the
+/// wide table; readers of [`Entries::start_offsets`] take its start from
+/// [`EntryRef::start`].
+pub const FAR_START: u32 = u32::MAX;
+
+/// True if a row with these `starts` and `kinds` words has a wide row.
+fn is_wide(offset: u32, kind: u8) -> bool {
+    kind & FLAG_INTERVAL != 0 || offset == FAR_START
+}
+
+fn source_of(kind: u8) -> SourceKind {
+    SourceKind::ALL[usize::from((kind & !FLAG_INTERVAL) >> SOURCE_SHIFT)]
+}
+
+fn code_id_of(kind: u8, aux: u32) -> Option<CodeId> {
+    matches!(kind & TAG_MASK, TAG_DIAGNOSIS | TAG_MEDICATION).then_some(CodeId(aux))
+}
 
 fn episode_to_u32(k: EpisodeKind) -> u32 {
     match k {
@@ -196,22 +225,69 @@ fn episode_from_u32(v: u32) -> EpisodeKind {
 // The store
 // ---------------------------------------------------------------------------
 
+/// A row the 9-byte columns cannot hold alone: both instants of an
+/// interval, or of an entry that starts outside the arena's window.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct WideRow {
+    pub(crate) row: u32,
+    pub(crate) start: DateTime,
+    pub(crate) end: DateTime,
+}
+
 /// The struct-of-arrays entry arena. One store backs one or many
 /// histories; each [`History`] views a contiguous row span.
 #[derive(Debug, Clone, Default)]
 pub struct EventStore {
     pub(crate) interner: Arc<CodeInterner>,
-    pub(crate) starts: Vec<DateTime>,
-    /// `end == start` for point events.
-    pub(crate) ends: Vec<DateTime>,
-    pub(crate) sources: Vec<SourceKind>,
-    /// Payload kind (low bits) | [`FLAG_INTERVAL`].
-    pub(crate) tags: Vec<u8>,
+    /// The midnight `starts` counts from, fixed by the first push:
+    /// [`DAYS_BEFORE_FIRST`] before that entry's day, so the window
+    /// reaches 68 years either side of it.
+    pub(crate) base: DateTime,
+    /// Seconds after `base`; [`FAR_START`] when the start does not fit.
+    pub(crate) starts: Vec<u32>,
+    /// Payload tag | source | [`FLAG_INTERVAL`], see [`TAG_MASK`].
+    pub(crate) kinds: Vec<u8>,
     /// Per-kind auxiliary word: `CodeId`, episode discriminant, or
     /// side-table index.
     pub(crate) aux: Vec<u32>,
+    /// One row for every interval and every [`FAR_START`] row, ascending
+    /// by row. Every other row ends where it starts.
+    pub(crate) wide: Vec<WideRow>,
     pub(crate) measurements: Vec<(MeasurementKind, f64)>,
     pub(crate) notes: Vec<String>,
+}
+
+/// Where an [`EventStore`]'s heap bytes are, by part.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct StoreBytes {
+    /// The `u32` start-offset column.
+    pub time: usize,
+    /// The `u32` auxiliary column.
+    pub aux: usize,
+    /// The tag/source/flag byte column.
+    pub kinds: usize,
+    /// The sparse interval and far-start table.
+    pub wide: usize,
+    /// Measurement and note side tables.
+    pub side_tables: usize,
+    /// The code symbol table.
+    pub interner: usize,
+}
+
+impl StoreBytes {
+    /// All parts.
+    pub fn total(&self) -> usize {
+        self.time + self.aux + self.kinds + self.wide + self.side_tables + self.interner
+    }
+
+    fn add(&mut self, other: &StoreBytes) {
+        self.time += other.time;
+        self.aux += other.aux;
+        self.kinds += other.kinds;
+        self.wide += other.wide;
+        self.side_tables += other.side_tables;
+        self.interner += other.interner;
+    }
 }
 
 impl EventStore {
@@ -237,7 +313,7 @@ impl EventStore {
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.starts.len()
+        self.kinds.len()
     }
 
     /// Number of entries as the `u32` row-id type used by spans and the
@@ -246,30 +322,40 @@ impl EventStore {
     /// loudly instead of wrapping.
     pub fn len_u32(&self) -> u32 {
         // lint:allow(transitive-no-panic-hot-path) deliberate loud overflow guard, per the doc comment above
-        u32::try_from(self.starts.len()).expect("event arena holds < 2^32 rows")
+        u32::try_from(self.kinds.len()).expect("event arena holds < 2^32 rows")
     }
 
     /// Deep invariant check (debug builds only; a no-op in release).
     ///
     /// Panics unless every parallel column has the same length, every
-    /// interval ends at or after it starts, every tag is a known payload
-    /// kind, and every `aux` word lands inside the structure it indexes
-    /// (interner, measurement side table, note side table, or episode
-    /// discriminant space). Also validates the shared interner.
+    /// tag is a known payload kind, every `aux` word lands inside the
+    /// structure it indexes (interner, measurement side table, note side
+    /// table, or episode discriminant space), and the wide table holds,
+    /// ascending by row, exactly the intervals and far starts, each
+    /// ending at or after it starts and agreeing with its row's offset.
+    /// Also validates the shared interner.
     #[cfg(debug_assertions)]
     pub fn debug_validate(&self) {
-        let n = self.starts.len();
-        assert_eq!(self.ends.len(), n, "store: ends column length mismatch");
-        assert_eq!(self.sources.len(), n, "store: sources column length mismatch");
-        assert_eq!(self.tags.len(), n, "store: tags column length mismatch");
+        let n = self.kinds.len();
+        assert_eq!(self.starts.len(), n, "store: starts column length mismatch");
         assert_eq!(self.aux.len(), n, "store: aux column length mismatch");
+        assert_eq!(
+            self.base.second_number().rem_euclid(i64::from(SECS_PER_DAY)),
+            0,
+            "store: base is not a midnight"
+        );
         self.interner.debug_validate();
-        for i in 0..n {
+        for w in self.wide.windows(2) {
             assert!(
-                self.starts[i] <= self.ends[i],
-                "store: row {i} ends before it starts"
+                w[0].row < w[1].row,
+                "store: wide table not strictly ascending at rows {} / {}",
+                w[0].row,
+                w[1].row
             );
-            let tag = self.tags[i] & TAG_MASK;
+        }
+        let mut wide = self.wide.iter().peekable();
+        for i in 0..n {
+            let tag = self.kinds[i] & TAG_MASK;
             let aux = self.aux[i] as usize;
             match tag {
                 TAG_DIAGNOSIS | TAG_MEDICATION => assert!(
@@ -291,6 +377,32 @@ impl EventStore {
                 ),
                 other => panic!("store: row {i} has unknown payload tag {other}"),
             }
+            let source = (self.kinds[i] & !FLAG_INTERVAL) >> SOURCE_SHIFT;
+            assert!(
+                usize::from(source) < SourceKind::ALL.len(),
+                "store: row {i} has unknown source {source}"
+            );
+            let w = wide.next_if(|w| w.row as usize == i);
+            assert_eq!(
+                w.is_some(),
+                is_wide(self.starts[i], self.kinds[i]),
+                "store: row {i} and the wide table disagree on whether it is wide"
+            );
+            if let Some(w) = w {
+                assert!(w.start <= w.end, "store: row {i} ends before it starts");
+                assert!(
+                    self.kinds[i] & FLAG_INTERVAL != 0 || w.start == w.end,
+                    "store: row {i} is a point event with two instants"
+                );
+                assert_eq!(
+                    self.offset_of(w.start),
+                    self.starts[i],
+                    "store: row {i} offset disagrees with its wide start"
+                );
+            }
+        }
+        if let Some(w) = wide.next() {
+            panic!("store: wide row {} is past the last row", w.row);
         }
     }
 
@@ -301,7 +413,7 @@ impl EventStore {
 
     /// True if the store holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.starts.is_empty()
+        self.kinds.is_empty()
     }
 
     /// The shared symbol table.
@@ -325,7 +437,7 @@ impl EventStore {
         }
     }
 
-    fn encode(&mut self, payload: &Payload) -> (u8, u32) {
+    fn encode_payload(&mut self, payload: &Payload) -> (u8, u32) {
         match payload {
             Payload::Diagnosis(c) => (TAG_DIAGNOSIS, self.intern(c)),
             Payload::Medication(c) => (TAG_MEDICATION, self.intern(c)),
@@ -345,25 +457,52 @@ impl EventStore {
         }
     }
 
+    /// `start` as seconds after the base, [`FAR_START`] if that is not a
+    /// smaller `u32`.
+    fn offset_of(&self, start: DateTime) -> u32 {
+        u32::try_from(start.since(self.base).as_seconds()).unwrap_or(FAR_START)
+    }
+
+    /// The `(starts, kinds, aux)` words of `entry`. The first entry a
+    /// store sees fixes its base.
+    fn encode(&mut self, entry: &Entry) -> (u32, u8, u32) {
+        if self.kinds.is_empty() {
+            let midnight = entry.start().date().at_midnight();
+            self.base = midnight.add(Duration::days(-DAYS_BEFORE_FIRST));
+        }
+        let (tag, aux) = self.encode_payload(entry.payload());
+        // lint:allow(no-silent-truncation) dense_index() is below 5
+        let source = (entry.source().dense_index() as u8) << SOURCE_SHIFT;
+        let flag = if entry.is_interval() { FLAG_INTERVAL } else { 0 };
+        (self.offset_of(entry.start()), tag | source | flag, aux)
+    }
+
     /// Append one entry.
     pub fn push(&mut self, entry: &Entry) {
-        let (tag, aux) = self.encode(entry.payload());
-        self.starts.push(entry.start());
-        self.ends.push(entry.end());
-        self.sources.push(entry.source());
-        self.tags.push(tag | if entry.is_interval() { FLAG_INTERVAL } else { 0 });
+        let (offset, kind, aux) = self.encode(entry);
+        if is_wide(offset, kind) {
+            let row = self.len_u32();
+            self.wide.push(WideRow { row, start: entry.start(), end: entry.end() });
+        }
+        self.starts.push(offset);
+        self.kinds.push(kind);
         self.aux.push(aux);
     }
 
     /// Splice one entry in at row `at` (used by the in-place insert fast
     /// path; side tables are append-only so other rows stay valid).
-    pub(crate) fn insert_at(&mut self, at: usize, entry: &Entry) {
-        let (tag, aux) = self.encode(entry.payload());
-        self.starts.insert(at, entry.start());
-        self.ends.insert(at, entry.end());
-        self.sources.insert(at, entry.source());
-        self.tags.insert(at, tag | if entry.is_interval() { FLAG_INTERVAL } else { 0 });
-        self.aux.insert(at, aux);
+    pub(crate) fn insert_at(&mut self, at: u32, entry: &Entry) {
+        let (offset, kind, aux) = self.encode(entry);
+        let behind = self.wide.partition_point(|w| w.row < at);
+        for w in &mut self.wide[behind..] {
+            w.row += 1;
+        }
+        if is_wide(offset, kind) {
+            self.wide.insert(behind, WideRow { row: at, start: entry.start(), end: entry.end() });
+        }
+        self.starts.insert(at as usize, offset);
+        self.kinds.insert(at as usize, kind);
+        self.aux.insert(at as usize, aux);
     }
 
     /// A zero-copy view of row `i`.
@@ -372,11 +511,44 @@ impl EventStore {
         EntryRef { store: self, idx: i }
     }
 
+    /// The wide rows of rows `[lo, hi)`.
+    fn wide_in(&self, lo: u32, hi: u32) -> &[WideRow] {
+        let from = self.wide.partition_point(|w| w.row < lo);
+        let len = self.wide[from..].partition_point(|w| w.row < hi);
+        &self.wide[from..from + len]
+    }
+
+    /// The instant `offset` seconds after the base.
+    fn at(&self, offset: u32) -> DateTime {
+        self.base.add(Duration::seconds(i64::from(offset)))
+    }
+
+    /// The `(start, end)` of row `i`.
+    fn times(&self, i: u32) -> (DateTime, DateTime) {
+        let offset = self.starts[i as usize];
+        if is_wide(offset, self.kinds[i as usize]) {
+            let w = self.wide[self.wide.partition_point(|w| w.row < i)];
+            debug_assert_eq!(w.row, i, "store: wide row missing");
+            (w.start, w.end)
+        } else {
+            let at = self.at(offset);
+            (at, at)
+        }
+    }
+
+    /// The latest end among rows `[lo, hi)`, which are sorted by start:
+    /// the last row's start, unless one of the span's wide rows ends
+    /// later. Two binary searches, no walk.
+    pub(crate) fn last_end(&self, lo: u32, hi: u32) -> Option<DateTime> {
+        let last_start = self.times(hi.checked_sub(1).filter(|&last| last >= lo)?).0;
+        self.wide_in(lo, hi).iter().map(|w| w.end).max().max(Some(last_start))
+    }
+
     /// The payload of row `i`, borrowed.
     pub(crate) fn payload_ref(&self, i: u32) -> PayloadRef<'_> {
         let i = i as usize;
         let aux = self.aux[i];
-        match self.tags[i] & TAG_MASK {
+        match self.kinds[i] & TAG_MASK {
             TAG_DIAGNOSIS => PayloadRef::Diagnosis(self.interner.resolve(CodeId(aux))),
             TAG_MEDICATION => PayloadRef::Medication(self.interner.resolve(CodeId(aux))),
             TAG_MEASUREMENT => {
@@ -388,47 +560,40 @@ impl EventStore {
         }
     }
 
-    /// Approximate heap bytes held by the store (columns + side tables +
-    /// symbol table) — the numerator of the E5 bytes-per-entry report.
-    pub fn heap_bytes(&self) -> usize {
+    /// Heap bytes held by the store, part by part.
+    pub fn byte_split(&self) -> StoreBytes {
         use std::mem::size_of;
-        self.starts.len() * size_of::<DateTime>()
-            + self.ends.len() * size_of::<DateTime>()
-            + self.sources.len() * size_of::<SourceKind>()
-            + self.tags.len()
-            + self.aux.len() * size_of::<u32>()
-            + self.measurements.len() * size_of::<(MeasurementKind, f64)>()
-            + self.notes.iter().map(|n| size_of::<String>() + n.len()).sum::<usize>()
-            + self.interner.heap_bytes()
+        StoreBytes {
+            time: self.starts.len() * size_of::<u32>(),
+            aux: self.aux.len() * size_of::<u32>(),
+            kinds: self.kinds.len(),
+            wide: self.wide.len() * size_of::<WideRow>(),
+            side_tables: self.measurements.len() * size_of::<(MeasurementKind, f64)>()
+                + self.notes.iter().map(|n| size_of::<String>() + n.len()).sum::<usize>(),
+            interner: self.interner.heap_bytes(),
+        }
+    }
+
+    /// Approximate heap bytes held by the store (columns + wide table +
+    /// side tables + symbol table) — the numerator of the E5
+    /// bytes-per-entry report.
+    pub fn heap_bytes(&self) -> usize {
+        self.byte_split().total()
     }
 
     /// Rows `[lo, hi)` whose `(start, end)` key is `<= key` — the stable
     /// insertion point used by [`History::insert`].
-    pub(crate) fn partition_point_le(
-        &self,
-        lo: u32,
-        hi: u32,
-        key: (DateTime, DateTime),
-    ) -> u32 {
-        let s = &self.starts[lo as usize..hi as usize];
-        let e = &self.ends[lo as usize..hi as usize];
-        let mut n = 0;
-        // partition_point over the span: entries with key <= the probe.
-        let mut size = s.len();
-        let mut base = 0usize;
-        while size > 0 {
-            let half = size / 2;
-            let mid = base + half;
-            if (s[mid], e[mid]) <= key {
-                base = mid + 1;
-                size -= half + 1;
+    pub(crate) fn partition_point_le(&self, lo: u32, hi: u32, key: (DateTime, DateTime)) -> u32 {
+        let (mut lo, mut hi) = (lo, hi);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.times(mid) <= key {
+                lo = mid + 1;
             } else {
-                size = half;
+                hi = mid;
             }
-            n = base;
         }
-        // lint:allow(no-silent-truncation) n <= hi - lo, which is u32
-        lo + n as u32
+        lo
     }
 }
 
@@ -535,22 +700,25 @@ pub struct EntryRef<'a> {
 impl<'a> EntryRef<'a> {
     /// The anchor time: event time, or interval start.
     pub fn start(&self) -> DateTime {
-        self.store.starts[self.idx as usize]
+        match self.store.starts[self.idx as usize] {
+            FAR_START => self.store.times(self.idx).0,
+            offset => self.store.at(offset),
+        }
     }
 
     /// The end time: event time, or interval end.
     pub fn end(&self) -> DateTime {
-        self.store.ends[self.idx as usize]
+        self.store.times(self.idx).1
     }
 
     /// The provenance tag.
     pub fn source(&self) -> SourceKind {
-        self.store.sources[self.idx as usize]
+        source_of(self.store.kinds[self.idx as usize])
     }
 
     /// True for intervals.
     pub fn is_interval(&self) -> bool {
-        self.store.tags[self.idx as usize] & FLAG_INTERVAL != 0
+        self.store.kinds[self.idx as usize] & FLAG_INTERVAL != 0
     }
 
     /// True for point events.
@@ -571,12 +739,7 @@ impl<'a> EntryRef<'a> {
     /// The interned code id, if this entry carries a code. Integer
     /// identity within this entry's store — what the query layer posts.
     pub fn code_id(&self) -> Option<CodeId> {
-        match self.store.tags[self.idx as usize] & TAG_MASK {
-            TAG_DIAGNOSIS | TAG_MEDICATION => {
-                Some(CodeId(self.store.aux[self.idx as usize]))
-            }
-            _ => None,
-        }
+        code_id_of(self.store.kinds[self.idx as usize], self.store.aux[self.idx as usize])
     }
 
     /// True if this entry overlaps the closed time window `[from, to]`.
@@ -755,31 +918,25 @@ impl<'a> Entries<'a> {
         EntriesIter { store: self.store, next: self.lo, hi: self.hi }
     }
 
-    /// The span's start times as one contiguous column slice (sorted,
-    /// like the entries) — what the cohort timeline walks.
-    pub fn starts(&self) -> &'a [DateTime] {
-        &self.store.starts[self.lo as usize..self.hi as usize]
+    /// The span's start times as the arena holds them: the arena's base
+    /// (a midnight, so `offset / 86_400` is a day index from it) and one
+    /// contiguous slice of seconds after it, one word an entry — what
+    /// the cohort timeline walks. A [`FAR_START`] word stands for a start
+    /// the slice cannot hold; read that row through [`Self::get`].
+    pub fn start_offsets(&self) -> (DateTime, &'a [u32]) {
+        (self.store.base, &self.store.starts[self.lo as usize..self.hi as usize])
     }
 
-    /// Fused columnar scan: `(source, interned code id, end time)` per
-    /// entry, walking each column slice sequentially instead of
-    /// re-indexing the store per field the way [`EntryRef`] accessors
-    /// do. This is the hot-loop shape of the analytics dimension pass,
-    /// which folds provenance, code-derived buckets and the history
-    /// span in a single traversal.
-    pub fn scan(&self) -> impl Iterator<Item = (SourceKind, Option<CodeId>, DateTime)> + 'a {
+    /// Fused columnar scan: `(source, interned code id)` per entry,
+    /// walking each column slice sequentially instead of re-indexing the
+    /// store per field the way [`EntryRef`] accessors do. This is the
+    /// hot-loop shape of the analytics dimension pass, which folds
+    /// provenance and code-derived buckets in a single traversal.
+    pub fn scan(&self) -> impl Iterator<Item = (SourceKind, Option<CodeId>)> + 'a {
         let (lo, hi) = (self.lo as usize, self.hi as usize);
-        let sources = &self.store.sources[lo..hi];
-        let tags = &self.store.tags[lo..hi];
+        let kinds = &self.store.kinds[lo..hi];
         let aux = &self.store.aux[lo..hi];
-        let ends = &self.store.ends[lo..hi];
-        sources.iter().zip(tags).zip(aux).zip(ends).map(|(((&source, &tag), &aux), &end)| {
-            let code = match tag & TAG_MASK {
-                TAG_DIAGNOSIS | TAG_MEDICATION => Some(CodeId(aux)),
-                _ => None,
-            };
-            (source, code, end)
-        })
+        kinds.iter().zip(aux).map(|(&kind, &aux)| (source_of(kind), code_id_of(kind, aux)))
     }
 
     /// Materialize the span as owned entries (export/test paths).
@@ -859,6 +1016,8 @@ pub struct MemoryFootprint {
     pub stores: usize,
     /// Bytes held by the columnar arenas (columns + interner).
     pub columnar_bytes: usize,
+    /// `columnar_bytes` by part.
+    pub split: StoreBytes,
     /// Estimated bytes for the same data as `Vec<Entry>` per patient.
     pub aos_bytes: usize,
     /// Total postings in the code index, when attached via
@@ -883,7 +1042,7 @@ impl MemoryFootprint {
         for h in collection.iter() {
             let ptr = Arc::as_ptr(h.store());
             if ptr != previous && seen.insert(ptr) {
-                f.columnar_bytes += h.store().heap_bytes();
+                f.split.add(&h.store().byte_split());
             }
             previous = ptr;
             f.entries += h.len();
@@ -897,6 +1056,7 @@ impl MemoryFootprint {
             }
         }
         f.stores = seen.len();
+        f.columnar_bytes = f.split.total();
         f
     }
 
@@ -939,17 +1099,27 @@ impl MemoryFootprint {
             / (self.postings_compressed_bytes as f64).max(1.0)
     }
 
-    /// One human-readable report line (two when postings are attached).
+    /// A human-readable report: the total, the columnar bytes per entry
+    /// by part, and a postings line when those are attached.
     pub fn summary(&self) -> String {
+        let per_entry = |bytes: usize| bytes as f64 / (self.entries as f64).max(1.0);
         let mut s = format!(
             "memory: {:.1} B/entry columnar vs {:.1} B/entry AoS ({:.2}x smaller; \
-             {} entries in {} arena{})",
+             {} entries in {} arena{})\n\
+             columnar split: time {:.2} + aux {:.2} + kinds {:.2} + wide rows {:.2} + \
+             side tables {:.2} + interner {:.2} B/entry",
             self.columnar_per_entry(),
             self.aos_per_entry(),
             self.reduction(),
             self.entries,
             self.stores,
-            if self.stores == 1 { "" } else { "s" }
+            if self.stores == 1 { "" } else { "s" },
+            per_entry(self.split.time),
+            per_entry(self.split.aux),
+            per_entry(self.split.kinds),
+            per_entry(self.split.wide),
+            per_entry(self.split.side_tables),
+            per_entry(self.split.interner),
         );
         if self.postings > 0 {
             s.push_str(&format!(
@@ -1081,7 +1251,7 @@ impl CollectionBuilder {
         let mut report = ValidationReport::default();
         let mut accepted: Vec<Entry> = Vec::with_capacity(entries.len());
         for e in entries {
-            if e.start().date() < patient.birth_date {
+            if !patient.admits(e.start()) {
                 report.dropped_pre_birth += 1;
             } else {
                 report.accepted += 1;
@@ -1156,6 +1326,90 @@ mod tests {
         let mut store = EventStore::from_entries(&sample_entries());
         Arc::make_mut(&mut store.interner).sorted.reverse();
         store.debug_validate();
+    }
+
+    /// `sample_entries` plus a second interval: wide rows at 3 and 5.
+    fn two_interval_store() -> EventStore {
+        let mut entries = sample_entries();
+        entries.push(Entry::interval(
+            t(2013, 8, 1),
+            t(2013, 8, 3),
+            Payload::Episode(EpisodeKind::DayTreatment),
+            SourceKind::Hospital,
+        ));
+        let store = EventStore::from_entries(&entries);
+        assert_eq!(store.wide.iter().map(|w| w.row).collect::<Vec<_>>(), [3, 5]);
+        store.debug_validate();
+        store
+    }
+
+    #[test]
+    #[should_panic(expected = "wide table not strictly ascending")]
+    fn debug_validate_catches_an_unsorted_wide_table() {
+        let mut store = two_interval_store();
+        store.wide.swap(0, 1);
+        store.debug_validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "disagree on whether it is wide")]
+    fn debug_validate_catches_an_interval_without_its_wide_row() {
+        let mut store = two_interval_store();
+        store.wide.remove(0);
+        store.debug_validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "disagree on whether it is wide")]
+    fn debug_validate_catches_a_wide_row_on_a_point_event() {
+        let mut store = two_interval_store();
+        store.wide.insert(0, WideRow { row: 0, start: t(2013, 3, 1), end: t(2013, 3, 1) });
+        store.debug_validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "ends before it starts")]
+    fn debug_validate_catches_a_reversed_interval() {
+        let mut store = two_interval_store();
+        store.wide[0].end = t(2013, 5, 31);
+        store.debug_validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "offset disagrees with its wide start")]
+    fn debug_validate_catches_a_wide_start_off_its_offset() {
+        let mut store = two_interval_store();
+        store.wide[0].start = t(2013, 5, 31);
+        store.debug_validate();
+    }
+
+    #[test]
+    fn starts_outside_the_window_take_the_wide_path() {
+        let at = |time| Entry::event(time, Payload::Episode(EpisodeKind::HomeCare), SourceKind::Municipal);
+        let base = t(1945, 2, 11); // 24,855 days before the first push
+        let entries = vec![
+            at(t(2013, 3, 1)),
+            at(base),
+            at(base + Duration::seconds(i64::from(FAR_START) - 1)),
+            at(base + Duration::seconds(-1)),
+            at(base + Duration::seconds(i64::from(FAR_START))),
+            at(Date::MAX.at(23, 59, 59).unwrap()),
+            at(Date::MIN.at_midnight()),
+        ];
+        let store = EventStore::from_entries(&entries);
+        store.debug_validate();
+        assert_eq!(store.base, base);
+        assert_eq!(store.starts[1..3], [0, FAR_START - 1], "the window's two edges");
+        assert_eq!(store.starts[3..], [FAR_START; 4]);
+        assert_eq!(store.wide.iter().map(|w| w.row).collect::<Vec<_>>(), [3, 4, 5, 6]);
+        for (i, e) in entries.iter().enumerate() {
+            assert_eq!(store.get(i as u32).to_entry(), *e, "row {i}");
+        }
+        assert_eq!(store.heap_bytes(), 7 * 9 + 4 * std::mem::size_of::<WideRow>());
+        // A store that opens at the calendar's edge clamps its base there.
+        let early = EventStore::from_entries(&[at(Date::MIN.at(12, 0, 0).unwrap())]);
+        assert_eq!((early.base, early.starts[0]), (Date::MIN.at_midnight(), 12 * 3_600));
+        early.debug_validate();
     }
 
     fn sample_entries() -> Vec<Entry> {

@@ -7,7 +7,7 @@
 //! out of the aligned view.
 
 use crate::predicate::EntryPredicate;
-use pastas_model::{History, HistoryCollection, PatientId};
+use pastas_model::{HistoryCollection, PatientId};
 use pastas_time::DateTime;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -70,28 +70,24 @@ pub enum SortKey {
 
 /// Return history positions in sorted order (stable, ascending).
 ///
-/// Key extraction (which may walk every entry, e.g. [`SortKey::Span`]) is
+/// Key extraction (a lookup per history; no key walks the entries) is
 /// chunked across threads; the sort itself is the serial stable sort over
 /// precomputed keys, so the order is identical at every thread count.
 pub fn sort_histories(collection: &HistoryCollection, key: &SortKey) -> Vec<u32> {
     let hs = collection.histories();
     let mut order: Vec<u32> = (0..hs.len() as u32).collect();
-    let sort_value = |h: &History| -> i64 {
-        match key {
-            SortKey::PatientId => h.id().0 as i64,
-            SortKey::FirstEntry => h
-                .first_time()
-                .map(|t| t.second_number())
-                .unwrap_or(i64::MAX),
-            SortKey::EntryCount => h.len() as i64,
-            SortKey::Span => h.span().map(|d| d.as_seconds()).unwrap_or(-1),
-            SortKey::Anchor(a) => a
-                .anchor(h.id())
-                .map(|t| t.second_number())
-                .unwrap_or(i64::MAX),
+    // One dispatch a sort, not one a history: each key gets its own loop.
+    let keys: Vec<i64> = match key {
+        SortKey::PatientId => pastas_par::par_map(hs, |h| h.id().0 as i64),
+        SortKey::FirstEntry => {
+            pastas_par::par_map(hs, |h| h.first_time().map_or(i64::MAX, |t| t.second_number()))
         }
+        SortKey::EntryCount => pastas_par::par_map(hs, |h| h.len() as i64),
+        SortKey::Span => pastas_par::par_map(hs, |h| h.span().map_or(-1, |d| d.as_seconds())),
+        SortKey::Anchor(a) => pastas_par::par_map(hs, |h| {
+            a.anchor(h.id()).map_or(i64::MAX, |t| t.second_number())
+        }),
     };
-    let keys = pastas_par::par_map(hs, |h| sort_value(h));
     // lint:allow(no-panic-hot-path) order holds indices 0..hs.len(), one key each
     order.sort_by_key(|&i| keys[i as usize]);
     order
@@ -101,7 +97,7 @@ pub fn sort_histories(collection: &HistoryCollection, key: &SortKey) -> Vec<u32>
 mod tests {
     use super::*;
     use pastas_codes::Code;
-    use pastas_model::{Entry, Patient, Payload, Sex, SourceKind};
+    use pastas_model::{Entry, History, Patient, Payload, Sex, SourceKind};
     use pastas_time::Date;
 
     fn t(y: i32, m: u32, d: u32) -> DateTime {

@@ -80,8 +80,14 @@ impl Date {
     ///
     /// Returns `None` if the result falls outside [`Date::MIN`]..=[`Date::MAX`].
     pub fn from_day_number(days: DayNumber) -> Option<Date> {
-        // Hinnant's civil_from_days, shifted so the era starts 0000-03-01.
-        let z = days.checked_add(719_468)?;
+        const RANGE: std::ops::RangeInclusive<i64> = Date::MIN.day_number()..=Date::MAX.day_number();
+        RANGE.contains(&days).then(|| Date::civil_from_days(days))
+    }
+
+    /// Hinnant's civil_from_days, shifted so the era starts 0000-03-01,
+    /// for a day number already known to lie in `MIN..=MAX`.
+    pub(crate) fn civil_from_days(days: DayNumber) -> Date {
+        let z = days + 719_468;
         let era = z.div_euclid(DAYS_PER_400_YEARS);
         let doe = z.rem_euclid(DAYS_PER_400_YEARS); // [0, 146096]
         let yoe = (doe - doe / 1460 + doe / 36524 - doe / 146_096) / 365; // [0, 399]
@@ -91,18 +97,15 @@ impl Date {
         let d = doy - (153 * mp + 2) / 5 + 1; // [1, 31]
         let m = if mp < 10 { mp + 3 } else { mp - 9 }; // [1, 12]
         let year = y + i64::from(m <= 2);
-        if !(-9999..=9999).contains(&year) {
-            return None;
-        }
-        Some(Date { year: year as i16, month: m as u8, day: d as u8 })
+        Date { year: year as i16, month: m as u8, day: d as u8 }
     }
 
     /// Days since 1970-01-01 (negative before the epoch).
-    pub fn day_number(self) -> DayNumber {
+    pub const fn day_number(self) -> DayNumber {
         // Hinnant's days_from_civil.
-        let y = i64::from(self.year) - i64::from(self.month <= 2);
-        let m = i64::from(self.month);
-        let d = i64::from(self.day);
+        let y = self.year as i64 - (self.month <= 2) as i64;
+        let m = self.month as i64;
+        let d = self.day as i64;
         let era = y.div_euclid(400);
         let yoe = y.rem_euclid(400); // [0, 399]
         let mp = if m > 2 { m - 3 } else { m + 9 };

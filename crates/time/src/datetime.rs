@@ -1,21 +1,25 @@
-//! Civil datetimes (date + second of day).
+//! Civil datetimes, held as one linear second number.
 
 use crate::{Date, Duration, SecondNumber};
 use std::fmt;
 
 const SECS_PER_DAY: i64 = 86_400;
+const MIN_SECS: i64 = Date::MIN.day_number() * SECS_PER_DAY;
+const MAX_SECS: i64 = Date::MAX.day_number() * SECS_PER_DAY + SECS_PER_DAY - 1;
 
-/// A civil datetime: a [`Date`] plus a second-of-day in `0..86_400`.
+/// A civil datetime: seconds since 1970-01-01T00:00:00, within
+/// [`Date::MIN`]`T00:00:00 ..= `[`Date::MAX`]`T23:59:59`.
+///
+/// Order, equality, hashing and arithmetic are integer operations; the
+/// civil fields ([`Self::date`], [`Self::hour`], …) are computed on
+/// demand, which in the workbench means at parse and at render. The
+/// `Default` is the epoch.
 ///
 /// The workbench treats times as local civil time; the paper's sources all
 /// report Norwegian civil timestamps and no cross-timezone reasoning is
 /// needed, so there is deliberately no timezone machinery here.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct DateTime {
-    date: Date,
-    /// Seconds since midnight, `0..86_400`.
-    secs: u32,
-}
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+pub struct DateTime(SecondNumber);
 
 impl DateTime {
     /// Construct from a date and clock time. Returns `None` for out-of-range
@@ -24,39 +28,42 @@ impl DateTime {
         if hour >= 24 || minute >= 60 || second >= 60 {
             return None;
         }
-        Some(DateTime { date, secs: hour * 3_600 + minute * 60 + second })
+        let second_of_day = i64::from(hour * 3_600 + minute * 60 + second);
+        Some(DateTime(date.day_number() * SECS_PER_DAY + second_of_day))
     }
 
     /// Construct from seconds since the epoch 1970-01-01T00:00:00.
     pub fn from_second_number(secs: SecondNumber) -> Option<DateTime> {
-        let days = secs.div_euclid(SECS_PER_DAY);
-        let sod = secs.rem_euclid(SECS_PER_DAY) as u32;
-        Some(DateTime { date: Date::from_day_number(days)?, secs: sod })
+        (MIN_SECS..=MAX_SECS).contains(&secs).then_some(DateTime(secs))
     }
 
     /// Seconds since the epoch 1970-01-01T00:00:00.
     pub fn second_number(self) -> SecondNumber {
-        self.date.day_number() * SECS_PER_DAY + i64::from(self.secs)
+        self.0
     }
 
     /// The calendar date.
     pub fn date(self) -> Date {
-        self.date
+        Date::civil_from_days(self.0.div_euclid(SECS_PER_DAY))
+    }
+
+    fn second_of_day(self) -> u32 {
+        self.0.rem_euclid(SECS_PER_DAY) as u32
     }
 
     /// Hour of day, 0–23.
     pub fn hour(self) -> u32 {
-        self.secs / 3_600
+        self.second_of_day() / 3_600
     }
 
     /// Minute of hour, 0–59.
     pub fn minute(self) -> u32 {
-        (self.secs % 3_600) / 60
+        (self.second_of_day() % 3_600) / 60
     }
 
     /// Second of minute, 0–59.
     pub fn second(self) -> u32 {
-        self.secs % 60
+        self.second_of_day() % 60
     }
 
     /// Add a (possibly negative) duration, saturating at the calendar bounds.
@@ -64,49 +71,12 @@ impl DateTime {
     /// should not silently saturate.
     #[allow(clippy::should_implement_trait)]
     pub fn add(self, d: Duration) -> DateTime {
-        let target = self.second_number().saturating_add(d.as_seconds());
-        match DateTime::from_second_number(target) {
-            Some(t) => t,
-            None if d.is_negative() => DateTime { date: Date::MIN, secs: 0 },
-            None => DateTime { date: Date::MAX, secs: SECS_PER_DAY as u32 - 1 },
-        }
+        DateTime(self.0.saturating_add(d.as_seconds()).clamp(MIN_SECS, MAX_SECS))
     }
 
     /// Signed duration from `other` to `self`.
     pub fn since(self, other: DateTime) -> Duration {
-        Duration::seconds(self.second_number() - other.second_number())
-    }
-
-    /// A monotone `u64` encoding: `a < b ⇔ a.sort_key() < b.sort_key()`.
-    ///
-    /// Packs `(year, month, day, second-of-day)` into disjoint bit fields
-    /// (no day-number arithmetic), so hot loops can track a running
-    /// maximum with a single branchless integer `max` instead of the
-    /// field-wise `Ord` chain — the analytics span pass does this per
-    /// entry. Always nonzero (the month field is ≥ 1), so `0` serves as
-    /// a natural "no timestamp yet" sentinel. Invert with
-    /// [`Self::from_sort_key`].
-    pub fn sort_key(self) -> u64 {
-        let year = (i64::from(self.date.year()) + 10_000) as u64; // 15 bits
-        (year << 26)
-            | (u64::from(self.date.month()) << 22) // 4 bits
-            | (u64::from(self.date.day()) << 17) // 5 bits
-            | u64::from(self.secs) // 17 bits
-    }
-
-    /// Decode a [`Self::sort_key`] back into the datetime. `None` for
-    /// values no `sort_key` call produces (including the `0` sentinel).
-    pub fn from_sort_key(key: u64) -> Option<DateTime> {
-        let date = Date::new(
-            ((key >> 26) as i64 - 10_000) as i32,
-            (key >> 22) as u32 & 0xf,
-            (key >> 17) as u32 & 0x1f,
-        )?;
-        let secs = key as u32 & 0x1_ffff;
-        if key >> 41 != 0 || i64::from(secs) >= SECS_PER_DAY {
-            return None;
-        }
-        Some(DateTime { date, secs })
+        Duration::seconds(self.0 - other.0)
     }
 
     /// Parse ISO-8601: `YYYY-MM-DD`, `YYYY-MM-DDTHH:MM` or
@@ -122,7 +92,7 @@ impl fmt::Display for DateTime {
         write!(
             f,
             "{}T{:02}:{:02}:{:02}",
-            self.date,
+            self.date(),
             self.hour(),
             self.minute(),
             self.second()
@@ -173,30 +143,6 @@ mod tests {
     }
 
     #[test]
-    fn sort_key_orders_like_ord_and_round_trips() {
-        let times = [
-            DateTime::new(d(-9999, 1, 1), 0, 0, 0).unwrap(),
-            DateTime::new(d(1969, 12, 31), 23, 59, 59).unwrap(),
-            DateTime::new(d(1970, 1, 1), 0, 0, 0).unwrap(),
-            DateTime::new(d(2016, 5, 16), 11, 59, 59).unwrap(),
-            DateTime::new(d(2016, 5, 16), 12, 0, 0).unwrap(),
-            DateTime::new(d(2016, 5, 17), 0, 0, 0).unwrap(),
-            DateTime::new(d(2016, 6, 1), 0, 0, 0).unwrap(),
-            DateTime::new(d(2017, 1, 1), 0, 0, 0).unwrap(),
-            DateTime::new(d(9999, 12, 31), 23, 59, 59).unwrap(),
-        ];
-        for a in &times {
-            assert!(a.sort_key() > 0, "0 stays free as a sentinel");
-            assert_eq!(DateTime::from_sort_key(a.sort_key()), Some(*a));
-            for b in &times {
-                assert_eq!(a.cmp(b), a.sort_key().cmp(&b.sort_key()), "{a} vs {b}");
-            }
-        }
-        assert_eq!(DateTime::from_sort_key(0), None);
-        assert_eq!(DateTime::from_sort_key(u64::MAX), None);
-    }
-
-    #[test]
     fn clock_field_validation() {
         assert!(DateTime::new(d(2020, 1, 1), 24, 0, 0).is_none());
         assert!(DateTime::new(d(2020, 1, 1), 0, 60, 0).is_none());
@@ -234,5 +180,15 @@ mod tests {
     fn display() {
         let t = DateTime::new(d(2016, 5, 4), 9, 5, 0).unwrap();
         assert_eq!(t.to_string(), "2016-05-04T09:05:00");
+    }
+
+    #[test]
+    fn goldens_at_the_calendar_edges() {
+        let leap = DateTime::new(d(2016, 2, 29), 23, 59, 59).unwrap();
+        assert_eq!(leap.to_string(), "2016-02-29T23:59:59");
+        assert_eq!(format!("{leap:?}"), "DateTime(2016-02-29T23:59:59)");
+        assert_eq!(Date::MIN.at_midnight().to_string(), "-9999-01-01T00:00:00");
+        assert_eq!(format!("{:?}", Date::MAX.at(23, 59, 59).unwrap()), "DateTime(9999-12-31T23:59:59)");
+        assert_eq!(DateTime::from_second_number(Date::MIN.at_midnight().second_number() - 1), None);
     }
 }

@@ -9,7 +9,7 @@
 //!
 //! * [`Date`] — a validated civil date with day-number conversion
 //!   (Hinnant-style algorithms), weekday, ordinal-day and leap-year support;
-//! * [`DateTime`] — a date plus second-of-day;
+//! * [`DateTime`] — one linear second number; civil fields on demand;
 //! * [`Duration`] — a signed span in seconds;
 //! * month arithmetic with end-of-month clamping ([`Date::add_months`],
 //!   [`Date::months_between`]) for the aligned axis;

@@ -8,6 +8,12 @@ fn arb_date() -> impl Strategy<Value = Date> {
     (-62_000i64..84_000).prop_map(|n| Date::from_day_number(n).unwrap())
 }
 
+/// Every representable second, the calendar bounds included.
+fn arb_second_number() -> impl Strategy<Value = i64> {
+    let (min, max) = (Date::MIN.at_midnight(), Date::MAX.at(23, 59, 59).unwrap());
+    min.second_number()..=max.second_number()
+}
+
 proptest! {
     #[test]
     fn day_number_round_trips(n in Date::MIN.day_number()..=Date::MAX.day_number()) {
@@ -68,9 +74,32 @@ proptest! {
     }
 
     #[test]
-    fn datetime_second_number_round_trips(s in -200_000_000_000i64..200_000_000_000) {
+    fn datetime_second_number_round_trips(s in arb_second_number()) {
         let t = DateTime::from_second_number(s).unwrap();
         prop_assert_eq!(t.second_number(), s);
+        let civil = DateTime::new(t.date(), t.hour(), t.minute(), t.second()).unwrap();
+        prop_assert_eq!(civil, t);
+    }
+
+    #[test]
+    fn datetime_order_is_the_field_wise_order(a in arb_second_number(), b in arb_second_number()) {
+        let fields = |s| {
+            let t = DateTime::from_second_number(s).unwrap();
+            (t.date().year(), t.date().month(), t.date().day(), t.hour(), t.minute(), t.second())
+        };
+        let (ta, tb) = (DateTime::from_second_number(a).unwrap(), DateTime::from_second_number(b).unwrap());
+        prop_assert_eq!(ta.cmp(&tb), fields(a).cmp(&fields(b)));
+    }
+
+    #[test]
+    fn datetime_add_saturates_at_both_ends(s in arb_second_number(), delta in i64::MIN/2..i64::MAX/2) {
+        let t = DateTime::from_second_number(s).unwrap();
+        let expect = match DateTime::from_second_number(s.saturating_add(delta)) {
+            Some(moved) => moved,
+            None if delta < 0 => Date::MIN.at_midnight(),
+            None => Date::MAX.at(23, 59, 59).unwrap(),
+        };
+        prop_assert_eq!(t + Duration::seconds(delta), expect);
     }
 
     #[test]

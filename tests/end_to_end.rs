@@ -144,3 +144,19 @@ fn scale_smoke_twenty_thousand() {
     let svg = wb.render_svg(1200.0, 700.0);
     assert!(svg.len() < 3_000_000, "SVG size bounded by viewport, got {}", svg.len());
 }
+
+#[test]
+fn event_store_stays_half_width() {
+    // The benchmark shows `model.bytes_per_entry` only in a traced run;
+    // this keeps it from drifting back unseen.
+    assert_eq!(std::mem::size_of::<DateTime>(), 8);
+    let collection = generate_collection(SynthConfig::with_patients(2_000), 2016);
+    let footprint = MemoryFootprint::measure(&collection);
+    assert!(
+        footprint.columnar_per_entry() <= 12.0,
+        "the store holds an entry in at most 12 bytes:\n{}",
+        footprint.summary()
+    );
+    assert_eq!(footprint.split.total(), footprint.columnar_bytes);
+    assert_eq!(footprint.split.time + footprint.split.aux + footprint.split.kinds, 9 * footprint.entries);
+}
