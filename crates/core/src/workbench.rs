@@ -322,10 +322,7 @@ impl Workbench {
         // Fold the parse/linkage accounting into the quality report.
         let quality = self.quality.get_or_insert_with(QualityReport::default);
         for batch in batches {
-            quality.rows_read += batch.rows_read;
-            quality.parse_errors += batch.parse_errors;
-            quality.unlinked_rows += batch.unlinked_rows;
-            quality.measurements_extracted += batch.measurements_extracted;
+            quality.absorb(batch);
         }
         quality.duplicates_dropped += stats.duplicates_dropped;
         quality.dropped_pre_birth += stats.dropped_pre_birth;
@@ -525,10 +522,11 @@ impl Workbench {
     /// Positions of histories matching the query (planner-accelerated and
     /// memoized — repeating a selection on an unchanged collection is a
     /// cache hit, and the cache keys on the *canonical* fingerprint, so
-    /// commuted or double-negated spellings of one query also hit).
+    /// commuted or double-negated spellings of one query also hit). A hit
+    /// costs one normalization; the plan is built on a miss only.
     pub fn select_positions(&self, query: &HistoryQuery) -> Vec<u32> {
-        let plan = QueryPlan::build(&self.index, &self.collection, query);
-        let fingerprint = plan.canonical_fingerprint().to_owned();
+        let normalized = pastas_query::normalize(query);
+        let fingerprint = normalized.fingerprint();
         {
             let cache = self.selections.entries.lock().unwrap_or_else(|e| e.into_inner());
             if let Some(hit) = cache.results.get(&fingerprint) {
@@ -537,6 +535,12 @@ impl Workbench {
             }
         }
         self.selections.misses.fetch_add(1, Ordering::Relaxed);
+        let plan = QueryPlan::from_normalized(
+            &self.index,
+            &self.collection,
+            &normalized,
+            fingerprint.clone(),
+        );
         self.selections.count_plan_path(plan.uses_full_scan());
         let (positions, stats) = plan.execute_stats(&self.collection, &self.index);
         self.selections.count_exec_stats(&stats);
@@ -579,13 +583,11 @@ impl Workbench {
         Workbench::from_collection(sub)
     }
 
-    /// The canonical fingerprint of a query against the current index —
-    /// the registry's dedup key for materialized cohorts (commuted or
-    /// double-negated spellings of one selection share a handle).
+    /// [`pastas_query::canonical_fingerprint`] (no plan is built): the
+    /// selection memo's key and the registry's dedup key — commuted or
+    /// double-negated spellings of one selection share a handle.
     pub fn canonical_query_fingerprint(&self, query: &HistoryQuery) -> String {
-        QueryPlan::build(&self.index, &self.collection, query)
-            .canonical_fingerprint()
-            .to_owned()
+        pastas_query::canonical_fingerprint(query)
     }
 
     /// The nine-dimension composition profile of the cohort at
@@ -839,6 +841,35 @@ mod tests {
         let q2 = QueryBuilder::new().has_code("K86").unwrap().build();
         let _ = wb.select_positions(&q2);
         assert_eq!(wb.selection_cache_len(), 2);
+    }
+
+    /// The memo key comes from normalization alone — it equals the key a
+    /// built plan reports, for every spelling — and a memo hit neither
+    /// plans nor counts a plan path.
+    #[test]
+    fn memo_key_is_the_plan_fingerprint_and_a_hit_plans_nothing() {
+        let wb = wb();
+        let at = pastas_time::Date::new(2013, 1, 1).unwrap();
+        for text in [
+            "has(T90) and lacks(K86) and age(40..90)",
+            "age(40..90) and lacks(K86) and has(T90)",
+            "not not has(T90)",
+            "lacks(T90)",
+            "not has(T90)",
+            "not (has(T90) or sex(F))",
+            "seq(T90 then[0d..3650d] K74|K86)",
+            "not seq(T90 then medication)",
+        ] {
+            let q = pastas_query::parse_query(text, at).unwrap();
+            let plan = QueryPlan::build(wb.index(), wb.collection(), &q);
+            assert_eq!(wb.canonical_query_fingerprint(&q), plan.canonical_fingerprint(), "{text}");
+            let first = wb.select_positions(&q);
+            let planned = wb.select_index_hits() + wb.select_scan_fallbacks();
+            let hits = wb.selection_cache_hits();
+            assert_eq!(wb.select_positions(&q), first, "{text}");
+            assert_eq!(wb.selection_cache_hits(), hits + 1, "{text}");
+            assert_eq!(wb.select_index_hits() + wb.select_scan_fallbacks(), planned, "{text}");
+        }
     }
 
     /// The selection memo holds at most its byte bound: the oldest

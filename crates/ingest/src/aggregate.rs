@@ -1,10 +1,10 @@
-//! The aggregation pipeline: parse → link → merge → dedup → validate.
+//! The aggregation pipeline: parse and link ([`crate::delta`]) → merge →
+//! dedup → validate.
 
-use crate::adapters;
-use crate::extract;
+use crate::delta::{self, parse_delta, DeltaBatch, DeltaFormat};
 use crate::linkage::IdentityRegistry;
-use pastas_model::{CollectionBuilder, Entry, HistoryCollection, Patient, Payload, SourceKind};
-use std::collections::HashSet;
+use pastas_model::{CollectionBuilder, Entry, HistoryCollection, Patient, Payload};
+use std::collections::{HashMap, HashSet};
 
 /// The five raw source texts.
 #[derive(Debug, Clone, Copy)]
@@ -48,6 +48,16 @@ impl QualityReport {
         }
         1.0 - (self.parse_errors + self.unlinked_rows) as f64 / self.rows_read as f64
     }
+
+    /// Fold one parsed increment's parse and linkage accounting in. What
+    /// happens to its entries afterwards (dedup, §IV validation, load) is
+    /// counted by whoever merges them.
+    pub fn absorb(&mut self, batch: &DeltaBatch) {
+        self.rows_read += batch.rows_read;
+        self.parse_errors += batch.parse_errors;
+        self.unlinked_rows += batch.unlinked_rows;
+        self.measurements_extracted += batch.measurements_extracted;
+    }
 }
 
 /// The dedup identity of one entry: patient, time extent, payload and
@@ -76,154 +86,52 @@ pub fn entry_fingerprint(patient: u64, e: &Entry) -> EntryFingerprint {
     )
 }
 
-/// Run the full pipeline.
+/// Run the full pipeline: the batch build is [`crate::delta`]'s parser
+/// over five whole files — persons first (the linkage anchor), then the
+/// four event sources — deduplicated and merged into one arena.
 pub fn aggregate(src: SourceTexts<'_>) -> (HistoryCollection, QualityReport) {
-    let mut report = QualityReport::default();
-
-    // Parsing the five sources is independent, read-only work — fan it out
-    // on the parallel layer. Linkage and merge below consume the results
-    // in the fixed source order, so the pipeline output is identical to
-    // the serial one at every thread count.
-    let (persons_parsed, (claims_parsed, (hospital_parsed, (municipal_parsed, rx_parsed)))) =
-        pastas_par::join(
-            || adapters::parse_persons(src.persons),
-            || {
-                pastas_par::join(
-                    || adapters::parse_claims(src.claims),
-                    || {
-                        pastas_par::join(
-                            || adapters::parse_hospital(src.hospital),
-                            || {
-                                pastas_par::join(
-                                    || adapters::parse_municipal(src.municipal),
-                                    || adapters::parse_prescriptions(src.prescriptions),
-                                )
-                            },
-                        )
-                    },
-                )
-            },
-        );
-
-    // 1. The person register anchors linkage.
-    let (persons, person_issues) = persons_parsed;
-    report.rows_read += persons.len() + person_issues.len();
-    report.parse_errors += person_issues.len();
     let mut registry = IdentityRegistry::new();
-    for p in &persons {
-        registry.register(p.id, p.birth_date, p.sex);
-    }
+    let persons = parse_delta(DeltaFormat::Persons, src.persons, &mut registry);
+
+    // The event sources only read the finished register — independent
+    // work, fanned out on the parallel layer. The merge below consumes
+    // the batches in the fixed source order, so the pipeline output is
+    // identical to the serial one at every thread count.
+    let registry = &registry;
+    let (claims, (hospital, (municipal, prescriptions))) = pastas_par::join(
+        || delta::claims_delta(src.claims, registry),
+        || {
+            pastas_par::join(
+                || delta::hospital_delta(src.hospital, registry),
+                || {
+                    pastas_par::join(
+                        || delta::municipal_delta(src.municipal, registry),
+                        || delta::prescriptions_delta(src.prescriptions, registry),
+                    )
+                },
+            )
+        },
+    );
 
     // Deduplicated entries accumulate per patient; the columnar arena is
     // built once at the end so every history shares one allocation.
-    let mut histories: std::collections::HashMap<u64, (Patient, Vec<Entry>)> = registry
-        .patients()
-        .map(|p| (p.id.0, (*p, Vec::new())))
-        .collect();
-    let mut seen: HashSet<(u64, i64, i64, u8, String)> = HashSet::new();
-
-    let mut push = |patient: u64,
-                    entry: Entry,
-                    histories: &mut std::collections::HashMap<u64, (Patient, Vec<Entry>)>,
-                    report: &mut QualityReport| {
-        let fp = entry_fingerprint(patient, &entry);
-        if !seen.insert(fp) {
-            report.duplicates_dropped += 1;
-            return;
+    let mut histories: HashMap<u64, (Patient, Vec<Entry>)> =
+        registry.patients().map(|p| (p.id.0, (*p, Vec::new()))).collect();
+    let mut seen: HashSet<EntryFingerprint> = HashSet::new();
+    let mut report = QualityReport::default();
+    for batch in [persons, claims, hospital, municipal, prescriptions] {
+        report.absorb(&batch);
+        for delta in batch.deltas {
+            let id = delta.patient.id.0;
+            let slot = histories.get_mut(&id).expect("resolved patients have histories");
+            for entry in delta.entries {
+                if seen.insert(entry_fingerprint(id, &entry)) {
+                    slot.1.push(entry);
+                } else {
+                    report.duplicates_dropped += 1;
+                }
+            }
         }
-        let slot = histories.get_mut(&patient).expect("resolved patients have histories");
-        slot.1.push(entry);
-    };
-
-    // 2. Claims: diagnosis event + free-text measurement extraction.
-    let (claims, issues) = claims_parsed;
-    report.rows_read += claims.len() + issues.len();
-    report.parse_errors += issues.len();
-    for row in claims {
-        let Some(pid) = registry.resolve(&row.raw_patient) else {
-            report.unlinked_rows += 1;
-            continue;
-        };
-        let source = if row.provider == "SPEC" {
-            SourceKind::Specialist
-        } else {
-            SourceKind::PrimaryCare
-        };
-        let time = row.date.at_midnight() + pastas_time::Duration::hours(12);
-        push(pid.0, Entry::event(time, Payload::Diagnosis(row.icpc), source), &mut histories, &mut report);
-        for m in extract::extract_measurements(&row.note) {
-            report.measurements_extracted += 1;
-            push(
-                pid.0,
-                Entry::event(time, Payload::Measurement { kind: m.kind, value: m.value }, source),
-                &mut histories,
-                &mut report,
-            );
-        }
-    }
-
-    // 3. Hospital: interval + main diagnosis at admission.
-    let (episodes, issues) = hospital_parsed;
-    report.rows_read += episodes.len() + issues.len();
-    report.parse_errors += issues.len();
-    for row in episodes {
-        let Some(pid) = registry.resolve(&row.raw_patient) else {
-            report.unlinked_rows += 1;
-            continue;
-        };
-        let start = row.admitted.at_midnight();
-        let end = row.discharged.at_midnight();
-        push(
-            pid.0,
-            Entry::interval(start, end, Payload::Episode(row.kind), SourceKind::Hospital),
-            &mut histories,
-            &mut report,
-        );
-        push(
-            pid.0,
-            Entry::event(start, Payload::Diagnosis(row.icd10), SourceKind::Hospital),
-            &mut histories,
-            &mut report,
-        );
-    }
-
-    // 4. Municipal care periods.
-    let (services, issues) = municipal_parsed;
-    report.rows_read += services.len() + issues.len();
-    report.parse_errors += issues.len();
-    for row in services {
-        let Some(pid) = registry.resolve(&row.raw_patient) else {
-            report.unlinked_rows += 1;
-            continue;
-        };
-        push(
-            pid.0,
-            Entry::interval(
-                row.from.at_midnight(),
-                row.to.at_midnight(),
-                Payload::Episode(row.kind),
-                SourceKind::Municipal,
-            ),
-            &mut histories,
-            &mut report,
-        );
-    }
-
-    // 5. Dispensings.
-    let (rx, issues) = rx_parsed;
-    report.rows_read += rx.len() + issues.len();
-    report.parse_errors += issues.len();
-    for row in rx {
-        let Some(pid) = registry.resolve(&row.raw_patient) else {
-            report.unlinked_rows += 1;
-            continue;
-        };
-        push(
-            pid.0,
-            Entry::event(row.time, Payload::Medication(row.atc), SourceKind::Prescription),
-            &mut histories,
-            &mut report,
-        );
     }
 
     // One shared columnar arena, patients in ascending id order for a

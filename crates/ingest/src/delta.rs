@@ -1,15 +1,15 @@
 //! Streaming delta parsing: the four source dialects, arriving
 //! incrementally.
 //!
-//! The batch pipeline ([`crate::aggregate`]) reads five complete files
-//! and builds a collection from scratch. A live registry feed instead
-//! delivers *increments* — a page of new claims, today's discharges, a
-//! fresh person-register extract — one source format at a time. This
-//! module parses one such increment into per-patient entry deltas
-//! ([`PatientDelta`]) using **exactly** the batch pipeline's adapters,
-//! linkage, measurement extraction and entry conventions, so a
-//! collection grown from deltas converges to what a batch build of the
-//! same rows produces (the serve layer's convergence e2e asserts this).
+//! A live registry feed delivers *increments* — a page of new claims,
+//! today's discharges, a fresh person-register extract — one source
+//! format at a time. This module parses one such increment into
+//! per-patient entry deltas ([`PatientDelta`]): adapters, linkage,
+//! measurement extraction and the source→entry conventions all live
+//! here. The batch pipeline ([`crate::aggregate`]) is the same parser
+//! run over five complete files, so a collection grown from deltas
+//! converges to what a batch build of the same rows produces (the serve
+//! layer's convergence e2e asserts this).
 //!
 //! Linkage is stateful across deltas: `persons` increments register new
 //! patients into the caller's [`IdentityRegistry`]; rows of the other
@@ -110,172 +110,151 @@ impl DeltaBatch {
     }
 }
 
-/// Accumulates entries per patient, preserving first-appearance order.
-#[derive(Default)]
+/// Builds one [`DeltaBatch`]: counts the adapter's rows, resolves raw
+/// patient ids, and groups entries per patient in first-appearance order.
 struct Grouper {
     slots: HashMap<u64, usize>,
-    deltas: Vec<PatientDelta>,
+    batch: DeltaBatch,
 }
 
 impl Grouper {
+    /// Start a batch from an adapter's `(rows, issues)` counts.
+    fn new(rows: usize, issues: usize) -> Grouper {
+        let batch =
+            DeltaBatch { rows_read: rows + issues, parse_errors: issues, ..DeltaBatch::default() };
+        Grouper { slots: HashMap::new(), batch }
+    }
+
+    /// Link a raw identifier, counting the row as unlinked on a miss.
+    fn resolve(&mut self, registry: &IdentityRegistry, raw: &str) -> Option<Patient> {
+        let patient = registry.resolve(raw).and_then(|id| registry.patient(id)).copied();
+        if patient.is_none() {
+            self.batch.unlinked_rows += 1;
+        }
+        patient
+    }
+
     fn push(&mut self, patient: Patient, entry: Option<Entry>) {
+        let deltas = &mut self.batch.deltas;
         let slot = *self.slots.entry(patient.id.0).or_insert_with(|| {
-            self.deltas.push(PatientDelta { patient, entries: Vec::new() });
-            self.deltas.len() - 1
+            deltas.push(PatientDelta { patient, entries: Vec::new() });
+            deltas.len() - 1
         });
         if let Some(e) = entry {
-            // lint:allow(no-panic-hot-path) slot indexes self.deltas by construction
-            self.deltas[slot].entries.push(e);
+            // lint:allow(no-panic-hot-path) slot indexes the deltas by construction
+            deltas[slot].entries.push(e);
         }
     }
 }
 
 /// Parse one increment of `format` into per-patient deltas.
 ///
-/// Entry construction matches [`crate::aggregate`] convention for
-/// convention: claims become a noon diagnosis event (plus one
-/// measurement event per extracted note reading) attributed to
-/// `Specialist` for `SPEC` providers and `PrimaryCare` otherwise;
-/// hospital rows become an episode interval plus an admission-day
-/// diagnosis, both `Hospital`; municipal rows an episode interval;
-/// dispensings a medication event. `persons` rows register (or
-/// re-register) patients in `registry` and emit an entry-less delta so
-/// a demographics-only arrival still creates the patient downstream.
+/// This is the one place the source→entry conventions live (the batch
+/// pipeline, [`crate::aggregate`], is this parser over five whole files):
+/// claims become a noon diagnosis event (plus one measurement event per
+/// extracted note reading) attributed to `Specialist` for `SPEC`
+/// providers and `PrimaryCare` otherwise; hospital rows become an episode
+/// interval plus an admission-day diagnosis, both `Hospital`; municipal
+/// rows an episode interval; dispensings a medication event. `persons`
+/// rows register (or re-register) patients in `registry` and emit an
+/// entry-less delta so a demographics-only arrival still creates the
+/// patient downstream.
 pub fn parse_delta(
     format: DeltaFormat,
     text: &str,
     registry: &mut IdentityRegistry,
 ) -> DeltaBatch {
-    let mut batch = DeltaBatch::default();
-    let mut grouped = Grouper::default();
     match format {
-        DeltaFormat::Persons => {
-            let (rows, issues) = adapters::parse_persons(text);
-            batch.rows_read = rows.len() + issues.len();
-            batch.parse_errors = issues.len();
-            for row in rows {
-                registry.register(row.id, row.birth_date, row.sex);
-                let patient = *registry
-                    .patient(pastas_model::PatientId(row.id))
-                    // lint:allow(transitive-no-panic-hot-path) register() on the line above inserts this id
-                    .expect("just registered");
-                grouped.push(patient, None);
-            }
-        }
-        DeltaFormat::Claims => {
-            let (rows, issues) = adapters::parse_claims(text);
-            batch.rows_read = rows.len() + issues.len();
-            batch.parse_errors = issues.len();
-            for row in rows {
-                let Some(patient) = resolve(registry, &row.raw_patient, &mut batch) else {
-                    continue;
-                };
-                let source = if row.provider == "SPEC" {
-                    SourceKind::Specialist
-                } else {
-                    SourceKind::PrimaryCare
-                };
-                let time = row.date.at_midnight() + pastas_time::Duration::hours(12);
-                grouped.push(
-                    patient,
-                    Some(Entry::event(time, Payload::Diagnosis(row.icpc), source)),
-                );
-                for m in extract::extract_measurements(&row.note) {
-                    batch.measurements_extracted += 1;
-                    grouped.push(
-                        patient,
-                        Some(Entry::event(
-                            time,
-                            Payload::Measurement { kind: m.kind, value: m.value },
-                            source,
-                        )),
-                    );
-                }
-            }
-        }
-        DeltaFormat::Hospital => {
-            let (rows, issues) = adapters::parse_hospital(text);
-            batch.rows_read = rows.len() + issues.len();
-            batch.parse_errors = issues.len();
-            for row in rows {
-                let Some(patient) = resolve(registry, &row.raw_patient, &mut batch) else {
-                    continue;
-                };
-                let start = row.admitted.at_midnight();
-                let end = row.discharged.at_midnight();
-                grouped.push(
-                    patient,
-                    Some(Entry::interval(
-                        start,
-                        end,
-                        Payload::Episode(row.kind),
-                        SourceKind::Hospital,
-                    )),
-                );
-                grouped.push(
-                    patient,
-                    Some(Entry::event(
-                        start,
-                        Payload::Diagnosis(row.icd10),
-                        SourceKind::Hospital,
-                    )),
-                );
-            }
-        }
-        DeltaFormat::Municipal => {
-            let (rows, issues) = adapters::parse_municipal(text);
-            batch.rows_read = rows.len() + issues.len();
-            batch.parse_errors = issues.len();
-            for row in rows {
-                let Some(patient) = resolve(registry, &row.raw_patient, &mut batch) else {
-                    continue;
-                };
-                grouped.push(
-                    patient,
-                    Some(Entry::interval(
-                        row.from.at_midnight(),
-                        row.to.at_midnight(),
-                        Payload::Episode(row.kind),
-                        SourceKind::Municipal,
-                    )),
-                );
-            }
-        }
-        DeltaFormat::Prescriptions => {
-            let (rows, issues) = adapters::parse_prescriptions(text);
-            batch.rows_read = rows.len() + issues.len();
-            batch.parse_errors = issues.len();
-            for row in rows {
-                let Some(patient) = resolve(registry, &row.raw_patient, &mut batch) else {
-                    continue;
-                };
-                grouped.push(
-                    patient,
-                    Some(Entry::event(
-                        row.time,
-                        Payload::Medication(row.atc),
-                        SourceKind::Prescription,
-                    )),
-                );
-            }
-        }
+        DeltaFormat::Persons => persons_delta(text, registry),
+        DeltaFormat::Claims => claims_delta(text, registry),
+        DeltaFormat::Hospital => hospital_delta(text, registry),
+        DeltaFormat::Municipal => municipal_delta(text, registry),
+        DeltaFormat::Prescriptions => prescriptions_delta(text, registry),
     }
-    batch.deltas = grouped.deltas;
-    batch
 }
 
-fn resolve(
-    registry: &IdentityRegistry,
-    raw: &str,
-    batch: &mut DeltaBatch,
-) -> Option<Patient> {
-    match registry.resolve(raw).and_then(|id| registry.patient(id)) {
-        Some(p) => Some(*p),
-        None => {
-            batch.unlinked_rows += 1;
-            None
+fn persons_delta(text: &str, registry: &mut IdentityRegistry) -> DeltaBatch {
+    let (rows, issues) = adapters::parse_persons(text);
+    let mut out = Grouper::new(rows.len(), issues.len());
+    for row in rows {
+        registry.register(row.id, row.birth_date, row.sex);
+        let patient = *registry
+            .patient(pastas_model::PatientId(row.id))
+            // lint:allow(transitive-no-panic-hot-path) register() on the line above inserts this id
+            .expect("just registered");
+        out.push(patient, None);
+    }
+    out.batch
+}
+
+/// Claims: diagnosis event + free-text measurement extraction. Like the
+/// other three event sources it only reads the register, so the batch
+/// pipeline runs the four side by side.
+pub(crate) fn claims_delta(text: &str, registry: &IdentityRegistry) -> DeltaBatch {
+    let (rows, issues) = adapters::parse_claims(text);
+    let mut out = Grouper::new(rows.len(), issues.len());
+    for row in rows {
+        let Some(patient) = out.resolve(registry, &row.raw_patient) else { continue };
+        let source = if row.provider == "SPEC" {
+            SourceKind::Specialist
+        } else {
+            SourceKind::PrimaryCare
+        };
+        let time = row.date.at_midnight() + pastas_time::Duration::hours(12);
+        out.push(patient, Some(Entry::event(time, Payload::Diagnosis(row.icpc), source)));
+        for m in extract::extract_measurements(&row.note) {
+            out.batch.measurements_extracted += 1;
+            let reading = Payload::Measurement { kind: m.kind, value: m.value };
+            out.push(patient, Some(Entry::event(time, reading, source)));
         }
     }
+    out.batch
+}
+
+/// Hospital: interval + main diagnosis at admission.
+pub(crate) fn hospital_delta(text: &str, registry: &IdentityRegistry) -> DeltaBatch {
+    let (rows, issues) = adapters::parse_hospital(text);
+    let mut out = Grouper::new(rows.len(), issues.len());
+    for row in rows {
+        let Some(patient) = out.resolve(registry, &row.raw_patient) else { continue };
+        let start = row.admitted.at_midnight();
+        let end = row.discharged.at_midnight();
+        let stay = Entry::interval(start, end, Payload::Episode(row.kind), SourceKind::Hospital);
+        out.push(patient, Some(stay));
+        let admission = Entry::event(start, Payload::Diagnosis(row.icd10), SourceKind::Hospital);
+        out.push(patient, Some(admission));
+    }
+    out.batch
+}
+
+/// Municipal care periods.
+pub(crate) fn municipal_delta(text: &str, registry: &IdentityRegistry) -> DeltaBatch {
+    let (rows, issues) = adapters::parse_municipal(text);
+    let mut out = Grouper::new(rows.len(), issues.len());
+    for row in rows {
+        let Some(patient) = out.resolve(registry, &row.raw_patient) else { continue };
+        let period = Entry::interval(
+            row.from.at_midnight(),
+            row.to.at_midnight(),
+            Payload::Episode(row.kind),
+            SourceKind::Municipal,
+        );
+        out.push(patient, Some(period));
+    }
+    out.batch
+}
+
+/// Dispensings.
+pub(crate) fn prescriptions_delta(text: &str, registry: &IdentityRegistry) -> DeltaBatch {
+    let (rows, issues) = adapters::parse_prescriptions(text);
+    let mut out = Grouper::new(rows.len(), issues.len());
+    for row in rows {
+        let Some(patient) = out.resolve(registry, &row.raw_patient) else { continue };
+        let dispensing =
+            Entry::event(row.time, Payload::Medication(row.atc), SourceKind::Prescription);
+        out.push(patient, Some(dispensing));
+    }
+    out.batch
 }
 
 #[cfg(test)]

@@ -14,11 +14,12 @@
 //!   in the person register;
 //! * [`extract`] — regex extraction of measurements from free-text notes
 //!   (`"BT 150/90"` → systolic + diastolic entries), per §IV.A;
-//! * [`aggregate`] — the pipeline: parse → link → merge → dedup →
-//!   validate, with a [`QualityReport`] accounting for every dropped row;
-//! * [`delta`] — the same dialects arriving incrementally: one-format
-//!   increments parse into per-patient entry deltas for the streaming
-//!   ingest path, reusing the adapters, linkage and entry conventions.
+//! * [`delta`] — one source text (a whole file or a streamed increment)
+//!   parsed into per-patient entry deltas: adapters, linkage and the
+//!   source→entry conventions, in one place;
+//! * [`aggregate`] — the batch pipeline: the delta parser over the five
+//!   files, then merge → dedup → validate, with a [`QualityReport`]
+//!   accounting for every dropped row.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

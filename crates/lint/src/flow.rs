@@ -3,13 +3,10 @@
 //! Per file, [`summarize`] walks the [`parse`](crate::parse) AST with a
 //! live-guard stack and boils every function down to a [`FnSummary`]:
 //! which locks it acquires (and which were already held), which calls it
-//! makes (and under which guards), where it can block, panic, or publish
-//! a snapshot. Summaries are small, owned, and serializable — they are
-//! what the incremental cache stores, so warm runs skip parsing
-//! entirely.
+//! makes (and under which guards), where it can block or panic.
 //!
 //! Across files, [`interprocedural`] builds a call graph
-//! ([`graph`](crate::graph)) over all summaries and runs four rules:
+//! ([`graph`](crate::graph)) over all summaries and runs three rules:
 //!
 //! * **lock-order-cycle** — a lock-acquisition-order graph (edges
 //!   `held → acquired`, propagated through calls); any strongly
@@ -21,11 +18,8 @@
 //! * **transitive-no-panic-hot-path** — panic sites reachable through
 //!   the call graph from the serving roots, in crates the token-level
 //!   rule does not already police.
-//! * **guard-held-across-snapshot-publish** — a guard live across a
-//!   snapshot publication (`*current.write()… = …` deref-assignment),
-//!   directly or through a call.
 
-use crate::parse::{Block, FileAst, LockKind, Node};
+use crate::parse::{Block, FileAst, Node};
 use crate::rules::{FileContext, Finding};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -90,19 +84,6 @@ pub struct PanicSite {
     pub col: u32,
 }
 
-/// A snapshot publication site: a deref-assignment through a lock guard
-/// (`*state.current.write()… = next`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PublishSite {
-    /// 1-based line.
-    pub line: u32,
-    /// 1-based column.
-    pub col: u32,
-    /// Lock ids of *other* guards live at the publication (the guard
-    /// doing the publishing is excluded — it is the publication).
-    pub held: Vec<String>,
-}
-
 /// Everything the interprocedural rules need to know about one function.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FnSummary {
@@ -130,8 +111,6 @@ pub struct FnSummary {
     pub blocking: Vec<BlockingSite>,
     /// Panic-capable constructs.
     pub panics: Vec<PanicSite>,
-    /// Snapshot publications.
-    pub publishes: Vec<PublishSite>,
 }
 
 /// Macros that abort the surrounding request when they fire.
@@ -191,7 +170,7 @@ impl Walker<'_> {
     /// `param.field` (with a typed param) become `crate::Type.field`;
     /// anything else falls back to `crate::<file-stem>.chain`, which can
     /// merge distinct locks in one file — a deliberate coarseness,
-    /// documented in DESIGN.md §14.
+    /// documented in DESIGN.md §9.
     fn lock_id(&self, recv: &str) -> String {
         let mut segs = recv.split('.');
         let first = segs.next().unwrap_or("");
@@ -238,19 +217,11 @@ impl Walker<'_> {
             match node {
                 Node::Lock(l) => {
                     let id = self.lock_id(&l.recv);
-                    let held_ids = held_ids(held);
-                    if l.deref_assigned && l.kind != LockKind::Read {
-                        sum.publishes.push(PublishSite {
-                            line: l.line,
-                            col: l.col,
-                            held: held_ids.clone(),
-                        });
-                    }
                     sum.acquisitions.push(Acq {
                         lock: id.clone(),
                         line: l.line,
                         col: l.col,
-                        held: held_ids,
+                        held: held_ids(held),
                     });
                     held.push(Guard {
                         binding: l.bound.clone(),
@@ -401,7 +372,7 @@ pub fn summarize(ctx: &FileContext<'_>, ast: &FileAst) -> Vec<FnSummary> {
 // Interprocedural rules
 // ---------------------------------------------------------------------------
 
-/// Run the four flow rules over all summaries. Findings come back
+/// Run the three flow rules over all summaries. Findings come back
 /// unfiltered — the caller applies per-file suppressions.
 pub fn interprocedural(fns: &[FnSummary]) -> Vec<Finding> {
     let graph = crate::graph::build(fns);
@@ -409,7 +380,6 @@ pub fn interprocedural(fns: &[FnSummary]) -> Vec<Finding> {
     rule_lock_order_cycle(fns, &graph, &mut out);
     rule_blocking_under_lock(fns, &graph, &mut out);
     rule_transitive_no_panic(fns, &graph, &mut out);
-    rule_guard_across_publish(fns, &graph, &mut out);
     out.sort_by(|a, b| {
         (&a.path, a.line, a.col, a.rule, &a.message).cmp(&(
             &b.path, b.line, b.col, b.rule, &b.message,
@@ -779,276 +749,6 @@ fn rule_transitive_no_panic(
     }
 }
 
-fn rule_guard_across_publish(
-    fns: &[FnSummary],
-    graph: &crate::graph::CallGraph,
-    out: &mut Vec<Finding>,
-) {
-    // publishes fixpoint with a witness per function.
-    let mut witness: Vec<Option<String>> = fns
-        .iter()
-        .map(|f| {
-            f.publishes
-                .first()
-                .map(|p| format!("publishes at {}:{}", f.file, p.line))
-        })
-        .collect();
-    for _ in 0..32 {
-        let mut changed = false;
-        for i in 0..fns.len() {
-            if witness[i].is_some() {
-                continue;
-            }
-            for e in &graph.edges[i] {
-                if let Some(w) = witness[e.target].clone() {
-                    witness[i] =
-                        Some(format!("calls {} which {}", fn_label(&fns[e.target]), w));
-                    changed = true;
-                    break;
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    for (i, f) in fns.iter().enumerate() {
-        if f.is_test {
-            continue;
-        }
-        for p in &f.publishes {
-            if !p.held.is_empty() {
-                out.push(Finding {
-                    path: f.file.clone(),
-                    line: p.line,
-                    col: p.col,
-                    rule: "guard-held-across-snapshot-publish",
-                    message: format!(
-                        "snapshot published while guard(s) {} are live in {} — readers \
-                         of the new snapshot can contend on a lock the publisher still \
-                         holds",
-                        held_list(&p.held),
-                        fn_label(f)
-                    ),
-                });
-            }
-        }
-        for e in &graph.edges[i] {
-            let call = &f.calls[e.call];
-            if call.held.is_empty() {
-                continue;
-            }
-            if let Some(w) = &witness[e.target] {
-                out.push(Finding {
-                    path: f.file.clone(),
-                    line: call.line,
-                    col: call.col,
-                    rule: "guard-held-across-snapshot-publish",
-                    message: format!(
-                        "guard(s) {} are live in {} across a publication: {} {}",
-                        held_list(&call.held),
-                        fn_label(f),
-                        fn_label(&fns[e.target]),
-                        w
-                    ),
-                });
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Summary (de)serialization for the incremental cache
-// ---------------------------------------------------------------------------
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\t' => out.push_str("\\t"),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn unesc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('t') => out.push('\t'),
-            Some('n') => out.push('\n'),
-            Some(c) => out.push(c),
-            None => {}
-        }
-    }
-    out
-}
-
-fn join_held(held: &[String]) -> String {
-    held.join(",")
-}
-
-fn split_held(s: &str) -> Vec<String> {
-    if s.is_empty() {
-        Vec::new()
-    } else {
-        s.split(',').map(str::to_owned).collect()
-    }
-}
-
-/// Serialize summaries into the cache's line format (one record per
-/// line, tab-separated, `\`-escaped).
-pub fn encode_summaries(sums: &[FnSummary]) -> String {
-    let mut out = String::new();
-    for s in sums {
-        out.push_str(&format!(
-            "F\t{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
-            esc(&s.crate_name),
-            esc(&s.file),
-            esc(s.self_ty.as_deref().unwrap_or("")),
-            esc(&s.name),
-            s.line,
-            u8::from(s.is_test),
-            u8::from(s.is_spawn_body),
-        ));
-        for a in &s.acquisitions {
-            out.push_str(&format!(
-                "A\t{}\t{}\t{}\t{}\n",
-                esc(&a.lock),
-                a.line,
-                a.col,
-                esc(&join_held(&a.held))
-            ));
-        }
-        for c in &s.calls {
-            out.push_str(&format!(
-                "C\t{}\t{}\t{}\t{}\t{}\t{}\n",
-                esc(&c.callee),
-                esc(c.recv_ty.as_deref().unwrap_or("")),
-                u8::from(c.is_method),
-                c.line,
-                c.col,
-                esc(&join_held(&c.held))
-            ));
-        }
-        for b in &s.blocking {
-            out.push_str(&format!(
-                "B\t{}\t{}\t{}\t{}\n",
-                esc(&b.what),
-                b.line,
-                b.col,
-                esc(&join_held(&b.held))
-            ));
-        }
-        for p in &s.panics {
-            out.push_str(&format!(
-                "P\t{}\t{}\t{}\t{}\n",
-                esc(&p.what),
-                esc(p.recv_ty.as_deref().unwrap_or("")),
-                p.line,
-                p.col
-            ));
-        }
-        for p in &s.publishes {
-            out.push_str(&format!(
-                "V\t{}\t{}\t{}\n",
-                p.line,
-                p.col,
-                esc(&join_held(&p.held))
-            ));
-        }
-    }
-    out
-}
-
-/// Parse [`encode_summaries`] output. Malformed lines are skipped — a
-/// corrupt cache degrades to a cold run, never to a wrong answer
-/// (the caller validates the file hash before trusting records).
-pub fn decode_summaries(text: &str) -> Vec<FnSummary> {
-    let mut out: Vec<FnSummary> = Vec::new();
-    for line in text.lines() {
-        let fields: Vec<&str> = line.split('\t').collect();
-        match fields.first().copied() {
-            Some("F") if fields.len() == 8 => {
-                let self_ty = unesc(fields[3]);
-                out.push(FnSummary {
-                    crate_name: unesc(fields[1]),
-                    file: unesc(fields[2]),
-                    self_ty: (!self_ty.is_empty()).then_some(self_ty),
-                    name: unesc(fields[4]),
-                    line: fields[5].parse().unwrap_or(0),
-                    is_test: fields[6] == "1",
-                    is_spawn_body: fields[7] == "1",
-                    ..FnSummary::default()
-                });
-            }
-            Some("A") if fields.len() == 5 => {
-                if let Some(s) = out.last_mut() {
-                    s.acquisitions.push(Acq {
-                        lock: unesc(fields[1]),
-                        line: fields[2].parse().unwrap_or(0),
-                        col: fields[3].parse().unwrap_or(0),
-                        held: split_held(&unesc(fields[4])),
-                    });
-                }
-            }
-            Some("C") if fields.len() == 7 => {
-                if let Some(s) = out.last_mut() {
-                    let recv_ty = unesc(fields[2]);
-                    s.calls.push(CallSite {
-                        callee: unesc(fields[1]),
-                        recv_ty: (!recv_ty.is_empty()).then_some(recv_ty),
-                        is_method: fields[3] == "1",
-                        line: fields[4].parse().unwrap_or(0),
-                        col: fields[5].parse().unwrap_or(0),
-                        held: split_held(&unesc(fields[6])),
-                    });
-                }
-            }
-            Some("B") if fields.len() == 5 => {
-                if let Some(s) = out.last_mut() {
-                    s.blocking.push(BlockingSite {
-                        what: unesc(fields[1]),
-                        line: fields[2].parse().unwrap_or(0),
-                        col: fields[3].parse().unwrap_or(0),
-                        held: split_held(&unesc(fields[4])),
-                    });
-                }
-            }
-            Some("P") if fields.len() == 5 => {
-                if let Some(s) = out.last_mut() {
-                    let recv_ty = unesc(fields[2]);
-                    s.panics.push(PanicSite {
-                        what: unesc(fields[1]),
-                        recv_ty: (!recv_ty.is_empty()).then_some(recv_ty),
-                        line: fields[3].parse().unwrap_or(0),
-                        col: fields[4].parse().unwrap_or(0),
-                    });
-                }
-            }
-            Some("V") if fields.len() == 4 => {
-                if let Some(s) = out.last_mut() {
-                    s.publishes.push(PublishSite {
-                        line: fields[1].parse().unwrap_or(0),
-                        col: fields[2].parse().unwrap_or(0),
-                        held: split_held(&unesc(fields[3])),
-                    });
-                }
-            }
-            _ => {}
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1081,21 +781,18 @@ mod tests {
     }
 
     #[test]
-    fn publish_and_blocking_and_panic_sites() {
+    fn blocking_and_panic_sites() {
         let s = sums(
             "crates/serve/src/x.rs",
             "impl S {\n\
-             fn p(&self, next: Arc<T>) { *self.current.write().unwrap_or_else(|e| e.into_inner()) = next; }\n\
              fn b(&self, h: Handle) { let g = self.m.lock(); h.join(); }\n\
              fn q(&self) { self.v.get(0).unwrap(); }\n\
              }\n",
         );
-        assert_eq!(s[0].publishes.len(), 1);
-        assert!(s[0].publishes[0].held.is_empty());
-        assert_eq!(s[1].blocking.len(), 1);
-        assert_eq!(s[1].blocking[0].held, vec!["serve::S.m".to_owned()]);
-        assert_eq!(s[2].panics.len(), 1);
-        assert_eq!(s[2].panics[0].what, "unwrap");
+        assert_eq!(s[0].blocking.len(), 1);
+        assert_eq!(s[0].blocking[0].held, vec!["serve::S.m".to_owned()]);
+        assert_eq!(s[1].panics.len(), 1);
+        assert_eq!(s[1].panics[0].what, "unwrap");
     }
 
     #[test]
@@ -1126,16 +823,5 @@ mod tests {
             findings.iter().any(|f| f.rule == "lock-order-cycle"),
             "{findings:?}"
         );
-    }
-
-    #[test]
-    fn summaries_roundtrip_through_the_cache_format() {
-        let s = sums(
-            "crates/serve/src/x.rs",
-            "impl S { fn f(&self, h: Handle) { let g = self.m.lock(); h.join(); \
-             self.helper(); panic!(\"x\"); } }\n",
-        );
-        let decoded = decode_summaries(&encode_summaries(&s));
-        assert_eq!(s, decoded);
     }
 }

@@ -8,7 +8,7 @@
 //! an untyped name with more than [`MAX_UNTYPED_CANDIDATES`] definitions
 //! is dropped rather than fanned out — precision over recall, since
 //! every edge can become a reported deadlock path. The caveats are laid
-//! out in DESIGN.md §14.
+//! out in DESIGN.md §9.
 
 use crate::flow::FnSummary;
 use std::collections::HashMap;

@@ -24,14 +24,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
-pub mod cachefile;
 pub mod flow;
 pub mod graph;
 pub mod lexer;
 pub mod parse;
 pub mod rules;
-pub mod sarif;
 pub mod workspace;
 
 #[cfg(test)]
@@ -39,7 +36,4 @@ mod proptests;
 
 pub use lexer::{lex, Token, TokenKind};
 pub use rules::{check_file, CheckOptions, Finding, RULES};
-pub use workspace::{
-    analyze_sources, check_workspace, check_workspace_with, find_workspace_root,
-    WorkspaceOptions,
-};
+pub use workspace::{analyze_sources, check_workspace, find_workspace_root};

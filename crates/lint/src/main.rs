@@ -3,83 +3,41 @@
 //! ```text
 //! pastas-lint --workspace              # lint every crates/*/src/**/*.rs
 //! pastas-lint path/to/file.rs …        # lint specific files (token rules)
-//! pastas-lint --workspace --format=sarif > target/pastas-lint.sarif
-//! pastas-lint --workspace --baseline=lint-baseline.json
-//! pastas-lint --workspace --write-baseline=lint-baseline.json
-//! pastas-lint --workspace --no-cache --no-flow
+//! pastas-lint --workspace --no-flow
 //! pastas-lint --list-rules
 //! ```
 //!
-//! `--workspace` runs the full pipeline: parallel per-file analysis with
-//! the incremental cache under `target/pastas-lint.cache` (`--no-cache`
-//! disables), then the interprocedural flow rules (`--no-flow`
-//! disables). `--baseline=PATH` subtracts accepted legacy findings;
-//! `--write-baseline=PATH` records the current findings as accepted.
+//! `--workspace` runs the full pipeline: parallel per-file analysis, then
+//! the interprocedural flow rules (`--no-flow` disables). Findings print
+//! as `file:line:col: [rule] message`, one a line.
 //!
 //! Exit status: 0 = clean, 1 = findings, 2 = usage or I/O error.
 
 #![forbid(unsafe_code)]
 
-use pastas_lint::baseline::Baseline;
-use pastas_lint::rules::{CheckOptions, Finding, RULES};
-use pastas_lint::sarif;
-use pastas_lint::workspace::{
-    check_path, check_workspace_with, find_workspace_root, WorkspaceOptions,
-};
+use pastas_lint::rules::{CheckOptions, RULES};
+use pastas_lint::workspace::{check_path, check_workspace, find_workspace_root};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Format {
-    Text,
-    Json,
-    Sarif,
-}
-
 struct Args {
     workspace: bool,
-    format: Format,
     list_rules: bool,
-    no_cache: bool,
     no_flow: bool,
-    baseline: Option<PathBuf>,
-    write_baseline: Option<PathBuf>,
     files: Vec<PathBuf>,
 }
 
-const USAGE: &str = "usage: pastas-lint [--workspace | FILE…] \
-                     [--format=json|text|sarif] [--baseline=PATH] \
-                     [--write-baseline=PATH] [--no-cache] [--no-flow] \
-                     [--list-rules]";
+const USAGE: &str = "usage: pastas-lint [--workspace | FILE…] [--no-flow] [--list-rules]";
 
 fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        workspace: false,
-        format: Format::Text,
-        list_rules: false,
-        no_cache: false,
-        no_flow: false,
-        baseline: None,
-        write_baseline: None,
-        files: Vec::new(),
-    };
+    let mut args =
+        Args { workspace: false, list_rules: false, no_flow: false, files: Vec::new() };
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--workspace" => args.workspace = true,
-            "--format=json" => args.format = Format::Json,
-            "--format=text" => args.format = Format::Text,
-            "--format=sarif" => args.format = Format::Sarif,
-            "--no-cache" => args.no_cache = true,
             "--no-flow" => args.no_flow = true,
             "--list-rules" => args.list_rules = true,
             "--help" | "-h" => return Err(USAGE.to_owned()),
-            other if other.starts_with("--baseline=") => {
-                args.baseline = Some(PathBuf::from(&other["--baseline=".len()..]));
-            }
-            other if other.starts_with("--write-baseline=") => {
-                args.write_baseline =
-                    Some(PathBuf::from(&other["--write-baseline=".len()..]));
-            }
             other if other.starts_with("--") => {
                 return Err(format!("unknown flag {other:?} (try --help)"));
             }
@@ -90,35 +48,6 @@ fn parse_args() -> Result<Args, String> {
         return Err("nothing to lint: pass --workspace or file paths (try --help)".to_owned());
     }
     Ok(args)
-}
-
-fn emit(findings: &[Finding], format: Format) {
-    match format {
-        Format::Json => {
-            let mut out = String::from("[");
-            for (i, f) in findings.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&f.render_json());
-            }
-            out.push(']');
-            println!("{out}");
-        }
-        Format::Sarif => {
-            print!("{}", sarif::render(findings));
-        }
-        Format::Text => {
-            for f in findings {
-                println!("{}", f.render());
-            }
-            if findings.is_empty() {
-                eprintln!("pastas-lint: clean");
-            } else {
-                eprintln!("pastas-lint: {} finding(s)", findings.len());
-            }
-        }
-    }
 }
 
 fn main() -> ExitCode {
@@ -137,17 +66,12 @@ fn main() -> ExitCode {
     }
 
     let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    let mut findings = if args.workspace {
+    let findings = if args.workspace {
         let Some(root) = find_workspace_root(&cwd) else {
             eprintln!("pastas-lint: no [workspace] Cargo.toml above {}", cwd.display());
             return ExitCode::from(2);
         };
-        let mut opts = WorkspaceOptions::standard(&root);
-        if args.no_cache {
-            opts.cache_path = None;
-        }
-        opts.flow = !args.no_flow;
-        check_workspace_with(&root, &opts)
+        check_workspace(&root, !args.no_flow)
     } else {
         let root = find_workspace_root(&cwd).unwrap_or_else(|| cwd.clone());
         let mut all = Vec::new();
@@ -169,38 +93,14 @@ fn main() -> ExitCode {
         all
     };
 
-    if let Some(path) = &args.write_baseline {
-        let base = Baseline::from_findings(&findings);
-        if std::fs::write(path, base.render()).is_err() {
-            eprintln!("pastas-lint: cannot write baseline {}", path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "pastas-lint: wrote baseline {} ({} accepted group(s))",
-            path.display(),
-            base.counts.len()
-        );
-        return ExitCode::SUCCESS;
+    for f in &findings {
+        println!("{}", f.render());
     }
-    if let Some(path) = &args.baseline {
-        let Ok(text) = std::fs::read_to_string(path) else {
-            eprintln!("pastas-lint: cannot read baseline {}", path.display());
-            return ExitCode::from(2);
-        };
-        let base = match Baseline::parse(&text) {
-            Ok(base) => base,
-            Err(message) => {
-                eprintln!("pastas-lint: {message}");
-                return ExitCode::from(2);
-            }
-        };
-        findings = base.filter(findings);
-    }
-
-    emit(&findings, args.format);
     if findings.is_empty() {
+        eprintln!("pastas-lint: clean");
         ExitCode::SUCCESS
     } else {
+        eprintln!("pastas-lint: {} finding(s)", findings.len());
         ExitCode::from(1)
     }
 }

@@ -10,7 +10,7 @@
 //! lexer, the parser is **total** — any byte soup produces *some*
 //! [`FileAst`], a property enforced by `src/proptests.rs`.
 //!
-//! Soundness caveats (documented in DESIGN.md §14): receivers are
+//! Soundness caveats (documented in DESIGN.md §9): receivers are
 //! resolved lexically (`self.field`, `param.field`), so a lock reached
 //! through an intermediate binding can split into two identities, and a
 //! call is matched to workspace functions by name with only a
@@ -21,42 +21,15 @@
 use crate::lexer::TokenKind;
 use crate::rules::FileContext;
 
-/// How a guard was acquired.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LockKind {
-    /// `.lock()` on a `Mutex`.
-    Lock,
-    /// `.read()` on an `RwLock`.
-    Read,
-    /// `.write()` on an `RwLock`.
-    Write,
-}
-
-impl LockKind {
-    /// The method name this kind was recognized from.
-    pub fn method(self) -> &'static str {
-        match self {
-            LockKind::Lock => "lock",
-            LockKind::Read => "read",
-            LockKind::Write => "write",
-        }
-    }
-}
-
-/// A guard acquisition site.
+/// A guard acquisition site (`.lock()`, `.read()` or `.write()`).
 #[derive(Debug, Clone)]
 pub struct LockNode {
-    /// Which method acquired the guard.
-    pub kind: LockKind,
     /// Lexical receiver chain (`self.inner`, `shared.state`, `<expr>`).
     pub recv: String,
     /// `let` binding name when the guard is named (`let g = x.lock()…`).
     pub bound: Option<String>,
     /// True when `.unwrap()` immediately follows the acquisition.
     pub unwrapped: bool,
-    /// True when the statement assigns through the guard
-    /// (`*x.write()… = …`) — an `Arc`-swap publication site.
-    pub deref_assigned: bool,
     /// 1-based source line.
     pub line: u32,
     /// 1-based source column.
@@ -383,9 +356,6 @@ impl<'c, 'a> Parser<'c, 'a> {
     fn parse_span(&self, lo: usize, hi: usize, enclosing_call: Option<&str>) -> Block {
         let mut nodes = Vec::new();
         let mut pending_let: Option<String> = None;
-        let mut stmt_star = false; // statement started with `*…`
-        let mut stmt_locks: Vec<usize> = Vec::new(); // node indices of this stmt's locks
-        let mut at_stmt_start = true;
         let mut p = lo;
         while p < hi && p < self.len() {
             let text = self.text(p);
@@ -399,9 +369,6 @@ impl<'c, 'a> Parser<'c, 'a> {
             if self.is_punct(p, ';') {
                 nodes.push(Node::StmtEnd);
                 pending_let = None;
-                stmt_star = false;
-                stmt_locks.clear();
-                at_stmt_start = true;
                 p += 1;
                 continue;
             }
@@ -410,31 +377,9 @@ impl<'c, 'a> Parser<'c, 'a> {
                     nodes.push(Node::Block(self.parse_span(p + 1, close, None)));
                     nodes.push(Node::StmtEnd);
                     pending_let = None;
-                    stmt_locks.clear();
-                    at_stmt_start = true;
                     p = close + 1;
                     continue;
                 }
-            }
-            if self.is_punct(p, '*') && at_stmt_start {
-                stmt_star = true;
-                at_stmt_start = false;
-                p += 1;
-                continue;
-            }
-            // Plain `=` in a `*guard… = value` statement: the write guard
-            // in this statement is a publication (deref-assignment).
-            if self.is_punct(p, '=') && stmt_star && !self.adjacent_to_operator(p) {
-                for &i in &stmt_locks {
-                    if let Node::Lock(l) = &mut nodes[i] {
-                        if l.kind == LockKind::Write || l.kind == LockKind::Lock {
-                            l.deref_assigned = true;
-                        }
-                    }
-                }
-                at_stmt_start = false;
-                p += 1;
-                continue;
             }
             if text == "let" {
                 // `let [mut] name = …` — capture the binding name; tuple
@@ -449,7 +394,6 @@ impl<'c, 'a> Parser<'c, 'a> {
                 } else {
                     pending_let = None;
                 }
-                at_stmt_start = false;
                 p = q;
                 continue;
             }
@@ -462,7 +406,6 @@ impl<'c, 'a> Parser<'c, 'a> {
                     name: self.text(p + 2).to_owned(),
                     line: self.line(p),
                 });
-                at_stmt_start = false;
                 p += 4;
                 continue;
             }
@@ -475,32 +418,19 @@ impl<'c, 'a> Parser<'c, 'a> {
                         Node::Closure(body)
                     };
                     nodes.push(node);
-                    at_stmt_start = false;
                     p = resume;
                     continue;
                 }
             }
             if self.is_ident(p) && !is_keyword(text) {
-                if let Some(next) = self.parse_callish(p, &mut nodes, &mut pending_let, &mut stmt_locks)
-                {
-                    at_stmt_start = false;
+                if let Some(next) = self.parse_callish(p, &mut nodes, &mut pending_let) {
                     p = next;
                     continue;
                 }
             }
-            at_stmt_start = false;
             p += 1;
         }
         Block { nodes }
-    }
-
-    /// Is the `=` at `p` part of a compound operator (`==`, `<=`, `+=` …)?
-    fn adjacent_to_operator(&self, p: usize) -> bool {
-        let before = p > 0
-            && self.ctx.sig_token(p - 1).end == self.ctx.sig_token(p).start
-            && matches!(self.text(p - 1), "=" | "<" | ">" | "!" | "+" | "-" | "*" | "/" | "%" | "&" | "|" | "^");
-        let after = self.adjacent(p) && self.text(p + 1) == "=";
-        before || after
     }
 
     /// Does a `|` at `p` start a closure (vs. a binary/pattern or)?
@@ -573,11 +503,10 @@ impl<'c, 'a> Parser<'c, 'a> {
         p: usize,
         nodes: &mut Vec<Node>,
         pending_let: &mut Option<String>,
-        stmt_locks: &mut Vec<usize>,
     ) -> Option<usize> {
         let after_dot = p > 0 && self.is_punct(p - 1, '.');
         if after_dot {
-            return self.parse_method(p, nodes, pending_let, stmt_locks);
+            return self.parse_method(p, nodes, pending_let);
         }
         // Path: ident (:: ident)*.
         let mut path = vec![self.text(p).to_owned()];
@@ -656,7 +585,6 @@ impl<'c, 'a> Parser<'c, 'a> {
         p: usize,
         nodes: &mut Vec<Node>,
         pending_let: &mut Option<String>,
-        stmt_locks: &mut Vec<usize>,
     ) -> Option<usize> {
         if !self.is_punct(p + 1, '(') {
             return None; // field access / `.await`-style postfix
@@ -669,24 +597,16 @@ impl<'c, 'a> Parser<'c, 'a> {
         let col = self.col(p);
         let empty = close == open + 1;
         if empty && matches!(name, "lock" | "read" | "write") {
-            let kind = match name {
-                "lock" => LockKind::Lock,
-                "read" => LockKind::Read,
-                _ => LockKind::Write,
-            };
             // `.unwrap()` directly chained onto the acquisition?
             let unwrapped = self.is_punct(close + 1, '.')
                 && close + 2 < self.len()
                 && self.text(close + 2) == "unwrap"
                 && self.is_punct(close + 3, '(')
                 && self.is_punct(close + 4, ')');
-            stmt_locks.push(nodes.len());
             nodes.push(Node::Lock(LockNode {
-                kind,
                 recv,
                 bound: pending_let.take(),
                 unwrapped,
-                deref_assigned: false,
                 line,
                 col,
             }));
@@ -825,23 +745,9 @@ mod tests {
         assert_eq!(locks[0].recv, "self.inner");
         assert_eq!(locks[0].bound.as_deref(), Some("inner"));
         assert!(locks[0].unwrapped);
-        assert_eq!(locks[1].kind, LockKind::Read);
+        assert_eq!(locks[1].recv, "self.other");
         assert_eq!(locks[1].bound, None);
         assert!(ns.iter().any(|n| matches!(n, Node::DropGuard { name, .. } if name == "inner")));
-    }
-
-    #[test]
-    fn deref_assignment_marks_publication() {
-        let a = ast("impl S { fn publish(&self, next: Arc<Snap>) { *self.current.write().unwrap_or_else(|e| e.into_inner()) = next; } }");
-        let ns = nodes(&a.fns[0]);
-        let lock = ns
-            .iter()
-            .find_map(|n| match n {
-                Node::Lock(l) if l.kind == LockKind::Write => Some(l),
-                _ => None,
-            })
-            .expect("write lock");
-        assert!(lock.deref_assigned, "publication site detected");
     }
 
     #[test]

@@ -136,10 +136,11 @@ proptest! {
             &src,
             CheckOptions { crate_has_proptests: true },
         );
-        // JSON rendering must also be total and produce valid shapes.
+        // Rendering must also be total: one `file:line:col: [rule]` line.
         for f in &findings {
-            let json = f.render_json();
-            prop_assert!(json.starts_with('{') && json.ends_with('}'));
+            let text = f.render();
+            prop_assert!(text.starts_with("crates/serve/src/tricky.rs:"));
+            prop_assert!(text.contains(&format!("[{}]", f.rule)));
         }
     }
 }

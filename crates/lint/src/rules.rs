@@ -37,38 +37,6 @@ impl Finding {
     pub fn render(&self) -> String {
         format!("{}:{}:{}: [{}] {}", self.path, self.line, self.col, self.rule, self.message)
     }
-
-    /// One JSON object (hand-serialized; the tool is dependency-free).
-    pub fn render_json(&self) -> String {
-        format!(
-            "{{\"file\":{},\"line\":{},\"col\":{},\"rule\":{},\"message\":{}}}",
-            json_str(&self.path),
-            self.line,
-            self.col,
-            json_str(self.rule),
-            json_str(&self.message)
-        )
-    }
-}
-
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Every rule id the engine knows, for `--list-rules` and suppression
@@ -130,11 +98,6 @@ pub const RULES: &[(&str, &str)] = &[
         "flow: unwrap/expect/panic! reachable through the call graph from route(), the \
          plan executor, or the profile roots, in crates the token rule does not cover",
     ),
-    (
-        "guard-held-across-snapshot-publish",
-        "flow: a lock guard is live across a snapshot publication (Arc swap) site — \
-         publication must be the only thing the writer lock serializes",
-    ),
 ];
 
 const HOT_PATH_CRATES: &[&str] = &["serve", "par", "query"];
@@ -161,8 +124,8 @@ struct Suppression {
     col: u32,
 }
 
-/// One reasoned suppression, in the owned form the flow pipeline (and the
-/// incremental cache) carries around per file.
+/// One reasoned suppression, in the owned form the flow pipeline carries
+/// around per file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SuppressionRecord {
     /// 1-based line of the `lint:allow` comment.

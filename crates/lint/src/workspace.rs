@@ -2,16 +2,13 @@
 //!
 //! `--workspace` walks every `crates/*/src/**/*.rs` file (vendor stubs
 //! and `target/` excluded), then runs the per-file pass — lex, token
-//! rules, parse, flow summaries — in parallel via `pastas_par`, with an
-//! optional file-hash-keyed incremental cache ([`cachefile`](crate::cachefile))
-//! so warm runs skip everything but hashing. The interprocedural pass
-//! ([`flow::interprocedural`](crate::flow::interprocedural)) always runs
-//! over the merged summaries — a one-file edit can change a cross-file
-//! verdict — and its findings are filtered through the per-file
-//! suppression records before being merged, in path order, with the
-//! token-level findings.
+//! rules, parse, flow summaries — in parallel via `pastas_par`. The
+//! interprocedural pass
+//! ([`flow::interprocedural`](crate::flow::interprocedural)) runs over
+//! the merged summaries and its findings are filtered through the
+//! per-file suppression records before being merged, in path order, with
+//! the token-level findings.
 
-use crate::cachefile::{self, CachedFile};
 use crate::flow::{self, FnSummary};
 use crate::parse;
 use crate::rules::{check_file_ctx, CheckOptions, FileContext, Finding, SuppressionRecord};
@@ -116,26 +113,6 @@ pub fn analyze_sources(
     merge_analyses(analyses, flow_on)
 }
 
-/// Knobs for the whole-workspace run.
-#[derive(Debug, Clone, Default)]
-pub struct WorkspaceOptions {
-    /// Incremental cache location; `None` disables caching.
-    pub cache_path: Option<PathBuf>,
-    /// Run the interprocedural flow rules (on for the CLI; the
-    /// differential tests turn it off to compare token-level behaviour).
-    pub flow: bool,
-}
-
-impl WorkspaceOptions {
-    /// The CLI default: flow on, cache under `target/`.
-    pub fn standard(root: &Path) -> WorkspaceOptions {
-        WorkspaceOptions {
-            cache_path: Some(root.join("target").join("pastas-lint.cache")),
-            flow: true,
-        }
-    }
-}
-
 /// Check one file on disk. `root` is the workspace root used to derive
 /// the path shown in diagnostics and the crate scoping.
 pub fn check_path(root: &Path, file: &Path, options: CheckOptions) -> Vec<Finding> {
@@ -185,56 +162,12 @@ fn workspace_inputs(root: &Path) -> Vec<(String, String, CheckOptions)> {
     inputs
 }
 
-/// Check every `crates/*/src/**/*.rs` under `root` with explicit options.
-/// Findings come back in path order, then line order.
-pub fn check_workspace_with(root: &Path, opts: &WorkspaceOptions) -> Vec<Finding> {
-    let inputs = workspace_inputs(root);
-    let cache: HashMap<String, CachedFile> =
-        opts.cache_path.as_deref().map(cachefile::load).unwrap_or_default();
-    let analyses: Vec<(FileAnalysis, u64)> =
-        pastas_par::par_map(&inputs, |(rel, src, options)| {
-            // The proptests flag changes findings, so it keys the hash too.
-            let hash = cachefile::fnv1a(src.as_bytes())
-                ^ (u64::from(options.crate_has_proptests) << 63);
-            if let Some(e) = cache.get(rel) {
-                if e.hash == hash {
-                    return (
-                        FileAnalysis {
-                            path: rel.clone(),
-                            findings: e.findings.clone(),
-                            supps: e.supps.clone(),
-                            summaries: e.summaries.clone(),
-                        },
-                        hash,
-                    );
-                }
-            }
-            (analyze_source(rel, src, *options), hash)
-        });
-    if let Some(cache_path) = &opts.cache_path {
-        let entries: HashMap<String, CachedFile> = analyses
-            .iter()
-            .map(|(a, hash)| {
-                (
-                    a.path.clone(),
-                    CachedFile {
-                        hash: *hash,
-                        findings: a.findings.clone(),
-                        supps: a.supps.clone(),
-                        summaries: a.summaries.clone(),
-                    },
-                )
-            })
-            .collect();
-        cachefile::store(cache_path, &entries);
-    }
-    merge_analyses(analyses.into_iter().map(|(a, _)| a).collect(), opts.flow)
-}
-
-/// Check the whole workspace with flow rules on and no cache — the
-/// conservative entry point used by tests and library callers.
-pub fn check_workspace(root: &Path) -> Vec<Finding> {
-    check_workspace_with(root, &WorkspaceOptions { cache_path: None, flow: true })
+/// Check every `crates/*/src/**/*.rs` under `root`; `flow_on` adds the
+/// interprocedural rules (the differential tests turn them off to compare
+/// token-level behaviour). Findings come back in path order, then line
+/// order.
+pub fn check_workspace(root: &Path, flow_on: bool) -> Vec<Finding> {
+    analyze_sources(&workspace_inputs(root), flow_on)
 }
 
 #[cfg(test)]

@@ -1,15 +1,13 @@
-//! Differential tests pinning the AST migration and the cache.
+//! Differential tests pinning the AST migration.
 //!
 //! The flow upgrade bolted a parser and interprocedural pass onto the
 //! token engine; these tests prove the bolt-on changed nothing it was
 //! not supposed to: with flow off, the pipeline's findings are
-//! byte-identical to plain `check_file` on every fixture, and a warm
-//! cache run reproduces the cold run exactly.
+//! byte-identical to plain `check_file` on every fixture and on the real
+//! workspace.
 
 use pastas_lint::rules::{check_file, CheckOptions};
-use pastas_lint::workspace::{
-    analyze_sources, check_workspace_with, find_workspace_root, WorkspaceOptions,
-};
+use pastas_lint::workspace::{analyze_sources, check_workspace, find_workspace_root};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -56,8 +54,7 @@ fn pipeline_without_flow_matches_check_file_on_every_fixture() {
 fn pipeline_without_flow_matches_check_file_on_the_real_workspace() {
     let root = find_workspace_root(&std::env::current_dir().expect("cwd"))
         .expect("workspace root");
-    let no_flow = WorkspaceOptions { cache_path: None, flow: false };
-    let piped = check_workspace_with(&root, &no_flow);
+    let piped = check_workspace(&root, false);
     // Re-derive the same file set through check_file directly.
     let mut direct = Vec::new();
     let crates_dir = root.join("crates");
@@ -100,20 +97,4 @@ fn pipeline_without_flow_matches_check_file_on_the_real_workspace() {
         (&a.path, a.line, a.col, a.rule).cmp(&(&b.path, b.line, b.col, b.rule))
     });
     assert_eq!(direct, piped);
-}
-
-#[test]
-fn warm_cache_run_reproduces_the_cold_run() {
-    let root = find_workspace_root(&std::env::current_dir().expect("cwd"))
-        .expect("workspace root");
-    let cache = root
-        .join("target")
-        .join(format!("pastas-lint-test-{}.cache", std::process::id()));
-    let _ = fs::remove_file(&cache);
-    let opts = WorkspaceOptions { cache_path: Some(cache.clone()), flow: true };
-    let cold = check_workspace_with(&root, &opts);
-    assert!(cache.is_file(), "first run persists the cache");
-    let warm = check_workspace_with(&root, &opts);
-    let _ = fs::remove_file(&cache);
-    assert_eq!(cold, warm, "cache reuse changed the findings");
 }

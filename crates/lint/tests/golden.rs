@@ -225,13 +225,6 @@ fn flow_lock_cycle_spans_a_call_edge() {
 }
 
 #[test]
-fn flow_guard_held_across_publish_in_a_callee() {
-    let findings = check_flow_fixture("flow_guard_publish");
-    assert_eq!(shape(&findings), vec![("guard-held-across-snapshot-publish", 7)]);
-    assert!(findings[0].message.contains("core::Shared.writer"));
-}
-
-#[test]
 fn flow_blocking_call_under_lock_via_helper() {
     let findings = check_flow_fixture("flow_blocking_lock");
     assert_eq!(shape(&findings), vec![("blocking-call-under-lock", 7)]);

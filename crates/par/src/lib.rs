@@ -17,9 +17,6 @@
 //! * **No work for small inputs.** Inputs below a per-thread minimum stay
 //!   serial; thread spawning only happens when there is enough work to
 //!   amortize it.
-//! * **Observability.** Each call records a [`ParStats`] (thread count,
-//!   item count, wall clock) retrievable with [`last_stats`] — the hook
-//!   the E5/E8 benches use to report parallel-vs-serial speedups.
 //!
 //! Thread count resolution order: the innermost [`with_threads`] scope,
 //! then the `PASTAS_THREADS` environment variable (read once), then
@@ -28,7 +25,7 @@
 //! ```
 //! let doubled = pastas_par::par_map(&[1, 2, 3], |x| x * 2);
 //! assert_eq!(doubled, vec![2, 4, 6]);
-//! let evens = pastas_par::par_filter_indices(&[1, 2, 3, 4], |x| x % 2 == 0);
+//! let evens = pastas_par::par_filter_indices_min(&[1, 2, 3, 4], 1, |x| x % 2 == 0);
 //! assert_eq!(evens, vec![1, 3]);
 //! ```
 
@@ -39,7 +36,6 @@ pub mod pool;
 
 use std::cell::Cell;
 use std::sync::OnceLock;
-use std::time::{Duration, Instant};
 
 /// Default minimum number of items each worker thread must receive before
 /// a call goes parallel. Keeps tiny inputs on the serial path where thread
@@ -48,23 +44,6 @@ pub const DEFAULT_MIN_PER_THREAD: usize = 256;
 
 thread_local! {
     static THREAD_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
-    static LAST_STATS: Cell<Option<ParStats>> = const { Cell::new(None) };
-}
-
-/// What one `par_*` invocation did — the benches' timing hook.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParStats {
-    /// Worker threads actually used (1 = serial path).
-    pub threads: usize,
-    /// Number of input items.
-    pub items: usize,
-    /// Wall-clock time of the whole call.
-    pub elapsed: Duration,
-}
-
-/// The [`ParStats`] of the most recent `par_*` call on this thread.
-pub fn last_stats() -> Option<ParStats> {
-    LAST_STATS.with(|c| c.get())
 }
 
 fn env_threads() -> Option<usize> {
@@ -100,13 +79,6 @@ pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     })
 }
 
-/// Convenience: run `f`, returning its result and wall-clock time.
-pub fn timed<R>(f: impl FnOnce() -> R) -> (R, Duration) {
-    let t = Instant::now();
-    let r = f();
-    (r, t.elapsed())
-}
-
 /// How many worker threads a `len`-item call should use under the current
 /// configuration and a per-thread minimum.
 fn effective_threads(len: usize, min_per_thread: usize) -> usize {
@@ -116,19 +88,20 @@ fn effective_threads(len: usize, min_per_thread: usize) -> usize {
 
 /// The chunking core: split `items` into `threads` contiguous chunks,
 /// apply `work(chunk_start, chunk)` to each (in parallel when threads > 1),
-/// and return the per-chunk results **in chunk order**.
+/// and return the per-chunk results **in chunk order**. Use it directly
+/// when the per-chunk work wants to build one accumulator per chunk (e.g.
+/// a postings map) and needs each item's global index.
 ///
 /// With one thread this performs exactly one call, `work(0, items)`, on
 /// the calling thread — the serial path.
-fn run_chunked<T, R, F>(items: &[T], min_per_thread: usize, work: F) -> Vec<R>
+pub fn par_chunks<T, R, F>(items: &[T], min_per_thread: usize, work: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &[T]) -> R + Sync,
 {
-    let t0 = Instant::now();
     let threads = effective_threads(items.len(), min_per_thread);
-    let results = if threads <= 1 {
+    if threads <= 1 {
         vec![work(0, items)]
     } else {
         let len = items.len();
@@ -152,25 +125,7 @@ where
                 .map(|h| h.join().expect("pastas-par worker panicked"))
                 .collect::<Vec<R>>()
         })
-    };
-    LAST_STATS.with(|c| {
-        c.set(Some(ParStats { threads, items: items.len(), elapsed: t0.elapsed() }))
-    });
-    results
-}
-
-/// Apply `work(chunk_start, chunk)` to contiguous chunks of `items` in
-/// parallel, returning the per-chunk results **in chunk order**. The
-/// chunk-level primitive behind [`par_map`] — use it directly when the
-/// per-chunk work wants to build one accumulator per chunk (e.g. a
-/// postings map) and needs each item's global index.
-pub fn par_chunks<T, R, F>(items: &[T], min_per_thread: usize, work: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &[T]) -> R + Sync,
-{
-    run_chunked(items, min_per_thread, work)
+    }
 }
 
 /// Map `f` over `items` in parallel, preserving order.
@@ -191,22 +146,14 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    concat(run_chunked(items, min_per_thread, |_, chunk| {
+    concat(par_chunks(items, min_per_thread, |_, chunk| {
         chunk.iter().map(&f).collect::<Vec<R>>()
     }))
 }
 
 /// Indices (as `u32`, ascending) of the items satisfying `pred`,
-/// evaluated in parallel. Panics if `items.len()` exceeds `u32::MAX`.
-pub fn par_filter_indices<T, F>(items: &[T], pred: F) -> Vec<u32>
-where
-    T: Sync,
-    F: Fn(&T) -> bool + Sync,
-{
-    par_filter_indices_min(items, DEFAULT_MIN_PER_THREAD, pred)
-}
-
-/// [`par_filter_indices`] with an explicit per-thread minimum.
+/// evaluated in parallel at the given per-thread minimum. Panics if
+/// `items.len()` exceeds `u32::MAX`.
 pub fn par_filter_indices_min<T, F>(items: &[T], min_per_thread: usize, pred: F) -> Vec<u32>
 where
     T: Sync,
@@ -216,7 +163,7 @@ where
         u32::try_from(items.len()).is_ok(),
         "par_filter_indices requires len <= u32::MAX"
     );
-    concat(run_chunked(items, min_per_thread, |start, chunk| {
+    concat(par_chunks(items, min_per_thread, |start, chunk| {
         chunk
             .iter()
             .enumerate()
@@ -240,12 +187,12 @@ where
     F: Fn(A, &T) -> A + Sync,
     G: FnMut(A, A) -> A,
 {
-    let chunks = run_chunked(items, DEFAULT_MIN_PER_THREAD, |_, chunk| {
+    let chunks = par_chunks(items, DEFAULT_MIN_PER_THREAD, |_, chunk| {
         chunk.iter().fold(make(), &fold)
     });
     let mut iter = chunks.into_iter();
-    // lint:allow(no-panic-hot-path) run_chunked spawns >= 1 chunk even for empty input
-    let first = iter.next().expect("run_chunked returns at least one chunk");
+    // lint:allow(no-panic-hot-path) par_chunks returns >= 1 chunk even for empty input
+    let first = iter.next().expect("par_chunks returns at least one chunk");
     iter.fold(first, &mut merge)
 }
 
@@ -329,25 +276,27 @@ mod tests {
         }
     }
 
+    /// The threads a section ran on: one id per chunk.
+    fn chunk_threads(items: &[u32], min_per_thread: usize) -> Vec<std::thread::ThreadId> {
+        par_chunks(items, min_per_thread, |_, _| std::thread::current().id())
+    }
+
     #[test]
     fn small_inputs_stay_serial() {
-        with_threads(8, || {
-            let _ = par_map(&[1, 2, 3], |x| x + 1);
-        });
-        let stats = last_stats().expect("stats recorded");
-        assert_eq!(stats.threads, 1, "3 items < DEFAULT_MIN_PER_THREAD stays serial");
-        assert_eq!(stats.items, 3);
+        let ids = with_threads(8, || chunk_threads(&[1, 2, 3], DEFAULT_MIN_PER_THREAD));
+        assert_eq!(
+            ids,
+            [std::thread::current().id()],
+            "3 items < DEFAULT_MIN_PER_THREAD stay on the caller"
+        );
     }
 
     #[test]
     fn large_inputs_use_the_configured_threads() {
         let items: Vec<u32> = (0..4_096).collect();
-        with_threads(4, || {
-            let _ = par_map_min(&items, 1, |x| x + 1);
-        });
-        let stats = last_stats().expect("stats recorded");
-        assert_eq!(stats.threads, 4);
-        assert_eq!(stats.items, 4_096);
+        let ids = with_threads(4, || chunk_threads(&items, 1));
+        let distinct: std::collections::HashSet<_> = ids.iter().collect();
+        assert_eq!((ids.len(), distinct.len()), (4, 4), "one worker a chunk");
     }
 
     #[test]
@@ -362,7 +311,7 @@ mod tests {
     #[test]
     fn empty_inputs() {
         assert!(par_map(&[] as &[u32], |x| *x).is_empty());
-        assert!(par_filter_indices(&[] as &[u32], |_| true).is_empty());
+        assert!(par_filter_indices_min(&[] as &[u32], 1, |_| true).is_empty());
         assert_eq!(
             par_fold(&[] as &[u32], || 7u64, |a, &x| a + x as u64, |a, b| a + b),
             7
@@ -378,13 +327,6 @@ mod tests {
             assert_eq!(a, 4950);
             assert_eq!(b, "right");
         }
-    }
-
-    #[test]
-    fn timed_reports_a_duration() {
-        let (v, d) = timed(|| 41 + 1);
-        assert_eq!(v, 42);
-        assert!(d.as_nanos() > 0 || d.is_zero());
     }
 }
 

@@ -319,8 +319,20 @@ impl QueryPlan {
     ) -> QueryPlan {
         let normalized = normalize(query);
         let fingerprint = normalized.fingerprint();
-        let rows = collection.len() as u32;
-        let root = plan_node(index, rows, &normalized);
+        QueryPlan::from_normalized(index, collection, &normalized, fingerprint)
+    }
+
+    /// Compile a query that is already in [`normalize`]d form, for a
+    /// caller that normalized and fingerprinted it to probe a memo and
+    /// only plans on a miss. `fingerprint` is `normalized.fingerprint()`.
+    pub fn from_normalized(
+        index: &CodeIndex,
+        collection: &HistoryCollection,
+        normalized: &HistoryQuery,
+        fingerprint: String,
+    ) -> QueryPlan {
+        debug_assert_eq!(fingerprint, normalized.fingerprint());
+        let root = plan_node(index, collection.len() as u32, normalized);
         QueryPlan { root, fingerprint }
     }
 
@@ -768,12 +780,13 @@ enum ExecKind<'q> {
     Complement(Box<ExecNode<'q>>),
     Intersect(Vec<ExecNode<'q>>),
     Union(Vec<ExecNode<'q>>),
-    Filter { query: &'q HistoryQuery, input: Box<ExecNode<'q>> },
-    /// Temporal-pattern verification: like `Filter`, but each candidate
-    /// runs the compiled automaton, and the candidate / run totals feed
+    /// The one operator that opens a history: `query` evaluated against
+    /// each candidate of `input`, or against every row of the universe
+    /// when there is none (`Filter`, `PatternScan` and `FullScan` all
+    /// lower to this). With `pattern` each candidate is one run of the
+    /// compiled temporal automaton, and the candidate / run totals feed
     /// [`ExecStats`] (the serve layer's pattern gauges).
-    PatternScan { query: &'q HistoryQuery, input: Box<ExecNode<'q>> },
-    FullScan { query: &'q HistoryQuery },
+    Verify { query: &'q HistoryQuery, input: Option<Box<ExecNode<'q>>>, pattern: bool },
 }
 
 /// What a demographic leaf asks of one patient-column entry.
@@ -879,13 +892,14 @@ fn lower<'q>(node: &'q PlanNode, index: &CodeIndex, trace: bool) -> ExecNode<'q>
         PlanNode::Union(cs) => {
             ExecKind::Union(cs.iter().map(|c| lower(c, index, trace)).collect())
         }
-        PlanNode::Filter { query, input } => {
-            ExecKind::Filter { query, input: Box::new(lower(input, index, trace)) }
+        PlanNode::Filter { query, input } | PlanNode::PatternScan { query, input } => {
+            ExecKind::Verify {
+                query,
+                input: Some(Box::new(lower(input, index, trace))),
+                pattern: matches!(node, PlanNode::PatternScan { .. }),
+            }
         }
-        PlanNode::PatternScan { query, input } => {
-            ExecKind::PatternScan { query, input: Box::new(lower(input, index, trace)) }
-        }
-        PlanNode::FullScan { query } => ExecKind::FullScan { query },
+        PlanNode::FullScan { query } => ExecKind::Verify { query, input: None, pattern: false },
     };
     ExecNode {
         op: node.op(),
@@ -950,42 +964,31 @@ fn exec_shard(
             }
             acc
         }
-        ExecKind::PatternScan { query, input } => {
-            let input = child(exec_shard(input, collection, shard, trace, counters));
-            let mut candidates = Vec::new();
-            input.decode_into(0, &mut candidates);
-            let n = candidates.len() as u64;
-            // One automaton execution per surviving candidate: `matches`
-            // compiles the pattern once (OnceLock) and runs the VM with
-            // first-accept short-circuit against each history.
-            counters.candidates.fetch_add(n, Ordering::Relaxed);
-            counters.runs.fetch_add(n, Ordering::Relaxed);
-            if trace {
-                node_counters.push(("candidates".to_owned(), n));
-                node_counters.push(("automaton_runs".to_owned(), n));
-            }
-            let histories = collection.histories();
-            let keep = pastas_par::par_map_min(&candidates, PAR_MIN_CANDIDATES, |&rel| {
-                // lint:allow(no-panic-hot-path) candidates are valid shard positions by construction
-                query.matches(&histories[(shard.base + rel) as usize])
-            });
-            candidates
-                .into_iter()
-                .zip(keep)
-                .filter(|&(_, k)| k)
-                .map(|(rel, _)| rel)
-                .collect()
-        }
-        ExecKind::Filter { query, input } => {
-            let input = child(exec_shard(input, collection, shard, trace, counters));
+        ExecKind::Verify { query, input, pattern } => {
             // Decode happens once at the set-algebra/verification
             // boundary, not inside the algebra: residual predicates need
             // the actual histories.
             let mut candidates = Vec::new();
-            input.decode_into(0, &mut candidates);
+            match input {
+                Some(input) => child(exec_shard(input, collection, shard, trace, counters))
+                    .decode_into(0, &mut candidates),
+                None => candidates.extend(0..shard.rows),
+            }
+            if *pattern {
+                // One automaton execution per surviving candidate: `matches`
+                // compiles the pattern once (OnceLock) and runs the VM with
+                // first-accept short-circuit against each history.
+                let n = candidates.len() as u64;
+                counters.candidates.fetch_add(n, Ordering::Relaxed);
+                counters.runs.fetch_add(n, Ordering::Relaxed);
+                if trace {
+                    node_counters.push(("candidates".to_owned(), n));
+                    node_counters.push(("automaton_runs".to_owned(), n));
+                }
+            }
             let histories = collection.histories();
             let keep = pastas_par::par_map_min(&candidates, PAR_MIN_CANDIDATES, |&rel| {
-                // lint:allow(no-panic-hot-path) candidates are valid shard positions by construction
+                // lint:allow(no-panic-hot-path) candidates are shard positions and shards tile rows() exactly
                 query.matches(&histories[(shard.base + rel) as usize])
             });
             candidates
@@ -994,15 +997,6 @@ fn exec_shard(
                 .filter(|&(_, k)| k)
                 .map(|(rel, _)| rel)
                 .collect()
-        }
-        ExecKind::FullScan { query } => {
-            let span = &collection.histories()
-                // lint:allow(no-panic-hot-path) shards tile rows() exactly
-                [shard.base as usize..(shard.base + shard.rows) as usize];
-            let matched = pastas_par::par_filter_indices_min(span, PAR_MIN_CANDIDATES, |h| {
-                query.matches(h)
-            });
-            Bitmap::from_sorted(&matched)
         }
     };
     let explain = started.map(|t0| ExplainNode {
@@ -1042,10 +1036,12 @@ fn exec_side(
             }
             acc
         }
-        ExecKind::Column { query, .. } | ExecKind::FullScan { query } => {
-            let histories = collection.histories();
-            // lint:allow(no-panic-hot-path) dirty positions are < rows by the index invariant
-            dirty.iter().copied().filter(|&p| query.matches(&histories[p as usize])).collect()
+        // Dirty rows have no column to read: the leaf is verified per
+        // history, like a scan of the dirty universe.
+        ExecKind::Column { query, .. } => {
+            let kind = ExecKind::Verify { query, input: None, pattern: false };
+            let scan = ExecNode { op: "", detail: String::new(), kind };
+            exec_side(&scan, collection, index, counters)
         }
         ExecKind::Complement(c) => {
             reference::difference(dirty, &exec_side(c, collection, index, counters))
@@ -1071,18 +1067,16 @@ fn exec_side(
             }
             acc
         }
-        ExecKind::PatternScan { query, input } => {
-            let mut candidates = exec_side(input, collection, index, counters);
-            let n = candidates.len() as u64;
-            counters.candidates.fetch_add(n, Ordering::Relaxed);
-            counters.runs.fetch_add(n, Ordering::Relaxed);
-            let histories = collection.histories();
-            // lint:allow(no-panic-hot-path) dirty positions are < rows by the index invariant
-            candidates.retain(|&p| query.matches(&histories[p as usize]));
-            candidates
-        }
-        ExecKind::Filter { query, input } => {
-            let mut candidates = exec_side(input, collection, index, counters);
+        ExecKind::Verify { query, input, pattern } => {
+            let mut candidates = match input {
+                Some(input) => exec_side(input, collection, index, counters),
+                None => dirty.to_vec(),
+            };
+            if *pattern {
+                let n = candidates.len() as u64;
+                counters.candidates.fetch_add(n, Ordering::Relaxed);
+                counters.runs.fetch_add(n, Ordering::Relaxed);
+            }
             let histories = collection.histories();
             // lint:allow(no-panic-hot-path) dirty positions are < rows by the index invariant
             candidates.retain(|&p| query.matches(&histories[p as usize]));

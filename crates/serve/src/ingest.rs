@@ -214,7 +214,6 @@ impl IngestQueue {
         let mut report = AppliedReport { batches: batches.len(), ..AppliedReport::default() };
         if !batches.is_empty() {
             let queued: usize = batches.iter().map(DeltaBatch::entries).sum();
-            // lint:allow(guard-held-across-snapshot-publish) the apply mutex serializes appliers across drain+publish; readers never take it
             let (version, stats) = state.ingest(&batches);
             self.pending_entries.fetch_sub(queued as u64, Ordering::Relaxed);
             self.applied_entries_total
@@ -224,7 +223,6 @@ impl IngestQueue {
         }
         let side_rows = state.snapshot().workbench.index().side_rows();
         if force_compact || side_rows >= self.config.compact_threshold {
-            // lint:allow(guard-held-across-snapshot-publish) the apply mutex serializes appliers across drain+publish; readers never take it
             if let Some(version) = state.compact() {
                 self.compactions_total.fetch_add(1, Ordering::Relaxed);
                 report.compacted = true;

@@ -17,7 +17,7 @@ use pastas_core::{CoreError, IngestStats, ViewCommand, Workbench};
 use pastas_ingest::DeltaBatch;
 use pastas_time::Date;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 /// One immutable published state.
 pub struct Snapshot {
@@ -111,21 +111,19 @@ impl ServeState {
     /// result as a new version. Returns the new version. On error nothing
     /// is published.
     pub fn apply(&self, command: &ViewCommand) -> Result<u64, CoreError> {
-        let _writer = self.write.lock().unwrap_or_else(|e| e.into_inner());
+        let writer = self.write.lock().unwrap_or_else(|e| e.into_inner());
         let base = self.snapshot();
         let mut workbench = base.workbench.snapshot();
         // lint:allow(blocking-call-under-lock) the writer mutex exists to serialize writers; readers never take it, so the par join only delays other writers
         workbench.apply_command(command)?;
-        // lint:allow(guard-held-across-snapshot-publish) publication under the writer mutex is the design: readers go through `current`, never `write`
-        Ok(self.publish(workbench))
+        Ok(self.publish(&writer, workbench))
     }
 
     /// Replace the whole workbench (the batch-reload path) and publish
     /// it. Returns the new version.
     pub fn replace(&self, workbench: Workbench) -> u64 {
-        let _writer = self.write.lock().unwrap_or_else(|e| e.into_inner());
-        // lint:allow(guard-held-across-snapshot-publish) publication under the writer mutex is the design: readers go through `current`, never `write`
-        self.publish(workbench)
+        let writer = self.write.lock().unwrap_or_else(|e| e.into_inner());
+        self.publish(&writer, workbench)
     }
 
     /// Apply streaming delta batches to a clone of the current snapshot
@@ -134,15 +132,14 @@ impl ServeState {
     /// served by the side-index, without waiting for a compaction.
     /// Publishes nothing when the batches net out to no change.
     pub fn ingest(&self, batches: &[DeltaBatch]) -> (u64, IngestStats) {
-        let _writer = self.write.lock().unwrap_or_else(|e| e.into_inner());
+        let writer = self.write.lock().unwrap_or_else(|e| e.into_inner());
         let base = self.snapshot();
         let mut workbench = base.workbench.snapshot();
         let stats = workbench.apply_ingest(batches);
         if stats.patients_touched == 0 {
             return (base.version, stats);
         }
-        // lint:allow(guard-held-across-snapshot-publish) publication under the writer mutex is the design: readers go through `current`, never `write`
-        (self.publish(workbench), stats)
+        (self.publish(&writer, workbench), stats)
     }
 
     /// Fold the side-index into the main postings off to the side and
@@ -151,17 +148,19 @@ impl ServeState {
     /// "pause" a reader can observe is one `Arc` clone. Returns `None`
     /// (publishing nothing) when there is no side-index debt.
     pub fn compact(&self) -> Option<u64> {
-        let _writer = self.write.lock().unwrap_or_else(|e| e.into_inner());
+        let writer = self.write.lock().unwrap_or_else(|e| e.into_inner());
         let base = self.snapshot();
         let mut workbench = base.workbench.snapshot();
         if !workbench.compact() {
             return None;
         }
-        // lint:allow(guard-held-across-snapshot-publish) publication under the writer mutex is the design: readers go through `current`, never `write`
-        Some(self.publish(workbench))
+        Some(self.publish(&writer, workbench))
     }
 
-    fn publish(&self, workbench: Workbench) -> u64 {
+    /// Publication is the one thing the writer mutex serializes, so it
+    /// takes the guard: a caller that has not locked `write` does not
+    /// build. Readers go through `current`, never `write`.
+    fn publish(&self, _writer: &MutexGuard<'_, ()>, workbench: Workbench) -> u64 {
         let version = self.version.fetch_add(1, Ordering::Relaxed) + 1;
         let reference_date = reference_date_of(&workbench);
         let next = Arc::new(Snapshot { workbench, version, reference_date });

@@ -13,14 +13,9 @@
 use pastas_align::mining::mine_rules;
 use pastas_core::prelude::*;
 
-fn arg(name: &str, default: u64) -> u64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+#[path = "common.rs"]
+mod common;
+use common::arg;
 
 fn main() {
     let patients = arg("--patients", 5_000) as usize;
@@ -36,7 +31,7 @@ fn main() {
     println!(
         "Heart-failure cohort: {} patients ({:.2}% of the population)",
         cohort.collection().len(),
-        100.0 * cohort.collection().len() as f64 / patients as f64
+        common::percent(cohort.collection().len(), patients)
     );
 
     // --- Step 2: temporal pattern — early readmission ------------------

@@ -18,14 +18,9 @@ use pastas_query::index::select_scan;
 use pastas_query::CodeIndex;
 use std::time::Instant;
 
-fn arg(name: &str, default: u64) -> u64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+#[path = "common.rs"]
+mod common;
+use common::arg;
 
 fn main() {
     let patients = arg("--patients", 168_000) as usize;
@@ -77,7 +72,7 @@ fn main() {
         "selected {} of {} patients ({:.2}%)",
         indexed.len(),
         patients,
-        100.0 * indexed.len() as f64 / patients as f64
+        common::percent(indexed.len(), patients)
     );
     println!(
         "latency: indexed {:.1} ms vs full scan {:.1} ms ({:.1}× speedup)",

@@ -14,14 +14,9 @@ use pastas_core::prelude::*;
 use pastas_graph::{crowding, layout, merge_neighbors, merge_on_regex, DiGraph};
 use pastas_viz::graphview::{render_graph, GraphViewOptions};
 
-fn arg(name: &str, default: u64) -> u64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+#[path = "common.rs"]
+mod common;
+use common::arg;
 
 fn main() {
     let patients = arg("--patients", 3_000) as usize;

@@ -14,27 +14,15 @@
 use pastas_core::prelude::*;
 use std::time::Instant;
 
-fn arg(name: &str, default: u64) -> u64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn arg_str(name: &str, default: &str) -> String {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| default.to_owned())
-}
+#[path = "common.rs"]
+mod common;
+use common::{arg, arg_str};
 
 fn main() {
     let count = arg("--count", 50) as usize;
-    let out_dir = arg_str("--out", &std::env::temp_dir().join("pastas_timelines").to_string_lossy());
+    let out_dir = arg_str("--out").unwrap_or_else(|| {
+        std::env::temp_dir().join("pastas_timelines").to_string_lossy().into_owned()
+    });
     let seed = arg("--seed", 3);
 
     // Enough patients that `count` of them are chronically ill.

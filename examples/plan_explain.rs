@@ -30,23 +30,9 @@ use pastas_query::index::select_scan;
 use pastas_query::{parse_query, HistoryQuery, QueryPlan};
 use pastas_synth::{generate_collection, SynthConfig};
 
-fn arg(name: &str, default: u64) -> u64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn arg_str(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).cloned()
-}
-
-fn flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
-}
+#[path = "common.rs"]
+mod common;
+use common::{arg, arg_str, flag};
 
 /// The battery of query-language shapes the smoke test runs. The
 /// triples are (text, must_be_index_served, budgeted): `must_index`

@@ -13,14 +13,9 @@
 use pastas_core::prelude::*;
 use pastas_core::RecognitionModel;
 
-fn arg(name: &str, default: u64) -> u64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+#[path = "common.rs"]
+mod common;
+use common::arg;
 
 fn main() {
     let patients = arg("--patients", 30_000) as usize;

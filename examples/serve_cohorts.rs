@@ -26,27 +26,9 @@ use pastas_serve::{client, serve, ServerConfig};
 use pastas_synth::{generate_collection, SynthConfig};
 use std::time::{Duration, Instant};
 
-fn arg(name: &str, default: u64) -> u64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn arg_str(name: &str, default: &str) -> String {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| default.to_owned())
-}
-
-fn flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
-}
+#[path = "common.rs"]
+mod common;
+use common::{arg, arg_str, flag};
 
 fn main() {
     let smoke = flag("--smoke");
@@ -56,7 +38,7 @@ fn main() {
     let patients = arg("--patients", 168_000) as usize;
     let seed = arg("--seed", 7);
     let default_addr = if any_smoke { "127.0.0.1:0" } else { "127.0.0.1:7878" };
-    let addr = arg_str("--addr", default_addr);
+    let addr = arg_str("--addr").unwrap_or_else(|| default_addr.to_owned());
 
     eprintln!("Generating {patients} patients (seed {seed}) …");
     let t0 = Instant::now();

@@ -19,14 +19,9 @@ use pastas_ontology::temporal::AllenRel;
 use pastas_ontology::vocab::{ns, Vocabulary};
 use pastas_query::stats;
 
-fn arg(name: &str, default: u64) -> u64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+#[path = "common.rs"]
+mod common;
+use common::arg;
 
 fn main() {
     let patients = arg("--patients", 8_000) as usize;

@@ -185,3 +185,54 @@ fn concurrent_ingest_converges_to_the_batch_build() {
 
     handle.shutdown();
 }
+
+/// The batch build is the delta parser run over whole files: its quality
+/// report is the five `parse_delta` batches absorbed plus what the merge
+/// dropped and loaded, and its collection is the one an empty workbench
+/// reaches by ingesting those batches — at every thread count.
+#[test]
+fn batch_aggregate_is_the_absorbed_delta_stream() {
+    use pastas_ingest::{aggregate, parse_delta, DeltaFormat, IdentityRegistry, QualityReport};
+    let population = generate_population(SynthConfig::with_patients(150), 29);
+    let raw = emit(
+        &population,
+        MessConfig { duplicate_prob: 0.1, invalid_date_prob: 0.02, note_prob: 0.3 },
+    );
+    let texts = [&raw.persons, &raw.claims, &raw.hospital, &raw.municipal, &raw.prescriptions];
+
+    let mut registry = IdentityRegistry::new();
+    let batches: Vec<_> = DeltaFormat::ALL
+        .iter()
+        .zip(texts)
+        .map(|(&format, text)| parse_delta(format, text, &mut registry))
+        .collect();
+    let mut streamed = Workbench::from_collection(HistoryCollection::new());
+    let stats = streamed.apply_ingest(&batches);
+    let mut expected = QualityReport::default();
+    for batch in &batches {
+        expected.absorb(batch);
+    }
+    expected.duplicates_dropped = stats.duplicates_dropped;
+    expected.dropped_pre_birth = stats.dropped_pre_birth;
+    expected.entries_loaded = stats.entries_applied;
+    assert!(expected.duplicates_dropped > 0 && expected.dropped_pre_birth > 0, "{expected:?}");
+    assert!(expected.measurements_extracted > 0, "{expected:?}");
+
+    for threads in [1, 2, 8] {
+        let (collection, report) = pastas_par::with_threads(threads, || {
+            aggregate(pastas_ingest::SourceTexts {
+                persons: &raw.persons,
+                claims: &raw.claims,
+                hospital: &raw.hospital,
+                municipal: &raw.municipal,
+                prescriptions: &raw.prescriptions,
+            })
+        });
+        assert_eq!(report, expected, "threads {threads}");
+        assert_eq!(collection.len(), streamed.collection().len(), "threads {threads}");
+        for history in collection.iter() {
+            let twin = streamed.collection().get(history.id()).expect("streamed patient");
+            assert_eq!(history, twin, "threads {threads}, patient {:?}", history.id());
+        }
+    }
+}
