@@ -26,7 +26,7 @@
 //!   "how can meaningful groups of these be extracted?".
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 
 pub mod abstraction;
 pub mod cluster;

@@ -22,7 +22,7 @@
 //! the naive serial per-entry oracle ([`cohort_profile_serial`]).
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 
 mod columns;
 pub mod dimensions;

@@ -13,6 +13,7 @@
 use crate::columns::{dominant, Digest, PatientColumns, NO_YEAR};
 use crate::dimensions::*;
 use crate::tables::NO_BUCKET;
+use pastas_ingest::json::write_string;
 use pastas_model::{HistoryCollection, Sex, SourceKind, FAR_START};
 use pastas_ontology::integration::{IntegrationOntology, CONDITIONS};
 use pastas_time::Date;
@@ -146,27 +147,15 @@ impl CohortProfile {
                 if j > 0 {
                     out.push(',');
                 }
-                out.push_str(&format!("[\"{}\",{count}]", escape_json(label)));
+                out.push('[');
+                write_string(&mut out, label);
+                out.push_str(&format!(",{count}]"));
             }
             out.push_str("]}");
         }
         out.push_str("]}");
         out
     }
-}
-
-/// Minimal JSON string escape for bucket labels.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// The dense per-worker accumulator: every dimension is a small `u32`
@@ -439,7 +428,7 @@ pub fn cohort_monthly(collection: &HistoryCollection, positions: &[u32]) -> Vec<
     months
         .map(|(&count, slot)| {
             let (year, month) = (slot.div_euclid(12), slot.rem_euclid(12) as u32 + 1);
-            // lint:allow(transitive-no-panic-hot-path) the slot lies between two dates of the collection, so the year is in range; the month is 1..=12 and day 1 is valid in every month
+            // the slot lies between two dates of the collection, so the year is in range; the month is 1..=12 and day 1 is valid in every month
             (Date::new(year, month, 1).expect("month slot is valid"), count)
         })
         .collect()

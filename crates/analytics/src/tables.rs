@@ -108,7 +108,7 @@ impl Tables {
     pub fn of(&self, history: &History, hint: &mut usize) -> &[CodeDims] {
         let interner = history.store().interner_arc();
         if !self.interners.get(*hint).is_some_and(|(held, _)| Arc::ptr_eq(held, interner)) {
-            // lint:allow(transitive-no-panic-hot-path) Tables::build registered the interner of every history it was given
+            // Tables::build registered the interner of every history it was given
             *hint = self.by_address[&(Arc::as_ptr(interner) as usize)];
         }
         &self.interners[*hint].1

@@ -7,8 +7,9 @@
 //! EXPERIMENTS.md come from the examples at full scale).
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 
+use pastas_ingest::json::write_string;
 use pastas_model::{HistoryCollection, MemoryFootprint};
 use pastas_synth::{generate_collection, SynthConfig};
 
@@ -127,7 +128,7 @@ fn render_json(v: &pastas_ingest::json::Json, indent: usize, out: &mut String) {
                 let _ = write!(out, "{n}");
             }
         }
-        Json::String(s) => render_json_string(s, out),
+        Json::String(s) => write_string(out, s),
         Json::Array(items) if items.is_empty() => out.push_str("[]"),
         Json::Array(items) => {
             out.push_str("[\n");
@@ -145,7 +146,7 @@ fn render_json(v: &pastas_ingest::json::Json, indent: usize, out: &mut String) {
                 if i > 0 {
                     out.push_str(", ");
                 }
-                render_json_string(k, out);
+                write_string(out, k);
                 out.push_str(": ");
                 render_json(m, indent, out);
             }
@@ -155,7 +156,7 @@ fn render_json(v: &pastas_ingest::json::Json, indent: usize, out: &mut String) {
             out.push_str("{\n");
             for (i, (k, m)) in members.iter().enumerate() {
                 let _ = write!(out, "{pad}  ");
-                render_json_string(k, out);
+                write_string(out, k);
                 out.push_str(": ");
                 render_json(m, indent + 2, out);
                 out.push_str(if i + 1 < members.len() { ",\n" } else { "\n" });
@@ -163,25 +164,6 @@ fn render_json(v: &pastas_ingest::json::Json, indent: usize, out: &mut String) {
             let _ = write!(out, "{pad}}}");
         }
     }
-}
-
-fn render_json_string(s: &str, out: &mut String) {
-    use std::fmt::Write as _;
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]

@@ -98,7 +98,7 @@ impl AtcCode {
 
     /// Parent code (one level up); `None` at level 1.
     pub fn parent(&self) -> Option<String> {
-        // lint:allow(transitive-no-panic-hot-path) at_level is Some for every level up to level(), and level() > 1 is checked
+        // at_level is Some for every level up to level(), and level() > 1 is checked
         (self.level() > 1).then(|| self.at_level(self.level() - 1).expect("level checked").text)
     }
 
@@ -113,7 +113,7 @@ impl AtcCode {
         LEVEL1_GROUPS
             .iter()
             .position(|&(g, _)| g == self.main_group())
-            // lint:allow(transitive-no-panic-hot-path) AtcCode::parse rejects any code whose first letter is outside LEVEL1_GROUPS
+            // AtcCode::parse rejects any code whose first letter is outside LEVEL1_GROUPS
             .expect("validated at parse time")
     }
 

@@ -24,7 +24,7 @@
 //! `level`) which the ontology crate lifts into subsumption axioms.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 
 pub mod atc;
 pub mod catalog;

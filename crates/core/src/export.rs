@@ -7,6 +7,7 @@
 //! it directly.
 
 use crate::error::CoreError;
+use pastas_ingest::json::write_string;
 use pastas_model::{Entry, EntryView, HistoryCollection, Payload, PayloadRef, Sex};
 use std::fmt::Write as _;
 
@@ -89,12 +90,12 @@ pub fn to_json(collection: &HistoryCollection) -> String {
             let (kind, code, value) = payload_fields(e);
             let _ = write!(
                 out,
-                "{{\"start\":\"{}\",\"end\":\"{}\",\"kind\":\"{kind}\",\"code\":{},\"source\":\"{}\"",
+                "{{\"start\":\"{}\",\"end\":\"{}\",\"kind\":\"{kind}\",\"code\":",
                 e.start(),
-                e.end(),
-                json_string(&code),
-                e.source()
+                e.end()
             );
+            write_string(&mut out, &code);
+            let _ = write!(out, ",\"source\":\"{}\"", e.source());
             if !value.is_empty() {
                 let _ = write!(out, ",\"value\":{value}");
             }
@@ -237,31 +238,6 @@ pub fn from_json(text: &str) -> Result<HistoryCollection, CoreError> {
     Ok(HistoryCollection::from_histories(histories))
 }
 
-/// Quote and escape `s` as a JSON string literal (RFC 8259: quote,
-/// backslash, and all control characters below U+0020). Public because
-/// every hand-rolled JSON emitter in the workspace — exports here, the
-/// serve layer's `/select`, `/details` and `/metrics` responses — must
-/// share one escaper rather than each growing its own partial copy.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -348,8 +324,13 @@ mod tests {
 
     #[test]
     fn json_escapes_strings() {
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
+        let escaped = |s: &str| {
+            let mut out = String::new();
+            write_string(&mut out, s);
+            out
+        };
+        assert_eq!(escaped("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(escaped("\u{1}"), "\"\\u0001\"");
     }
 
     #[test]

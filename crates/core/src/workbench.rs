@@ -300,7 +300,7 @@ impl Workbench {
         let dirty: Vec<u32> = touched
             .iter()
             .map(|&id| {
-                // lint:allow(transitive-no-panic-hot-path) every id in `touched` was sealed into the collection in the loop above
+                // every id in `touched` was sealed into the collection in the loop above
                 self.collection.position_of(id).expect("sealed patient has a position") as u32
             })
             .collect();
@@ -706,7 +706,7 @@ impl Workbench {
                     (Some(a), Some(b)) if a < b => (a, b),
                     (Some(a), _) => (a, a + Duration::days(365)),
                     _ => {
-                        // lint:allow(transitive-no-panic-hot-path) literal 2013-01-01 is a valid date
+                        // literal 2013-01-01 is a valid date
                         let d = pastas_time::Date::new(2013, 1, 1).expect("valid");
                         (d.at_midnight(), d.add_days(730).at_midnight())
                     }

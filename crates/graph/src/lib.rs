@@ -16,7 +16,7 @@
 //! consensus.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 
 pub mod build;
 pub mod layout;

@@ -180,7 +180,7 @@ fn persons_delta(text: &str, registry: &mut IdentityRegistry) -> DeltaBatch {
         registry.register(row.id, row.birth_date, row.sex);
         let patient = *registry
             .patient(pastas_model::PatientId(row.id))
-            // lint:allow(transitive-no-panic-hot-path) register() on the line above inserts this id
+            // register() on the line above inserts this id
             .expect("just registered");
         out.push(patient, None);
     }

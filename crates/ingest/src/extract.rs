@@ -24,7 +24,7 @@ fn bp_regex() -> &'static Regex {
     static RE: OnceLock<Regex> = OnceLock::new();
     // "BT 150/90", "bt 150 / 90", "BP: 150/90"
     RE.get_or_init(|| {
-        // lint:allow(transitive-no-panic-hot-path) compile-time literal pattern, covered by extraction unit tests
+        // compile-time literal pattern, covered by extraction unit tests
         Regex::with_options(r"B[TP]:? ?(\d{2,3}) ?/ ?(\d{2,3})", true).expect("static pattern")
     })
 }
@@ -37,7 +37,7 @@ fn labelled_regex() -> &'static Regex {
             r"(systolic BP|diastolic BP|HbA1c|weight|peak flow|cholesterol) (\d+\.?\d*)",
             true,
         )
-        // lint:allow(transitive-no-panic-hot-path) compile-time literal pattern, covered by extraction unit tests
+        // compile-time literal pattern, covered by extraction unit tests
         .expect("static pattern")
     })
 }

@@ -1,4 +1,5 @@
-//! A minimal JSON parser — the import half of cohort save/load.
+//! A minimal JSON parser — the import half of cohort save/load — and the
+//! workspace's one JSON string escaper, [`write_string`].
 //!
 //! `pastas-core`'s extraction task exports cohorts as JSON; research
 //! workflows bring them back ("get ideas for the best analysis strategies,"
@@ -98,6 +99,32 @@ impl fmt::Display for JsonError {
 }
 
 impl std::error::Error for JsonError {}
+
+/// Append `s` to `out` as a JSON string literal: quoted, with `"`, `\`
+/// and every control character below U+0020 escaped (RFC 8259) — `\n`,
+/// `\r` and `\t` by name, the rest as `\u00XX`. Every hand-rolled JSON
+/// writer in the workspace (explain plans, exports, profiles, the serve
+/// responses, bench files) quotes its strings here; [`Json::parse`] reads
+/// the literal back as exactly `s`.
+pub fn write_string(out: &mut String, s: &str) {
+    use std::fmt::Write as _;
+    out.reserve(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
 
 struct Parser<'a> {
     bytes: &'a [u8],
@@ -257,7 +284,7 @@ impl Parser<'_> {
                     // Copy one UTF-8 scalar.
                     let s = &self.bytes[self.pos..];
                     let text = std::str::from_utf8(s).map_err(|_| self.err("bad UTF-8"))?;
-                    // lint:allow(transitive-no-panic-hot-path) peek() returned Some, so the slice has at least one byte
+                    // peek() returned Some, so the slice has at least one byte
                     let ch = text.chars().next().expect("non-empty");
                     out.push(ch);
                     self.pos += ch.len_utf8();

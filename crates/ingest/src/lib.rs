@@ -22,7 +22,7 @@
 //!   accounting for every dropped row.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 
 pub mod adapters;
 pub mod aggregate;

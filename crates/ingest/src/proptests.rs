@@ -3,7 +3,7 @@
 
 use crate::aggregate::{aggregate, SourceTexts};
 use crate::csv::split_line;
-use crate::json::Json;
+use crate::json::{write_string, Json};
 use proptest::prelude::*;
 
 fn arb_text() -> impl Strategy<Value = String> {
@@ -70,5 +70,16 @@ proptest! {
         let v = Json::parse(&text).unwrap();
         let got = v.get("v").and_then(Json::as_f64).unwrap();
         prop_assert!((got - n).abs() <= n.abs() * 1e-12 + 1e-9);
+    }
+
+    /// Any string the escaper writes — quotes, backslashes, every control
+    /// character, multi-byte scalars — parses back to itself.
+    #[test]
+    fn json_strings_round_trip_through_the_escaper(
+        s in "[\u{0}-\u{1f} -~\u{7f}æ…中🦀]{0,40}",
+    ) {
+        let mut text = String::new();
+        write_string(&mut text, &s);
+        prop_assert_eq!(Json::parse(&text), Ok(Json::String(s)));
     }
 }

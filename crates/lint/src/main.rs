@@ -2,20 +2,17 @@
 //!
 //! ```text
 //! pastas-lint --workspace              # lint every crates/*/src/**/*.rs
-//! pastas-lint path/to/file.rs …        # lint specific files (token rules)
-//! pastas-lint --workspace --no-flow
+//! pastas-lint path/to/file.rs …        # lint specific files
 //! pastas-lint --list-rules
 //! ```
 //!
-//! `--workspace` runs the full pipeline: parallel per-file analysis, then
-//! the interprocedural flow rules (`--no-flow` disables). Findings print
-//! as `file:line:col: [rule] message`, one a line.
+//! Findings print as `file:line:col: [rule] message`, one a line.
 //!
 //! Exit status: 0 = clean, 1 = findings, 2 = usage or I/O error.
 
 #![forbid(unsafe_code)]
 
-use pastas_lint::rules::{CheckOptions, RULES};
+use pastas_lint::rules::RULES;
 use pastas_lint::workspace::{check_path, check_workspace, find_workspace_root};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -23,19 +20,16 @@ use std::process::ExitCode;
 struct Args {
     workspace: bool,
     list_rules: bool,
-    no_flow: bool,
     files: Vec<PathBuf>,
 }
 
-const USAGE: &str = "usage: pastas-lint [--workspace | FILE…] [--no-flow] [--list-rules]";
+const USAGE: &str = "usage: pastas-lint [--workspace | FILE…] [--list-rules]";
 
 fn parse_args() -> Result<Args, String> {
-    let mut args =
-        Args { workspace: false, list_rules: false, no_flow: false, files: Vec::new() };
+    let mut args = Args { workspace: false, list_rules: false, files: Vec::new() };
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--workspace" => args.workspace = true,
-            "--no-flow" => args.no_flow = true,
             "--list-rules" => args.list_rules = true,
             "--help" | "-h" => return Err(USAGE.to_owned()),
             other if other.starts_with("--") => {
@@ -71,7 +65,7 @@ fn main() -> ExitCode {
             eprintln!("pastas-lint: no [workspace] Cargo.toml above {}", cwd.display());
             return ExitCode::from(2);
         };
-        check_workspace(&root, !args.no_flow)
+        check_workspace(&root)
     } else {
         let root = find_workspace_root(&cwd).unwrap_or_else(|| cwd.clone());
         let mut all = Vec::new();
@@ -80,15 +74,7 @@ fn main() -> ExitCode {
                 eprintln!("pastas-lint: no such file {}", file.display());
                 return ExitCode::from(2);
             }
-            // Single-file mode: look the crate's proptests.rs up relative
-            // to the file so scoping matches the workspace walk.
-            let has_proptests = file
-                .parent()
-                .map(|dir| dir.join("proptests.rs").is_file())
-                .unwrap_or(false);
-            all.extend(check_path(&root, file, CheckOptions {
-                crate_has_proptests: has_proptests,
-            }));
+            all.extend(check_path(&root, file));
         }
         all
     };

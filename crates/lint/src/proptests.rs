@@ -9,7 +9,7 @@
 //! stream on top.
 
 use crate::lexer::lex;
-use crate::rules::{check_file, CheckOptions, FileContext};
+use crate::rules::check_file;
 use crate::workspace::analyze_sources;
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -71,8 +71,7 @@ proptest! {
         // The hot-path crate scoping maximizes the number of rules that
         // run, so totality is exercised across the whole engine.
         for path in ["crates/serve/src/soup.rs", "crates/model/src/soup.rs", "x.rs"] {
-            let findings =
-                check_file(path, &src, CheckOptions { crate_has_proptests: false });
+            let findings = check_file(path, &src);
             for f in &findings {
                 prop_assert!(f.line >= 1 && f.col >= 1, "1-based findings");
                 prop_assert_eq!(f.path.as_str(), path);
@@ -81,49 +80,9 @@ proptest! {
     }
 
     #[test]
-    fn parser_total_on_byte_soup(bytes in vec(any::<u8>(), 0..400)) {
-        let src = String::from_utf8_lossy(&bytes).into_owned();
-        let ctx = FileContext::new("crates/core/src/soup.rs", &src, CheckOptions::default());
-        let ast = crate::parse::parse_file(&ctx);
-        for f in &ast.fns {
-            prop_assert!(f.line >= 1 && f.col >= 1, "1-based fn positions");
-        }
-        // The flow summarizer must be total over whatever the parser made.
-        let summaries = crate::flow::summarize(&ctx, &ast);
-        for s in &summaries {
-            prop_assert!(!s.name.is_empty(), "summaries carry a name");
-        }
-    }
-
-    #[test]
-    fn parser_total_on_tricky_source(src in tricky_source()) {
-        let ctx = FileContext::new("crates/core/src/tricky.rs", &src, CheckOptions::default());
-        let _ = crate::parse::parse_file(&ctx);
-    }
-
-    #[test]
-    fn parse_does_not_disturb_the_token_stream(src in tricky_source()) {
-        // The parser borrows the lexed tokens; re-lexing the same source
-        // after a parse must reproduce the identical stream — parsing is
-        // a pure reader.
-        let before = lex(&src);
-        let ctx = FileContext::new("crates/core/src/t.rs", &src, CheckOptions::default());
-        let _ = crate::parse::parse_file(&ctx);
-        let after = lex(&src);
-        prop_assert_eq!(before.len(), after.len(), "token count changed");
-        for (a, b) in before.iter().zip(after.iter()) {
-            prop_assert_eq!(a.start, b.start);
-            prop_assert_eq!(a.end, b.end);
-        }
-    }
-
-    #[test]
     fn full_pipeline_total_on_byte_soup(bytes in vec(any::<u8>(), 0..300)) {
         let src = String::from_utf8_lossy(&bytes).into_owned();
-        let findings = analyze_sources(
-            &[("crates/core/src/soup.rs".to_owned(), src, CheckOptions::default())],
-            true,
-        );
+        let findings = analyze_sources(&[("crates/core/src/soup.rs".to_owned(), src)]);
         for f in &findings {
             prop_assert!(f.line >= 1 && f.col >= 1, "1-based findings");
         }
@@ -131,11 +90,7 @@ proptest! {
 
     #[test]
     fn check_file_total_on_tricky_source(src in tricky_source()) {
-        let findings = check_file(
-            "crates/serve/src/tricky.rs",
-            &src,
-            CheckOptions { crate_has_proptests: true },
-        );
+        let findings = check_file("crates/serve/src/tricky.rs", &src);
         // Rendering must also be total: one `file:line:col: [rule]` line.
         for f in &findings {
             let text = f.render();

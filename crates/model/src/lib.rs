@@ -21,7 +21,7 @@
 //!   and align paths iterate (see the `store` module docs for the layout).
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 
 mod collection;
 mod entry;

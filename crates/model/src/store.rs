@@ -321,7 +321,7 @@ impl EventStore {
     /// store that outgrows that is a logic error, so overflow panics
     /// loudly instead of wrapping.
     pub fn len_u32(&self) -> u32 {
-        // lint:allow(transitive-no-panic-hot-path) deliberate loud overflow guard, per the doc comment above
+        // deliberate loud overflow guard, per the doc comment above
         u32::try_from(self.kinds.len()).expect("event arena holds < 2^32 rows")
     }
 

@@ -30,7 +30,7 @@
 //!   the materialized ABox.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 
 pub mod integration;
 pub mod presentation;

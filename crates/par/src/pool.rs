@@ -110,7 +110,7 @@ fn submit(shared: &Shared, job: Job) -> Result<(), SubmitError> {
     if state.jobs.len() >= shared.capacity {
         return Err(SubmitError::QueueFull);
     }
-    // lint:allow(no-unbounded-ingest-buffer) bounded: capacity checked above, overflow answers QueueFull
+    // bounded: capacity checked above, overflow answers QueueFull
     state.jobs.push_back(job);
     shared.depth.store(state.jobs.len(), Ordering::Relaxed);
     drop(state);

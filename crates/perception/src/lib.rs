@@ -19,7 +19,7 @@
 //!   strategies.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 
 pub mod color;
 pub mod cost;

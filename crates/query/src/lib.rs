@@ -23,7 +23,7 @@
 //! * [`ops`] — the workbench operators: select, sort, align.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 
 pub mod bitmap;
 pub mod index;

@@ -38,6 +38,7 @@ use crate::index::{CodeIndex, IndexShard};
 use crate::normalize::{is_never, normalize};
 use crate::predicate::EntryPredicate;
 use crate::query::HistoryQuery;
+use pastas_ingest::json::write_string;
 use pastas_model::{HistoryCollection, Sex};
 use pastas_time::Date;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -462,7 +463,7 @@ impl QueryPlan {
         // built) and appended rows are outside the shard tiling entirely,
         // so: final = (main \ dirty) ∪ side-eval(plan over dirty universe).
         if !index.side_is_empty() {
-            // lint:allow(no-wallclock-determinism) explain timing annotation only, results unaffected
+            // explain timing annotation only, results unaffected
             let t0 = trace.then(std::time::Instant::now);
             let side = exec_side(&lowered, collection, index, &counters);
             let side_rows = side.len();
@@ -923,7 +924,7 @@ fn exec_shard(
     // Explain timings are observability, not results: the positions a
     // plan returns are deterministic at any thread count; only the
     // elapsed_us annotations vary run to run.
-    // lint:allow(no-wallclock-determinism) explain timing annotation only, results unaffected
+    // explain timing annotation only, results unaffected
     let started = if trace { Some(std::time::Instant::now()) } else { None };
     let mut children: Vec<ExplainNode> = Vec::new();
     let mut child = |result: (Bitmap, Option<ExplainNode>)| -> Bitmap {
@@ -1172,21 +1173,19 @@ impl Explain {
     pub fn render_json(&self) -> String {
         fn walk(n: &ExplainNode, out: &mut String) {
             use std::fmt::Write as _;
-            let _ = write!(
-                out,
-                "{{\"op\":{},\"detail\":{},\"rows\":{},\"elapsed_us\":{}",
-                json_str(&n.op),
-                json_str(&n.detail),
-                n.rows,
-                n.elapsed_us
-            );
+            out.push_str("{\"op\":");
+            write_string(out, &n.op);
+            out.push_str(",\"detail\":");
+            write_string(out, &n.detail);
+            let _ = write!(out, ",\"rows\":{},\"elapsed_us\":{}", n.rows, n.elapsed_us);
             if !n.counters.is_empty() {
                 out.push_str(",\"counters\":{");
                 for (i, (name, v)) in n.counters.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
-                    let _ = write!(out, "{}:{}", json_str(name), v);
+                    write_string(out, name);
+                    let _ = write!(out, ":{v}");
                 }
                 out.push('}');
             }
@@ -1203,28 +1202,6 @@ impl Explain {
         walk(&self.root, &mut out);
         out
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn json_str(s: &str) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -1484,8 +1461,13 @@ mod tests {
 
     #[test]
     fn json_escaping_is_safe() {
-        assert_eq!(json_str("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-        assert_eq!(json_str("plain"), "\"plain\"");
+        let escaped = |s: &str| {
+            let mut out = String::new();
+            write_string(&mut out, s);
+            out
+        };
+        assert_eq!(escaped("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
+        assert_eq!(escaped("plain"), "\"plain\"");
     }
 
     // -- side-index residual pass -----------------------------------------

@@ -243,7 +243,7 @@ pub fn leftmost<T, G: TokenGuard<T>>(
                     }
                 }
                 // Eps instructions were resolved by close().
-                // lint:allow(transitive-no-panic-hot-path) close()'s epsilon closure never enqueues eps instructions
+                // close()'s epsilon closure never enqueues eps instructions
                 _ => unreachable!("epsilon instruction in run list"),
             }
             i += 1;
@@ -345,7 +345,7 @@ pub fn run_every<T, G: TokenGuard<T>>(
                         pool.push(std::mem::take(&mut clist[i].saves));
                     }
                 },
-                // lint:allow(transitive-no-panic-hot-path) close_acc never enqueues eps or Match instructions
+                // close_acc never enqueues eps or Match instructions
                 _ => unreachable!("non-token instruction in run list"),
             }
             i += 1;

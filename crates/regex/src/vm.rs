@@ -47,7 +47,7 @@ fn match_from_saves(saves: &[usize]) -> Match {
         .chunks(2)
         .map(|w| if w[0] == UNSET || w[1] == UNSET { None } else { Some((w[0], w[1])) })
         .collect::<Vec<_>>();
-    // lint:allow(transitive-no-panic-hot-path) slots 0/1 are written before any Accept, so a match always has them
+    // slots 0/1 are written before any Accept, so a match always has them
     let (s, e) = groups[0].expect("whole-match slots always set");
     Match { start: s, end: e, groups }
 }

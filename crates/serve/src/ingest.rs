@@ -10,21 +10,23 @@
 //! `Retry-After` header instead of buffering without limit — the same
 //! explicit-backpressure stance the acceptor takes with its 503 shed.
 //!
-//! A single compaction worker drains the queue, applies the deltas to a
-//! cloned workbench ([`pastas_core::Workbench::apply_ingest`]), and
-//! publishes the result as a new snapshot — readers keep answering from
-//! the previous snapshot throughout and see the appended rows the moment
-//! the pointer swaps, served by the query side-index. When the side-index
-//! grows past a threshold (or on an explicit `POST /compact`), the worker
-//! folds it into the main roaring postings and publishes again. The
-//! worker's passes are paced by the entries they applied (`ApplyPacer`).
+//! A single compaction worker takes the server's writer guard, drains the
+//! queue, applies the deltas to a cloned workbench
+//! ([`pastas_core::Workbench::apply_ingest`]), and publishes the result as
+//! a new snapshot — `POST /compact` does the same, and the guard orders the
+//! two. Readers keep answering from the previous snapshot throughout and
+//! see the appended rows the moment the pointer swaps, served by the query
+//! side-index. When the side-index grows past a threshold (or on an
+//! explicit `POST /compact`), the worker folds it into the main roaring
+//! postings and publishes again. The worker's passes are paced by the
+//! entries they applied (`ApplyPacer`).
 
 use crate::state::ServeState;
 use pastas_core::Workbench;
 use pastas_ingest::{parse_delta, DeltaBatch, DeltaFormat, IdentityRegistry};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Ingest tuning knobs, a sub-config of
@@ -136,10 +138,6 @@ pub struct IngestQueue {
     inner: Mutex<QueueInner>,
     /// Wakes the compaction worker when a batch arrives.
     work: Condvar,
-    /// Serializes drain+apply passes, so a synchronous `POST /compact`
-    /// cannot overtake a worker pass that already drained batches but has
-    /// not yet published them.
-    apply: Mutex<()>,
     config: IngestConfig,
     batches_total: AtomicU64,
     rejected_total: AtomicU64,
@@ -163,7 +161,6 @@ impl IngestQueue {
         IngestQueue {
             inner: Mutex::new(QueueInner { queue: VecDeque::new(), registry }),
             work: Condvar::new(),
-            apply: Mutex::new(()),
             config,
             batches_total: AtomicU64::new(0),
             rejected_total: AtomicU64::new(0),
@@ -192,7 +189,7 @@ impl IngestQueue {
             entries,
             queue_depth: inner.queue.len() + 1,
         };
-        // lint:allow(no-unbounded-ingest-buffer) bounded: capacity checked above, overflow answers 429
+        // bounded: capacity checked above, overflow answers 429
         inner.queue.push_back(batch);
         drop(inner);
         self.pending_entries.fetch_add(entries as u64, Ordering::Relaxed);
@@ -201,29 +198,36 @@ impl IngestQueue {
         Ok(receipt)
     }
 
-    /// Drain every queued batch, apply them to a fresh snapshot, and
-    /// publish. Compacts when forced or when the published side-index has
-    /// grown past the configured threshold. Safe to call from both the
-    /// compaction worker and a synchronous `POST /compact`.
+    /// Take every queued batch. Only a writer drains (`drain_and_apply`
+    /// holds the guard from here to its last publish), so a synchronous
+    /// `POST /compact` cannot overtake a worker pass that has drained
+    /// batches but not yet published them.
+    pub(crate) fn drain(&self, _writer: &MutexGuard<'_, ()>) -> Vec<DeltaBatch> {
+        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        inner.queue.drain(..).collect()
+    }
+
+    /// Under the writer guard: drain every queued batch, apply them to a
+    /// fresh snapshot and publish, then compact when forced or when the
+    /// published side-index has grown past the configured threshold. Safe
+    /// to call from both the compaction worker and a synchronous
+    /// `POST /compact`.
     pub fn drain_and_apply(&self, state: &ServeState, force_compact: bool) -> AppliedReport {
-        let _applying = self.apply.lock().unwrap_or_else(|e| e.into_inner());
-        let batches: Vec<DeltaBatch> = {
-            let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-            inner.queue.drain(..).collect()
-        };
+        let writer = state.writer();
+        let batches = self.drain(&writer);
         let mut report = AppliedReport { batches: batches.len(), ..AppliedReport::default() };
         if !batches.is_empty() {
             let queued: usize = batches.iter().map(DeltaBatch::entries).sum();
-            let (version, stats) = state.ingest(&batches);
+            let (version, stats) = state.ingest(&writer, &batches);
             self.pending_entries.fetch_sub(queued as u64, Ordering::Relaxed);
             self.applied_entries_total
                 .fetch_add(stats.entries_applied as u64, Ordering::Relaxed);
             report.entries_applied = stats.entries_applied;
             report.version = version;
         }
-        let side_rows = state.snapshot().workbench.index().side_rows();
+        let side_rows = state.head(&writer).workbench.index().side_rows();
         if force_compact || side_rows >= self.config.compact_threshold {
-            if let Some(version) = state.compact() {
+            if let Some(version) = state.compact(&writer) {
                 self.compactions_total.fetch_add(1, Ordering::Relaxed);
                 report.compacted = true;
                 report.version = version;
@@ -355,6 +359,95 @@ mod tests {
         assert_eq!(full.queue_depth, 1);
         assert_eq!(queue.rejected_total(), 1);
         assert_eq!(queue.pending_entries(), 0, "refused batch was never parsed");
+    }
+
+    /// One round of [`writer_mutex_orders_drains_compactions_and_commands`]:
+    /// pushers, two threads of forced drain-and-compact passes (the worker
+    /// and a `POST /compact` at once), view commands and a reader, all
+    /// interleaving freely. A forced pass must return only once every
+    /// entry accepted before it started is applied — the quiesce promise
+    /// of `POST /compact`. Returns the versions each looping thread saw.
+    fn writer_round() -> Vec<Vec<u64>> {
+        use pastas_core::ViewCommand;
+        use pastas_query::SortKey;
+        use std::sync::atomic::AtomicBool;
+        const PUSHERS: usize = 3;
+        const PUSHES: usize = 40;
+        let (queue, state) = queue_and_state(PUSHERS * PUSHES);
+        let ids: Vec<u64> =
+            state.snapshot().workbench.collection().histories().iter().map(|h| h.id().0).collect();
+        let day0 = pastas_time::Date::new(2031, 1, 1).unwrap();
+        let (accepted, stop) = (AtomicU64::new(0), AtomicBool::new(false));
+        let push = |k: usize| {
+            // A distinct day each, so no entry is a duplicate.
+            let d = day0.add_days(k as i64);
+            let claims = format!(
+                "claim_id;patient;date;provider;icpc;note\n\
+                 C{k};NIN-{:07};{:02}.{:02}.{};GP;T90;\n",
+                ids[k % ids.len()],
+                d.day(),
+                d.month(),
+                d.year()
+            );
+            let receipt = queue.try_push(DeltaFormat::Claims, &claims).unwrap();
+            accepted.fetch_add(receipt.entries as u64, Ordering::SeqCst);
+        };
+        let drain = || {
+            let before = accepted.load(Ordering::SeqCst);
+            let version = queue.drain_and_apply(&state, true).version;
+            assert!(queue.applied_entries_total() >= before, "a drain overtook a pass");
+            version
+        };
+        let sort = || state.apply(&ViewCommand::Sort(SortKey::EntryCount)).unwrap();
+        let read = || state.snapshot().version;
+        let steps: [&(dyn Fn() -> u64 + Sync); 4] = [&drain, &drain, &sort, &read];
+        let seen = std::thread::scope(|s| {
+            let loops: Vec<_> = steps
+                .into_iter()
+                .map(|step| {
+                    s.spawn(|| {
+                        let mut versions = Vec::new();
+                        while !stop.load(Ordering::SeqCst) {
+                            versions.push(step());
+                        }
+                        versions
+                    })
+                })
+                .collect();
+            let pushers: Vec<_> = (0..PUSHERS)
+                .map(|t| s.spawn(move || (t * PUSHES..(t + 1) * PUSHES).for_each(push)))
+                .collect();
+            pushers.into_iter().for_each(|h| h.join().unwrap());
+            stop.store(true, Ordering::SeqCst);
+            loops.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        queue.drain_and_apply(&state, true);
+        let accepted = accepted.into_inner();
+        assert_eq!(accepted, (PUSHERS * PUSHES) as u64);
+        assert_eq!(queue.applied_entries_total(), accepted, "every entry applied exactly once");
+        assert_eq!(state.snapshot().workbench.index().side_rows(), 0, "the last pass compacted");
+        assert_eq!((queue.depth(), queue.pending_entries()), (0, 0));
+        seen
+    }
+
+    /// The writer mutex alone orders the writers (see [`writer_round`]),
+    /// and no thread sees a version go backwards. The race a missing lock
+    /// opens is narrow, so the scenario runs sixteen times; the whole runs
+    /// on a helper thread, so a deadlock fails the test instead of hanging.
+    #[test]
+    fn writer_mutex_orders_drains_compactions_and_commands() {
+        let (done, outcome) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = done.send((0..16).flat_map(|_| writer_round()).collect::<Vec<_>>());
+        });
+        let seen = outcome
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the writers deadlocked or panicked");
+        for versions in &seen {
+            // A drain that published nothing reports version 0.
+            let published: Vec<u64> = versions.iter().copied().filter(|&v| v > 0).collect();
+            assert!(published.windows(2).all(|w| w[0] <= w[1]), "{published:?}");
+        }
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //!   response writer (fuzzed: any byte stream yields a typed error, never
 //!   a panic);
 //! * [`state`] — `Arc`-swapped immutable snapshots: readers never block
-//!   writers, writers publish whole new versions atomically;
+//!   writers, writers publish whole new versions atomically under one
+//!   writer mutex, whose guard every nested lock acquisition takes as a
+//!   parameter;
 //! * [`router`] — `Request → Response` over the Workbench/Session API
 //!   (`/select`, `/timeline/{patient}`, `/cohort.svg`, `/command`,
 //!   `/details`, `/metrics`);
@@ -29,7 +31,7 @@
 //!   bench drive the server with.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 
 #[cfg(test)]
 mod proptests;

@@ -26,9 +26,8 @@ use crate::cache::ResponseCache;
 use crate::http::{Request, Response};
 use crate::ingest::{IngestConfig, IngestQueue};
 use crate::state::{ServeState, Snapshot};
-use pastas_core::export::json_string;
 use pastas_core::{CohortLookup, CohortRegistry, RegistryConfig, ViewCommand, MEMO_TOP_K};
-use pastas_ingest::json::Json;
+use pastas_ingest::json::{write_string, Json};
 use pastas_ingest::DeltaFormat;
 use pastas_model::PatientId;
 use pastas_query::{parse_query, EntryPredicate, SortKey};
@@ -85,8 +84,15 @@ impl RouterCtx {
     }
 }
 
+/// `s` as a JSON string literal, for the `format!`-built bodies below.
+fn quoted(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    write_string(&mut out, s);
+    out
+}
+
 fn error_json(status: u16, message: &str) -> Response {
-    Response::json(status, format!("{{\"error\":{}}}", json_string(message)))
+    Response::json(status, format!("{{\"error\":{}}}", quoted(message)))
 }
 
 /// Route one request. Never panics: every failure path is a status code.
@@ -238,7 +244,7 @@ fn cohort_materialize(req: &Request, ctx: &RouterCtx) -> Response {
         201,
         format!(
             "{{\"id\":{},\"version\":{},\"count\":{}}}",
-            json_string(&handle.id),
+            quoted(&handle.id),
             handle.version,
             handle.count
         ),
@@ -267,10 +273,10 @@ fn cohort_read(path: &str, req: &Request, ctx: &RouterCtx) -> Response {
                     "{{\"error\":\"cohort is stale\",\"id\":{},\"materialized_version\":{},\
                      \"current_version\":{},\"query\":{},\
                      \"hint\":\"POST /cohort with the query to re-materialize\"}}",
-                    json_string(id),
+                    quoted(id),
                     version,
                     snapshot.version,
-                    json_string(&query)
+                    quoted(&query)
                 ),
             );
         }
@@ -293,7 +299,7 @@ fn cohort_read(path: &str, req: &Request, ctx: &RouterCtx) -> Response {
                     200,
                     format!(
                         "{{\"id\":{},\"version\":{},\"profile\":{}}}",
-                        json_string(&handle.id),
+                        quoted(&handle.id),
                         handle.version,
                         profile.to_json()
                     ),
@@ -308,7 +314,7 @@ fn cohort_read(path: &str, req: &Request, ctx: &RouterCtx) -> Response {
                 let _ = write!(
                     body,
                     "{{\"id\":{},\"version\":{},\"count\":{},\"months\":[",
-                    json_string(&handle.id),
+                    quoted(&handle.id),
                     handle.version,
                     handle.count
                 );
@@ -451,9 +457,13 @@ fn parse_command(doc: &Json) -> Result<ViewCommand, String> {
     }
 }
 
-/// Clamp a user-supplied canvas dimension to something renderable.
+/// Clamp a user-supplied canvas dimension to something renderable. `NaN`
+/// and the infinities parse as `f64` but are no size: like an
+/// unparsable value they fall back to the default (`f64::clamp` would
+/// pass a `NaN` through to the renderer and the cache key).
 fn dim(req: &Request, name: &str, default: f64) -> f64 {
-    req.param_or(name, default).clamp(16.0, 16_384.0)
+    let v: f64 = req.param_or(name, default);
+    if v.is_finite() { v } else { default }.clamp(16.0, 16_384.0)
 }
 
 fn cohort_svg(req: &Request, ctx: &RouterCtx) -> Response {
@@ -517,7 +527,7 @@ fn details(req: &Request, ctx: &RouterCtx) -> Response {
             format!(
                 "{{\"version\":{},\"details\":{}}}",
                 snapshot.version,
-                json_string(&text)
+                quoted(&text)
             ),
         ),
         None => error_json(404, "nothing under the cursor"),
@@ -1188,6 +1198,41 @@ mod tests {
         assert_eq!(route(&get("/details?x=-9999&y=-9999"), &ctx).status, 404);
         assert_eq!(route(&get("/details?x=abc&y=1"), &ctx).status, 400);
         assert_eq!(route(&get("/details"), &ctx).status, 400);
+    }
+
+    /// `w=NaN` / `h=inf` parse as `f64` but fall back to the default
+    /// canvas, as an unparsable value does: every such response is the
+    /// default-size one, so no `NaN` reaches a renderer or a cache key.
+    fn non_finite_canvas_is_the_default_canvas(ctx: &RouterCtx, base: &str, sep: char) {
+        let expected = route(&get(base), ctx);
+        assert_eq!(expected.status, 200, "{base}");
+        for dims in ["w=NaN", "h=NaN", "w=inf&h=-inf", "w=NaN&h=NaN"] {
+            let got = route(&get(&format!("{base}{sep}{dims}")), ctx);
+            assert_eq!((got.status, &got.body), (200, &expected.body), "{base} {dims}");
+        }
+    }
+
+    #[test]
+    fn non_finite_canvas_on_cohort_svg() {
+        non_finite_canvas_is_the_default_canvas(&ctx(), "/cohort.svg", '?');
+    }
+
+    #[test]
+    fn non_finite_canvas_on_a_cohort_panel() {
+        let ctx = ctx();
+        let id = cohort_id(&route(&post("/cohort", "has(T90)"), &ctx).body);
+        non_finite_canvas_is_the_default_canvas(&ctx, &format!("/cohort/{id}.svg"), '?');
+    }
+
+    #[test]
+    fn non_finite_canvas_on_details() {
+        let ctx = ctx();
+        let snapshot = ctx.state.snapshot();
+        let viewport = snapshot.workbench.default_viewport(900.0, 500.0);
+        let (_, hits) = snapshot.workbench.layout(&viewport);
+        let (x0, y0, x1, y1) = hits.iter().next().expect("something drawn").bbox;
+        let base = format!("/details?x={}&y={}", (x0 + x1) / 2.0, (y0 + y1) / 2.0);
+        non_finite_canvas_is_the_default_canvas(&ctx, &base, '&');
     }
 
     #[test]

@@ -157,9 +157,10 @@ pub fn serve(
     start(ctx, config)
 }
 
-/// The compaction worker: sleep until a delta batch arrives (or the idle
-/// timeout ticks) and the pause the last pass earned is over
-/// ([`ApplyPacer`]), drain-and-apply, publish. Readers are never blocked —
+/// The compaction worker: sleep until a delta batch arrives and the pause
+/// the last pass earned is over ([`ApplyPacer`]), then drain-and-apply
+/// under the writer guard and publish (the pacer's sleep is outside the
+/// guard). Readers are never blocked —
 /// each pass builds the next snapshot off to the side and publishes it
 /// with one pointer swap. On drain the final pass force-compacts so every
 /// batch the server 202'd is applied before the threads join.
@@ -168,8 +169,14 @@ fn compaction_loop(shared: &ServerShared) {
     loop {
         shared.ctx.ingest.wait_for_work(Duration::from_millis(25));
         let draining = shared.draining.load(Ordering::SeqCst);
+        if !draining && shared.ctx.ingest.depth() == 0 {
+            // Nothing to apply, and only a pass that applies can grow the
+            // side-index: an idle pass would just take the writer mutex
+            // from a view command.
+            continue;
+        }
         let mut due = Instant::now();
-        if !draining && shared.ctx.ingest.depth() > 0 {
+        if !draining {
             due = pacer.due(due);
             std::thread::sleep(due.saturating_duration_since(Instant::now()));
         }

@@ -111,10 +111,10 @@ impl ServeState {
     /// result as a new version. Returns the new version. On error nothing
     /// is published.
     pub fn apply(&self, command: &ViewCommand) -> Result<u64, CoreError> {
-        let writer = self.write.lock().unwrap_or_else(|e| e.into_inner());
-        let base = self.snapshot();
-        let mut workbench = base.workbench.snapshot();
-        // lint:allow(blocking-call-under-lock) the writer mutex exists to serialize writers; readers never take it, so the par join only delays other writers
+        let writer = self.writer();
+        let mut workbench = self.head(&writer).workbench.snapshot();
+        // The command may run parallel sections under the writer mutex;
+        // readers never take it, so the join only delays other writers.
         workbench.apply_command(command)?;
         Ok(self.publish(&writer, workbench))
     }
@@ -122,8 +122,7 @@ impl ServeState {
     /// Replace the whole workbench (the batch-reload path) and publish
     /// it. Returns the new version.
     pub fn replace(&self, workbench: Workbench) -> u64 {
-        let writer = self.write.lock().unwrap_or_else(|e| e.into_inner());
-        self.publish(&writer, workbench)
+        self.publish(&self.writer(), workbench)
     }
 
     /// Apply streaming delta batches to a clone of the current snapshot
@@ -131,15 +130,18 @@ impl ServeState {
     /// side-index debt — readers see the appended rows immediately,
     /// served by the side-index, without waiting for a compaction.
     /// Publishes nothing when the batches net out to no change.
-    pub fn ingest(&self, batches: &[DeltaBatch]) -> (u64, IngestStats) {
-        let writer = self.write.lock().unwrap_or_else(|e| e.into_inner());
-        let base = self.snapshot();
+    pub(crate) fn ingest(
+        &self,
+        writer: &MutexGuard<'_, ()>,
+        batches: &[DeltaBatch],
+    ) -> (u64, IngestStats) {
+        let base = self.head(writer);
         let mut workbench = base.workbench.snapshot();
         let stats = workbench.apply_ingest(batches);
         if stats.patients_touched == 0 {
             return (base.version, stats);
         }
-        (self.publish(&writer, workbench), stats)
+        (self.publish(writer, workbench), stats)
     }
 
     /// Fold the side-index into the main postings off to the side and
@@ -147,14 +149,27 @@ impl ServeState {
     /// pre-compaction snapshot until the single pointer swap — the
     /// "pause" a reader can observe is one `Arc` clone. Returns `None`
     /// (publishing nothing) when there is no side-index debt.
-    pub fn compact(&self) -> Option<u64> {
-        let writer = self.write.lock().unwrap_or_else(|e| e.into_inner());
-        let base = self.snapshot();
-        let mut workbench = base.workbench.snapshot();
+    pub(crate) fn compact(&self, writer: &MutexGuard<'_, ()>) -> Option<u64> {
+        let mut workbench = self.head(writer).workbench.snapshot();
         if !workbench.compact() {
             return None;
         }
-        Some(self.publish(&writer, workbench))
+        Some(self.publish(writer, workbench))
+    }
+
+    /// Take the writer mutex. Its guard is the level token of the lock
+    /// order: the writer mutex is the one lock ever held while another is
+    /// taken, and every function that takes one under it — `head` and
+    /// `publish` (`current`), `IngestQueue::drain` (the queue) — asks for
+    /// the guard in its signature. Readers never take it.
+    pub(crate) fn writer(&self) -> MutexGuard<'_, ()> {
+        self.write.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The snapshot the next publish replaces. Under the writer guard no
+    /// other publish can land between this read and the caller's own.
+    pub(crate) fn head(&self, _writer: &MutexGuard<'_, ()>) -> Arc<Snapshot> {
+        self.snapshot()
     }
 
     /// Publication is the one thing the writer mutex serializes, so it
@@ -269,7 +284,7 @@ mod tests {
             parse_delta(DeltaFormat::Persons, persons, &mut registry),
             parse_delta(DeltaFormat::Claims, claims, &mut registry),
         ];
-        let (version, stats) = state.ingest(&batches);
+        let (version, stats) = state.ingest(&state.writer(), &batches);
         assert_eq!((version, stats.patients_created), (2, 1));
         let after = state.snapshot();
         assert_eq!(after.reference_date, Date::new(2031, 5, 4).unwrap());

@@ -24,7 +24,7 @@
 //! must align.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 
 pub mod conditions;
 pub mod emit;

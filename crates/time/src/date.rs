@@ -206,7 +206,7 @@ impl Date {
         }
         let year = year as i32;
         let day = u32::from(self.day).min(u32::from(days_in_month(year, month as u8)));
-        // lint:allow(transitive-no-panic-hot-path) year range-checked above, month in 1..=12 by rem_euclid, day clamped to the month
+        // year range-checked above, month in 1..=12 by rem_euclid, day clamped to the month
         Date::new(year, month, day).expect("clamped day is always valid")
     }
 
@@ -244,7 +244,7 @@ impl Date {
 
     /// Midnight at the start of this date.
     pub fn at_midnight(self) -> crate::DateTime {
-        // lint:allow(transitive-no-panic-hot-path) 00:00:00 is within range on every date
+        // 00:00:00 is within range on every date
         crate::DateTime::new(self, 0, 0, 0).expect("midnight is always valid")
     }
 

@@ -19,7 +19,7 @@
 //! as index keys in the query layer.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 
 mod date;
 mod datetime;

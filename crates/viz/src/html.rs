@@ -11,6 +11,7 @@
 use crate::svg;
 use crate::timeline::{TimelineOptions, TimelineView};
 use crate::viewport::Viewport;
+use pastas_ingest::json::write_string;
 use pastas_model::{History, HistoryCollection};
 use pastas_time::Duration;
 
@@ -43,7 +44,7 @@ pub fn personal_timeline(history: &History, opts: &PersonalTimelineOptions) -> S
         (Some(a), Some(b)) if a < b => (a, b),
         (Some(a), _) => (a, a + Duration::days(30)),
         _ => {
-            // lint:allow(transitive-no-panic-hot-path) literal 2013-01-01 is a valid date
+            // literal 2013-01-01 is a valid date
             let d = pastas_time::Date::new(2013, 1, 1).expect("valid");
             (d.at_midnight(), d.add_days(365).at_midnight())
         }
@@ -59,12 +60,12 @@ pub fn personal_timeline(history: &History, opts: &PersonalTimelineOptions) -> S
     for r in hits.iter() {
         let (x0, y0, x1, y1) = r.bbox;
         regions.push_str(&format!(
-            "{{\"x0\":{:.1},\"y0\":{:.1},\"x1\":{:.1},\"y1\":{:.1},\"d\":\"{}\"}},",
+            "{{\"x0\":{:.1},\"y0\":{:.1},\"x1\":{:.1},\"y1\":{:.1},\"d\":{}}},",
             x0,
             y0,
             x1,
             y1,
-            js_escape(&r.details)
+            script_string(&r.details)
         ));
     }
     regions.pop(); // trailing comma
@@ -72,18 +73,12 @@ pub fn personal_timeline(history: &History, opts: &PersonalTimelineOptions) -> S
     page(&opts.title, &svg::render(&scene), &regions, scene.width, scene.height)
 }
 
-fn js_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '<' => out.push_str("\\u003c"),
-            _ => out.push(c),
-        }
-    }
-    out
+/// A JSON string literal that is also safe inside a `<script>` element:
+/// a `<` in it could close the element (`</script>`), so it is escaped too.
+fn script_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    write_string(&mut out, s);
+    out.replace('<', "\\u003c")
 }
 
 fn page(title: &str, svg_body: &str, regions_json: &str, w: f64, h: f64) -> String {
@@ -214,6 +209,6 @@ mod tests {
 
     #[test]
     fn js_escaping() {
-        assert_eq!(js_escape("a\"b\\c\nd<e"), "a\\\"b\\\\c\\nd\\u003ce");
+        assert_eq!(script_string("a\"b\\c\nd<e"), "\"a\\\"b\\\\c\\nd\\u003ce\"");
     }
 }

@@ -23,7 +23,7 @@
 //!   preview, and the pastas.no-style interactive personal timeline).
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![deny(missing_docs)]
 
 pub mod ascii;
 pub mod axis;

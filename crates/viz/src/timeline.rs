@@ -20,7 +20,7 @@ pub const ALIGNED_EPOCH_YEAR: i32 = 2000;
 
 /// The zero-offset instant used by aligned viewports.
 pub fn aligned_epoch() -> DateTime {
-    // lint:allow(transitive-no-panic-hot-path) literal 2000-01-01 is a valid date
+    // literal 2000-01-01 is a valid date
     Date::new(ALIGNED_EPOCH_YEAR, 1, 1).expect("valid").at_midnight()
 }
 

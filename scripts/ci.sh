@@ -29,10 +29,17 @@ stage "cargo test" cargo test -q
 # harness fails here, not in the next benchmark run.
 stage "benchmark harness tests" \
     cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
-# Repo-specific invariants (DESIGN.md §9): no panics on hot paths, no
-# wall clocks in determinism layers, budget-clamped allocations, plus the
-# interprocedural flow rules (lock-order cycles, blocking calls under
-# locks, transitive hot-path panics). Any finding exits non-zero.
+# The exact serial path: PASTAS_THREADS=1 must give what the parallel
+# sections give (the differential and determinism suites of the crates
+# that fan out), so every data-parallel section is checked single-threaded
+# as well as at the default.
+stage "tests at PASTAS_THREADS=1" env PASTAS_THREADS=1 cargo test -q --release \
+    -p pastas-query -p pastas-core -p pastas-serve -p pastas-ingest -p pastas-analytics -p pastas-par
+# Repo-specific invariants (DESIGN.md §9) the compiler cannot check: no
+# panics on hot paths, no unwrap on a lock, no silent narrowing casts,
+# budget-clamped allocations, reasoned exceptions. The lock order and the
+# docs are compiler-checked (guard parameters, deny(missing_docs)). Any
+# finding exits non-zero.
 stage "lint (pastas-lint)" cargo run -q -p pastas-lint -- --workspace
 stage "cargo clippy (deny warnings)" cargo clippy --all-targets -- -D warnings
 # Planner smoke: differential scan-vs-plan check over a battery of query
