@@ -12,9 +12,10 @@ use pastas_ingest::{
 use pastas_model::{History, HistoryCollection, OpenEpoch, PatientId};
 use pastas_ontology::integration::IntegrationOntology;
 use pastas_query::{
-    align_on, sort_histories, CodeIndex, EntryPredicate, Explain, HistoryQuery, QueryPlan, SortKey,
+    align_rows, sort_histories, CodeIndex, EntryPredicate, Explain, HistoryQuery, QueryPlan,
+    SortKey,
 };
-use pastas_regex::ParseError;
+use pastas_regex::{ParseError, Regex};
 use pastas_time::{Date, Duration};
 use pastas_viz::html::{personal_timeline, PersonalTimelineOptions};
 use pastas_viz::timeline::aligned_viewport;
@@ -664,12 +665,17 @@ impl Workbench {
     }
 
     /// Align on the first entry whose code matches `pattern`; switches the
-    /// axis to aligned mode and sorts unanchored histories last.
+    /// axis to aligned mode and orders rows by anchor, unanchored
+    /// histories last. Only the rows of the memoized `has(pattern)`
+    /// selection are read, each with the pattern bound to its interner
+    /// ([`align_rows`]).
     pub fn align_on_code(&mut self, pattern: &str) -> Result<usize, ParseError> {
-        let pred = EntryPredicate::code_regex(pattern)?;
-        let alignment = align_on(&self.collection, &pred);
+        let re = Regex::new(pattern)?;
+        let candidates =
+            self.select_positions(&HistoryQuery::any(EntryPredicate::CodeMatches(re.clone())));
+        let (alignment, order) = align_rows(&self.collection, &re, &candidates);
         let n = alignment.len();
-        self.order = sort_histories(&self.collection, &SortKey::Anchor(alignment.clone()));
+        self.order = order;
         self.axis = AxisMode::Aligned(alignment);
         Ok(n)
     }
@@ -717,21 +723,24 @@ impl Workbench {
         }
     }
 
-    /// Lay out the current view.
-    pub fn layout(&self, viewport: &Viewport) -> (Scene, HitMap) {
+    /// The current view.
+    fn view(&self) -> TimelineView<'_> {
         let opts = TimelineOptions {
             axis: self.axis.clone(),
             filter: self.filter.clone(),
             ..TimelineOptions::default()
         };
-        TimelineView::new(&self.collection, opts).with_order(&self.order).layout(viewport)
+        TimelineView::new(&self.collection, opts).with_order(&self.order)
+    }
+
+    /// Lay out the current view, with its hit map.
+    pub fn layout(&self, viewport: &Viewport) -> (Scene, HitMap) {
+        self.view().layout(viewport)
     }
 
     /// Render the current view as SVG at the given canvas size.
     pub fn render_svg(&self, width_px: f64, height_px: f64) -> String {
-        let vp = self.default_viewport(width_px, height_px);
-        let (scene, _) = self.layout(&vp);
-        svg::render(&scene)
+        svg::render(&self.view().scene(&self.default_viewport(width_px, height_px)))
     }
 
     /// Render the overview density mode ("Overview first"): the whole
@@ -757,8 +766,7 @@ impl Workbench {
     /// Render the current view as terminal text.
     pub fn render_ascii(&self, cols: usize, rows: usize) -> String {
         let vp = self.default_viewport(cols as f64 * 8.0, rows as f64 * 16.0);
-        let (scene, _) = self.layout(&vp);
-        ascii::render(&scene, cols, rows)
+        ascii::render(&self.view().scene(&vp), cols, rows)
     }
 
     /// Details-on-demand: the entry description under a cursor position in
@@ -1347,6 +1355,54 @@ mod tests {
             cases: 8,
             ..proptest::prelude::ProptestConfig::default()
         })]
+
+        /// `align_on_code` equals the reference — `align_on` and a stable
+        /// sort by anchor, unanchored rows last — in order, anchor count
+        /// and every anchor, at one thread and at four, over a sharded
+        /// collection whose ingest left side-index rows, a new patient's
+        /// fresh arena and a history detached onto a second interner.
+        #[test]
+        fn bound_align_equals_the_reference(
+            collection_seed in 0u64..20,
+            at in 0usize..300,
+            day in 1u32..29,
+        ) {
+            use pastas_codes::Code;
+            use proptest::prelude::*;
+            let config = SynthConfig { shard_patients: 100, ..SynthConfig::with_patients(300) };
+            let collection = generate_collection(config, collection_seed);
+            let existing = *collection.histories()[at].patient();
+            let newcomer = pastas_model::Patient { id: PatientId(900_001), ..existing };
+            let batch = diagnosis_batch(&[
+                (existing, Code::icd10("ZZ9"), day),
+                (existing, Code::icpc("T90"), day),
+                (newcomer, Code::atc("C07AB02"), day),
+            ]);
+            for threads in [1, 4] {
+                let mut wb = Workbench::from_collection(collection.clone());
+                wb.apply_ingest(std::slice::from_ref(&batch));
+                prop_assert!(!wb.index().side_is_empty(), "rows come through the side-index");
+                let detached = wb.collection().get(existing.id).unwrap().store().interner_arc();
+                let arena = collection.histories()[at].store().interner_arc();
+                prop_assert!(!Arc::ptr_eq(detached, arena), "a second interner");
+                for pattern in ["T90", "K.*", "T9[01]|K86", "X99", "C07AB02", "ZZ9"] {
+                    let pred = EntryPredicate::code_regex(pattern).unwrap();
+                    let reference = pastas_query::align_on(wb.collection(), &pred);
+                    let histories = wb.collection().histories();
+                    let anchor = |p: u32| reference.anchor(histories[p as usize].id());
+                    let mut order: Vec<u32> = (0..histories.len() as u32).collect();
+                    order.sort_by_key(|&p| anchor(p).map_or(i64::MAX, |t| t.second_number()));
+                    let mut bound = wb.snapshot();
+                    let n = pastas_par::with_threads(threads, || bound.align_on_code(pattern));
+                    prop_assert_eq!(n.unwrap(), reference.len(), "{}", pattern);
+                    prop_assert_eq!(bound.order(), &order[..], "{}", pattern);
+                    let AxisMode::Aligned(alignment) = &bound.axis else { panic!("not aligned") };
+                    for p in 0..histories.len() as u32 {
+                        prop_assert_eq!(alignment.anchor(histories[p as usize].id()), anchor(p));
+                    }
+                }
+            }
+        }
 
         /// The digest column `apply_ingest` carries forward equals the one
         /// rebuilt from scratch after every publish of a random ingest

@@ -55,7 +55,8 @@ pub const RULES: &[(&str, &str)] = &[
         "flag request-fed with_capacity/read_to_end in serve/http.rs without a budget \
          clamp, bitmap decodes (`to_vec`) inside loops in the query crate, and any Vec \
          allocation inside the automaton execution loops of regex/engine.rs and \
-         query/temporal.rs (pooled scratch only)",
+         query/temporal.rs (pooled scratch only), and any String built inside a loop of \
+         viz/svg.rs (one output buffer)",
     ),
     (
         "no-unwrap-on-lock",
@@ -385,6 +386,8 @@ fn rule_budget_enforced_alloc(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
         budget_alloc_temporal_hot_loops(ctx, out);
     } else if ctx.path.contains("query/src/") || ctx.path.contains("analytics/src/") {
         budget_alloc_query_decode_loops(ctx, out);
+    } else if ctx.path.ends_with("viz/src/svg.rs") {
+        budget_alloc_svg_element_loops(ctx, out);
     }
     if !ctx.path.ends_with("serve/src/http.rs") {
         return;
@@ -426,11 +429,6 @@ fn rule_budget_enforced_alloc(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
     }
 }
 
-/// The query-crate arm of `budget-enforced-alloc`: decoding a compressed
-/// posting bitmap to `Vec<u32>` (`to_vec`) inside a loop body defeats
-/// the compression the planner's latency budget rests on — set algebra
-/// must stay in container space (intersect/union/complement), with at
-/// most one decode hoisted after the loop.
 /// Sig-token ranges of loop bodies: `for … in … {…}`, `while … {…}`,
 /// `loop {…}` (`impl Trait for Type` and `for<'a>` bounds are excluded
 /// — a `for` loop header always carries `in` before its brace).
@@ -466,77 +464,94 @@ fn loop_body_ranges(ctx: &FileContext<'_>) -> Vec<(usize, usize)> {
     bodies
 }
 
-fn budget_alloc_query_decode_loops(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
+/// The loop arms of `budget-enforced-alloc`: every allocation `alloc_at`
+/// names at a non-test position inside a loop body is a finding,
+/// ``"`{alloc}` {why}"``.
+fn flag_loop_allocs<'c>(
+    ctx: &'c FileContext<'_>,
+    out: &mut Vec<Finding>,
+    why: &str,
+    alloc_at: impl Fn(usize) -> Option<&'c str>,
+) {
     let bodies = loop_body_ranges(ctx);
     for p in 0..ctx.sig.len() {
-        if ctx.sig_is_test(p) || ctx.sig_text(p) != "to_vec" {
+        if ctx.sig_is_test(p) || !bodies.iter().any(|&(open, close)| open < p && p < close) {
             continue;
         }
-        // The definition (`pub fn to_vec`) is not a call site.
-        if p > 0 && ctx.sig_text(p - 1) == "fn" {
-            continue;
-        }
-        if bodies.iter().any(|&(open, close)| open < p && p < close) {
-            out.push(ctx.finding(
-                ctx.sig_token(p),
-                "budget-enforced-alloc",
-                "`to_vec` decodes a full compressed bitmap inside a loop — keep the \
-                 set algebra in container space (intersect/union/complement) and \
-                 hoist a single decode out of the loop"
-                    .to_owned(),
-            ));
+        if let Some(alloc) = alloc_at(p) {
+            let message = format!("`{alloc}` {why}");
+            out.push(ctx.finding(ctx.sig_token(p), "budget-enforced-alloc", message));
         }
     }
 }
 
-/// The temporal-hot-loop arm of `budget-enforced-alloc`, applied to the
-/// automaton execution files (`regex/src/engine.rs`,
-/// `query/src/temporal.rs`): the VM's per-token loops run once per entry
-/// per history across the whole cohort, so a Vec allocation inside them
-/// (`Vec::new`, `vec![…]`, `with_capacity`, `to_vec`) multiplies into
-/// millions of allocator calls per selection. Both files own pooled
-/// scratch (recycled saves buffers, thread-local `Scratch`) — loop
-/// bodies must draw from the pool instead.
+/// True if sig position `p` is a call, not the `fn` that defines it.
+fn is_call(ctx: &FileContext<'_>, p: usize) -> bool {
+    p == 0 || ctx.sig_text(p - 1) != "fn"
+}
+
+/// True if sig position `p` holds `new` in `<ty>::new` (the `::` lexes as
+/// two `:` puncts).
+fn is_new_of(ctx: &FileContext<'_>, p: usize, ty: &str) -> bool {
+    p >= 3 && ctx.sig_token(p - 1).is_punct(ctx.src, ':') && ctx.sig_text(p - 3) == ty
+}
+
+/// True if the token after sig position `p` is the punct `c`.
+fn next_is(ctx: &FileContext<'_>, p: usize, c: char) -> bool {
+    p + 1 < ctx.sig.len() && ctx.sig_token(p + 1).is_punct(ctx.src, c)
+}
+
+/// The query-crate arm: decoding a compressed posting bitmap to
+/// `Vec<u32>` (`to_vec`) inside a loop body defeats the compression the
+/// planner's latency budget rests on — set algebra must stay in
+/// container space (intersect/union/complement), with at most one
+/// decode hoisted after the loop.
+fn budget_alloc_query_decode_loops(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
+    let why = "decodes a full compressed bitmap inside a loop — keep the set algebra in \
+               container space (intersect/union/complement) and hoist a single decode out \
+               of the loop";
+    flag_loop_allocs(ctx, out, why, |p| {
+        (ctx.sig_text(p) == "to_vec" && is_call(ctx, p)).then_some("to_vec")
+    });
+}
+
+/// The temporal-hot-loop arm, applied to the automaton execution files
+/// (`regex/src/engine.rs`, `query/src/temporal.rs`): the VM's per-token
+/// loops run once per entry per history across the whole cohort, so a
+/// Vec allocation inside them (`Vec::new`, `vec![…]`, `with_capacity`,
+/// `to_vec`) multiplies into millions of allocator calls per selection.
+/// Both files own pooled scratch (recycled saves buffers, thread-local
+/// `Scratch`) — loop bodies must draw from the pool instead.
 fn budget_alloc_temporal_hot_loops(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
-    let bodies = loop_body_ranges(ctx);
-    for p in 0..ctx.sig.len() {
-        if ctx.sig_is_test(p) {
-            continue;
+    let why = "allocates inside an automaton execution loop that runs per entry per history \
+               — draw from the pooled scratch (recycle saves buffers / thread-local Scratch) \
+               instead of allocating";
+    flag_loop_allocs(ctx, out, why, |p| match ctx.sig_text(p) {
+        text @ ("with_capacity" | "to_vec") if is_call(ctx, p) => Some(text),
+        "new" if is_new_of(ctx, p, "Vec") => Some("Vec::new"),
+        "vec" if next_is(ctx, p, '!') => Some("vec!"),
+        _ => None,
+    });
+}
+
+/// The renderer arm, applied to `viz/src/svg.rs`: its loops run once per
+/// drawn element, thousands of times a view, so a `String` built there
+/// (`format!`, `.to_owned()`, `.to_string()`, `String::new`, `.collect()`,
+/// `.join(`) is thousands of allocator calls a render. Elements are
+/// written into the one output buffer instead.
+fn budget_alloc_svg_element_loops(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
+    let why = "builds a String inside a per-element render loop — write into the output \
+               buffer (push_str / write!) instead";
+    flag_loop_allocs(ctx, out, why, |p| match ctx.sig_text(p) {
+        "format" if next_is(ctx, p, '!') => Some("format!"),
+        text @ ("to_owned" | "to_string" | "collect" | "join")
+            if p > 0 && ctx.sig_token(p - 1).is_punct(ctx.src, '.') =>
+        {
+            Some(text)
         }
-        let text = ctx.sig_text(p);
-        let alloc: &str = match text {
-            // The definition (`pub fn to_vec`) is not a call site.
-            "with_capacity" | "to_vec" if p == 0 || ctx.sig_text(p - 1) != "fn" => text,
-            // `Vec::new()` — walk back over the `::` puncts.
-            "new" => {
-                let mut q = p;
-                while q > 0 && ctx.sig_token(q - 1).is_punct(ctx.src, ':') {
-                    q -= 1;
-                }
-                if q < p && q > 0 && ctx.sig_text(q - 1) == "Vec" {
-                    "Vec::new"
-                } else {
-                    continue;
-                }
-            }
-            // The `vec![…]` macro.
-            "vec" if p + 1 < ctx.sig.len() && ctx.sig_token(p + 1).is_punct(ctx.src, '!') => {
-                "vec!"
-            }
-            _ => continue,
-        };
-        if bodies.iter().any(|&(open, close)| open < p && p < close) {
-            out.push(ctx.finding(
-                ctx.sig_token(p),
-                "budget-enforced-alloc",
-                format!(
-                    "`{alloc}` allocates inside an automaton execution loop that runs \
-                     per entry per history — draw from the pooled scratch (recycle \
-                     saves buffers / thread-local Scratch) instead of allocating"
-                ),
-            ));
-        }
-    }
+        "new" if is_new_of(ctx, p, "String") => Some("String::new"),
+        _ => None,
+    });
 }
 
 /// `.lock()`/`.read()`/`.write()` immediately followed by `.unwrap()`:

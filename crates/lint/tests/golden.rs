@@ -146,6 +146,12 @@ fn budget_flags_allocations_inside_automaton_loops() {
 }
 
 #[test]
+fn budget_flags_strings_built_inside_svg_element_loops() {
+    let lines: Vec<_> = check_fixture("svg_alloc").iter().map(|f| (f.rule, f.line)).collect();
+    assert_eq!(lines, [7, 8, 9, 9, 10, 11].map(|line| ("budget-enforced-alloc", line)));
+}
+
+#[test]
 fn lock_unwrap_flags_non_test_unwraps_only() {
     let findings = check_fixture("lock_unwrap");
     assert_eq!(

@@ -20,7 +20,8 @@
 //!   meaning (negation at the leaves, flat sorted clauses);
 //! * [`plan`] — the physical planner/executor: set algebra over posting
 //!   lists with residual verification and `Explain` introspection;
-//! * [`ops`] — the workbench operators: select, sort, align.
+//! * [`ops`] — the workbench operators: sort, and align on a code bound
+//!   once per interner.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -41,7 +42,7 @@ pub mod temporal;
 pub use bitmap::Bitmap;
 pub use index::{CodeIndex, IndexFootprint};
 pub use normalize::{canonical_fingerprint, normalize};
-pub use ops::{align_on, sort_histories, Alignment, SortKey};
+pub use ops::{align_on, align_rows, sort_histories, Alignment, SortKey};
 pub use plan::{Explain, ExplainNode, PlanNode, QueryPlan};
 pub use predicate::EntryPredicate;
 pub use parse::parse_query;

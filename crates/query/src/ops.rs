@@ -7,7 +7,8 @@
 //! out of the aligned view.
 
 use crate::predicate::EntryPredicate;
-use pastas_model::{HistoryCollection, PatientId};
+use pastas_model::{CodeId, CodeInterner, History, HistoryCollection, PatientId};
+use pastas_regex::Regex;
 use pastas_time::DateTime;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -35,14 +36,11 @@ impl Alignment {
     pub fn is_empty(&self) -> bool {
         self.anchors.is_empty()
     }
-
-    /// Patients that anchored, unordered.
-    pub fn patients(&self) -> impl Iterator<Item = PatientId> + '_ {
-        self.anchors.keys().copied()
-    }
 }
 
 /// Compute anchors: the **first** entry of each history matching `pred`.
+/// Tests every entry of every history — the reference the bound
+/// [`align_rows`] is checked against.
 pub fn align_on(collection: &HistoryCollection, pred: &EntryPredicate) -> Alignment {
     let mut anchors = HashMap::new();
     for h in collection {
@@ -51,6 +49,58 @@ pub fn align_on(collection: &HistoryCollection, pred: &EntryPredicate) -> Alignm
         }
     }
     Alignment { anchors: Arc::new(anchors) }
+}
+
+/// [`align_on`] for a code regex, over `candidates` only: the positions
+/// of every history holding a matching code (the planner's
+/// `has(pattern)`), so a history outside them has no anchor. The regex is
+/// bound once per interner — one flag per [`pastas_model::CodeId`] — and
+/// each entry is tested by a lookup on its `kinds`/`aux` words, never by
+/// a string match. Interners are few: one per arena, plus one for each
+/// history that detached with a code its arena lacked. Returns the
+/// alignment and its display order: anchored rows by `(anchor,
+/// position)`, then every other row in position order.
+pub fn align_rows(
+    collection: &HistoryCollection,
+    re: &Regex,
+    candidates: &[u32],
+) -> (Alignment, Vec<u32>) {
+    let histories = collection.histories();
+    let mut bound: HashMap<*const CodeInterner, Vec<bool>> = HashMap::new();
+    let mut first_match = |h: &History| {
+        let interner = h.store().interner_arc();
+        let flags = bound.entry(Arc::as_ptr(interner)).or_insert_with(|| {
+            interner.iter().map(|c| re.is_full_match(&c.value)).collect()
+        });
+        let hit = |id: CodeId| flags.get(id.0 as usize).copied().unwrap_or(false);
+        h.entries().iter().find(|e| e.code_id().is_some_and(hit)).map(|e| e.start())
+    };
+    let mut anchors = HashMap::with_capacity(candidates.len());
+    let mut anchored = Vec::with_capacity(candidates.len());
+    for &p in candidates {
+        let Some(h) = histories.get(p as usize) else { continue };
+        if let Some(t) = first_match(h) {
+            anchors.insert(h.id(), t);
+            anchored.push((t, p));
+        }
+    }
+    (Alignment { anchors: Arc::new(anchors) }, anchor_order(histories.len(), anchored))
+}
+
+/// The aligned display order over `rows` positions: the `anchored` rows
+/// by `(anchor, position)`, then every other row in position order —
+/// what a stable sort on the anchor with unanchored rows last gives,
+/// without a key per row.
+fn anchor_order(rows: usize, mut anchored: Vec<(DateTime, u32)>) -> Vec<u32> {
+    let mut rest = vec![true; rows];
+    for &(_, p) in &anchored {
+        if let Some(r) = rest.get_mut(p as usize) {
+            *r = false;
+        }
+    }
+    anchored.sort_unstable();
+    let first = anchored.into_iter().map(|(_, p)| p);
+    first.chain((0..rows as u32).zip(rest).filter_map(|(p, keep)| keep.then_some(p))).collect()
 }
 
 /// Sort keys for the vertical order of the display.
@@ -64,8 +114,6 @@ pub enum SortKey {
     EntryCount,
     /// By history span (long trajectories first when descending).
     Span,
-    /// By anchor time under an alignment (unanchored histories last).
-    Anchor(Alignment),
 }
 
 /// Return history positions in sorted order (stable, ascending).
@@ -84,9 +132,6 @@ pub fn sort_histories(collection: &HistoryCollection, key: &SortKey) -> Vec<u32>
         }
         SortKey::EntryCount => pastas_par::par_map(hs, |h| h.len() as i64),
         SortKey::Span => pastas_par::par_map(hs, |h| h.span().map_or(-1, |d| d.as_seconds())),
-        SortKey::Anchor(a) => pastas_par::par_map(hs, |h| {
-            a.anchor(h.id()).map_or(i64::MAX, |t| t.second_number())
-        }),
     };
     // lint:allow(no-panic-hot-path) order holds indices 0..hs.len(), one key each
     order.sort_by_key(|&i| keys[i as usize]);
@@ -156,9 +201,13 @@ mod tests {
     #[test]
     fn sort_by_anchor_puts_unanchored_last() {
         let c = collection();
-        let a = align_on(&c, &EntryPredicate::code_regex("T90").unwrap());
+        let re = Regex::new("T90").unwrap();
+        let (a, order) = align_rows(&c, &re, &[0, 1]);
         // Anchors: h1=2013-06-01, h2=2013-02-01, h3=None.
-        assert_eq!(sort_histories(&c, &SortKey::Anchor(a)), vec![1, 0, 2]);
+        assert_eq!((a.len(), order), (2, vec![1, 0, 2]));
+        // Equal anchors fall back to position; the rest keep theirs.
+        let at = t(2013, 2, 1);
+        assert_eq!(anchor_order(5, vec![(at, 1), (at, 3), (t(2012, 1, 1), 4)]), [4, 1, 3, 0, 2]);
     }
 
     #[test]

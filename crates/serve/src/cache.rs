@@ -5,8 +5,9 @@
 //! the query component reuses [`pastas_query::HistoryQuery::fingerprint`],
 //! so two structurally identical queries share an entry no matter how they
 //! were written. Including the state version means a `/command` or ingest
-//! swap *implicitly* invalidates every stale entry: old keys are simply
-//! never asked for again and age out of the LRU.
+//! swap *implicitly* invalidates every stale entry: old keys are never
+//! asked for again, and the first request at a newer version drops them
+//! ([`ResponseCache::retire_before`]) instead of leaving them to the LRU.
 //!
 //! Bounded two ways (entry count and total body bytes) so a burst of
 //! distinct heavy renders cannot balloon memory. Eviction is
@@ -37,6 +38,8 @@ pub struct ResponseCache {
     max_bytes: usize,
     hits: AtomicU64,
     misses: AtomicU64,
+    /// The newest state version older entries were retired for.
+    newest: AtomicU64,
 }
 
 impl ResponseCache {
@@ -49,6 +52,7 @@ impl ResponseCache {
             max_bytes: max_bytes.max(1),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            newest: AtomicU64::new(0),
         }
     }
 
@@ -101,6 +105,23 @@ impl ResponseCache {
                 inner.bytes -= slot.response.body.len();
             }
         }
+    }
+
+    /// Drop every entry keyed to a state version older than `version`,
+    /// once per version. No request reaches them after a publish, and a
+    /// run of view commands would otherwise park one rendered SVG per
+    /// version until the LRU got to it. Keys not of the `v{version}:`
+    /// form stay.
+    pub fn retire_before(&self, version: u64) {
+        // A counter, not a guard: it publishes nothing, and two callers
+        // that both advance it retire the same keys.
+        if self.newest.fetch_max(version, Ordering::Relaxed) >= version {
+            return;
+        }
+        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let version_of = |key: &str| key.strip_prefix('v')?.split(':').next()?.parse::<u64>().ok();
+        inner.slots.retain(|key, _| version_of(key).is_none_or(|v| v >= version));
+        inner.bytes = inner.slots.values().map(|slot| slot.response.body.len()).sum();
     }
 
     /// Number of cached responses.
@@ -224,6 +245,21 @@ mod tests {
         assert!(cache.bytes() <= 10);
         cache.put("huge".into(), resp("xxxxxxxxxxxxxxxx"));
         assert!(cache.get("huge").is_none(), "over-budget body is not cached");
+    }
+
+    #[test]
+    fn a_newer_version_retires_older_entries_once() {
+        let cache = ResponseCache::new(8, 1024);
+        for key in ["v1:c0:svg", "v2:c0:svg", "v10:c0:svg", "metrics"] {
+            cache.put(key.into(), resp("body"));
+        }
+        cache.retire_before(2);
+        assert!(cache.get("v1:c0:svg").is_none(), "v1 retired");
+        assert_eq!((cache.len(), cache.bytes()), (3, 12));
+        cache.put("v1:c0:svg".into(), resp("late"));
+        cache.retire_before(2);
+        assert_eq!(cache.len(), 4, "a version retires once");
+        cache.debug_validate();
     }
 
     #[test]

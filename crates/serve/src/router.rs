@@ -142,6 +142,7 @@ fn cached(
     suffix: &str,
     build: impl FnOnce() -> Response,
 ) -> Response {
+    ctx.cache.retire_before(snapshot.version);
     let key = format!("{}:{}", snapshot.cache_prefix(), suffix);
     if let Some(hit) = ctx.cache.get(&key) {
         return (*hit).clone();

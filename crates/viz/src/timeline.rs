@@ -1,13 +1,13 @@
 //! The Fig. 1 timeline layout.
 //!
 //! Turns `(collection, display order, axis mode, filter, viewport)` into a
-//! [`Scene`] plus a [`HitMap`]. Pure function of its inputs; the E1 bench
-//! measures exactly this call.
+//! [`Scene`], plus a [`HitMap`] when the caller hit-tests. Pure function
+//! of its inputs; the E1 bench measures exactly this call.
 
 use crate::axis::{aligned_ticks, calendar_ticks, AxisMode, NOMINAL_MONTH_SECS};
 use crate::color;
 use crate::hit::{HitMap, HitRecord};
-use crate::scene::{Primitive, Scene};
+use crate::scene::{Element, Primitive, Scene};
 use crate::viewport::Viewport;
 use pastas_model::{EntryRef, HistoryCollection};
 use pastas_ontology::presentation::{BandKind, GlyphShape, PresentationOntology};
@@ -51,8 +51,6 @@ pub struct TimelineOptions {
     pub filter: Option<EntryPredicate>,
     /// Draw patient-id labels on the vertical axis.
     pub row_labels: bool,
-    /// Attach details-on-demand tooltips to every drawn entry.
-    pub tooltips: bool,
     /// Pixels reserved at the bottom for the axis.
     pub axis_height: f64,
 }
@@ -63,7 +61,6 @@ impl Default for TimelineOptions {
             axis: AxisMode::Calendar,
             filter: None,
             row_labels: true,
-            tooltips: true,
             axis_height: 24.0,
         }
     }
@@ -87,7 +84,8 @@ impl<'a> TimelineView<'a> {
         TimelineView { collection, order: None, options }
     }
 
-    /// Replace the display order (from `pastas_query::sort_histories`).
+    /// Replace the display order (`pastas_query::sort_histories`,
+    /// `pastas_query::align_rows`).
     /// A position out of range leaves its row blank.
     pub fn with_order(mut self, order: &'a [u32]) -> TimelineView<'a> {
         self.order = Some(order);
@@ -111,11 +109,23 @@ impl<'a> TimelineView<'a> {
         }
     }
 
-    /// Lay the view out into a scene + hit map.
+    /// Lay the view out into a scene + hit map (details-on-demand, the
+    /// HTML export).
     pub fn layout(&self, vp: &Viewport) -> (Scene, HitMap) {
+        let mut hits = HitMap::new();
+        let scene = self.lay_out(vp, Some(&mut hits));
+        (scene, hits)
+    }
+
+    /// The scene alone, for the renderers: no hit record is built.
+    pub fn scene(&self, vp: &Viewport) -> Scene {
+        self.lay_out(vp, None)
+    }
+
+    /// The one layout loop; `hits` is the optional hit-record sink.
+    fn lay_out(&self, vp: &Viewport, mut hits: Option<&mut HitMap>) -> Scene {
         let presentation = PresentationOntology::new();
         let mut scene = Scene::new(vp.width_px, vp.height_px + self.options.axis_height);
-        let mut hits = HitMap::new();
         let row_h = vp.row_height();
         let bar_h = (row_h * 0.62).clamp(1.0, 26.0);
         let histories = self.collection.histories();
@@ -160,8 +170,9 @@ impl<'a> TimelineView<'a> {
                             continue;
                         }
                     }
-                    let is_band = e.is_interval() && presentation.band_for(e.payload()).is_some();
-                    if (pass == 0) != is_band {
+                    let band =
+                        if e.is_interval() { presentation.band_for(e.payload()) } else { None };
+                    if (pass == 0) != band.is_some() {
                         continue;
                     }
                     let (Some(ex0), Some(ex1)) =
@@ -172,20 +183,23 @@ impl<'a> TimelineView<'a> {
                     if ex1 < 0.0 || ex0 > vp.width_px {
                         continue; // outside the visible span
                     }
-                    let bbox = if is_band {
-                        self.draw_band(&mut scene, &presentation, e, (ex0, ex1, y_bar, bar_h), vp)
-                    } else {
-                        self.draw_glyph(&mut scene, &presentation, e, ex0, y_bar, bar_h)
+                    let primitive = match band {
+                        Some(band) => band_rect(band, (ex0, ex1, y_bar, bar_h), vp),
+                        None => glyph(&presentation, e, ex0, y_bar, bar_h),
                     };
-                    if let Some(bbox) = bbox {
+                    // Every drawn entry carries its details as a tooltip.
+                    let details = e.describe();
+                    if let Some(hits) = hits.as_deref_mut() {
                         hits.push(HitRecord {
-                            bbox,
+                            bbox: primitive.bbox(),
                             row,
                             history_index: position,
                             entry_index: ei,
-                            details: e.describe(),
+                            details: details.clone(),
                         });
                     }
+                    let class = presentation.presentation_class(e);
+                    scene.elements.push(Element { primitive, class, tooltip: Some(details) });
                 }
             }
 
@@ -205,89 +219,7 @@ impl<'a> TimelineView<'a> {
         }
 
         self.draw_axis(&mut scene, vp);
-        (scene, hits)
-    }
-
-    /// `geom` is the band's pixel geometry `(x0, x1, y, height)`.
-    fn draw_band(
-        &self,
-        scene: &mut Scene,
-        presentation: &PresentationOntology,
-        e: EntryRef<'_>,
-        (ex0, ex1, y_bar, bar_h): (f64, f64, f64, f64),
-        vp: &Viewport,
-    ) -> Option<(f64, f64, f64, f64)> {
-        let band = presentation.band_for(e.payload())?;
-        let fill = match band {
-            BandKind::Hospital => color::BAND_HOSPITAL,
-            BandKind::Municipal => color::BAND_MUNICIPAL,
-            BandKind::Rehabilitation => color::BAND_REHAB,
-            BandKind::Medication => color::BAND_MEDICATION,
-        };
-        let x = ex0.max(0.0);
-        let w = (ex1.min(vp.width_px) - x).max(1.0);
-        let prim = Primitive::Rect { x, y: y_bar, w, h: bar_h, fill };
-        let bbox = prim.bbox();
-        let class = presentation.presentation_class(e);
-        if self.options.tooltips {
-            scene.push_with_tooltip(prim, &class, e.describe());
-        } else {
-            scene.push(prim, &class);
-        }
-        Some(bbox)
-    }
-
-    fn draw_glyph(
-        &self,
-        scene: &mut Scene,
-        presentation: &PresentationOntology,
-        e: EntryRef<'_>,
-        x: f64,
-        y_bar: f64,
-        bar_h: f64,
-    ) -> Option<(f64, f64, f64, f64)> {
-        let shape = presentation.glyph_for(e.payload());
-        let s = (bar_h * 0.55).clamp(2.0, 9.0); // glyph size
-        let cy = y_bar + bar_h / 2.0;
-        let fill = presentation
-            .entry_color_class(e)
-            .map(|c| color::medication_color(c.0))
-            .unwrap_or(color::GLYPH_INK);
-        let prim = match shape {
-            GlyphShape::Square => {
-                Primitive::Rect { x: x - s / 2.0, y: cy - s / 2.0, w: s, h: s, fill }
-            }
-            GlyphShape::Arrow => Primitive::Polygon {
-                // Upward arrow above the bar: the Fig. 1 BP marks.
-                points: vec![
-                    (x, y_bar - 1.0),
-                    (x - s / 2.0, y_bar + s - 1.0),
-                    (x + s / 2.0, y_bar + s - 1.0),
-                ],
-                fill,
-            },
-            GlyphShape::Triangle => Primitive::Polygon {
-                points: vec![
-                    (x, cy + s / 2.0),
-                    (x - s / 2.0, cy - s / 2.0),
-                    (x + s / 2.0, cy - s / 2.0),
-                ],
-                fill,
-            },
-            GlyphShape::Cross => Primitive::Polygon {
-                points: cross_points(x, cy, s),
-                fill,
-            },
-            GlyphShape::Circle => Primitive::Circle { cx: x, cy, r: s / 2.0, fill },
-        };
-        let bbox = prim.bbox();
-        let class = presentation.presentation_class(e);
-        if self.options.tooltips {
-            scene.push_with_tooltip(prim, &class, e.describe());
-        } else {
-            scene.push(prim, &class);
-        }
-        Some(bbox)
+        scene
     }
 
     fn draw_axis(&self, scene: &mut Scene, vp: &Viewport) {
@@ -356,6 +288,61 @@ impl<'a> TimelineView<'a> {
                 );
             }
         }
+    }
+}
+
+/// A band's rectangle; `geom` is its pixel geometry `(x0, x1, y, height)`.
+fn band_rect(
+    band: BandKind,
+    (ex0, ex1, y_bar, bar_h): (f64, f64, f64, f64),
+    vp: &Viewport,
+) -> Primitive {
+    let fill = match band {
+        BandKind::Hospital => color::BAND_HOSPITAL,
+        BandKind::Municipal => color::BAND_MUNICIPAL,
+        BandKind::Rehabilitation => color::BAND_REHAB,
+        BandKind::Medication => color::BAND_MEDICATION,
+    };
+    let x = ex0.max(0.0);
+    let w = (ex1.min(vp.width_px) - x).max(1.0);
+    Primitive::Rect { x, y: y_bar, w, h: bar_h, fill }
+}
+
+/// A point entry's glyph at `x` on the bar at `y_bar`.
+fn glyph(
+    presentation: &PresentationOntology,
+    e: EntryRef<'_>,
+    x: f64,
+    y_bar: f64,
+    bar_h: f64,
+) -> Primitive {
+    let s = (bar_h * 0.55).clamp(2.0, 9.0); // glyph size
+    let cy = y_bar + bar_h / 2.0;
+    let fill = presentation
+        .entry_color_class(e)
+        .map(|c| color::medication_color(c.0))
+        .unwrap_or(color::GLYPH_INK);
+    match presentation.glyph_for(e.payload()) {
+        GlyphShape::Square => Primitive::Rect { x: x - s / 2.0, y: cy - s / 2.0, w: s, h: s, fill },
+        GlyphShape::Arrow => Primitive::Polygon {
+            // Upward arrow above the bar: the Fig. 1 BP marks.
+            points: vec![
+                (x, y_bar - 1.0),
+                (x - s / 2.0, y_bar + s - 1.0),
+                (x + s / 2.0, y_bar + s - 1.0),
+            ],
+            fill,
+        },
+        GlyphShape::Triangle => Primitive::Polygon {
+            points: vec![
+                (x, cy + s / 2.0),
+                (x - s / 2.0, cy - s / 2.0),
+                (x + s / 2.0, cy - s / 2.0),
+            ],
+            fill,
+        },
+        GlyphShape::Cross => Primitive::Polygon { points: cross_points(x, cy, s), fill },
+        GlyphShape::Circle => Primitive::Circle { cx: x, cy, r: s / 2.0, fill },
     }
 }
 
