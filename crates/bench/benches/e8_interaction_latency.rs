@@ -101,13 +101,13 @@ fn bench(c: &mut Criterion) {
         );
     }
 
-    // Serial-vs-parallel ratios for the operations the parallel layer
-    // accelerates (cache bypassed so both sides do real work; both honour
-    // PASTAS_THREADS on the parallel side).
+    // Serial-vs-parallel ratio for the selection the parallel layer
+    // accelerates (cache bypassed so both sides do real work; PASTAS_THREADS
+    // is honoured on the parallel side). Sorts are a serial radix pass over
+    // the collection's row columns.
     par_ratio_row("e8 indexed selection", || {
         std::hint::black_box(wb.index().select(wb.collection(), &query));
     });
-    par_ratio_row("e8 sort by utilization", || wb.sort(&SortKey::EntryCount));
 
     // Criterion timings for the two hottest paths.
     c.bench_function("e8_indexed_selection", |b| {

@@ -96,6 +96,50 @@ impl Summary {
     }
 }
 
+/// The per-row keys the view sorts on, one column each, indexed by
+/// display position: first start and last end (seconds since the epoch,
+/// what [`History::first_time`] and [`History::last_time`] return; 0 for
+/// an empty history) and entry count. 20 bytes a row, so a sort reads
+/// three dense arrays instead of one `Arc<History>` and two binary
+/// searches per row.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RowColumns {
+    first_starts: Vec<i64>,
+    last_ends: Vec<i64>,
+    entry_counts: Vec<u32>,
+}
+
+impl RowColumns {
+    /// Write row `at` from `h`; `at == len` appends.
+    fn set(&mut self, at: usize, h: &History) {
+        let seconds = |t: Option<DateTime>| t.map_or(0, DateTime::second_number);
+        let (first, last) = (seconds(h.first_time()), seconds(h.last_time()));
+        let count = u32::try_from(h.len()).unwrap_or(u32::MAX);
+        if at == self.entry_counts.len() {
+            self.first_starts.push(first);
+            self.last_ends.push(last);
+            self.entry_counts.push(count);
+        } else {
+            (self.first_starts[at], self.last_ends[at], self.entry_counts[at]) = (first, last, count);
+        }
+    }
+
+    /// Each row's first entry start, in seconds (0 when the row is empty).
+    pub fn first_starts(&self) -> &[i64] {
+        &self.first_starts
+    }
+
+    /// Each row's latest entry end, in seconds (0 when the row is empty).
+    pub fn last_ends(&self) -> &[i64] {
+        &self.last_ends
+    }
+
+    /// Each row's number of entries.
+    pub fn entry_counts(&self) -> &[u32] {
+        &self.entry_counts
+    }
+}
+
 /// An ordered collection of patient histories with id-based lookup.
 ///
 /// Order is significant: it is the vertical order of the visualization, and
@@ -103,17 +147,19 @@ impl Summary {
 ///
 /// Histories are stored behind [`Arc`], so extracting a sub-collection (the
 /// workbench's cohort selection) copies pointers, not the histories
-/// themselves — O(matches) regardless of history size. Mutation goes
-/// through [`Self::get_mut`], which copy-on-writes a shared history.
+/// themselves — O(matches) regardless of history size. A row changes only
+/// through [`Self::upsert_shared`]: a caller that edits a history edits
+/// its own clone and upserts it.
 ///
-/// The spine is shared copy-on-write as well: a clone is two pointer
-/// bumps, the first replaced history after a clone copies the pointer
-/// vector (nothing per entry), and only a brand-new patient copies the id
-/// map.
+/// The spine and the [`RowColumns`] are shared copy-on-write as well: a
+/// clone is three pointer bumps, the first replaced history after a clone
+/// copies the pointer vector and the row columns (nothing per entry), and
+/// only a brand-new patient copies the id map.
 #[derive(Debug, Clone, Default)]
 pub struct HistoryCollection {
     histories: Arc<Vec<Arc<History>>>,
     by_id: Arc<HashMap<PatientId, usize>>,
+    rows: Arc<RowColumns>,
     /// Unset until the first [`Self::stats`] call; from then on every
     /// mutator keeps it current or drops it.
     summary: OnceLock<Summary>,
@@ -148,8 +194,9 @@ impl HistoryCollection {
     }
 
     /// Insert or replace the history for a patient, sharing the allocation.
-    /// An initialised summary is adjusted from the replaced and the
-    /// replacing history alone.
+    /// The only way a row changes: the row columns are rewritten and an
+    /// initialised summary is adjusted from the replaced and the replacing
+    /// history alone.
     pub fn upsert_shared(&mut self, history: Arc<History>) {
         let at = self.by_id.get(&history.id()).copied();
         if let Some(summary) = self.summary.get_mut() {
@@ -159,6 +206,7 @@ impl HistoryCollection {
                 self.summary.take();
             }
         }
+        Arc::make_mut(&mut self.rows).set(at.unwrap_or(self.histories.len()), &history);
         match at {
             Some(i) => Arc::make_mut(&mut self.histories)[i] = history,
             None => {
@@ -172,6 +220,11 @@ impl HistoryCollection {
     /// (deref coercion); cohort extraction clones the pointers.
     pub fn histories(&self) -> &[Arc<History>] {
         &self.histories
+    }
+
+    /// The per-row sort keys, indexed like [`Self::histories`].
+    pub fn rows(&self) -> &RowColumns {
+        &self.rows
     }
 
     /// Look up one history by patient id.
@@ -188,16 +241,6 @@ impl HistoryCollection {
     /// query layer's postings refer to.
     pub fn position_of(&self, id: PatientId) -> Option<usize> {
         self.by_id.get(&id).copied()
-    }
-
-    /// Mutable lookup by patient id. Copy-on-write: if the history is
-    /// shared with another collection, it is cloned once here. What the
-    /// caller does to the history is out of sight, so the summary is
-    /// dropped and the next [`Self::stats`] walks again.
-    pub fn get_mut(&mut self, id: PatientId) -> Option<&mut History> {
-        let i = *self.by_id.get(&id)?;
-        self.summary.take();
-        Some(Arc::make_mut(&mut Arc::make_mut(&mut self.histories)[i]))
     }
 
     /// Number of histories.
@@ -226,20 +269,12 @@ impl HistoryCollection {
         )
     }
 
-    /// Reorder the collection by a key function (the workbench "sorting
-    /// histories" operation). Stable.
-    pub fn sort_by_key<K: Ord, F: Fn(&History) -> K>(&mut self, key: F) {
-        Arc::make_mut(&mut self.histories).sort_by_key(|h| key(h));
-        self.by_id =
-            Arc::new(self.histories.iter().enumerate().map(|(i, h)| (h.id(), i)).collect());
-    }
-
     /// Summary statistics. O(1) once the collection has its summary: the
     /// first call on a freshly built collection walks the entries, every
     /// clone inherits the result, and [`Self::upsert_shared`] (so also
     /// [`crate::OpenEpoch::seal_into`]) keeps it current from the touched
     /// histories. Only a replacement that may have moved an extreme
-    /// inwards, or [`Self::get_mut`], makes the next call walk again.
+    /// inwards makes the next call walk again.
     pub fn stats(&self) -> CollectionStats {
         let s = *self.summary.get_or_init(|| Summary::walk(&self.histories));
         CollectionStats {
@@ -259,15 +294,19 @@ impl HistoryCollection {
 
     /// Deep invariant check (debug builds only; a no-op in release).
     ///
-    /// Panics unless the id map addresses every row and a maintained
-    /// summary equals the from-entries walk. Histories and arenas have
-    /// their own checks (see `Snapshot::debug_validate` in `pastas-serve`).
+    /// Panics unless the id map addresses every row, the row columns equal
+    /// a rebuild and a maintained summary equals the from-entries walk.
+    /// Histories and arenas have their own checks (see
+    /// `Snapshot::debug_validate` in `pastas-serve`).
     #[cfg(debug_assertions)]
     pub fn debug_validate(&self) {
         assert_eq!(self.by_id.len(), self.histories.len(), "collection: id map and rows differ");
+        let mut rows = RowColumns::default();
         for (i, h) in self.histories.iter().enumerate() {
             assert_eq!(self.by_id.get(&h.id()), Some(&i), "collection: {} not at row {i}", h.id());
+            rows.set(i, h);
         }
+        assert_eq!(*self.rows, rows, "collection: row columns drifted from a rebuild");
         if let Some(summary) = self.summary.get() {
             assert_eq!(
                 *summary,
@@ -402,30 +441,19 @@ mod tests {
     }
 
     #[test]
-    fn sort_by_key_reindexes() {
-        let mut c = HistoryCollection::from_histories([
-            history(2, &[("A01", 2015), ("T90", 2016)]),
-            history(1, &[("A01", 2015)]),
-        ]);
-        c.sort_by_key(|h| h.len());
-        let ids: Vec<_> = c.iter().map(|h| h.id().0).collect();
-        assert_eq!(ids, vec![1, 2]);
-        // Index still answers correctly after the permutation.
-        assert_eq!(c.get(PatientId(2)).unwrap().len(), 2);
-    }
-
-    #[test]
     fn stats() {
         let mut c = HistoryCollection::from_histories([
             history(1, &[("A01", 2014), ("T90", 2015)]),
             history(2, &[("K74", 2016)]),
         ]);
-        c.get_mut(PatientId(2)).unwrap().insert(Entry::interval(
+        let mut h = c.get(PatientId(2)).unwrap().clone();
+        h.insert(Entry::interval(
             Date::new(2016, 5, 1).unwrap().at_midnight(),
             Date::new(2016, 5, 9).unwrap().at_midnight(),
             Payload::Episode(crate::EpisodeKind::Inpatient),
             SourceKind::Hospital,
         ));
+        c.upsert(h);
         let s = c.stats();
         assert_eq!(s.patients, 2);
         assert_eq!(s.entries, 4);
@@ -451,17 +479,28 @@ mod tests {
     }
 
     #[test]
-    fn get_mut_copy_on_writes_shared_history() {
-        let c = HistoryCollection::from_histories([history(1, &[("A01", 2015)])]);
+    fn upsert_leaves_a_sharing_collection_untouched() {
+        let c = HistoryCollection::from_histories([
+            history(1, &[("A01", 2015)]),
+            history(2, &[]),
+        ]);
         let mut sub = c.extract(|_| true);
-        sub.get_mut(PatientId(1)).unwrap().insert(Entry::event(
+        let mut h = sub.get(PatientId(1)).unwrap().clone();
+        h.insert(Entry::event(
             Date::new(2020, 1, 1).unwrap().at_midnight(),
             Payload::Diagnosis(Code::icpc("T90")),
             SourceKind::PrimaryCare,
         ));
+        sub.upsert(h);
+        sub.debug_validate();
         assert_eq!(sub.get(PatientId(1)).unwrap().len(), 2);
         assert_eq!(c.get(PatientId(1)).unwrap().len(), 1, "parent untouched");
         assert!(!Arc::ptr_eq(&c.histories()[0], &sub.histories()[0]));
+        let year = |y| Date::new(y, 1, 1).unwrap().at_midnight().second_number();
+        assert_eq!(sub.rows().entry_counts(), [2, 0]);
+        assert_eq!(sub.rows().first_starts(), [year(2015), 0]);
+        assert_eq!(sub.rows().last_ends(), [year(2020), 0]);
+        assert_eq!(c.rows().last_ends(), [year(2015), 0], "parent's rows untouched");
     }
 
     #[test]

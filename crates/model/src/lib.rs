@@ -15,7 +15,8 @@
 //!   [`Payload`] and a [`SourceKind`] provenance tag;
 //! * [`History`] — one patient's validated, time-ordered entry sequence;
 //! * [`HistoryCollection`] — the in-memory cohort the workbench operates on,
-//!   with sub-collection extraction and summary statistics;
+//!   with sub-collection extraction, summary statistics and the per-row
+//!   sort keys ([`RowColumns`]);
 //! * [`EventStore`] — the columnar, code-interned arena behind histories,
 //!   with the zero-copy [`EntryRef`]/[`Entries`] views the hot query, viz,
 //!   and align paths iterate (see the `store` module docs for the layout).
@@ -29,7 +30,7 @@ mod epoch;
 mod history;
 mod store;
 
-pub use collection::{CollectionStats, HistoryCollection};
+pub use collection::{CollectionStats, HistoryCollection, RowColumns};
 pub use entry::{EpisodeKind, Entry, Event, Interval, MeasurementKind, Payload, SourceKind};
 pub use epoch::OpenEpoch;
 pub use history::{History, Patient, Sex, ValidationReport};

@@ -253,11 +253,12 @@ proptest! {
         prop_assert_eq!(s.events + s.intervals, s.entries);
     }
 
-    /// The summary a collection maintains equals the from-entries walk
-    /// after every step of a random mutation sequence, and the steps
-    /// streamed ingest is made of (a history that grew, a brand-new
-    /// patient, a sealed epoch) as well as sorting and cloning keep it
-    /// held: none of them sends the next `stats()` back to the walk.
+    /// The summary a collection maintains equals the from-entries walk,
+    /// and its row columns equal a rebuild (`debug_validate`), after every
+    /// step of a random mutation sequence; the steps streamed ingest is
+    /// made of (a history that grew, a brand-new patient, a sealed epoch)
+    /// as well as cloning keep the summary held: none of them sends the
+    /// next `stats()` back to the walk.
     #[test]
     fn maintained_summary_equals_the_walk(
         seed in proptest::collection::vec(arb_entry(), 0..6),
@@ -297,17 +298,23 @@ proptest! {
                     keeps = false;
                 }
                 2 => c.upsert(history(100 + c.len() as u64, entries)),
+                // An edited clone: grown in place or detached.
                 3 | 4 => {
-                    keeps = false;
-                    if let Some(h) = c.get_mut(PatientId(id)) {
+                    if let Some(mut h) = c.get(PatientId(id)).cloned() {
                         if kind == 3 {
                             h.insert_all(entries);
                         } else if let Some(e) = entries.into_iter().next() {
                             h.insert(e);
                         }
+                        c.upsert(h);
                     }
                 }
-                5 => c.sort_by_key(|h| std::cmp::Reverse(h.len())),
+                // Dropping the earliest entries moves the first start later.
+                5 => {
+                    let all = existing.unwrap_or_default();
+                    c.upsert(history(id, all.into_iter().skip(k).collect()));
+                    keeps = false;
+                }
                 6 => {
                     let sub = c.extract(|h| h.id().0 % 2 == id % 2);
                     prop_assert!(!sub.holds_summary(), "extraction does not walk");

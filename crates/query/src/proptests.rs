@@ -510,23 +510,52 @@ proptest! {
         }
     }
 
+    /// The radix order from the row columns equals each history's own key
+    /// under a stable comparison sort, for every key at one thread and at
+    /// four, over a sharded collection that a seal and upserts left with
+    /// empty histories, stays outlasting their history's last start, far
+    /// starts, rows detached onto their own store, and first starts moved
+    /// earlier and later.
     #[test]
-    fn parallel_sort_agrees_with_itself_serial(
+    fn radix_sort_equals_the_reference(
         seed in 0u64..200,
-        patients in 300u32..900,
-        key_i in 0u32..4,
+        patients in 200u32..500,
+        op_seed in 0u64..u64::MAX,
     ) {
-        let c = generate_collection(SynthConfig::with_patients(patients as usize), seed);
-        let key = match key_i {
-            0 => SortKey::PatientId,
-            1 => SortKey::FirstEntry,
-            2 => SortKey::EntryCount,
-            _ => SortKey::Span,
-        };
-        let serial = pastas_par::with_threads(1, || crate::sort_histories(&c, &key));
-        for threads in THREADS {
-            let par = pastas_par::with_threads(threads, || crate::sort_histories(&c, &key));
-            prop_assert_eq!(&par, &serial, "threads {}", threads);
+        use pastas_codes::Code;
+        use pastas_model::{Entry, EpisodeKind, History, OpenEpoch, Patient, PatientId, Payload, SourceKind};
+        let mut c = generate_collection(
+            SynthConfig { shard_patients: 128, ..SynthConfig::with_patients(patients as usize) },
+            seed,
+        );
+        let mut rng = Rng(op_seed);
+        let year = |y| Date::new(y, 1, 1).expect("valid date").at_midnight();
+        let diag = |t| Entry::event(t, Payload::Diagnosis(Code::icpc("T90")), SourceKind::PrimaryCare);
+        let stay = Entry::interval(year(2012), year(2195), Payload::Episode(EpisodeKind::Inpatient), SourceKind::Hospital);
+        let mut epoch = OpenEpoch::new();
+        for i in 0..8u64 {
+            let p = *c.histories()[rng.below(c.len() as u64) as usize].patient();
+            // Earlier first start, a far start, a stay past every start.
+            let mut delta = vec![diag(p.birth_date.at_midnight()), diag(year(2190)), stay.clone()];
+            delta.truncate(1 + rng.below(3) as usize);
+            epoch.append(p, delta);
+            epoch.append(Patient { id: PatientId(9_000_000 + i), ..p }, Vec::new());
+        }
+        epoch.seal_into(&mut c);
+        // Later first starts: rows upserted without their earliest entries.
+        for _ in 0..8 {
+            let h = &c.histories()[rng.below(c.len() as u64) as usize];
+            let mut later = History::new(*h.patient());
+            later.insert_all(h.entries().iter().skip(1 + rng.below(3) as usize).map(|e| e.to_entry()));
+            c.upsert(later);
+        }
+        c.debug_validate();
+        for key in [SortKey::PatientId, SortKey::FirstEntry, SortKey::EntryCount, SortKey::Span] {
+            let reference = crate::ops::reference_sort(&c, &key);
+            for threads in [1, 4] {
+                let radix = pastas_par::with_threads(threads, || crate::sort_histories(&c, &key));
+                prop_assert_eq!(&radix, &reference, "{:?}, threads {}", key, threads);
+            }
         }
     }
 }

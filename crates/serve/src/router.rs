@@ -421,9 +421,16 @@ fn parse_command(doc: &Json) -> Result<ViewCommand, String> {
         .get("command")
         .and_then(Json::as_str)
         .ok_or_else(|| "missing \"command\"".to_owned())?;
+    // A field that is present must be a string: a wrongly-typed one is
+    // an error, not the same as leaving it out.
+    let field = |name: &str| {
+        doc.get(name)
+            .map(|v| v.as_str().ok_or_else(|| format!("\"{name}\" must be a string")))
+            .transpose()
+    };
     match name {
         "sort" => {
-            let key = match doc.get("key").and_then(Json::as_str) {
+            let key = match field("key")? {
                 Some("patient_id") | None => SortKey::PatientId,
                 Some("first_entry") => SortKey::FirstEntry,
                 Some("entry_count") => SortKey::EntryCount,
@@ -433,18 +440,15 @@ fn parse_command(doc: &Json) -> Result<ViewCommand, String> {
             Ok(ViewCommand::Sort(key))
         }
         "align" => {
-            let pattern = doc
-                .get("pattern")
-                .and_then(Json::as_str)
-                .ok_or_else(|| "align needs \"pattern\"".to_owned())?;
+            let pattern = field("pattern")?.ok_or_else(|| "align needs \"pattern\"".to_owned())?;
             Ok(ViewCommand::AlignOnCode(pattern.to_owned()))
         }
         "clear_alignment" => Ok(ViewCommand::ClearAlignment),
-        "filter" => match doc.get("code").and_then(Json::as_str) {
+        "filter" => match field("code")? {
             Some(pattern) => EntryPredicate::code_regex(pattern)
                 .map(|p| ViewCommand::SetFilter(Some(p)))
                 .map_err(|e| e.to_string()),
-            None => match doc.get("kind").and_then(Json::as_str) {
+            None => match field("kind")? {
                 Some("diagnosis") => Ok(ViewCommand::SetFilter(Some(EntryPredicate::IsDiagnosis))),
                 Some("medication") => {
                     Ok(ViewCommand::SetFilter(Some(EntryPredicate::IsMedication)))
@@ -1164,6 +1168,23 @@ mod tests {
             "bad regex is a 400, not a new version"
         );
         assert_eq!(ctx.state.version(), 2);
+    }
+
+    #[test]
+    fn command_rejects_wrongly_typed_fields() {
+        let ctx = ctx();
+        for (body, field) in [
+            (r#"{"command":"sort","key":5}"#, "\\\"key\\\""),
+            (r#"{"command":"filter","code":5}"#, "\\\"code\\\""),
+            (r#"{"command":"filter","kind":null}"#, "\\\"kind\\\""),
+            (r#"{"command":"align","pattern":["T90"]}"#, "\\\"pattern\\\""),
+        ] {
+            let resp = route(&post("/command", body), &ctx);
+            let text = String::from_utf8(resp.body).unwrap();
+            assert_eq!(resp.status, 400, "{body}: {text}");
+            assert!(text.contains(&format!("{field} must be a string")), "{body}: {text}");
+        }
+        assert_eq!(ctx.state.version(), 1, "no command was applied");
     }
 
     #[test]

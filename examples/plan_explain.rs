@@ -18,7 +18,9 @@
 //! arena per `K` patients (the sharded layout; align with the index's
 //! 65,536-row shard width), and `--budget-ms B` additionally fails the
 //! smoke when any index-served shape's planned execution exceeds `B`
-//! milliseconds — the 1M-patient CI stage runs with `--budget-ms 100`.
+//! milliseconds, and likewise any of the view's four sort keys
+//! (`Workbench::sort`, median of five) — the 1M-patient CI stage runs
+//! with `--budget-ms 100`.
 //! `--smoke-temporal` runs the same differential discipline over
 //! `seq(...)` temporal shapes: code-bearing patterns must plan to an
 //! index prefilter feeding a `PatternScan` operator (never a full
@@ -196,6 +198,9 @@ fn run_smoke(workbench: &Workbench, reference_date: pastas_time::Date, budget_ms
             if plan.uses_full_scan() { "scan" } else { "index" }
         );
     }
+    if budget_ms > 0 {
+        failures += sorts_over_budget(workbench, budget_ms);
+    }
     if failures > 0 {
         eprintln!("PLANNER SMOKE: {failures} check(s) FAILED");
         1
@@ -203,6 +208,30 @@ fn run_smoke(workbench: &Workbench, reference_date: pastas_time::Date, budget_ms
         eprintln!("PLANNER SMOKE: all checks passed");
         0
     }
+}
+
+/// The view's four sorts held to the same budget: the median of five
+/// `Workbench::sort` runs per key. Reports (and counts) only the keys
+/// over it.
+fn sorts_over_budget(workbench: &Workbench, budget_ms: u64) -> u32 {
+    use pastas_query::SortKey;
+    let mut view = workbench.snapshot();
+    let mut failures = 0;
+    for key in [SortKey::PatientId, SortKey::FirstEntry, SortKey::EntryCount, SortKey::Span] {
+        let mut times: Vec<f64> = (0..5)
+            .map(|_| {
+                let t = std::time::Instant::now();
+                view.sort(&key);
+                t.elapsed().as_secs_f64() * 1e3
+            })
+            .collect();
+        times.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+        if times[2] > budget_ms as f64 {
+            eprintln!("  FAIL sort {key:?}: {:.1} ms over the {budget_ms} ms budget", times[2]);
+            failures += 1;
+        }
+    }
+    failures
 }
 
 /// Temporal differential check: every `seq(...)` shape's planned result

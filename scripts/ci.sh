@@ -51,7 +51,8 @@ stage "planner smoke (differential)" \
 # The same differential battery at one million patients on the sharded
 # store (an arena per 65,536 patients — one per index shard): every
 # index-servable shape must stay index-served and execute its plan
-# inside the paper-interactive 100 ms budget.
+# inside the paper-interactive 100 ms budget, and so must each of the
+# view's four sorts (median of five `Workbench::sort` runs per key).
 stage "planner smoke (sharded 1M)" \
     cargo run --release --example plan_explain -- --smoke --patients 1000000 \
     --shard-patients 65536 --budget-ms 100
