@@ -9,16 +9,34 @@
 //! chunks of [`CHUNK_ROWS`] behind `Arc`s: the column after an ingest
 //! ([`PatientColumns::with_rows`]) shares every chunk the ingest did not
 //! touch, so a publish copies O(touched rows).
+//!
+//! Beside each digest the chunk keeps the patient's month runs — one
+//! 2-byte [`Run`] per calendar month with entries starting in it — so
+//! the cohort's monthly series is a fold over runs, not entries.
 
 use crate::dimensions::*;
 use crate::tables::{CodeDims, Tables, Vocab, NO_BUCKET};
-use pastas_model::{CodeId, History, HistoryCollection, Sex, SourceKind};
+use pastas_model::{CodeId, Entries, History, HistoryCollection, Sex, SourceKind, FAR_START};
 use pastas_ontology::integration::IntegrationOntology;
-use pastas_time::Date;
+use pastas_time::{Date, DateTime};
+use std::ops::Range;
 use std::sync::Arc;
 
-/// Rows per copy-on-write chunk (6 KiB of digests plus the code lists).
-const CHUNK_ROWS: usize = 256;
+/// Rows per copy-on-write chunk (6 KiB of digests plus the code lists
+/// and month runs).
+pub(crate) const CHUNK_ROWS: usize = 256;
+
+/// One month run of a row: the months since the row's previous run (the
+/// first run counts from January of [`Digest::first_year`]) in the high
+/// byte, the entries starting in that month in the low byte. A step or a
+/// count wider than a byte splits the run: `(255, 0)` runs carry a long
+/// gap, `(0, n)` runs continue a month of more than 255 entries.
+type Run = u16;
+
+/// The month index `year * 12 + month - 1` of `date`.
+fn month_index(date: Date) -> i32 {
+    date.year() * 12 + date.month() as i32 - 1
+}
 
 /// [`Digest::first_year`] of a patient without entries.
 pub(crate) const NO_YEAR: i16 = i16::MIN;
@@ -52,12 +70,18 @@ pub(crate) fn dominant(counts: &[u32]) -> usize {
     best.filter(|&(_, &max)| max > 0).map_or(counts.len(), |(at, _)| at)
 }
 
-/// Up to [`CHUNK_ROWS`] digests and their distinct-code lists, CSR style.
+/// Up to [`CHUNK_ROWS`] digests, their distinct-code lists and their
+/// month runs, CSR style.
 #[derive(Default)]
 struct Chunk {
     rows: Vec<Digest>,
     /// Sorted distinct global code ids, one run per row.
     codes: Vec<u32>,
+    /// Month runs in month order, one span per row.
+    runs: Vec<Run>,
+    /// Where each row's span of `runs` ends; it starts where the
+    /// previous row's ended.
+    run_ends: Vec<u32>,
 }
 
 impl Chunk {
@@ -67,16 +91,35 @@ impl Chunk {
         (row, &self.codes[lo as usize..row.codes_end as usize])
     }
 
+    fn runs(&self, at: usize) -> &[Run] {
+        let lo = at.checked_sub(1).map_or(0, |before| self.run_ends[before]);
+        &self.runs[lo as usize..self.run_ends[at] as usize]
+    }
+
     /// Append a row copied from another chunk.
-    fn push_row(&mut self, row: &Digest, codes: &[u32]) {
+    fn push_row(&mut self, row: &Digest, codes: &[u32], runs: &[Run]) {
         self.codes.extend_from_slice(codes);
         self.rows.push(Digest { codes_end: self.codes.len() as u32, ..*row });
+        self.runs.extend_from_slice(runs);
+        self.run_ends.push(self.runs.len() as u32);
+    }
+
+    /// Release the spare capacity of a finished chunk.
+    fn shrink(mut self) -> Arc<Chunk> {
+        self.codes.shrink_to_fit();
+        self.runs.shrink_to_fit();
+        Arc::new(self)
     }
 
     /// Append the digest of `history`: one fused pass over its source
     /// and code columns. `dims_of` translates the history's
     /// interner-local code ids.
-    fn push_history(&mut self, history: &History, mut dims_of: impl FnMut(CodeId) -> CodeDims) {
+    fn push_history(
+        &mut self,
+        history: &History,
+        calendar: &Calendar,
+        mut dims_of: impl FnMut(CodeId) -> CodeDims,
+    ) {
         let mut per_source = [0u32; SourceKind::ALL.len()];
         let mut per_chapter = [0u32; ICD_BANDS - 1];
         let mut per_atc = [0u32; ATC_BANDS - 1];
@@ -105,14 +148,15 @@ impl Chunk {
             }
         }
         self.codes.truncate(kept);
-        let first = history.first_time();
+        let first_year = history.first_time().map_or(NO_YEAR, |t| t.date().year() as i16);
+        self.push_runs(history.entries(), first_year, calendar);
         let span_days = history.span().map(|span| span.as_days_f64());
         self.rows.push(Digest {
             birth: history.patient().birth_date,
             entries: history.len() as u32,
             cond_mask,
             codes_end: kept as u32,
-            first_year: first.map_or(NO_YEAR, |t| t.date().year() as i16),
+            first_year,
             sex: match history.patient().sex {
                 Sex::Female => 0,
                 Sex::Male => 1,
@@ -123,6 +167,63 @@ impl Chunk {
             atc: dominant(&per_atc) as u8,
         });
     }
+
+    /// Append the month runs of `entries`, whose first entry starts in
+    /// `first_year`. The starts come from the arena's offset column (a
+    /// [`FAR_START`] row through its `EntryRef`) and are sorted, so a run
+    /// is one calendar step and a scan of the offsets below the next
+    /// month's first second.
+    fn push_runs(&mut self, entries: Entries<'_>, first_year: i16, calendar: &Calendar) {
+        let (base, offsets) = entries.start_offsets();
+        // The arena's base is a midnight, so `offset / 86_400` is a day.
+        let base_day = base.second_number().div_euclid(86_400);
+        let day_of = |at: usize| match offsets[at] {
+            FAR_START => entries.get(at).start().second_number().div_euclid(86_400),
+            offset => base_day + i64::from(offset / 86_400),
+        };
+        let mut last = i32::from(first_year) * 12;
+        let (mut month, mut count, mut at) = (last, 0, 0);
+        let mut slot = offsets.first().map_or(0, |_| calendar.search(day_of(0)));
+        while at < offsets.len() {
+            slot = calendar.step(slot, day_of(at));
+            // A far start is never below the limit: it opens a run.
+            let next = calendar.starts[slot + 1].saturating_sub(base_day).saturating_mul(86_400);
+            let limit = next.clamp(0, i64::from(FAR_START)) as u32;
+            let run = 1 + offsets[at + 1..].iter().take_while(|&&offset| offset < limit).count();
+            let run_month = calendar.first + slot as i32;
+            if run_month != month {
+                self.push_run(&mut last, month, count);
+                (month, count) = (run_month, 0);
+            }
+            count += run as u32;
+            at += run;
+        }
+        self.push_run(&mut last, month, count);
+        self.run_ends.push(self.runs.len() as u32);
+    }
+
+    /// Append `count` entries in `month`, `month - last` months after the
+    /// previous run (none if `count` is 0), split to fit [`Run`].
+    fn push_run(&mut self, last: &mut i32, month: i32, mut count: u32) {
+        if count == 0 {
+            return;
+        }
+        let mut step = month - *last;
+        *last = month;
+        if step <= 255 && count <= 255 {
+            self.runs.push((step as Run) << 8 | count as Run);
+            return;
+        }
+        while step > 255 {
+            self.runs.push(255 << 8);
+            step -= 255;
+        }
+        while count > 0 {
+            let part = count.min(255);
+            self.runs.push((step as Run) << 8 | part as Run);
+            (step, count) = (0, count - part);
+        }
+    }
 }
 
 /// The digest column of one collection, indexed by history position.
@@ -132,6 +233,54 @@ pub struct PatientColumns {
     chunks: Vec<Arc<Chunk>>,
     len: usize,
     pub(crate) vocab: Arc<Vocab>,
+    /// Month indices from the collection's first start to its last end:
+    /// every run's month lies inside.
+    pub(crate) months: Range<i32>,
+}
+
+/// The month indices `[first, last]` of a collection's summary span.
+fn months_of(collection: &HistoryCollection) -> Range<i32> {
+    let stats = collection.stats();
+    let month = |t: Option<DateTime>| t.map(|t| month_index(t.date()));
+    match (month(stats.first), month(stats.last)) {
+        (Some(first), Some(last)) => first..last + 1,
+        _ => 0..0,
+    }
+}
+
+/// The first day of every month of a collection's span and of the month
+/// after it, as day numbers: where the run builder looks a start's month
+/// up, instead of converting each start to a date.
+struct Calendar {
+    /// Month index of `starts[0]`.
+    first: i32,
+    starts: Vec<i64>,
+}
+
+impl Calendar {
+    fn of(months: &Range<i32>) -> Calendar {
+        let first_day = |month: i32| {
+            let (year, month) = (month.div_euclid(12), month.rem_euclid(12) as u32 + 1);
+            // After December 9999 no date begins: no start reaches it.
+            Date::new(year, month, 1).map_or(i64::MAX, Date::day_number)
+        };
+        let starts = (months.start..=months.end).map(first_day).collect();
+        Calendar { first: months.start, starts }
+    }
+
+    /// The slot of the month holding `day`.
+    fn search(&self, day: i64) -> usize {
+        self.starts[1..].partition_point(|&start| start <= day)
+    }
+
+    /// The slot of the month holding `day`, stepping forward from slot
+    /// `from` at or before it: a row's runs walk its months once.
+    fn step(&self, mut from: usize, day: i64) -> usize {
+        while self.starts[from + 1] <= day {
+            from += 1;
+        }
+        from
+    }
 }
 
 impl PatientColumns {
@@ -142,18 +291,19 @@ impl PatientColumns {
         let histories = collection.histories();
         let mut vocab = Vocab::default();
         let tables = Tables::build(histories, &mut vocab, ontology);
+        let months = months_of(collection);
+        let calendar = Calendar::of(&months);
         let spans: Vec<&[Arc<History>]> = histories.chunks(CHUNK_ROWS).collect();
         let chunks = pastas_par::par_map_min(&spans, 1, |span| {
             let mut chunk = Chunk::default();
             let mut hint = 0;
             for history in *span {
                 let dims = tables.of(history, &mut hint);
-                chunk.push_history(history, |id| dims[id.0 as usize]);
+                chunk.push_history(history, &calendar, |id| dims[id.0 as usize]);
             }
-            chunk.codes.shrink_to_fit();
-            Arc::new(chunk)
+            chunk.shrink()
         });
-        PatientColumns { chunks, len: histories.len(), vocab: Arc::new(vocab) }
+        PatientColumns { chunks, len: histories.len(), vocab: Arc::new(vocab), months }
     }
 
     /// The column of `collection` given this one describes it but for the
@@ -167,6 +317,8 @@ impl PatientColumns {
         dirty: &[u32],
     ) -> PatientColumns {
         let histories = collection.histories();
+        let months = months_of(collection);
+        let calendar = Calendar::of(&months);
         let mut vocab = Arc::clone(&self.vocab);
         let mut chunks = self.chunks.clone();
         chunks.resize_with(histories.len().div_ceil(CHUNK_ROWS), Default::default);
@@ -180,31 +332,51 @@ impl PatientColumns {
             for (history, pos) in span.iter().zip(lo..) {
                 if run.binary_search(&(pos as u32)).is_err() {
                     let (row, codes) = chunks[at].row(pos - lo);
-                    next.push_row(row, codes);
+                    next.push_row(row, codes, chunks[at].runs(pos - lo));
                     continue;
                 }
                 let interner = history.store().interner();
-                next.push_history(history, |id| {
+                next.push_history(history, &calendar, |id| {
                     let code = interner.resolve(id);
                     let known = vocab.get(code);
                     known.unwrap_or_else(|| Arc::make_mut(&mut vocab).insert(code, ontology))
                 });
             }
-            next.codes.shrink_to_fit();
-            chunks[at] = Arc::new(next);
+            chunks[at] = next.shrink();
         }
-        PatientColumns { chunks, len: histories.len(), vocab }
+        PatientColumns { chunks, len: histories.len(), vocab, months }
     }
 
     /// The digest and distinct global code ids of the patient at `pos`.
     pub(crate) fn row(&self, pos: u32) -> (&Digest, &[u32]) {
         self.chunks[pos as usize / CHUNK_ROWS].row(pos as usize % CHUNK_ROWS)
     }
+
+    /// Add the month runs of the patients at `group` — positions of one
+    /// chunk — into `acc`, whose slot 0 is month index `base`.
+    pub(crate) fn add_runs(&self, group: &[u32], base: i32, acc: &mut [u64]) {
+        let Some(&first) = group.first() else { return };
+        let chunk = &self.chunks[first as usize / CHUNK_ROWS];
+        for &pos in group {
+            let at = pos as usize % CHUNK_ROWS;
+            let mut slot = i32::from(chunk.rows[at].first_year) * 12 - base;
+            for &run in chunk.runs(at) {
+                slot += i32::from(run >> 8);
+                acc[slot as usize] += u64::from(run & 0xff);
+            }
+        }
+    }
+
+    /// The month runs of the patient at `pos`.
+    fn runs(&self, pos: u32) -> &[Run] {
+        self.chunks[pos as usize / CHUNK_ROWS].runs(pos as usize % CHUNK_ROWS)
+    }
 }
 
 /// Row-wise equality up to vocabulary numbering (two columns may have met
-/// the codes in different orders): same digests, same code *labels* per
-/// row. What the maintained-versus-rebuilt oracles compare.
+/// the codes in different orders): same digests, same code *labels* and
+/// same month runs per row. What the maintained-versus-rebuilt oracles
+/// compare.
 impl PartialEq for PatientColumns {
     fn eq(&self, other: &PatientColumns) -> bool {
         fn labels<'a>(columns: &'a PatientColumns, codes: &[u32]) -> Vec<&'a str> {
@@ -214,9 +386,12 @@ impl PartialEq for PatientColumns {
             labels
         }
         self.len == other.len
+            && self.months == other.months
             && (0..self.len as u32).all(|pos| {
                 let ((a, a_codes), (b, b_codes)) = (self.row(pos), other.row(pos));
-                a == b && labels(self, a_codes) == labels(other, b_codes)
+                a == b
+                    && labels(self, a_codes) == labels(other, b_codes)
+                    && self.runs(pos) == other.runs(pos)
             })
     }
 }

@@ -16,7 +16,9 @@
 //! once per collection and carried across ingests from the touched rows —
 //! holds every patient-level attribute, so the fold indexes `u32`
 //! accumulator arrays over `|cohort|` rows: no entries, no strings, no
-//! hashing. Partial accumulators merge by vector addition via
+//! hashing. The same column keeps each patient's (month, count) runs, so
+//! the cohort's monthly series ([`PatientColumns::monthly`]) folds runs,
+//! not entries. Partial accumulators merge by vector addition via
 //! `pastas_par::par_fold`, so the profile is deterministic and
 //! independent of thread count, which the property tests check against
 //! the naive serial per-entry oracle ([`cohort_profile_serial`]).
@@ -33,6 +35,4 @@ mod tables;
 mod proptests;
 
 pub use columns::PatientColumns;
-pub use profile::{
-    cohort_monthly, cohort_profile_serial, CohortProfile, Histogram, DEFAULT_TOP_K,
-};
+pub use profile::{cohort_profile_serial, CohortProfile, Histogram, DEFAULT_TOP_K};

@@ -6,15 +6,16 @@
 //! parallel pass: each worker carries a dense [`Accum`] of `u32` bucket
 //! arrays (plus a vocabulary-sized count column for top-k codes) and the
 //! partial accumulators merge by vector addition, so the result is
-//! independent of chunking and thread count. [`cohort_profile_serial`]
-//! is the deliberately naive per-history, per-entry reference
-//! implementation the property tests diff against.
+//! independent of chunking and thread count. [`PatientColumns::monthly`]
+//! folds the same patients' month runs into the monthly series.
+//! [`cohort_profile_serial`] is the deliberately naive per-history,
+//! per-entry reference implementation the property tests diff against.
 
-use crate::columns::{dominant, Digest, PatientColumns, NO_YEAR};
+use crate::columns::{dominant, Digest, PatientColumns, CHUNK_ROWS, NO_YEAR};
 use crate::dimensions::*;
 use crate::tables::NO_BUCKET;
 use pastas_ingest::json::write_string;
-use pastas_model::{HistoryCollection, Sex, SourceKind, FAR_START};
+use pastas_model::{HistoryCollection, Sex, SourceKind};
 use pastas_ontology::integration::{IntegrationOntology, CONDITIONS};
 use pastas_time::Date;
 use std::collections::BTreeMap;
@@ -262,6 +263,43 @@ impl PatientColumns {
         );
         finish(folded, &self.vocab.labels, reference, top_k)
     }
+
+    /// Monthly event counts over the cohort at `positions` (sorted
+    /// indices, as for [`Self::profile`]): one `(first-of-month, entries
+    /// starting that month)` row per month between the cohort's first and
+    /// last entry, gaps filled with zeros. One parallel fold over the
+    /// cohort's month runs, a chunk's positions at a time — a shift, an
+    /// add and an increment a run; no entry is read and the calendar is
+    /// consulted once an output month.
+    pub fn monthly(&self, positions: &[u32]) -> Vec<(Date, u64)> {
+        let base = self.months.start;
+        let by_chunk: Vec<&[u32]> = positions
+            .chunk_by(|a, b| *a as usize / CHUNK_ROWS == *b as usize / CHUNK_ROWS)
+            .collect();
+        let counts = pastas_par::par_fold(
+            &by_chunk,
+            || vec![0u64; self.months.len()],
+            |mut acc, group| {
+                self.add_runs(group, base, &mut acc);
+                acc
+            },
+            |mut a, b| {
+                a.iter_mut().zip(&b).for_each(|(mine, theirs)| *mine += theirs);
+                a
+            },
+        );
+        // The cohort's own first and last month bound the series.
+        let end = counts.iter().rposition(|&c| c > 0).map_or(0, |at| at + 1);
+        let begin = counts.iter().position(|&c| c > 0).unwrap_or(end);
+        let months = counts[begin..end].iter().zip(base + begin as i32..);
+        months
+            .map(|(&count, slot)| {
+                let (year, month) = (slot.div_euclid(12), slot.rem_euclid(12) as u32 + 1);
+                // the slot lies between two dates of the collection, so the year is in range; the month is 1..=12 and day 1 is valid in every month
+                (Date::new(year, month, 1).expect("month slot is valid"), count)
+            })
+            .collect()
+    }
 }
 
 /// Widen a folded accumulator into the public profile.
@@ -373,67 +411,6 @@ pub fn cohort_profile_serial(
     profile
 }
 
-/// Monthly event counts over the cohort at `positions`: one
-/// `(first-of-month, entries starting that month)` row per month between
-/// the cohort's first and last entry, gaps filled with zeros. One
-/// parallel pass over the histories' contiguous start-offset columns:
-/// a table over the days of the collection's summary span maps a day to
-/// its month slot, so the per-entry step is a division by a constant, a
-/// table read and an increment — the calendar is consulted once a month
-/// of the span, not once an entry.
-pub fn cohort_monthly(collection: &HistoryCollection, positions: &[u32]) -> Vec<(Date, u64)> {
-    let histories = collection.histories();
-    let stats = collection.stats();
-    let (Some(first), Some(last)) = (stats.first, stats.last) else {
-        return Vec::new();
-    };
-    let first_day = first.date();
-    let days = (last.date().days_since(first_day) + 1) as usize;
-    let base = first_day.year() * 12 + first_day.month() as i32 - 1;
-    let mut slot_of_day: Vec<u32> = Vec::with_capacity(days);
-    let (mut month_end, mut slots) = (first_day, 0);
-    while slot_of_day.len() < days {
-        month_end = month_end.last_of_month();
-        slot_of_day.resize(days.min(month_end.days_since(first_day) as usize + 1), slots);
-        slots += 1;
-        month_end = month_end.add_days(1);
-    }
-    let first_midnight = first_day.at_midnight();
-    let counts = pastas_par::par_fold(
-        positions,
-        || vec![0u64; slots as usize],
-        |mut acc, &pos| {
-            let entries = histories[pos as usize].entries();
-            let (arena_base, offsets) = entries.start_offsets();
-            // Both are midnights, so this is exact (and may be negative).
-            let base_day = arena_base.since(first_midnight).whole_days();
-            for (at, &offset) in offsets.iter().enumerate() {
-                let day = match offset {
-                    FAR_START => entries.get(at).start().since(first_midnight).whole_days(),
-                    offset => base_day + i64::from(offset / 86_400),
-                };
-                acc[slot_of_day[day as usize] as usize] += 1;
-            }
-            acc
-        },
-        |mut a, b| {
-            a.iter_mut().zip(&b).for_each(|(mine, theirs)| *mine += theirs);
-            a
-        },
-    );
-    // The cohort's own first and last month bound the series.
-    let end = counts.iter().rposition(|&c| c > 0).map_or(0, |at| at + 1);
-    let begin = counts.iter().position(|&c| c > 0).unwrap_or(end);
-    let months = counts[begin..end].iter().zip(base + begin as i32..);
-    months
-        .map(|(&count, slot)| {
-            let (year, month) = (slot.div_euclid(12), slot.rem_euclid(12) as u32 + 1);
-            // the slot lies between two dates of the collection, so the year is in range; the month is 1..=12 and day 1 is valid in every month
-            (Date::new(year, month, 1).expect("month slot is valid"), count)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -486,15 +463,15 @@ mod tests {
         let p = folded(&collection, &ontology, &[], reference);
         assert_eq!(p.cohort_size, 0);
         assert!(p.top_codes.is_empty());
-        assert!(cohort_monthly(&collection, &[]).is_empty());
+        assert!(PatientColumns::build(&collection, &ontology).monthly(&[]).is_empty());
         assert!(p.to_json().starts_with("{\"cohort_size\":0,"));
     }
 
     #[test]
     fn monthly_timeline_is_contiguous_and_totals_entries() {
-        let (collection, _, _) = fixture();
+        let (collection, ontology, _) = fixture();
         let positions: Vec<u32> = (0..collection.len() as u32).collect();
-        let months = cohort_monthly(&collection, &positions);
+        let months = PatientColumns::build(&collection, &ontology).monthly(&positions);
         let total: u64 = months.iter().map(|&(_, c)| c).sum();
         let entries: u64 = positions
             .iter()

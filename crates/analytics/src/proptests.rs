@@ -1,11 +1,11 @@
 //! Property tests: the digest-column fold must agree with the serial
-//! naive per-entry fold, and the dense monthly walk with a naive
-//! per-entry map, on arbitrary collections, cohorts and thread counts;
-//! every partition histogram's bucket totals must sum to the cohort size.
+//! naive per-entry fold, and the month-run fold with a naive per-entry
+//! map, on arbitrary collections, cohorts and thread counts; every
+//! partition histogram's bucket totals must sum to the cohort size.
 
-use crate::profile::{cohort_monthly, cohort_profile_serial};
+use crate::profile::cohort_profile_serial;
 use crate::PatientColumns;
-use pastas_model::{History, HistoryCollection, Patient, PatientId, Sex};
+use pastas_model::{Entry, History, HistoryCollection, Patient, PatientId, Payload, Sex, SourceKind};
 use pastas_ontology::integration::IntegrationOntology;
 use pastas_synth::{generate_collection, SynthConfig};
 use pastas_time::Date;
@@ -61,41 +61,50 @@ fn naive_monthly(collection: &HistoryCollection, positions: &[u32]) -> Vec<(Date
     out
 }
 
+/// A history of patient `id`, born at [`Date::MIN`], holding `entries` on
+/// a store and arena of its own.
+fn history_of(id: u64, entries: Vec<Entry>) -> History {
+    let patient = Patient { id: PatientId(id), birth_date: Date::MIN, sex: Sex::Female };
+    let mut history = History::new(patient);
+    for entry in entries {
+        history.insert(entry);
+    }
+    history
+}
+
+/// The cohort's monthly series from a freshly built column.
+fn run_fold(collection: &HistoryCollection, positions: &[u32]) -> Vec<(Date, u64)> {
+    PatientColumns::build(collection, &IntegrationOntology::new()).monthly(positions)
+}
+
 /// Histories whose entries are further apart than an arena's `u32`
-/// window, out to both ends of the calendar: the monthly walk reads the
-/// far starts through `EntryRef` and lands the rest in the right slot of
-/// a table as long as the collection's span.
+/// window, out to both ends of the calendar: the row's runs take the far
+/// starts through `EntryRef`, carry gaps of centuries in `(255, 0)` runs,
+/// and fold into a month table as long as the collection's span.
 #[test]
 fn monthly_walk_counts_starts_outside_an_arena_window() {
-    use pastas_model::{Entry, EpisodeKind, Payload, SourceKind, FAR_START};
+    use pastas_model::{EpisodeKind, FAR_START};
     let mut collection = generate_collection(SynthConfig::with_patients(40), 5);
     let day = |y, m, d| Date::new(y, m, d).expect("valid").at_midnight();
     let stay = Payload::Episode(EpisodeKind::NursingHome);
-    let ancient = |id, entries: Vec<Entry>| {
-        let mut old = History::new(Patient { id: PatientId(id), birth_date: Date::MIN, sex: Sex::Female });
-        for entry in entries {
-            old.insert(entry);
-        }
-        old
-    };
-    collection.upsert(ancient(6_000_000, vec![
+    collection.upsert(history_of(6_000_000, vec![
         Entry::event(day(1812, 2, 29), stay.clone(), SourceKind::Municipal),
         Entry::interval(day(1812, 3, 1), day(2013, 7, 1), stay.clone(), SourceKind::Municipal),
         Entry::event(day(2013, 6, 1), stay.clone(), SourceKind::Municipal),
     ]));
     let positions: Vec<u32> = (0..collection.len() as u32).collect();
     assert_eq!(collection.histories()[40].entries().start_offsets().1[2], FAR_START);
-    let months = cohort_monthly(&collection, &positions);
+    let months = run_fold(&collection, &positions);
     assert_eq!(months, naive_monthly(&collection, &positions));
     assert_eq!(months[0], (Date::new(1812, 2, 1).expect("valid"), 1));
-    assert_eq!(cohort_monthly(&collection, &positions[40..]).len(), (2013 - 1812) * 12 + 5);
+    assert_eq!(run_fold(&collection, &positions[40..]).len(), (2013 - 1812) * 12 + 5);
 
-    collection.upsert(ancient(6_000_001, vec![
+    collection.upsert(history_of(6_000_001, vec![
         Entry::event(Date::MAX.at(23, 59, 59).expect("valid"), stay.clone(), SourceKind::Hospital),
         Entry::event(Date::MIN.at_midnight(), stay, SourceKind::Hospital),
     ]));
     let positions: Vec<u32> = (0..collection.len() as u32).collect();
-    let months = cohort_monthly(&collection, &positions);
+    let months = run_fold(&collection, &positions);
     assert_eq!(months.len(), 19_999 * 12);
     assert_eq!(months, naive_monthly(&collection, &positions));
 }
@@ -141,7 +150,7 @@ proptest! {
         for threads in THREADS {
             let (profile, monthly) = pastas_par::with_threads(threads, || {
                 let columns = PatientColumns::build(&collection, &ontology);
-                (columns.profile(&positions, reference, 25), cohort_monthly(&collection, &positions))
+                (columns.profile(&positions, reference, 25), columns.monthly(&positions))
             });
             prop_assert_eq!(&profile, &serial, "threads {}", threads);
             prop_assert_eq!(&monthly, &serial_monthly, "threads {}", threads);
@@ -156,6 +165,83 @@ proptest! {
                     "histogram {} must partition (threads {})", h.name, threads
                 );
             }
+        }
+    }
+
+    /// The run fold against the per-entry map on the shapes the run
+    /// encoding splits or skips on: a month of more than 255 entries, a
+    /// gap of more than 255 months inside an arena's window, a start
+    /// outside it (`FAR_START`), entries on the last and the first day of
+    /// a month, and persons-only rows — beside a multi-arena collection,
+    /// at one thread and at four.
+    #[test]
+    fn run_fold_equals_naive_monthly(
+        collection_seed in 0u64..50,
+        cohort_seed in 0u64..u64::MAX,
+        patients in 60usize..160,
+        shard_patients in 40usize..120,
+        year in 1900i32..2020,
+        month in 1u32..13,
+        burst in 256u32..700,
+        gap in 256i32..420,
+    ) {
+        let config = SynthConfig { shard_patients, ..SynthConfig::with_patients(patients) };
+        let mut collection = generate_collection(config, collection_seed);
+        let mut rng = Rng(cohort_seed);
+        let (persons_only, keep) = (rng.next() % 3, rng.next() % 16);
+        let first = Date::new(year, month, 1).expect("valid");
+        let code = || Payload::Diagnosis(pastas_codes::Code::icpc("T90"));
+        let at = |date: Date, h, m, s| date.at(h, m, s).expect("valid time");
+        let event = |t| Entry::event(t, code(), SourceKind::PrimaryCare);
+        let dim = first.days_in_month();
+        // `burst` entries over every day of one month, the last day and
+        // the first day of the next month included.
+        let burst_row: Vec<Entry> = (0..burst)
+            .map(|i| event(at(first.add_days(i64::from(i % dim)), i / dim % 24, i / dim / 24, 0)))
+            .chain([event(at(first.add_months(1), 0, 0, 0))])
+            .collect();
+        // Month edges on both sides, an interval counted at its start, and
+        // a gap of `gap` months (well inside the arena's window).
+        let edges = vec![
+            event(at(first.last_of_month(), 23, 59, 59)),
+            event(at(first.add_months(1), 0, 0, 0)),
+            Entry::interval(
+                at(first.add_months(1).last_of_month(), 12, 0, 0),
+                at(first.add_months(3), 0, 0, 0),
+                code(),
+                SourceKind::Hospital,
+            ),
+            event(at(first.add_months(gap), 0, 0, 0)),
+            event(at(first.add_months(gap).last_of_month(), 23, 59, 59)),
+        ];
+        // Two centuries before the rest: a start no `u32` window holds.
+        let far = vec![
+            event(at(first.add_months(-2400).last_of_month(), 6, 0, 0)),
+            event(at(first, 0, 0, 0)),
+            event(at(first.last_of_month(), 0, 0, 0)),
+        ];
+        let special = collection.len() as u32;
+        let extra = [burst_row, edges, far];
+        for (id, entries) in extra.into_iter().enumerate() {
+            collection.upsert(history_of(7_000_000 + id as u64, entries));
+        }
+        for id in 0..persons_only {
+            collection.upsert(History::new(Patient {
+                id: PatientId(7_100_000 + id),
+                birth_date: Date::new(1950, 1, 1).expect("valid"),
+                sex: Sex::Male,
+            }));
+        }
+        let far_row = collection.position_of(PatientId(7_000_002)).expect("upserted");
+        let (_, offsets) = collection.histories()[far_row].entries().start_offsets();
+        prop_assert!(offsets.contains(&pastas_model::FAR_START), "a far start");
+        // Every special row is in the cohort, beside a random sample.
+        let mut positions = random_cohort(&mut rng, special as usize, keep);
+        positions.extend(special..collection.len() as u32);
+        let naive = naive_monthly(&collection, &positions);
+        for threads in THREADS {
+            let folded = pastas_par::with_threads(threads, || run_fold(&collection, &positions));
+            prop_assert_eq!(&folded, &naive, "threads {}", threads);
         }
     }
 }

@@ -247,8 +247,8 @@ impl CohortRegistry {
         })
     }
 
-    /// The monthly series of `handle`'s cohort: walked over `workbench`
-    /// on the first call per handle, the memo afterwards.
+    /// The monthly series of `handle`'s cohort: folded from `workbench`'s
+    /// month runs on the first call per handle, the memo afterwards.
     pub fn monthly<'h>(
         &self,
         handle: &'h CohortHandle,

@@ -369,6 +369,16 @@ mod tests {
         }
     }
 
+    /// A multi-megabyte export loads back to the same document: the
+    /// parser copies string runs, so the load is linear in the text.
+    #[test]
+    fn a_multi_megabyte_export_round_trips() {
+        use pastas_synth::{generate_collection, SynthConfig};
+        let json = to_json(&generate_collection(SynthConfig::with_patients(800), 78));
+        assert!(json.len() > 2 << 20, "{} bytes", json.len());
+        assert_eq!(to_json(&from_json(&json).expect("load")), json);
+    }
+
     #[test]
     fn from_json_rejects_malformed_documents() {
         assert!(from_json("not json").is_err());

@@ -154,10 +154,11 @@ pub struct Workbench {
     quality: Option<QualityReport>,
     selections: Arc<SelectionCache>,
     /// The per-patient digest column of `collection` (see
-    /// `pastas-analytics`): the first [`Self::cohort_profile`] call
-    /// builds it, snapshots share it, and [`Self::apply_ingest`] carries
-    /// a built one forward from the touched rows, so no later read or
-    /// publish walks the collection for it again.
+    /// `pastas-analytics`): the first [`Self::cohort_profile`] or
+    /// [`Self::cohort_monthly`] call builds it, snapshots share it, and
+    /// [`Self::apply_ingest`] carries a built one forward from the touched
+    /// rows, so no later read or publish walks the collection for it
+    /// again.
     columns: Arc<OnceLock<PatientColumns>>,
     // View state.
     order: Vec<u32>,
@@ -420,8 +421,8 @@ impl Workbench {
     #[inline(always)]
     pub fn debug_validate(&self) {}
 
-    /// True while [`Self::cohort_profile`] answers without walking the
-    /// collection.
+    /// True while [`Self::cohort_profile`] and [`Self::cohort_monthly`]
+    /// answer without walking the collection.
     #[cfg(test)]
     pub(crate) fn holds_columns(&self) -> bool {
         self.columns.get().is_some()
@@ -605,15 +606,21 @@ impl Workbench {
         reference: Date,
         top_k: usize,
     ) -> pastas_analytics::CohortProfile {
-        let columns =
-            self.columns.get_or_init(|| PatientColumns::build(&self.collection, &self.ontology));
-        columns.profile(positions, reference, top_k)
+        self.columns().profile(positions, reference, top_k)
     }
 
     /// Monthly event counts of the cohort at `positions` (gap-filled,
-    /// first-of-month keyed) — the cohort-level timeline.
+    /// first-of-month keyed) — the cohort-level timeline: one parallel
+    /// fold over the cohort's month runs in the same digest column as
+    /// [`Self::cohort_profile`], which builds it the same way if nobody
+    /// has yet.
     pub fn cohort_monthly(&self, positions: &[u32]) -> Vec<(Date, u64)> {
-        pastas_analytics::cohort_monthly(&self.collection, positions)
+        self.columns().monthly(positions)
+    }
+
+    /// The shared digest column, built on first use.
+    fn columns(&self) -> &PatientColumns {
+        self.columns.get_or_init(|| PatientColumns::build(&self.collection, &self.ontology))
     }
 
     /// Patient ids matching the query.
@@ -1253,6 +1260,21 @@ mod tests {
         // A collection swap starts over.
         wb.set_collection(generate_collection(SynthConfig::with_patients(50), 7));
         assert!(!wb.holds_columns());
+    }
+
+    /// A `/timeline` read on a snapshot nobody has profiled builds the
+    /// shared column; the stats read after it, on the writer's side of
+    /// the cell, folds that one and agrees on the entry total.
+    #[test]
+    fn a_first_timeline_read_builds_the_column_stats_reuse() {
+        let wb = wb();
+        let reference = Date::new(2014, 12, 31).unwrap();
+        assert!(!wb.holds_columns());
+        let months = wb.snapshot().cohort_monthly(&[5, 250]);
+        assert!(wb.holds_columns(), "the timeline read fills the shared cell");
+        let profile = wb.cohort_profile(&[5, 250], reference, 20);
+        let total: u64 = months.iter().map(|&(_, count)| count).sum();
+        assert_eq!(total, profile.total_entries);
     }
 
     #[test]

@@ -19,8 +19,9 @@
 //! 65,536-row shard width), and `--budget-ms B` additionally fails the
 //! smoke when any index-served shape's planned execution exceeds `B`
 //! milliseconds, and likewise any of the view's four sort keys
-//! (`Workbench::sort`, median of five) — the 1M-patient CI stage runs
-//! with `--budget-ms 100`.
+//! (`Workbench::sort`, median of five) and the paper-shaped cohort's
+//! profile and monthly series (median of five on a built digest column)
+//! — the 1M-patient CI stage runs with `--budget-ms 100`.
 //! `--smoke-temporal` runs the same differential discipline over
 //! `seq(...)` temporal shapes: code-bearing patterns must plan to an
 //! index prefilter feeding a `PatternScan` operator (never a full
@@ -200,6 +201,7 @@ fn run_smoke(workbench: &Workbench, reference_date: pastas_time::Date, budget_ms
     }
     if budget_ms > 0 {
         failures += sorts_over_budget(workbench, budget_ms);
+        failures += cohort_reads_over_budget(workbench, reference_date, budget_ms);
     }
     if failures > 0 {
         eprintln!("PLANNER SMOKE: {failures} check(s) FAILED");
@@ -218,16 +220,53 @@ fn sorts_over_budget(workbench: &Workbench, budget_ms: u64) -> u32 {
     let mut view = workbench.snapshot();
     let mut failures = 0;
     for key in [SortKey::PatientId, SortKey::FirstEntry, SortKey::EntryCount, SortKey::Span] {
-        let mut times: Vec<f64> = (0..5)
-            .map(|_| {
-                let t = std::time::Instant::now();
-                view.sort(&key);
-                t.elapsed().as_secs_f64() * 1e3
-            })
-            .collect();
-        times.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        if times[2] > budget_ms as f64 {
-            eprintln!("  FAIL sort {key:?}: {:.1} ms over the {budget_ms} ms budget", times[2]);
+        let median = median_of_five(|| view.sort(&key));
+        if median > budget_ms as f64 {
+            eprintln!("  FAIL sort {key:?}: {median:.1} ms over the {budget_ms} ms budget");
+            failures += 1;
+        }
+    }
+    failures
+}
+
+/// The median of five timed runs of `run`, in milliseconds.
+fn median_of_five(mut run: impl FnMut()) -> f64 {
+    let mut times: Vec<f64> = (0..5)
+        .map(|_| {
+            let t = std::time::Instant::now();
+            run();
+            t.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    times.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    times[2]
+}
+
+/// The paper-shaped cohort's two reads held to the budget: its profile
+/// and its monthly series, median of five each on a built digest column.
+/// Reports (and counts) only the reads over it.
+fn cohort_reads_over_budget(
+    workbench: &Workbench,
+    reference: pastas_time::Date,
+    budget_ms: u64,
+) -> u32 {
+    let text = "has(K.*) and lacks(A98) and age(0..150)";
+    let query = parse_query(text, reference).expect("the paper-shaped cohort parses");
+    let positions = workbench.select_positions(&query);
+    // The first read builds the digest column; the budget is for reads.
+    std::hint::black_box(workbench.cohort_profile(&[], reference, 20));
+    let reads = [
+        ("profile", median_of_five(|| {
+            std::hint::black_box(workbench.cohort_profile(&positions, reference, 20));
+        })),
+        ("monthly series", median_of_five(|| {
+            std::hint::black_box(workbench.cohort_monthly(&positions));
+        })),
+    ];
+    let mut failures = 0;
+    for (read, median) in reads {
+        if median > budget_ms as f64 {
+            eprintln!("  FAIL {text:?} {read}: {median:.1} ms over the {budget_ms} ms budget");
             failures += 1;
         }
     }
