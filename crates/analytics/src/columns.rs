@@ -46,7 +46,9 @@ pub(crate) const NO_YEAR: i16 = i16::MIN;
 /// assigns, `none` buckets included.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Digest {
-    pub birth: Date,
+    /// Birth date as a day number: the age band is a count of the
+    /// profile's day-number cutoffs it does not exceed.
+    pub birth: i32,
     pub entries: u32,
     /// Bit `i` set ⇔ some entry indicates `CONDITIONS[i]`.
     pub cond_mask: u32,
@@ -152,7 +154,8 @@ impl Chunk {
         self.push_runs(history.entries(), first_year, calendar);
         let span_days = history.span().map(|span| span.as_days_f64());
         self.rows.push(Digest {
-            birth: history.patient().birth_date,
+            // Every date's day number fits: the calendar spans ±4.4M days.
+            birth: history.patient().birth_date.day_number() as i32,
             entries: history.len() as u32,
             cond_mask,
             codes_end: kept as u32,

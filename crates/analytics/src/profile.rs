@@ -15,7 +15,7 @@ use crate::columns::{dominant, Digest, PatientColumns, CHUNK_ROWS, NO_YEAR};
 use crate::dimensions::*;
 use crate::tables::NO_BUCKET;
 use pastas_ingest::json::write_string;
-use pastas_model::{HistoryCollection, Sex, SourceKind};
+use pastas_model::{History, HistoryCollection, Sex, SourceKind};
 use pastas_ontology::integration::{IntegrationOntology, CONDITIONS};
 use pastas_time::Date;
 use std::collections::BTreeMap;
@@ -159,6 +159,28 @@ impl CohortProfile {
     }
 }
 
+/// The age-decade cutoffs of one reference date, as day numbers:
+/// `cutoffs[i]` is the last birth aged `10 * (i + 1)` years or more
+/// ([`History::last_birth_aged`]), so a birth's [`age_bucket`] is the
+/// number of cutoffs it does not exceed — leap days included, since the
+/// cutoffs come from the age's own arithmetic.
+pub(crate) struct AgeCutoffs([i32; AGE_BANDS - 1]);
+
+impl AgeCutoffs {
+    /// Bind the cutoffs at `reference`: nine calendar searches a fold.
+    pub(crate) fn at(reference: Date) -> AgeCutoffs {
+        AgeCutoffs(std::array::from_fn(|i| {
+            // The calendar's day numbers and the one before it fit in i32.
+            History::last_birth_aged(reference, 10 * (i as i32 + 1)) as i32
+        }))
+    }
+
+    /// The age band of a birth day number, counted without a branch.
+    pub(crate) fn band(&self, birth: i32) -> usize {
+        self.0.iter().map(|&cutoff| usize::from(birth <= cutoff)).sum()
+    }
+}
+
 /// The dense per-worker accumulator: every dimension is a small `u32`
 /// array indexed by bucket id; top-k and condition columns are sized by
 /// the global vocabulary. Merging two accumulators is vector addition,
@@ -197,16 +219,17 @@ impl Accum {
         }
     }
 
-    /// Fold one patient's digest row into the accumulator.
-    fn add(&mut self, row: &Digest, codes: &[u32], reference: Date) {
+    /// Fold one patient's digest row into the accumulator, aged by the
+    /// reference date's `ages` cutoffs and its calendar year `ref_year`.
+    fn add(&mut self, row: &Digest, codes: &[u32], ages: &AgeCutoffs, ref_year: i32) {
         self.cohort += 1;
         self.entries += u64::from(row.entries);
-        self.age[age_bucket(reference.months_between(row.birth).div_euclid(12))] += 1;
+        self.age[ages.band(row.birth)] += 1;
         self.sex[row.sex as usize] += 1;
         self.entry_bands[entry_bucket(row.entries as usize)] += 1;
         self.first_contact[match row.first_year {
             NO_YEAR => FIRST_CONTACT_NONE,
-            year => first_contact_bucket(reference.year(), i32::from(year)),
+            year => first_contact_bucket(ref_year, i32::from(year)),
         }] += 1;
         self.span[row.span as usize] += 1;
         self.source[row.source as usize] += 1;
@@ -249,15 +272,16 @@ impl PatientColumns {
     /// The full dimension profile of the cohort at `positions` (sorted
     /// indices into the collection this column describes, as returned by
     /// the query planner), aged against `reference`: one parallel fold
-    /// over `positions.len()` digest rows. No entry is read.
+    /// over `positions.len()` digest rows into one accumulator a chunk.
+    /// No entry is read and the calendar is consulted once a call.
     pub fn profile(&self, positions: &[u32], reference: Date, top_k: usize) -> CohortProfile {
+        let (ages, ref_year) = (AgeCutoffs::at(reference), reference.year());
         let folded = pastas_par::par_fold(
             positions,
             || Accum::new(self.vocab.labels.len()),
-            |mut acc, &pos| {
+            |acc, &pos| {
                 let (row, codes) = self.row(pos);
-                acc.add(row, codes, reference);
-                acc
+                acc.add(row, codes, &ages, ref_year);
             },
             Accum::merge,
         );
@@ -279,10 +303,7 @@ impl PatientColumns {
         let counts = pastas_par::par_fold(
             &by_chunk,
             || vec![0u64; self.months.len()],
-            |mut acc, group| {
-                self.add_runs(group, base, &mut acc);
-                acc
-            },
+            |acc, group| self.add_runs(group, base, acc),
             |mut a, b| {
                 a.iter_mut().zip(&b).for_each(|(mine, theirs)| *mine += theirs);
                 a
@@ -480,7 +501,7 @@ mod tests {
         assert_eq!(total, entries);
         for pair in months.windows(2) {
             let (a, b) = (pair[0].0, pair[1].0);
-            assert_eq!(a.months_between(b).abs(), 1, "months must be contiguous");
+            assert_eq!(a.add_months(1), b, "months must be contiguous");
         }
     }
 }

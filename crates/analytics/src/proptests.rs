@@ -3,7 +3,8 @@
 //! map, on arbitrary collections, cohorts and thread counts; every
 //! partition histogram's bucket totals must sum to the cohort size.
 
-use crate::profile::cohort_profile_serial;
+use crate::dimensions::{age_bucket, AGE_BANDS};
+use crate::profile::{cohort_profile_serial, AgeCutoffs};
 use crate::PatientColumns;
 use pastas_model::{Entry, History, HistoryCollection, Patient, PatientId, Payload, Sex, SourceKind};
 use pastas_ontology::integration::IntegrationOntology;
@@ -15,6 +16,10 @@ use std::collections::BTreeMap;
 /// Thread counts the parallel pass must be invariant over (1 is the
 /// exact serial chunking).
 const THREADS: [usize; 2] = [1, 4];
+
+/// Reference dates the profile oracle draws from besides the last event:
+/// 28 February of a common year, 29 February, 1 March and 31 December.
+const REFERENCES: [(i32, u32, u32); 4] = [(2014, 2, 28), (2024, 2, 29), (2014, 3, 1), (2014, 12, 31)];
 
 /// Tiny deterministic PRNG (splitmix64), same scheme as the query
 /// crate's proptests.
@@ -109,6 +114,31 @@ fn monthly_walk_counts_starts_outside_an_arena_window() {
     assert_eq!(months, naive_monthly(&collection, &positions));
 }
 
+/// The profile's age cutoffs against the calendar arithmetic of
+/// `History::age_at`, on every birth within three days of each cutoff,
+/// at every reference the oracle draws and at both calendar ends — births
+/// on and after the reference and at `Date::MIN` included.
+#[test]
+fn age_cutoffs_band_like_the_calendar() {
+    let mut references: Vec<Date> =
+        REFERENCES.iter().map(|&(y, m, d)| Date::new(y, m, d).expect("valid")).collect();
+    references.extend([Date::new(2013, 1, 1).expect("valid"), Date::MIN, Date::MAX]);
+    for reference in references {
+        let cutoffs = AgeCutoffs::at(reference);
+        let mut births = vec![Date::MIN, Date::MAX, reference, reference.add_days(1)];
+        births.push(reference.add_days(400));
+        for years in (1..AGE_BANDS as i32).map(|band| 10 * band) {
+            let cutoff = History::last_birth_aged(reference, years);
+            births.extend((-3..=3).filter_map(|day| Date::from_day_number(cutoff + day)));
+        }
+        for birth in births {
+            let want = age_bucket(reference.months_between(birth).div_euclid(12));
+            let got = cutoffs.band(birth.day_number() as i32);
+            assert_eq!(got, want, "born {birth}, aged at {reference}");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
 
@@ -120,29 +150,37 @@ proptest! {
         shard_patients in 40usize..120,
         persons_only in 0u64..4,
         keep in 0u64..16,
+        reference_at in 0usize..REFERENCES.len() + 1,
     ) {
         // Multi-arena on purpose: shard_patients < patients forces the
         // per-interner table translation the single-arena tests never hit.
         let config = SynthConfig { shard_patients, ..SynthConfig::with_patients(patients) };
         let mut collection = generate_collection(config, collection_seed);
+        let sampled = collection.len();
         // Patients the person register knows and no source has seen:
         // empty histories, each on a store and interner of its own.
         for id in 0..persons_only {
             collection.upsert(History::new(Patient {
                 id: PatientId(5_000_000 + id),
-                // Leap-day births: the age's one calendar edge.
-                birth_date: Date::new(1904 + 28 * id as i32, 2, 29).expect("leap year"),
+                // Leap-day births, on age-decade cutoffs of the 28 and
+                // 29 February references: the age's one calendar edge.
+                birth_date: Date::new(1904 + 40 * id as i32, 2, 29).expect("leap year"),
                 sex: if id % 2 == 0 { Sex::Female } else { Sex::Male },
             }));
         }
         let ontology = IntegrationOntology::new();
-        let reference = collection
+        let last_event = collection
             .stats()
             .last
             .map(|dt| dt.date())
             .unwrap_or_else(|| Date::new(2013, 1, 1).expect("valid"));
+        let reference = REFERENCES.get(reference_at).map_or(last_event, |&(y, m, d)| {
+            Date::new(y, m, d).expect("valid")
+        });
         let mut rng = Rng(cohort_seed);
-        let positions = random_cohort(&mut rng, collection.len(), keep);
+        // A random sample, and every persons-only row.
+        let mut positions = random_cohort(&mut rng, sampled, keep);
+        positions.extend(sampled as u32..collection.len() as u32);
 
         let serial =
             cohort_profile_serial(&collection, &ontology, &positions, reference, 25);

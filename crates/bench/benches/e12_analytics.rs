@@ -78,6 +78,12 @@ fn tier(json: &mut String, first: bool, patients: usize, shard_patients: usize) 
         let profile_ms = median_ms(|| {
             black_box(wb.cohort_profile(black_box(&positions), reference, 20));
         });
+        // The same fold on one thread: the paper_168k workload's setting.
+        let profile_1t_ms = pastas_par::with_threads(1, || {
+            median_ms(|| {
+                black_box(wb.cohort_profile(black_box(&positions), reference, 20));
+            })
+        });
         let timeline_ms = median_ms(|| {
             black_box(wb.cohort_monthly(black_box(&positions)));
         });
@@ -105,7 +111,8 @@ fn tier(json: &mut String, first: bool, patients: usize, shard_patients: usize) 
         let verdict = |met: bool| if met { "met" } else { "NOT met" };
         eprintln!(
             "{patients} patients, {shape} cohort {cohort} ({:.1}%, {} entries): profile \
-             {profile_ms:.2} ms ({} histograms, budget {BUDGET_MS:.0} ms: {})  monthly \
+             {profile_ms:.2} ms, {profile_1t_ms:.2} ms on 1 thread ({} histograms, budget \
+             {BUDGET_MS:.0} ms: {})  monthly \
              {timeline_ms:.2} ms (budget: {})  registry-hit {hit_ms:.2} ms vs cold \
              select+aggregate {cold_ms:.2} ms ({:.2}x)",
             100.0 * cohort as f64 / patients as f64,
@@ -123,7 +130,8 @@ fn tier(json: &mut String, first: bool, patients: usize, shard_patients: usize) 
             "    {{\"patients\": {patients}, \"shards\": {shards}, \
              \"column_build_ms\": {column_build_ms:.1}, \"shape\": \"{shape}\", \
              \"cohort\": {cohort}, \"cohort_entries\": {}, \
-             \"profile_ms\": {profile_ms:.3}, \"timeline_ms\": {timeline_ms:.3}, \
+             \"profile_ms\": {profile_ms:.3}, \"profile_1t_ms\": {profile_1t_ms:.3}, \
+             \"timeline_ms\": {timeline_ms:.3}, \
              \"profile_budget_met\": {profile_budget_met}, \
              \"timeline_budget_met\": {timeline_budget_met}, \"registry_hit_ms\": {hit_ms:.3}, \
              \"cold_select_aggregate_ms\": {cold_ms:.3}}}",

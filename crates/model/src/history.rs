@@ -9,7 +9,7 @@
 
 use crate::store::{Entries, EntryRef, EventStore};
 use crate::{Entry, PatientId};
-use pastas_time::{Date, DateTime, Duration};
+use pastas_time::{Date, DateTime, DayNumber, Duration};
 use std::sync::Arc;
 
 /// Patient sex as registered.
@@ -251,7 +251,28 @@ impl History {
 
     /// The patient's age in whole years at `date`.
     pub fn age_at(&self, date: Date) -> i32 {
-        date.months_between(self.patient.birth_date).div_euclid(12)
+        age(self.patient.birth_date, date)
+    }
+
+    /// The day number of the last birth date aged at least `years` whole
+    /// years at `at`, by [`Self::age_at`]'s own arithmetic; one day before
+    /// [`Date::MIN`] if no date is that old. The age never grows with the
+    /// birth date, so the births aged `years` or more are every day up to
+    /// this one: a binary search over the calendar finds it, and a caller
+    /// that binds it once tests a birth with one integer comparison.
+    pub fn last_birth_aged(at: Date, years: i32) -> DayNumber {
+        let (mut lo, mut hi) = (Date::MIN.day_number(), Date::MAX.day_number() + 1);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            // `mid` lies in MIN..=MAX: the search never leaves the calendar.
+            let born = Date::from_day_number(mid).unwrap_or(Date::MAX);
+            if age(born, at) >= years {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo - 1
     }
 
     /// The first entry accepted by `pred`, in time order. This is the
@@ -273,6 +294,11 @@ impl History {
             })
             .collect()
     }
+}
+
+/// Whole years from `birth` to `at`.
+fn age(birth: Date, at: Date) -> i32 {
+    at.months_between(birth).div_euclid(12)
 }
 
 impl PartialEq for History {
@@ -442,6 +468,21 @@ mod tests {
         assert_eq!(h.age_at(Date::new(2015, 6, 15).unwrap()), 65);
         assert_eq!(h.age_at(Date::new(1950, 6, 15).unwrap()), 0);
         assert_eq!(h.age_at(Date::new(1949, 1, 1).unwrap()), -2); // pre-birth dates
+    }
+
+    #[test]
+    fn last_birth_aged_is_the_birthday_cutoff() {
+        let d = |y, m, day| Date::new(y, m, day).unwrap().day_number();
+        let at = Date::new(2015, 6, 15).unwrap();
+        assert_eq!(History::last_birth_aged(at, 65), d(1950, 6, 15));
+        assert_eq!(History::last_birth_aged(at, 0), d(2015, 6, 15));
+        assert_eq!(History::last_birth_aged(at, -1), d(2016, 6, 15));
+        // Born 29 February: a year older on 28 February of a common year.
+        let common = Date::new(2013, 2, 28).unwrap();
+        assert_eq!(History::last_birth_aged(common, 1), d(2012, 2, 29));
+        assert_eq!(History::last_birth_aged(at, i32::MAX), Date::MIN.day_number() - 1);
+        assert_eq!(History::last_birth_aged(at, i32::MIN), Date::MAX.day_number());
+        assert_eq!(History::last_birth_aged(Date::MAX, 0), Date::MAX.day_number());
     }
 
     #[test]

@@ -173,22 +173,27 @@ where
     }))
 }
 
-/// Parallel fold: each chunk folds from its own `make()` accumulator, and
-/// the per-chunk accumulators are combined **left to right in chunk
-/// order** with `merge`. With one thread this is a plain serial fold (no
-/// `merge` call), so `merge` must agree with `fold` in the usual
-/// monoid-homomorphism sense for the two paths to coincide — true for the
-/// postings maps, counters and min/max trackers this workspace uses.
+/// Parallel fold: each chunk builds one `make()` accumulator and folds
+/// its items into it **in place**, and the per-chunk accumulators are
+/// combined **left to right in chunk order** with `merge`. With one
+/// thread this is a plain serial fold (no `merge` call), so `merge` must
+/// agree with `fold` in the usual monoid-homomorphism sense for the two
+/// paths to coincide — true for the counters and month tables this
+/// workspace folds.
 pub fn par_fold<T, A, M, F, G>(items: &[T], make: M, fold: F, mut merge: G) -> A
 where
     T: Sync,
     A: Send,
     M: Fn() -> A + Sync,
-    F: Fn(A, &T) -> A + Sync,
+    F: Fn(&mut A, &T) + Sync,
     G: FnMut(A, A) -> A,
 {
     let chunks = par_chunks(items, DEFAULT_MIN_PER_THREAD, |_, chunk| {
-        chunk.iter().fold(make(), &fold)
+        let mut acc = make();
+        for item in chunk {
+            fold(&mut acc, item);
+        }
+        acc
     });
     let mut iter = chunks.into_iter();
     // lint:allow(no-panic-hot-path) par_chunks returns >= 1 chunk even for empty input
@@ -262,10 +267,7 @@ mod tests {
                 par_fold(
                     &items,
                     String::new,
-                    |mut acc, s| {
-                        acc.push_str(s);
-                        acc
-                    },
+                    |acc, s| acc.push_str(s),
                     |mut a, b| {
                         a.push_str(&b);
                         a
@@ -273,6 +275,35 @@ mod tests {
                 )
             });
             assert_eq!(got, serial, "threads {threads}");
+        }
+    }
+
+    #[test]
+    fn fold_builds_one_accumulator_a_chunk() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let items: Vec<u32> = (0..3_000).collect();
+        for threads in [1, 2, 8] {
+            let made = AtomicUsize::new(0);
+            let merged = std::cell::Cell::new(0);
+            let got = with_threads(threads, || {
+                par_fold(
+                    &items,
+                    || {
+                        made.fetch_add(1, Ordering::Relaxed);
+                        Vec::new()
+                    },
+                    |acc: &mut Vec<u32>, &x| acc.push(x),
+                    |mut a, mut b| {
+                        merged.set(merged.get() + 1);
+                        a.append(&mut b);
+                        a
+                    },
+                )
+            });
+            assert_eq!(got, items, "threads {threads}");
+            // 3,000 items are enough for 11 chunks of DEFAULT_MIN_PER_THREAD.
+            assert_eq!(made.into_inner(), threads, "one Vec a chunk (threads {threads})");
+            assert_eq!(merged.get(), threads - 1, "threads {threads}");
         }
     }
 
@@ -313,7 +344,7 @@ mod tests {
         assert!(par_map(&[] as &[u32], |x| *x).is_empty());
         assert!(par_filter_indices_min(&[] as &[u32], 1, |_| true).is_empty());
         assert_eq!(
-            par_fold(&[] as &[u32], || 7u64, |a, &x| a + x as u64, |a, b| a + b),
+            par_fold(&[] as &[u32], || 7u64, |a, &x| *a += x as u64, |a, b| a + b),
             7
         );
     }

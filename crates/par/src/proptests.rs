@@ -46,7 +46,7 @@ proptest! {
                 par_fold(
                     &items,
                     || 0u64,
-                    |a, x| a.wrapping_add(*x),
+                    |a, x| *a = a.wrapping_add(*x),
                     |a, b| a.wrapping_add(b),
                 )
             });
@@ -64,10 +64,7 @@ proptest! {
                 par_fold(
                     &items,
                     Vec::new,
-                    |mut a, x| {
-                        a.push(*x);
-                        a
-                    },
+                    |a, x| a.push(*x),
                     |mut a, mut b| {
                         a.append(&mut b);
                         a

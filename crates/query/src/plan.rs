@@ -39,7 +39,7 @@ use crate::normalize::{is_never, normalize};
 use crate::predicate::EntryPredicate;
 use crate::query::HistoryQuery;
 use pastas_ingest::json::write_string;
-use pastas_model::{HistoryCollection, Sex};
+use pastas_model::{History, HistoryCollection, Sex};
 use pastas_time::Date;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -802,32 +802,20 @@ enum ColumnTest {
 }
 
 impl ColumnTest {
-    /// Bind a leaf once per plan. `History::age_at` never grows with the
-    /// birth date, so the births aged `min..=max` at `at` are one interval
-    /// of days: two binary searches over the calendar with `age_at`'s own
-    /// arithmetic find its ends, and the per-row test is two date
-    /// comparisons that agree with `HistoryQuery::matches` on every date.
+    /// Bind a leaf once per plan. The births aged `min..=max` at `at` are
+    /// one interval of days: [`History::last_birth_aged`] finds its ends
+    /// with `History::age_at`'s own arithmetic, and the per-row test is
+    /// two date comparisons that agree with `HistoryQuery::matches` on
+    /// every date.
     fn bind(query: &HistoryQuery) -> ColumnTest {
         match *query {
             HistoryQuery::AgeBetween { at, min, max } => {
-                // First day (as a day number) of the calendar at which
-                // `older` stops holding; `older` holds on a prefix.
-                let first_not = |older: &dyn Fn(i32) -> bool| {
-                    let (mut lo, mut hi) = (Date::MIN.day_number(), Date::MAX.day_number() + 1);
-                    while lo < hi {
-                        let mid = lo + (hi - lo) / 2;
-                        let born = Date::from_day_number(mid).unwrap_or(Date::MAX);
-                        if older(at.months_between(born).div_euclid(12)) {
-                            lo = mid + 1;
-                        } else {
-                            hi = mid;
-                        }
-                    }
-                    lo
-                };
-                let first = first_not(&|age| age > max);
-                let end = first_not(&|age| age >= min);
-                match (Date::from_day_number(first), Date::from_day_number(end - 1)) {
+                // Nobody is older than `i32::MAX` years.
+                let first = max
+                    .checked_add(1)
+                    .map_or(Date::MIN.day_number(), |older| History::last_birth_aged(at, older) + 1);
+                let last = History::last_birth_aged(at, min);
+                match (Date::from_day_number(first), Date::from_day_number(last)) {
                     (Some(first), Some(last)) if first <= last => ColumnTest::Born { first, last },
                     _ => ColumnTest::Nobody,
                 }
@@ -1351,7 +1339,7 @@ mod tests {
     /// run.
     #[test]
     fn bound_birth_interval_agrees_with_age_at_on_every_day() {
-        use pastas_model::{History, Patient, PatientId};
+        use pastas_model::{Patient, PatientId};
         let ranges = [
             (0, 0),
             (0, 120),

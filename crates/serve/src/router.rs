@@ -922,6 +922,28 @@ mod tests {
         assert_eq!(route(&post("/cohort", "has(T90["), &ctx).status, 400);
     }
 
+    /// One entry dated on the calendar's last day moves the reference
+    /// date every age is taken at to `Date::MAX`: age selects and the
+    /// profile fold still answer.
+    #[test]
+    fn an_entry_on_the_last_calendar_day_keeps_ages_answering() {
+        let ctx = ctx();
+        let claims = "claim_id;patient;date;provider;icpc;note\nX1;NIN-0900001;31.12.9999;GP;T90;\n";
+        assert_eq!(route(&post("/ingest?format=persons", DELTA_PERSONS), &ctx).status, 202);
+        assert_eq!(route(&post("/ingest?format=claims", claims), &ctx).status, 202);
+        assert_eq!(route(&post("/compact", ""), &ctx).status, 200);
+        let aged = route(&post("/select", "age(0..150)"), &ctx);
+        assert_eq!(aged.status, 200);
+        assert_eq!(count_of(&aged.body), 0, "everyone is 7,000 years old or more");
+        let made = route(&post("/cohort", "has(T90)"), &ctx);
+        assert_eq!(made.status, 201);
+        let stats = route(&get(&format!("/cohort/{}/stats", cohort_id(&made.body))), &ctx);
+        assert_eq!(stats.status, 200);
+        let body = String::from_utf8(stats.body).unwrap();
+        assert!(body.contains("\"reference\":\"9999-12-31\""), "{body}");
+        assert!(body.contains("[\"90+\","), "{body}");
+    }
+
     /// The acceptance criterion for the registry hit path: a warm
     /// `/cohort/{id}/stats` answers without invoking the planner. The
     /// plan-path counters (selection cache, index hits, scan fallbacks)

@@ -217,19 +217,18 @@ impl Date {
     /// This is the bucketing rule of the aligned axis: an event one day
     /// *before* the anchor falls in month bucket `-1`, one day after in
     /// bucket `0`.
+    ///
+    /// Closed form: `other.add_months(k)` for the calendar month count
+    /// `k` lands in `self`'s month on `other`'s day clamped to that
+    /// month, so it overshoots `self` exactly when the clamped day is
+    /// later, and then `k - 1` is the floor. No month arithmetic runs: in
+    /// the calendar's last month, where `other.add_months(k + 1)`
+    /// saturates to [`Date::MAX`], this is still the month count.
     pub fn months_between(self, other: Date) -> i32 {
-        let mut k = (i32::from(self.year) - i32::from(other.year)) * 12
+        let k = (i32::from(self.year) - i32::from(other.year)) * 12
             + (i32::from(self.month) - i32::from(other.month));
-        // The month-count estimate can be off by one in either direction
-        // because of day-of-month clamping; nudge until the floor invariant
-        // holds. Each loop runs at most twice.
-        while other.add_months(k) > self {
-            k -= 1;
-        }
-        while other.add_months(k + 1) <= self {
-            k += 1;
-        }
-        k
+        let landed = other.day.min(days_in_month(self.year(), self.month));
+        k - i32::from(landed > self.day)
     }
 
     /// First day of this date's month.
@@ -422,6 +421,24 @@ mod tests {
         assert_eq!(Date::new(2020, 6, 16).unwrap().months_between(b), 0);
         assert_eq!(Date::new(2020, 7, 15).unwrap().months_between(b), 1);
         assert_eq!(b.months_between(b), 0);
+    }
+
+    #[test]
+    fn months_between_at_the_calendar_ends() {
+        let d = |y, m, day| Date::new(y, m, day).unwrap();
+        let born = d(1950, 1, 1);
+        assert_eq!(d(9999, 12, 30).months_between(born), 96_599);
+        assert_eq!(Date::MAX.months_between(born), 96_599);
+        assert_eq!(born.months_between(Date::MAX), -96_600);
+        assert_eq!(Date::MAX.months_between(Date::MIN), 19_999 * 12 - 1);
+        assert_eq!(Date::MIN.months_between(Date::MAX), -(19_999 * 12));
+        assert_eq!(Date::MIN.months_between(Date::MIN), 0);
+        assert_eq!(Date::MAX.months_between(Date::MAX), 0);
+        assert_eq!(Date::MAX.months_between(d(9999, 11, 30)), 1);
+        assert_eq!(d(9999, 12, 30).months_between(d(9999, 11, 30)), 1);
+        assert_eq!(d(9999, 12, 29).months_between(d(9999, 11, 30)), 0);
+        assert_eq!(d(-9999, 2, 1).months_between(Date::MIN), 1);
+        assert_eq!(Date::MIN.months_between(d(-9999, 1, 2)), -1);
     }
 
     #[test]
