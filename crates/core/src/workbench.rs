@@ -960,7 +960,7 @@ mod tests {
         let _ = wb.select_positions(&indexed);
         assert_eq!(wb.select_index_hits(), 1);
         assert_eq!(wb.select_scan_fallbacks(), 0);
-        // A demographic query is served from the index's patient column.
+        // A demographic query is served from the demographic row column.
         let demographic = QueryBuilder::new().sex(pastas_model::Sex::Female).build();
         let _ = wb.select_positions(&demographic);
         assert_eq!(wb.select_index_hits(), 2);

@@ -48,7 +48,8 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         "no-silent-truncation",
-        "flag narrowing `as` casts (u8/u16/u32/i8/i16/i32) in model/serve",
+        "flag narrowing `as` casts (u8/u16/u32/i8/i16/i32) in model/serve and the query \
+         parser (query/src/parse.rs)",
     ),
     (
         "budget-enforced-alloc",
@@ -68,6 +69,8 @@ pub const RULES: &[(&str, &str)] = &[
 
 const HOT_PATH_CRATES: &[&str] = &["serve", "par", "query"];
 const TRUNCATION_CRATES: &[&str] = &["model", "serve"];
+/// Files outside [`TRUNCATION_CRATES`] that turn request text into numbers.
+const TRUNCATION_FILES: &[&str] = &["query/src/parse.rs"];
 const NARROW_TARGETS: &[&str] = &["u8", "u16", "u32", "i8", "i16", "i32"];
 
 /// Keywords that can directly precede `[` without it being an index
@@ -352,7 +355,7 @@ fn rule_no_panic_hot_path(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
 }
 
 fn rule_no_silent_truncation(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
-    if !ctx.in_crate(TRUNCATION_CRATES) {
+    if !ctx.in_crate(TRUNCATION_CRATES) && !TRUNCATION_FILES.iter().any(|f| ctx.path.ends_with(f)) {
         return;
     }
     for p in 0..ctx.sig.len().saturating_sub(1) {

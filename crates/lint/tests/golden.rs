@@ -95,6 +95,15 @@ fn truncation_flags_only_the_narrowing_cast() {
 }
 
 #[test]
+fn truncation_covers_the_query_parser() {
+    let findings = check_fixture("parse_truncation");
+    assert_eq!(shape(&findings), vec![("no-silent-truncation", 8)]);
+    // The same source anywhere else in the query crate is out of scope.
+    let source = std::fs::read_to_string(fixture_dir().join("parse_truncation.rs")).unwrap();
+    assert!(check_file("crates/query/src/bitmap.rs", &source).is_empty());
+}
+
+#[test]
 fn allow_file_silences_the_whole_file() {
     assert!(check_fixture("allow_file").is_empty());
 }

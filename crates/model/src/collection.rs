@@ -1,6 +1,6 @@
 //! Collections of histories — the unit the workbench visualizes and queries.
 
-use crate::{History, PatientId};
+use crate::{History, PatientId, Sex};
 use pastas_time::DateTime;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -96,17 +96,32 @@ impl Summary {
     }
 }
 
-/// The per-row keys the view sorts on, one column each, indexed by
-/// display position: first start and last end (seconds since the epoch,
-/// what [`History::first_time`] and [`History::last_time`] return; 0 for
-/// an empty history) and entry count. 20 bytes a row, so a sort reads
-/// three dense arrays instead of one `Arc<History>` and two binary
-/// searches per row.
+/// The per-row columns, indexed by display position: the keys the view
+/// sorts on — first start and last end (seconds since the epoch, what
+/// [`History::first_time`] and [`History::last_time`] return; 0 for an
+/// empty history) and entry count, 20 bytes a row — and the patient's
+/// birth date (a day number) and sex, 5 bytes a row, which the query
+/// planner's `age(..)` and `sex(..)` leaves read. A sort reads three
+/// dense arrays instead of one `Arc<History>` and two binary searches per
+/// row; a demographic leaf reads one.
+///
+/// The demographic columns sit behind their own [`Arc`]: a row whose
+/// patient record is unchanged (a known patient's history extended)
+/// leaves them shared, so only an appended or re-registered patient
+/// copies them.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RowColumns {
     first_starts: Vec<i64>,
     last_ends: Vec<i64>,
     entry_counts: Vec<u32>,
+    patients: Arc<PatientColumns>,
+}
+
+/// Birth day number and sex, one entry a row.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct PatientColumns {
+    births: Vec<i32>,
+    sexes: Vec<Sex>,
 }
 
 impl RowColumns {
@@ -115,12 +130,22 @@ impl RowColumns {
         let seconds = |t: Option<DateTime>| t.map_or(0, DateTime::second_number);
         let (first, last) = (seconds(h.first_time()), seconds(h.last_time()));
         let count = u32::try_from(h.len()).unwrap_or(u32::MAX);
+        let patient = h.patient();
+        // Calendar day numbers lie within ±3.7M, far inside `i32`.
+        let birth = i32::try_from(patient.birth_date.day_number()).unwrap_or(i32::MAX);
         if at == self.entry_counts.len() {
             self.first_starts.push(first);
             self.last_ends.push(last);
             self.entry_counts.push(count);
+            let patients = Arc::make_mut(&mut self.patients);
+            patients.births.push(birth);
+            patients.sexes.push(patient.sex);
         } else {
             (self.first_starts[at], self.last_ends[at], self.entry_counts[at]) = (first, last, count);
+            if (self.patients.births[at], self.patients.sexes[at]) != (birth, patient.sex) {
+                let patients = Arc::make_mut(&mut self.patients);
+                (patients.births[at], patients.sexes[at]) = (birth, patient.sex);
+            }
         }
     }
 
@@ -138,6 +163,17 @@ impl RowColumns {
     pub fn entry_counts(&self) -> &[u32] {
         &self.entry_counts
     }
+
+    /// Each row's patient birth date, as a day number
+    /// ([`pastas_time::Date::day_number`]).
+    pub fn births(&self) -> &[i32] {
+        &self.patients.births
+    }
+
+    /// Each row's patient sex.
+    pub fn sexes(&self) -> &[Sex] {
+        &self.patients.sexes
+    }
 }
 
 /// An ordered collection of patient histories with id-based lookup.
@@ -153,8 +189,9 @@ impl RowColumns {
 ///
 /// The spine and the [`RowColumns`] are shared copy-on-write as well: a
 /// clone is three pointer bumps, the first replaced history after a clone
-/// copies the pointer vector and the row columns (nothing per entry), and
-/// only a brand-new patient copies the id map.
+/// copies the pointer vector and the sort-key columns (nothing per
+/// entry), only a brand-new or re-registered patient copies the
+/// demographic columns, and only a brand-new one the id map.
 #[derive(Debug, Clone, Default)]
 pub struct HistoryCollection {
     histories: Arc<Vec<Arc<History>>>,
@@ -222,7 +259,8 @@ impl HistoryCollection {
         &self.histories
     }
 
-    /// The per-row sort keys, indexed like [`Self::histories`].
+    /// The per-row sort keys and demographics, indexed like
+    /// [`Self::histories`].
     pub fn rows(&self) -> &RowColumns {
         &self.rows
     }
@@ -501,6 +539,41 @@ mod tests {
         assert_eq!(sub.rows().first_starts(), [year(2015), 0]);
         assert_eq!(sub.rows().last_ends(), [year(2020), 0]);
         assert_eq!(c.rows().last_ends(), [year(2015), 0], "parent's rows untouched");
+    }
+
+    /// Extending a known patient after a clone leaves the demographic
+    /// columns shared with the clone; appending a patient, or
+    /// re-registering one, copies them.
+    #[test]
+    fn demographic_columns_copy_only_when_a_patient_record_changes() {
+        let c = HistoryCollection::from_histories([history(1, &[("A01", 2015)]), history(2, &[])]);
+        let mut grown = c.clone();
+        let mut h = grown.get(PatientId(1)).unwrap().clone();
+        h.insert(Entry::event(
+            Date::new(2020, 1, 1).unwrap().at_midnight(),
+            Payload::Diagnosis(Code::icpc("T90")),
+            SourceKind::PrimaryCare,
+        ));
+        grown.upsert(h);
+        grown.debug_validate();
+        assert!(!Arc::ptr_eq(&c.rows, &grown.rows), "the sort keys were copied");
+        assert!(Arc::ptr_eq(&c.rows.patients, &grown.rows.patients), "demographics shared");
+
+        let mut appended = c.clone();
+        appended.upsert(history(3, &[]));
+        appended.debug_validate();
+        assert!(!Arc::ptr_eq(&c.rows.patients, &appended.rows.patients));
+        assert_eq!(appended.rows().sexes(), [Sex::Male, Sex::Female, Sex::Male]);
+        assert_eq!(c.rows().sexes(), [Sex::Male, Sex::Female], "parent's rows untouched");
+
+        let mut reborn = c.clone();
+        let born = Date::new(1901, 2, 28).unwrap();
+        reborn.upsert(History::new(Patient { id: PatientId(2), birth_date: born, sex: Sex::Male }));
+        reborn.debug_validate();
+        assert!(!Arc::ptr_eq(&c.rows.patients, &reborn.rows.patients));
+        let day = |d: Date| d.day_number() as i32;
+        assert_eq!(reborn.rows().births(), [day(Date::new(1950, 1, 1).unwrap()), day(born)]);
+        assert_eq!(c.rows().births()[1], day(Date::new(1950, 1, 1).unwrap()));
     }
 
     #[test]

@@ -258,12 +258,14 @@ proptest! {
     /// step of a random mutation sequence; the steps streamed ingest is
     /// made of (a history that grew, a brand-new patient, a sealed epoch)
     /// as well as cloning keep the summary held: none of them sends the
-    /// next `stats()` back to the walk.
+    /// next `stats()` back to the walk. A re-registration (same entries,
+    /// another birth date and sex) leaves the summary held and rewrites
+    /// the row's demographic columns, which `debug_validate` rebuilds.
     #[test]
     fn maintained_summary_equals_the_walk(
         seed in proptest::collection::vec(arb_entry(), 0..6),
         steps in proptest::collection::vec(
-            (0u8..9, 0u64..5, proptest::collection::vec(arb_entry(), 0..5), 0usize..4),
+            (0u8..10, 0u64..5, proptest::collection::vec(arb_entry(), 0..5), 0usize..4),
             1..24,
         ),
     ) {
@@ -326,6 +328,20 @@ proptest! {
                     c.upsert(history(id, entries));
                     prop_assert_eq!(copy.stats(), walked_stats(&copy), "the clone kept its own");
                     keeps = false;
+                }
+                // The same id re-registered: other birth date and sex.
+                9 => {
+                    let sex = match c.get(PatientId(id)).map(|h| h.patient().sex) {
+                        Some(Sex::Male) => Sex::Female,
+                        _ => Sex::Male,
+                    };
+                    let birth_date = Date::new(1900 + 20 * k as i32, 2, 28).unwrap();
+                    let mut h = History::new(Patient { birth_date, sex, ..person(id) });
+                    h.insert_all(existing.unwrap_or_default());
+                    c.upsert(h);
+                    let at = c.position_of(PatientId(id)).unwrap();
+                    prop_assert_eq!(c.rows().births()[at] as i64, birth_date.day_number());
+                    prop_assert_eq!(c.rows().sexes()[at], sex);
                 }
                 _ => {
                     epoch.append(person(id), entries.clone());

@@ -39,20 +39,20 @@
 //!   bit); the intermediate build state is per-shard, bounding peak RSS
 //!   at 10M patients;
 //! * compiled regexes are memoized per index, so re-running a selection
-//!   (the workbench's dominant interaction) skips recompilation;
-//! * each shard also holds the **patient column** of its rows (birth
-//!   date and sex, 5 B a row), filled in the build's posting pass: the
-//!   planner answers `age(..)` / `sex(..)` leaves with a dense pass over
-//!   it and never reads a history for them.
+//!   (the workbench's dominant interaction) skips recompilation.
+//!
+//! The index holds codes only: the planner answers `age(..)` / `sex(..)`
+//! leaves from the collection's own demographic columns
+//! ([`pastas_model::RowColumns::births`] and `sexes`), which
+//! `upsert_shared` keeps current.
 //!
 //! The E5/E8 benches compare all paths (scan, vocabulary, prefix,
 //! serial vs. parallel) and report compressed-vs-`Vec<u32>` posting bytes.
 
 use crate::bitmap::Bitmap;
 use crate::query::HistoryQuery;
-use pastas_model::{EventStore, History, HistoryCollection, Sex};
+use pastas_model::{EventStore, HistoryCollection};
 use pastas_regex::Regex;
-use pastas_time::Date;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -68,9 +68,7 @@ const PAR_MIN_HISTORIES: usize = 256;
 pub const SHARD_ROWS: u32 = 1 << 16;
 
 /// One patient-range shard of the index: compressed postings over the
-/// shard-relative positions `0..rows`, and the patient column of the
-/// same rows — what `age(..)` and `sex(..)` leaves are answered from
-/// without reading a history.
+/// shard-relative positions `0..rows`.
 #[derive(Debug, PartialEq)]
 pub(crate) struct IndexShard {
     /// First global history position of this shard (a multiple of
@@ -82,17 +80,6 @@ pub(crate) struct IndexShard {
     /// `vocab[slot]`. Same length as the vocabulary; shard-locally empty
     /// slots hold the empty bitmap (cheap — no containers).
     pub(crate) postings: Vec<Bitmap>,
-    /// `births[rel]`: birth date of the patient at shard-relative row
-    /// `rel` (`rows` entries, 4 B a row).
-    pub(crate) births: Vec<Date>,
-    /// `sexes[rel]`: registered sex of the same patient (1 B a row).
-    pub(crate) sexes: Vec<Sex>,
-}
-
-/// A history's entry in the patient column.
-fn demographics(history: &History) -> (Date, Sex) {
-    let patient = history.patient();
-    (patient.birth_date, patient.sex)
 }
 
 impl IndexShard {
@@ -124,10 +111,6 @@ pub(crate) struct SideIndex {
     /// Dirty history positions, strictly ascending. Every position at or
     /// beyond the main shards' coverage is dirty (appended patients).
     pub(crate) dirty: Vec<u32>,
-    /// `column[i]`: the current patient-column entry of row `dirty[i]`,
-    /// written into the covering shard by [`CodeIndex::compact`] (which
-    /// sees no collection).
-    pub(crate) column: Vec<(Date, Sex)>,
     /// Distinct code values of the dirty histories, sorted.
     pub(crate) vocab: Vec<Box<str>>,
     /// `postings[slot]`: dirty positions (global, strictly ascending)
@@ -261,10 +244,8 @@ impl CodeIndex {
             let span = &histories[base..(base + shard_rows as usize).min(histories.len())];
             let chunks = pastas_par::par_chunks(span, PAR_MIN_HISTORIES, |start, chunk| {
                 let mut lists: Vec<Vec<u16>> = vec![Vec::new(); values.len()];
-                let mut column = Vec::with_capacity(chunk.len());
                 for (offset, h) in chunk.iter().enumerate() {
                     let rel = (start + offset) as u16;
-                    column.push(demographics(h));
                     // lint:allow(no-panic-hot-path) store_of has one entry per history
                     let table = &tables[store_of[base + start + offset] as usize];
                     for e in h.entries() {
@@ -277,22 +258,18 @@ impl CodeIndex {
                         }
                     }
                 }
-                (lists, column)
+                lists
             });
             // Each position lives in exactly one chunk and chunks come
             // back in ascending position order, so appending per-slot
-            // lists (and the column) chunk by chunk keeps every list
-            // ascending and unique.
+            // lists chunk by chunk keeps every list ascending and unique.
             let mut merged: Vec<Vec<u16>> = vec![Vec::new(); values.len()];
-            let mut column = Vec::with_capacity(span.len());
-            for (lists, rows) in chunks {
+            for lists in chunks {
                 for (slot, list) in lists.into_iter().enumerate() {
                     // lint:allow(no-panic-hot-path) every chunk allocates values.len() slots
                     merged[slot].extend(list);
                 }
-                column.extend(rows);
             }
-            let (births, sexes) = column.into_iter().unzip();
             let postings: Vec<Bitmap> = merged
                 .into_iter()
                 .enumerate()
@@ -302,13 +279,7 @@ impl CodeIndex {
                     list.into_iter().map(u32::from).collect()
                 })
                 .collect();
-            shards.push(IndexShard {
-                base: base as u32,
-                rows: span.len() as u32,
-                postings,
-                births,
-                sexes,
-            });
+            shards.push(IndexShard { base: base as u32, rows: span.len() as u32, postings });
         }
 
         // A shared arena's interner may carry codes belonging to patients
@@ -346,8 +317,6 @@ impl CodeIndex {
     /// histories of this batch are walked and posted (afresh, if they
     /// were dirty already) — O(batch · entries-per-history) string work
     /// plus a copy of the side postings, whatever the debt already is.
-    /// Every dirty row's patient-column entry rides along in the
-    /// side-index until [`Self::compact`] writes it into a shard.
     /// The streaming path (`Workbench::apply_ingest`) calls this after
     /// every sealed delta batch; [`Self::compact`] folds the accumulated
     /// side postings back into the shards.
@@ -369,17 +338,6 @@ impl CodeIndex {
             }
         }
         let histories = collection.histories();
-        // The column entry of every dirty row: carried over, or read from
-        // the histories of this batch.
-        let column = dirty
-            .iter()
-            .map(|p| match self.side.dirty.binary_search(p) {
-                // lint:allow(no-panic-hot-path) side.column runs parallel to side.dirty
-                Ok(at) if extra.binary_search(p).is_err() => self.side.column[at],
-                // lint:allow(no-panic-hot-path) dirty positions index the collection
-                _ => demographics(&histories[*p as usize]),
-            })
-            .collect();
         for &p in &extra {
             // lint:allow(no-panic-hot-path) dirty positions index the collection
             for e in histories[p as usize].entries() {
@@ -409,7 +367,7 @@ impl CodeIndex {
             shards: self.shards.clone(),
             rows,
             shard_rows: self.shard_rows,
-            side: SideIndex { dirty, column, vocab, postings },
+            side: SideIndex { dirty, vocab, postings },
             compiled: Mutex::new(HashMap::new()),
         }
     }
@@ -419,11 +377,10 @@ impl CodeIndex {
     /// (`append`-idempotent — entries are never removed, so main
     /// postings are always a subset of the truth for dirty rows), rows
     /// beyond the old shard coverage extend the tiling with fresh
-    /// shards of the same width, the dirty rows' patient-column entries
-    /// overwrite (or extend) the covering shards' columns, and the result
-    /// has an empty side-index. Shards holding no dirty row are shared
-    /// (`Arc`), postings and column alike, unless the vocabulary grew
-    /// (new code values force a slot re-layout of every shard). The
+    /// shards of the same width, and the result has an empty side-index.
+    /// Shards no side posting falls in are shared (`Arc`) unless the
+    /// vocabulary grew (new code values force a slot re-layout of every
+    /// shard). The
     /// swap-in is the caller's job (e.g. the serve layer's compaction
     /// thread publishing a fresh snapshot).
     pub fn compact(&self) -> CodeIndex {
@@ -494,19 +451,13 @@ impl CodeIndex {
             }
         }
         let mut shards: Vec<Arc<IndexShard>> = Vec::with_capacity(shard_count);
-        // Dirty rows ascend, so each shard's are one run of `side.dirty`.
-        let mut dirty_from = 0usize;
         for (s, extra) in extra.into_iter().enumerate() {
             // lint:allow(no-silent-truncation) s < shard_count so base fits u32
             let base = s as u32 * shard_rows;
             let rows_s = shard_rows.min(self.rows - base);
-            // lint:allow(no-panic-hot-path) dirty_from <= dirty.len() by the partition_point below
-            let ahead = &self.side.dirty[dirty_from..];
-            let touched = dirty_from..dirty_from + ahead.partition_point(|&p| p < base + rows_s);
-            dirty_from = touched.end;
             let existing = self.shards.get(s);
-            // A shard without a dirty row has no side posting either.
-            if !grew && touched.is_empty() {
+            // A shard no side posting falls in keeps its postings.
+            if !grew && extra.is_empty() {
                 if let Some(e) = existing {
                     if e.rows == rows_s {
                         shards.push(Arc::clone(e));
@@ -527,19 +478,7 @@ impl CodeIndex {
                 // lint:allow(no-panic-hot-path) slot < vocab.len() by the merge
                 postings[slot] = postings[slot].union(&bm);
             }
-            let (mut births, mut sexes) =
-                existing.map_or_else(Default::default, |e| (e.births.clone(), e.sexes.clone()));
-            // Rows the shard grows by are all dirty: the loop below
-            // overwrites every placeholder.
-            births.resize(rows_s as usize, Date::MIN);
-            sexes.resize(rows_s as usize, Sex::Female);
-            for at in touched {
-                // lint:allow(no-panic-hot-path) `touched` indexes side.dirty and its parallel column, rows inside this shard
-                let (rel, entry) = ((self.side.dirty[at] - base) as usize, self.side.column[at]);
-                // lint:allow(no-panic-hot-path) rel < rows_s by the partition_point above
-                (births[rel], sexes[rel]) = entry;
-            }
-            shards.push(Arc::new(IndexShard { base, rows: rows_s, postings, births, sexes }));
+            shards.push(Arc::new(IndexShard { base, rows: rows_s, postings }));
         }
         // Recompute the cardinality cache from the merged shards.
         let mut counts = vec![0u32; vocab.len()];
@@ -575,15 +514,6 @@ impl CodeIndex {
     /// The patient-range shards (plan execution fans out over these).
     pub(crate) fn shards(&self) -> &[Arc<IndexShard>] {
         &self.shards
-    }
-
-    /// The patient column of the main shards, row by row.
-    #[cfg(test)]
-    pub(crate) fn column(&self) -> Vec<(Date, Sex)> {
-        self.shards
-            .iter()
-            .flat_map(|s| s.births.iter().copied().zip(s.sexes.iter().copied()))
-            .collect()
     }
 
     /// True if no rows are served by the side-index (fully compacted).
@@ -655,12 +585,16 @@ impl CodeIndex {
     /// list per vocabulary slot, every posting bitmap honours its own
     /// container invariants ([`Bitmap::debug_validate`]) inside the
     /// shard's row range, the per-slot counts match the shard totals, and
-    /// the patient column agrees with `collection` (the one this index
-    /// describes): every clean row's shard entry and every dirty row's
-    /// side entry equal that history's `Patient`.
+    /// `collection` (the one this index describes, or a successor that
+    /// grew) holds every row the index covers.
     #[cfg(debug_assertions)]
     pub fn debug_validate(&self, collection: &HistoryCollection) {
-        let histories = collection.histories();
+        assert!(
+            self.rows as usize <= collection.len(),
+            "index: {} rows, but the collection holds {}",
+            self.rows,
+            collection.len()
+        );
         assert_eq!(
             self.counts.len(),
             self.vocab.len(),
@@ -675,20 +609,6 @@ impl CodeIndex {
             assert_eq!(shard.base, next_base, "index: shards must tile 0..rows");
             assert!(shard.rows > 0 && shard.rows <= SHARD_ROWS, "index: bad shard width");
             next_base += shard.rows;
-            assert_eq!(shard.births.len(), shard.rows as usize, "index: one birth date a row");
-            assert_eq!(shard.sexes.len(), shard.rows as usize, "index: one sex a row");
-            for rel in 0..shard.rows {
-                let p = shard.base + rel;
-                if self.side.dirty.binary_search(&p).is_err() {
-                    assert_eq!(
-                        // lint:allow(no-panic-hot-path) rel < rows == column lengths, asserted above
-                        (shard.births[rel as usize], shard.sexes[rel as usize]),
-                        // lint:allow(no-panic-hot-path) shards tile rows of the collection they describe
-                        demographics(&histories[p as usize]),
-                        "index: column entry of clean row {p} != its patient"
-                    );
-                }
-            }
             assert_eq!(
                 shard.postings.len(),
                 self.vocab.len(),
@@ -728,19 +648,6 @@ impl CodeIndex {
         }
         if let Some(&last) = self.side.dirty.last() {
             assert!(last < self.rows, "index: dirty position {last} beyond rows {}", self.rows);
-        }
-        assert_eq!(
-            self.side.column.len(),
-            self.side.dirty.len(),
-            "index: side column and dirty set differ in length"
-        );
-        for (&p, &entry) in self.side.dirty.iter().zip(&self.side.column) {
-            assert_eq!(
-                entry,
-                // lint:allow(no-panic-hot-path) dirty positions are < rows, asserted above
-                demographics(&histories[p as usize]),
-                "index: side column entry of dirty row {p} != its patient"
-            );
         }
         assert_eq!(
             self.side.postings.len(),
@@ -1126,7 +1033,7 @@ mod tests {
     // -- streaming: with_delta / compact ----------------------------------
 
     use pastas_codes::Code;
-    use pastas_model::{Entry, OpenEpoch, Patient, PatientId, Payload, Sex, SourceKind};
+    use pastas_model::{Entry, History, OpenEpoch, Patient, PatientId, Payload, Sex, SourceKind};
     use pastas_time::Date;
 
     fn new_patient(id: u64) -> Patient {
@@ -1226,7 +1133,6 @@ mod tests {
         let fresh = CodeIndex::build(&c);
         assert_eq!(compacted.vocab, fresh.vocab, "merged vocabulary = fresh vocabulary");
         assert_eq!(compacted.counts, fresh.counts, "merged counts = fresh counts");
-        assert_eq!(compacted.column(), fresh.column(), "patched column = fresh column");
         for q in streaming_queries() {
             assert_eq!(compacted.select(&c, &q), select_scan(&c, &q), "query {q:?}");
         }
@@ -1248,7 +1154,8 @@ mod tests {
         let existing = *c.histories()[300].patient();
         let idx2 = apply_delta(&mut c, &idx, vec![(existing, vec![diag(2016, "T90")])]);
         // And re-register one in shard 2 with other demographics and the
-        // same entries: no side posting changes, the column entry does.
+        // same entries: its side postings (its whole code set) rebuild
+        // shard 2 although no posting changes.
         let was = Arc::clone(&c.histories()[600]);
         let mut reborn = History::new(Patient {
             birth_date: Date::new(1901, 2, 28).unwrap(),
@@ -1266,12 +1173,49 @@ mod tests {
         assert!(!Arc::ptr_eq(&compacted.shards[1], &idx.shards[1]), "shard 1 rebuilt");
         assert!(!Arc::ptr_eq(&compacted.shards[2], &idx.shards[2]), "shard 2 rebuilt");
         assert!(Arc::ptr_eq(&compacted.shards[3], &idx.shards[3]), "shard 3 untouched");
-        let fresh = CodeIndex::build_with_shard_rows(&c, 256);
-        assert_eq!(compacted.column(), fresh.column(), "patched column = fresh column");
-        assert_ne!(compacted.column(), idx.column());
         for q in streaming_queries() {
             assert_eq!(compacted.select(&c, &q), select_scan(&c, &q), "query {q:?}");
         }
+    }
+
+    /// A row inside a shard re-registered with another birth date and
+    /// sex: the side pass and, after compaction, the shard pass read the
+    /// collection's demographic columns, and both agree with the scan.
+    #[test]
+    fn a_re_registered_row_answers_demographic_leaves_from_the_collection() {
+        let mut c = large_collection();
+        let idx = CodeIndex::build_with_shard_rows(&c, 256);
+        let at = Date::new(2015, 1, 1).unwrap();
+        let aged = HistoryQuery::AgeBetween { at, min: 110, max: 120 };
+        let was = Arc::clone(&c.histories()[300]);
+        let sex = if was.patient().sex == Sex::Female { Sex::Male } else { Sex::Female };
+        let queries = [
+            aged.clone(),
+            HistoryQuery::SexIs(sex),
+            HistoryQuery::Not(Box::new(aged)),
+            HistoryQuery::AgeBetween { at, min: 0, max: 150 },
+        ];
+        assert!(!idx.select(&c, &queries[0]).contains(&300), "not 110..120 years old yet");
+        assert!(!idx.select(&c, &queries[1]).contains(&300));
+        let mut reborn = History::new(Patient {
+            birth_date: Date::new(1901, 2, 28).unwrap(),
+            sex,
+            ..*was.patient()
+        });
+        reborn.insert_all(was.entries().iter().map(|e| e.to_entry()));
+        c.upsert(reborn);
+        let idx2 = idx.with_delta(&c, &[300]);
+        idx2.debug_validate(&c);
+        let compacted = idx2.compact();
+        compacted.debug_validate(&c);
+        assert!(compacted.side_is_empty());
+        for q in &queries {
+            let scan = select_scan(&c, q);
+            assert_eq!(idx2.select(&c, q), scan, "side pass, {q:?}");
+            assert_eq!(compacted.select(&c, q), scan, "shard pass, {q:?}");
+        }
+        assert!(compacted.select(&c, &queries[0]).contains(&300));
+        assert!(compacted.select(&c, &queries[1]).contains(&300));
     }
 
     #[test]
@@ -1315,8 +1259,7 @@ mod tests {
         }
         posted.sort_unstable();
         posted.dedup();
-        let column = dirty.iter().map(|&p| demographics(&c.histories()[p as usize])).collect();
-        let mut side = SideIndex { dirty: dirty.to_vec(), column, ..SideIndex::default() };
+        let mut side = SideIndex { dirty: dirty.to_vec(), ..SideIndex::default() };
         for (value, p) in posted {
             if side.vocab.last().map(|v| &**v) != Some(value) {
                 side.vocab.push(Box::from(value));

@@ -201,10 +201,12 @@ impl P<'_> {
             if max < min {
                 return Err(self.err("age range is reversed"));
             }
+            // Nobody is `i32::MAX` years old, so a larger bound saturates
+            // without changing whom the range admits.
             return Ok(HistoryQuery::AgeBetween {
                 at: self.reference_date,
-                min: min as i32,
-                max: max as i32,
+                min: i32::try_from(min).unwrap_or(i32::MAX),
+                max: i32::try_from(max).unwrap_or(i32::MAX),
             });
         }
         if self.keyword("sex") {
@@ -441,6 +443,23 @@ mod tests {
         let regex_count = q("count(K.*) >= 2");
         assert!(regex_count.matches(&history(1, 1950, &["K86", "K74"])));
         assert!(!regex_count.matches(&history(1, 1950, &["K86"])));
+    }
+
+    /// Bounds beyond `i32` saturate; they used to wrap (`3000000000`
+    /// became a negative age, `4294967296` zero).
+    #[test]
+    fn age_bounds_beyond_i32_saturate() {
+        let bounds = |text| match q(text) {
+            HistoryQuery::AgeBetween { min, max, .. } => (min, max),
+            other => panic!("{text:?} parsed to {other:?}"),
+        };
+        assert_eq!(bounds("age(0..3000000000)"), (0, i32::MAX));
+        assert_eq!(bounds("age(0..4294967296)"), (0, i32::MAX));
+        assert_eq!(bounds("age(4294967350..4294967400)"), (i32::MAX, i32::MAX));
+        let aged_62 = history(1, 1950, &[]);
+        assert!(q("age(0..3000000000)").matches(&aged_62));
+        assert!(q("age(0..4294967296)").matches(&aged_62));
+        assert!(!q("age(4294967350..4294967400)").matches(&aged_62));
     }
 
     #[test]

@@ -15,11 +15,11 @@
 //!    operator — posting fetch for code-regex leaves (positive *and*
 //!    negative, via intersect/union/complement on compressed roaring
 //!    containers — no position list materializes mid-algebra), a dense
-//!    pass over the shard's patient column for `age(..)` / `sex(..)`
-//!    leaves (a set like any posting, no history read), residual
-//!    evaluation over the candidate set for count/temporal leaves — with
-//!    a posting-size cardinality estimate choosing index-vs-scan per
-//!    subtree.
+//!    pass over the shard's rows of the collection's demographic column
+//!    for `age(..)` / `sex(..)` leaves (a set like any posting, no
+//!    history read), residual evaluation over the candidate set for
+//!    count/temporal leaves — with a posting-size cardinality estimate
+//!    choosing index-vs-scan per subtree.
 //!
 //! Execution ([`QueryPlan::execute`]) evaluates the operator tree **per
 //! index shard** on compressed bitmaps ([`crate::bitmap::Bitmap`]): each
@@ -39,8 +39,9 @@ use crate::normalize::{is_never, normalize};
 use crate::predicate::EntryPredicate;
 use crate::query::HistoryQuery;
 use pastas_ingest::json::write_string;
-use pastas_model::{History, HistoryCollection, Sex};
+use pastas_model::{History, HistoryCollection, RowColumns, Sex};
 use pastas_time::Date;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Per-thread minimum candidates before residual verification goes
@@ -771,13 +772,10 @@ enum ExecKind<'q> {
         slots: Vec<u32>,
         side_slots: Vec<u32>,
     },
-    /// A demographic leaf bound to its column test for the shard pass;
-    /// the dirty-row pass evaluates `query` per history, as it did before
-    /// the column existed.
-    Column {
-        query: &'q HistoryQuery,
-        test: ColumnTest,
-    },
+    /// A demographic leaf bound to its test of the collection's
+    /// demographic columns, which the shard pass and the dirty-row pass
+    /// both read.
+    Column(ColumnTest),
     Complement(Box<ExecNode<'q>>),
     Intersect(Vec<ExecNode<'q>>),
     Union(Vec<ExecNode<'q>>),
@@ -790,10 +788,11 @@ enum ExecKind<'q> {
     Verify { query: &'q HistoryQuery, input: Option<Box<ExecNode<'q>>>, pattern: bool },
 }
 
-/// What a demographic leaf asks of one patient-column entry.
+/// What a demographic leaf asks of one row of
+/// [`pastas_model::RowColumns`].
 enum ColumnTest {
-    /// Born within `first..=last`, `first <= last`.
-    Born { first: Date, last: Date },
+    /// Born on a day number within `first..=last`, `first <= last`.
+    Born { first: i32, last: i32 },
     Sex(Sex),
     /// An age range no birth date of the calendar falls in: reversed, or
     /// beyond either end (or a query that is no demographic leaf, which
@@ -805,8 +804,8 @@ impl ColumnTest {
     /// Bind a leaf once per plan. The births aged `min..=max` at `at` are
     /// one interval of days: [`History::last_birth_aged`] finds its ends
     /// with `History::age_at`'s own arithmetic, and the per-row test is
-    /// two date comparisons that agree with `HistoryQuery::matches` on
-    /// every date.
+    /// two integer comparisons of day numbers that agree with
+    /// `HistoryQuery::matches` on every date.
     fn bind(query: &HistoryQuery) -> ColumnTest {
         match *query {
             HistoryQuery::AgeBetween { at, min, max } => {
@@ -815,8 +814,9 @@ impl ColumnTest {
                     .checked_add(1)
                     .map_or(Date::MIN.day_number(), |older| History::last_birth_aged(at, older) + 1);
                 let last = History::last_birth_aged(at, min);
-                match (Date::from_day_number(first), Date::from_day_number(last)) {
-                    (Some(first), Some(last)) if first <= last => ColumnTest::Born { first, last },
+                // Both ends lie within a day of the calendar, so in `i32`.
+                match (i32::try_from(first), i32::try_from(last)) {
+                    (Ok(first), Ok(last)) if first <= last => ColumnTest::Born { first, last },
                     _ => ColumnTest::Nobody,
                 }
             }
@@ -825,16 +825,29 @@ impl ColumnTest {
         }
     }
 
-    /// The shard-relative rows of `shard` that pass.
-    fn rows(&self, shard: &IndexShard) -> Bitmap {
+    /// The rows of `span` that pass, relative to its start.
+    fn rows(&self, columns: &RowColumns, span: Range<usize>) -> Bitmap {
         match *self {
             // `&`, not `&&`: a birth date falls inside the interval about
             // as often as not, and a branch on that cannot be predicted.
             ColumnTest::Born { first, last } => {
-                Bitmap::from_column(&shard.births, |born| (first <= *born) & (*born <= last))
+                // lint:allow(no-panic-hot-path) spans are rows of the collection the index describes
+                Bitmap::from_column(&columns.births()[span], |&born| (first <= born) & (born <= last))
             }
-            ColumnTest::Sex(sex) => Bitmap::from_column(&shard.sexes, |s| *s == sex),
+            // lint:allow(no-panic-hot-path) spans are rows of the collection the index describes
+            ColumnTest::Sex(sex) => Bitmap::from_column(&columns.sexes()[span], |&s| s == sex),
             ColumnTest::Nobody => Bitmap::new(),
+        }
+    }
+
+    /// Whether row `row` passes.
+    fn keeps(&self, columns: &RowColumns, row: usize) -> bool {
+        match *self {
+            // lint:allow(no-panic-hot-path) rows index the collection the index describes
+            ColumnTest::Born { first, last } => (first..=last).contains(&columns.births()[row]),
+            // lint:allow(no-panic-hot-path) rows index the collection the index describes
+            ColumnTest::Sex(sex) => columns.sexes()[row] == sex,
+            ColumnTest::Nobody => false,
         }
     }
 }
@@ -871,9 +884,7 @@ fn lower<'q>(node: &'q PlanNode, index: &CodeIndex, trace: bool) -> ExecNode<'q>
             slots: index.slots_for_patterns(patterns).unwrap_or_default(),
             side_slots: index.side_slots_for_patterns(patterns),
         },
-        PlanNode::ColumnFetch { query } => {
-            ExecKind::Column { query, test: ColumnTest::bind(query) }
-        }
+        PlanNode::ColumnFetch { query } => ExecKind::Column(ColumnTest::bind(query)),
         PlanNode::Complement(c) => ExecKind::Complement(Box::new(lower(c, index, trace))),
         PlanNode::Intersect(cs) => {
             ExecKind::Intersect(cs.iter().map(|c| lower(c, index, trace)).collect())
@@ -926,7 +937,10 @@ fn exec_shard(
         ExecKind::AllRows => Bitmap::full(shard.rows),
         ExecKind::Empty => Bitmap::new(),
         ExecKind::Fetch { slots, .. } => shard.union_slots(slots),
-        ExecKind::Column { test, .. } => test.rows(shard),
+        ExecKind::Column(test) => {
+            let start = shard.base as usize;
+            test.rows(collection.rows(), start..start + shard.rows as usize)
+        }
         ExecKind::Complement(c) => {
             let inner = child(exec_shard(c, collection, shard, trace, counters));
             inner.complement_up_to(shard.rows)
@@ -1025,12 +1039,10 @@ fn exec_side(
             }
             acc
         }
-        // Dirty rows have no column to read: the leaf is verified per
-        // history, like a scan of the dirty universe.
-        ExecKind::Column { query, .. } => {
-            let kind = ExecKind::Verify { query, input: None, pattern: false };
-            let scan = ExecNode { op: "", detail: String::new(), kind };
-            exec_side(&scan, collection, index, counters)
+        // The same column the shard pass reads, at the dirty rows.
+        ExecKind::Column(test) => {
+            let columns = collection.rows();
+            dirty.iter().copied().filter(|&p| test.keeps(columns, p as usize)).collect()
         }
         ExecKind::Complement(c) => {
             reference::difference(dirty, &exec_side(c, collection, index, counters))
@@ -1335,8 +1347,8 @@ mod tests {
     /// The bound birth interval against `History::age_at`, on every birth
     /// date from 122 years before the reference date to two years after it
     /// — so every birthday boundary ±1 day, 29 February births and
-    /// reference dates included — through the same dense pass the shards
-    /// run.
+    /// reference dates included — through the same day-number column and
+    /// dense pass the shards and the side pass read.
     #[test]
     fn bound_birth_interval_agrees_with_age_at_on_every_day() {
         use pastas_model::{Patient, PatientId};
@@ -1354,29 +1366,23 @@ mod tests {
         for (y, m, d) in [(2013, 1, 1), (2012, 2, 29), (2013, 2, 28), (2013, 3, 1), (2016, 12, 31)] {
             let at = Date::new(y, m, d).unwrap();
             let first = Date::new(y - 122, m, 1).unwrap();
-            let births: Vec<Date> =
-                (0..=at.days_since(first) + 731).map(|n| first.add_days(n)).collect();
-            let ages: Vec<i32> = births
-                .iter()
-                .map(|&birth_date| {
-                    History::new(Patient { id: PatientId(1), birth_date, sex: Sex::Female })
-                        .age_at(at)
-                })
-                .collect();
+            let c = HistoryCollection::from_histories((0..=at.days_since(first) + 731).map(|n| {
+                let birth_date = first.add_days(n);
+                History::new(Patient { id: PatientId(n as u64), birth_date, sex: Sex::Female })
+            }));
+            let ages: Vec<i32> = c.iter().map(|h| h.age_at(at)).collect();
             assert_eq!((ages[0], *ages.last().unwrap()), (122, -3), "sweep spans the ages");
-            let shard = IndexShard {
-                base: 0,
-                rows: births.len() as u32,
-                postings: Vec::new(),
-                sexes: vec![Sex::Female; births.len()],
-                births,
-            };
             for (min, max) in ranges {
                 let q = HistoryQuery::AgeBetween { at, min, max };
-                let got = ColumnTest::bind(&q).rows(&shard).to_vec();
-                let want: Vec<u32> =
-                    (0..shard.rows).filter(|&i| (min..=max).contains(&ages[i as usize])).collect();
+                let test = ColumnTest::bind(&q);
+                let got = test.rows(c.rows(), 0..c.len()).to_vec();
+                let want: Vec<u32> = (0..c.len() as u32)
+                    .filter(|&i| (min..=max).contains(&ages[i as usize]))
+                    .collect();
                 assert_eq!(got, want, "age({min}..{max}) at {at}");
+                let kept: Vec<u32> =
+                    (0..c.len() as u32).filter(|&i| test.keeps(c.rows(), i as usize)).collect();
+                assert_eq!(kept, want, "side pass, age({min}..{max}) at {at}");
             }
         }
     }

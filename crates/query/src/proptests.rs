@@ -467,7 +467,6 @@ proptest! {
         compacted.debug_validate(&c);
         prop_assert!(compacted.side_is_empty());
         let fresh = CodeIndex::build_with_shard_rows(&c, 64);
-        prop_assert_eq!(compacted.column(), fresh.column());
         let q = random_query(&mut Rng(ast_seed), 2);
         let via_compacted = QueryPlan::build(&compacted, &c, &q).execute(&c, &compacted);
         let via_fresh = QueryPlan::build(&fresh, &c, &q).execute(&c, &fresh);

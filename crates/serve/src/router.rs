@@ -944,6 +944,23 @@ mod tests {
         assert!(body.contains("[\"90+\","), "{body}");
     }
 
+    /// Age bounds beyond `i32` saturate instead of wrapping: an open upper
+    /// bound admits everyone `age(0..150)` does, and a range that starts
+    /// above `i32::MAX` admits nobody.
+    #[test]
+    fn age_bounds_beyond_i32_do_not_wrap() {
+        let ctx = ctx();
+        let count = |text: &str| {
+            let resp = route(&post("/select", text), &ctx);
+            assert_eq!(resp.status, 200, "{text}");
+            count_of(&resp.body)
+        };
+        let everyone = count("age(0..150)");
+        assert!(everyone > 0);
+        assert_eq!(count("age(0..3000000000)"), everyone);
+        assert_eq!(count("age(4294967350..4294967400)"), 0);
+    }
+
     /// The acceptance criterion for the registry hit path: a warm
     /// `/cohort/{id}/stats` answers without invoking the planner. The
     /// plan-path counters (selection cache, index hits, scan fallbacks)

@@ -42,8 +42,8 @@ use common::{arg, arg_str, flag};
 /// asserts the plan contains no full-scan operator — posting-list set
 /// algebra end to end — and `budgeted` additionally holds the shape to
 /// `--budget-ms`. Budgeted shapes are the pure set-algebra ones —
-/// code clauses on postings, `age(..)` / `sex(..)` clauses on the shard's
-/// patient column; `count(K.*) >= 2` stays index-served but its Filter
+/// code clauses on postings, `age(..)` / `sex(..)` clauses on the
+/// demographic row column; `count(K.*) >= 2` stays index-served but its Filter
 /// verifies every candidate history (O(candidates) by construction), so
 /// a per-shape millisecond cap would measure the collection, not the
 /// planner, and a cover-free count has nothing but the scan.
