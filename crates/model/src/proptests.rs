@@ -208,6 +208,72 @@ proptest! {
         }
     }
 
+    /// Builders filled over block-aligned patient ranges and joined by
+    /// `append` give what one builder fed every patient gives: the same
+    /// histories, arena count and boundaries, per-arena rows and
+    /// interners, and merged report — uneven last blocks, pieces of no
+    /// blocks and pre-birth drops included.
+    #[test]
+    fn appended_builders_equal_one_builder(
+        people in proptest::collection::vec(
+            (1980i32..2020, proptest::collection::vec(arb_entry(), 0..6)),
+            0..24,
+        ),
+        width in 1usize..6,
+        pieces in proptest::collection::vec((1usize..4, any::<bool>()), 1..8),
+    ) {
+        let person = |i: usize, year: i32| Patient {
+            id: PatientId(i as u64),
+            birth_date: Date::new(year, 1, 1).unwrap(),
+            sex: Sex::Female,
+        };
+        let mut whole = CollectionBuilder::new().with_shard_patients(width);
+        for (i, (year, entries)) in people.iter().enumerate() {
+            whole.add_patient(person(i, *year), entries.clone());
+        }
+        // Pieces of `blocks` blocks each, some after an empty piece,
+        // cycling until every patient is placed.
+        let mut joined = CollectionBuilder::new().with_shard_patients(width);
+        let mut next = 0;
+        for &(blocks, empty_first) in pieces.iter().cycle() {
+            if empty_first {
+                joined.append(CollectionBuilder::new().with_shard_patients(width));
+            }
+            let mut piece = CollectionBuilder::new().with_shard_patients(width);
+            let end = (next + blocks * width).min(people.len());
+            for (i, (year, entries)) in people.iter().enumerate().take(end).skip(next) {
+                piece.add_patient(person(i, *year), entries.clone());
+            }
+            joined.append(piece);
+            next = end;
+            if next == people.len() {
+                break;
+            }
+        }
+        let (a, report_a) = whole.build();
+        let (b, report_b) = joined.build();
+        prop_assert_eq!(report_a, report_b);
+        let (arenas_a, arenas_b) = (a.sharded_store(), b.sharded_store());
+        prop_assert_eq!(arenas_a.shard_count(), arenas_b.shard_count());
+        for (x, y) in arenas_a.shards().iter().zip(arenas_b.shards()) {
+            x.debug_validate();
+            y.debug_validate();
+            prop_assert_eq!(x.interner(), y.interner());
+            let rows =
+                |s: &EventStore| (0..s.len_u32()).map(|i| s.get(i).to_entry()).collect::<Vec<_>>();
+            prop_assert_eq!(rows(x), rows(y));
+        }
+        let arena_of = |c: &HistoryCollection, h: &History| {
+            c.sharded_store().shards().iter().position(|s| std::sync::Arc::ptr_eq(s, h.store()))
+        };
+        prop_assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(b.iter()) {
+            prop_assert_eq!(x.patient(), y.patient());
+            prop_assert_eq!(arena_of(&a, x), arena_of(&b, y));
+            prop_assert_eq!(x.entries().to_vec(), y.entries().to_vec());
+        }
+    }
+
     /// entries_in agrees with a naive overlap filter.
     #[test]
     fn window_query_agrees_with_naive(

@@ -1243,13 +1243,18 @@ impl CollectionBuilder {
 
     /// Add one patient's entries (any order; they are validated against
     /// the birth date and sorted here). Returns this patient's report.
-    pub fn add_patient(&mut self, patient: Patient, entries: Vec<Entry>) -> ValidationReport {
+    pub fn add_patient(
+        &mut self,
+        patient: Patient,
+        entries: impl IntoIterator<Item = Entry>,
+    ) -> ValidationReport {
         if self.shard_patients > 0 && self.in_current >= self.shard_patients {
             self.sealed.push(Arc::new(std::mem::take(&mut self.store)));
             self.in_current = 0;
         }
         let mut report = ValidationReport::default();
-        let mut accepted: Vec<Entry> = Vec::with_capacity(entries.len());
+        let entries = entries.into_iter();
+        let mut accepted: Vec<Entry> = Vec::with_capacity(entries.size_hint().0);
         for e in entries {
             if !patient.admits(e.start()) {
                 report.dropped_pre_birth += 1;
@@ -1270,6 +1275,29 @@ impl CollectionBuilder {
         self.in_current += 1;
         self.report.merge(&report);
         report
+    }
+
+    /// Move `other`'s patients in after this builder's, for builders
+    /// filled in parallel over consecutive patient ranges. Seals the
+    /// current arena (unless it is still empty), then takes `other`'s
+    /// sealed arenas with their slots re-based, its open arena and its
+    /// report. Appending at every `shard_patients` boundary lays the
+    /// arenas out exactly as one builder fed every patient would.
+    pub fn append(&mut self, other: CollectionBuilder) {
+        if other.patients.is_empty() {
+            return;
+        }
+        let open = std::mem::replace(&mut self.store, other.store);
+        if !self.patients.is_empty() {
+            self.sealed.push(Arc::new(open));
+        }
+        // lint:allow(no-silent-truncation) arena count stays far below u32::MAX
+        let base = self.sealed.len() as u32;
+        self.sealed.extend(other.sealed);
+        let rebased = other.patients.into_iter().map(|(p, slot, lo, hi)| (p, slot + base, lo, hi));
+        self.patients.extend(rebased);
+        self.in_current = other.in_current;
+        self.report.merge(&other.report);
     }
 
     /// Finish: one [`History`] span per patient (in insertion order) over
@@ -1305,6 +1333,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "aux column length mismatch")]
     fn debug_validate_catches_a_truncated_column() {
         let mut store = EventStore::from_entries(&sample_entries());
@@ -1313,6 +1342,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "outside interner")]
     fn debug_validate_catches_a_dangling_code_id() {
         let mut store = EventStore::from_entries(&sample_entries());
@@ -1321,6 +1351,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "sorted view out of order")]
     fn debug_validate_catches_a_scrambled_interner() {
         let mut store = EventStore::from_entries(&sample_entries());
@@ -1344,6 +1375,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "wide table not strictly ascending")]
     fn debug_validate_catches_an_unsorted_wide_table() {
         let mut store = two_interval_store();
@@ -1352,6 +1384,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "disagree on whether it is wide")]
     fn debug_validate_catches_an_interval_without_its_wide_row() {
         let mut store = two_interval_store();
@@ -1360,6 +1393,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "disagree on whether it is wide")]
     fn debug_validate_catches_a_wide_row_on_a_point_event() {
         let mut store = two_interval_store();
@@ -1368,6 +1402,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "ends before it starts")]
     fn debug_validate_catches_a_reversed_interval() {
         let mut store = two_interval_store();
@@ -1376,6 +1411,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "offset disagrees with its wide start")]
     fn debug_validate_catches_a_wide_start_off_its_offset() {
         let mut store = two_interval_store();

@@ -76,16 +76,16 @@ impl RawEvent {
         }
     }
 
-    /// Expand to model entries (a contact with a measurement yields two).
-    pub fn to_entries(&self) -> Vec<Entry> {
+    /// Expand to model entries, appended to `out` (a contact with a
+    /// measurement yields two).
+    pub fn push_entries(&self, out: &mut Vec<Entry>) {
         match self {
             RawEvent::Contact { time, icpc, provider, measurement } => {
                 let source = match provider {
                     Provider::Specialist => SourceKind::Specialist,
                     _ => SourceKind::PrimaryCare,
                 };
-                let mut out =
-                    vec![Entry::event(*time, Payload::Diagnosis(Code::icpc(icpc)), source)];
+                out.push(Entry::event(*time, Payload::Diagnosis(Code::icpc(icpc)), source));
                 if let Some((kind, value)) = measurement {
                     out.push(Entry::event(
                         *time,
@@ -93,23 +93,22 @@ impl RawEvent {
                         source,
                     ));
                 }
-                out
             }
-            RawEvent::Admission { start, end, icd10, kind } => vec![
+            RawEvent::Admission { start, end, icd10, kind } => out.extend([
                 Entry::interval(*start, *end, Payload::Episode(*kind), SourceKind::Hospital),
                 Entry::event(*start, Payload::Diagnosis(Code::icd10(icd10)), SourceKind::Hospital),
-            ],
-            RawEvent::Dispensing { time, atc } => vec![Entry::event(
+            ]),
+            RawEvent::Dispensing { time, atc } => out.push(Entry::event(
                 *time,
                 Payload::Medication(Code::atc(atc)),
                 SourceKind::Prescription,
-            )],
-            RawEvent::Municipal { start, end, kind } => vec![Entry::interval(
+            )),
+            RawEvent::Municipal { start, end, kind } => out.push(Entry::interval(
                 *start,
                 *end,
                 Payload::Episode(*kind),
                 SourceKind::Municipal,
-            )],
+            )),
         }
     }
 }
@@ -393,7 +392,8 @@ mod tests {
             icd10: "I50",
             kind: EpisodeKind::Inpatient,
         };
-        let entries = e.to_entries();
+        let mut entries = Vec::new();
+        e.push_entries(&mut entries);
         assert_eq!(entries.len(), 2);
         assert!(entries[0].is_interval());
         assert!(entries[1].is_event());
@@ -408,7 +408,9 @@ mod tests {
             provider: Provider::Gp,
             measurement: Some((MeasurementKind::SystolicBp, 150.0)),
         };
-        assert_eq!(e.to_entries().len(), 2);
+        let mut entries = Vec::new();
+        e.push_entries(&mut entries);
+        assert_eq!(entries.len(), 2);
     }
 
     #[test]

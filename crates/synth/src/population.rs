@@ -3,7 +3,7 @@
 
 use crate::conditions::CONDITION_MODELS;
 use crate::pathways;
-use pastas_model::{CollectionBuilder, History, HistoryCollection, Patient, PatientId, Sex};
+use pastas_model::{CollectionBuilder, Entry, History, HistoryCollection, Patient, PatientId, Sex};
 use pastas_time::Date;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -24,6 +24,9 @@ pub struct SynthConfig {
     /// range — the sharded layout the query index scales on). `0` (the
     /// default) keeps the single shared arena. Align with the query
     /// index's 65,536-row shard width for one arena per index shard.
+    /// The width is also the unit of parallel generation: each
+    /// [`pastas_par`] thread simulates whole ranges; `0` keeps generation
+    /// serial.
     pub shard_patients: usize,
 }
 
@@ -159,10 +162,10 @@ impl Population {
     /// Build the full in-memory history for one person.
     pub fn history_for(&self, index: usize) -> History {
         let person = &self.persons[index];
+        let mut entries = Vec::new();
+        push_person_entries(&self.config, self.seed, index, person, &mut entries);
         let mut h = History::new(*person.patient());
-        for raw in self.events_for(index) {
-            h.insert_all(raw.to_entries());
-        }
+        h.insert_all(entries);
         h
     }
 
@@ -186,22 +189,52 @@ impl Population {
 /// arena(s) via [`CollectionBuilder`] — one arena by default, one per
 /// [`SynthConfig::shard_patients`]-sized patient range when set — so
 /// each code value interns once per arena and entries pack in
-/// struct-of-arrays form. Persons stream: each is generated, simulated,
-/// appended, and dropped, so peak RSS at the 10M tier is the arenas
-/// themselves, not a materialized population.
+/// struct-of-arrays form. The arena ranges are simulated on
+/// [`pastas_par`] chunks, one builder a chunk, joined in order by
+/// [`CollectionBuilder::append`]: the histories and arena layout are
+/// identical at every thread count. Persons still stream within each
+/// worker: each is generated, simulated, appended, and dropped, so peak
+/// RSS at the 10M tier is the arenas themselves, not a materialized
+/// population.
 pub fn generate_collection(config: SynthConfig, seed: u64) -> HistoryCollection {
-    let mut builder = CollectionBuilder::new().with_shard_patients(config.shard_patients);
-    for i in 0..config.patients {
-        let person = person_at(&config, seed, i);
-        let mut rng = person_rng(seed, i as u64, 1);
+    let width = match config.shard_patients {
+        0 => config.patients.max(1),
+        n => n,
+    };
+    let blocks: Vec<usize> = (0..config.patients).step_by(width).collect();
+    let builders = pastas_par::par_chunks(&blocks, 1, |_, starts| {
+        let mut builder = CollectionBuilder::new().with_shard_patients(config.shard_patients);
         let mut entries = Vec::new();
-        for raw in pathways::simulate(&person, &config, &mut rng) {
-            entries.extend(raw.to_entries());
+        for &lo in starts {
+            for i in lo..(lo + width).min(config.patients) {
+                let person = person_at(&config, seed, i);
+                push_person_entries(&config, seed, i, &person, &mut entries);
+                builder.add_patient(*person.patient(), entries.drain(..));
+            }
         }
-        builder.add_patient(*person.patient(), entries);
-    }
+        builder
+    });
+    let mut builders = builders.into_iter();
+    let mut builder = builders.next().unwrap_or_default();
+    builders.for_each(|other| builder.append(other));
     let (collection, _) = builder.build();
     collection
+}
+
+/// Simulate person `index` and append its entries to `out`: the one
+/// per-person path behind [`Population::history_for`] and
+/// [`generate_collection`].
+fn push_person_entries(
+    config: &SynthConfig,
+    seed: u64,
+    index: usize,
+    person: &Person,
+    out: &mut Vec<Entry>,
+) {
+    let mut rng = person_rng(seed, index as u64, 1);
+    for raw in pathways::simulate(person, config, &mut rng) {
+        raw.push_entries(out);
+    }
 }
 
 /// Independent per-person RNG streams: stable under reordering and
@@ -306,17 +339,36 @@ mod tests {
         }
     }
 
+    /// A hash over every (patient, entries) pair, in collection order.
+    fn fingerprint(c: &HistoryCollection) -> u64 {
+        use std::hash::{Hash, Hasher};
+        let mut hasher = std::collections::hash_map::DefaultHasher::new();
+        for h in c.iter() {
+            format!("{:?}{:?}", h.patient(), h.entries().to_vec()).hash(&mut hasher);
+        }
+        hasher.finish()
+    }
+
+    /// Each arena's row count and interned codes, in arena order.
+    fn arena_layout(c: &HistoryCollection) -> Vec<(usize, Vec<pastas_codes::Code>)> {
+        let store = c.sharded_store();
+        store.shards().iter().map(|s| (s.len(), s.interner().iter().cloned().collect())).collect()
+    }
+
     #[test]
     fn sharded_generation_matches_monolithic_contents() {
-        let mono = generate_collection(SynthConfig::with_patients(300), 17);
-        let config = SynthConfig { shard_patients: 128, ..SynthConfig::with_patients(300) };
-        let sharded = generate_collection(config, 17);
+        let mono = pastas_par::with_threads(1, || {
+            generate_collection(SynthConfig::with_patients(300), 17)
+        });
         assert_eq!(mono.sharded_store().shard_count(), 1);
-        assert_eq!(sharded.sharded_store().shard_count(), 3, "ceil(300/128)");
-        assert_eq!(mono.len(), sharded.len());
-        for (a, b) in mono.iter().zip(sharded.iter()) {
-            assert_eq!(a.patient(), b.patient());
-            assert_eq!(a.entries().to_vec(), b.entries().to_vec());
+        for (width, arenas) in [(0, 1), (64, 5), (100, 3), (128, 3)] {
+            let config = SynthConfig { shard_patients: width, ..SynthConfig::with_patients(300) };
+            let serial = pastas_par::with_threads(1, || generate_collection(config, 17));
+            let parallel = pastas_par::with_threads(4, || generate_collection(config, 17));
+            assert_eq!(serial.sharded_store().shard_count(), arenas, "ceil(300/{width})");
+            assert_eq!(fingerprint(&serial), fingerprint(&mono), "width {width}");
+            assert_eq!(fingerprint(&parallel), fingerprint(&serial), "width {width}");
+            assert_eq!(arena_layout(&parallel), arena_layout(&serial), "width {width}");
         }
     }
 

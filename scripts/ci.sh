@@ -34,7 +34,8 @@ stage "benchmark harness tests" \
 # that fan out), so every data-parallel section is checked single-threaded
 # as well as at the default.
 stage "tests at PASTAS_THREADS=1" env PASTAS_THREADS=1 cargo test -q --release \
-    -p pastas-query -p pastas-core -p pastas-serve -p pastas-ingest -p pastas-analytics -p pastas-par
+    -p pastas-query -p pastas-core -p pastas-serve -p pastas-ingest -p pastas-analytics -p pastas-par \
+    -p pastas-synth -p pastas-model
 # Repo-specific invariants (DESIGN.md §9) the compiler cannot check: no
 # panics on hot paths, no unwrap on a lock, no silent narrowing casts,
 # budget-clamped allocations, reasoned exceptions. The lock order and the
