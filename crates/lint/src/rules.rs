@@ -56,8 +56,9 @@ pub const RULES: &[(&str, &str)] = &[
         "flag request-fed with_capacity/read_to_end in serve/http.rs without a budget \
          clamp, bitmap decodes (`to_vec`) inside loops in the query crate, and any Vec \
          allocation inside the automaton execution loops of regex/engine.rs and \
-         query/temporal.rs (pooled scratch only), and any String built inside a loop of \
-         viz/svg.rs (one output buffer)",
+         query/temporal.rs (pooled scratch only), any String built inside a loop of \
+         viz/svg.rs (one output buffer), and any String or Vec built inside the per-entry \
+         loops of viz/timeline.rs (one tooltip a drawn element)",
     ),
     (
         "no-unwrap-on-lock",
@@ -389,8 +390,8 @@ fn rule_budget_enforced_alloc(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
         budget_alloc_temporal_hot_loops(ctx, out);
     } else if ctx.path.contains("query/src/") || ctx.path.contains("analytics/src/") {
         budget_alloc_query_decode_loops(ctx, out);
-    } else if ctx.path.ends_with("viz/src/svg.rs") {
-        budget_alloc_svg_element_loops(ctx, out);
+    } else if ctx.path.ends_with("viz/src/svg.rs") || ctx.path.ends_with("viz/src/timeline.rs") {
+        budget_alloc_renderer_loops(ctx, out);
     }
     if !ctx.path.ends_with("serve/src/http.rs") {
         return;
@@ -468,15 +469,15 @@ fn loop_body_ranges(ctx: &FileContext<'_>) -> Vec<(usize, usize)> {
 }
 
 /// The loop arms of `budget-enforced-alloc`: every allocation `alloc_at`
-/// names at a non-test position inside a loop body is a finding,
-/// ``"`{alloc}` {why}"``.
+/// names at a non-test position inside one of the loop `bodies` is a
+/// finding, ``"`{alloc}` {why}"``.
 fn flag_loop_allocs<'c>(
     ctx: &'c FileContext<'_>,
     out: &mut Vec<Finding>,
     why: &str,
+    bodies: &[(usize, usize)],
     alloc_at: impl Fn(usize) -> Option<&'c str>,
 ) {
-    let bodies = loop_body_ranges(ctx);
     for p in 0..ctx.sig.len() {
         if ctx.sig_is_test(p) || !bodies.iter().any(|&(open, close)| open < p && p < close) {
             continue;
@@ -513,7 +514,7 @@ fn budget_alloc_query_decode_loops(ctx: &FileContext<'_>, out: &mut Vec<Finding>
     let why = "decodes a full compressed bitmap inside a loop — keep the set algebra in \
                container space (intersect/union/complement) and hoist a single decode out \
                of the loop";
-    flag_loop_allocs(ctx, out, why, |p| {
+    flag_loop_allocs(ctx, out, why, &loop_body_ranges(ctx), |p| {
         (ctx.sig_text(p) == "to_vec" && is_call(ctx, p)).then_some("to_vec")
     });
 }
@@ -529,7 +530,7 @@ fn budget_alloc_temporal_hot_loops(ctx: &FileContext<'_>, out: &mut Vec<Finding>
     let why = "allocates inside an automaton execution loop that runs per entry per history \
                — draw from the pooled scratch (recycle saves buffers / thread-local Scratch) \
                instead of allocating";
-    flag_loop_allocs(ctx, out, why, |p| match ctx.sig_text(p) {
+    flag_loop_allocs(ctx, out, why, &loop_body_ranges(ctx), |p| match ctx.sig_text(p) {
         text @ ("with_capacity" | "to_vec") if is_call(ctx, p) => Some(text),
         "new" if is_new_of(ctx, p, "Vec") => Some("Vec::new"),
         "vec" if next_is(ctx, p, '!') => Some("vec!"),
@@ -537,16 +538,28 @@ fn budget_alloc_temporal_hot_loops(ctx: &FileContext<'_>, out: &mut Vec<Finding>
     });
 }
 
-/// The renderer arm, applied to `viz/src/svg.rs`: its loops run once per
-/// drawn element, thousands of times a view, so a `String` built there
+/// The renderer arm. In `viz/src/svg.rs` its loops run once per drawn
+/// element, thousands of times a view, so a `String` built there
 /// (`format!`, `.to_owned()`, `.to_string()`, `String::new`, `.collect()`,
-/// `.join(`) is thousands of allocator calls a render. Elements are
-/// written into the one output buffer instead.
-fn budget_alloc_svg_element_loops(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
-    let why = "builds a String inside a per-element render loop — write into the output \
-               buffer (push_str / write!) instead";
-    flag_loop_allocs(ctx, out, why, |p| match ctx.sig_text(p) {
+/// `.join(`) is thousands of allocator calls a render: elements are
+/// written into the one output buffer instead. In `viz/src/timeline.rs`
+/// the loops nested in the per-row loop run once per entry of a visible
+/// row; there a `String` or a `vec!` is an allocation per visited entry,
+/// where a drawn element may make one, its tooltip, outside the loop.
+fn budget_alloc_renderer_loops(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
+    let mut bodies = loop_body_ranges(ctx);
+    let why = if ctx.path.ends_with("viz/src/timeline.rs") {
+        let outer = bodies.clone();
+        bodies.retain(|&(open, close)| outer.iter().any(|&(o, c)| o < open && close < c));
+        "allocates inside a per-entry layout loop — write the tooltip into one buffer sized \
+         once and reuse buffers hoisted out of the loop"
+    } else {
+        "builds a String inside a per-element render loop — write into the output buffer \
+         (push_str / write!) instead"
+    };
+    flag_loop_allocs(ctx, out, why, &bodies, |p| match ctx.sig_text(p) {
         "format" if next_is(ctx, p, '!') => Some("format!"),
+        "vec" if next_is(ctx, p, '!') => Some("vec!"),
         text @ ("to_owned" | "to_string" | "collect" | "join")
             if p > 0 && ctx.sig_token(p - 1).is_punct(ctx.src, '.') =>
         {

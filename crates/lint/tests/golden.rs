@@ -168,3 +168,9 @@ fn lock_unwrap_flags_non_test_unwraps_only() {
         vec![("no-unwrap-on-lock", 5), ("no-unwrap-on-lock", 11)]
     );
 }
+
+#[test]
+fn timeline_alloc_flags_per_entry_loops_only() {
+    let lines: Vec<_> = check_fixture("timeline_alloc").iter().map(|f| (f.rule, f.line)).collect();
+    assert_eq!(lines, [10, 11, 12, 13, 14, 18].map(|line| ("budget-enforced-alloc", line)));
+}

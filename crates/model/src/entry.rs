@@ -173,27 +173,7 @@ impl Payload {
 
     /// One-line rendering for details-on-demand panels.
     pub fn describe(&self) -> String {
-        match self {
-            Payload::Diagnosis(c) => match c.display_name() {
-                Some(name) => format!("diagnosis {} ({name})", c.value),
-                None => format!("diagnosis {}", c.value),
-            },
-            Payload::Medication(c) => match c.display_name() {
-                Some(name) => format!("medication {} ({name})", c.value),
-                None => format!("medication {}", c.value),
-            },
-            Payload::Measurement { kind, value } => {
-                format!("{} {value:.1} {}", kind.label(), kind.unit())
-            }
-            Payload::Episode(k) => k.label().to_owned(),
-            Payload::Note(text) => {
-                let mut t: String = text.chars().take(60).collect();
-                if t.len() < text.len() {
-                    t.push('…');
-                }
-                format!("note: {t}")
-            }
-        }
+        crate::PayloadRef::from(self).describe()
     }
 }
 

@@ -35,6 +35,7 @@ use crate::HistoryCollection;
 use pastas_codes::Code;
 use pastas_time::{DateTime, Duration};
 use std::collections::HashSet;
+use std::fmt::Write;
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
@@ -645,25 +646,33 @@ impl<'a> PayloadRef<'a> {
     /// One-line rendering for details-on-demand panels (identical to
     /// [`Payload::describe`]).
     pub fn describe(self) -> String {
-        match self {
-            PayloadRef::Diagnosis(c) => match c.display_name() {
-                Some(name) => format!("diagnosis {} ({name})", c.value),
-                None => format!("diagnosis {}", c.value),
-            },
-            PayloadRef::Medication(c) => match c.display_name() {
-                Some(name) => format!("medication {} ({name})", c.value),
-                None => format!("medication {}", c.value),
-            },
-            PayloadRef::Measurement { kind, value } => {
-                format!("{} {value:.1} {}", kind.label(), kind.unit())
+        let mut out = String::new();
+        self.describe_into(&mut out);
+        out
+    }
+
+    /// [`Self::describe`], written onto the end of `out`.
+    pub fn describe_into(self, out: &mut String) {
+        let code = |out: &mut String, kind: &str, c: &Code| {
+            let _ = write!(out, "{kind} {}", c.value);
+            if let Some(name) = c.display_name() {
+                let _ = write!(out, " ({name})");
             }
-            PayloadRef::Episode(k) => k.label().to_owned(),
+        };
+        match self {
+            PayloadRef::Diagnosis(c) => code(out, "diagnosis", c),
+            PayloadRef::Medication(c) => code(out, "medication", c),
+            PayloadRef::Measurement { kind, value } => {
+                let _ = write!(out, "{} {value:.1} {}", kind.label(), kind.unit());
+            }
+            PayloadRef::Episode(k) => out.push_str(k.label()),
             PayloadRef::Note(text) => {
-                let mut t: String = text.chars().take(60).collect();
-                if t.len() < text.len() {
-                    t.push('…');
+                let cut = text.char_indices().nth(60).map_or(text.len(), |(i, _)| i);
+                out.push_str("note: ");
+                out.push_str(&text[..cut]);
+                if cut < text.len() {
+                    out.push('…');
                 }
-                format!("note: {t}")
             }
         }
     }
@@ -750,18 +759,21 @@ impl<'a> EntryRef<'a> {
     /// One-line rendering for details-on-demand panels (identical to
     /// [`Entry::describe`]).
     pub fn describe(&self) -> String {
-        if self.is_interval() {
-            format!(
-                "{} → {} ({}) — {} [{}]",
-                self.start(),
-                self.end(),
-                self.end() - self.start(),
-                self.payload().describe(),
-                self.source()
-            )
+        let mut out = String::new();
+        self.describe_into(&mut out);
+        out
+    }
+
+    /// [`Self::describe`], written onto the end of `out`.
+    pub fn describe_into(&self, out: &mut String) {
+        let (start, end) = (self.start(), self.end());
+        let _ = if self.is_interval() {
+            write!(out, "{start} → {end} ({}) — ", end - start)
         } else {
-            format!("{} — {} [{}]", self.start(), self.payload().describe(), self.source())
-        }
+            write!(out, "{start} — ")
+        };
+        self.payload().describe_into(out);
+        let _ = write!(out, " [{}]", self.source());
     }
 
     /// Materialize an owned [`Entry`] (export and details-on-demand; the

@@ -35,14 +35,14 @@ pub enum GlyphShape {
 }
 
 impl GlyphShape {
-    /// Short name used in SVG class attributes.
-    pub fn name(self) -> &'static str {
+    /// The presentation class, `viz:Glyph/<name>`.
+    pub fn class(self) -> &'static str {
         match self {
-            GlyphShape::Square => "square",
-            GlyphShape::Arrow => "arrow",
-            GlyphShape::Triangle => "triangle",
-            GlyphShape::Cross => "cross",
-            GlyphShape::Circle => "circle",
+            GlyphShape::Square => "viz:Glyph/square",
+            GlyphShape::Arrow => "viz:Glyph/arrow",
+            GlyphShape::Triangle => "viz:Glyph/triangle",
+            GlyphShape::Cross => "viz:Glyph/cross",
+            GlyphShape::Circle => "viz:Glyph/circle",
         }
     }
 }
@@ -61,13 +61,13 @@ pub enum BandKind {
 }
 
 impl BandKind {
-    /// Short name used in SVG class attributes.
-    pub fn name(self) -> &'static str {
+    /// The presentation class, `viz:Band/<name>`.
+    pub fn class(self) -> &'static str {
         match self {
-            BandKind::Hospital => "hospital",
-            BandKind::Municipal => "municipal",
-            BandKind::Rehabilitation => "rehabilitation",
-            BandKind::Medication => "medication",
+            BandKind::Hospital => "viz:Band/hospital",
+            BandKind::Municipal => "viz:Band/municipal",
+            BandKind::Rehabilitation => "viz:Band/rehabilitation",
+            BandKind::Medication => "viz:Band/medication",
         }
     }
 }
@@ -183,13 +183,11 @@ impl PresentationOntology {
 
     /// The presentation-class name of an entry for serialized scenes,
     /// e.g. `"viz:Glyph/square"` or `"viz:Band/hospital"`.
-    pub fn presentation_class<E: EntryView>(&self, entry: E) -> String {
-        if entry.is_interval() {
-            if let Some(band) = self.band_for(entry.payload_ref()) {
-                return format!("viz:Band/{}", band.name());
-            }
+    pub fn presentation_class<E: EntryView>(&self, entry: E) -> &'static str {
+        match self.band_for(entry.payload_ref()) {
+            Some(band) if entry.is_interval() => band.class(),
+            _ => self.glyph_for(entry.payload_ref()).class(),
         }
-        format!("viz:Glyph/{}", self.glyph_for(entry.payload_ref()).name())
     }
 
     /// TBox axioms of the presentation ontology in `(sub, super)` string

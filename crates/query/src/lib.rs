@@ -36,6 +36,7 @@ pub mod ops;
 pub mod parse;
 pub mod predicate;
 pub mod query;
+mod radix;
 pub mod stats;
 pub mod temporal;
 
@@ -44,7 +45,7 @@ pub use index::{CodeIndex, IndexFootprint};
 pub use normalize::{canonical_fingerprint, normalize};
 pub use ops::{align_on, align_rows, sort_histories, Alignment, SortKey};
 pub use plan::{Explain, ExplainNode, PlanNode, QueryPlan};
-pub use predicate::EntryPredicate;
+pub use predicate::{BoundPredicate, EntryPredicate, EntryTest};
 pub use parse::parse_query;
 pub use query::{HistoryQuery, QueryBuilder};
 pub use temporal::{GapBound, StepConstraint, TemporalPattern};

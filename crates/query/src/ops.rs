@@ -6,12 +6,12 @@
 //! around the first incidence of diabetes"); histories with no anchor drop
 //! out of the aligned view.
 
-use crate::predicate::EntryPredicate;
-use pastas_model::{CodeId, CodeInterner, History, HistoryCollection, PatientId};
+use crate::predicate::{BoundPredicate, EntryPredicate};
+use crate::radix::radix_order;
+use pastas_model::{HistoryCollection, PatientId};
 use pastas_regex::Regex;
 use pastas_time::DateTime;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
 use std::sync::Arc;
 
 /// Per-history anchors for the aligned axis mode. Immutable once computed
@@ -55,34 +55,29 @@ pub fn align_on(collection: &HistoryCollection, pred: &EntryPredicate) -> Alignm
 /// [`align_on`] for a code regex, over `candidates` only: the positions
 /// of every history holding a matching code (the planner's
 /// `has(pattern)`), so a history outside them has no anchor. The regex is
-/// bound once per interner — one flag per [`pastas_model::CodeId`] — and
-/// each entry is tested by a lookup on its `kinds`/`aux` words, never by
-/// a string match. Interners are few: one per arena, plus one for each
-/// history that detached with a code its arena lacked. Returns the
-/// alignment and its display order: anchored rows by `(anchor,
-/// position)`, then every other row in position order.
+/// tested through a [`BoundPredicate`]: bound once per interner, one flag
+/// per [`pastas_model::CodeId`], so each entry is tested by a lookup on
+/// its `kinds`/`aux` words, never by a string match. Interners are few:
+/// one per arena, plus one for each history that detached with a code
+/// its arena lacked. Returns the alignment and its display order:
+/// anchored rows by `(anchor, position)`, then every other row in
+/// position order.
 pub fn align_rows(
     collection: &HistoryCollection,
     re: &Regex,
     candidates: &[u32],
 ) -> (Alignment, Vec<u32>) {
     let histories = collection.histories();
-    let mut bound: HashMap<*const CodeInterner, Vec<bool>> = HashMap::new();
-    let mut first_match = |h: &History| {
-        let interner = h.store().interner_arc();
-        let flags = bound.entry(Arc::as_ptr(interner)).or_insert_with(|| {
-            interner.iter().map(|c| re.is_full_match(&c.value)).collect()
-        });
-        let hit = |id: CodeId| flags.get(id.0 as usize).copied().unwrap_or(false);
-        h.entries().iter().find(|e| e.code_id().is_some_and(hit)).map(|e| e.start())
-    };
+    let pred = EntryPredicate::CodeMatches(re.clone());
+    let mut bound = BoundPredicate::new(&pred);
     let mut anchors = HashMap::with_capacity(candidates.len());
     let mut anchored = Vec::with_capacity(candidates.len());
     for &p in candidates {
         let Some(h) = histories.get(p as usize) else { continue };
-        if let Some(t) = first_match(h) {
-            anchors.insert(h.id(), t);
-            anchored.push((t, p));
+        let test = bound.on(h.store());
+        if let Some(e) = h.entries().iter().find(|&e| test.matches(e)) {
+            anchors.insert(h.id(), e.start());
+            anchored.push((e.start(), p));
         }
     }
     (Alignment { anchors: Arc::new(anchors) }, anchor_order(histories.len(), anchored))
@@ -121,115 +116,40 @@ pub enum SortKey {
 /// keys keep position order). Empty histories sort after every other row
 /// by first entry and before every other row by span.
 ///
-/// Entry counts, first starts and spans come from the collection's
-/// [`pastas_model::RowColumns`]; only patient ids are read off the
-/// histories. Every key is rebased to `0..` and ordered by [`radix_order`].
+/// Entry counts, first starts and spans are read straight from the
+/// collection's [`pastas_model::RowColumns`]; only patient ids are read
+/// off the histories. No key array is built: the radix order reads each
+/// row's key off the columns in its first pass.
 pub fn sort_histories(collection: &HistoryCollection, key: &SortKey) -> Vec<u32> {
     let rows = collection.rows();
-    let counts = rows.entry_counts();
-    let keys: Vec<u64> = match key {
+    let (counts, firsts, lasts) = (rows.entry_counts(), rows.first_starts(), rows.last_ends());
+    let n = counts.len();
+    match key {
         SortKey::PatientId => {
-            let mut ids: Vec<u64> = collection.histories().iter().map(|h| h.id().0).collect();
-            let min = ids.iter().copied().min().unwrap_or(0);
-            ids.iter_mut().for_each(|id| *id -= min);
-            ids
+            let ids: Vec<u64> = collection.histories().iter().map(|h| h.id().0).collect();
+            // lint:allow(no-panic-hot-path) radix_order asks for p < n only
+            radix_order(n, |p| Some(ids[p]))
         }
-        SortKey::EntryCount => counts.iter().map(|&n| u64::from(n)).collect(),
-        SortKey::FirstEntry => rebased(counts, rows.first_starts().iter().copied(), true),
-        SortKey::Span => {
-            let spans = rows.last_ends().iter().zip(rows.first_starts()).map(|(l, f)| l - f);
-            rebased(counts, spans, false)
-        }
-    };
-    radix_order(&keys)
-}
-
-/// `keys` less the smallest key of a non-empty row, as `u64`. Empty rows
-/// (a zero count) go after every other row when `empty_last`, at one past
-/// the largest key; else before them, at 0, with the others shifted up
-/// by one.
-fn rebased(counts: &[u32], keys: impl Iterator<Item = i64> + Clone, empty_last: bool) -> Vec<u64> {
-    let (min, max) = keys
-        .clone()
-        .zip(counts)
-        .filter(|&(_, &n)| n > 0)
-        .fold(None, |range, (k, _)| match range {
-            Some((lo, hi)) => Some((k.min(lo), k.max(hi))),
-            None => Some((k, k)),
-        })
-        .unwrap_or((0, 0));
-    let (empty, shift) = if empty_last { (max.abs_diff(min) + 1, 0) } else { (0, 1) };
-    keys.zip(counts).map(|(k, &n)| if n > 0 { k.abs_diff(min) + shift } else { empty }).collect()
-}
-
-/// Bits a radix digit covers: 2,048 buckets, whose counts fit in L1.
-const DIGIT_BITS: u32 = 11;
-const BUCKETS: usize = 1 << DIGIT_BITS;
-
-/// Rows a thread takes at the least in one radix pass.
-const RADIX_MIN_PER_THREAD: usize = 1 << 14;
-
-/// The positions of `keys` in stable ascending key order: a
-/// least-significant-digit radix sort with as many passes as the largest
-/// key has digits, and none when `keys` is already in order (patient ids
-/// usually are). A pass splits the current order into contiguous chunks,
-/// one a thread: each chunk reads its digits straight from `keys` once
-/// and counts them, and then scatters its positions (only positions move)
-/// to where its chunk starts within each digit's bucket, which keeps the
-/// sort stable at every thread count.
-fn radix_order(keys: &[u64]) -> Vec<u32> {
-    let mut order: Vec<AtomicU32> = (0..keys.len() as u32).map(AtomicU32::new).collect();
-    let top = if keys.is_sorted() {
-        0
-    } else {
-        keys.iter().max().map_or(0, |m| u64::BITS - m.leading_zeros())
-    };
-    let mut spare: Vec<AtomicU32> = Vec::new();
-    for pass in 0..top.div_ceil(DIGIT_BITS) {
-        spare.resize_with(keys.len(), AtomicU32::default);
-        let mut chunks = pastas_par::par_chunks(&order, RADIX_MIN_PER_THREAD, |start, chunk| {
-            let digits: Vec<u16> = chunk
-                .iter()
-                // lint:allow(no-panic-hot-path) order holds 0..keys.len()
-                .map(|p| keys[p.load(Relaxed) as usize] >> (pass * DIGIT_BITS))
-                .map(|k| (k & (BUCKETS as u64 - 1)) as u16)
-                .collect();
-            let mut at = [0u32; BUCKETS];
-            for &d in &digits {
-                // lint:allow(no-panic-hot-path) a digit is masked below BUCKETS
-                at[usize::from(d)] += 1;
-            }
-            (start, digits, at)
-        });
-        // Counts to starts: bucket by bucket, chunk by chunk within one.
-        let mut sum = 0;
-        for b in 0..BUCKETS {
-            for (_, _, at) in &mut chunks {
-                // lint:allow(no-panic-hot-path) b < BUCKETS
-                (sum, at[b]) = (sum + at[b], sum);
-            }
-        }
-        pastas_par::par_chunks(&order, RADIX_MIN_PER_THREAD, |start, chunk| {
-            let Some((_, digits, at)) = chunks.iter().find(|c| c.0 == start) else { return };
-            let mut at = *at;
-            for (p, &d) in chunk.iter().zip(digits) {
-                let d = usize::from(d);
-                // lint:allow(no-panic-hot-path) the starts place each position below keys.len()
-                spare[at[d] as usize].store(p.load(Relaxed), Relaxed);
-                // lint:allow(no-panic-hot-path) a digit is masked below BUCKETS
-                at[d] += 1;
-            }
-        });
-        std::mem::swap(&mut order, &mut spare);
+        // lint:allow(no-panic-hot-path) radix_order asks for p < n only
+        SortKey::EntryCount => radix_order(n, |p| Some(u64::from(counts[p]))),
+        // The sign flip orders `i64` seconds as `u64`; empty rows go last.
+        SortKey::FirstEntry => radix_order(n, |p| {
+            // lint:allow(no-panic-hot-path) radix_order asks for p < n only
+            (counts[p] > 0).then(|| firsts[p] as u64 ^ 1 << 63)
+        }),
+        // A span is never negative; an empty row (0) goes before them all.
+        SortKey::Span => radix_order(n, |p| {
+            // lint:allow(no-panic-hot-path) radix_order asks for p < n only
+            Some(if counts[p] > 0 { lasts[p].abs_diff(firsts[p]) + 1 } else { 0 })
+        }),
     }
-    order.into_iter().map(AtomicU32::into_inner).collect()
 }
 
 /// The oracle [`sort_histories`] is checked against: each key derived
 /// from its history, under a stable comparison sort.
 #[cfg(test)]
 pub(crate) fn reference_sort(collection: &HistoryCollection, key: &SortKey) -> Vec<u32> {
-    let key_of = |h: &History| match key {
+    let key_of = |h: &pastas_model::History| match key {
         SortKey::PatientId => i128::from(h.id().0),
         SortKey::FirstEntry => i128::from(h.first_time().map_or(i64::MAX, |t| t.second_number())),
         SortKey::EntryCount => h.len() as i128,
@@ -244,6 +164,7 @@ pub(crate) fn reference_sort(collection: &HistoryCollection, key: &SortKey) -> V
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::radix::RADIX_MIN_PER_THREAD;
     use pastas_codes::Code;
     use pastas_model::{Entry, History, Patient, Payload, Sex, SourceKind};
     use pastas_time::Date;
@@ -321,39 +242,58 @@ mod tests {
         assert_eq!(order[2], 0, "longest span last when ascending");
     }
 
+    /// `radix_order` over explicit keys.
+    fn order_of(keys: &[Option<u64>]) -> Vec<u32> {
+        radix_order(keys.len(), |p| keys[p])
+    }
+
     #[test]
     fn radix_order_is_stable_at_every_width() {
-        assert_eq!(radix_order(&[3, 1, 3, 1, 0]), [4, 1, 3, 0, 2], "ties keep position order");
-        assert_eq!(radix_order(&[7]), [0]);
-        assert_eq!(radix_order(&[5, 5, 5]), [0, 1, 2]);
-        assert_eq!(radix_order(&[0, 0]), [0, 1], "no pass at all");
+        let some = |ks: &[u64]| ks.iter().map(|&k| Some(k)).collect::<Vec<_>>();
+        assert_eq!(order_of(&some(&[3, 1, 3, 1, 0])), [4, 1, 3, 0, 2], "ties keep position order");
+        assert_eq!(order_of(&some(&[7])), [0]);
+        assert_eq!(order_of(&some(&[5, 5, 5])), [0, 1, 2]);
+        assert_eq!(order_of(&some(&[0, 0])), [0, 1], "no pass at all");
         let big = 1u64 << 40;
-        assert_eq!(radix_order(&[big, 3, big + 1, 1 << 33, 3]), [1, 4, 3, 0, 2]);
+        assert_eq!(order_of(&some(&[big, 3, big + 1, 1 << 33, 3])), [1, 4, 3, 0, 2]);
+        // Only the high digit differs: the first pass counts at its shift.
+        assert_eq!(order_of(&some(&[big, 0, big, 0])), [1, 3, 0, 2]);
+        // Rows without a key go last, in position order, behind equal keys too.
+        assert_eq!(order_of(&[None, Some(2), None, Some(2)]), [1, 3, 0, 2]);
+        assert_eq!(order_of(&[None, Some(big), Some(1), None]), [2, 1, 0, 3]);
         // Keys over the whole u64 range (six passes), and keys with many
-        // ties, against a stable sort: one chunk, and enough rows for four.
+        // ties and keyless rows, against a stable sort: one chunk, and
+        // enough rows for four.
         let mut x = 0x9e37_79b9_7f4a_7c15u64;
         let mut next = || {
             x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
             x
         };
         let rows = 4 * RADIX_MIN_PER_THREAD + 7;
-        let wide: Vec<u64> = (0..rows).map(|i| if i % 3 == 0 { next() >> (i % 64) } else { next() }).collect();
-        let tied: Vec<u64> = (0..rows).map(|_| next() % 5_000).collect();
+        let wide: Vec<_> = (0..rows).map(|i| Some(if i % 3 == 0 { next() >> (i % 64) } else { next() })).collect();
+        let tied: Vec<_> = (0..rows).map(|_| Some(next() % 5_000).filter(|k| k % 7 != 0)).collect();
         for keys in [&wide[..3_000], &wide, &tied] {
             let mut expect: Vec<u32> = (0..keys.len() as u32).collect();
-            expect.sort_by_key(|&i| keys[i as usize]);
+            expect.sort_by_key(|&i| keys[i as usize].map_or((1, 0), |k| (0, k)));
             for threads in [1, 4] {
-                assert_eq!(pastas_par::with_threads(threads, || radix_order(keys)), expect);
+                assert_eq!(pastas_par::with_threads(threads, || order_of(keys)), expect);
             }
         }
     }
 
     #[test]
     fn rebasing_places_empty_rows_and_negative_keys() {
-        let (counts, keys) = ([1, 1, 1, 0], [-5i64, 3, -9, 100]);
-        assert_eq!(rebased(&counts, keys.into_iter(), true), [4, 12, 0, 13]);
-        assert_eq!(rebased(&counts, keys.into_iter(), false), [5, 13, 1, 0]);
-        assert_eq!(rebased(&[0, 0], [7, -7].into_iter(), true), [1, 1], "only empty rows");
+        // Starts before 1970 are negative seconds; the sign flip keeps them first.
+        let c = HistoryCollection::from_histories([
+            history(1, &[("A01", (2013, 1, 1))]),
+            history(2, &[]),
+            history(3, &[("A01", (1960, 1, 1)), ("A01", (1961, 1, 1))]),
+            history(4, &[("A01", (1969, 12, 31))]),
+        ]);
+        assert_eq!(sort_histories(&c, &SortKey::FirstEntry), [2, 3, 0, 1], "empty row last");
+        assert_eq!(sort_histories(&c, &SortKey::Span), [1, 0, 3, 2], "empty row first");
+        let empty = HistoryCollection::from_histories([history(1, &[]), history(2, &[])]);
+        assert_eq!(sort_histories(&empty, &SortKey::FirstEntry), [0, 1], "only empty rows");
     }
 
     #[test]

@@ -1,9 +1,13 @@
 //! Entry-level predicates with boolean composition.
 
 use pastas_codes::{Code, CodeSystem};
-use pastas_model::{EntryView, MeasurementKind, PayloadRef, SourceKind};
+use pastas_model::{
+    CodeInterner, EntryRef, EntryView, EventStore, MeasurementKind, PayloadRef, SourceKind,
+};
 use pastas_regex::Regex;
 use pastas_time::Date;
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A predicate over a single entry. This is the atom of the Fig. 4
 /// query builder: every row in that dialog compiles to one of these.
@@ -64,13 +68,9 @@ impl EntryPredicate {
     pub fn matches<E: EntryView>(&self, entry: E) -> bool {
         match self {
             EntryPredicate::Any => true,
-            EntryPredicate::CodeMatches(re) => {
-                entry.code_ref().is_some_and(|c| re.is_full_match(&c.value))
-            }
-            EntryPredicate::CodeWithin(root) => {
-                entry.code_ref().is_some_and(|c| c.is_within(root))
-            }
-            EntryPredicate::System(sys) => entry.code_ref().is_some_and(|c| c.system == *sys),
+            EntryPredicate::CodeMatches(_)
+            | EntryPredicate::CodeWithin(_)
+            | EntryPredicate::System(_) => entry.code_ref().is_some_and(|c| self.holds_for(c)),
             EntryPredicate::Source(s) => entry.source() == *s,
             EntryPredicate::IsDiagnosis => {
                 matches!(entry.payload_ref(), PayloadRef::Diagnosis(_))
@@ -92,6 +92,17 @@ impl EntryPredicate {
             EntryPredicate::And(ps) => ps.iter().all(|p| p.matches(entry)),
             EntryPredicate::Or(ps) => ps.iter().any(|p| p.matches(entry)),
             EntryPredicate::Not(p) => !p.matches(entry),
+        }
+    }
+
+    /// For a code leaf (`CodeMatches`, `CodeWithin`, `System`), whether
+    /// `code` satisfies it; false for every other variant.
+    fn holds_for(&self, code: &Code) -> bool {
+        match self {
+            EntryPredicate::CodeMatches(re) => re.is_full_match(&code.value),
+            EntryPredicate::CodeWithin(root) => code.is_within(root),
+            EntryPredicate::System(sys) => code.system == *sys,
+            _ => false,
         }
     }
 
@@ -180,6 +191,120 @@ impl EntryPredicate {
                 p.write_fingerprint(out);
                 out.push(')');
             }
+        }
+    }
+}
+
+/// An [`EntryPredicate`] bound once for one pass over columnar entries
+/// (a render, a density matrix, an alignment). A code leaf tests one
+/// flag byte per [`pastas_model::CodeId`], computed from the code
+/// strings the first time a store with that interner is met; the other
+/// leaves read the entry's kinds byte, its side table or its `i64`
+/// seconds. No entry is tested by a string.
+#[derive(Debug)]
+pub struct BoundPredicate<'p> {
+    pred: &'p EntryPredicate,
+    /// The code leaves of `pred`, by address.
+    leaves: Vec<&'p EntryPredicate>,
+    /// Per interner met: its `Arc`, held so that its address, the map's
+    /// key, cannot be reused while bound, and one flag a (code, leaf) at
+    /// `id * leaves.len() + leaf`.
+    bound: Vec<(Arc<CodeInterner>, Vec<bool>)>,
+    by_address: HashMap<usize, usize>,
+    last: usize,
+}
+
+impl<'p> BoundPredicate<'p> {
+    /// Bind `pred`; interners are bound as their stores are met.
+    pub fn new(pred: &'p EntryPredicate) -> BoundPredicate<'p> {
+        fn code_leaves<'p>(p: &'p EntryPredicate, out: &mut Vec<&'p EntryPredicate>) {
+            match p {
+                EntryPredicate::And(ps) | EntryPredicate::Or(ps) => {
+                    ps.iter().for_each(|p| code_leaves(p, out));
+                }
+                EntryPredicate::Not(p) => code_leaves(p, out),
+                EntryPredicate::CodeMatches(_)
+                | EntryPredicate::CodeWithin(_)
+                | EntryPredicate::System(_) => out.push(p),
+                _ => {}
+            }
+        }
+        let mut leaves = Vec::new();
+        code_leaves(pred, &mut leaves);
+        BoundPredicate { pred, leaves, bound: Vec::new(), by_address: HashMap::new(), last: 0 }
+    }
+
+    /// The test for entries of `store` (a history's
+    /// [`pastas_model::History::store`]), binding its interner first if
+    /// this is the first store met with it.
+    pub fn on(&mut self, store: &EventStore) -> EntryTest<'_> {
+        let interner = store.interner_arc();
+        let held = self.bound.get(self.last).is_some_and(|(held, _)| Arc::ptr_eq(held, interner));
+        if !self.leaves.is_empty() && !held {
+            let address = Arc::as_ptr(interner) as usize;
+            self.last = match self.by_address.get(&address) {
+                Some(&i) => i,
+                None => {
+                    let flags = interner
+                        .iter()
+                        .flat_map(|c| self.leaves.iter().map(move |leaf| leaf.holds_for(c)))
+                        .collect();
+                    self.bound.push((Arc::clone(interner), flags));
+                    self.by_address.insert(address, self.bound.len() - 1);
+                    self.bound.len() - 1
+                }
+            };
+        }
+        let flags = self.bound.get(self.last).map_or(&[] as &[bool], |(_, f)| f);
+        EntryTest { pred: self.pred, leaves: &self.leaves, flags }
+    }
+}
+
+/// A [`BoundPredicate`] bound to one store's interner: test entries of
+/// that store with [`EntryTest::matches`].
+#[derive(Debug, Clone, Copy)]
+pub struct EntryTest<'b> {
+    pred: &'b EntryPredicate,
+    leaves: &'b [&'b EntryPredicate],
+    flags: &'b [bool],
+}
+
+impl EntryTest<'_> {
+    /// True if `entry`, a row of the store this test was bound to,
+    /// satisfies the predicate.
+    pub fn matches(&self, entry: EntryRef<'_>) -> bool {
+        self.eval(self.pred, entry)
+    }
+
+    fn eval(&self, p: &EntryPredicate, e: EntryRef<'_>) -> bool {
+        match p {
+            EntryPredicate::Any => true,
+            EntryPredicate::CodeMatches(_)
+            | EntryPredicate::CodeWithin(_)
+            | EntryPredicate::System(_) => e.code_id().is_some_and(|id| {
+                let leaf = self.leaves.iter().position(|l| std::ptr::eq(*l, p)).unwrap_or(0);
+                let at = id.0 as usize * self.leaves.len() + leaf;
+                debug_assert!(at < self.flags.len(), "code id {} past its interner's flags", id.0);
+                // lint:allow(no-panic-hot-path) the interner is held, so each of its ids is bound
+                self.flags[at]
+            }),
+            EntryPredicate::Source(s) => e.source() == *s,
+            EntryPredicate::IsDiagnosis => matches!(e.payload(), PayloadRef::Diagnosis(_)),
+            EntryPredicate::IsMedication => matches!(e.payload(), PayloadRef::Medication(_)),
+            EntryPredicate::MeasurementIn { kind, lo, hi } => match e.payload() {
+                PayloadRef::Measurement { kind: k, value } => {
+                    k == *kind && (*lo..=*hi).contains(&value)
+                }
+                _ => false,
+            },
+            EntryPredicate::IsInterval => e.is_interval(),
+            EntryPredicate::InWindow { from, to } => {
+                let (from, to) = (from.at_midnight(), to.at_midnight().second_number() + 86_399);
+                e.start().second_number() <= to && e.end() >= from
+            }
+            EntryPredicate::And(ps) => ps.iter().all(|p| self.eval(p, e)),
+            EntryPredicate::Or(ps) => ps.iter().any(|p| self.eval(p, e)),
+            EntryPredicate::Not(p) => !self.eval(p, e),
         }
     }
 }
@@ -286,5 +411,36 @@ mod tests {
         );
         assert!(EntryPredicate::IsInterval.matches(&stay));
         assert!(!EntryPredicate::IsInterval.matches(&diag("A01")));
+    }
+
+    #[test]
+    fn a_code_of_one_interner_binds_per_interner() {
+        use pastas_model::{History, Patient, PatientId, Sex};
+        let history = |id: u64, code: &str| {
+            let mut h = History::new(Patient {
+                id: PatientId(id),
+                birth_date: Date::new(1950, 1, 1).unwrap(),
+                sex: Sex::Female,
+            });
+            h.insert(diag("A01"));
+            h.insert(diag(code));
+            h
+        };
+        // Each history has its own store; only the second interner holds Z99.
+        let (a, b) = (history(1, "T90"), history(2, "Z99"));
+        let z99 = EntryPredicate::code_regex("Z99").unwrap();
+        for pred in [z99.clone(), z99.not()] {
+            let mut bound = BoundPredicate::new(&pred);
+            for h in [&a, &b, &a] {
+                let test = bound.on(h.store());
+                for e in h.entries() {
+                    assert_eq!(test.matches(e), pred.matches(e), "{pred:?} on {e:?}");
+                }
+            }
+        }
+        let pred = EntryPredicate::code_regex("Z99").unwrap();
+        let mut bound = BoundPredicate::new(&pred);
+        assert_eq!(b.entries().iter().filter(|&e| bound.on(b.store()).matches(e)).count(), 1);
+        assert_eq!(a.entries().iter().filter(|&e| bound.on(a.store()).matches(e)).count(), 0);
     }
 }

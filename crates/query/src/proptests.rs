@@ -272,6 +272,42 @@ fn random_set(rng: &mut Rng, shape: u64) -> Vec<u32> {
     out
 }
 
+/// A random entry predicate of bounded depth over every
+/// [`EntryPredicate`] variant, for the bound-predicate differential.
+fn random_entry_predicate(rng: &mut Rng, depth: u32) -> EntryPredicate {
+    use pastas_codes::{Code, CodeSystem};
+    use pastas_model::{MeasurementKind, SourceKind};
+    let choice = if depth == 0 { rng.below(10) } else { rng.below(13) };
+    let day = |rng: &mut Rng| Date::new(2010, 1, 1).expect("valid date").add_days(rng.below(2_500) as i64);
+    match choice {
+        0 => EntryPredicate::Any,
+        1 => EntryPredicate::code_regex(PATTERNS[rng.below(PATTERNS.len() as u64) as usize])
+            .expect("valid pattern"),
+        2 => EntryPredicate::CodeWithin(
+            [Code::icpc("K"), Code::icpc("T90"), Code::atc("C07"), Code::atc("N02BE01"), Code::icpc("Z99")]
+                [rng.below(5) as usize]
+                .clone(),
+        ),
+        3 => EntryPredicate::System([CodeSystem::Icpc2, CodeSystem::Icd10, CodeSystem::Atc][rng.below(3) as usize]),
+        4 => EntryPredicate::Source(SourceKind::ALL[rng.below(SourceKind::ALL.len() as u64) as usize]),
+        5 => EntryPredicate::IsDiagnosis,
+        6 => EntryPredicate::IsMedication,
+        7 => {
+            let kinds = [MeasurementKind::SystolicBp, MeasurementKind::Hba1c, MeasurementKind::Weight];
+            let lo = rng.below(160) as f64;
+            EntryPredicate::MeasurementIn { kind: kinds[rng.below(3) as usize], lo, hi: lo + rng.below(80) as f64 }
+        }
+        8 => EntryPredicate::IsInterval,
+        9 => {
+            let from = day(rng);
+            EntryPredicate::InWindow { from, to: from.add_days(rng.below(400) as i64 - 20) }
+        }
+        10 => EntryPredicate::And((0..1 + rng.below(3)).map(|_| random_entry_predicate(rng, depth - 1)).collect()),
+        11 => EntryPredicate::Or((0..1 + rng.below(3)).map(|_| random_entry_predicate(rng, depth - 1)).collect()),
+        _ => random_entry_predicate(rng, depth - 1).not(),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
@@ -549,12 +585,100 @@ proptest! {
             c.upsert(later);
         }
         c.debug_validate();
+        // Every row alike but for its id: all-equal counts, starts and spans.
+        let alike = pastas_model::HistoryCollection::from_histories((0..64).map(|i| {
+            let mut h = History::new(Patient { id: PatientId(1 + i), ..*c.histories()[0].patient() });
+            h.insert(diag(year(2014)));
+            h
+        }));
         for key in [SortKey::PatientId, SortKey::FirstEntry, SortKey::EntryCount, SortKey::Span] {
             let reference = crate::ops::reference_sort(&c, &key);
-            for threads in [1, 4] {
-                let radix = pastas_par::with_threads(threads, || crate::sort_histories(&c, &key));
-                prop_assert_eq!(&radix, &reference, "{:?}, threads {}", key, threads);
+            // The same rows already in the key's order, and reversed.
+            let reordered = |order: &mut dyn Iterator<Item = &u32>| {
+                pastas_model::HistoryCollection::from_shared(
+                    order.map(|&p| std::sync::Arc::clone(&c.histories()[p as usize])),
+                )
+            };
+            let sorted = reordered(&mut reference.iter());
+            let reversed = reordered(&mut reference.iter().rev());
+            for rows in [&c, &sorted, &reversed, &alike] {
+                let expect = crate::ops::reference_sort(rows, &key);
+                for threads in [1, 4] {
+                    let radix = pastas_par::with_threads(threads, || crate::sort_histories(rows, &key));
+                    prop_assert_eq!(&radix, &expect, "{:?}, threads {}", key, threads);
+                }
             }
+        }
+    }
+    /// A bound predicate answers every entry as the string-testing
+    /// `EntryPredicate::matches` does, for random trees over every
+    /// variant, over entries of several arena interners and of stores an
+    /// ingest epoch detached with codes their arena lacked.
+    #[test]
+    fn bound_predicate_agrees_with_matches(seed in 0u64..200, tree_seed in 0u64..u64::MAX) {
+        use pastas_codes::Code;
+        use pastas_model::{Entry, MeasurementKind, OpenEpoch, Payload, SourceKind};
+        let mut c = generate_collection(SynthConfig { shard_patients: 64, ..SynthConfig::with_patients(240) }, seed);
+        let mut rng = Rng(tree_seed);
+        let mut epoch = OpenEpoch::new();
+        for _ in 0..4 {
+            let p = *c.histories()[rng.below(c.len() as u64) as usize].patient();
+            let at = Date::new(2013, 1 + rng.below(12) as u32, 1).expect("valid date").at_midnight();
+            epoch.append(p, vec![
+                Entry::event(at, Payload::Diagnosis(Code::icpc("Z99")), SourceKind::PrimaryCare),
+                Entry::event(at, Payload::Medication(Code::atc("N02BE01")), SourceKind::Prescription),
+                Entry::event(at, Payload::Measurement { kind: MeasurementKind::Hba1c, value: 7.5 }, SourceKind::PrimaryCare),
+            ]);
+        }
+        epoch.seal_into(&mut c);
+        let interners: std::collections::HashSet<_> =
+            c.histories().iter().map(|h| std::sync::Arc::as_ptr(h.store().interner_arc())).collect();
+        prop_assert!(interners.len() >= 3, "{} interners", interners.len());
+        for _ in 0..8 {
+            let pred = random_entry_predicate(&mut rng, 3);
+            let mut bound = crate::BoundPredicate::new(&pred);
+            for h in c.histories() {
+                let test = bound.on(h.store());
+                for e in h.entries() {
+                    prop_assert_eq!(test.matches(e), pred.matches(e), "{:?} on {:?}", pred, e);
+                }
+            }
+        }
+    }
+
+    /// The radix order equals a stable sort of its keys at every key
+    /// width the sorts meet (0 to 63 bits), for random, all-equal,
+    /// already-sorted and reversed keys with and without keyless rows, at
+    /// one thread and at four: enough rows for four chunks.
+    #[test]
+    fn radix_order_equals_a_stable_sort(
+        width in 0usize..7,
+        shape in 0u64..4,
+        keyless in 0u64..3,
+        key_seed in 0u64..u64::MAX,
+    ) {
+        let bits = [0u32, 1, 11, 12, 22, 33, 63][width];
+        let mut rng = Rng(key_seed);
+        let rows = 4 * (1 << 14) + rng.below(3_000) as usize;
+        let top = if bits == 0 { 0 } else { u64::MAX >> (64 - bits) };
+        // A constant high word: bits above the width every key shares.
+        let high = if bits < 63 { (rng.next() >> bits) << bits } else { 0 };
+        let mut keys: Vec<u64> = (0..rows).map(|_| high | (rng.next() & top)).collect();
+        match shape {
+            1 => keys.iter_mut().for_each(|k| *k = high | top),
+            2 => keys.sort_unstable(),
+            3 => keys.sort_unstable_by(|a, b| b.cmp(a)),
+            _ => {}
+        }
+        let keys: Vec<Option<u64>> = keys
+            .into_iter()
+            .map(|k| Some(k).filter(|_| keyless == 0 || rng.below(10 * keyless) != 0))
+            .collect();
+        let mut expect: Vec<u32> = (0..rows as u32).collect();
+        expect.sort_by_key(|&p| keys[p as usize].map_or((1, 0), |k| (0, k)));
+        for threads in [1, 4] {
+            let order = pastas_par::with_threads(threads, || crate::radix::radix_order(rows, |p| keys[p]));
+            prop_assert!(order == expect, "{} bits, shape {}, threads {}", bits, shape, threads);
         }
     }
 }

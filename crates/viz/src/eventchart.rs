@@ -140,7 +140,7 @@ pub fn render_event_chart(
                 }
             };
             let bbox = prim.bbox();
-            scene.push_with_tooltip(prim, &presentation.presentation_class(e), e.describe());
+            scene.push_with_tooltip(prim, presentation.presentation_class(e), e.describe());
             hits.push(HitRecord {
                 bbox,
                 row: ri,

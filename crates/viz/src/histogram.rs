@@ -83,7 +83,7 @@ fn draw_chart(scene: &mut Scene, chart: &Histogram, x0: f64, y0: f64, w: f64, h:
                 h: bar_h.max(if *count > 0 { 1.0 } else { 0.0 }),
                 fill,
             },
-            &format!("histogram-bar {}", chart.name),
+            format!("histogram-bar {}", chart.name),
             format!("{}: {} = {}", chart.name, label, count),
         );
         // Label every bucket when they fit, else first/last only.

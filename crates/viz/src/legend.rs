@@ -28,7 +28,7 @@ pub fn legend_items() -> Vec<LegendItem> {
         (GlyphShape::Cross, "note"),
     ] {
         out.push(LegendItem {
-            class: format!("viz:Glyph/{}", shape.name()),
+            class: shape.class().to_owned(),
             label: label.to_owned(),
         });
     }
@@ -39,7 +39,7 @@ pub fn legend_items() -> Vec<LegendItem> {
         (BandKind::Medication, "medication exposure"),
     ] {
         out.push(LegendItem {
-            class: format!("viz:Band/{}", band.name()),
+            class: band.class().to_owned(),
             label: label.to_owned(),
         });
     }
@@ -97,7 +97,7 @@ pub fn render_legend(width: f64) -> Scene {
                 _ => Primitive::Circle { cx: 12.0, cy, r: 4.0, fill: color::GLYPH_INK },
             }
         };
-        scene.push(prim, &item.class);
+        scene.push(prim, item.class.clone());
         scene.push(
             Primitive::Text {
                 x: 28.0,

@@ -11,7 +11,7 @@
 use crate::color::Color;
 use crate::scene::{Primitive, Scene};
 use pastas_model::HistoryCollection;
-use pastas_query::EntryPredicate;
+use pastas_query::{BoundPredicate, EntryPredicate};
 use pastas_time::DateTime;
 
 /// Overview parameters.
@@ -56,13 +56,16 @@ pub fn density(
     let span = (to - from).as_seconds().max(1) as f64;
     let histories = collection.histories();
     let mut counts = vec![vec![0u32; buckets]; blocks];
+    let mut filter = filter.map(BoundPredicate::new);
     for (row, &hi) in order.iter().enumerate() {
         let block = row / block_size;
         if block >= blocks {
             break;
         }
-        for e in histories[hi as usize].entries() {
-            if filter.is_some_and(|f| !f.matches(e)) {
+        let history = &histories[hi as usize];
+        let test = filter.as_mut().map(|f| f.on(history.store()));
+        for e in history.entries() {
+            if test.is_some_and(|t| !t.matches(e)) {
                 continue;
             }
             if e.end() < from || e.start() > to {

@@ -1,7 +1,10 @@
 //! Property tests: the layout pipeline never panics and produces sane
 //! geometry for arbitrary viewports and collections.
 
+use crate::axis::AxisMode;
+use crate::hit::HitMap;
 use crate::timeline::{TimelineOptions, TimelineView};
+use pastas_query::EntryPredicate;
 use crate::viewport::Viewport;
 use pastas_codes::Code;
 use pastas_model::{
@@ -52,6 +55,77 @@ fn arb_collection() -> impl Strategy<Value = HistoryCollection> {
 fn arb_viewport() -> impl Strategy<Value = Viewport> {
     (arb_time(), arb_time(), 1.0f64..200.0, 50.0f64..2000.0, 50.0f64..2000.0)
         .prop_map(|(a, b, rows, w, h)| Viewport::new(a, b, rows, w, h))
+}
+
+/// A wider entry mix for the layout oracle: several codes of both
+/// systems, measurements, notes (cross glyphs), hospital stays and
+/// medication-exposure bands, and instants far outside the view.
+fn arb_varied_entry() -> impl Strategy<Value = Entry> {
+    (arb_time(), 0i64..400, 0usize..9).prop_map(|(t, len_days, kind)| {
+        let until = t + Duration::days(len_days);
+        match kind {
+            0 => Entry::event(t, Payload::Diagnosis(Code::icpc("T90")), SourceKind::PrimaryCare),
+            1 => Entry::event(t, Payload::Diagnosis(Code::icpc("K74")), SourceKind::Hospital),
+            2 => Entry::event(t, Payload::Medication(Code::atc("C07AB02")), SourceKind::Prescription),
+            3 => Entry::event(t, Payload::Medication(Code::atc("N02BE01")), SourceKind::Prescription),
+            4 => Entry::event(
+                t,
+                Payload::Measurement { kind: pastas_model::MeasurementKind::SystolicBp, value: 150.0 },
+                SourceKind::PrimaryCare,
+            ),
+            5 => Entry::event(t, Payload::Note("seen <again> & \"soon\"".to_owned()), SourceKind::Municipal),
+            6 => Entry::interval(t, until, Payload::Episode(EpisodeKind::Inpatient), SourceKind::Hospital),
+            7 => Entry::interval(t, until, Payload::Episode(EpisodeKind::MedicationExposure), SourceKind::Prescription),
+            _ => Entry::event(t + Duration::days(40_000), Payload::Diagnosis(Code::icpc("K86")), SourceKind::PrimaryCare),
+        }
+    })
+}
+
+/// A random collection of the varied entries, with one more patient's
+/// rows sealed in by an ingest epoch onto a store of its own whose
+/// interner holds a code no other store has.
+fn arb_ingested_collection() -> impl Strategy<Value = HistoryCollection> {
+    proptest::collection::vec(proptest::collection::vec(arb_varied_entry(), 0..14), 1..9).prop_map(
+        |patients| {
+            let patient = |i: usize| Patient {
+                id: PatientId(i as u64 + 1),
+                birth_date: Date::new(1940, 1, 1).unwrap(),
+                sex: Sex::Female,
+            };
+            let mut c = HistoryCollection::from_histories(patients.iter().enumerate().map(|(i, es)| {
+                let mut h = History::new(patient(i));
+                h.insert_all(es.iter().cloned());
+                h
+            }));
+            let mut epoch = pastas_model::OpenEpoch::new();
+            let at = Date::new(2014, 3, 1).unwrap().at_midnight();
+            let ingested = vec![
+                Entry::event(at, Payload::Diagnosis(Code::icpc("Z99")), SourceKind::PrimaryCare),
+                Entry::event(at, Payload::Diagnosis(Code::icpc("T90")), SourceKind::PrimaryCare),
+            ];
+            epoch.append(patient(0), ingested.clone());
+            epoch.append(patient(patients.len()), ingested);
+            epoch.seal_into(&mut c);
+            c
+        },
+    )
+}
+
+/// The view filters: none, a kind, a code regex, a window, and trees.
+fn filter_of(choice: usize) -> Option<EntryPredicate> {
+    let window = EntryPredicate::InWindow {
+        from: Date::new(2013, 3, 1).unwrap(),
+        to: Date::new(2014, 8, 31).unwrap(),
+    };
+    let code = |p| EntryPredicate::code_regex(p).unwrap();
+    match choice {
+        0 => None,
+        1 => Some(EntryPredicate::IsDiagnosis),
+        2 => Some(code("K.*|Z99")),
+        3 => Some(window),
+        4 => Some(code("T90").or(EntryPredicate::IsInterval).and(window.clone().not())),
+        _ => Some(EntryPredicate::IsMedication.or(code("K7.*")).not()),
+    }
 }
 
 proptest! {
@@ -125,5 +199,43 @@ proptest! {
             let bound = (2.0 * factor + 4.0) as i64;
             prop_assert!((before - after).abs() <= bound, "span {before} → {after}");
         }
+    }
+    /// The one-pass layout equals the two-pass oracle: the same scene
+    /// elements, the same hit records, the same SVG bytes, across random
+    /// collections with an ingest-detached store, zoomed, scrolled and
+    /// clipped viewports, both axis modes, every filter shape and a
+    /// display order with a blank row.
+    #[test]
+    fn layout_equals_the_two_pass_oracle(
+        c in arb_ingested_collection(),
+        vp in arb_viewport(),
+        scroll in 0.0f64..4.0,
+        aligned in any::<bool>(),
+        filter in 0usize..6,
+        reverse in any::<bool>(),
+    ) {
+        let mut vp = vp;
+        vp.row_offset = scroll;
+        let axis = if aligned {
+            vp = crate::timeline::aligned_viewport(6, 18, vp.rows_visible, vp.width_px, vp.height_px);
+            AxisMode::Aligned(pastas_query::align_on(&c, &EntryPredicate::code_regex("T90").unwrap()))
+        } else {
+            AxisMode::Calendar
+        };
+        let mut order: Vec<u32> = (0..c.len() as u32).collect();
+        if reverse {
+            order.reverse();
+            order.push(u32::MAX);
+        }
+        let options = TimelineOptions { axis, filter: filter_of(filter), ..TimelineOptions::default() };
+        let view = TimelineView::new(&c, options).with_order(&order);
+        let mut oracle_hits = HitMap::new();
+        let oracle = view.lay_out_oracle(&vp, Some(&mut oracle_hits));
+        let (laid_out, hits) = view.layout(&vp);
+        let scene = view.scene(&vp);
+        prop_assert_eq!(&laid_out, &oracle);
+        prop_assert_eq!(&scene, &oracle);
+        prop_assert_eq!(hits.iter().collect::<Vec<_>>(), oracle_hits.iter().collect::<Vec<_>>());
+        prop_assert_eq!(crate::svg::render(&scene), crate::svg::render(&oracle));
     }
 }

@@ -6,6 +6,7 @@
 //! separated.
 
 use crate::color::Color;
+use std::borrow::Cow;
 
 /// One drawing primitive. Coordinates are in device pixels, y down.
 #[derive(Debug, Clone, PartialEq)]
@@ -98,8 +99,9 @@ pub struct Element {
     /// The drawing primitive.
     pub primitive: Primitive,
     /// Presentation-ontology class (`viz:Glyph/square`, …), used as the
-    /// SVG class attribute.
-    pub class: String,
+    /// SVG class attribute. Borrowed for the fixed classes the layouts
+    /// draw, so a drawn element allocates for its tooltip alone.
+    pub class: Cow<'static, str>,
     /// Details-on-demand text (SVG `<title>`, HTML tooltip).
     pub tooltip: Option<String>,
 }
@@ -122,17 +124,18 @@ impl Scene {
     }
 
     /// Push a bare primitive.
-    pub fn push(&mut self, primitive: Primitive, class: &str) {
-        self.elements.push(Element { primitive, class: class.to_owned(), tooltip: None });
+    pub fn push(&mut self, primitive: Primitive, class: impl Into<Cow<'static, str>>) {
+        self.elements.push(Element { primitive, class: class.into(), tooltip: None });
     }
 
     /// Push a primitive with a details-on-demand tooltip.
-    pub fn push_with_tooltip(&mut self, primitive: Primitive, class: &str, tooltip: String) {
-        self.elements.push(Element {
-            primitive,
-            class: class.to_owned(),
-            tooltip: Some(tooltip),
-        });
+    pub fn push_with_tooltip(
+        &mut self,
+        primitive: Primitive,
+        class: impl Into<Cow<'static, str>>,
+        tooltip: String,
+    ) {
+        self.elements.push(Element { primitive, class: class.into(), tooltip: Some(tooltip) });
     }
 
     /// Number of elements.

@@ -275,7 +275,7 @@ mod tests {
                     3 => Primitive::Polygon { points, fill },
                     _ => Primitive::Text { x: a, y: b, text: tip.clone(), size: c, fill },
                 },
-                class,
+                class: class.into(),
                 tooltip: titled.then_some(tip),
             },
         )

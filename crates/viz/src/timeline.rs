@@ -11,7 +11,7 @@ use crate::scene::{Element, Primitive, Scene};
 use crate::viewport::Viewport;
 use pastas_model::{EntryRef, HistoryCollection};
 use pastas_ontology::presentation::{BandKind, GlyphShape, PresentationOntology};
-use pastas_query::EntryPredicate;
+use pastas_query::{BoundPredicate, EntryPredicate};
 use pastas_time::{Date, DateTime, Duration};
 
 /// The fixed epoch whose x-position represents "offset zero" in aligned
@@ -97,18 +97,6 @@ impl<'a> TimelineView<'a> {
         self.order.map_or(self.collection.len(), <[u32]>::len)
     }
 
-    /// The x pixel of an instant for a given history, or `None` when the
-    /// history has no anchor in aligned mode.
-    fn x_of(&self, vp: &Viewport, patient: pastas_model::PatientId, t: DateTime) -> Option<f64> {
-        match &self.options.axis {
-            AxisMode::Calendar => Some(vp.x_of(t)),
-            AxisMode::Aligned(alignment) => {
-                let anchor = alignment.anchor(patient)?;
-                Some(vp.x_of(aligned_epoch() + (t - anchor)))
-            }
-        }
-    }
-
     /// Lay the view out into a scene + hit map (details-on-demand, the
     /// HTML export).
     pub fn layout(&self, vp: &Viewport) -> (Scene, HitMap) {
@@ -122,13 +110,20 @@ impl<'a> TimelineView<'a> {
         self.lay_out(vp, None)
     }
 
-    /// The one layout loop; `hits` is the optional hit-record sink.
+    /// The one layout loop; `hits` is the optional hit-record sink. Each
+    /// visible row's entries are walked once: an entry the filter (bound
+    /// once a layout) rejects or the viewport clips costs no payload
+    /// work, a band is drawn as it is met and a glyph after the row's
+    /// last band, so bands paint under glyphs.
     fn lay_out(&self, vp: &Viewport, mut hits: Option<&mut HitMap>) -> Scene {
         let presentation = PresentationOntology::new();
         let mut scene = Scene::new(vp.width_px, vp.height_px + self.options.axis_height);
         let row_h = vp.row_height();
         let bar_h = (row_h * 0.62).clamp(1.0, 26.0);
         let histories = self.collection.histories();
+        let epoch = aligned_epoch();
+        let mut filter = self.options.filter.as_ref().map(BoundPredicate::new);
+        let mut glyphs = Vec::new();
 
         for row in vp.visible_rows(self.rows()) {
             let position = self.order.map_or(row, |order| order[row] as usize);
@@ -138,17 +133,22 @@ impl<'a> TimelineView<'a> {
             let y_top = vp.y_of_row(row);
             let y_bar = y_top + (row_h - bar_h) / 2.0;
             let patient = hist.id();
+            // In aligned mode the row's anchor; an unanchored row is not drawn.
+            let anchor = match &self.options.axis {
+                AxisMode::Calendar => None,
+                AxisMode::Aligned(alignment) => match alignment.anchor(patient) {
+                    Some(anchor) => Some(anchor),
+                    None => continue,
+                },
+            };
+            let x_of = |t: DateTime| vp.x_of(anchor.map_or(t, |a| epoch + (t - a)));
 
             // The gray history bar spans the history's extent (clipped).
             let (Some(first), Some(last)) = (hist.first_time(), hist.last_time()) else {
                 continue;
             };
-            let (Some(x0), Some(x1)) = (self.x_of(vp, patient, first), self.x_of(vp, patient, last))
-            else {
-                continue; // unanchored history in aligned mode
-            };
-            let bar_x0 = x0.max(0.0);
-            let bar_x1 = x1.min(vp.width_px);
+            let bar_x0 = x_of(first).max(0.0);
+            let bar_x1 = x_of(last).min(vp.width_px);
             if bar_x1 > bar_x0 {
                 scene.push(
                     Primitive::Rect {
@@ -162,45 +162,30 @@ impl<'a> TimelineView<'a> {
                 );
             }
 
-            // Entries: bands first (under), then glyphs (over).
-            for pass in 0..2 {
-                for (ei, e) in hist.entries().iter().enumerate() {
-                    if let Some(f) = &self.options.filter {
-                        if !f.matches(e) {
-                            continue;
-                        }
-                    }
-                    let band =
-                        if e.is_interval() { presentation.band_for(e.payload()) } else { None };
-                    if (pass == 0) != band.is_some() {
-                        continue;
-                    }
-                    let (Some(ex0), Some(ex1)) =
-                        (self.x_of(vp, patient, e.start()), self.x_of(vp, patient, e.end()))
-                    else {
-                        continue;
-                    };
-                    if ex1 < 0.0 || ex0 > vp.width_px {
-                        continue; // outside the visible span
-                    }
-                    let primitive = match band {
-                        Some(band) => band_rect(band, (ex0, ex1, y_bar, bar_h), vp),
-                        None => glyph(&presentation, e, ex0, y_bar, bar_h),
-                    };
-                    // Every drawn entry carries its details as a tooltip.
-                    let details = e.describe();
-                    if let Some(hits) = hits.as_deref_mut() {
-                        hits.push(HitRecord {
-                            bbox: primitive.bbox(),
-                            row,
-                            history_index: position,
-                            entry_index: ei,
-                            details: details.clone(),
-                        });
-                    }
-                    let class = presentation.presentation_class(e);
-                    scene.elements.push(Element { primitive, class, tooltip: Some(details) });
+            let test = filter.as_mut().map(|f| f.on(hist.store()));
+            glyphs.clear();
+            for (ei, e) in hist.entries().iter().enumerate() {
+                if test.is_some_and(|t| !t.matches(e)) {
+                    continue;
                 }
+                let (ex0, ex1) = (x_of(e.start()), x_of(e.end()));
+                if ex1 < 0.0 || ex0 > vp.width_px {
+                    continue; // outside the visible span
+                }
+                match e.is_interval().then(|| presentation.band_for(e.payload())).flatten() {
+                    Some(band) => {
+                        let primitive = band_rect(band, (ex0, ex1, y_bar, bar_h), vp);
+                        let at = (row, position, ei);
+                        push_entry(&mut scene, hits.as_deref_mut(), primitive, band.class(), e, at);
+                    }
+                    None => glyphs.push((ei, e, ex0)),
+                }
+            }
+            for &(ei, e, x) in &glyphs {
+                let primitive = glyph(&presentation, e, x, y_bar, bar_h);
+                let class = presentation.glyph_for(e.payload()).class();
+                let at = (row, position, ei);
+                push_entry(&mut scene, hits.as_deref_mut(), primitive, class, e, at);
             }
 
             // Patient-id label (the paper's vertical axis).
@@ -291,6 +276,30 @@ impl<'a> TimelineView<'a> {
     }
 }
 
+/// Bytes a tooltip takes at most but for long notes: an interval's two
+/// instants and duration, a named code and a source.
+const TOOLTIP_BYTES: usize = 160;
+
+/// Push one drawn entry with its details as a tooltip, written into one
+/// buffer, and its hit record at `(row, history position, entry index)`
+/// when `hits` is given.
+fn push_entry(
+    scene: &mut Scene,
+    hits: Option<&mut HitMap>,
+    primitive: Primitive,
+    class: &'static str,
+    e: EntryRef<'_>,
+    (row, history_index, entry_index): (usize, usize, usize),
+) {
+    let mut details = String::with_capacity(TOOLTIP_BYTES);
+    e.describe_into(&mut details);
+    if let Some(hits) = hits {
+        let bbox = primitive.bbox();
+        hits.push(HitRecord { bbox, row, history_index, entry_index, details: details.clone() });
+    }
+    scene.elements.push(Element { primitive, class: class.into(), tooltip: Some(details) });
+}
+
 /// A band's rectangle; `geom` is its pixel geometry `(x0, x1, y, height)`.
 fn band_rect(
     band: BandKind,
@@ -364,6 +373,126 @@ fn cross_points(cx: f64, cy: f64, s: f64) -> Vec<(f64, f64)> {
         (cx - b, cy - a),
         (cx - a, cy - a),
     ]
+}
+
+#[cfg(test)]
+impl TimelineView<'_> {
+    /// The x pixel of an instant for a given history, or `None` when the
+    /// history has no anchor in aligned mode.
+    fn x_of_oracle(
+        &self,
+        vp: &Viewport,
+        patient: pastas_model::PatientId,
+        t: DateTime,
+    ) -> Option<f64> {
+        match &self.options.axis {
+            AxisMode::Calendar => Some(vp.x_of(t)),
+            AxisMode::Aligned(alignment) => {
+                let anchor = alignment.anchor(patient)?;
+                Some(vp.x_of(aligned_epoch() + (t - anchor)))
+            }
+        }
+    }
+
+    /// The former two-pass layout, the oracle [`Self::lay_out`] is held
+    /// to: every entry tested twice against the unbound filter, the
+    /// anchor looked up twice an entry, the class and tooltip formatted.
+    pub(crate) fn lay_out_oracle(&self, vp: &Viewport, mut hits: Option<&mut HitMap>) -> Scene {
+        let presentation = PresentationOntology::new();
+        let mut scene = Scene::new(vp.width_px, vp.height_px + self.options.axis_height);
+        let row_h = vp.row_height();
+        let bar_h = (row_h * 0.62).clamp(1.0, 26.0);
+        let histories = self.collection.histories();
+
+        for row in vp.visible_rows(self.rows()) {
+            let position = self.order.map_or(row, |order| order[row] as usize);
+            let Some(hist) = histories.get(position) else {
+                continue;
+            };
+            let y_top = vp.y_of_row(row);
+            let y_bar = y_top + (row_h - bar_h) / 2.0;
+            let patient = hist.id();
+
+            // The gray history bar spans the history's extent (clipped).
+            let (Some(first), Some(last)) = (hist.first_time(), hist.last_time()) else {
+                continue;
+            };
+            let x_of = |t| self.x_of_oracle(vp, patient, t);
+            let (Some(x0), Some(x1)) = (x_of(first), x_of(last)) else {
+                continue; // unanchored history in aligned mode
+            };
+            let bar_x0 = x0.max(0.0);
+            let bar_x1 = x1.min(vp.width_px);
+            if bar_x1 > bar_x0 {
+                scene.push(
+                    Primitive::Rect {
+                        x: bar_x0,
+                        y: y_bar,
+                        w: bar_x1 - bar_x0,
+                        h: bar_h,
+                        fill: color::ROW_BAR,
+                    },
+                    "viz:Row/bar",
+                );
+            }
+
+            // Entries: bands first (under), then glyphs (over).
+            for pass in 0..2 {
+                for (ei, e) in hist.entries().iter().enumerate() {
+                    if let Some(f) = &self.options.filter {
+                        if !f.matches(e) {
+                            continue;
+                        }
+                    }
+                    let band =
+                        if e.is_interval() { presentation.band_for(e.payload()) } else { None };
+                    if (pass == 0) != band.is_some() {
+                        continue;
+                    }
+                    let (Some(ex0), Some(ex1)) = (x_of(e.start()), x_of(e.end())) else {
+                        continue;
+                    };
+                    if ex1 < 0.0 || ex0 > vp.width_px {
+                        continue; // outside the visible span
+                    }
+                    let primitive = match band {
+                        Some(band) => band_rect(band, (ex0, ex1, y_bar, bar_h), vp),
+                        None => glyph(&presentation, e, ex0, y_bar, bar_h),
+                    };
+                    // Every drawn entry carries its details as a tooltip.
+                    let details = e.describe();
+                    if let Some(hits) = hits.as_deref_mut() {
+                        hits.push(HitRecord {
+                            bbox: primitive.bbox(),
+                            row,
+                            history_index: position,
+                            entry_index: ei,
+                            details: details.clone(),
+                        });
+                    }
+                    let class = presentation.presentation_class(e).to_owned().into();
+                    scene.elements.push(Element { primitive, class, tooltip: Some(details) });
+                }
+            }
+
+            // Patient-id label (the paper's vertical axis).
+            if self.options.row_labels && row_h >= 7.0 {
+                scene.push(
+                    Primitive::Text {
+                        x: 2.0,
+                        y: y_bar + bar_h - 1.0,
+                        text: patient.to_string(),
+                        size: (row_h * 0.45).clamp(6.0, 11.0),
+                        fill: color::AXIS_INK,
+                    },
+                    "viz:Row/label",
+                );
+            }
+        }
+
+        self.draw_axis(&mut scene, vp);
+        scene
+    }
 }
 
 #[cfg(test)]

@@ -65,7 +65,7 @@ impl AnimationPlan {
 }
 
 fn identity_key(e: &Element) -> (&str, Option<&str>) {
-    (e.class.as_str(), e.tooltip.as_deref())
+    (&e.class, e.tooltip.as_deref())
 }
 
 fn centre(p: &Primitive) -> (f64, f64) {
@@ -132,7 +132,7 @@ mod tests {
     fn glyph(x: f64, tooltip: &str) -> Element {
         Element {
             primitive: Primitive::Circle { cx: x, cy: 10.0, r: 2.0, fill: GLYPH_INK },
-            class: "viz:Glyph/circle".to_owned(),
+            class: "viz:Glyph/circle".into(),
             tooltip: Some(tooltip.to_owned()),
         }
     }
@@ -199,7 +199,7 @@ mod tests {
     fn class_change_is_exit_plus_enter() {
         let old = scene(vec![glyph(10.0, "a")]);
         let mut changed = glyph(10.0, "a");
-        changed.class = "viz:Glyph/square".to_owned();
+        changed.class = "viz:Glyph/square".into();
         let new = scene(vec![changed]);
         let plan = diff(&old, &new);
         assert_eq!(plan.exits(), 1);

@@ -19,7 +19,9 @@
 //! 65,536-row shard width), and `--budget-ms B` additionally fails the
 //! smoke when any index-served shape's planned execution exceeds `B`
 //! milliseconds, and likewise any of the view's four sort keys
-//! (`Workbench::sort`, median of five) and the paper-shaped cohort's
+//! (`Workbench::sort`, median of five), each command of the view
+//! phase's eight-command cycle and the `render_svg` after it (median of
+//! five each, every number printed) and the paper-shaped cohort's
 //! profile and monthly series (median of five on a built digest column)
 //! — the 1M-patient CI stage runs with `--budget-ms 100`.
 //! `--smoke-temporal` runs the same differential discipline over
@@ -201,6 +203,7 @@ fn run_smoke(workbench: &Workbench, reference_date: pastas_time::Date, budget_ms
     }
     if budget_ms > 0 {
         failures += sorts_over_budget(workbench, budget_ms);
+        failures += view_cycle_over_budget(workbench, budget_ms);
         failures += cohort_reads_over_budget(workbench, reference_date, budget_ms);
     }
     if failures > 0 {
@@ -213,17 +216,55 @@ fn run_smoke(workbench: &Workbench, reference_date: pastas_time::Date, budget_ms
 }
 
 /// The view's four sorts held to the same budget: the median of five
-/// `Workbench::sort` runs per key. Reports (and counts) only the keys
-/// over it.
+/// `Workbench::sort` runs per key. Prints every median and counts the
+/// keys over it.
 fn sorts_over_budget(workbench: &Workbench, budget_ms: u64) -> u32 {
     use pastas_query::SortKey;
     let mut view = workbench.snapshot();
     let mut failures = 0;
     for key in [SortKey::PatientId, SortKey::FirstEntry, SortKey::EntryCount, SortKey::Span] {
         let median = median_of_five(|| view.sort(&key));
+        eprintln!("  sort {key:?}: {median:.1} ms");
         if median > budget_ms as f64 {
             eprintln!("  FAIL sort {key:?}: {median:.1} ms over the {budget_ms} ms budget");
             failures += 1;
+        }
+    }
+    failures
+}
+
+/// The view phase's cycle of eight commands held to the same budget:
+/// each command, `align T90` among them (median of five `apply_command`
+/// runs), and the 1200×700 `render_svg` after it (median of five).
+/// Prints every median and counts the ones over it.
+fn view_cycle_over_budget(workbench: &Workbench, budget_ms: u64) -> u32 {
+    use pastas_core::ViewCommand;
+    use pastas_query::{EntryPredicate, SortKey};
+    let cycle = [
+        ("sort entry_count", ViewCommand::Sort(SortKey::EntryCount)),
+        ("sort span", ViewCommand::Sort(SortKey::Span)),
+        ("sort first_entry", ViewCommand::Sort(SortKey::FirstEntry)),
+        ("align T90", ViewCommand::AlignOnCode("T90".to_owned())),
+        ("filter diagnosis", ViewCommand::SetFilter(Some(EntryPredicate::IsDiagnosis))),
+        ("filter K.*", ViewCommand::SetFilter(EntryPredicate::code_regex("K.*").ok())),
+        ("clear alignment", ViewCommand::ClearAlignment),
+        ("clear filter", ViewCommand::SetFilter(None)),
+    ];
+    let mut view = workbench.snapshot();
+    let mut failures = 0;
+    for (name, command) in &cycle {
+        let apply = median_of_five(|| {
+            view.apply_command(command).expect("the cycle's commands apply");
+        });
+        let render = median_of_five(|| {
+            std::hint::black_box(view.render_svg(1200.0, 700.0));
+        });
+        eprintln!("  view {name}: command {apply:.1} ms, render_svg {render:.1} ms");
+        for (what, median) in [("command", apply), ("render_svg", render)] {
+            if median > budget_ms as f64 {
+                eprintln!("  FAIL view {name} {what}: {median:.1} ms over the {budget_ms} ms");
+                failures += 1;
+            }
         }
     }
     failures

@@ -53,7 +53,8 @@ stage "planner smoke (differential)" \
 # store (an arena per 65,536 patients — one per index shard): every
 # index-servable shape must stay index-served and execute its plan
 # inside the paper-interactive 100 ms budget, and so must each of the
-# view's four sorts (median of five `Workbench::sort` runs per key).
+# view's four sorts (median of five `Workbench::sort` runs per key) and
+# each command of the view cycle with the `render_svg` after it.
 stage "planner smoke (sharded 1M)" \
     cargo run --release --example plan_explain -- --smoke --patients 1000000 \
     --shard-patients 65536 --budget-ms 100
