@@ -1,12 +1,13 @@
-//! E13 — ACR-style temporal query battery (ROADMAP: compile temporal
-//! patterns to automata; index-accelerate them).
+//! E13 — ACR-style temporal query battery (index-accelerated pattern
+//! scans).
 //!
 //! The ACR benchmark (PAPERS.md) makes sequence-with-gap queries the
-//! hard class: "diagnosis A, then within 90 days medication B". The old
-//! engine answered every `seq(...)` clause by naive per-history residual
-//! verification over the whole collection; the planner now lowers the
-//! pattern's code-bearing steps into an index prefilter (posting-list
-//! intersection) and runs the compiled token automaton only on the
+//! hard class: "diagnosis A, then within 90 days medication B". The
+//! naive path answers every `seq(...)` clause by per-history residual
+//! verification over the whole collection, testing code steps by their
+//! strings; the planner lowers the pattern's code-bearing steps into an
+//! index prefilter (posting-list intersection) and runs the earliest-first
+//! pattern scan, with steps bound once per code vocabulary, only on the
 //! surviving candidates, reported as a `PatternScan` operator.
 //!
 //! This bench runs a battery of 2–4 step gap-bounded shapes at the bench
@@ -33,7 +34,7 @@ fn reference_date() -> pastas_time::Date {
 
 /// The ACR-style battery: 2–4 step patterns with gap bounds, mixing
 /// code-regex steps (which feed the index prefilter) with kind steps
-/// (medication / interval / any, verified by the automaton only).
+/// (medication / interval / any, verified by the pattern scan only).
 fn temporal_shapes() -> Vec<(&'static str, HistoryQuery)> {
     let texts: [(&'static str, &'static str); 4] = [
         ("two_step_gap", "seq(T90|T89|E1[014].* then[0d..3650d] K.*)"),
@@ -44,7 +45,7 @@ fn temporal_shapes() -> Vec<(&'static str, HistoryQuery)> {
         ),
         // Three code-bearing steps intersect to a tight candidate set; a
         // wildcard-dominated tail (`any then interval`) would leave every
-        // candidate doing heavy automaton work and erode the speedup —
+        // candidate doing heavy pattern-scan work and erode the speedup —
         // candidates are enriched with the required codes, while the naive
         // scan fails most histories at the first anchor.
         (
@@ -138,8 +139,8 @@ fn temporal_tier(json: &mut String, patients: usize, shard_patients: usize, naiv
 
 fn bench(c: &mut Criterion) {
     header(
-        "E13: temporal pattern automata (ACR-style sequence queries)",
-        "seq-with-gap patterns compiled to token automata, index-prefiltered candidates",
+        "E13: temporal pattern scans (ACR-style sequence queries)",
+        "seq-with-gap patterns scanned with bound steps over index-prefiltered candidates",
     );
     let n = base_scale();
     let collection = cohort(n);
@@ -152,7 +153,7 @@ fn bench(c: &mut Criterion) {
         let plan = QueryPlan::build(&index, &collection, q);
         let (planned, stats) = plan.execute_stats(&collection, &index);
         eprintln!(
-            "{name}: {} of {n} matched from {} candidate(s), {} automaton run(s)",
+            "{name}: {} of {n} matched from {} candidate(s), {} pattern scan(s)",
             planned.len(),
             stats.pattern_candidates,
             stats.pattern_automaton_runs

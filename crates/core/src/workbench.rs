@@ -456,13 +456,13 @@ impl Workbench {
     }
 
     /// Histories that survived temporal-pattern index prefilters and were
-    /// handed to a compiled automaton, summed over uncached selections.
+    /// handed to a pattern scan, summed over uncached selections.
     pub fn pattern_candidates(&self) -> u64 {
         self.selections.pattern_candidates.load(Ordering::Relaxed)
     }
 
-    /// Temporal-pattern automaton executions across uncached selections
-    /// (one per candidate verified).
+    /// Temporal-pattern scans across uncached selections (one per
+    /// candidate verified).
     pub fn pattern_automaton_runs(&self) -> u64 {
         self.selections.pattern_automaton_runs.load(Ordering::Relaxed)
     }
@@ -941,7 +941,7 @@ mod tests {
         let q = QueryBuilder::new().pattern(pat).build();
         let first = wb.select_positions(&q);
         let after_one = wb.pattern_candidates();
-        assert!(after_one > 0, "prefiltered candidates reached the automaton");
+        assert!(after_one > 0, "prefiltered candidates reached the pattern scan");
         assert_eq!(wb.pattern_automaton_runs(), after_one);
         // A cache hit re-runs nothing: the counters stand still.
         assert_eq!(wb.select_positions(&q), first);

@@ -55,8 +55,8 @@ pub const RULES: &[(&str, &str)] = &[
         "budget-enforced-alloc",
         "flag request-fed with_capacity/read_to_end in serve/http.rs without a budget \
          clamp, bitmap decodes (`to_vec`) inside loops in the query crate, and any Vec \
-         allocation inside the automaton execution loops of regex/engine.rs and \
-         query/temporal.rs (pooled scratch only), any String built inside a loop of \
+         allocation inside the loops of the regex VM (regex/engine.rs) and the pattern \
+         scan (query/temporal.rs) (pooled scratch only), any String built inside a loop of \
          viz/svg.rs (one output buffer), and any String or Vec built inside the per-entry \
          loops of viz/timeline.rs (one tooltip a drawn element)",
     ),
@@ -381,7 +381,7 @@ fn rule_no_silent_truncation(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
 }
 
 fn rule_budget_enforced_alloc(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
-    // The automaton execution files get the stricter temporal-hot-loop
+    // The regex VM and the pattern scan get the stricter temporal-hot-loop
     // arm (which subsumes the decode arm's `to_vec` check); every other
     // query/analytics file keeps the decode-loop arm. The analytics
     // dimension pass consumes frozen bitmaps the same way the planner
@@ -519,17 +519,18 @@ fn budget_alloc_query_decode_loops(ctx: &FileContext<'_>, out: &mut Vec<Finding>
     });
 }
 
-/// The temporal-hot-loop arm, applied to the automaton execution files
-/// (`regex/src/engine.rs`, `query/src/temporal.rs`): the VM's per-token
-/// loops run once per entry per history across the whole cohort, so a
-/// Vec allocation inside them (`Vec::new`, `vec![…]`, `with_capacity`,
-/// `to_vec`) multiplies into millions of allocator calls per selection.
-/// Both files own pooled scratch (recycled saves buffers, thread-local
-/// `Scratch`) — loop bodies must draw from the pool instead.
+/// The temporal-hot-loop arm, applied to the regex VM
+/// (`regex/src/engine.rs`) and the pattern scan (`query/src/temporal.rs`):
+/// their loops run once per code or entry per history across the whole
+/// cohort, so a Vec allocation inside them (`Vec::new`, `vec![…]`,
+/// `with_capacity`, `to_vec`) multiplies into millions of allocator calls
+/// per selection. Both files own pooled scratch (recycled saves buffers,
+/// the thread-local step buffer) — loop bodies must draw from the pool
+/// instead.
 fn budget_alloc_temporal_hot_loops(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
-    let why = "allocates inside an automaton execution loop that runs per entry per history \
-               — draw from the pooled scratch (recycle saves buffers / thread-local Scratch) \
-               instead of allocating";
+    let why = "allocates inside a regex VM or pattern scan loop that runs per entry per \
+               history — draw from the pooled scratch (recycled saves buffers / the \
+               thread-local step buffer) instead of allocating";
     flag_loop_allocs(ctx, out, why, &loop_body_ranges(ctx), |p| match ctx.sig_text(p) {
         text @ ("with_capacity" | "to_vec") if is_call(ctx, p) => Some(text),
         "new" if is_new_of(ctx, p, "Vec") => Some("Vec::new"),

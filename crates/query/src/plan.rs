@@ -37,7 +37,7 @@ use crate::bitmap::Bitmap;
 use crate::index::{CodeIndex, IndexShard};
 use crate::normalize::{is_never, normalize};
 use crate::predicate::EntryPredicate;
-use crate::query::HistoryQuery;
+use crate::query::{BoundQuery, HistoryQuery};
 use pastas_ingest::json::write_string;
 use pastas_model::{History, HistoryCollection, RowColumns, Sex};
 use pastas_time::Date;
@@ -196,10 +196,10 @@ pub enum PlanNode {
     /// Temporal-pattern verification over an index prefilter: the child
     /// intersects each pattern step's candidate postings (every step must
     /// be matched by *some* entry, so a matching history lies in every
-    /// step's posting union), and the compiled automaton runs only on the
+    /// step's posting union), and the pattern scan runs only on the
     /// surviving candidates.
     PatternScan {
-        /// The `Pattern` query the automaton verifies per candidate.
+        /// The `Pattern` query the pattern scan verifies per candidate.
         query: HistoryQuery,
         /// The per-step posting intersection feeding candidates.
         input: Box<PlanNode>,
@@ -373,7 +373,7 @@ impl QueryPlan {
     }
 
     /// Execute and additionally return aggregate execution statistics
-    /// (pattern candidate / automaton-run totals for the serve layer's
+    /// (pattern candidate / pattern-scan totals for the serve layer's
     /// gauges).
     pub fn execute_stats(
         &self,
@@ -578,7 +578,7 @@ fn plan_node(index: &CodeIndex, rows: u32, q: &HistoryQuery) -> PlanNode {
         },
         // A positive temporal pattern prefilters through the index: each
         // step's code cover bounds the candidates, their intersection
-        // feeds the automaton. (A *negated* pattern falls through to the
+        // feeds the pattern scan. (A *negated* pattern falls through to the
         // Not arm below — absence of a step is not bounded by postings.)
         HistoryQuery::Pattern(pat) => plan_pattern(q, pat),
         HistoryQuery::AgeBetween { .. } | HistoryQuery::SexIs(_) => {
@@ -603,7 +603,7 @@ fn plan_node(index: &CodeIndex, rows: u32, q: &HistoryQuery) -> PlanNode {
 /// postings (sound because a matching history satisfies *every* step
 /// with some entry, hence lies in every step's posting union, whether
 /// the cover is exact or a superset) and verify the survivors with the
-/// compiled automaton. Steps whose predicate has no code cover simply
+/// pattern scan. Steps whose predicate has no code cover simply
 /// contribute no prefilter; if no step is covered at all, the honest
 /// plan is a full scan.
 fn plan_pattern(q: &HistoryQuery, pat: &crate::temporal::TemporalPattern) -> PlanNode {
@@ -782,9 +782,10 @@ enum ExecKind<'q> {
     /// The one operator that opens a history: `query` evaluated against
     /// each candidate of `input`, or against every row of the universe
     /// when there is none (`Filter`, `PatternScan` and `FullScan` all
-    /// lower to this). With `pattern` each candidate is one run of the
-    /// compiled temporal automaton, and the candidate / run totals feed
-    /// [`ExecStats`] (the serve layer's pattern gauges).
+    /// lower to this), with each entry predicate of `query` bound per
+    /// interner ([`BoundQuery`]). With `pattern` each candidate is one
+    /// pattern scan, and the candidate / scan totals feed [`ExecStats`]
+    /// (the serve layer's pattern gauges).
     Verify { query: &'q HistoryQuery, input: Option<Box<ExecNode<'q>>>, pattern: bool },
 }
 
@@ -866,9 +867,10 @@ struct PatternCounters {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Histories that survived the index prefilter and were handed to a
-    /// temporal-pattern automaton.
+    /// temporal-pattern scan.
     pub pattern_candidates: u64,
-    /// Compiled-automaton executions (one per candidate verified).
+    /// Pattern scans run, one per candidate verified. (The name predates
+    /// the scan; the harness and the `/metrics` gauge read it.)
     pub pattern_automaton_runs: u64,
 }
 
@@ -978,9 +980,8 @@ fn exec_shard(
                 None => candidates.extend(0..shard.rows),
             }
             if *pattern {
-                // One automaton execution per surviving candidate: `matches`
-                // compiles the pattern once (OnceLock) and runs the VM with
-                // first-accept short-circuit against each history.
+                // One pattern scan per surviving candidate, stopping at its
+                // first hit.
                 let n = candidates.len() as u64;
                 counters.candidates.fetch_add(n, Ordering::Relaxed);
                 counters.runs.fetch_add(n, Ordering::Relaxed);
@@ -989,17 +990,19 @@ fn exec_shard(
                     node_counters.push(("automaton_runs".to_owned(), n));
                 }
             }
+            // One binding a chunk: each interner is bound at most once
+            // per chunk, never per candidate.
             let histories = collection.histories();
-            let keep = pastas_par::par_map_min(&candidates, PAR_MIN_CANDIDATES, |&rel| {
-                // lint:allow(no-panic-hot-path) candidates are shard positions and shards tile rows() exactly
-                query.matches(&histories[(shard.base + rel) as usize])
+            let kept = pastas_par::par_chunks(&candidates, PAR_MIN_CANDIDATES, |_, chunk| {
+                let mut bound = BoundQuery::new(query);
+                chunk
+                    .iter()
+                    .copied()
+                    // lint:allow(no-panic-hot-path) candidates are shard positions and shards tile rows() exactly
+                    .filter(|&rel| bound.matches(&histories[(shard.base + rel) as usize]))
+                    .collect::<Vec<u32>>()
             });
-            candidates
-                .into_iter()
-                .zip(keep)
-                .filter(|&(_, k)| k)
-                .map(|(rel, _)| rel)
-                .collect()
+            kept.into_iter().flatten().collect()
         }
     };
     let explain = started.map(|t0| ExplainNode {
@@ -1079,8 +1082,9 @@ fn exec_side(
                 counters.runs.fetch_add(n, Ordering::Relaxed);
             }
             let histories = collection.histories();
+            let mut bound = BoundQuery::new(query);
             // lint:allow(no-panic-hot-path) dirty positions are < rows by the index invariant
-            candidates.retain(|&p| query.matches(&histories[p as usize]));
+            candidates.retain(|&p| bound.matches(&histories[p as usize]));
             candidates
         }
     }
@@ -1103,7 +1107,8 @@ pub struct ExplainNode {
     /// Wall time in microseconds, children included.
     pub elapsed_us: u64,
     /// Named per-operator tallies (e.g. PatternScan's `candidates` and
-    /// `automaton_runs`), summed across shards. Empty for most nodes.
+    /// `automaton_runs`, its pattern scans), summed across shards. Empty
+    /// for most nodes.
     pub counters: Vec<(String, u64)>,
     /// Child operators in evaluation order.
     pub children: Vec<ExplainNode>,

@@ -112,11 +112,11 @@ fn random_demographic_shape(rng: &mut Rng) -> HistoryQuery {
 }
 
 /// A random query AST of bounded depth, exercising every leaf kind
-/// (counts both ways, temporal patterns, demographics) and every
-/// combinator including `Not`.
+/// (counts both ways, temporal patterns with gap and Allen steps,
+/// demographics) and every combinator including `Not`.
 fn random_query(rng: &mut Rng, depth: u32) -> HistoryQuery {
     let leaf_only = depth == 0;
-    let choice = if leaf_only { rng.below(8) } else { rng.below(11) };
+    let choice = if leaf_only { rng.below(9) } else { rng.below(12) };
     let pattern = |rng: &mut Rng| PATTERNS[rng.below(PATTERNS.len() as u64) as usize];
     match choice {
         0 => HistoryQuery::All,
@@ -141,11 +141,12 @@ fn random_query(rng: &mut Rng, depth: u32) -> HistoryQuery {
                 EntryPredicate::IsDiagnosis,
             ),
         ),
-        8 => HistoryQuery::Not(Box::new(random_query(rng, depth - 1))),
+        8 => HistoryQuery::Pattern(random_pattern(rng)),
+        9 => HistoryQuery::Not(Box::new(random_query(rng, depth - 1))),
         n => {
             let arity = 2 + rng.below(2) as usize;
             let children = (0..arity).map(|_| random_query(rng, depth - 1)).collect();
-            if n == 9 {
+            if n == 10 {
                 HistoryQuery::And(children)
             } else {
                 HistoryQuery::Or(children)
@@ -178,9 +179,9 @@ fn planned_equals_scan(
 }
 
 /// A random temporal pattern of 1–3 steps mixing gap and Allen
-/// connectors, so both the streaming automaton and the indexed
-/// (random-access) mode are exercised; gap minima may be negative
-/// (overlap allowed).
+/// connectors; gap minima may be negative (overlap allowed), and a
+/// quarter of the gap windows end at the previous entry's end, where
+/// entries of the same contact start on the window's last second.
 fn random_pattern(rng: &mut Rng) -> TemporalPattern {
     use pastas_ontology::temporal::AllenRel;
     let pred = |rng: &mut Rng| -> EntryPredicate {
@@ -204,8 +205,12 @@ fn random_pattern(rng: &mut Rng) -> TemporalPattern {
             };
             pat = pat.then_related(rel, pred(rng));
         } else {
-            let min = rng.below(60) as i64 - 10;
-            let max = min + rng.below(365) as i64;
+            let (min, max) = if rng.below(4) == 0 {
+                (-(rng.below(30) as i64), 0)
+            } else {
+                let min = rng.below(60) as i64 - 10;
+                (min, min + rng.below(365) as i64)
+            };
             pat = pat.then(
                 GapBound { min: Duration::days(min), max: Duration::days(max) },
                 pred(rng),
@@ -509,22 +514,47 @@ proptest! {
         prop_assert_eq!(via_compacted, via_fresh);
     }
 
-    /// Tentpole differential: the compiled token automaton agrees with
-    /// the retired per-history naive matcher — hit-for-hit on
-    /// `find_matches` and on `matches` — over random patterns ×
-    /// collections, at 1 and 4 worker threads (the thread-local VM
-    /// scratch must stay clean across parallel workers).
+    /// The pattern scan agrees with the retired per-history naive
+    /// matcher, hit for hit on `find_matches` and on `matches`, and the
+    /// planned `Pattern` query agrees with `select_scan`, over random 1–3
+    /// step patterns at 1 and 4 worker threads. The collection has an
+    /// arena per 64 patients, and an ingest epoch moved rows onto stores
+    /// of their own, so the plan's bound steps (shard pass and dirty-row
+    /// pass) meet at least three interners.
     #[test]
-    fn temporal_automaton_agrees_with_naive_oracle(
+    fn temporal_scan_agrees_with_naive_oracle(
         pattern_seed in 0u64..u64::MAX,
         collection_seed in 0u64..100,
         patients in 100u32..400,
     ) {
+        use pastas_codes::Code;
+        use pastas_model::{Entry, OpenEpoch, Payload, SourceKind};
         let pat = random_pattern(&mut Rng(pattern_seed));
-        let c = generate_collection(
-            SynthConfig::with_patients(patients as usize),
+        let mut c = generate_collection(
+            SynthConfig { shard_patients: 64, ..SynthConfig::with_patients(patients as usize) },
             collection_seed,
         );
+        let idx = CodeIndex::build_with_shard_rows(&c, 128);
+        let mut rng = Rng(pattern_seed ^ collection_seed);
+        let mut epoch = OpenEpoch::new();
+        for _ in 0..4 {
+            let h = &c.histories()[rng.below(c.len() as u64) as usize];
+            let fallback = Date::new(2013, 1, 1).expect("valid date").at_midnight();
+            let at = h.entries().first().map_or(fallback, |e| e.start());
+            epoch.append(*h.patient(), vec![
+                Entry::event(at, Payload::Diagnosis(Code::icpc("Z99")), SourceKind::PrimaryCare),
+                Entry::event(at, Payload::Diagnosis(Code::icpc("T90")), SourceKind::PrimaryCare),
+            ]);
+        }
+        let dirty: Vec<u32> = epoch
+            .seal_into(&mut c)
+            .iter()
+            .map(|&id| c.position_of(id).expect("sealed patient has a position") as u32)
+            .collect();
+        let idx = idx.with_delta(&c, &dirty);
+        let interners: std::collections::HashSet<_> =
+            c.histories().iter().map(|h| std::sync::Arc::as_ptr(h.store().interner_arc())).collect();
+        prop_assert!(interners.len() >= 3, "{} interners", interners.len());
         let histories = c.histories();
         let naive_hits: Vec<_> = histories.iter().map(|h| pat.naive_find_matches(h)).collect();
         let naive_hit: Vec<bool> = histories.iter().map(|h| pat.naive_matches(h)).collect();
@@ -533,15 +563,23 @@ proptest! {
             naive_hit.clone(),
             "oracle self-consistency"
         );
+        let query = HistoryQuery::Pattern(pat.clone());
+        let plan = QueryPlan::build(&idx, &c, &query);
+        let reference = pastas_par::with_threads(1, || select_scan(&c, &query));
+        let naive_positions: Vec<u32> =
+            (0..histories.len() as u32).filter(|&p| naive_hit[p as usize]).collect();
+        prop_assert_eq!(&reference, &naive_positions, "select_scan");
         for threads in [1usize, 4] {
-            let (auto_hits, auto_hit) = pastas_par::with_threads(threads, || {
+            let (hits, hit, planned) = pastas_par::with_threads(threads, || {
                 (
                     pastas_par::par_map_min(histories, 1, |h| pat.find_matches(h)),
                     pastas_par::par_map_min(histories, 1, |h| pat.matches(h)),
+                    plan.execute(&c, &idx),
                 )
             });
-            prop_assert_eq!(&auto_hits, &naive_hits, "find_matches, threads {}", threads);
-            prop_assert_eq!(&auto_hit, &naive_hit, "matches, threads {}", threads);
+            prop_assert_eq!(&hits, &naive_hits, "find_matches, threads {}", threads);
+            prop_assert_eq!(&hit, &naive_hit, "matches, threads {}", threads);
+            prop_assert_eq!(&planned, &reference, "planned, threads {}, plan:\n{}", threads, plan.render());
         }
     }
 

@@ -1,8 +1,8 @@
 //! History-level queries and the Fig. 4 query builder.
 
-use crate::predicate::EntryPredicate;
+use crate::predicate::{BoundPredicate, EntryPredicate};
 use crate::temporal::TemporalPattern;
-use pastas_model::{History, Sex};
+use pastas_model::{EntryRef, History, Sex};
 use pastas_time::Date;
 
 /// A query over a whole patient history — the unit the cohort selector
@@ -50,44 +50,39 @@ impl HistoryQuery {
         HistoryQuery::CountAtMost(pred, 0)
     }
 
-    /// Evaluate against one history.
+    /// Evaluate against one history, testing entries with
+    /// [`EntryPredicate::matches`] — the reference that
+    /// [`crate::index::select_scan`] runs.
     pub fn matches(&self, history: &History) -> bool {
+        self.eval(history, &mut |p, e| p.matches(e))
+    }
+
+    /// Evaluate against one history, testing one of this query's entry
+    /// predicates (a count leaf or a pattern step) on an entry with
+    /// `test`. Counts stop at the first entry that decides them.
+    pub(crate) fn eval<'h>(
+        &self,
+        history: &'h History,
+        test: &mut impl FnMut(&EntryPredicate, EntryRef<'h>) -> bool,
+    ) -> bool {
         match self {
             HistoryQuery::All => true,
             HistoryQuery::CountAtLeast(p, n) => {
-                // Short-circuit at n.
-                let mut count = 0;
-                for e in history.entries() {
-                    if p.matches(e) {
-                        count += 1;
-                        if count >= *n {
-                            return true;
-                        }
-                    }
-                }
-                *n == 0
+                history.entries().iter().filter(|&e| test(p, e)).take(*n).count() == *n
             }
             HistoryQuery::CountAtMost(p, n) => {
-                let mut count = 0;
-                for e in history.entries() {
-                    if p.matches(e) {
-                        count += 1;
-                        if count > *n {
-                            return false;
-                        }
-                    }
-                }
-                true
+                history.entries().iter().filter(|&e| test(p, e)).take(n.saturating_add(1)).count()
+                    <= *n
             }
-            HistoryQuery::Pattern(pat) => pat.matches(history),
+            HistoryQuery::Pattern(pat) => pat.matches_with(history.entries(), test),
             HistoryQuery::AgeBetween { at, min, max } => {
                 let age = history.age_at(*at);
                 (*min..=*max).contains(&age)
             }
             HistoryQuery::SexIs(s) => history.patient().sex == *s,
-            HistoryQuery::And(qs) => qs.iter().all(|q| q.matches(history)),
-            HistoryQuery::Or(qs) => qs.iter().any(|q| q.matches(history)),
-            HistoryQuery::Not(q) => !q.matches(history),
+            HistoryQuery::And(qs) => qs.iter().all(|q| q.eval(history, test)),
+            HistoryQuery::Or(qs) => qs.iter().any(|q| q.eval(history, test)),
+            HistoryQuery::Not(q) => !q.eval(history, test),
         }
     }
 
@@ -152,7 +147,51 @@ impl HistoryQuery {
             }
         }
     }
+}
 
+/// A [`HistoryQuery`] whose entry predicates (count leaves and pattern
+/// steps) are each bound as a [`BoundPredicate`], for one pass over many
+/// histories: [`BoundQuery::matches`] answers as [`HistoryQuery::matches`]
+/// does, and tests no entry by a string. Each predicate binds an
+/// interner the first time one of its stores is met.
+pub(crate) struct BoundQuery<'q> {
+    query: &'q HistoryQuery,
+    bound: Vec<(&'q EntryPredicate, BoundPredicate<'q>)>,
+}
+
+impl<'q> BoundQuery<'q> {
+    pub(crate) fn new(query: &'q HistoryQuery) -> BoundQuery<'q> {
+        fn walk<'q>(q: &'q HistoryQuery, out: &mut Vec<(&'q EntryPredicate, BoundPredicate<'q>)>) {
+            match q {
+                HistoryQuery::CountAtLeast(p, _) | HistoryQuery::CountAtMost(p, _) => {
+                    out.push((p, BoundPredicate::new(p)));
+                }
+                HistoryQuery::Pattern(pat) => {
+                    out.extend(pat.step_predicates().map(|p| (p, BoundPredicate::new(p))));
+                }
+                HistoryQuery::And(qs) | HistoryQuery::Or(qs) => qs.iter().for_each(|q| walk(q, out)),
+                HistoryQuery::Not(q) => walk(q, out),
+                HistoryQuery::All | HistoryQuery::AgeBetween { .. } | HistoryQuery::SexIs(_) => {}
+            }
+        }
+        let mut bound = Vec::new();
+        walk(query, &mut bound);
+        BoundQuery { query, bound }
+    }
+
+    /// Evaluate the query against `history`.
+    pub(crate) fn matches(&mut self, history: &History) -> bool {
+        let store = history.store();
+        let bound = &mut self.bound;
+        self.query.eval(history, &mut |p, e| {
+            // `eval` hands back the query's own predicates, each bound
+            // above, so the lookup by address always finds one.
+            bound
+                .iter_mut()
+                .find(|(q, _)| std::ptr::eq(*q, p))
+                .is_some_and(|(_, b)| b.on(store).matches(e))
+        })
+    }
 }
 
 /// Fluent builder for [`HistoryQuery`] — the headless Fig. 4 dialog.

@@ -1,45 +1,37 @@
-//! Temporal pattern search: ordered sequences with gap constraints,
-//! compiled to token automata.
+//! Temporal pattern search: ordered sequences with gap constraints.
 //!
 //! The workbench's "searching for temporal patterns" (§IV). A pattern is a
 //! sequence of entry predicates with a gap bound between consecutive steps:
 //! *"first T90 diagnosis, then an inpatient stay within 90 days, then a
 //! beta-blocker dispensing within 30 days of discharge"*.
 //!
-//! Patterns no longer interpret their steps per history. A
-//! [`TemporalPattern`] compiles once (lazily, cached) into an NFA over
-//! history-entry tokens, executed by the generic Pike VM in
-//! `pastas_regex::engine`:
+//! One interpreter runs every pattern: for each entry that passes the
+//! first step (an *anchor*, in start order), the earliest completion of
+//! the remaining steps, so hits come out in anchor order.
 //!
-//! * **Gap-only patterns** become a linear chain of guarded `Token`
-//!   instructions — one per step, capturing the consumed entry's index —
-//!   run in a single streaming pass with an anchor thread seeded at every
-//!   entry ([`run_every`]). The gap check is the transition guard: a
-//!   candidate inside the window **advances**, one before the window
-//!   **waits** (the thread skips it, like the old forward scan), and one
-//!   past the window **fails** the thread outright — sound because
-//!   histories are sorted by start time, so no later entry can fall back
-//!   into the window. This preserves the earliest-first (greedy,
-//!   non-backtracking) semantics of the retired matcher exactly: a parked
-//!   thread advances on precisely the first admissible entry.
-//! * **Patterns with Allen steps** compile to *indexed* mode: qualitative
-//!   relations like `Contains` are satisfied by entries *before* the
-//!   anchor, so they cannot stream; a per-anchor random-access interpreter
-//!   with pooled scratch runs instead.
+//! * A **gap step** walks forward from the previous match and stops at
+//!   the first entry that starts after the window's end (`end + gap.max`,
+//!   saturating like all `DateTime` arithmetic): histories are sorted by
+//!   start, so no later entry can fall back into the window.
+//! * An **Allen step** searches the whole history in start order —
+//!   qualitative relations like `Contains` are satisfied by entries that
+//!   start *before* the previous match — and never reuses an entry of the
+//!   hit.
 //!
-//! Either way [`find_matches`](TemporalPattern::find_matches) and
-//! [`matches`](TemporalPattern::matches) are thin wrappers over the
-//! automaton; `matches` aborts on the first accepting run. The original
-//! per-history scan survives only as the `#[cfg(test)]` differential
-//! oracle.
+//! The interpreter takes its entry test as a parameter. The per-history
+//! [`find_matches`](TemporalPattern::find_matches) and
+//! [`matches`](TemporalPattern::matches) pass
+//! [`EntryPredicate::matches`]; the planner's verification passes tests
+//! bound to each store's interner ([`crate::BoundPredicate`]), so a code
+//! step reads one flag per entry. `matches` stops at the first hit. The
+//! original per-history scan survives only as the `#[cfg(test)]`
+//! differential oracle.
 
 use crate::predicate::EntryPredicate;
 use pastas_model::{Entries, EntryRef, History};
 use pastas_ontology::temporal::{AllenRel, AllenSet};
-use pastas_regex::engine::{self, Bounds, Inst, Outcome, Program, TokenGuard};
-use pastas_time::{DateTime, Duration};
+use pastas_time::Duration;
 use std::cell::RefCell;
-use std::sync::OnceLock;
 
 /// A gap constraint between consecutive pattern steps, measured from the
 /// previous matched entry's **end** to the next matched entry's **start**.
@@ -87,95 +79,25 @@ pub enum StepConstraint {
 pub struct TemporalPattern {
     first: EntryPredicate,
     rest: Vec<(StepConstraint, EntryPredicate)>,
-    /// Lazily compiled automaton; reset by the builder methods.
-    compiled: OnceLock<CompiledPattern>,
-}
-
-/// Guard state: the span of the previously consumed entry, observed by
-/// the next step's gap check.
-#[derive(Debug, Clone, Copy)]
-struct PrevSpan {
-    #[allow(dead_code)] // start participates once Allen guards stream
-    start: DateTime,
-    end: DateTime,
-}
-
-/// A transition guard over history-entry tokens.
-#[derive(Debug, Clone)]
-enum StepGuard {
-    /// The anchor step. Fails (never waits) on a non-matching entry so
-    /// that each seeded thread corresponds to exactly one candidate
-    /// anchor — a waiting seed would shadow its right neighbor and
-    /// double-count accepts.
-    First(EntryPredicate),
-    /// A gap-constrained follow-up step.
-    Gap {
-        /// Window after the previous entry's end.
-        gap: GapBound,
-        /// Predicate on the candidate entry.
-        pred: EntryPredicate,
-    },
-}
-
-impl<'a> TokenGuard<EntryRef<'a>> for StepGuard {
-    type State = PrevSpan;
-
-    fn admit(&self, entry: &EntryRef<'a>, prev: &PrevSpan) -> Outcome<PrevSpan> {
-        match self {
-            StepGuard::First(pred) => {
-                if pred.matches(*entry) {
-                    Outcome::Advance(PrevSpan { start: entry.start(), end: entry.end() })
-                } else {
-                    Outcome::Fail
-                }
-            }
-            StepGuard::Gap { gap, pred } => {
-                let lo = prev.end + gap.min;
-                let hi = prev.end + gap.max;
-                let s = entry.start();
-                if s > hi {
-                    // Entries are sorted by start: every later entry is
-                    // past the window too, so the thread is dead.
-                    Outcome::Fail
-                } else if s >= lo && pred.matches(*entry) {
-                    Outcome::Advance(PrevSpan { start: entry.start(), end: entry.end() })
-                } else {
-                    Outcome::Wait
-                }
-            }
-        }
-    }
-}
-
-/// The compiled form of a pattern.
-#[derive(Debug, Clone)]
-enum CompiledPattern {
-    /// Gap-only: a loop-free token program run in one streaming pass.
-    Stream(Program<StepGuard>),
-    /// Has Allen steps: random access per anchor, cannot stream.
-    Indexed,
 }
 
 thread_local! {
-    /// Reusable VM scratch, one per worker thread — automaton runs over
-    /// millions of candidate histories allocate nothing in steady state.
-    static VM_SCRATCH: RefCell<engine::Scratch<PrevSpan>> =
-        RefCell::new(engine::Scratch::new());
-    /// Step buffer for the indexed (Allen) interpreter.
+    /// The interpreter's step buffer, one per worker thread, so scans
+    /// over millions of candidate histories allocate nothing in steady
+    /// state.
     static STEP_SCRATCH: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
 }
 
 impl TemporalPattern {
     /// A pattern starting with entries matching `first`.
     pub fn starting_with(first: EntryPredicate) -> TemporalPattern {
-        TemporalPattern { first, rest: Vec::new(), compiled: OnceLock::new() }
+        TemporalPattern { first, rest: Vec::new() }
     }
 
     /// Append a step: the next entry must match `pred` with the gap from
     /// the previous step's end inside `gap`.
     pub fn then(mut self, gap: GapBound, pred: EntryPredicate) -> TemporalPattern {
         self.rest.push((StepConstraint::Gap(gap), pred));
-        self.compiled = OnceLock::new();
         self
     }
 
@@ -184,7 +106,6 @@ impl TemporalPattern {
     /// the previous matched entry.
     pub fn then_allen(mut self, rels: AllenSet, pred: EntryPredicate) -> TemporalPattern {
         self.rest.push((StepConstraint::Allen(rels), pred));
-        self.compiled = OnceLock::new();
         self
     }
 
@@ -234,146 +155,104 @@ impl TemporalPattern {
         out.push(')');
     }
 
-    /// Compile (or fetch the cached) automaton.
-    fn compiled(&self) -> &CompiledPattern {
-        self.compiled.get_or_init(|| {
-            if self.rest.iter().any(|(c, _)| matches!(c, StepConstraint::Allen(_))) {
-                return CompiledPattern::Indexed;
-            }
-            let mut insts = Vec::with_capacity(self.len() + 1);
-            insts.push(Inst::Token { guard: StepGuard::First(self.first.clone()), slot: Some(0) });
-            for (k, (constraint, pred)) in self.rest.iter().enumerate() {
-                let gap = match constraint {
-                    StepConstraint::Gap(g) => *g,
-                    // lint:allow(no-panic-hot-path) compile runs once per pattern, and Allen was excluded above
-                    StepConstraint::Allen(_) => unreachable!("Allen patterns are Indexed"),
-                };
-                insts.push(Inst::Token {
-                    guard: StepGuard::Gap { gap, pred: pred.clone() },
-                    slot: Some(k + 1),
-                });
-            }
-            insts.push(Inst::Match);
-            let program = Program { insts, slots: self.len() };
-            debug_assert!(program.is_loop_free());
-            CompiledPattern::Stream(program)
-        })
-    }
-
     /// Find all **anchor-disjoint** matches: for every entry matching the
-    /// first step, the earliest completion of the remaining steps. (This is
-    /// the semantics of Fails et al.'s multi-hit event chart, which the
-    /// paper discusses: one line per search hit.)
+    /// first step, the earliest completion of the remaining steps, in
+    /// anchor order. (This is the semantics of Fails et al.'s multi-hit
+    /// event chart, which the paper discusses: one line per search hit.)
     pub fn find_matches(&self, history: &History) -> Vec<PatternHit> {
         let mut hits = Vec::new();
-        self.scan(history, |steps| {
+        self.scan(history.entries(), &mut |p, e| p.matches(e), |steps| {
             hits.push(PatternHit { steps: steps.to_vec() });
             true
         });
-        // Streaming accepts arrive in completion order; report in anchor
-        // order like the event chart draws them.
-        hits.sort_by_key(|h| h.steps.first().copied().unwrap_or(0));
         hits
     }
 
-    /// True if the history contains at least one match. Short-circuits on
-    /// the first accepting run — no hit vector is materialized.
+    /// True if the history contains at least one match. Stops at the
+    /// first hit — no hit vector is materialized.
     pub fn matches(&self, history: &History) -> bool {
+        self.matches_with(history.entries(), &mut |p, e| p.matches(e))
+    }
+
+    /// [`matches`](TemporalPattern::matches) over `entries`, testing a
+    /// step's predicate on an entry with `test`.
+    pub(crate) fn matches_with<'e>(
+        &self,
+        entries: Entries<'e>,
+        test: &mut impl FnMut(&EntryPredicate, EntryRef<'e>) -> bool,
+    ) -> bool {
         let mut found = false;
-        self.scan(history, |_| {
+        self.scan(entries, test, |_| {
             found = true;
             false
         });
         found
     }
 
-    /// Run the compiled automaton over one history, streaming each hit's
-    /// step indexes to `on_hit`; `on_hit` returning `false` aborts.
-    fn scan(&self, history: &History, on_hit: impl FnMut(&[usize]) -> bool) {
-        let entries = history.entries();
-        match self.compiled() {
-            CompiledPattern::Stream(program) => {
-                let bounds = Bounds { begin: 0, end: entries.len() };
-                // The anchor guard ignores its incoming state.
-                let init =
-                    PrevSpan { start: pastas_time::Date::MIN.at_midnight(), end: pastas_time::Date::MIN.at_midnight() };
-                let tokens = entries.iter().enumerate().map(|(i, e)| (i, i + 1, e));
-                VM_SCRATCH.with(|scratch| {
-                    let mut scratch = scratch.borrow_mut();
-                    engine::run_every(program, tokens, bounds, &init, &mut scratch, on_hit);
-                });
-            }
-            CompiledPattern::Indexed => self.scan_indexed(&entries, on_hit),
-        }
-    }
-
-    /// The indexed interpreter for Allen-bearing patterns: per anchor,
-    /// random-access completion with a pooled step buffer.
-    fn scan_indexed(&self, entries: &Entries<'_>, mut on_hit: impl FnMut(&[usize]) -> bool) {
+    /// The interpreter: per anchor, in start order, the earliest
+    /// completion of steps 2.., streaming each hit's entry indexes to
+    /// `on_hit`; `on_hit` returning `false` stops the scan.
+    fn scan<'e>(
+        &self,
+        entries: Entries<'e>,
+        test: &mut impl FnMut(&EntryPredicate, EntryRef<'e>) -> bool,
+        mut on_hit: impl FnMut(&[usize]) -> bool,
+    ) {
         STEP_SCRATCH.with(|buf| {
             let mut steps = buf.borrow_mut();
             for (anchor, e) in entries.iter().enumerate() {
-                if !self.first.matches(e) {
-                    continue;
-                }
-                if self.complete_indexed(entries, anchor, &mut steps) && !on_hit(&steps) {
+                if test(&self.first, e)
+                    && self.complete(entries, anchor, test, &mut steps)
+                    && !on_hit(&steps)
+                {
                     break;
                 }
             }
         });
     }
 
-    /// Earliest-first completion of steps 2.. from anchor index `anchor`,
-    /// written into `steps` (which doubles as the no-reuse set for Allen
-    /// steps). Gap steps scan forward from the previous match (later
-    /// starts only). Allen steps scan the *whole* history in start order —
-    /// qualitative relations like `Contains` are satisfied by entries that
-    /// start before the previous match (a medication-exposure band
-    /// containing a stay starts earlier than the stay). The relation is
-    /// evaluated as `rel(candidate, previous)`.
-    fn complete_indexed(
+    /// Earliest-first completion of steps 2.. from `anchor`, written into
+    /// `steps` (which doubles as the no-reuse set for Allen steps). A gap
+    /// step scans forward from the previous match up to the first entry
+    /// past its window; an Allen step scans the whole history, evaluating
+    /// the relation as `rel(candidate, previous)`.
+    fn complete<'e>(
         &self,
-        entries: &Entries<'_>,
+        entries: Entries<'e>,
         anchor: usize,
+        test: &mut impl FnMut(&EntryPredicate, EntryRef<'e>) -> bool,
         steps: &mut Vec<usize>,
     ) -> bool {
         steps.clear();
         steps.push(anchor);
-        let mut prev = anchor;
+        let (mut at, mut prev) = (anchor, entries.get(anchor));
         for (constraint, pred) in &self.rest {
-            let next = match constraint {
+            let next = match *constraint {
                 StepConstraint::Gap(gap) => {
-                    let lo = entries.get(prev).end() + gap.min;
-                    let hi = entries.get(prev).end() + gap.max;
-                    (prev + 1..entries.len()).find(|&j| {
-                        let e = entries.get(j);
-                        let s = e.start();
-                        s >= lo && s <= hi && pred.matches(e)
+                    let (lo, hi) = (prev.end() + gap.min, prev.end() + gap.max);
+                    (at + 1..entries.len())
+                        .map(|j| (j, entries.get(j)))
+                        .take_while(|(_, e)| e.start() <= hi)
+                        .find(|&(_, e)| e.start() >= lo && test(pred, e))
+                }
+                StepConstraint::Allen(rels) => {
+                    let span = (prev.start(), prev.end());
+                    (0..entries.len()).map(|j| (j, entries.get(j))).find(|&(j, e)| {
+                        !steps.contains(&j)
+                            && rels.contains(AllenRel::between_times((e.start(), e.end()), span))
+                            && test(pred, e)
                     })
                 }
-                StepConstraint::Allen(rels) => (0..entries.len()).find(|&j| {
-                    let e = entries.get(j);
-                    !steps.contains(&j)
-                        && pred.matches(e)
-                        && rels.contains(AllenRel::between_times(
-                            (e.start(), e.end()),
-                            (entries.get(prev).start(), entries.get(prev).end()),
-                        ))
-                }),
             };
-            match next {
-                Some(j) => {
-                    steps.push(j);
-                    prev = j;
-                }
-                None => return false,
-            }
+            let Some((j, e)) = next else { return false };
+            steps.push(j);
+            (at, prev) = (j, e);
         }
         true
     }
 
     /// The retired per-history scan, kept verbatim as the differential
-    /// oracle for the automaton (see `proptests`).
+    /// oracle for the scan (see `proptests`).
     #[cfg(test)]
     pub(crate) fn naive_find_matches(&self, history: &History) -> Vec<PatternHit> {
         let entries = history.entries();
@@ -564,6 +443,19 @@ mod tests {
     }
 
     #[test]
+    fn matches_stops_at_the_first_hit() {
+        let h = history(vec![diag(t(2013, 1, 1), "T90"), diag(t(2013, 2, 1), "T90")]);
+        let pat = TemporalPattern::starting_with(p("T90"));
+        let mut tested = 0;
+        let found = pat.matches_with(h.entries(), &mut |q, e| {
+            tested += 1;
+            q.matches(e)
+        });
+        assert!(found);
+        assert_eq!(tested, 1, "the first anchor is a hit, so no later entry is tested");
+    }
+
+    #[test]
     fn empty_history_never_matches() {
         let h = history(vec![]);
         let pat = TemporalPattern::starting_with(EntryPredicate::Any);
@@ -641,10 +533,9 @@ mod tests {
             stay(t(2013, 3, 1), t(2013, 3, 5)),
         ]);
         let one = TemporalPattern::starting_with(p("T90"));
-        assert!(one.matches(&h)); // compiles the 1-step automaton
+        assert!(one.matches(&h));
         let two = one.then(GapBound::within(Duration::days(5)), EntryPredicate::IsInterval);
-        // A stale cache would let the extended pattern still match.
-        assert!(!two.matches(&h), "extension after compilation must recompile");
+        assert!(!two.matches(&h), "an extended pattern runs its new step");
     }
 
     #[test]
@@ -661,6 +552,29 @@ mod tests {
         let hits = pat.find_matches(&h);
         assert_eq!(hits[0].steps, vec![0, 1]);
         assert_eq!(pat.naive_find_matches(&h), hits);
+    }
+
+    #[test]
+    fn gap_windows_saturate_at_the_calendar_bounds() {
+        let pattern = |text: &str| match crate::parse::parse_query(text, Date::new(2013, 1, 1).unwrap()) {
+            Ok(crate::HistoryQuery::Pattern(pat)) => pat,
+            other => panic!("{text}: {other:?}"),
+        };
+        let late = |y, m, d| Date::new(y, m, d).unwrap().at(23, 0, 0).unwrap();
+        let cases = [
+            // `Duration::days` saturates the bound to `i64::MAX` seconds.
+            ("seq(T90 then[0d..9223372036854775807d] K.*)", t(2013, 1, 10), t(2020, 5, 1)),
+            ("seq(T90 then[-9223372036854775807d..0d] K.*)", t(2013, 1, 10), t(2013, 1, 10)),
+            // An anchor on the calendar's last day: its window ends there.
+            ("seq(T90 then[0d..365d] K.*)", t(9999, 12, 31), late(9999, 12, 31)),
+        ];
+        for (text, anchor, next) in cases {
+            let h = history(vec![diag(anchor, "T90"), diag(next, "K74")]);
+            let pat = pattern(text);
+            assert!(pat.naive_matches(&h), "{text}");
+            assert_eq!(pat.matches(&h), pat.naive_matches(&h), "{text}");
+            assert_eq!(pat.find_matches(&h), pat.naive_find_matches(&h), "{text}");
+        }
     }
 
     #[test]

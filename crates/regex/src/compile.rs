@@ -1,11 +1,10 @@
 //! AST → NFA program compilation (Thompson construction).
 //!
-//! Emits [`engine`](crate::engine) instructions over the `char` token
-//! alphabet: the guard type is [`CharPred`], which never waits, so the
-//! generic VM behaves exactly like the classic byte Pike VM.
+//! Emits [`engine`](crate::engine) instructions whose consuming
+//! instructions test one `char` with a [`CharPred`].
 
 use crate::ast::{Ast, ClassItem};
-use crate::engine::{Inst, Outcome, Program, TokenGuard};
+use crate::engine::{Inst, Program};
 use std::sync::Arc;
 
 /// A character predicate attached to a consuming instruction.
@@ -40,20 +39,6 @@ impl CharPred {
                 }
                 hit != *negated
             }
-        }
-    }
-}
-
-/// A character guard never waits: it either consumes or kills the
-/// thread, which is what makes the generic VM's behavior on text
-/// coincide with the classic one.
-impl TokenGuard<char> for CharPred {
-    type State = ();
-    fn admit(&self, token: &char, _state: &()) -> Outcome<()> {
-        if self.matches(*token) {
-            Outcome::Advance(())
-        } else {
-            Outcome::Fail
         }
     }
 }
@@ -110,13 +95,10 @@ impl Compiler {
                 } else {
                     (*ch, false)
                 };
-                self.push(Inst::Token {
-                    guard: CharPred::Literal { ch, folded },
-                    slot: None,
-                });
+                self.push(Inst::Token { guard: CharPred::Literal { ch, folded } });
             }
             Ast::Dot => {
-                self.push(Inst::Token { guard: CharPred::Dot, slot: None });
+                self.push(Inst::Token { guard: CharPred::Dot });
             }
             Ast::Class { items, negated } => {
                 self.push(Inst::Token {
@@ -125,7 +107,6 @@ impl Compiler {
                         negated: *negated,
                         folded: self.fold,
                     },
-                    slot: None,
                 });
             }
             Ast::Concat(parts) => {

@@ -31,7 +31,7 @@
 
 mod ast;
 mod compile;
-pub mod engine;
+mod engine;
 mod parser;
 mod prefix;
 mod vm;

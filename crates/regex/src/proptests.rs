@@ -158,8 +158,8 @@ proptest! {
         }
     }
 
-    /// The generic token engine is byte-for-byte compatible with the
-    /// pre-generalization char VM: identical `Match` (offsets *and*
+    /// The pooled engine is byte-for-byte compatible with the original
+    /// char VM: identical `Match` (offsets *and*
     /// capture groups) at every start offset, in both search modes.
     #[test]
     fn generic_engine_agrees_with_classic_vm(p in arb_pattern(), input in arb_input()) {

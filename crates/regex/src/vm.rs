@@ -1,4 +1,4 @@
-//! The byte-regex entry point into the generic Pike VM.
+//! The regex entry point into the Pike VM.
 //!
 //! [`search`] adapts a `&str` haystack into the `(pos, next_pos, char)`
 //! token stream expected by [`engine::leftmost`] and rebuilds a
@@ -9,8 +9,8 @@
 //! positions win, and within a position, higher-priority threads
 //! (greedy vs lazy split order) win.
 //!
-//! The pre-generalization VM survives below as the test-only
-//! [`classic_search`], the differential oracle proving the generic
+//! The original char-specialized VM survives below as the test-only
+//! [`classic_search`], the differential oracle proving the pooled
 //! engine is byte-for-byte compatible on the proptest corpus.
 
 use crate::compile::CharPred;
@@ -37,7 +37,7 @@ pub(crate) fn search(
         .char_indices()
         .map(|(i, c)| (start + i, start + i + c.len_utf8(), c));
     let bounds = Bounds { begin: 0, end: haystack.len() };
-    let saves = engine::leftmost(prog, tokens, bounds, &(), full)?;
+    let saves = engine::leftmost(prog, tokens, bounds, full)?;
     Some(match_from_saves(&saves))
 }
 

@@ -27,7 +27,7 @@
 //! `--smoke-temporal` runs the same differential discipline over
 //! `seq(...)` temporal shapes: code-bearing patterns must plan to an
 //! index prefilter feeding a `PatternScan` operator (never a full
-//! scan) and must report automaton work through the execution stats,
+//! scan) and must report pattern scans through the execution stats,
 //! while cover-free patterns must fall back to an honest full scan.
 
 use pastas_core::Workbench;
@@ -317,7 +317,7 @@ fn cohort_reads_over_budget(
 /// Temporal differential check: every `seq(...)` shape's planned result
 /// must equal the full `select_scan`, code-bearing shapes must execute
 /// as an index-prefiltered `PatternScan` (no full-scan operator, nonzero
-/// candidate / automaton-run stats), and cover-free shapes must plan to
+/// candidate / pattern-scan stats), and cover-free shapes must plan to
 /// an honest full scan. Returns the exit code.
 fn run_temporal_smoke(workbench: &Workbench, reference_date: pastas_time::Date) -> i32 {
     let collection = workbench.collection();
@@ -361,7 +361,7 @@ fn run_temporal_smoke(workbench: &Workbench, reference_date: pastas_time::Date) 
             }
             if stats.pattern_candidates == 0 || stats.pattern_automaton_runs == 0 {
                 eprintln!(
-                    "  FAIL {text:?}: executed without reporting automaton work \
+                    "  FAIL {text:?}: executed without reporting pattern scans \
                      (candidates {}, runs {})",
                     stats.pattern_candidates, stats.pattern_automaton_runs
                 );
@@ -377,7 +377,7 @@ fn run_temporal_smoke(workbench: &Workbench, reference_date: pastas_time::Date) 
             continue;
         }
         eprintln!(
-            "  ok   {text} — {} matched, {}, {} candidate(s), {} automaton run(s)",
+            "  ok   {text} — {} matched, {}, {} candidate(s), {} pattern scan(s)",
             planned.len(),
             if plan.uses_full_scan() { "scan" } else { "index" },
             stats.pattern_candidates,

@@ -60,10 +60,15 @@ stage "planner smoke (sharded 1M)" \
     --shard-patients 65536 --budget-ms 100
 # Temporal smoke: every seq(...) shape's planned result must equal the
 # full scan, code-bearing patterns must execute as an index-prefiltered
-# PatternScan (no full-scan operator, nonzero candidate/automaton-run
-# stats), and cover-free patterns must plan to an honest full scan.
+# PatternScan (no full-scan operator, nonzero candidate/pattern-scan
+# stats), and cover-free patterns must plan to an honest full scan. The
+# second run seals an arena per 256 patients, so the planned scans' bound
+# entry tests cross eight interners.
 stage "temporal smoke (pattern scans)" \
     cargo run --release --example plan_explain -- --smoke-temporal --patients 2000
+stage "temporal smoke (eight arenas)" \
+    cargo run --release --example plan_explain -- --smoke-temporal --patients 2000 \
+    --shard-patients 256
 # Loopback smoke of the serve layer: starts a real server on an
 # OS-assigned port, fires every endpoint (including /select?explain=1 on
 # a negated compound query, asserting an index-served plan), asserts
