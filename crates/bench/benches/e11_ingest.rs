@@ -4,17 +4,18 @@
 //! stream of `parse_delta` increments can be applied and published while
 //! readers keep executing planned selects, with (a) planned-select
 //! latency during ingest within 2x of the quiesced pre-ingest baseline,
-//! (b) bounded per-batch apply lag, and (c) compaction folds whose cost
-//! is paid by the writer only — readers never block on them. Results go
-//! to stderr as report rows and to `BENCH_ingest.json` at the repo root
-//! as a machine-readable artifact (compare the planned-select columns
-//! against `BENCH_plan.json` at the same scale).
+//! (b) bounded per-batch apply lag, and (c) an index patch per publish
+//! (`CodeIndex::with_delta`) that copies only the postings the batch
+//! touches: its time and the posting bytes it copied are reported per
+//! publish. Results go to stderr as report rows and to
+//! `BENCH_ingest.json` at the repo root as a machine-readable artifact
+//! (compare the planned-select columns against `BENCH_plan.json` at the
+//! same scale).
 //!
 //! Not a criterion bench: the subject is a writer/reader race around an
 //! atomically swapped snapshot, so the harness is a plain `main` with one
 //! reader thread hammering selects while the main thread streams batches
-//! the way `ServeState::ingest`/`compact` do (clone-snapshot, mutate,
-//! publish).
+//! the way `ServeState::ingest` does (clone-snapshot, mutate, publish).
 
 use pastas_bench::{base_scale, cohort, header, median_ms};
 use pastas_core::Workbench;
@@ -31,9 +32,6 @@ const QUERIES: [&str; 3] = ["has(T90)", "lacks(T90)", "has(K.*) and lacks(T90)"]
 
 /// How many rows each streamed increment carries.
 const CHUNK_ROWS: usize = 200;
-
-/// Fold the side-index after this many applied batches.
-const COMPACT_EVERY: usize = 48;
 
 fn percentile(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
@@ -74,8 +72,7 @@ fn main() {
     );
     let patients = base_scale();
     // The stream extends a slice of the existing cohort with fresh events:
-    // the side-index path over already-indexed rows, the streaming shape
-    // the epoch/side-index design is for.
+    // every publish patches the postings of already-indexed rows.
     let delta_patients = (patients / 500).clamp(200, 2_000);
 
     eprintln!("generating {patients} patients …");
@@ -94,8 +91,8 @@ fn main() {
         .map(|q| parse_query(q, reference).expect("bench query parses"))
         .collect();
 
-    // Quiesced baseline: planned-select latency on the fully compacted
-    // index, the number BENCH_plan.json records at the same scale.
+    // Quiesced baseline: planned-select latency before any ingest, the
+    // number BENCH_plan.json records at the same scale.
     let baseline_ms = sorted(
         queries
             .iter()
@@ -163,43 +160,41 @@ fn main() {
         })
     };
 
-    // The writer: apply each batch to a cloned snapshot and publish, with
-    // a periodic compaction fold — the writer pays it, readers don't.
-    let publish = |wb: Workbench| {
-        *current.write().unwrap_or_else(|e| e.into_inner()) = Arc::new(wb);
-    };
+    // The writer: apply each batch to a cloned snapshot and publish. After
+    // each publish, off the clock, the index patch that apply made is
+    // timed once more on its own, and the posting bytes the published
+    // index does not share with its predecessor are counted.
     let mut apply_ms: Vec<f64> = Vec::with_capacity(batches.len());
-    let mut compact_ms: Vec<f64> = Vec::new();
+    let mut delta_ms: Vec<f64> = Vec::with_capacity(batches.len());
+    let mut copied_bytes: Vec<f64> = Vec::with_capacity(batches.len());
+    let mut measuring_s = 0.0;
     let t_ingest = Instant::now();
-    for (i, batch) in batches.iter().enumerate() {
+    for batch in &batches {
         let t = Instant::now();
-        let mut wb =
-            current.read().unwrap_or_else(|e| e.into_inner()).snapshot();
+        let prev = Arc::clone(&current.read().unwrap_or_else(|e| e.into_inner()));
+        let mut wb = prev.snapshot();
         wb.apply_ingest(std::slice::from_ref(batch));
-        publish(wb);
+        let wb = Arc::new(wb);
+        *current.write().unwrap_or_else(|e| e.into_inner()) = Arc::clone(&wb);
         apply_ms.push(t.elapsed().as_secs_f64() * 1e3);
-        if (i + 1) % COMPACT_EVERY == 0 {
-            let t = Instant::now();
-            let mut wb =
-                current.read().unwrap_or_else(|e| e.into_inner()).snapshot();
-            if wb.compact() {
-                publish(wb);
-                compact_ms.push(t.elapsed().as_secs_f64() * 1e3);
-            }
-        }
+        let t = Instant::now();
+        let dirty: Vec<u32> = batch
+            .deltas
+            .iter()
+            .filter_map(|d| wb.collection().position_of(d.patient.id))
+            .map(|p| p as u32)
+            .collect();
+        let patch = Instant::now();
+        drop(std::hint::black_box(prev.index().with_delta(wb.collection(), &dirty)));
+        delta_ms.push(patch.elapsed().as_secs_f64() * 1e3);
+        copied_bytes.push(wb.index().posting_bytes_copied_from(prev.index()) as f64);
+        measuring_s += t.elapsed().as_secs_f64();
     }
-    let ingest_elapsed = t_ingest.elapsed().as_secs_f64();
+    let ingest_elapsed = t_ingest.elapsed().as_secs_f64() - measuring_s;
     stop.store(true, Ordering::Relaxed);
     let during_ms = sorted(reader.join().expect("reader thread"));
 
-    // Final fold, measured as a compaction pause, then the post-compaction
-    // planned-select latency on the converged snapshot.
-    let t = Instant::now();
-    let mut wb = current.read().unwrap_or_else(|e| e.into_inner()).snapshot();
-    if wb.compact() {
-        compact_ms.push(t.elapsed().as_secs_f64() * 1e3);
-        publish(wb);
-    }
+    // Planned-select latency on the final snapshot.
     let final_snap = Arc::clone(&current.read().unwrap_or_else(|e| e.into_inner()));
     let post_ms = sorted(
         queries
@@ -210,14 +205,17 @@ fn main() {
 
     let throughput = entries_total as f64 / ingest_elapsed.max(1e-9);
     let apply_sorted = sorted(apply_ms);
-    let compact_sorted = sorted(compact_ms);
+    let delta_sorted = sorted(delta_ms);
+    let copied_sorted = sorted(copied_bytes);
     let (lag_p50, lag_p99) =
         (percentile(&apply_sorted, 0.50), percentile(&apply_sorted, 0.99));
     let (during_p50, during_p99) =
         (percentile(&during_ms, 0.50), percentile(&during_ms, 0.99));
     let post_med = percentile(&post_ms, 0.5);
-    let pause_p50 = percentile(&compact_sorted, 0.50);
-    let pause_max = compact_sorted.last().copied().unwrap_or(0.0);
+    let delta_p50 = percentile(&delta_sorted, 0.50);
+    let delta_max = delta_sorted.last().copied().unwrap_or(0.0);
+    let copied_p50 = percentile(&copied_sorted, 0.50);
+    let copied_max = copied_sorted.last().copied().unwrap_or(0.0);
     let reads = during_ms.len();
     let ratio = if baseline_med > 0.0 { during_p50 / baseline_med } else { 0.0 };
     let target_met = reads > 0 && during_p50 <= 2.0 * baseline_med.max(0.05);
@@ -226,8 +224,9 @@ fn main() {
         "{patients} patients + {entries_total} streamed entries: \
          {throughput:.0} entries/s  apply-lag p50 {lag_p50:.2} ms p99 {lag_p99:.2} ms  \
          {reads} concurrent selects p50 {during_p50:.3} ms p99 {during_p99:.3} ms \
-         ({ratio:.2}x baseline)  compaction pause p50 {pause_p50:.1} ms max {pause_max:.1} ms  \
-         post-compaction select {post_med:.3} ms  \
+         ({ratio:.2}x baseline)  with_delta p50 {delta_p50:.2} ms max {delta_max:.2} ms  \
+         posting bytes copied p50 {copied_p50:.0} max {copied_max:.0}  \
+         post-ingest select {post_med:.3} ms  \
          [target ≤2x baseline during ingest: {}]",
         if target_met { "met" } else { "NOT met at this scale" },
     );
@@ -243,12 +242,12 @@ fn main() {
          \"during_ingest_p50_ms\":{during_p50:.4},\
          \"during_ingest_p99_ms\":{during_p99:.4},\
          \"during_over_baseline\":{ratio:.3},\
-         \"compactions\":{},\"compaction_pause_p50_ms\":{pause_p50:.4},\
-         \"compaction_pause_max_ms\":{pause_max:.4},\
-         \"post_compaction_planned_ms\":{post_med:.4},\
+         \"with_delta_p50_ms\":{delta_p50:.4},\"with_delta_max_ms\":{delta_max:.4},\
+         \"posting_bytes_copied_p50\":{copied_p50:.0},\
+         \"posting_bytes_copied_max\":{copied_max:.0},\
+         \"post_ingest_planned_ms\":{post_med:.4},\
          \"target_ratio\":2.0,\"target_met\":{target_met}}}\n",
         apply_sorted.len(),
-        compact_sorted.len(),
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_ingest.json");
     std::fs::write(path, &json).expect("write BENCH_ingest.json");

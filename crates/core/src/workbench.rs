@@ -235,12 +235,11 @@ impl Workbench {
     /// stage in a [`OpenEpoch`] (which applies the §IV pre-birth rule),
     /// and seal into the collection: existing patients keep their
     /// display position and code ids, new patients append at the end of
-    /// the display order. The code index advances via
-    /// [`CodeIndex::with_delta`] — main posting shards are shared, only
-    /// the touched rows are re-scanned into the side-index — and the
-    /// selection cache is replaced (snapshots of the old collection keep
-    /// the old one). Call [`Self::compact`] periodically to fold the
-    /// side-index back into the main shards.
+    /// the display order. The code index is patched by
+    /// [`CodeIndex::with_delta`] — only the postings the touched rows join
+    /// or leave are copied, every other one is shared — and the selection
+    /// cache is replaced (snapshots of the old collection keep the old
+    /// one).
     pub fn apply_ingest(&mut self, batches: &[DeltaBatch]) -> IngestStats {
         let mut stats = IngestStats::default();
         let mut epoch = OpenEpoch::new();
@@ -332,17 +331,10 @@ impl Workbench {
         stats
     }
 
-    /// Fold the code index's side-index into its main posting shards
-    /// (LSM compaction; see [`CodeIndex::compact`]). Selection results
-    /// are unchanged — the side pass and the compacted shards answer
-    /// identically — so the collection fingerprint and selection cache
-    /// survive. Returns false (and does nothing) when already compact.
+    /// Does nothing and returns false: [`Self::apply_ingest`] leaves no
+    /// fold to do. Kept for `benchmark/src/replay.rs`.
     pub fn compact(&mut self) -> bool {
-        if self.index.side_is_empty() {
-            return false;
-        }
-        self.index = Arc::new(self.index.compact());
-        true
+        false
     }
 
     /// A cheap immutable snapshot sharing all heavy state: the collection
@@ -1137,7 +1129,6 @@ mod tests {
         assert_eq!(wb.selection_cache_len(), 0, "selection cache replaced");
         let after = wb.select_positions(&q);
         assert_eq!(after.len(), before.len() + 1, "new T90 patient is selectable");
-        assert!(!wb.index().side_is_empty(), "delta rows served by the side-index");
         // Re-sending the same delta is a no-op thanks to fingerprint dedup.
         let mut registry2 = IdentityRegistry::new();
         parse_delta(
@@ -1277,8 +1268,10 @@ mod tests {
         assert_eq!(total, profile.total_entries);
     }
 
+    /// Ingest leaves nothing to fold: `compact` changes no result, no
+    /// fingerprint and no index.
     #[test]
-    fn compact_folds_the_side_index_without_changing_results() {
+    fn compact_after_ingest_changes_nothing() {
         use pastas_ingest::{parse_delta, DeltaFormat, IdentityRegistry};
         let mut wb = wb();
         let mut registry = IdentityRegistry::new();
@@ -1296,16 +1289,15 @@ mod tests {
         let q = QueryBuilder::new().has_code("T90").unwrap().build();
         let mid = wb.select_positions(&q);
         let fp = wb.collection_fingerprint();
-        assert!(wb.compact(), "side-index had debt");
-        assert!(wb.index().side_is_empty());
-        assert_eq!(wb.index().side_postings_total(), 0);
+        let index: *const CodeIndex = wb.index();
+        assert!(!wb.compact(), "nothing to fold");
+        assert!(std::ptr::eq(wb.index(), index), "the same index");
         assert_eq!(wb.select_positions(&q), mid, "compaction changes no result");
         assert_eq!(wb.collection_fingerprint(), fp, "same data, same fingerprint");
-        assert!(!wb.compact(), "second compaction is a no-op");
     }
 
     /// The streaming path's convergence contract: an empty workbench fed
-    /// the five sources as deltas, then compacted, answers cohort
+    /// the five sources as deltas answers cohort
     /// selections exactly like a batch build of the same raw text.
     #[test]
     fn streamed_ingest_converges_to_the_batch_build() {
@@ -1331,7 +1323,6 @@ mod tests {
             parse_delta(DeltaFormat::Prescriptions, &raw.prescriptions, &mut registry),
         ];
         wb.apply_ingest(&batches);
-        wb.compact();
         assert_eq!(wb.collection().len(), batch_wb.collection().len());
         assert_eq!(
             wb.collection().stats().entries,
@@ -1381,7 +1372,7 @@ mod tests {
         /// `align_on_code` equals the reference — `align_on` and a stable
         /// sort by anchor, unanchored rows last — in order, anchor count
         /// and every anchor, at one thread and at four, over a sharded
-        /// collection whose ingest left side-index rows, a new patient's
+        /// collection an ingest patched, a new patient's
         /// fresh arena and a history detached onto a second interner.
         #[test]
         fn bound_align_equals_the_reference(
@@ -1403,7 +1394,6 @@ mod tests {
             for threads in [1, 4] {
                 let mut wb = Workbench::from_collection(collection.clone());
                 wb.apply_ingest(std::slice::from_ref(&batch));
-                prop_assert!(!wb.index().side_is_empty(), "rows come through the side-index");
                 let detached = wb.collection().get(existing.id).unwrap().store().interner_arc();
                 let arena = collection.histories()[at].store().interner_arc();
                 prop_assert!(!Arc::ptr_eq(detached, arena), "a second interner");

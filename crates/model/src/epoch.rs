@@ -12,8 +12,8 @@
 //! deltas.
 //!
 //! The epoch itself is *staging*: rows sit in arrival order and only
-//! become query-visible once sealed into the collection (and the query
-//! layer's side-index picks the touched rows up — see
+//! become query-visible once sealed into the collection and the query
+//! layer has patched the postings the touched rows join or leave (see
 //! `CodeIndex::with_delta` in `pastas-query`).
 
 use crate::history::{History, Patient, ValidationReport};
@@ -86,7 +86,7 @@ impl OpenEpoch {
     /// layout a [`crate::CollectionBuilder`] seal produces).
     ///
     /// Returns the distinct patient ids touched, in first-arrival order —
-    /// the set the query layer's side-index marks dirty.
+    /// the rows whose postings the query layer's index patches.
     pub fn seal_into(&mut self, collection: &mut HistoryCollection) -> Vec<PatientId> {
         if self.spans.is_empty() {
             return Vec::new();

@@ -38,6 +38,10 @@
 //!   order, so `PASTAS_THREADS=1` reproduces the serial result bit for
 //!   bit); the intermediate build state is per-shard, bounding peak RSS
 //!   at 10M patients;
+//! * streaming ingest patches the one index in place
+//!   ([`CodeIndex::with_delta`]): postings sit behind `Arc`, a publish
+//!   copies only the (shard, slot) postings its dirty rows join or leave,
+//!   and the result equals a fresh [`CodeIndex::build`];
 //! * compiled regexes are memoized per index, so re-running a selection
 //!   (the workbench's dominant interaction) skips recompilation.
 //!
@@ -53,7 +57,7 @@ use crate::bitmap::Bitmap;
 use crate::query::HistoryQuery;
 use pastas_model::{EventStore, HistoryCollection};
 use pastas_regex::Regex;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
 /// Per-thread minimum number of histories before index building or
@@ -78,8 +82,10 @@ pub(crate) struct IndexShard {
     pub(crate) rows: u32,
     /// `postings[slot]`: shard-relative positions containing
     /// `vocab[slot]`. Same length as the vocabulary; shard-locally empty
-    /// slots hold the empty bitmap (cheap — no containers).
-    pub(crate) postings: Vec<Bitmap>,
+    /// slots hold the empty bitmap (cheap — no containers). Behind `Arc`,
+    /// so a successor index ([`CodeIndex::with_delta`]) shares every
+    /// posting it does not patch.
+    pub(crate) postings: Vec<Arc<Bitmap>>,
 }
 
 impl IndexShard {
@@ -92,30 +98,6 @@ impl IndexShard {
         }
         acc
     }
-}
-
-/// The LSM-style *side-index* over open-epoch rows: sorted-vec postings
-/// for the **dirty** history positions — those modified or appended
-/// since the main shards were built. Rebuilt per delta batch by
-/// [`CodeIndex::with_delta`] (cheap: proportional to the dirty
-/// histories, not the collection) and folded into the main roaring
-/// shards by [`CodeIndex::compact`].
-///
-/// Each dirty patient's postings here are their *complete current*
-/// code set, so the planner can answer any query shape over the dirty
-/// universe from the side postings alone and union that with the main
-/// shards' answer restricted to clean rows — plan-vs-scan equivalence
-/// holds mid-compaction (see `exec_side` in `plan.rs`).
-#[derive(Debug, Default, PartialEq)]
-pub(crate) struct SideIndex {
-    /// Dirty history positions, strictly ascending. Every position at or
-    /// beyond the main shards' coverage is dirty (appended patients).
-    pub(crate) dirty: Vec<u32>,
-    /// Distinct code values of the dirty histories, sorted.
-    pub(crate) vocab: Vec<Box<str>>,
-    /// `postings[slot]`: dirty positions (global, strictly ascending)
-    /// whose history contains `vocab[slot]`.
-    pub(crate) postings: Vec<Vec<u32>>,
 }
 
 /// Memory accounting for the compressed postings, reported by E5 and the
@@ -144,23 +126,20 @@ pub struct CodeIndex {
     /// binary search; a literal prefix selects a contiguous run.
     vocab: Vec<Box<str>>,
     /// `counts[slot]`: total positions holding `vocab[slot]` across all
-    /// shards — O(1) planner cardinality estimates.
+    /// shards — O(1) planner cardinality estimates. Never 0: a value no
+    /// row holds is not in the vocabulary.
     counts: Vec<u32>,
-    /// Patient-range shards in ascending `base` order, tiling the main
-    /// (compacted) row range. Behind `Arc` so an incremental index
-    /// ([`Self::with_delta`] / [`Self::compact`]) shares untouched
-    /// shards with its predecessor instead of cloning postings.
+    /// Patient-range shards in ascending `base` order, tiling `0..rows`.
+    /// Behind `Arc` so a successor index ([`Self::with_delta`]) shares
+    /// every shard no dirty row falls in instead of cloning postings.
     shards: Vec<Arc<IndexShard>>,
-    /// Total history count (the complement universe), *including* rows
-    /// covered only by the side-index (appended patients).
+    /// Total history count (the complement universe).
     rows: u32,
     /// Shard width this index was built with ([`SHARD_ROWS`] in
-    /// production; smaller in multi-shard tests). Compaction tiles new
-    /// rows with the same width. `0` only in `Default` (treated as
-    /// [`SHARD_ROWS`]).
+    /// production; smaller in multi-shard tests). [`Self::with_delta`]
+    /// tiles appended rows with the same width. `0` only in `Default`
+    /// (treated as [`SHARD_ROWS`]).
     shard_rows: u32,
-    /// Postings for dirty rows, merged into `shards` by [`Self::compact`].
-    side: SideIndex,
     /// Compiled patterns memoized across selections on this index.
     compiled: Mutex<HashMap<String, Regex>>,
 }
@@ -279,7 +258,7 @@ impl CodeIndex {
                     list.into_iter().map(u32::from).collect()
                 })
                 .collect();
-            shards.push(IndexShard { base: base as u32, rows: span.len() as u32, postings });
+            shards.push((base as u32, span.len() as u32, postings));
         }
 
         // A shared arena's interner may carry codes belonging to patients
@@ -291,214 +270,155 @@ impl CodeIndex {
         let vocab: Vec<Box<str>> = keep.iter().map(|&slot| Box::from(values[slot])).collect();
         // lint:allow(no-panic-hot-path) keep holds indexes below values.len()
         let counts: Vec<u32> = keep.iter().map(|&slot| counts[slot]).collect();
-        for shard in &mut shards {
-            let mut postings = Vec::with_capacity(keep.len());
-            for &slot in &keep {
-                // lint:allow(no-panic-hot-path) every shard has values.len() postings
-                postings.push(std::mem::take(&mut shard.postings[slot]));
-            }
-            shard.postings = postings;
-        }
-        CodeIndex {
-            vocab,
-            counts,
-            shards: shards.into_iter().map(Arc::new).collect(),
-            rows,
-            shard_rows,
-            side: SideIndex::default(),
-            compiled: Mutex::new(HashMap::new()),
-        }
+        let shards = shards
+            .into_iter()
+            .map(|(base, rows, mut postings)| {
+                let postings = keep
+                    .iter()
+                    // lint:allow(no-panic-hot-path) every shard has values.len() postings
+                    .map(|&slot| Arc::new(std::mem::take(&mut postings[slot])))
+                    .collect();
+                Arc::new(IndexShard { base, rows, postings })
+            })
+            .collect();
+        CodeIndex { vocab, counts, shards, rows, shard_rows, compiled: Mutex::default() }
     }
 
-    /// A successor index marking `newly_dirty` history positions (and any
-    /// previously dirty ones) as served by the side-index: the main
-    /// shards are shared untouched (`Arc` clones — no posting copied),
-    /// the side vocabulary and postings carry over, and only the
-    /// histories of this batch are walked and posted (afresh, if they
-    /// were dirty already) — O(batch · entries-per-history) string work
-    /// plus a copy of the side postings, whatever the debt already is.
-    /// The streaming path (`Workbench::apply_ingest`) calls this after
-    /// every sealed delta batch; [`Self::compact`] folds the accumulated
-    /// side postings back into the shards.
+    /// The index of `collection` after the rows `newly_dirty` changed,
+    /// patched from this one. Rows past [`Self::rows`] were appended and
+    /// are dirty whether or not the caller lists them.
+    ///
+    /// Each dirty row's old code set is read off this index's postings
+    /// (one `contains` a slot), its new one off one walk of its entries,
+    /// and only the (shard, slot) postings a row joins or leaves are
+    /// copied and patched, `old ∩ ¬left ∪ joined`. Every other posting,
+    /// and every shard no dirty row falls in, is shared (`Arc`). A value
+    /// new to the vocabulary gets a slot in sorted order (an empty posting
+    /// in every shard), a value whose count drops to 0 leaves it, and
+    /// appended rows fill the last shard and then open new ones of the
+    /// same width: the result is structurally equal to [`Self::build`] of
+    /// `collection`. The streaming path (`Workbench::apply_ingest`) calls
+    /// this after every sealed delta batch.
     pub fn with_delta(&self, collection: &HistoryCollection, newly_dirty: &[u32]) -> CodeIndex {
+        let width = self.shard_width();
         let rows = collection.len() as u32;
-        let mut extra: Vec<u32> = newly_dirty.to_vec();
-        extra.sort_unstable();
-        extra.dedup();
-        let dirty = crate::plan::reference::union2(&self.side.dirty, &extra);
-        debug_assert!(dirty.last().is_none_or(|&p| p < rows), "dirty position beyond rows");
-        // Side vocabulary + postings: the complete current code set of
-        // every dirty history (not just the delta), so side evaluation
-        // answers any plan shape over the dirty universe exactly.
-        let mut vocab = self.side.vocab.clone();
-        let mut postings = self.side.postings.clone();
-        if extra.iter().any(|p| self.side.dirty.binary_search(p).is_ok()) {
-            for list in &mut postings {
-                list.retain(|p| extra.binary_search(p).is_err());
+        debug_assert!(newly_dirty.iter().all(|&p| p < rows), "dirty position beyond rows");
+        let mut dirty: Vec<u32> = newly_dirty.iter().copied().filter(|&p| p < self.rows).collect();
+        dirty.extend(self.rows..rows);
+        dirty.sort_unstable();
+        dirty.dedup();
+        // Each dirty row's current values, from one walk of its entries.
+        let histories = collection.histories();
+        let current: Vec<Vec<&str>> = dirty
+            .iter()
+            .map(|&p| {
+                // lint:allow(no-panic-hot-path) dirty positions are below collection.len()
+                let entries = histories[p as usize].entries();
+                let mut values: Vec<&str> =
+                    entries.into_iter().filter_map(|e| e.code()).map(|c| c.value.as_str()).collect();
+                values.sort_unstable();
+                values.dedup();
+                values
+            })
+            .collect();
+        // The merged vocabulary: every old value plus the fresh ones, and
+        // where each old slot lands in it.
+        let mut vocab = self.vocab.clone();
+        vocab.extend(
+            current.iter().flatten().filter(|v| self.slot_of(v).is_none()).map(|&v| Box::from(v)),
+        );
+        vocab.sort_unstable();
+        vocab.dedup();
+        let slot_in = |v: &str| vocab.binary_search_by(|x| (**x).cmp(v)).ok();
+        let remap: Vec<usize> = self.vocab.iter().filter_map(|v| slot_in(v)).collect();
+        let mut counts = vec![0u32; vocab.len()];
+        for (&slot, &n) in remap.iter().zip(&self.counts) {
+            // lint:allow(no-panic-hot-path) remap holds slots of the merged vocabulary
+            counts[slot] = n;
+        }
+        // (shard, merged slot) → the shard-relative rows that join and
+        // leave its posting, ascending since dirty rows are.
+        let mut patches: BTreeMap<(usize, usize), (Vec<u32>, Vec<u32>)> = BTreeMap::new();
+        for (&p, values) in dirty.iter().zip(&current) {
+            let (shard, rel) = ((p / width) as usize, p % width);
+            let now: Vec<usize> = values.iter().filter_map(|v| slot_in(v)).collect();
+            let was: Vec<usize> = match self.shards.get(shard) {
+                Some(old) if p < self.rows => old
+                    .postings
+                    .iter()
+                    .zip(&remap)
+                    .filter(|(bm, _)| bm.contains(rel))
+                    .map(|(_, &slot)| slot)
+                    .collect(),
+                _ => Vec::new(),
+            };
+            for &slot in now.iter().filter(|s| was.binary_search(s).is_err()) {
+                patches.entry((shard, slot)).or_default().0.push(rel);
+                // lint:allow(no-panic-hot-path) slots index the merged vocabulary
+                counts[slot] += 1;
+            }
+            for &slot in was.iter().filter(|s| now.binary_search(s).is_err()) {
+                patches.entry((shard, slot)).or_default().1.push(rel);
+                // lint:allow(no-panic-hot-path) slots index the merged vocabulary
+                counts[slot] -= 1;
             }
         }
-        let histories = collection.histories();
-        for &p in &extra {
-            // lint:allow(no-panic-hot-path) dirty positions index the collection
-            for e in histories[p as usize].entries() {
-                let Some(c) = e.code() else { continue };
-                let value = c.value.as_str();
-                let slot = match vocab.binary_search_by(|v| (**v).cmp(value)) {
-                    Ok(slot) => slot,
-                    Err(slot) => {
-                        vocab.insert(slot, Box::from(value));
-                        postings.insert(slot, Vec::new());
-                        slot
-                    }
-                };
-                // lint:allow(no-panic-hot-path) slot < postings.len(): found or just inserted
-                let list = &mut postings[slot];
-                if let Err(at) = list.binary_search(&p) {
-                    list.insert(at, p);
+        let same_slots = vocab.len() == self.vocab.len() && counts.iter().all(|&n| n > 0);
+        let empty = Arc::new(Bitmap::new());
+        let mut shards = Vec::with_capacity(rows.div_ceil(width) as usize);
+        for (s, base) in (0..rows).step_by(width as usize).enumerate() {
+            let span = width.min(rows - base);
+            let old = self.shards.get(s);
+            let mut touched = patches.range((s, 0)..(s + 1, 0)).peekable();
+            if let Some(old) = old {
+                if same_slots && old.rows == span && touched.peek().is_none() {
+                    shards.push(Arc::clone(old));
+                    continue;
                 }
             }
+            let mut postings = vec![Arc::clone(&empty); vocab.len()];
+            for (bm, &slot) in old.iter().flat_map(|o| &o.postings).zip(&remap) {
+                // lint:allow(no-panic-hot-path) remap holds slots of the merged vocabulary
+                postings[slot] = Arc::clone(bm);
+            }
+            for (&(_, slot), (joined, left)) in touched {
+                // lint:allow(no-panic-hot-path) patches key slots of the merged vocabulary
+                let mut patched = postings[slot].union(&Bitmap::from_sorted(joined));
+                if !left.is_empty() {
+                    patched = patched.intersect(&Bitmap::from_sorted(left).complement_up_to(span));
+                }
+                // lint:allow(no-panic-hot-path) patches key slots of the merged vocabulary
+                postings[slot] = Arc::new(patched);
+            }
+            let postings = postings.into_iter().zip(&counts).filter(|(_, &n)| n > 0);
+            let postings = postings.map(|(bm, _)| bm).collect();
+            shards.push(Arc::new(IndexShard { base, rows: span, postings }));
         }
-        // A history posted afresh may have left a value behind.
-        let (vocab, postings) =
-            vocab.into_iter().zip(postings).filter(|(_, list)| !list.is_empty()).unzip();
+        // A value no row holds any more leaves the vocabulary.
+        let (vocab, counts) = vocab.into_iter().zip(counts).filter(|&(_, n)| n > 0).unzip();
+        CodeIndex { vocab, counts, shards, rows, shard_rows: width, compiled: Mutex::default() }
+    }
+
+    /// An index sharing every shard with this one. [`Self::with_delta`]
+    /// leaves nothing to fold; kept for `benchmark/src/replay.rs`.
+    pub fn compact(&self) -> CodeIndex {
         CodeIndex {
             vocab: self.vocab.clone(),
             counts: self.counts.clone(),
             shards: self.shards.clone(),
-            rows,
+            rows: self.rows,
             shard_rows: self.shard_rows,
-            side: SideIndex { dirty, vocab, postings },
-            compiled: Mutex::new(HashMap::new()),
+            compiled: Mutex::default(),
         }
     }
 
-    /// Fold the side postings into the main shards, LSM-style: side
-    /// postings union into the covering shards' compressed bitmaps
-    /// (`append`-idempotent — entries are never removed, so main
-    /// postings are always a subset of the truth for dirty rows), rows
-    /// beyond the old shard coverage extend the tiling with fresh
-    /// shards of the same width, and the result has an empty side-index.
-    /// Shards no side posting falls in are shared (`Arc`) unless the
-    /// vocabulary grew (new code values force a slot re-layout of every
-    /// shard). The
-    /// swap-in is the caller's job (e.g. the serve layer's compaction
-    /// thread publishing a fresh snapshot).
-    pub fn compact(&self) -> CodeIndex {
-        let shard_rows = if self.shard_rows == 0 { SHARD_ROWS } else { self.shard_rows };
-        if self.side.dirty.is_empty() {
-            return CodeIndex {
-                vocab: self.vocab.clone(),
-                counts: self.counts.clone(),
-                shards: self.shards.clone(),
-                rows: self.rows,
-                shard_rows: self.shard_rows,
-                side: SideIndex::default(),
-                compiled: Mutex::new(HashMap::new()),
-            };
-        }
-        // Merged vocabulary. Common case: dirty histories reuse existing
-        // code values and the vocabulary (hence every slot number) is
-        // unchanged, so untouched shards stay shared.
-        let grew = self.side.vocab.iter().any(|v| self.vocab.binary_search(v).is_err());
-        let vocab: Vec<Box<str>> = if grew {
-            let mut merged = self.vocab.clone();
-            merged.extend(
-                self.side
-                    .vocab
-                    .iter()
-                    .filter(|v| self.vocab.binary_search(v).is_err())
-                    .cloned(),
-            );
-            merged.sort();
-            merged
-        } else {
-            self.vocab.clone()
-        };
-        let remap_old: Option<Vec<usize>> = if grew {
-            Some(
-                self.vocab
-                    .iter()
-                    // lint:allow(no-panic-hot-path) merged vocabulary keeps every old value
-                    .map(|v| vocab.binary_search(v).expect("old value survives the merge"))
-                    .collect(),
-            )
-        } else {
-            None
-        };
-        // Distribute side postings into per-shard, slot-tagged relative
-        // bitmaps, under the *new* tiling.
-        let shard_count = (self.rows as usize).div_ceil(shard_rows as usize);
-        let mut extra: Vec<Vec<(usize, Bitmap)>> = vec![Vec::new(); shard_count];
-        for (side_slot, list) in self.side.postings.iter().enumerate() {
-            let slot = vocab
-                // lint:allow(no-panic-hot-path) side_slot enumerates the side vocabulary
-                .binary_search(&self.side.vocab[side_slot])
-                // lint:allow(no-panic-hot-path) merged vocabulary holds every side value
-                .expect("side value survives the merge");
-            let mut i = 0;
-            while i < list.len() {
-                // lint:allow(no-panic-hot-path) i < list.len() by the loop guard
-                let shard_idx = (list[i] / shard_rows) as usize;
-                // lint:allow(no-silent-truncation) shard_idx < shard_count so base fits u32
-                let base = shard_idx as u32 * shard_rows;
-                // lint:allow(no-panic-hot-path) i < list.len() by the loop guard
-                let j = i + list[i..].partition_point(|&p| p < base + shard_rows);
-                // lint:allow(no-panic-hot-path) i <= j <= list.len() by partition_point
-                let rel: Vec<u32> = list[i..j].iter().map(|&p| p - base).collect();
-                // lint:allow(no-panic-hot-path) shard_idx derives from p < rows
-                extra[shard_idx].push((slot, Bitmap::from_sorted(&rel)));
-                i = j;
-            }
-        }
-        let mut shards: Vec<Arc<IndexShard>> = Vec::with_capacity(shard_count);
-        for (s, extra) in extra.into_iter().enumerate() {
-            // lint:allow(no-silent-truncation) s < shard_count so base fits u32
-            let base = s as u32 * shard_rows;
-            let rows_s = shard_rows.min(self.rows - base);
-            let existing = self.shards.get(s);
-            // A shard no side posting falls in keeps its postings.
-            if !grew && extra.is_empty() {
-                if let Some(e) = existing {
-                    if e.rows == rows_s {
-                        shards.push(Arc::clone(e));
-                        continue;
-                    }
-                }
-            }
-            let mut postings: Vec<Bitmap> = vec![Bitmap::new(); vocab.len()];
-            if let Some(e) = existing {
-                for (old_slot, bm) in e.postings.iter().enumerate() {
-                    // lint:allow(no-panic-hot-path) old_slot enumerates the old vocabulary
-                    let slot = remap_old.as_ref().map_or(old_slot, |m| m[old_slot]);
-                    // lint:allow(no-panic-hot-path) slot < vocab.len() by the remap
-                    postings[slot] = bm.clone();
-                }
-            }
-            for (slot, bm) in extra {
-                // lint:allow(no-panic-hot-path) slot < vocab.len() by the merge
-                postings[slot] = postings[slot].union(&bm);
-            }
-            shards.push(Arc::new(IndexShard { base, rows: rows_s, postings }));
-        }
-        // Recompute the cardinality cache from the merged shards.
-        let mut counts = vec![0u32; vocab.len()];
-        for shard in &shards {
-            for (slot, bm) in shard.postings.iter().enumerate() {
-                // lint:allow(no-silent-truncation) postings count < rows which fits u32
-                let posted = bm.len() as u32;
-                // lint:allow(no-panic-hot-path) every shard has vocab.len() postings
-                counts[slot] += posted;
-            }
-        }
-        CodeIndex {
-            vocab,
-            counts,
-            shards,
-            rows: self.rows,
-            shard_rows: self.shard_rows,
-            side: SideIndex::default(),
-            compiled: Mutex::new(HashMap::new()),
-        }
+    /// Heap bytes of the postings this index holds and `predecessor` does
+    /// not share: what [`Self::with_delta`] copied to derive it.
+    pub fn posting_bytes_copied_from(&self, predecessor: &CodeIndex) -> usize {
+        let shared: HashSet<*const Bitmap> =
+            predecessor.shards.iter().flat_map(|s| &s.postings).map(Arc::as_ptr).collect();
+        let postings = self.shards.iter().flat_map(|s| &s.postings);
+        postings.filter(|bm| !shared.contains(&Arc::as_ptr(bm))).map(|bm| bm.heap_bytes()).sum()
     }
 
     /// Number of distinct codes indexed.
@@ -516,47 +436,24 @@ impl CodeIndex {
         &self.shards
     }
 
-    /// True if no rows are served by the side-index (fully compacted).
-    pub fn side_is_empty(&self) -> bool {
-        self.side.dirty.is_empty()
+    /// Vocabulary, counts and shards: what equals a fresh build's.
+    #[cfg(test)]
+    pub(crate) fn parts(&self) -> (&[Box<str>], &[u32], &[Arc<IndexShard>]) {
+        (&self.vocab, &self.counts, &self.shards)
     }
 
-    /// Dirty history positions (ascending) served by the side-index.
-    pub(crate) fn side_dirty(&self) -> &[u32] {
-        &self.side.dirty
-    }
-
-    /// Side postings of one side-vocabulary slot (global positions).
-    pub(crate) fn side_postings(&self, slot: u32) -> &[u32] {
-        // lint:allow(no-panic-hot-path) callers pass slots from side_slots_for_patterns
-        &self.side.postings[slot as usize]
-    }
-
-    /// Number of dirty rows in the side-index (`/metrics`: side size).
-    pub fn side_rows(&self) -> usize {
-        self.side.dirty.len()
-    }
-
-    /// Total side postings awaiting compaction (`/metrics`: debt).
-    pub fn side_postings_total(&self) -> usize {
-        self.side.postings.iter().map(Vec::len).sum()
-    }
-
-    /// Side-vocabulary slots matched by any of `patterns` (sorted,
-    /// unique). Patterns that fail to compile match nothing, mirroring
-    /// [`Self::slots_for_patterns`]'s executor fallback.
-    pub(crate) fn side_slots_for_patterns(&self, patterns: &[String]) -> Vec<u32> {
-        if self.side.vocab.is_empty() {
-            return Vec::new();
+    /// The width shards are tiled with.
+    pub(crate) fn shard_width(&self) -> u32 {
+        if self.shard_rows == 0 {
+            SHARD_ROWS
+        } else {
+            self.shard_rows
         }
-        let mut slots = Vec::new();
-        for p in patterns {
-            let Some(re) = self.compiled(p) else { continue };
-            slots.extend(matching_slots_in(&self.side.vocab, &re));
-        }
-        slots.sort_unstable();
-        slots.dedup();
-        slots
+    }
+
+    /// The vocabulary slot holding `value`, if any.
+    fn slot_of(&self, value: &str) -> Option<usize> {
+        self.vocab.binary_search_by(|v| (**v).cmp(value)).ok()
     }
 
     /// Compressed-postings memory accounting for E5 and `/metrics`.
@@ -581,10 +478,11 @@ impl CodeIndex {
     ///
     /// Panics unless the vocabulary is strictly sorted (sorted *and*
     /// deduplicated — what binary search and the prefix walk assume),
-    /// shards partition `0..rows` in fixed-width blocks with one postings
-    /// list per vocabulary slot, every posting bitmap honours its own
-    /// container invariants ([`Bitmap::debug_validate`]) inside the
-    /// shard's row range, the per-slot counts match the shard totals, and
+    /// shards tile `0..rows` exactly in blocks of the index's width (the
+    /// last one possibly narrower) with one postings list per vocabulary
+    /// slot, every posting bitmap honours its own container invariants
+    /// ([`Bitmap::debug_validate`]) inside the shard's row range, the
+    /// per-slot counts match the shard totals and none is 0, and
     /// `collection` (the one this index describes, or a successor that
     /// grew) holds every row the index covers.
     #[cfg(debug_assertions)]
@@ -607,7 +505,11 @@ impl CodeIndex {
         let mut totals = vec![0u64; self.vocab.len()];
         for shard in &self.shards {
             assert_eq!(shard.base, next_base, "index: shards must tile 0..rows");
-            assert!(shard.rows > 0 && shard.rows <= SHARD_ROWS, "index: bad shard width");
+            assert!(shard.rows > 0 && shard.rows <= self.shard_width(), "index: bad shard width");
+            assert!(
+                shard.rows == self.shard_width() || shard.base + shard.rows == self.rows,
+                "index: a narrow shard before the last"
+            );
             next_base += shard.rows;
             assert_eq!(
                 shard.postings.len(),
@@ -626,7 +528,7 @@ impl CodeIndex {
                 }
             }
         }
-        assert!(next_base <= self.rows, "index: shards cover more rows than exist");
+        assert_eq!(next_base, self.rows, "index: shards must cover every row");
         for (slot, &total) in totals.iter().enumerate() {
             assert_eq!(
                 // lint:allow(no-panic-hot-path) counts and totals share vocab length
@@ -634,41 +536,7 @@ impl CodeIndex {
                 total,
                 "index: cached count != shard totals at slot {slot}"
             );
-        }
-        // Side-index twin: rows beyond the shards exist only while dirty.
-        for p in next_base..self.rows {
-            assert!(
-                self.side.dirty.binary_search(&p).is_ok(),
-                "index: appended row {p} is covered by neither shards nor side-index"
-            );
-        }
-        for w in self.side.dirty.windows(2) {
-            // lint:allow(no-panic-hot-path) windows(2) yields exactly two elements
-            assert!(w[0] < w[1], "index: side dirty set out of order at {w:?}");
-        }
-        if let Some(&last) = self.side.dirty.last() {
-            assert!(last < self.rows, "index: dirty position {last} beyond rows {}", self.rows);
-        }
-        assert_eq!(
-            self.side.postings.len(),
-            self.side.vocab.len(),
-            "index: side postings and side vocabulary differ in length"
-        );
-        for (a, b) in self.side.vocab.iter().zip(self.side.vocab.iter().skip(1)) {
-            assert!(a < b, "index: side vocabulary out of order or duplicated at {a:?} / {b:?}");
-        }
-        for (slot, list) in self.side.postings.iter().enumerate() {
-            assert!(!list.is_empty(), "index: side slot {slot} posts nothing");
-            for w in list.windows(2) {
-                // lint:allow(no-panic-hot-path) windows(2) yields exactly two elements
-                assert!(w[0] < w[1], "index: side postings out of order at slot {slot}");
-            }
-            for &p in list {
-                assert!(
-                    self.side.dirty.binary_search(&p).is_ok(),
-                    "index: side slot {slot} posts clean row {p}"
-                );
-            }
+            assert!(total > 0, "index: slot {slot} posts nothing");
         }
     }
 
@@ -682,7 +550,32 @@ impl CodeIndex {
     /// is one binary search, a prefix pattern walks only its contiguous
     /// run. Returned ascending (and therefore unique).
     pub(crate) fn matching_slots(&self, re: &Regex) -> Vec<u32> {
-        matching_slots_in(&self.vocab, re)
+        let info = re.prefix_info();
+        if info.exact {
+            // lint:allow(no-silent-truncation) vocabulary slots fit u32
+            return self.slot_of(&info.prefix).map(|i| i as u32).into_iter().collect();
+        }
+        let mut out = Vec::new();
+        if info.prefix.is_empty() {
+            for (slot, value) in self.vocab.iter().enumerate() {
+                if re.is_full_match(value) {
+                    out.push(slot as u32);
+                }
+            }
+        } else {
+            let prefix = info.prefix.as_str();
+            let start = self.vocab.partition_point(|v| v.as_ref() < prefix);
+            // lint:allow(no-panic-hot-path) partition_point returns start <= len
+            for (slot, value) in self.vocab[start..].iter().enumerate() {
+                if !value.starts_with(prefix) {
+                    break;
+                }
+                if re.is_full_match(value) {
+                    out.push((start + slot) as u32);
+                }
+            }
+        }
+        out
     }
 
     /// Union the postings of `slots` into one global bitmap: shard-local
@@ -774,43 +667,6 @@ impl CodeIndex {
     }
 }
 
-/// Slots of a sorted, deduplicated vocabulary whose value fully matches
-/// the regex — the shared probe behind the main vocabulary and the
-/// side-index's. An exact literal is one binary search; a prefix
-/// pattern walks only its contiguous run. Returned ascending.
-fn matching_slots_in(vocab: &[Box<str>], re: &Regex) -> Vec<u32> {
-    let info = re.prefix_info();
-    if info.exact {
-        return vocab
-            .binary_search_by(|v| v.as_ref().cmp(info.prefix.as_str()))
-            .ok()
-            // lint:allow(no-silent-truncation) vocabulary slots fit u32
-            .map(|i| i as u32)
-            .into_iter()
-            .collect();
-    }
-    let mut out = Vec::new();
-    if info.prefix.is_empty() {
-        for (slot, value) in vocab.iter().enumerate() {
-            if re.is_full_match(value) {
-                out.push(slot as u32);
-            }
-        }
-    } else {
-        let prefix = info.prefix.as_str();
-        let start = vocab.partition_point(|v| v.as_ref() < prefix);
-        // lint:allow(no-panic-hot-path) partition_point returns start <= len
-        for (slot, value) in vocab[start..].iter().enumerate() {
-            if !value.starts_with(prefix) {
-                break;
-            }
-            if re.is_full_match(value) {
-                out.push((start + slot) as u32);
-            }
-        }
-    }
-    out
-}
 
 /// The naive path: evaluate the query against every history (chunked
 /// across threads, order-preserving).
@@ -864,10 +720,18 @@ mod tests {
         assert!(!got.is_empty(), "most patients lack diabetes");
     }
 
+    /// The estimate bounds both the fetch and the selection, on an index
+    /// a delta gave a brand-new patient with a code nobody else holds.
     #[test]
     fn estimated_candidates_bounds_the_fetch() {
-        let c = collection();
-        let idx = CodeIndex::build(&c);
+        let mut c = collection();
+        let existing = *c.histories()[3].patient();
+        let built = CodeIndex::build(&c);
+        let idx = apply_delta(
+            &mut c,
+            &built,
+            vec![(existing, vec![diag(2016, "T90")]), (new_patient(1), vec![diag(2015, "Z99")])],
+        );
         for patterns in [
             vec!["T90".to_owned()],
             vec!["K.*".to_owned()],
@@ -878,7 +742,13 @@ mod tests {
             let est = idx.estimated_candidates(&patterns);
             let got = idx.candidates_for_patterns(&patterns).unwrap();
             assert!(est >= got.len(), "estimate {est} < fetched {} for {patterns:?}", got.len());
+            let q = HistoryQuery::Or(
+                patterns.iter().map(|p| QueryBuilder::new().has_code(p).unwrap().build()).collect(),
+            );
+            let selected = idx.select(&c, &q).len();
+            assert!(est >= selected, "estimate {est} < selected {selected} for {patterns:?}");
         }
+        assert_eq!(idx.estimated_candidates(&["Z99".to_owned()]), 1, "the new patient counts");
     }
 
     #[test]
@@ -1030,7 +900,7 @@ mod tests {
         assert_eq!(cache.len(), 2, "both patterns cached after first call");
     }
 
-    // -- streaming: with_delta / compact ----------------------------------
+    // -- streaming: with_delta --------------------------------------------
 
     use pastas_codes::Code;
     use pastas_model::{Entry, History, OpenEpoch, Patient, PatientId, Payload, Sex, SourceKind};
@@ -1068,6 +938,14 @@ mod tests {
         idx.with_delta(c, &dirty)
     }
 
+    /// The maintained index is structurally the one a fresh build gives.
+    fn assert_fresh(idx: &CodeIndex, c: &HistoryCollection) {
+        idx.debug_validate(c);
+        let fresh = CodeIndex::build_with_shard_rows(c, idx.shard_width());
+        assert_eq!(idx.parts(), fresh.parts());
+        assert_eq!(idx.rows, fresh.rows, "rows");
+    }
+
     fn streaming_queries() -> Vec<HistoryQuery> {
         vec![
             QueryBuilder::new().has_code("T90").unwrap().build(),
@@ -1101,11 +979,8 @@ mod tests {
                 (new_patient(2), Vec::new()),
             ],
         );
-        idx2.debug_validate(&c);
         assert_eq!(idx2.rows(), c.len() as u32);
-        assert_eq!(idx2.side_rows(), 4);
-        assert!(idx2.side_postings_total() > 0);
-        assert!(!idx2.side_is_empty());
+        assert_fresh(&idx2, &c);
         for q in streaming_queries() {
             assert_eq!(idx2.select(&c, &q), select_scan(&c, &q), "query {q:?}");
         }
@@ -1113,49 +988,33 @@ mod tests {
         idx.debug_validate(&c);
     }
 
+    /// A delta into one shard copies only the postings its row joins: the
+    /// other shards, and the touched shard's other postings, are the
+    /// predecessor's. A row re-registered with the same entries copies
+    /// nothing, and the `compact` shim shares every shard.
     #[test]
-    fn compact_folds_side_postings_and_matches_a_fresh_build() {
-        let mut c = collection();
-        let idx = CodeIndex::build(&c);
-        let existing = *c.histories()[0].patient();
-        let idx2 = apply_delta(
-            &mut c,
-            &idx,
-            vec![
-                (existing, vec![diag(2016, "Z98")]),
-                (new_patient(1), vec![diag(2015, "Z99")]),
-            ],
-        );
-        let compacted = idx2.compact();
-        compacted.debug_validate(&c);
-        assert!(compacted.side_is_empty());
-        assert_eq!(compacted.rows(), c.len() as u32);
-        let fresh = CodeIndex::build(&c);
-        assert_eq!(compacted.vocab, fresh.vocab, "merged vocabulary = fresh vocabulary");
-        assert_eq!(compacted.counts, fresh.counts, "merged counts = fresh counts");
-        for q in streaming_queries() {
-            assert_eq!(compacted.select(&c, &q), select_scan(&c, &q), "query {q:?}");
-        }
-        // Compacting a fully-compacted index is a cheap shared clone.
-        let again = compacted.compact();
-        assert!(again.side_is_empty());
-        for (a, b) in again.shards.iter().zip(compacted.shards.iter()) {
-            assert!(Arc::ptr_eq(a, b), "no-op compaction shares every shard");
-        }
-    }
-
-    #[test]
-    fn compact_shares_untouched_shards_when_vocabulary_is_stable() {
+    fn with_delta_copies_only_the_touched_postings() {
         let mut c = large_collection();
         let idx = CodeIndex::build_with_shard_rows(&c, 256);
         assert!(idx.shards.len() > 3, "want several shards, got {}", idx.shards.len());
-        // Touch one patient in shard 1 with a code value the vocabulary
-        // already holds — no re-layout, untouched shards stay shared.
+        // A value the vocabulary holds and row 300 (shard 1) does not.
+        let held: Vec<&str> =
+            c.histories()[300].entries().iter().filter_map(|e| e.code()).map(|c| c.value.as_str()).collect();
+        let slot = (0..idx.vocab.len()).find(|&s| !held.contains(&&*idx.vocab[s])).unwrap();
+        let value = idx.vocab[slot].to_string();
         let existing = *c.histories()[300].patient();
-        let idx2 = apply_delta(&mut c, &idx, vec![(existing, vec![diag(2016, "T90")])]);
-        // And re-register one in shard 2 with other demographics and the
-        // same entries: its side postings (its whole code set) rebuild
-        // shard 2 although no posting changes.
+        let idx2 = apply_delta(&mut c, &idx, vec![(existing, vec![diag(2016, &value)])]);
+        assert_fresh(&idx2, &c);
+        for s in [0, 2, 3] {
+            assert!(Arc::ptr_eq(&idx2.shards[s], &idx.shards[s]), "shard {s} untouched");
+        }
+        let (old, new) = (&idx.shards[1].postings, &idx2.shards[1].postings);
+        for s in 0..idx.vocab.len() {
+            assert_eq!(Arc::ptr_eq(&old[s], &new[s]), s != slot, "slot {s}");
+        }
+        assert_eq!(idx2.posting_bytes_copied_from(&idx), new[slot].heap_bytes());
+        assert_eq!(idx2.counts[slot], idx.counts[slot] + 1);
+        // Row 600 re-registered with other demographics, same entries.
         let was = Arc::clone(&c.histories()[600]);
         let mut reborn = History::new(Patient {
             birth_date: Date::new(1901, 2, 28).unwrap(),
@@ -1163,24 +1022,21 @@ mod tests {
             ..*was.patient()
         });
         reborn.insert_all(was.entries().iter().map(|e| e.to_entry()));
-        assert_eq!(reborn.len(), was.len());
         c.upsert(reborn);
-        let idx2 = idx2.with_delta(&c, &[600]);
-        idx2.debug_validate(&c);
-        let compacted = idx2.compact();
-        compacted.debug_validate(&c);
-        assert!(Arc::ptr_eq(&compacted.shards[0], &idx.shards[0]), "shard 0 untouched");
-        assert!(!Arc::ptr_eq(&compacted.shards[1], &idx.shards[1]), "shard 1 rebuilt");
-        assert!(!Arc::ptr_eq(&compacted.shards[2], &idx.shards[2]), "shard 2 rebuilt");
-        assert!(Arc::ptr_eq(&compacted.shards[3], &idx.shards[3]), "shard 3 untouched");
+        let idx3 = idx2.with_delta(&c, &[600]);
+        assert_fresh(&idx3, &c);
+        assert!(idx3.shards.iter().zip(&idx2.shards).all(|(a, b)| Arc::ptr_eq(a, b)));
+        assert_eq!(idx3.posting_bytes_copied_from(&idx2), 0);
+        let shim = idx3.compact();
+        assert!(shim.shards.iter().zip(&idx3.shards).all(|(a, b)| Arc::ptr_eq(a, b)));
         for q in streaming_queries() {
-            assert_eq!(compacted.select(&c, &q), select_scan(&c, &q), "query {q:?}");
+            assert_eq!(idx3.select(&c, &q), select_scan(&c, &q), "query {q:?}");
         }
     }
 
     /// A row inside a shard re-registered with another birth date and
-    /// sex: the side pass and, after compaction, the shard pass read the
-    /// collection's demographic columns, and both agree with the scan.
+    /// sex: the plan reads the collection's demographic columns, so it
+    /// agrees with the scan although no posting changed.
     #[test]
     fn a_re_registered_row_answers_demographic_leaves_from_the_collection() {
         let mut c = large_collection();
@@ -1205,106 +1061,16 @@ mod tests {
         reborn.insert_all(was.entries().iter().map(|e| e.to_entry()));
         c.upsert(reborn);
         let idx2 = idx.with_delta(&c, &[300]);
-        idx2.debug_validate(&c);
-        let compacted = idx2.compact();
-        compacted.debug_validate(&c);
-        assert!(compacted.side_is_empty());
+        assert_fresh(&idx2, &c);
         for q in &queries {
-            let scan = select_scan(&c, q);
-            assert_eq!(idx2.select(&c, q), scan, "side pass, {q:?}");
-            assert_eq!(compacted.select(&c, q), scan, "shard pass, {q:?}");
+            assert_eq!(idx2.select(&c, q), select_scan(&c, q), "{q:?}");
         }
-        assert!(compacted.select(&c, &queries[0]).contains(&300));
-        assert!(compacted.select(&c, &queries[1]).contains(&300));
+        assert!(idx2.select(&c, &queries[0]).contains(&300));
+        assert!(idx2.select(&c, &queries[1]).contains(&300));
     }
 
     #[test]
-    fn repeated_deltas_accumulate_dirty_rows_until_one_compaction() {
-        let mut c = collection();
-        let mut idx = CodeIndex::build(&c);
-        for round in 0..3u64 {
-            let existing = *c.histories()[round as usize].patient();
-            idx = apply_delta(
-                &mut c,
-                &idx,
-                vec![
-                    (existing, vec![diag(2016, "Z98")]),
-                    (new_patient(round), vec![diag(2015, "T90")]),
-                ],
-            );
-            idx.debug_validate(&c);
-            assert_eq!(idx.side_rows(), 2 * (round as usize + 1));
-            for q in streaming_queries() {
-                assert_eq!(idx.select(&c, &q), select_scan(&c, &q), "round {round} {q:?}");
-            }
-        }
-        let compacted = idx.compact();
-        compacted.debug_validate(&c);
-        assert!(compacted.side_is_empty());
-        for q in streaming_queries() {
-            assert_eq!(compacted.select(&c, &q), select_scan(&c, &q), "query {q:?}");
-        }
-    }
-
-    /// The side-index rebuilt from every dirty history: what `with_delta`
-    /// did per batch before it carried the side postings over.
-    fn side_from_scratch(c: &HistoryCollection, dirty: &[u32]) -> SideIndex {
-        let mut posted: Vec<(&str, u32)> = Vec::new();
-        for &p in dirty {
-            for e in c.histories()[p as usize].entries() {
-                if let Some(code) = e.code() {
-                    posted.push((code.value.as_str(), p));
-                }
-            }
-        }
-        posted.sort_unstable();
-        posted.dedup();
-        let mut side = SideIndex { dirty: dirty.to_vec(), ..SideIndex::default() };
-        for (value, p) in posted {
-            if side.vocab.last().map(|v| &**v) != Some(value) {
-                side.vocab.push(Box::from(value));
-                side.postings.push(Vec::new());
-            }
-            side.postings.last_mut().unwrap().push(p);
-        }
-        side
-    }
-
-    #[test]
-    fn carried_over_side_postings_equal_a_rebuild_from_the_dirty_histories() {
-        let mut c = collection();
-        let mut idx = CodeIndex::build(&c);
-        let again = *c.histories()[5].patient();
-        for round in 0..4u64 {
-            // One row dirtied in every round, one fresh row, one appended.
-            let fresh = *c.histories()[round as usize].patient();
-            idx = apply_delta(
-                &mut c,
-                &idx,
-                vec![
-                    (again, vec![diag(2010 + round as i32, ["Z98", "T90", "Q01", "Z98"][round as usize])]),
-                    (fresh, vec![diag(2016, "K74")]),
-                    (new_patient(round), vec![diag(2015, "A00")]),
-                ],
-            );
-            idx.debug_validate(&c);
-            assert_eq!(idx.side, side_from_scratch(&c, idx.side_dirty()), "round {round}");
-        }
-        // A dirty row replaced by a shorter history gives its values up,
-        // and the one value only it held leaves the side vocabulary.
-        assert!(idx.side.vocab.iter().any(|v| &**v == "Q01"));
-        let at = c.position_of(again.id).unwrap() as u32;
-        let mut shorter = pastas_model::History::new(again);
-        shorter.insert(diag(2016, "T90"));
-        c.upsert(shorter);
-        idx = idx.with_delta(&c, &[at]);
-        idx.debug_validate(&c);
-        assert_eq!(idx.side, side_from_scratch(&c, idx.side_dirty()));
-        assert!(!idx.side.vocab.iter().any(|v| &**v == "Q01"));
-    }
-
-    #[test]
-    fn delta_onto_an_empty_collection_grows_shards_at_compaction() {
+    fn delta_onto_an_empty_collection_opens_shards() {
         let mut c = HistoryCollection::new();
         let idx = CodeIndex::build(&c);
         let idx2 = apply_delta(
@@ -1315,13 +1081,9 @@ mod tests {
                 (new_patient(2), vec![diag(2016, "K74")]),
             ],
         );
-        idx2.debug_validate(&c);
-        assert_eq!(idx2.shards.len(), 0, "no main shards yet");
+        assert_eq!(idx2.shards.len(), 1);
+        assert_fresh(&idx2, &c);
         let q = QueryBuilder::new().has_code("T90").unwrap().build();
         assert_eq!(idx2.select(&c, &q), select_scan(&c, &q));
-        let compacted = idx2.compact();
-        compacted.debug_validate(&c);
-        assert_eq!(compacted.shards.len(), 1);
-        assert_eq!(compacted.select(&c, &q), select_scan(&c, &q));
     }
 }

@@ -49,16 +49,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 const PAR_MIN_CANDIDATES: usize = 256;
 
 // ---------------------------------------------------------------------------
-// Sorted-vec merges (side-index execution + bitmap test oracle)
+// Sorted-vec merges (bitmap test oracle)
 // ---------------------------------------------------------------------------
 
 /// Merge-based set algebra over sorted, deduplicated `u32` postings.
-/// Production set operations over the *main* shards run on
-/// [`crate::bitmap::Bitmap`]'s compressed containers; these linear
-/// merges serve two roles: the execution engine of the side-index
-/// residual pass (`exec_side` — dirty sets are small, so sorted vecs
-/// beat container overhead), and the independent oracle the bitmap's
-/// differential tests (unit and property) compare against.
+/// Production set operations run on [`crate::bitmap::Bitmap`]'s
+/// compressed containers; these linear merges are the independent oracle
+/// the bitmap's differential tests (unit and property) compare against.
+#[cfg(test)]
 pub(crate) mod reference {
     /// `a ∩ b` of two strictly ascending lists.
     pub(crate) fn intersect2(a: &[u32], b: &[u32]) -> Vec<u32> {
@@ -116,7 +114,6 @@ pub(crate) mod reference {
     }
 
     /// `U \ a` where the universe is `0..rows`, `a` strictly ascending.
-    #[cfg(test)]
     pub(crate) fn complement(a: &[u32], rows: u32) -> Vec<u32> {
         let mut out = Vec::with_capacity((rows as usize).saturating_sub(a.len()));
         let mut next = 0u32;
@@ -125,21 +122,6 @@ pub(crate) mod reference {
             next = x.saturating_add(1);
         }
         out.extend(next..rows);
-        out
-    }
-
-    /// `a \ b` of two strictly ascending lists.
-    pub(crate) fn difference(a: &[u32], b: &[u32]) -> Vec<u32> {
-        let mut out = Vec::with_capacity(a.len());
-        let mut j = 0;
-        for &x in a {
-            while b.get(j).is_some_and(|&y| y < x) {
-                j += 1;
-            }
-            if b.get(j) != Some(&x) {
-                out.push(x);
-            }
-        }
         out
     }
 }
@@ -459,31 +441,6 @@ impl QueryPlan {
                 _ => {}
             }
         }
-        // Side-index residual pass (LSM read path). Dirty rows' main-pass
-        // answers are stale (their histories changed after the shards were
-        // built) and appended rows are outside the shard tiling entirely,
-        // so: final = (main \ dirty) ∪ side-eval(plan over dirty universe).
-        if !index.side_is_empty() {
-            // explain timing annotation only, results unaffected
-            let t0 = trace.then(std::time::Instant::now);
-            let side = exec_side(&lowered, collection, index, &counters);
-            let side_rows = side.len();
-            positions =
-                reference::union2(&reference::difference(&positions, index.side_dirty()), &side);
-            if let Some(root) = &mut explain {
-                root.rows = positions.len();
-                root.children.push(ExplainNode {
-                    op: "SidePass".to_owned(),
-                    detail: format!("dirty={}", index.side_dirty().len()),
-                    rows: side_rows,
-                    elapsed_us: t0
-                        .map(|t| u64::try_from(t.elapsed().as_micros()).unwrap_or(u64::MAX))
-                        .unwrap_or(0),
-                    counters: Vec::new(),
-                    children: Vec::new(),
-                });
-            }
-        }
         let stats = ExecStats {
             pattern_candidates: counters.candidates.load(Ordering::Relaxed),
             pattern_automaton_runs: counters.runs.load(Ordering::Relaxed),
@@ -765,16 +722,10 @@ struct ExecNode<'q> {
 enum ExecKind<'q> {
     AllRows,
     Empty,
-    /// Union of the postings of these vocabulary slots (sorted, unique):
-    /// main-index slots for the shard pass, side-index slots for the
-    /// dirty-row residual pass.
-    Fetch {
-        slots: Vec<u32>,
-        side_slots: Vec<u32>,
-    },
+    /// Union of the postings of these vocabulary slots (sorted, unique).
+    Fetch(Vec<u32>),
     /// A demographic leaf bound to its test of the collection's
-    /// demographic columns, which the shard pass and the dirty-row pass
-    /// both read.
+    /// demographic columns.
     Column(ColumnTest),
     Complement(Box<ExecNode<'q>>),
     Intersect(Vec<ExecNode<'q>>),
@@ -840,17 +791,6 @@ impl ColumnTest {
             ColumnTest::Nobody => Bitmap::new(),
         }
     }
-
-    /// Whether row `row` passes.
-    fn keeps(&self, columns: &RowColumns, row: usize) -> bool {
-        match *self {
-            // lint:allow(no-panic-hot-path) rows index the collection the index describes
-            ColumnTest::Born { first, last } => (first..=last).contains(&columns.births()[row]),
-            // lint:allow(no-panic-hot-path) rows index the collection the index describes
-            ColumnTest::Sex(sex) => columns.sexes()[row] == sex,
-            ColumnTest::Nobody => false,
-        }
-    }
 }
 
 /// Cross-shard tallies of PatternScan work. Atomics because the shard
@@ -862,8 +802,8 @@ struct PatternCounters {
     runs: AtomicU64,
 }
 
-/// Aggregate execution statistics of one plan run, summed across shards
-/// and the side pass. Zero for plans without temporal patterns.
+/// Aggregate execution statistics of one plan run, summed across
+/// shards. Zero for plans without temporal patterns.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Histories that survived the index prefilter and were handed to a
@@ -882,10 +822,9 @@ fn lower<'q>(node: &'q PlanNode, index: &CodeIndex, trace: bool) -> ExecNode<'q>
     let kind = match node {
         PlanNode::AllRows => ExecKind::AllRows,
         PlanNode::Empty => ExecKind::Empty,
-        PlanNode::IndexFetch { patterns } => ExecKind::Fetch {
-            slots: index.slots_for_patterns(patterns).unwrap_or_default(),
-            side_slots: index.side_slots_for_patterns(patterns),
-        },
+        PlanNode::IndexFetch { patterns } => {
+            ExecKind::Fetch(index.slots_for_patterns(patterns).unwrap_or_default())
+        }
         PlanNode::ColumnFetch { query } => ExecKind::Column(ColumnTest::bind(query)),
         PlanNode::Complement(c) => ExecKind::Complement(Box::new(lower(c, index, trace))),
         PlanNode::Intersect(cs) => {
@@ -938,7 +877,7 @@ fn exec_shard(
     let out = match &node.kind {
         ExecKind::AllRows => Bitmap::full(shard.rows),
         ExecKind::Empty => Bitmap::new(),
-        ExecKind::Fetch { slots, .. } => shard.union_slots(slots),
+        ExecKind::Fetch(slots) => shard.union_slots(slots),
         ExecKind::Column(test) => {
             let start = shard.base as usize;
             test.rows(collection.rows(), start..start + shard.rows as usize)
@@ -1014,80 +953,6 @@ fn exec_shard(
         children,
     });
     (out, explain)
-}
-
-/// Evaluate a lowered tree over the side-index's dirty-row universe.
-///
-/// Mirrors [`exec_shard`] but on *global* positions with sorted-vec
-/// merges ([`reference`]) — dirty sets are small, so linear merges beat
-/// container overhead. The universe of every operator is the dirty set
-/// itself; this is sound because clean rows' histories are unchanged
-/// since the main shards were built (the main pass already answered
-/// them exactly), and every appended row beyond the main tiling is
-/// dirty by construction.
-fn exec_side(
-    node: &ExecNode<'_>,
-    collection: &HistoryCollection,
-    index: &CodeIndex,
-    counters: &PatternCounters,
-) -> Vec<u32> {
-    let dirty = index.side_dirty();
-    match &node.kind {
-        ExecKind::AllRows => dirty.to_vec(),
-        ExecKind::Empty => Vec::new(),
-        ExecKind::Fetch { side_slots, .. } => {
-            let mut acc: Vec<u32> = Vec::new();
-            for &slot in side_slots {
-                acc = reference::union2(&acc, index.side_postings(slot));
-            }
-            acc
-        }
-        // The same column the shard pass reads, at the dirty rows.
-        ExecKind::Column(test) => {
-            let columns = collection.rows();
-            dirty.iter().copied().filter(|&p| test.keeps(columns, p as usize)).collect()
-        }
-        ExecKind::Complement(c) => {
-            reference::difference(dirty, &exec_side(c, collection, index, counters))
-        }
-        ExecKind::Intersect(cs) => {
-            let mut acc: Option<Vec<u32>> = None;
-            for c in cs {
-                if acc.as_ref().is_some_and(|a| a.is_empty()) {
-                    break; // ∩ with ∅ stays ∅ — skip remaining children.
-                }
-                let set = exec_side(c, collection, index, counters);
-                acc = Some(match acc {
-                    Some(prev) => reference::intersect2(&prev, &set),
-                    None => set,
-                });
-            }
-            acc.unwrap_or_default()
-        }
-        ExecKind::Union(cs) => {
-            let mut acc = Vec::new();
-            for c in cs {
-                acc = reference::union2(&acc, &exec_side(c, collection, index, counters));
-            }
-            acc
-        }
-        ExecKind::Verify { query, input, pattern } => {
-            let mut candidates = match input {
-                Some(input) => exec_side(input, collection, index, counters),
-                None => dirty.to_vec(),
-            };
-            if *pattern {
-                let n = candidates.len() as u64;
-                counters.candidates.fetch_add(n, Ordering::Relaxed);
-                counters.runs.fetch_add(n, Ordering::Relaxed);
-            }
-            let histories = collection.histories();
-            let mut bound = BoundQuery::new(query);
-            // lint:allow(no-panic-hot-path) dirty positions are < rows by the index invariant
-            candidates.retain(|&p| bound.matches(&histories[p as usize]));
-            candidates
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1353,7 +1218,7 @@ mod tests {
     /// date from 122 years before the reference date to two years after it
     /// — so every birthday boundary ±1 day, 29 February births and
     /// reference dates included — through the same day-number column and
-    /// dense pass the shards and the side pass read.
+    /// dense pass the shards read.
     #[test]
     fn bound_birth_interval_agrees_with_age_at_on_every_day() {
         use pastas_model::{Patient, PatientId};
@@ -1385,9 +1250,6 @@ mod tests {
                     .filter(|&i| (min..=max).contains(&ages[i as usize]))
                     .collect();
                 assert_eq!(got, want, "age({min}..{max}) at {at}");
-                let kept: Vec<u32> =
-                    (0..c.len() as u32).filter(|&i| test.keeps(c.rows(), i as usize)).collect();
-                assert_eq!(kept, want, "side pass, age({min}..{max}) at {at}");
             }
         }
     }
@@ -1469,11 +1331,11 @@ mod tests {
         assert_eq!(escaped("plain"), "\"plain\"");
     }
 
-    // -- side-index residual pass -----------------------------------------
+    // -- plans over a patched index -----------------------------------------
 
     /// Mutate one existing patient and append one, returning the
-    /// successor index with a populated side-index.
-    fn setup_with_side(n: usize) -> (pastas_model::HistoryCollection, CodeIndex) {
+    /// successor index `with_delta` patched.
+    fn setup_with_delta(n: usize) -> (pastas_model::HistoryCollection, CodeIndex) {
         use pastas_codes::Code;
         use pastas_model::{Entry, OpenEpoch, Patient, PatientId, Payload, Sex, SourceKind};
         let mut c = generate_collection(SynthConfig::with_patients(n), 71);
@@ -1502,9 +1364,8 @@ mod tests {
     }
 
     #[test]
-    fn every_plan_shape_agrees_with_scan_mid_compaction() {
-        let (c, idx) = setup_with_side(400);
-        assert!(!idx.side_is_empty());
+    fn every_plan_shape_agrees_with_scan_after_a_delta() {
+        let (c, idx) = setup_with_delta(400);
         let queries = [
             QueryBuilder::new().has_code("T90").unwrap().build(),
             QueryBuilder::new().lacks_code("T90").unwrap().build(),
@@ -1532,21 +1393,8 @@ mod tests {
     }
 
     #[test]
-    fn explain_reports_the_side_pass_and_final_counts() {
-        let (c, idx) = setup_with_side(400);
-        let q = QueryBuilder::new().has_code("T90").unwrap().lacks_code("K74").unwrap().build();
-        let plan = QueryPlan::build(&idx, &c, &q);
-        let (positions, explain) = plan.execute_explain(&c, &idx);
-        assert_eq!(explain.root.rows, positions.len(), "root counts the final union");
-        let text = explain.render_text();
-        assert!(text.contains("SidePass"), "{text}");
-        assert!(text.contains("dirty=2"), "{text}");
-        assert!(pastas_ingest::json::Json::parse(&explain.render_json()).is_ok());
-    }
-
-    #[test]
-    fn side_pass_is_deterministic_across_thread_counts() {
-        let (c, idx) = setup_with_side(1500);
+    fn delta_plans_are_deterministic_across_thread_counts() {
+        let (c, idx) = setup_with_delta(1500);
         let q = QueryBuilder::new()
             .has_code("[KT].*")
             .unwrap()
@@ -1561,15 +1409,6 @@ mod tests {
             assert_eq!(par, serial, "threads {threads}");
         }
         assert_eq!(serial, select_scan(&c, &q));
-    }
-
-    #[test]
-    fn reference_difference_subtracts() {
-        use reference::difference;
-        assert_eq!(difference(&[1, 3, 5, 9], &[3, 9, 12]), vec![1, 5]);
-        assert_eq!(difference(&[1, 2], &[]), vec![1, 2]);
-        assert_eq!(difference(&[], &[1]), Vec::<u32>::new());
-        assert_eq!(difference(&[4, 7], &[1, 4, 7]), Vec::<u32>::new());
     }
 
     // -- temporal-pattern prefilter ----------------------------------------
@@ -1676,9 +1515,8 @@ mod tests {
     }
 
     #[test]
-    fn pattern_plans_agree_with_scan_mid_compaction() {
-        let (c, idx) = setup_with_side(400);
-        assert!(!idx.side_is_empty());
+    fn pattern_plans_agree_with_scan_after_a_delta() {
+        let (c, idx) = setup_with_delta(400);
         let queries = [
             HistoryQuery::Pattern(
                 TemporalPattern::starting_with(cp("T90"))

@@ -432,12 +432,15 @@ proptest! {
         }
     }
 
-    /// Streaming differential: a random interleaving of delta appends
-    /// (mutating existing patients and appending new ones), compactions,
-    /// and queries must answer every query exactly like the naive oracle
-    /// — a scan of the current collection, which by construction holds
-    /// all events applied so far — and, after a final compaction, must
-    /// converge to the same index a from-scratch rebuild produces.
+    /// Streaming differential: after every step of a random sequence of
+    /// deltas the patched index equals a fresh build of the collection
+    /// (vocabulary, counts and every shard's postings), and answers every
+    /// query like the scan. The steps are delta batches (mutating
+    /// existing patients and appending new ones), a row replaced by a
+    /// shorter history (so it leaves postings, and a value only it held
+    /// leaves the vocabulary), a code value the collection has never
+    /// held, and enough appended patients to fill the last shard and open
+    /// a new one. Run at 1 and 4 worker threads.
     #[test]
     fn streaming_interleavings_agree_with_rebuild_oracle(
         op_seed in 0u64..u64::MAX,
@@ -445,73 +448,111 @@ proptest! {
         ast_seed in 0u64..u64::MAX,
     ) {
         use pastas_codes::Code;
-        use pastas_model::{Entry, OpenEpoch, Patient, PatientId, Payload, SourceKind};
+        use pastas_model::{Entry, History, OpenEpoch, Patient, PatientId, Payload, SourceKind};
         const CODES: [&str; 6] = ["T90", "K74", "K86", "Z98", "A01", "E10"];
-        let mut c = generate_collection(
-            SynthConfig { shard_patients: 64, ..SynthConfig::with_patients(150) },
-            collection_seed,
-        );
-        let mut idx = CodeIndex::build_with_shard_rows(&c, 64);
-        let mut rng = Rng(op_seed);
-        let mut next_new = 0u64;
-        for step in 0..6u64 {
-            if rng.below(4) < 3 {
-                // Delta batch: 1–3 per-patient appends, mixing existing
-                // patients (history mutation) with brand-new ones.
-                let mut epoch = OpenEpoch::new();
-                for _ in 0..(1 + rng.below(3)) {
-                    let patient = if rng.below(2) == 0 {
-                        *c.histories()[rng.below(c.len() as u64) as usize].patient()
-                    } else {
-                        next_new += 1;
-                        // Birthdays on both sides of the reference
-                        // dates' month and day, leap day included.
-                        let (m, d) = [(1, 1), (2, 29), (6, 15), (12, 31)][rng.below(4) as usize];
-                        Patient {
-                            id: PatientId(5_000_000 + next_new),
-                            birth_date: Date::new(1920 + 4 * rng.below(24) as i32, m, d)
-                                .expect("valid date"),
-                            sex: if rng.below(2) == 0 { Sex::Female } else { Sex::Male },
+        const WIDTH: u32 = 64;
+        let entry = |code: &str, rng: &mut Rng| {
+            let y = 2010 + rng.below(7) as i32;
+            let m = 1 + rng.below(12) as u32;
+            Entry::event(
+                Date::new(y, m, 1).expect("valid date").at_midnight(),
+                Payload::Diagnosis(Code::icpc(code)),
+                SourceKind::PrimaryCare,
+            )
+        };
+        for threads in [1usize, 4] {
+            pastas_par::with_threads(threads, || -> Result<(), TestCaseError> {
+                let mut c = generate_collection(
+                    SynthConfig { shard_patients: 64, ..SynthConfig::with_patients(150) },
+                    collection_seed,
+                );
+                let mut idx = CodeIndex::build_with_shard_rows(&c, WIDTH);
+                let mut rng = Rng(op_seed);
+                let mut next_new = 0u64;
+                let mut new_patient = |rng: &mut Rng| {
+                    next_new += 1;
+                    // Birthdays on both sides of the reference dates'
+                    // month and day, leap day included.
+                    let (m, d) = [(1, 1), (2, 29), (6, 15), (12, 31)][rng.below(4) as usize];
+                    Patient {
+                        id: PatientId(5_000_000 + next_new),
+                        birth_date: Date::new(1920 + 4 * rng.below(24) as i32, m, d)
+                            .expect("valid date"),
+                        sex: if rng.below(2) == 0 { Sex::Female } else { Sex::Male },
+                    }
+                };
+                // Rows given a value nobody else holds, for the shorter
+                // history to take it away again.
+                let mut unique_holders: Vec<PatientId> = Vec::new();
+                for step in 0..8u64 {
+                    let mut epoch = OpenEpoch::new();
+                    let mut dirty: Vec<u32> = Vec::new();
+                    match rng.below(6) {
+                        0..=2 => {
+                            // 1–3 per-patient appends, existing and new.
+                            for _ in 0..(1 + rng.below(3)) {
+                                let patient = if rng.below(2) == 0 {
+                                    *c.histories()[rng.below(c.len() as u64) as usize].patient()
+                                } else {
+                                    new_patient(&mut rng)
+                                };
+                                let entries: Vec<Entry> = (0..rng.below(3))
+                                    .map(|_| entry(CODES[rng.below(CODES.len() as u64) as usize], &mut rng))
+                                    .collect();
+                                epoch.append(patient, entries);
+                            }
                         }
-                    };
-                    let entries: Vec<Entry> = (0..rng.below(3))
-                        .map(|_| {
-                            let code = CODES[rng.below(CODES.len() as u64) as usize];
-                            let y = 2010 + rng.below(7) as i32;
-                            let m = 1 + rng.below(12) as u32;
-                            Entry::event(
-                                Date::new(y, m, 1).expect("valid date").at_midnight(),
-                                Payload::Diagnosis(Code::icpc(code)),
-                                SourceKind::PrimaryCare,
-                            )
-                        })
-                        .collect();
-                    epoch.append(patient, entries);
+                        3 => {
+                            // A row replaced by a shorter history.
+                            let id = unique_holders.pop().unwrap_or_else(|| {
+                                c.histories()[rng.below(c.len() as u64) as usize].id()
+                            });
+                            let was = c.get(id).expect("held patient");
+                            let mut shorter = History::new(*was.patient());
+                            let keep = rng.below(was.len() as u64 / 2 + 1) as usize;
+                            shorter.insert_all(was.entries().iter().take(keep).map(|e| e.to_entry()));
+                            dirty.push(c.position_of(id).expect("held patient") as u32);
+                            c.upsert(shorter);
+                        }
+                        4 => {
+                            // A code value the collection has never held.
+                            let patient = if rng.below(2) == 0 {
+                                *c.histories()[rng.below(c.len() as u64) as usize].patient()
+                            } else {
+                                new_patient(&mut rng)
+                            };
+                            unique_holders.push(patient.id);
+                            epoch.append(patient, vec![entry(&format!("Q{step}"), &mut rng)]);
+                        }
+                        _ => {
+                            // Fill the last shard and open a new one.
+                            for _ in 0..(WIDTH - c.len() as u32 % WIDTH + 1) {
+                                let patient = new_patient(&mut rng);
+                                let entries: Vec<Entry> = (0..rng.below(3))
+                                    .map(|_| entry(CODES[rng.below(CODES.len() as u64) as usize], &mut rng))
+                                    .collect();
+                                epoch.append(patient, entries);
+                            }
+                        }
+                    }
+                    epoch.debug_validate();
+                    let touched = epoch.seal_into(&mut c);
+                    dirty.extend(
+                        touched
+                            .iter()
+                            .map(|&id| c.position_of(id).expect("sealed patient has a position") as u32),
+                    );
+                    idx = idx.with_delta(&c, &dirty);
+                    idx.debug_validate(&c);
+                    let fresh = CodeIndex::build_with_shard_rows(&c, WIDTH);
+                    prop_assert_eq!(idx.parts(), fresh.parts(), "step {}, threads {}", step, threads);
+                    let mut rng = Rng(ast_seed ^ step);
+                    planned_equals_scan(&c, &idx, &random_query(&mut rng, 2))?;
+                    planned_equals_scan(&c, &idx, &random_demographic_shape(&mut rng))?;
                 }
-                epoch.debug_validate();
-                let touched = epoch.seal_into(&mut c);
-                let dirty: Vec<u32> = touched
-                    .iter()
-                    .map(|&id| c.position_of(id).expect("sealed patient has a position") as u32)
-                    .collect();
-                idx = idx.with_delta(&c, &dirty);
-            } else {
-                idx = idx.compact();
-            }
-            idx.debug_validate(&c);
-            let mut rng = Rng(ast_seed ^ step);
-            planned_equals_scan(&c, &idx, &random_query(&mut rng, 2))?;
-            planned_equals_scan(&c, &idx, &random_demographic_shape(&mut rng))?;
+                Ok(())
+            })?;
         }
-        // Quiesce: one final compaction converges to the rebuilt index.
-        let compacted = idx.compact();
-        compacted.debug_validate(&c);
-        prop_assert!(compacted.side_is_empty());
-        let fresh = CodeIndex::build_with_shard_rows(&c, 64);
-        let q = random_query(&mut Rng(ast_seed), 2);
-        let via_compacted = QueryPlan::build(&compacted, &c, &q).execute(&c, &compacted);
-        let via_fresh = QueryPlan::build(&fresh, &c, &q).execute(&c, &fresh);
-        prop_assert_eq!(via_compacted, via_fresh);
     }
 
     /// The pattern scan agrees with the retired per-history naive

@@ -1,5 +1,5 @@
 //! Streaming ingest: the bounded delta queue between `POST /ingest` and
-//! the compaction worker.
+//! the background apply worker.
 //!
 //! `POST /ingest` parses the posted rows *immediately* (so the client's
 //! 202 carries real parse/linkage counts) against a registry that lives
@@ -10,16 +10,14 @@
 //! `Retry-After` header instead of buffering without limit — the same
 //! explicit-backpressure stance the acceptor takes with its 503 shed.
 //!
-//! A single compaction worker takes the server's writer guard, drains the
+//! A single apply worker takes the server's writer guard, drains the
 //! queue, applies the deltas to a cloned workbench
-//! ([`pastas_core::Workbench::apply_ingest`]), and publishes the result as
-//! a new snapshot — `POST /compact` does the same, and the guard orders the
-//! two. Readers keep answering from the previous snapshot throughout and
-//! see the appended rows the moment the pointer swaps, served by the query
-//! side-index. When the side-index grows past a threshold (or on an
-//! explicit `POST /compact`), the worker folds it into the main roaring
-//! postings and publishes again. The worker's passes are paced by the
-//! entries they applied (`ApplyPacer`).
+//! ([`pastas_core::Workbench::apply_ingest`], which patches the code
+//! index's postings in place), and publishes the result as a new snapshot
+//! — `POST /compact` does the same at once, and the guard orders the two.
+//! Readers keep answering from the previous snapshot throughout and see
+//! the appended rows the moment the pointer swaps. The worker's passes are
+//! paced by the entries they applied (`ApplyPacer`).
 
 use crate::state::ServeState;
 use pastas_core::Workbench;
@@ -36,15 +34,13 @@ pub struct IngestConfig {
     /// Bounded queue of parsed-but-unapplied delta batches; beyond this
     /// `POST /ingest` answers 429 with `Retry-After`.
     pub queue_capacity: usize,
-    /// Side-index rows that trigger a background compaction.
-    pub compact_threshold: usize,
     /// `Retry-After` seconds advertised on ingest 429s.
     pub retry_after_secs: u32,
 }
 
 impl Default for IngestConfig {
     fn default() -> IngestConfig {
-        IngestConfig { queue_capacity: 256, compact_threshold: 4096, retry_after_secs: 1 }
+        IngestConfig { queue_capacity: 256, retry_after_secs: 1 }
     }
 }
 
@@ -77,13 +73,11 @@ pub struct AppliedReport {
     pub batches: usize,
     /// Entries that survived dedup/validation and landed in the store.
     pub entries_applied: usize,
-    /// Whether this pass folded the side-index into the main postings.
-    pub compacted: bool,
     /// Version of the last snapshot this pass published (0 = none).
     pub version: u64,
 }
 
-/// What the compaction worker waits, per entry it applied, before it
+/// What the apply worker waits, per entry it applied, before it
 /// starts its next pass: the background writer takes 4,000 entries a
 /// second and no more.
 const PAUSE_PER_APPLIED_ENTRY: Duration = Duration::from_micros(250);
@@ -92,7 +86,7 @@ const PAUSE_PER_APPLIED_ENTRY: Duration = Duration::from_micros(250);
 /// streaming rate: passes of more than 320 entries run 12.5 times a second.
 const MAX_APPLY_PAUSE: Duration = Duration::from_millis(80);
 
-/// Paces the compaction worker's passes by the entries they applied. A
+/// Paces the apply worker's passes by the entries they applied. A
 /// batch that arrives after a quiet spell is applied at once; under a
 /// sustained stream the passes follow a clock (a 200-entry increment every
 /// 50 ms) and whatever queued up meanwhile rides in one publish. Every
@@ -101,7 +95,7 @@ const MAX_APPLY_PAUSE: Duration = Duration::from_millis(80);
 /// writer can cost the readers, and it makes a streamed batch's lag to
 /// visibility the pause its predecessor earned rather than what the
 /// scheduler made of the hand-offs between client, connection worker and
-/// compactor. A synchronous `POST /compact` is not paced.
+/// apply worker. A synchronous `POST /compact` is not paced.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ApplyPacer {
     /// Earliest start of the next pass that has batches to apply.
@@ -136,13 +130,12 @@ struct QueueInner {
 /// The bounded ingest queue plus its identity registry and counters.
 pub struct IngestQueue {
     inner: Mutex<QueueInner>,
-    /// Wakes the compaction worker when a batch arrives.
+    /// Wakes the apply worker when a batch arrives.
     work: Condvar,
     config: IngestConfig,
     batches_total: AtomicU64,
     rejected_total: AtomicU64,
     applied_entries_total: AtomicU64,
-    compactions_total: AtomicU64,
     /// Entries parsed and queued but not yet applied — the ingest lag, in
     /// entries.
     pending_entries: AtomicU64,
@@ -165,7 +158,6 @@ impl IngestQueue {
             batches_total: AtomicU64::new(0),
             rejected_total: AtomicU64::new(0),
             applied_entries_total: AtomicU64::new(0),
-            compactions_total: AtomicU64::new(0),
             pending_entries: AtomicU64::new(0),
         }
     }
@@ -208,11 +200,9 @@ impl IngestQueue {
     }
 
     /// Under the writer guard: drain every queued batch, apply them to a
-    /// fresh snapshot and publish, then compact when forced or when the
-    /// published side-index has grown past the configured threshold. Safe
-    /// to call from both the compaction worker and a synchronous
-    /// `POST /compact`.
-    pub fn drain_and_apply(&self, state: &ServeState, force_compact: bool) -> AppliedReport {
+    /// fresh snapshot and publish. Safe to call from both the apply worker
+    /// and a synchronous `POST /compact`.
+    pub fn drain_and_apply(&self, state: &ServeState) -> AppliedReport {
         let writer = state.writer();
         let batches = self.drain(&writer);
         let mut report = AppliedReport { batches: batches.len(), ..AppliedReport::default() };
@@ -225,19 +215,11 @@ impl IngestQueue {
             report.entries_applied = stats.entries_applied;
             report.version = version;
         }
-        let side_rows = state.head(&writer).workbench.index().side_rows();
-        if force_compact || side_rows >= self.config.compact_threshold {
-            if let Some(version) = state.compact(&writer) {
-                self.compactions_total.fetch_add(1, Ordering::Relaxed);
-                report.compacted = true;
-                report.version = version;
-            }
-        }
         report
     }
 
-    /// Block until a batch is queued, up to `timeout`. The compaction
-    /// worker's idle loop.
+    /// Block until a batch is queued, up to `timeout`. The apply worker's
+    /// idle loop.
     pub fn wait_for_work(&self, timeout: Duration) {
         let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         if inner.queue.is_empty() {
@@ -275,11 +257,6 @@ impl IngestQueue {
         self.applied_entries_total.load(Ordering::Relaxed)
     }
 
-    /// Side-index folds published since startup.
-    pub fn compactions_total(&self) -> u64 {
-        self.compactions_total.load(Ordering::Relaxed)
-    }
-
     /// `Retry-After` seconds to advertise on a 429.
     pub fn retry_after_secs(&self) -> u32 {
         self.config.retry_after_secs
@@ -315,19 +292,19 @@ mod tests {
         assert_eq!(receipt.entries, 1);
         assert_eq!(queue.depth(), 2);
         assert_eq!(queue.pending_entries(), 1);
-        let report = queue.drain_and_apply(&state, false);
+        let report = queue.drain_and_apply(&state);
         assert_eq!(report.batches, 2);
         assert_eq!(report.entries_applied, 1);
-        assert!(!report.compacted, "below the threshold, no fold yet");
         assert_eq!(queue.depth(), 0);
         assert_eq!(queue.pending_entries(), 0);
         let snap = state.snapshot();
+        assert_eq!(report.version, snap.version);
         assert_eq!(snap.workbench.collection().len(), 81);
-        assert_eq!(snap.workbench.index().side_rows(), 1, "served by the side-index");
-        let report = queue.drain_and_apply(&state, true);
-        assert!(report.compacted);
-        assert_eq!(queue.compactions_total(), 1);
-        assert!(state.snapshot().workbench.index().side_is_empty());
+        assert_eq!(snap.workbench.index().rows(), 81, "the index covers the new row");
+        // A pass with nothing queued publishes nothing.
+        let report = queue.drain_and_apply(&state);
+        assert_eq!((report.batches, report.version), (0, 0));
+        assert_eq!(state.snapshot().version, snap.version);
     }
 
     #[test]
@@ -362,9 +339,9 @@ mod tests {
     }
 
     /// One round of [`writer_mutex_orders_drains_compactions_and_commands`]:
-    /// pushers, two threads of forced drain-and-compact passes (the worker
-    /// and a `POST /compact` at once), view commands and a reader, all
-    /// interleaving freely. A forced pass must return only once every
+    /// pushers, two threads of drain-and-apply passes (the worker and a
+    /// `POST /compact` at once), view commands and a reader, all
+    /// interleaving freely. A pass must return only once every
     /// entry accepted before it started is applied — the quiesce promise
     /// of `POST /compact`. Returns the versions each looping thread saw.
     fn writer_round() -> Vec<Vec<u64>> {
@@ -394,7 +371,7 @@ mod tests {
         };
         let drain = || {
             let before = accepted.load(Ordering::SeqCst);
-            let version = queue.drain_and_apply(&state, true).version;
+            let version = queue.drain_and_apply(&state).version;
             assert!(queue.applied_entries_total() >= before, "a drain overtook a pass");
             version
         };
@@ -421,11 +398,12 @@ mod tests {
             stop.store(true, Ordering::SeqCst);
             loops.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        queue.drain_and_apply(&state, true);
+        queue.drain_and_apply(&state);
         let accepted = accepted.into_inner();
         assert_eq!(accepted, (PUSHERS * PUSHES) as u64);
         assert_eq!(queue.applied_entries_total(), accepted, "every entry applied exactly once");
-        assert_eq!(state.snapshot().workbench.index().side_rows(), 0, "the last pass compacted");
+        let head = state.snapshot();
+        assert_eq!(head.workbench.index().rows() as usize, head.workbench.collection().len());
         assert_eq!((queue.depth(), queue.pending_entries()), (0, 0));
         seen
     }

@@ -22,8 +22,8 @@
 //! * [`cache`] — an LRU response cache keyed by
 //!   `(version, collection fingerprint, query fingerprint, render params)`;
 //! * [`ingest`] — the streaming path: a bounded delta queue behind
-//!   `POST /ingest` (429 + `Retry-After` when full) and the compaction
-//!   worker that drains it into freshly published snapshots;
+//!   `POST /ingest` (429 + `Retry-After` when full) and the apply worker
+//!   that drains it into freshly published snapshots;
 //! * [`metrics`] — lock-free counters plus a latency ring for p50/p99;
 //! * [`server`] — acceptor thread + bounded worker pool with load
 //!   shedding (`503 Retry-After`) and graceful drain;

@@ -66,7 +66,7 @@ impl RouterCtx {
     }
 
     /// [`RouterCtx::new`] with explicit ingest tuning (queue capacity,
-    /// compaction threshold, 429 `Retry-After`).
+    /// 429 `Retry-After`).
     pub fn with_ingest_config(
         workbench: pastas_core::Workbench,
         cache_entries: usize,
@@ -344,7 +344,7 @@ fn cohort_read(path: &str, req: &Request, ctx: &RouterCtx) -> Response {
 }
 
 /// `POST /ingest?format=<source>`: parse one source increment and queue
-/// its deltas for the compaction worker. `202 Accepted` with parse
+/// its deltas for the apply worker. `202 Accepted` with parse
 /// counts, or `429 Too Many Requests` + `Retry-After` when the bounded
 /// queue is full — explicit backpressure, never an unbounded buffer.
 fn ingest(req: &Request, ctx: &RouterCtx) -> Response {
@@ -381,22 +381,18 @@ fn ingest(req: &Request, ctx: &RouterCtx) -> Response {
 }
 
 /// `POST /compact`: synchronously drain the ingest queue, apply every
-/// pending delta, fold the side-index, and publish. The quiesce point —
-/// after a 200, everything previously 202'd is queryable from the main
-/// index.
+/// pending delta, and publish, without waiting for the apply worker's
+/// pace. The quiesce point — after a 200, everything previously 202'd is
+/// queryable.
 fn compact(ctx: &RouterCtx) -> Response {
-    let report = ctx.ingest.drain_and_apply(&ctx.state, true);
+    let report = ctx.ingest.drain_and_apply(&ctx.state);
     let snapshot = ctx.state.snapshot();
+    // `side_rows` is always 0; benchmark/src/phases.rs reads it.
     Response::json(
         200,
         format!(
-            "{{\"version\":{},\"batches_applied\":{},\"entries_applied\":{},\
-             \"compacted\":{},\"side_rows\":{}}}",
-            snapshot.version,
-            report.batches,
-            report.entries_applied,
-            report.compacted,
-            snapshot.workbench.index().side_rows()
+            "{{\"version\":{},\"batches_applied\":{},\"entries_applied\":{},\"side_rows\":0}}",
+            snapshot.version, report.batches, report.entries_applied
         ),
     )
 }
@@ -570,14 +566,13 @@ fn metrics_response(ctx: &RouterCtx) -> Response {
             "postings_uncompressed_bytes_est",
             index_footprint.postings_uncompressed_bytes_est as f64,
         ),
-        ("side_index_rows", wb.index().side_rows() as f64),
-        ("side_index_postings", wb.index().side_postings_total() as f64),
+        // Always 0; benchmark/src/phases.rs reads it.
+        ("side_index_rows", 0.0),
         ("ingest_queue_depth", ctx.ingest.depth() as f64),
         ("ingest_pending_entries", ctx.ingest.pending_entries() as f64),
         ("ingest_batches_total", ctx.ingest.batches_total() as f64),
         ("ingest_rejected_total", ctx.ingest.rejected_total() as f64),
         ("ingest_applied_entries_total", ctx.ingest.applied_entries_total() as f64),
-        ("compactions_total", ctx.ingest.compactions_total() as f64),
         ("cohort_registry_size", ctx.cohorts.len() as f64),
         ("cohort_registry_bytes", ctx.cohorts.bytes() as f64),
         ("cohort_materializations_total", ctx.cohorts.materializations_total() as f64),
@@ -760,7 +755,6 @@ mod tests {
         assert_eq!(compacted.status, 200);
         let body = String::from_utf8(compacted.body).unwrap();
         assert!(body.contains("\"batches_applied\":2"), "{body}");
-        assert!(body.contains("\"compacted\":true"), "{body}");
         assert!(body.contains("\"side_rows\":0"), "{body}");
         let after = count_of(&route(&post("/select", "has(T90)"), &ctx).body);
         assert_eq!(after, before + 1, "streamed patient joins the cohort");
@@ -773,17 +767,12 @@ mod tests {
         assert_eq!(ctx.state.version(), version, "duplicate delta publishes nothing");
         // The ingest gauges made it to /metrics.
         let metrics = String::from_utf8(route(&get("/metrics"), &ctx).body).unwrap();
-        assert!(metrics.contains("\"compactions_total\":1"), "{metrics}");
         assert!(metrics.contains("\"ingest_batches_total\":3"), "{metrics}");
         assert!(metrics.contains("\"ingest_applied_entries_total\":1"), "{metrics}");
         assert!(metrics.contains("\"side_index_rows\":0"), "{metrics}");
         assert!(metrics.contains("\"ingest_queue_depth\":0"), "{metrics}");
     }
 
-    /// The response-cache invalidation regression the streaming path must
-    /// not break: a `/select` answered before an ingest is never served
-    /// again after the compaction publishes, while caching keeps working
-    /// for post-compaction responses.
     /// An ingest-appended patient with an id below every synthetic one
     /// sits in the last row: ids must still come out ascending, and
     /// identically with and without `explain=1` (the two spellings used
@@ -1121,7 +1110,7 @@ mod tests {
         route(&post("/ingest?format=claims", DELTA_CLAIMS), &ctx);
         assert_eq!(route(&post("/compact", ""), &ctx).status, 200);
         let published = ctx.state.version();
-        assert!(published > 1, "compaction published a new version");
+        assert!(published > 1, "the ingest published a new version");
         // First touch after the publish: 410 with the re-materialize hint.
         let gone = route(&get(&format!("/cohort/{id}/stats")), &ctx);
         assert_eq!(gone.status, 410);

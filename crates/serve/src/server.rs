@@ -55,8 +55,6 @@ pub struct ServerConfig {
     /// Bounded ingest-delta queue; beyond this `POST /ingest` answers
     /// 429 with `Retry-After` — explicit backpressure, not a buffer.
     pub ingest_queue_capacity: usize,
-    /// Side-index rows that trigger a background compaction.
-    pub compact_threshold: usize,
 }
 
 impl Default for ServerConfig {
@@ -73,7 +71,6 @@ impl Default for ServerConfig {
             cache_entries: 512,
             cache_bytes: 256 << 20,
             ingest_queue_capacity: 256,
-            compact_threshold: 4096,
         }
     }
 }
@@ -89,7 +86,7 @@ pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<ServerShared>,
     acceptor: Option<std::thread::JoinHandle<()>>,
-    compactor: Option<std::thread::JoinHandle<()>>,
+    ingest: Option<std::thread::JoinHandle<()>>,
     pool: Option<WorkerPool>,
 }
 
@@ -119,21 +116,21 @@ pub fn start(ctx: RouterCtx, config: ServerConfig) -> io::Result<ServerHandle> {
             // lint:allow(no-panic-hot-path) unrecoverable startup failure
             .expect("spawn acceptor")
     };
-    let compactor = {
+    let ingest = {
         let shared = Arc::clone(&shared);
         std::thread::Builder::new()
-            .name("pastas-serve-compactor".to_owned())
-            .spawn(move || compaction_loop(&shared))
+            .name("pastas-serve-ingest".to_owned())
+            .spawn(move || apply_loop(&shared))
             // One-time server startup, not a request path.
             // lint:allow(no-panic-hot-path) unrecoverable startup failure
-            .expect("spawn compactor")
+            .expect("spawn ingest worker")
     };
 
     Ok(ServerHandle {
         addr,
         shared,
         acceptor: Some(acceptor),
-        compactor: Some(compactor),
+        ingest: Some(ingest),
         pool: Some(pool),
     })
 }
@@ -145,7 +142,6 @@ pub fn serve(
 ) -> io::Result<ServerHandle> {
     let ingest = IngestConfig {
         queue_capacity: config.ingest_queue_capacity,
-        compact_threshold: config.compact_threshold,
         retry_after_secs: config.retry_after_secs,
     };
     let ctx = RouterCtx::with_ingest_config(
@@ -157,22 +153,21 @@ pub fn serve(
     start(ctx, config)
 }
 
-/// The compaction worker: sleep until a delta batch arrives and the pause
-/// the last pass earned is over ([`ApplyPacer`]), then drain-and-apply
-/// under the writer guard and publish (the pacer's sleep is outside the
-/// guard). Readers are never blocked —
-/// each pass builds the next snapshot off to the side and publishes it
-/// with one pointer swap. On drain the final pass force-compacts so every
-/// batch the server 202'd is applied before the threads join.
-fn compaction_loop(shared: &ServerShared) {
+/// The apply worker: sleep until a delta batch arrives and the pause the
+/// last pass earned is over ([`ApplyPacer`]), then drain-and-apply under
+/// the writer guard and publish (the pacer's sleep is outside the guard).
+/// Readers are never blocked — each pass builds the next snapshot off to
+/// the side and publishes it with one pointer swap. On drain the final
+/// pass runs unpaced, so every batch the server 202'd is applied before
+/// the threads join.
+fn apply_loop(shared: &ServerShared) {
     let mut pacer = ApplyPacer::new(Instant::now());
     loop {
         shared.ctx.ingest.wait_for_work(Duration::from_millis(25));
         let draining = shared.draining.load(Ordering::SeqCst);
         if !draining && shared.ctx.ingest.depth() == 0 {
-            // Nothing to apply, and only a pass that applies can grow the
-            // side-index: an idle pass would just take the writer mutex
-            // from a view command.
+            // Nothing to apply: an idle pass would just take the writer
+            // mutex from a view command.
             continue;
         }
         let mut due = Instant::now();
@@ -180,7 +175,7 @@ fn compaction_loop(shared: &ServerShared) {
             due = pacer.due(due);
             std::thread::sleep(due.saturating_duration_since(Instant::now()));
         }
-        let report = shared.ctx.ingest.drain_and_apply(&shared.ctx.state, draining);
+        let report = shared.ctx.ingest.drain_and_apply(&shared.ctx.state);
         if draining {
             break;
         }
@@ -245,15 +240,16 @@ impl ServerHandle {
         if let Some(pool) = self.pool.take() {
             pool.shutdown();
         }
-        // Workers are done: nudge the compactor so its final pass applies
-        // every remaining 202'd batch, then join it.
+        // Workers are done: nudge the apply worker so its final pass
+        // applies every remaining 202'd batch, then join it.
         self.shared.ctx.ingest.notify();
-        if let Some(compactor) = self.compactor.take() {
-            let _ = compactor.join();
+        if let Some(ingest) = self.ingest.take() {
+            let _ = ingest.join();
         }
-        // A worker may have admitted one last batch after the compactor's
-        // final pass drained; apply it here so no 202 is ever dropped.
-        let _ = self.shared.ctx.ingest.drain_and_apply(&self.shared.ctx.state, true);
+        // A worker may have admitted one last batch after the apply
+        // worker's final pass drained; apply it here so no 202 is ever
+        // dropped.
+        let _ = self.shared.ctx.ingest.drain_and_apply(&self.shared.ctx.state);
     }
 }
 

@@ -8,8 +8,8 @@
 //! the collection spine, so that touches nothing per history), and
 //! publish it with one pointer swap. A publish costs what changed: a view
 //! command copies the display order, an ingest copies the row-pointer
-//! vector once and adjusts summary, fingerprint and side-index from the
-//! touched rows. Every snapshot carries a monotone version; response-cache keys
+//! vector once and adjusts summary, fingerprint and the code index's
+//! postings from the touched rows. Every snapshot carries a monotone version; response-cache keys
 //! include it, so stale cached responses are unreachable the moment a new
 //! snapshot lands.
 
@@ -126,10 +126,8 @@ impl ServeState {
     }
 
     /// Apply streaming delta batches to a clone of the current snapshot
-    /// and publish the result. The published snapshot still carries its
-    /// side-index debt — readers see the appended rows immediately,
-    /// served by the side-index, without waiting for a compaction.
-    /// Publishes nothing when the batches net out to no change.
+    /// and publish the result: readers see the appended rows the moment
+    /// it lands. Publishes nothing when the batches net out to no change.
     pub(crate) fn ingest(
         &self,
         writer: &MutexGuard<'_, ()>,
@@ -142,19 +140,6 @@ impl ServeState {
             return (base.version, stats);
         }
         (self.publish(writer, workbench), stats)
-    }
-
-    /// Fold the side-index into the main postings off to the side and
-    /// publish the compacted state. Readers keep answering from the
-    /// pre-compaction snapshot until the single pointer swap — the
-    /// "pause" a reader can observe is one `Arc` clone. Returns `None`
-    /// (publishing nothing) when there is no side-index debt.
-    pub(crate) fn compact(&self, writer: &MutexGuard<'_, ()>) -> Option<u64> {
-        let mut workbench = self.head(writer).workbench.snapshot();
-        if !workbench.compact() {
-            return None;
-        }
-        Some(self.publish(writer, workbench))
     }
 
     /// Take the writer mutex. Its guard is the level token of the lock

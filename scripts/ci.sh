@@ -77,10 +77,11 @@ stage "temporal smoke (eight arenas)" \
 stage "serve smoke (loopback)" \
     cargo run --release --example serve_cohorts -- --smoke --patients 1500
 # Streaming-ingest smoke: POST one /ingest delta per source format for a
-# brand-new patient, force a synchronous /compact, and assert the patient
-# is selectable (+1 on its cohort), has a timeline, and that the ingest
-# gauges read fully drained (zero queue depth, zero side-index rows, at
-# least one compaction). Exits non-zero on any failed check.
+# brand-new patient, poll /metrics until the background writer has drained
+# the queue, and assert the patient is selectable (+1 on its cohort) before
+# any /compact; then /compact answers 200 with zero side rows, the patient
+# has a timeline, and the ingest gauges read fully drained. Exits non-zero
+# on any failed check.
 stage "ingest smoke (streaming)" \
     cargo run --release --example serve_cohorts -- --smoke-ingest --patients 1500
 # Materialized-cohort smoke: POST /cohort freezes a selection, the three
