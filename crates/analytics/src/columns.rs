@@ -4,7 +4,7 @@
 //! Eight of the profile's dimensions are attributes of the *patient* and
 //! the other two (conditions, top codes) are per-patient-distinct sets.
 //! [`PatientColumns`] holds one 24-byte [`Digest`] per collection
-//! position plus the patient's distinct global code ids, so a profile is
+//! position plus the patient's distinct code ids, so a profile is
 //! a fold over `|cohort|` rows and never walks an entry. Rows live in
 //! chunks of [`CHUNK_ROWS`] behind `Arc`s: the column after an ingest
 //! ([`PatientColumns::with_rows`]) shares every chunk the ingest did not
@@ -15,8 +15,8 @@
 //! the cohort's monthly series is a fold over runs, not entries.
 
 use crate::dimensions::*;
-use crate::tables::{CodeDims, Tables, Vocab, NO_BUCKET};
-use pastas_model::{CodeId, Entries, History, HistoryCollection, Sex, SourceKind, FAR_START};
+use crate::tables::{CodeDims, NO_BUCKET};
+use pastas_model::{CodeDictionary, Entries, History, HistoryCollection, Sex, SourceKind, FAR_START};
 use pastas_ontology::integration::IntegrationOntology;
 use pastas_time::{Date, DateTime};
 use std::ops::Range;
@@ -77,7 +77,7 @@ pub(crate) fn dominant(counts: &[u32]) -> usize {
 #[derive(Default)]
 struct Chunk {
     rows: Vec<Digest>,
-    /// Sorted distinct global code ids, one run per row.
+    /// Sorted distinct code ids, one run per row.
     codes: Vec<u32>,
     /// Month runs in month order, one span per row.
     runs: Vec<Run>,
@@ -114,14 +114,8 @@ impl Chunk {
     }
 
     /// Append the digest of `history`: one fused pass over its source
-    /// and code columns. `dims_of` translates the history's
-    /// interner-local code ids.
-    fn push_history(
-        &mut self,
-        history: &History,
-        calendar: &Calendar,
-        mut dims_of: impl FnMut(CodeId) -> CodeDims,
-    ) {
+    /// and code columns. `dims[id]` describes the code `CodeId(id)`.
+    fn push_history(&mut self, history: &History, calendar: &Calendar, dims: &[CodeDims]) {
         let mut per_source = [0u32; SourceKind::ALL.len()];
         let mut per_chapter = [0u32; ICD_BANDS - 1];
         let mut per_atc = [0u32; ATC_BANDS - 1];
@@ -130,7 +124,7 @@ impl Chunk {
         for (source, code) in history.entries().scan() {
             per_source[source.dense_index()] += 1;
             if let Some(id) = code {
-                let dims = dims_of(id);
+                let dims = dims[id.0 as usize];
                 if dims.chapter != NO_BUCKET {
                     per_chapter[dims.chapter as usize] += 1;
                 }
@@ -138,7 +132,7 @@ impl Chunk {
                     per_atc[dims.atc as usize] += 1;
                 }
                 cond_mask |= dims.cond_mask;
-                self.codes.push(dims.global);
+                self.codes.push(id.0);
             }
         }
         self.codes[codes_lo..].sort_unstable();
@@ -235,7 +229,11 @@ impl Chunk {
 pub struct PatientColumns {
     chunks: Vec<Arc<Chunk>>,
     len: usize,
-    pub(crate) vocab: Arc<Vocab>,
+    /// The collection's dictionary: the code lists' ids resolve here.
+    pub(crate) dict: Arc<CodeDictionary>,
+    /// `dims[id]`: the dimension record of `CodeId(id)`, one a code of
+    /// `dict`.
+    dims: Arc<Vec<CodeDims>>,
     /// Month indices from the collection's first start to its last end:
     /// every run's month lies inside.
     pub(crate) months: Range<i32>,
@@ -292,37 +290,45 @@ impl PatientColumns {
     /// saturated instance; construction is expensive.
     pub fn build(collection: &HistoryCollection, ontology: &IntegrationOntology) -> PatientColumns {
         let histories = collection.histories();
-        let mut vocab = Vocab::default();
-        let tables = Tables::build(histories, &mut vocab, ontology);
+        let dict = Arc::clone(collection.dictionary());
+        let dims: Vec<CodeDims> = dict.iter().map(|code| CodeDims::of(code, ontology)).collect();
         let months = months_of(collection);
         let calendar = Calendar::of(&months);
         let spans: Vec<&[Arc<History>]> = histories.chunks(CHUNK_ROWS).collect();
         let chunks = pastas_par::par_map_min(&spans, 1, |span| {
             let mut chunk = Chunk::default();
-            let mut hint = 0;
             for history in *span {
-                let dims = tables.of(history, &mut hint);
-                chunk.push_history(history, &calendar, |id| dims[id.0 as usize]);
+                chunk.push_history(history, &calendar, &dims);
             }
             chunk.shrink()
         });
-        PatientColumns { chunks, len: histories.len(), vocab: Arc::new(vocab), months }
+        PatientColumns { chunks, len: histories.len(), dict, dims: Arc::new(dims), months }
     }
 
     /// The column of `collection` given this one describes it but for the
     /// rows at `dirty`, which changed or were appended (every appended
     /// row must be named). Rebuilds the chunks holding a dirty row and
-    /// shares the rest; the vocabulary is copied only if a code is new.
+    /// shares the rest; the dimension records are copied only if the
+    /// dictionary grew. A collection not on an extension of this
+    /// column's dictionary gets a fresh [`Self::build`].
     pub fn with_rows(
         &self,
         collection: &HistoryCollection,
         ontology: &IntegrationOntology,
         dirty: &[u32],
     ) -> PatientColumns {
+        let dict = Arc::clone(collection.dictionary());
+        if !self.dict.is_prefix_of(&dict) {
+            return PatientColumns::build(collection, ontology);
+        }
+        let (mut dims, known) = (Arc::clone(&self.dims), self.dims.len());
+        if known < dict.len() {
+            let fresh = dict.iter().skip(known).map(|code| CodeDims::of(code, ontology));
+            Arc::make_mut(&mut dims).extend(fresh);
+        }
         let histories = collection.histories();
         let months = months_of(collection);
         let calendar = Calendar::of(&months);
-        let mut vocab = Arc::clone(&self.vocab);
         let mut chunks = self.chunks.clone();
         chunks.resize_with(histories.len().div_ceil(CHUNK_ROWS), Default::default);
         let mut dirty = dirty.to_vec();
@@ -338,19 +344,19 @@ impl PatientColumns {
                     next.push_row(row, codes, chunks[at].runs(pos - lo));
                     continue;
                 }
-                let interner = history.store().interner();
-                next.push_history(history, &calendar, |id| {
-                    let code = interner.resolve(id);
-                    let known = vocab.get(code);
-                    known.unwrap_or_else(|| Arc::make_mut(&mut vocab).insert(code, ontology))
-                });
+                next.push_history(history, &calendar, &dims);
             }
             chunks[at] = next.shrink();
         }
-        PatientColumns { chunks, len: histories.len(), vocab, months }
+        PatientColumns { chunks, len: histories.len(), dict, dims, months }
     }
 
-    /// The digest and distinct global code ids of the patient at `pos`.
+    /// The number of codes the column's dictionary holds.
+    pub(crate) fn codes(&self) -> usize {
+        self.dims.len()
+    }
+
+    /// The digest and distinct code ids of the patient at `pos`.
     pub(crate) fn row(&self, pos: u32) -> (&Digest, &[u32]) {
         self.chunks[pos as usize / CHUNK_ROWS].row(pos as usize % CHUNK_ROWS)
     }
@@ -376,25 +382,16 @@ impl PatientColumns {
     }
 }
 
-/// Row-wise equality up to vocabulary numbering (two columns may have met
-/// the codes in different orders): same digests, same code *labels* and
-/// same month runs per row. What the maintained-versus-rebuilt oracles
-/// compare.
+/// Row-wise equality: the same dictionary, and per row the same digest,
+/// the same code ids and the same month runs. What the
+/// maintained-versus-rebuilt oracles compare.
 impl PartialEq for PatientColumns {
     fn eq(&self, other: &PatientColumns) -> bool {
-        fn labels<'a>(columns: &'a PatientColumns, codes: &[u32]) -> Vec<&'a str> {
-            let mut labels: Vec<&str> =
-                codes.iter().map(|&id| columns.vocab.labels[id as usize].as_str()).collect();
-            labels.sort_unstable();
-            labels
-        }
         self.len == other.len
             && self.months == other.months
+            && *self.dict == *other.dict
             && (0..self.len as u32).all(|pos| {
-                let ((a, a_codes), (b, b_codes)) = (self.row(pos), other.row(pos));
-                a == b
-                    && labels(self, a_codes) == labels(other, b_codes)
-                    && self.runs(pos) == other.runs(pos)
+                self.row(pos) == other.row(pos) && self.runs(pos) == other.runs(pos)
             })
     }
 }
@@ -450,7 +447,7 @@ mod tests {
             before.chunks.iter().zip(&after.chunks).map(|(a, b)| Arc::ptr_eq(a, b)).collect();
         assert_eq!(shared, [true, false, true, true], "chunk 1 holds row 300");
         assert_eq!(after.chunks.len(), 5, "row 1024 opens a chunk");
-        assert!(Arc::ptr_eq(&before.vocab, &after.vocab), "no new code, no vocabulary copy");
+        assert!(Arc::ptr_eq(&before.dims, &after.dims), "no new code, no dimension copy");
         assert_eq!(after.row(1024).0.entries, 1);
     }
 
@@ -459,11 +456,12 @@ mod tests {
         let ontology = IntegrationOntology::new();
         let mut collection = generate_collection(SynthConfig::with_patients(50), 3);
         let before = PatientColumns::build(&collection, &ontology);
-        let known = before.vocab.labels.len();
+        let known = before.codes();
         let patient = *collection.histories()[7].patient();
         let dirty = ingest(&mut collection, vec![(patient, vec![event(2012, Code::icd10("Z99"))])]);
         let after = before.with_rows(&collection, &ontology, &dirty);
-        assert_eq!((before.vocab.labels.len(), after.vocab.labels.len()), (known, known + 1));
+        assert_eq!((before.codes(), after.codes()), (known, known + 1));
+        assert_eq!(after.dict.resolve(pastas_model::CodeId(known as u32)), &Code::icd10("Z99"));
         assert!(after.row(7).1.contains(&(known as u32)), "the row lists the new code");
         assert!(after == PatientColumns::build(&collection, &ontology));
     }

@@ -12,7 +12,7 @@
 //!
 //! The design is dense ids end to end: [`dimensions`] fixes small bucket
 //! vocabularies per dimension, and a [`PatientColumns`] digest column —
-//! one 24-byte row per patient plus its distinct global code ids, built
+//! one 24-byte row per patient plus its distinct code ids, built
 //! once per collection and carried across ingests from the touched rows —
 //! holds every patient-level attribute, so the fold indexes `u32`
 //! accumulator arrays over `|cohort|` rows: no entries, no strings, no

@@ -15,7 +15,7 @@ use crate::columns::{dominant, Digest, PatientColumns, CHUNK_ROWS, NO_YEAR};
 use crate::dimensions::*;
 use crate::tables::NO_BUCKET;
 use pastas_ingest::json::write_string;
-use pastas_model::{History, HistoryCollection, Sex, SourceKind};
+use pastas_model::{CodeDictionary, History, HistoryCollection, Sex, SourceKind};
 use pastas_ontology::integration::{IntegrationOntology, CONDITIONS};
 use pastas_time::Date;
 use std::collections::BTreeMap;
@@ -182,8 +182,8 @@ impl AgeCutoffs {
 }
 
 /// The dense per-worker accumulator: every dimension is a small `u32`
-/// array indexed by bucket id; top-k and condition columns are sized by
-/// the global vocabulary. Merging two accumulators is vector addition,
+/// array indexed by bucket id; the top-k count column has one slot a
+/// code of the collection's dictionary. Merging two accumulators is vector addition,
 /// so the parallel fold is associative and chunk-shape independent.
 struct Accum {
     cohort: u32,
@@ -196,13 +196,13 @@ struct Accum {
     chapters: [u32; ICD_BANDS],
     atc: [u32; ATC_BANDS],
     first_contact: [u32; FIRST_CONTACT_BANDS],
-    /// Patients carrying each global code (per-patient-distinct).
+    /// Patients carrying each code, by id (per-patient-distinct).
     code_counts: Vec<u32>,
     cond_counts: [u32; CONDITIONS.len()],
 }
 
 impl Accum {
-    fn new(vocab_len: usize) -> Accum {
+    fn new(codes: usize) -> Accum {
         Accum {
             cohort: 0,
             entries: 0,
@@ -214,7 +214,7 @@ impl Accum {
             chapters: [0; ICD_BANDS],
             atc: [0; ATC_BANDS],
             first_contact: [0; FIRST_CONTACT_BANDS],
-            code_counts: vec![0; vocab_len],
+            code_counts: vec![0; codes],
             cond_counts: [0; CONDITIONS.len()],
         }
     }
@@ -278,14 +278,14 @@ impl PatientColumns {
         let (ages, ref_year) = (AgeCutoffs::at(reference), reference.year());
         let folded = pastas_par::par_fold(
             positions,
-            || Accum::new(self.vocab.labels.len()),
+            || Accum::new(self.codes()),
             |acc, &pos| {
                 let (row, codes) = self.row(pos);
                 acc.add(row, codes, &ages, ref_year);
             },
             Accum::merge,
         );
-        finish(folded, &self.vocab.labels, reference, top_k)
+        finish(folded, &self.dict, reference, top_k)
     }
 
     /// Monthly event counts over the cohort at `positions` (sorted
@@ -324,13 +324,13 @@ impl PatientColumns {
 }
 
 /// Widen a folded accumulator into the public profile.
-fn finish(acc: Accum, vocab: &[String], reference: Date, top_k: usize) -> CohortProfile {
+fn finish(acc: Accum, dict: &CodeDictionary, reference: Date, top_k: usize) -> CohortProfile {
     let widen = |a: &[u32]| a.iter().map(|&v| u64::from(v)).collect::<Vec<u64>>();
-    let mut codes: Vec<(String, u64)> = vocab
+    let mut codes: Vec<(String, u64)> = dict
         .iter()
         .zip(&acc.code_counts)
         .filter(|&(_, &count)| count > 0)
-        .map(|(label, &count)| (label.clone(), u64::from(count)))
+        .map(|(code, &count)| (code.to_string(), u64::from(count)))
         .collect();
     codes.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
     codes.truncate(top_k);
@@ -419,7 +419,7 @@ pub fn cohort_profile_serial(
             }
         }
     }
-    let mut profile = finish(acc, &[], reference, top_k);
+    let mut profile = finish(acc, &CodeDictionary::default(), reference, top_k);
     let mut codes: Vec<(String, u64)> = code_patients.into_iter().collect();
     codes.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
     codes.truncate(top_k);

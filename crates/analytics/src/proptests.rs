@@ -152,13 +152,13 @@ proptest! {
         keep in 0u64..16,
         reference_at in 0usize..REFERENCES.len() + 1,
     ) {
-        // Multi-arena on purpose: shard_patients < patients forces the
-        // per-interner table translation the single-arena tests never hit.
+        // Multi-arena on purpose: shard_patients < patients puts the
+        // rows on several arenas sharing one dictionary.
         let config = SynthConfig { shard_patients, ..SynthConfig::with_patients(patients) };
         let mut collection = generate_collection(config, collection_seed);
         let sampled = collection.len();
         // Patients the person register knows and no source has seen:
-        // empty histories, each on a store and interner of its own.
+        // empty histories, each on a store and empty dictionary of its own.
         for id in 0..persons_only {
             collection.upsert(History::new(Patient {
                 id: PatientId(5_000_000 + id),

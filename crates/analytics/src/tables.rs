@@ -1,21 +1,17 @@
-//! Code → dimension translation: the global vocabulary the digest
-//! column's code lists index into, and the bulk builder's per-interner
-//! `CodeId → CodeDims` tables.
+//! Code → dimension translation: one record a code of the collection's
+//! dictionary, indexed by [`pastas_model::CodeId`].
 //!
-//! `CodeId`s are interner-local (each shard of a sharded collection
-//! interns its own symbol table), so a [`Vocab`] assigns every distinct
-//! code one global id and keeps its ICD-10 chapter, ATC main group and
-//! condition bitmask in a 12-byte record. [`Tables`] resolves every code
-//! of every distinct interner once, so the bulk build's per-entry loop
-//! is one array read and never touches a string or a hash map.
+//! A code id names the same code in every arena of a collection, so the
+//! digest column keeps one `Vec<CodeDims>` beside the collection's
+//! [`pastas_model::CodeDictionary`]: each code's ICD-10 chapter, ATC main
+//! group and condition bitmask in an 8-byte record, resolved once, so
+//! the bulk build's per-entry loop is one array read and never touches a
+//! string or a hash map. Labels come from the dictionary itself.
 
 use pastas_codes::atc::AtcCode;
 use pastas_codes::icd10::Icd10Code;
 use pastas_codes::{Code, CodeSystem};
-use pastas_model::{CodeInterner, History};
 use pastas_ontology::integration::{IntegrationOntology, CONDITIONS};
-use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Sentinel for "this code has no bucket in the dimension".
 pub(crate) const NO_BUCKET: u8 = u8::MAX;
@@ -29,89 +25,17 @@ pub(crate) struct CodeDims {
     pub atc: u8,
     /// Bit `i` set ⇔ the code indicates `CONDITIONS[i]`.
     pub cond_mask: u32,
-    /// Dense id into the vocabulary.
-    pub global: u32,
 }
 
-/// The global code vocabulary of one digest column. Append-only: a code
-/// keeps its id across ingest publishes, so rows built against an older
-/// vocabulary stay valid against every later one.
-#[derive(Clone, Default)]
-pub(crate) struct Vocab {
-    /// Display labels (`"ICPC2:T90"`), indexed by global code id.
-    pub labels: Vec<String>,
-    dims: Vec<CodeDims>,
-    ids: HashMap<Code, u32>,
-}
-
-impl Vocab {
-    /// The dimension record of a code the vocabulary already holds.
-    pub fn get(&self, code: &Code) -> Option<CodeDims> {
-        self.ids.get(code).map(|&id| self.dims[id as usize])
-    }
-
-    /// Add `code` (not yet held): parse it and resolve its conditions
-    /// through `ontology`, once.
-    pub fn insert(&mut self, code: &Code, ontology: &IntegrationOntology) -> CodeDims {
+impl CodeDims {
+    /// Parse `code` and resolve its conditions through `ontology`.
+    pub fn of(code: &Code, ontology: &IntegrationOntology) -> CodeDims {
         const _: () = assert!(CONDITIONS.len() <= 32, "condition mask is a u32");
-        let dims = CodeDims {
+        CodeDims {
             chapter: chapter_of(code),
             atc: atc_group_of(code),
             cond_mask: condition_mask(ontology, code),
-            global: self.labels.len() as u32,
-        };
-        self.labels.push(code.to_string());
-        self.dims.push(dims);
-        self.ids.insert(code.clone(), dims.global);
-        dims
-    }
-}
-
-/// `CodeId → CodeDims` for every distinct interner behind a run of
-/// histories — the bulk builder's translation, dropped when the build
-/// ends. Keyed by interner identity, and holding the `Arc` so the
-/// address cannot be recycled under the key.
-pub(crate) struct Tables {
-    interners: Vec<(Arc<CodeInterner>, Vec<CodeDims>)>,
-    by_address: HashMap<usize, usize>,
-}
-
-impl Tables {
-    /// Resolve every code of every interner `histories` view, extending
-    /// `vocab` in first-seen order.
-    pub fn build(
-        histories: &[Arc<History>],
-        vocab: &mut Vocab,
-        ontology: &IntegrationOntology,
-    ) -> Tables {
-        let mut tables = Tables { interners: Vec::new(), by_address: HashMap::new() };
-        let mut previous = std::ptr::null();
-        for history in histories {
-            let interner = history.store().interner_arc();
-            let address = Arc::as_ptr(interner);
-            if address == previous || tables.by_address.contains_key(&(address as usize)) {
-                continue;
-            }
-            previous = address;
-            let dims = interner
-                .iter()
-                .map(|code| vocab.get(code).unwrap_or_else(|| vocab.insert(code, ontology)))
-                .collect();
-            tables.by_address.insert(address as usize, tables.interners.len());
-            tables.interners.push((Arc::clone(interner), dims));
         }
-        tables
-    }
-
-    /// The table of the interner behind `history`. `hint` is the caller's
-    /// last hit: neighbouring rows nearly always share an arena.
-    pub fn of(&self, history: &History, hint: &mut usize) -> &[CodeDims] {
-        let interner = history.store().interner_arc();
-        if !self.interners.get(*hint).is_some_and(|(held, _)| Arc::ptr_eq(held, interner)) {
-            // Tables::build registered the interner of every history it was given
-            *hint = self.by_address[&(Arc::as_ptr(interner) as usize)];
-        }
-        &self.interners[*hint].1
     }
 }
 

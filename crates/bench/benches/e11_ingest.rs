@@ -92,11 +92,14 @@ fn main() {
         .collect();
 
     // Quiesced baseline: planned-select latency before any ingest, the
-    // number BENCH_plan.json records at the same scale.
+    // number BENCH_plan.json records at the same scale. Every select runs
+    // the plan (`CodeIndex::select`); `Workbench::select_positions` would
+    // answer all but the first from its memo.
+    let planned = |wb: &Workbench, q: &HistoryQuery| wb.index().select(wb.collection(), q);
     let baseline_ms = sorted(
         queries
             .iter()
-            .map(|q| median_ms(|| drop(std::hint::black_box(workbench.select_positions(q)))))
+            .map(|q| median_ms(|| drop(std::hint::black_box(planned(&workbench, q)))))
             .collect(),
     );
     let baseline_med = percentile(&baseline_ms, 0.5);
@@ -153,7 +156,7 @@ fn main() {
                 let t = Instant::now();
                 let snap =
                     Arc::clone(&current.read().unwrap_or_else(|e| e.into_inner()));
-                std::hint::black_box(snap.select_positions(q).len());
+                std::hint::black_box(planned(&snap, q).len());
                 latencies.push(t.elapsed().as_secs_f64() * 1e3);
             }
             latencies
@@ -199,7 +202,7 @@ fn main() {
     let post_ms = sorted(
         queries
             .iter()
-            .map(|q| median_ms(|| drop(std::hint::black_box(final_snap.select_positions(q)))))
+            .map(|q| median_ms(|| drop(std::hint::black_box(planned(&final_snap, q)))))
             .collect(),
     );
 

@@ -666,8 +666,8 @@ impl Workbench {
     /// Align on the first entry whose code matches `pattern`; switches the
     /// axis to aligned mode and orders rows by anchor, unanchored
     /// histories last. Only the rows of the memoized `has(pattern)`
-    /// selection are read, each with the pattern bound to its interner
-    /// ([`align_rows`]).
+    /// selection are read, with the pattern bound once to the code
+    /// dictionary ([`align_rows`]).
     pub fn align_on_code(&mut self, pattern: &str) -> Result<usize, ParseError> {
         let re = Regex::new(pattern)?;
         let candidates =
@@ -1373,7 +1373,7 @@ mod tests {
         /// sort by anchor, unanchored rows last — in order, anchor count
         /// and every anchor, at one thread and at four, over a sharded
         /// collection an ingest patched, a new patient's
-        /// fresh arena and a history detached onto a second interner.
+        /// fresh arena and a history detached onto a grown dictionary.
         #[test]
         fn bound_align_equals_the_reference(
             collection_seed in 0u64..20,
@@ -1394,9 +1394,10 @@ mod tests {
             for threads in [1, 4] {
                 let mut wb = Workbench::from_collection(collection.clone());
                 wb.apply_ingest(std::slice::from_ref(&batch));
-                let detached = wb.collection().get(existing.id).unwrap().store().interner_arc();
-                let arena = collection.histories()[at].store().interner_arc();
-                prop_assert!(!Arc::ptr_eq(detached, arena), "a second interner");
+                let detached = wb.collection().get(existing.id).unwrap().store().dictionary();
+                let arena = collection.histories()[at].store().dictionary();
+                prop_assert!(!Arc::ptr_eq(detached, arena), "a grown dictionary");
+                prop_assert!(arena.is_prefix_of(detached));
                 for pattern in ["T90", "K.*", "T9[01]|K86", "X99", "C07AB02", "ZZ9"] {
                     let pred = EntryPredicate::code_regex(pattern).unwrap();
                     let reference = pastas_query::align_on(wb.collection(), &pred);
@@ -1421,17 +1422,33 @@ mod tests {
         /// sequence — an existing patient extended, a new patient
         /// appended, a code no vocabulary has seen, a replayed batch that
         /// nets out to nothing, and one fixed row dirtied every round —
-        /// and no publish drops it.
+        /// and no publish drops it. The patched index answers like the
+        /// scan. Half the cases start from the collection rebuilt from
+        /// independently built histories, every row re-encoded onto one
+        /// dictionary by `from_histories`.
         #[test]
         fn maintained_columns_equal_the_rebuilt_ones(
             collection_seed in 0u64..20,
             steps in proptest::collection::vec((0u8..4, 0usize..1000, 1u32..29), 1..8),
+            rebuilt in proptest::prelude::any::<bool>(),
         ) {
             use pastas_codes::Code;
             use proptest::prelude::*;
             // Several arenas, several chunks, a partial last chunk.
             let config = SynthConfig { shard_patients: 100, ..SynthConfig::with_patients(300) };
-            let mut wb = Workbench::from_collection(generate_collection(config, collection_seed));
+            let mut collection = generate_collection(config, collection_seed);
+            if rebuilt {
+                collection = HistoryCollection::from_histories(collection.iter().map(|h| {
+                    let mut own = pastas_model::History::new(*h.patient());
+                    own.insert_all(h.entries().iter().map(|e| e.to_entry()));
+                    own
+                }));
+            }
+            let queries = [
+                QueryBuilder::new().has_code("T90").unwrap().build(),
+                QueryBuilder::new().has_code("Z.*").unwrap().lacks_code("K74").unwrap().build(),
+            ];
+            let mut wb = Workbench::from_collection(collection);
             let reference = Date::new(2014, 12, 31).unwrap();
             let _ = wb.cohort_profile(&[], reference, 5);
             prop_assert!(wb.holds_columns(), "the first read builds the column");
@@ -1464,6 +1481,13 @@ mod tests {
                 let rebuilt = PatientColumns::build(wb.collection(), wb.ontology());
                 prop_assert!(wb.columns.get() == Some(&rebuilt), "round {} (kind {})", round, kind);
                 wb.debug_validate();
+                for q in &queries {
+                    prop_assert_eq!(
+                        wb.index().select(wb.collection(), q),
+                        pastas_query::index::select_scan(wb.collection(), q),
+                        "round {}, {:?}", round, q
+                    );
+                }
                 // What a reader sees, on the new snapshot and on the old.
                 for snapshot in [wb.snapshot(), before] {
                     let all: Vec<u32> = (0..snapshot.collection().len() as u32).collect();

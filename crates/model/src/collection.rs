@@ -1,6 +1,6 @@
 //! Collections of histories — the unit the workbench visualizes and queries.
 
-use crate::{History, PatientId, Sex};
+use crate::{CodeDictionary, History, PatientId, Sex};
 use pastas_time::DateTime;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -187,8 +187,12 @@ impl RowColumns {
 /// through [`Self::upsert_shared`]: a caller that edits a history edits
 /// its own clone and upserts it.
 ///
+/// Every row's store is on a version of the collection's one
+/// [`CodeDictionary`] (see [`Self::dictionary`]), so a [`crate::CodeId`]
+/// names the same code in every row.
+///
 /// The spine and the [`RowColumns`] are shared copy-on-write as well: a
-/// clone is three pointer bumps, the first replaced history after a clone
+/// clone is four pointer bumps, the first replaced history after a clone
 /// copies the pointer vector and the sort-key columns (nothing per
 /// entry), only a brand-new or re-registered patient copies the
 /// demographic columns, and only a brand-new one the id map.
@@ -197,6 +201,9 @@ pub struct HistoryCollection {
     histories: Arc<Vec<Arc<History>>>,
     by_id: Arc<HashMap<PatientId, usize>>,
     rows: Arc<RowColumns>,
+    /// The newest version of the code dictionary: every row's store is
+    /// on a prefix of it.
+    dict: Arc<CodeDictionary>,
     /// Unset until the first [`Self::stats`] call; from then on every
     /// mutator keeps it current or drops it.
     summary: OnceLock<Summary>,
@@ -233,8 +240,11 @@ impl HistoryCollection {
     /// Insert or replace the history for a patient, sharing the allocation.
     /// The only way a row changes: the row columns are rewritten and an
     /// initialised summary is adjusted from the replaced and the replacing
-    /// history alone.
+    /// history alone. A history whose store is on another dictionary than
+    /// a prefix or an extension of the collection's is re-encoded onto it
+    /// first (see [`Self::dictionary`]).
     pub fn upsert_shared(&mut self, history: Arc<History>) {
+        let history = self.onto_dictionary(history);
         let at = self.by_id.get(&history.id()).copied();
         if let Some(summary) = self.summary.get_mut() {
             // A brand-new patient replaces an empty contribution.
@@ -251,6 +261,31 @@ impl HistoryCollection {
                 Arc::make_mut(&mut self.histories).push(history);
             }
         }
+    }
+
+    /// `history` on a prefix of this collection's dictionary. A store on
+    /// an extension (or on an equal version) makes that version the
+    /// collection's; one on a prefix needs nothing. Any other store — a
+    /// history built on its own, as `from_histories` of independently
+    /// built histories gives — is re-encoded onto a grown version.
+    fn onto_dictionary(&mut self, history: Arc<History>) -> Arc<History> {
+        let dict = history.store().dictionary();
+        if self.dict.is_prefix_of(dict) {
+            self.dict = Arc::clone(dict);
+        } else if !dict.is_prefix_of(&self.dict) {
+            let mut history = History::clone(&history);
+            history.rebuild_on(Arc::clone(&self.dict), Vec::new());
+            self.dict = Arc::clone(history.store().dictionary());
+            return Arc::new(history);
+        }
+        history
+    }
+
+    /// The collection's code dictionary: its newest version, which every
+    /// row's store holds a prefix of. A [`crate::CodeId`] read off any
+    /// row resolves here.
+    pub fn dictionary(&self) -> &Arc<CodeDictionary> {
+        &self.dict
     }
 
     /// Histories in display order. The `Arc` is transparent to readers
@@ -332,8 +367,9 @@ impl HistoryCollection {
 
     /// Deep invariant check (debug builds only; a no-op in release).
     ///
-    /// Panics unless the id map addresses every row, the row columns equal
-    /// a rebuild and a maintained summary equals the from-entries walk.
+    /// Panics unless the id map addresses every row, every row's store is
+    /// on a prefix of the dictionary, the row columns equal a rebuild and
+    /// a maintained summary equals the from-entries walk.
     /// Histories and arenas have their own checks (see
     /// `Snapshot::debug_validate` in `pastas-serve`).
     #[cfg(debug_assertions)]
@@ -342,6 +378,10 @@ impl HistoryCollection {
         let mut rows = RowColumns::default();
         for (i, h) in self.histories.iter().enumerate() {
             assert_eq!(self.by_id.get(&h.id()), Some(&i), "collection: {} not at row {i}", h.id());
+            assert!(
+                h.store().dictionary().is_prefix_of(&self.dict),
+                "collection: row {i}'s store is not on a prefix of the dictionary"
+            );
             rows.set(i, h);
         }
         assert_eq!(*self.rows, rows, "collection: row columns drifted from a rebuild");

@@ -5,11 +5,11 @@
 //! this module adds the append path: an [`OpenEpoch`] is an unsealed tail
 //! arena that accepts per-patient entry deltas ([`OpenEpoch::append`])
 //! and, on demand, seals them into a [`HistoryCollection`]
-//! ([`OpenEpoch::seal_into`]) — merging into existing histories (whose
-//! interners grow monotonically, so existing [`crate::CodeId`]s stay
-//! stable) and appending brand-new patients at the end of the display
-//! order. The epoch then resets and is ready for the next round of
-//! deltas.
+//! ([`OpenEpoch::seal_into`]) — merging into existing histories and
+//! appending brand-new patients at the end of the display order, all on
+//! one grown version of the collection's code dictionary (append-only,
+//! so existing [`crate::CodeId`]s stay stable). The epoch then resets
+//! and is ready for the next round of deltas.
 //!
 //! The epoch itself is *staging*: rows sit in arrival order and only
 //! become query-visible once sealed into the collection and the query
@@ -18,7 +18,7 @@
 
 use crate::history::{History, Patient, ValidationReport};
 use crate::store::EventStore;
-use crate::{Entry, HistoryCollection, PatientId};
+use crate::{CodeDictionary, Entry, HistoryCollection, PatientId};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -77,19 +77,24 @@ impl OpenEpoch {
 
     /// Seal the staged deltas into `collection` and reset the epoch.
     ///
-    /// Existing patients get their history rebuilt via
-    /// [`History::insert_all`] — the new entries merge into the sorted
-    /// `(start, end)` order on a store sharing the old interner, so code
-    /// ids stay stable and the history keeps its display position. New
-    /// patients are appended at the end of the display order, in first-
-    /// arrival order, all spanning one fresh shared arena (the same
-    /// layout a [`crate::CollectionBuilder`] seal produces).
+    /// The staged codes the collection's dictionary lacks are appended
+    /// to a copy of it first, in arrival order, and every store built
+    /// here holds that one version. Existing patients get their history
+    /// rebuilt — the new entries merge into the sorted `(start, end)`
+    /// order, code ids stay stable and the history keeps its display
+    /// position. New patients are appended at the end of the display
+    /// order, in first-arrival order, all spanning one fresh shared arena
+    /// (the same layout a [`crate::CollectionBuilder`] seal produces).
     ///
     /// Returns the distinct patient ids touched, in first-arrival order —
     /// the rows whose postings the query layer's index patches.
     pub fn seal_into(&mut self, collection: &mut HistoryCollection) -> Vec<PatientId> {
         if self.spans.is_empty() {
             return Vec::new();
+        }
+        let mut dict = Arc::clone(collection.dictionary());
+        for code in self.arena.dictionary().iter() {
+            CodeDictionary::intern_shared(&mut dict, code);
         }
         // Group staged rows per patient, preserving first-arrival order.
         let mut order: Vec<Patient> = Vec::new();
@@ -105,18 +110,17 @@ impl OpenEpoch {
         }
         let mut touched: Vec<PatientId> = Vec::with_capacity(order.len());
         // New patients share one fresh arena, sealed below.
-        let mut fresh = EventStore::new();
+        let mut fresh = EventStore::with_dictionary(Arc::clone(&dict));
         let mut fresh_spans: Vec<(Patient, u32, u32)> = Vec::new();
         for patient in order {
             touched.push(patient.id);
             let mut entries = grouped.remove(&patient.id).unwrap_or_default();
             match collection.get_shared(patient.id) {
                 Some(existing) => {
-                    // Merge into the existing history: one rebuild on a
-                    // store sharing the old interner (stable CodeIds),
+                    // Merge into the existing history: one rebuild,
                     // replaced in place (stable display position).
                     let mut history = History::clone(existing);
-                    history.insert_all(entries);
+                    history.rebuild_on(Arc::clone(&dict), entries);
                     collection.upsert_shared(Arc::new(history));
                 }
                 None => {
@@ -239,10 +243,8 @@ mod tests {
         epoch.append(patient(1), vec![diag(2015, 1, 1, "T90")]);
         epoch.append(patient(2), vec![diag(2015, 2, 1, "K74")]);
         epoch.seal_into(&mut collection);
-        let old_interner = Arc::clone(
-            collection.get(PatientId(1)).unwrap().store().interner_arc(),
-        );
-        let t90 = old_interner.lookup(&Code::icpc("T90")).expect("interned");
+        let old_dict = Arc::clone(collection.get(PatientId(1)).unwrap().store().dictionary());
+        let t90 = old_dict.lookup(&Code::icpc("T90")).expect("interned");
 
         // Second round touches patient 1 only.
         epoch.append(patient(1), vec![diag(2014, 6, 1, "A01")]);
@@ -254,14 +256,16 @@ mod tests {
         let codes: Vec<_> =
             h.entries().iter().map(|e| e.code().unwrap().value.clone()).collect();
         assert_eq!(codes, vec!["A01", "T90"], "merged into sorted order");
-        // The grown interner still resolves the old id to the same code.
-        assert_eq!(h.store().interner().resolve(t90), &Code::icpc("T90"));
+        // The grown dictionary still resolves the old id to the same code.
+        assert_eq!(h.store().dictionary().resolve(t90), &Code::icpc("T90"));
+        assert!(old_dict.is_prefix_of(collection.dictionary()));
+        assert!(Arc::ptr_eq(h.store().dictionary(), collection.dictionary()));
         // Patient 2 was untouched: same Arc as before.
         assert_eq!(collection.get(PatientId(2)).unwrap().len(), 1);
     }
 
-    /// Streamed entries whose codes the shard already interned must not
-    /// deep-clone its symbol table: the rebuilt history shares it.
+    /// Streamed entries whose codes the dictionary already holds must not
+    /// deep-clone it: the rebuilt history shares the collection's.
     #[test]
     fn extending_with_known_codes_shares_the_interner() {
         let mut collection = HistoryCollection::new();
@@ -274,13 +278,16 @@ mod tests {
         epoch.seal_into(&mut collection);
         let new = collection.get(PatientId(1)).unwrap();
         assert_eq!(new.len(), 4);
-        assert!(Arc::ptr_eq(new.store().interner_arc(), old.store().interner_arc()));
-        // A code the table lacks still gets its own, grown, copy.
+        assert!(Arc::ptr_eq(new.store().dictionary(), old.store().dictionary()));
+        // A code the dictionary lacks joins a grown copy, which becomes
+        // the collection's.
         epoch.append(patient(1), vec![diag(2017, 1, 1, "R95")]);
         epoch.seal_into(&mut collection);
         let grown = collection.get(PatientId(1)).unwrap();
-        assert!(!Arc::ptr_eq(grown.store().interner_arc(), old.store().interner_arc()));
-        assert_eq!(grown.store().interner().len(), old.store().interner().len() + 1);
+        assert!(!Arc::ptr_eq(grown.store().dictionary(), old.store().dictionary()));
+        assert_eq!(grown.store().dictionary().len(), old.store().dictionary().len() + 1);
+        assert!(Arc::ptr_eq(grown.store().dictionary(), collection.dictionary()));
+        collection.debug_validate();
     }
 
     #[test]

@@ -3,11 +3,11 @@
 //! Since the columnar refactor a history no longer owns a `Vec<Entry>`:
 //! it views a contiguous row span of a (possibly shared) [`EventStore`]
 //! arena. Reads go through the zero-copy [`Entries`]/[`EntryRef`] views;
-//! mutation detaches the history onto its own store (sharing the code
-//! interner, so [`crate::CodeId`]s stay compatible) when the arena is
-//! shared with other histories.
+//! mutation detaches the history onto its own store (on the arena's
+//! code dictionary, so [`crate::CodeId`]s stay compatible) when the
+//! arena is shared with other histories.
 
-use crate::store::{Entries, EntryRef, EventStore};
+use crate::store::{CodeDictionary, Entries, EntryRef, EventStore};
 use crate::{Entry, PatientId};
 use pastas_time::{Date, DateTime, DayNumber, Duration};
 use std::sync::Arc;
@@ -98,8 +98,7 @@ impl History {
     }
 
     /// The backing arena (shared when this history came out of a
-    /// [`crate::CollectionBuilder`] — the query layer keys its per-store
-    /// code-id translations on this pointer).
+    /// [`crate::CollectionBuilder`]).
     pub fn store(&self) -> &Arc<EventStore> {
         &self.store
     }
@@ -162,17 +161,9 @@ impl History {
                 return true;
             }
         }
-        // Detach: rebuild a private store for this history, sharing the
-        // interner so code ids stay compatible with the old arena.
-        let mut entries = self.entries().to_vec();
-        entries.insert((at - self.lo) as usize, entry);
-        let mut store = EventStore::with_interner(Arc::clone(self.store.interner_arc()));
-        for e in &entries {
-            store.push(e);
-        }
-        self.lo = 0;
-        self.hi = store.len_u32();
-        self.store = Arc::new(store);
+        // Detach: rebuild a private store for this history on its
+        // dictionary, so code ids stay those of the old arena.
+        self.rebuild_on(Arc::clone(self.store.dictionary()), vec![entry]);
         true
     }
 
@@ -191,20 +182,26 @@ impl History {
                 accepted.push(e);
             }
         }
-        if accepted.is_empty() {
-            return report;
+        if !accepted.is_empty() {
+            self.rebuild_on(Arc::clone(self.store.dictionary()), accepted);
         }
+        report
+    }
+
+    /// Move onto one private store on `dict` holding this history's
+    /// entries plus `more` (validated already), stably sorted by
+    /// `(start, end)`. Codes `dict` lacks extend a copy of it.
+    pub(crate) fn rebuild_on(&mut self, dict: Arc<CodeDictionary>, more: Vec<Entry>) {
         let mut all = self.entries().to_vec();
-        all.extend(accepted);
+        all.extend(more);
         all.sort_by_key(|e| (e.start(), e.end()));
-        let mut store = EventStore::with_interner(Arc::clone(self.store.interner_arc()));
+        let mut store = EventStore::with_dictionary(dict);
         for e in &all {
             store.push(e);
         }
         self.lo = 0;
         self.hi = store.len_u32();
         self.store = Arc::new(store);
-        report
     }
 
     /// The entries, sorted by (start, end) — a zero-copy view over the
@@ -284,7 +281,7 @@ impl History {
 
     /// The diagnosis code sequence in time order — NSEPter's input ("the
     /// only information from the EHR that was utilized, was the diagnosis
-    /// codes for each patient"). Borrowed from the interner; no clones.
+    /// codes for each patient"). Borrowed from the dictionary; no clones.
     pub fn diagnosis_sequence(&self) -> Vec<&pastas_codes::Code> {
         self.entries()
             .iter()
@@ -530,9 +527,8 @@ mod tests {
         assert_eq!(shared.len(), 1, "the shared clone is untouched");
         assert!(!Arc::ptr_eq(h.store(), shared.store()), "detached onto a new store");
         assert!(
-            Arc::ptr_eq(h.store().interner_arc(), shared.store().interner_arc())
-                || h.store().interner().len() >= shared.store().interner().len(),
-            "interner stays compatible"
+            shared.store().dictionary().is_prefix_of(h.store().dictionary()),
+            "the dictionary stays compatible"
         );
     }
 

@@ -17,7 +17,8 @@
 //! * [`HistoryCollection`] — the in-memory cohort the workbench operates on,
 //!   with sub-collection extraction, summary statistics and the per-row
 //!   sort keys ([`RowColumns`]);
-//! * [`EventStore`] — the columnar, code-interned arena behind histories,
+//! * [`EventStore`] — the columnar arena behind histories, its code ids
+//!   into the collection's one [`CodeDictionary`],
 //!   with the zero-copy [`EntryRef`]/[`Entries`] views the hot query, viz,
 //!   and align paths iterate (see the `store` module docs for the layout).
 
@@ -35,7 +36,7 @@ pub use entry::{EpisodeKind, Entry, Event, Interval, MeasurementKind, Payload, S
 pub use epoch::OpenEpoch;
 pub use history::{History, Patient, Sex, ValidationReport};
 pub use store::{
-    CodeId, CodeInterner, CollectionBuilder, Entries, EntriesIter, EntryRef, EntryView,
+    CodeDictionary, CodeId, CollectionBuilder, Entries, EntriesIter, EntryRef, EntryView,
     EventStore, MemoryFootprint, PayloadRef, ShardedStore, StoreBytes, FAR_START,
 };
 

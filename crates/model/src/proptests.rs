@@ -120,7 +120,7 @@ proptest! {
     /// — at the calendar's edges, further apart than an arena's window —
     /// pushed in arrival order read back identical through `EntryRef`,
     /// whether the store is fresh or starts life detached on a shared
-    /// interner.
+    /// dictionary.
     #[test]
     fn event_store_round_trip(
         entries in proptest::collection::vec(arb_far_entry(), 0..40),
@@ -129,7 +129,7 @@ proptest! {
         let mut store = EventStore::new();
         if detached {
             let arena = EventStore::from_entries(entries.iter().take(3));
-            store = EventStore::with_interner(std::sync::Arc::clone(arena.interner_arc()));
+            store = EventStore::with_dictionary(std::sync::Arc::clone(arena.dictionary()));
         }
         for e in &entries {
             store.push(e);
@@ -210,9 +210,9 @@ proptest! {
 
     /// Builders filled over block-aligned patient ranges and joined by
     /// `append` give what one builder fed every patient gives: the same
-    /// histories, arena count and boundaries, per-arena rows and
-    /// interners, and merged report — uneven last blocks, pieces of no
-    /// blocks and pre-birth drops included.
+    /// histories, arena count and boundaries, per-arena rows and code
+    /// ids, one dictionary, and merged report — uneven last blocks,
+    /// pieces of no blocks and pre-birth drops included.
     #[test]
     fn appended_builders_equal_one_builder(
         people in proptest::collection::vec(
@@ -255,12 +255,16 @@ proptest! {
         prop_assert_eq!(report_a, report_b);
         let (arenas_a, arenas_b) = (a.sharded_store(), b.sharded_store());
         prop_assert_eq!(arenas_a.shard_count(), arenas_b.shard_count());
+        prop_assert_eq!(a.dictionary(), b.dictionary());
         for (x, y) in arenas_a.shards().iter().zip(arenas_b.shards()) {
             x.debug_validate();
             y.debug_validate();
-            prop_assert_eq!(x.interner(), y.interner());
-            let rows =
-                |s: &EventStore| (0..s.len_u32()).map(|i| s.get(i).to_entry()).collect::<Vec<_>>();
+            prop_assert!(std::sync::Arc::ptr_eq(x.dictionary(), a.dictionary()));
+            prop_assert!(std::sync::Arc::ptr_eq(y.dictionary(), b.dictionary()));
+            let rows = |s: &EventStore| {
+                let row = |i| (s.get(i).to_entry(), s.get(i).code_id());
+                (0..s.len_u32()).map(row).collect::<Vec<_>>()
+            };
             prop_assert_eq!(rows(x), rows(y));
         }
         let arena_of = |c: &HistoryCollection, h: &History| {

@@ -7,9 +7,11 @@
 //! heap `String`; this module stores one collection's entries as
 //! struct-of-arrays instead:
 //!
-//! * [`CodeInterner`] — every distinct [`Code`] appears once; entries
-//!   refer to it by [`CodeId`], so equality is an integer compare and
-//!   prefix tests are range walks over the sorted symbol table;
+//! * [`CodeDictionary`] — one per collection, shared by its arenas:
+//!   every distinct [`Code`] appears once and entries refer to it by
+//!   [`CodeId`], so equality is an integer compare, prefix tests are
+//!   range walks over the sorted symbol table, and an id means the same
+//!   code in every arena;
 //! * [`EventStore`] — three parallel columns, 9 bytes a row: `starts`
 //!   (`u32` seconds after the arena's base midnight), `kinds` (payload
 //!   tag, source and the interval flag in one byte) and `aux` (a
@@ -22,8 +24,9 @@
 //! * [`Entries`] — one history's contiguous row span, iterable like the
 //!   old `&[Entry]` slice;
 //! * [`CollectionBuilder`] — builds one shared arena for a whole
-//!   collection (the `ingest::aggregate` and `synth` path), so cohort
-//!   extraction shares a single allocation.
+//!   collection (the `ingest::aggregate` and `synth` path), or one per
+//!   patient range, all on one dictionary, so cohort extraction shares a
+//!   single allocation.
 //!
 //! [`Entry`] stays as the construction/export/materialization type; the
 //! store ⇄ `Vec<Entry>` round trip is lossless (property-tested in
@@ -36,47 +39,68 @@ use pastas_codes::Code;
 use pastas_time::{DateTime, Duration};
 use std::collections::HashSet;
 use std::fmt::Write;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
-// Code interning
+// The code dictionary
 // ---------------------------------------------------------------------------
 
-/// A handle to an interned [`Code`]: its append index in the interner.
-/// Stable across later interning (the sorted view is a separate
-/// permutation), so stored `aux` columns never need rewriting.
+/// A handle to a [`Code`]: its append index in the collection's
+/// [`CodeDictionary`]. The same id names the same code in every arena of
+/// the collection, and stays stable as the dictionary grows (the sorted
+/// view is a separate permutation), so stored `aux` columns never need
+/// rewriting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CodeId(pub u32);
 
-/// A per-collection symbol table of distinct codes.
+/// The append-only symbol table of one collection's distinct codes.
 ///
 /// Codes are kept in append (id) order plus a permutation sorted by
 /// `(value, system)`, so exact lookup is a binary search and all codes
 /// sharing a value prefix form one contiguous run of the sorted view —
 /// the property the query layer's prefix probes exploit.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct CodeInterner {
+///
+/// Every arena holds an `Arc` to a *version* of its collection's
+/// dictionary. Ids are append indexes, so an older version is a prefix
+/// of every newer one: a sealed arena never gains a code, and a grown
+/// dictionary still decodes it. Versions are derived copy-on-write
+/// ([`Arc::make_mut`]); [`Self::is_prefix_of`] tells, in O(1), whether
+/// one version's ids mean the same codes in another.
+#[derive(Debug, Clone, Default)]
+pub struct CodeDictionary {
     codes: Vec<Code>,
     /// Ids sorted by `(value, system)`.
     sorted: Vec<u32>,
+    /// `stamps[id]`: a process-unique number drawn when `id` was
+    /// appended. Two versions carrying the same stamp at one id descend
+    /// from the version that append made, so they agree on every id up
+    /// to it.
+    stamps: Vec<u64>,
+}
+
+/// Two dictionaries are equal when they hold the same codes under the
+/// same ids, whatever versions they are.
+impl PartialEq for CodeDictionary {
+    fn eq(&self, other: &CodeDictionary) -> bool {
+        self.codes == other.codes
+    }
 }
 
 fn code_key(c: &Code) -> (&str, pastas_codes::CodeSystem) {
     (c.value.as_str(), c.system)
 }
 
-impl CodeInterner {
-    /// An empty interner.
-    pub fn new() -> CodeInterner {
-        CodeInterner::default()
-    }
+/// The source of [`CodeDictionary`] append stamps.
+static NEXT_STAMP: AtomicU64 = AtomicU64::new(0);
 
+impl CodeDictionary {
     /// Number of distinct codes.
     pub fn len(&self) -> usize {
         self.codes.len()
     }
 
-    /// True if no codes are interned.
+    /// True if no codes are held.
     pub fn is_empty(&self) -> bool {
         self.codes.is_empty()
     }
@@ -86,29 +110,46 @@ impl CodeInterner {
         &self.codes[id.0 as usize]
     }
 
-    /// The id of a code, if interned.
+    /// Where `code` is, or belongs, in the sorted view.
+    fn search(&self, code: &Code) -> Result<usize, usize> {
+        self.sorted.binary_search_by(|&i| code_key(&self.codes[i as usize]).cmp(&code_key(code)))
+    }
+
+    /// The id of a code, if held.
     pub fn lookup(&self, code: &Code) -> Option<CodeId> {
-        self.sorted
-            .binary_search_by(|&i| code_key(&self.codes[i as usize]).cmp(&code_key(code)))
-            .ok()
-            .map(|pos| CodeId(self.sorted[pos]))
+        self.search(code).ok().map(|pos| CodeId(self.sorted[pos]))
     }
 
     /// Intern a code, returning its stable id.
     pub fn intern(&mut self, code: &Code) -> CodeId {
-        match self
-            .sorted
-            .binary_search_by(|&i| code_key(&self.codes[i as usize]).cmp(&code_key(code)))
-        {
+        match self.search(code) {
             Ok(pos) => CodeId(self.sorted[pos]),
             Err(pos) => {
                 let id = u32::try_from(self.codes.len())
-                    .expect("code interner holds < 2^32 distinct codes");
+                    .expect("code dictionary holds < 2^32 distinct codes");
                 self.codes.push(code.clone());
                 self.sorted.insert(pos, id);
+                self.stamps.push(NEXT_STAMP.fetch_add(1, Ordering::Relaxed));
                 CodeId(id)
             }
         }
+    }
+
+    /// The id of `code` in the version `dict` points at, interning it
+    /// into a copy-on-write version only if that one lacks it: `make_mut`
+    /// on a version other arenas share deep-clones it.
+    pub fn intern_shared(dict: &mut Arc<CodeDictionary>, code: &Code) -> CodeId {
+        match dict.lookup(code) {
+            Some(id) => id,
+            None => Arc::make_mut(dict).intern(code),
+        }
+    }
+
+    /// True if every id of this dictionary names the same code in
+    /// `newer`: this is `newer` or a version it grew from.
+    pub fn is_prefix_of(&self, newer: &CodeDictionary) -> bool {
+        self.stamps.len() <= newer.stamps.len()
+            && self.stamps.last().is_none_or(|s| newer.stamps[self.stamps.len() - 1] == *s)
     }
 
     /// Iterate codes in id order (index `i` is `CodeId(i)`).
@@ -116,11 +157,20 @@ impl CodeInterner {
         self.codes.iter()
     }
 
+    /// The codes in `(value, system)` order, from the first whose value
+    /// is not below `value`: a value's codes in every system, and then
+    /// every code sharing a prefix, are one contiguous run.
+    pub fn sorted_from(&self, value: &str) -> impl Iterator<Item = (CodeId, &Code)> {
+        let start = self.sorted.partition_point(|&i| self.codes[i as usize].value.as_str() < value);
+        self.sorted[start..].iter().map(|&i| (CodeId(i), &self.codes[i as usize]))
+    }
+
     /// Approximate heap bytes held by the symbol table.
     pub fn heap_bytes(&self) -> usize {
         self.codes.len() * std::mem::size_of::<Code>()
             + self.codes.iter().map(|c| c.value.len()).sum::<usize>()
             + self.sorted.len() * std::mem::size_of::<u32>()
+            + self.stamps.len() * std::mem::size_of::<u64>()
     }
 
     /// Deep invariant check (debug builds only; a no-op in release).
@@ -128,27 +178,28 @@ impl CodeInterner {
     /// Panics unless the sorted view is an exact permutation of the id
     /// space, strictly increasing by `(value, system)` — i.e. sorted
     /// *and* deduplicated, the property every binary-search lookup and
-    /// prefix probe relies on.
+    /// prefix probe relies on — and every id has its stamp.
     #[cfg(debug_assertions)]
     pub fn debug_validate(&self) {
         assert_eq!(
             self.sorted.len(),
             self.codes.len(),
-            "interner: sorted view and id space differ in length"
+            "dictionary: sorted view and id space differ in length"
         );
+        assert_eq!(self.stamps.len(), self.codes.len(), "dictionary: an id without its stamp");
         let mut seen = vec![false; self.codes.len()];
         for &id in &self.sorted {
             let slot = seen
                 .get_mut(id as usize)
-                .unwrap_or_else(|| panic!("interner: sorted view holds stray id {id}"));
-            assert!(!*slot, "interner: id {id} appears twice in the sorted view");
+                .unwrap_or_else(|| panic!("dictionary: sorted view holds stray id {id}"));
+            assert!(!*slot, "dictionary: id {id} appears twice in the sorted view");
             *slot = true;
         }
         for w in self.sorted.windows(2) {
             let (a, b) = (&self.codes[w[0] as usize], &self.codes[w[1] as usize]);
             assert!(
                 code_key(a) < code_key(b),
-                "interner: sorted view out of order or duplicated at {a:?} / {b:?}"
+                "dictionary: sorted view out of order or duplicated at {a:?} / {b:?}"
             );
         }
     }
@@ -239,7 +290,9 @@ pub(crate) struct WideRow {
 /// histories; each [`History`] views a contiguous row span.
 #[derive(Debug, Clone, Default)]
 pub struct EventStore {
-    pub(crate) interner: Arc<CodeInterner>,
+    /// A version of the collection's dictionary: every `CodeId` in `aux`
+    /// is below its length.
+    pub(crate) dict: Arc<CodeDictionary>,
     /// The midnight `starts` counts from, fixed by the first push:
     /// [`DAYS_BEFORE_FIRST`] before that entry's day, so the window
     /// reaches 68 years either side of it.
@@ -271,14 +324,14 @@ pub struct StoreBytes {
     pub wide: usize,
     /// Measurement and note side tables.
     pub side_tables: usize,
-    /// The code symbol table.
-    pub interner: usize,
+    /// The code dictionary.
+    pub dictionary: usize,
 }
 
 impl StoreBytes {
     /// All parts.
     pub fn total(&self) -> usize {
-        self.time + self.aux + self.kinds + self.wide + self.side_tables + self.interner
+        self.time + self.aux + self.kinds + self.wide + self.side_tables + self.dictionary
     }
 
     fn add(&mut self, other: &StoreBytes) {
@@ -287,19 +340,21 @@ impl StoreBytes {
         self.kinds += other.kinds;
         self.wide += other.wide;
         self.side_tables += other.side_tables;
-        self.interner += other.interner;
+        self.dictionary += other.dictionary;
     }
 }
 
 impl EventStore {
-    /// An empty store with its own interner.
+    /// An empty store with an empty dictionary of its own.
     pub fn new() -> EventStore {
         EventStore::default()
     }
 
-    /// An empty store sharing an existing interner (ids stay compatible).
-    pub fn with_interner(interner: Arc<CodeInterner>) -> EventStore {
-        EventStore { interner, ..EventStore::default() }
+    /// An empty store on a version of an existing dictionary: the codes
+    /// it adds extend a copy, so every id the version holds keeps its
+    /// code.
+    pub fn with_dictionary(dict: Arc<CodeDictionary>) -> EventStore {
+        EventStore { dict, ..EventStore::default() }
     }
 
     /// Build a store from entries, preserving their order (lossless —
@@ -330,11 +385,11 @@ impl EventStore {
     ///
     /// Panics unless every parallel column has the same length, every
     /// tag is a known payload kind, every `aux` word lands inside the
-    /// structure it indexes (interner, measurement side table, note side
-    /// table, or episode discriminant space), and the wide table holds,
-    /// ascending by row, exactly the intervals and far starts, each
-    /// ending at or after it starts and agreeing with its row's offset.
-    /// Also validates the shared interner.
+    /// structure it indexes (dictionary, measurement side table, note
+    /// side table, or episode discriminant space), and the wide table
+    /// holds, ascending by row, exactly the intervals and far starts,
+    /// each ending at or after it starts and agreeing with its row's
+    /// offset. Also validates the shared dictionary.
     #[cfg(debug_assertions)]
     pub fn debug_validate(&self) {
         let n = self.kinds.len();
@@ -345,7 +400,7 @@ impl EventStore {
             0,
             "store: base is not a midnight"
         );
-        self.interner.debug_validate();
+        self.dict.debug_validate();
         for w in self.wide.windows(2) {
             assert!(
                 w[0].row < w[1].row,
@@ -360,9 +415,9 @@ impl EventStore {
             let aux = self.aux[i] as usize;
             match tag {
                 TAG_DIAGNOSIS | TAG_MEDICATION => assert!(
-                    aux < self.interner.len(),
-                    "store: row {i} code id {aux} outside interner (len {})",
-                    self.interner.len()
+                    aux < self.dict.len(),
+                    "store: row {i} code id {aux} outside dictionary (len {})",
+                    self.dict.len()
                 ),
                 TAG_MEASUREMENT => assert!(
                     aux < self.measurements.len(),
@@ -417,31 +472,28 @@ impl EventStore {
         self.kinds.is_empty()
     }
 
-    /// The shared symbol table.
-    pub fn interner(&self) -> &CodeInterner {
-        &self.interner
+    /// The dictionary version this store's code ids index.
+    pub fn dictionary(&self) -> &Arc<CodeDictionary> {
+        &self.dict
     }
 
-    /// The shared symbol-table handle (for stores that must keep ids
-    /// compatible, e.g. a history detaching on mutation).
-    pub fn interner_arc(&self) -> &Arc<CodeInterner> {
-        &self.interner
-    }
-
-    /// The id of `code` in this store's symbol table. Looks it up first:
-    /// `make_mut` on an interner shared with a shard's arena deep-clones
-    /// the whole table, which only a code the table lacks is worth.
-    fn intern(&mut self, code: &Code) -> u32 {
-        match self.interner.lookup(code) {
-            Some(id) => id.0,
-            None => Arc::make_mut(&mut self.interner).intern(code).0,
+    /// Re-number every code row into `dict` through `ids` (this store's
+    /// old id → its id in `dict`), and move the store onto `dict`.
+    fn renumber(&mut self, ids: &[u32], dict: &Arc<CodeDictionary>) {
+        for (aux, &kind) in self.aux.iter_mut().zip(&self.kinds) {
+            if code_id_of(kind, *aux).is_some() {
+                // lint:allow(no-panic-hot-path) ids maps every id of this store's dictionary
+                *aux = ids[*aux as usize];
+            }
         }
+        self.dict = Arc::clone(dict);
     }
 
     fn encode_payload(&mut self, payload: &Payload) -> (u8, u32) {
+        let mut code = |c| CodeDictionary::intern_shared(&mut self.dict, c).0;
         match payload {
-            Payload::Diagnosis(c) => (TAG_DIAGNOSIS, self.intern(c)),
-            Payload::Medication(c) => (TAG_MEDICATION, self.intern(c)),
+            Payload::Diagnosis(c) => (TAG_DIAGNOSIS, code(c)),
+            Payload::Medication(c) => (TAG_MEDICATION, code(c)),
             Payload::Measurement { kind, value } => {
                 self.measurements.push((*kind, *value));
                 let idx = u32::try_from(self.measurements.len() - 1)
@@ -550,8 +602,8 @@ impl EventStore {
         let i = i as usize;
         let aux = self.aux[i];
         match self.kinds[i] & TAG_MASK {
-            TAG_DIAGNOSIS => PayloadRef::Diagnosis(self.interner.resolve(CodeId(aux))),
-            TAG_MEDICATION => PayloadRef::Medication(self.interner.resolve(CodeId(aux))),
+            TAG_DIAGNOSIS => PayloadRef::Diagnosis(self.dict.resolve(CodeId(aux))),
+            TAG_MEDICATION => PayloadRef::Medication(self.dict.resolve(CodeId(aux))),
             TAG_MEASUREMENT => {
                 let (kind, value) = self.measurements[aux as usize];
                 PayloadRef::Measurement { kind, value }
@@ -561,7 +613,9 @@ impl EventStore {
         }
     }
 
-    /// Heap bytes held by the store, part by part.
+    /// Heap bytes held by the store, part by part. The dictionary is
+    /// shared by the collection's arenas; [`MemoryFootprint::measure`]
+    /// counts it once.
     pub fn byte_split(&self) -> StoreBytes {
         use std::mem::size_of;
         StoreBytes {
@@ -571,13 +625,12 @@ impl EventStore {
             wide: self.wide.len() * size_of::<WideRow>(),
             side_tables: self.measurements.len() * size_of::<(MeasurementKind, f64)>()
                 + self.notes.iter().map(|n| size_of::<String>() + n.len()).sum::<usize>(),
-            interner: self.interner.heap_bytes(),
+            dictionary: self.dict.heap_bytes(),
         }
     }
 
     /// Approximate heap bytes held by the store (columns + wide table +
-    /// side tables + symbol table) — the numerator of the E5
-    /// bytes-per-entry report.
+    /// side tables + dictionary).
     pub fn heap_bytes(&self) -> usize {
         self.byte_split().total()
     }
@@ -740,13 +793,13 @@ impl<'a> EntryRef<'a> {
         self.store.payload_ref(self.idx)
     }
 
-    /// The clinical code, if any, borrowed from the interner.
+    /// The clinical code, if any, borrowed from the dictionary.
     pub fn code(&self) -> Option<&'a Code> {
         self.payload().code()
     }
 
-    /// The interned code id, if this entry carries a code. Integer
-    /// identity within this entry's store — what the query layer posts.
+    /// The code id, if this entry carries a code. Integer identity across
+    /// the collection's arenas — what the query layer posts.
     pub fn code_id(&self) -> Option<CodeId> {
         code_id_of(self.store.kinds[self.idx as usize], self.store.aux[self.idx as usize])
     }
@@ -939,7 +992,7 @@ impl<'a> Entries<'a> {
         (self.store.base, &self.store.starts[self.lo as usize..self.hi as usize])
     }
 
-    /// Fused columnar scan: `(source, interned code id)` per entry,
+    /// Fused columnar scan: `(source, code id)` per entry,
     /// walking each column slice sequentially instead of re-indexing the
     /// store per field the way [`EntryRef`] accessors do. This is the
     /// hot-loop shape of the analytics dimension pass, which folds
@@ -1019,14 +1072,15 @@ impl<'a> IntoIterator for &Entries<'a> {
 /// [`Entry`] per row (`size_of::<Entry>()`) plus the per-entry heap its
 /// payload owns (code value bytes, note bytes). The columnar figure is
 /// [`EventStore::heap_bytes`] summed over the collection's *distinct*
-/// arenas — shared arenas are counted once, which is the whole point.
+/// arenas — shared arenas are counted once, which is the whole point —
+/// with the collection's one dictionary counted once beside them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MemoryFootprint {
     /// Total entries across the collection.
     pub entries: usize,
     /// Distinct [`EventStore`] arenas backing the collection.
     pub stores: usize,
-    /// Bytes held by the columnar arenas (columns + interner).
+    /// Bytes held by the columnar arenas (columns + dictionary).
     pub columnar_bytes: usize,
     /// `columnar_bytes` by part.
     pub split: StoreBytes,
@@ -1054,7 +1108,7 @@ impl MemoryFootprint {
         for h in collection.iter() {
             let ptr = Arc::as_ptr(h.store());
             if ptr != previous && seen.insert(ptr) {
-                f.split.add(&h.store().byte_split());
+                f.split.add(&StoreBytes { dictionary: 0, ..h.store().byte_split() });
             }
             previous = ptr;
             f.entries += h.len();
@@ -1068,6 +1122,7 @@ impl MemoryFootprint {
             }
         }
         f.stores = seen.len();
+        f.split.dictionary = collection.dictionary().heap_bytes();
         f.columnar_bytes = f.split.total();
         f
     }
@@ -1119,7 +1174,7 @@ impl MemoryFootprint {
             "memory: {:.1} B/entry columnar vs {:.1} B/entry AoS ({:.2}x smaller; \
              {} entries in {} arena{})\n\
              columnar split: time {:.2} + aux {:.2} + kinds {:.2} + wide rows {:.2} + \
-             side tables {:.2} + interner {:.2} B/entry",
+             side tables {:.2} + dictionary {:.2} B/entry",
             self.columnar_per_entry(),
             self.aos_per_entry(),
             self.reduction(),
@@ -1131,7 +1186,7 @@ impl MemoryFootprint {
             per_entry(self.split.kinds),
             per_entry(self.split.wide),
             per_entry(self.split.side_tables),
-            per_entry(self.split.interner),
+            per_entry(self.split.dictionary),
         );
         if self.postings > 0 {
             s.push_str(&format!(
@@ -1155,8 +1210,7 @@ impl MemoryFootprint {
 ///
 /// A monolithic collection has one shard; a [`CollectionBuilder`] with
 /// [`CollectionBuilder::with_shard_patients`] produces one arena per
-/// patient range, each with its own (small) [`CodeInterner`]. The query
-/// layer merges those interners through its global symbol table, so
+/// patient range, all on the collection's one [`CodeDictionary`], so
 /// downstream code sees one vocabulary regardless of the split; this
 /// facade exists for accounting (per-shard arena bytes in E5 and the
 /// serve layer's `/metrics`) and for layers that want to walk arenas
@@ -1189,7 +1243,7 @@ impl ShardedStore {
         &self.shards
     }
 
-    /// Heap bytes per arena (columns + interner), in shard order.
+    /// Heap bytes per arena (columns + dictionary), in shard order.
     pub fn shard_bytes(&self) -> Vec<usize> {
         self.shards.iter().map(|s| s.heap_bytes()).collect()
     }
@@ -1218,16 +1272,18 @@ impl ShardedStore {
 /// views by span — cohort extraction and sorting never copy entry data.
 ///
 /// By default the whole collection shares one arena. At the 1M–10M
-/// patient scale a single arena (and its single interner) becomes the
-/// memory and parallelism ceiling, so
-/// [`CollectionBuilder::with_shard_patients`] seals the current arena
-/// every *n* patients and starts a fresh one with its own interner —
-/// the [`ShardedStore`] layout the sharded query index rides on.
+/// patient scale a single arena becomes the memory and parallelism
+/// ceiling, so [`CollectionBuilder::with_shard_patients`] seals the
+/// current arena every *n* patients and starts a fresh one — the
+/// [`ShardedStore`] layout the sharded query index rides on. Every arena
+/// interns into the one dictionary, and [`CollectionBuilder::build`]
+/// hands them all its final version.
 #[derive(Debug, Default)]
 pub struct CollectionBuilder {
     store: EventStore,
-    /// Arenas already sealed by the patient-range shard cut.
-    sealed: Vec<Arc<EventStore>>,
+    /// Arenas already sealed by the patient-range shard cut, each on a
+    /// prefix of `store`'s dictionary.
+    sealed: Vec<EventStore>,
     /// `(patient, arena slot, lo, hi)` — the slot indexes `sealed` after
     /// the final seal in [`CollectionBuilder::build`].
     patients: Vec<(Patient, u32, u32, u32)>,
@@ -1245,12 +1301,18 @@ impl CollectionBuilder {
     }
 
     /// Seal the arena every `n` patients, giving each patient range its
-    /// own [`EventStore`] with its own interner. `0` restores the
+    /// own [`EventStore`] on the shared dictionary. `0` restores the
     /// monolithic default. Aligning `n` with the query index's shard
     /// width (65 536) keeps one arena per index shard.
     pub fn with_shard_patients(mut self, n: usize) -> CollectionBuilder {
         self.shard_patients = u32::try_from(n).unwrap_or(u32::MAX);
         self
+    }
+
+    /// Seal the open arena and open the next on its dictionary.
+    fn seal(&mut self) {
+        let next = EventStore::with_dictionary(Arc::clone(&self.store.dict));
+        self.sealed.push(std::mem::replace(&mut self.store, next));
     }
 
     /// Add one patient's entries (any order; they are validated against
@@ -1261,7 +1323,7 @@ impl CollectionBuilder {
         entries: impl IntoIterator<Item = Entry>,
     ) -> ValidationReport {
         if self.shard_patients > 0 && self.in_current >= self.shard_patients {
-            self.sealed.push(Arc::new(std::mem::take(&mut self.store)));
+            self.seal();
             self.in_current = 0;
         }
         let mut report = ValidationReport::default();
@@ -1290,18 +1352,27 @@ impl CollectionBuilder {
     }
 
     /// Move `other`'s patients in after this builder's, for builders
-    /// filled in parallel over consecutive patient ranges. Seals the
+    /// filled in parallel over consecutive patient ranges. Interns
+    /// `other`'s codes into this builder's dictionary in `other`'s id
+    /// order and re-numbers its arenas' code rows to match, seals the
     /// current arena (unless it is still empty), then takes `other`'s
     /// sealed arenas with their slots re-based, its open arena and its
-    /// report. Appending at every `shard_patients` boundary lays the
-    /// arenas out exactly as one builder fed every patient would.
-    pub fn append(&mut self, other: CollectionBuilder) {
+    /// report. Appending at every `shard_patients` boundary lays out the
+    /// arenas, their code columns and the dictionary exactly as one
+    /// builder fed every patient would.
+    pub fn append(&mut self, mut other: CollectionBuilder) {
         if other.patients.is_empty() {
             return;
         }
+        let mut dict = Arc::clone(&self.store.dict);
+        let ids: Vec<u32> =
+            other.store.dict.iter().map(|code| CodeDictionary::intern_shared(&mut dict, code).0).collect();
+        for store in other.sealed.iter_mut().chain([&mut other.store]) {
+            store.renumber(&ids, &dict);
+        }
         let open = std::mem::replace(&mut self.store, other.store);
         if !self.patients.is_empty() {
-            self.sealed.push(Arc::new(open));
+            self.sealed.push(open);
         }
         // lint:allow(no-silent-truncation) arena count stays far below u32::MAX
         let base = self.sealed.len() as u32;
@@ -1313,9 +1384,15 @@ impl CollectionBuilder {
     }
 
     /// Finish: one [`History`] span per patient (in insertion order) over
-    /// the shared arena(s), plus the merged validation report.
+    /// the shared arena(s), every arena on the final dictionary, plus the
+    /// merged validation report.
     pub fn build(self) -> (HistoryCollection, ValidationReport) {
-        let mut arenas = self.sealed;
+        let dict = Arc::clone(&self.store.dict);
+        let mut arenas: Vec<Arc<EventStore>> = self
+            .sealed
+            .into_iter()
+            .map(|store| Arc::new(EventStore { dict: Arc::clone(&dict), ..store }))
+            .collect();
         arenas.push(Arc::new(self.store));
         let collection = HistoryCollection::from_histories(
             self.patients.into_iter().map(|(patient, slot, lo, hi)| {
@@ -1341,7 +1418,7 @@ mod tests {
     fn debug_validate_accepts_a_healthy_store() {
         let store = EventStore::from_entries(&sample_entries());
         store.debug_validate();
-        store.interner().debug_validate();
+        store.dictionary().debug_validate();
     }
 
     #[test]
@@ -1355,7 +1432,7 @@ mod tests {
 
     #[test]
     #[cfg(debug_assertions)]
-    #[should_panic(expected = "outside interner")]
+    #[should_panic(expected = "outside dictionary")]
     fn debug_validate_catches_a_dangling_code_id() {
         let mut store = EventStore::from_entries(&sample_entries());
         store.aux[0] = u32::MAX; // row 0 is a diagnosis: aux is a CodeId
@@ -1367,11 +1444,12 @@ mod tests {
     #[should_panic(expected = "sorted view out of order")]
     fn debug_validate_catches_a_scrambled_interner() {
         let mut store = EventStore::from_entries(&sample_entries());
-        Arc::make_mut(&mut store.interner).sorted.reverse();
+        Arc::make_mut(&mut store.dict).sorted.reverse();
         store.debug_validate();
     }
 
     /// `sample_entries` plus a second interval: wide rows at 3 and 5.
+    #[cfg(debug_assertions)]
     fn two_interval_store() -> EventStore {
         let mut entries = sample_entries();
         entries.push(Entry::interval(
@@ -1509,10 +1587,10 @@ mod tests {
         let mut entries = sample_entries();
         entries.extend(sample_entries());
         let store = EventStore::from_entries(&entries);
-        assert_eq!(store.interner().len(), 2, "T90 and C07AB02 interned once");
+        assert_eq!(store.dictionary().len(), 2, "T90 and C07AB02 interned once");
         let t90 = Code::icpc("T90");
-        let id = store.interner().lookup(&t90).expect("interned");
-        assert_eq!(store.interner().resolve(id), &t90);
+        let id = store.dictionary().lookup(&t90).expect("interned");
+        assert_eq!(store.dictionary().resolve(id), &t90);
         assert_eq!(store.get(0).code_id(), Some(id));
         assert_eq!(store.get(5).code_id(), Some(id), "same id across duplicates");
         assert_eq!(store.get(2).code_id(), None, "measurements carry no code");
@@ -1520,19 +1598,39 @@ mod tests {
 
     #[test]
     fn interner_sorted_runs_share_value_prefixes() {
-        let mut interner = CodeInterner::new();
+        let mut dict = CodeDictionary::default();
         for v in ["T90", "K74", "T89", "A01", "T90"] {
-            interner.intern(&Code::icpc(v));
+            dict.intern(&Code::icpc(v));
         }
-        assert_eq!(interner.len(), 4);
-        let values: Vec<&str> = interner
-            .sorted
-            .iter()
-            .map(|&i| interner.codes[i as usize].value.as_str())
-            .collect();
+        dict.intern(&Code::icd10("T90"));
+        assert_eq!(dict.len(), 5);
+        let values: Vec<&str> = dict.sorted_from("").map(|(_, c)| c.value.as_str()).collect();
         let mut expect = values.clone();
         expect.sort_unstable();
         assert_eq!(values, expect, "sorted view ordered by value");
+        let t9: Vec<&Code> = dict.sorted_from("T9").map(|(_, c)| c).collect();
+        assert_eq!(t9.len(), 2, "both systems' T90 open the T9 run");
+        assert!(t9.iter().all(|c| c.value == "T90"));
+    }
+
+    /// A version derived copy-on-write extends its parent; two versions
+    /// grown apart from one parent are prefixes of neither.
+    #[test]
+    fn prefix_versions_are_told_apart_in_constant_time() {
+        let mut base = CodeDictionary::default();
+        base.intern(&Code::icpc("T90"));
+        let empty = CodeDictionary::default();
+        assert!(empty.is_prefix_of(&base) && base.is_prefix_of(&base));
+        let (mut left, mut right) = (base.clone(), base.clone());
+        left.intern(&Code::icpc("K74"));
+        right.intern(&Code::icpc("A01"));
+        assert!(base.is_prefix_of(&left) && base.is_prefix_of(&right));
+        assert!(!left.is_prefix_of(&base), "a longer version is no prefix");
+        assert!(!left.is_prefix_of(&right) && !right.is_prefix_of(&left));
+        let mut twin = CodeDictionary::default();
+        twin.intern(&Code::icpc("T90"));
+        assert!(!twin.is_prefix_of(&left), "equal codes, another lineage");
+        assert_eq!(twin, base, "but equal as dictionaries");
     }
 
     #[test]
@@ -1603,9 +1701,10 @@ mod tests {
         assert_eq!(ptrs[2], ptrs[3]);
         assert_ne!(ptrs[0], ptrs[2]);
         assert_ne!(ptrs[2], ptrs[4]);
-        // Each shard's interner is self-contained: every history decodes.
+        // Every arena is on the collection's one dictionary.
         for h in &collection {
             assert_eq!(h.len(), 5);
+            assert!(Arc::ptr_eq(h.store().dictionary(), collection.dictionary()));
             h.debug_validate();
         }
         // Spans restart at each fresh arena.

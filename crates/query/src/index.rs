@@ -1,61 +1,42 @@
 //! The inverted code index, sharded and compressed.
 //!
 //! "It can be challenging to use for large data sets" is the paper's own
-//! conclusion; this index is our answer. It maps every distinct code value
-//! to the set of history positions containing it, so a regex cohort
-//! selection first matches the regex against the *distinct code
-//! vocabulary* (hundreds of strings) instead of every entry of millions of
-//! histories, then unions candidate sets.
+//! conclusion; this index is our answer. It maps every code of the
+//! collection's [`CodeDictionary`] to the set of history positions
+//! containing it, so a regex cohort selection matches the regex against
+//! the *distinct codes* (hundreds of strings) instead of every entry of
+//! millions of histories, then unions candidate sets.
 //!
-//! Scale refinements on top of the vocabulary scan:
-//!
-//! * postings are **compressed bitmaps** ([`crate::bitmap::Bitmap`]), not
-//!   `Vec<u32>`: the planner's set algebra (intersect/union/complement)
-//!   runs on roaring-style containers without materializing positions,
-//!   and a negated clause costs runs, not millions of integers;
-//! * postings are **sharded by history-position range**: shard `k` covers
-//!   positions `[k·65536, (k+1)·65536)`, so shard-relative positions fit
-//!   the low 16 bits and every shard-local posting is a single dense
-//!   container. The planner evaluates per shard (fanning out on
-//!   [`pastas_par`]) and global bitmaps assemble by container
-//!   concatenation ([`crate::bitmap::Bitmap::append_shard`]) — no decode,
-//!   no re-sort;
-//! * the build rides the model layer's [`pastas_model::CodeInterner`]:
-//!   the vocabulary is assembled from the distinct codes each backing
-//!   [`EventStore`] already interned (a per-store `CodeId` → vocabulary
-//!   slot translation table), so posting an entry is two integer lookups
-//!   via [`pastas_model::EntryRef::code_id`] — **no per-entry string
-//!   clone or hash**. With a patient-range-sharded arena
-//!   ([`pastas_model::ShardedStore`]) each store's interner merges into
-//!   the same global symbol table, so per-shard interners stay small and
-//!   the query layer never sees the split;
-//! * the sorted vocabulary is probed by binary search; the regex engine's
-//!   guaranteed literal prefix ([`pastas_regex::PrefixInfo`]) turns `K.*`
-//!   into a `partition_point` plus a linear walk over the `K…` run, and
-//!   `T90` into a single equality probe, with no per-query allocation;
-//! * build and candidate verification run on the [`pastas_par`] parallel
-//!   layer (chunked, deterministic: per-chunk postings merge in chunk
-//!   order, so `PASTAS_THREADS=1` reproduces the serial result bit for
-//!   bit); the intermediate build state is per-shard, bounding peak RSS
-//!   at 10M patients;
-//! * streaming ingest patches the one index in place
-//!   ([`CodeIndex::with_delta`]): postings sit behind `Arc`, a publish
-//!   copies only the (shard, slot) postings its dirty rows join or leave,
-//!   and the result equals a fresh [`CodeIndex::build`];
-//! * compiled regexes are memoized per index, so re-running a selection
-//!   (the workbench's dominant interaction) skips recompilation.
+//! * The slot is the [`pastas_model::CodeId`]: every arena shares the
+//!   one dictionary, so posting an entry is one integer index, with no
+//!   per-entry string and no per-arena translation. The dictionary's
+//!   `(value, system)`-sorted view serves the probes: the regex's literal
+//!   prefix ([`pastas_regex::PrefixInfo`]) turns `K.*` into a
+//!   `partition_point` and a walk over the `K…` run, and `T90` into one
+//!   binary search.
+//! * Postings are **compressed bitmaps** ([`crate::bitmap::Bitmap`]), so
+//!   the planner's set algebra runs on containers and a negated clause
+//!   costs runs, not millions of integers. They are **sharded by
+//!   position range**: shard `k` covers `[k·65536, (k+1)·65536)`, a
+//!   shard-local posting is one container, and the planner fans out per
+//!   shard on [`pastas_par`] and assembles global bitmaps by container
+//!   concatenation ([`crate::bitmap::Bitmap::append_shard`]).
+//! * The build is chunked on [`pastas_par`] and deterministic (per-chunk
+//!   postings merge in chunk order); its uncompressed state is one shard.
+//! * Streaming ingest patches the one index ([`CodeIndex::with_delta`]):
+//!   postings sit behind `Arc`, a publish copies only the (shard, slot)
+//!   postings its dirty rows join or leave, and the result equals a fresh
+//!   [`CodeIndex::build`].
+//! * Compiled regexes are memoized per index (a bounded memo).
 //!
 //! The index holds codes only: the planner answers `age(..)` / `sex(..)`
 //! leaves from the collection's own demographic columns
-//! ([`pastas_model::RowColumns::births`] and `sexes`), which
-//! `upsert_shared` keeps current.
-//!
-//! The E5/E8 benches compare all paths (scan, vocabulary, prefix,
-//! serial vs. parallel) and report compressed-vs-`Vec<u32>` posting bytes.
+//! ([`pastas_model::RowColumns::births`] and `sexes`).
 
 use crate::bitmap::Bitmap;
 use crate::query::HistoryQuery;
-use pastas_model::{EventStore, HistoryCollection};
+use pastas_codes::Code;
+use pastas_model::{CodeDictionary, HistoryCollection};
 use pastas_regex::Regex;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::{Arc, Mutex};
@@ -80,9 +61,9 @@ pub(crate) struct IndexShard {
     pub(crate) base: u32,
     /// Histories covered (= [`SHARD_ROWS`] except for the final shard).
     pub(crate) rows: u32,
-    /// `postings[slot]`: shard-relative positions containing
-    /// `vocab[slot]`. Same length as the vocabulary; shard-locally empty
-    /// slots hold the empty bitmap (cheap — no containers). Behind `Arc`,
+    /// `postings[id]`: shard-relative positions containing the code
+    /// `CodeId(id)`, one per code of the index's dictionary; shard-locally
+    /// empty slots hold the empty bitmap (cheap — no containers). Behind `Arc`,
     /// so a successor index ([`CodeIndex::with_delta`]) shares every
     /// posting it does not patch.
     pub(crate) postings: Vec<Arc<Bitmap>>,
@@ -114,20 +95,24 @@ pub struct IndexFootprint {
     pub postings_uncompressed_bytes_est: usize,
 }
 
-/// Inverted index: distinct code value → compressed history-position set.
+/// The most compiled patterns one index memoizes. A client that sends
+/// more distinct `/select` patterns than this between two publishes
+/// clears the memo and starts refilling it.
+const COMPILED_CAP: usize = 256;
+
+/// Inverted index: code → compressed history-position set, one slot per
+/// [`pastas_model::CodeId`] of the collection's [`CodeDictionary`].
 ///
-/// Values are merged across code systems (the paper's regexes — `T90`,
-/// `F.*|H.*` — select by value; a value that exists in two systems simply
-/// unions both sets, which matches the predicate semantics of
-/// `EntryPredicate::CodeMatches`).
+/// A regex selects by value (the paper's `T90`, `F.*|H.*`): it matches
+/// every system's code of a value, and the union of their postings is
+/// the predicate semantics of `EntryPredicate::CodeMatches`.
 #[derive(Debug, Default)]
 pub struct CodeIndex {
-    /// Distinct code values present in the collection, sorted. Probed by
-    /// binary search; a literal prefix selects a contiguous run.
-    vocab: Vec<Box<str>>,
-    /// `counts[slot]`: total positions holding `vocab[slot]` across all
-    /// shards — O(1) planner cardinality estimates. Never 0: a value no
-    /// row holds is not in the vocabulary.
+    /// The collection's dictionary when this index was derived: slot
+    /// `id` posts `CodeId(id)`, and its sorted view serves the probes.
+    dict: Arc<CodeDictionary>,
+    /// `counts[id]`: total positions holding the code across all shards
+    /// — O(1) planner cardinality estimates. 0 for a code no row holds.
     counts: Vec<u32>,
     /// Patient-range shards in ascending `base` order, tiling `0..rows`.
     /// Behind `Arc` so a successor index ([`Self::with_delta`]) shares
@@ -140,22 +125,20 @@ pub struct CodeIndex {
     /// tiles appended rows with the same width. `0` only in `Default`
     /// (treated as [`SHARD_ROWS`]).
     shard_rows: u32,
-    /// Compiled patterns memoized across selections on this index.
+    /// Compiled patterns memoized across selections on this index, at
+    /// most [`COMPILED_CAP`] of them.
     compiled: Mutex<HashMap<String, Regex>>,
 }
 
 impl CodeIndex {
     /// Build the index over a collection.
     ///
-    /// Two phases. First the distinct backing stores (one shared arena,
-    /// or one per patient-range shard) contribute their interned symbol
-    /// tables to a merged sorted vocabulary, with one `CodeId` →
-    /// vocabulary-slot translation table per store. Then each
-    /// [`SHARD_ROWS`]-wide position block posts
-    /// `translate(entry.code_id())` shard-relatively — integer lookups
-    /// only, chunked across threads; per-chunk postings merge in position
-    /// order so the result is identical at every thread count, and the
-    /// uncompressed intermediate never exceeds one shard.
+    /// Each [`SHARD_ROWS`]-wide position block posts every entry's
+    /// [`pastas_model::EntryRef::code_id`] shard-relatively — the id is
+    /// the slot, so posting is one integer index — chunked across
+    /// threads; per-chunk postings merge in position order so the result
+    /// is identical at every thread count, and the uncompressed
+    /// intermediate never exceeds one shard.
     pub fn build(collection: &HistoryCollection) -> CodeIndex {
         Self::build_with_shard_rows(collection, SHARD_ROWS)
     }
@@ -169,68 +152,28 @@ impl CodeIndex {
     ) -> CodeIndex {
         assert!(shard_rows > 0 && shard_rows <= SHARD_ROWS, "bad shard width");
         let histories = collection.histories();
-
-        // Phase 1: distinct stores and the store slot of each history.
-        let mut stores: Vec<&Arc<EventStore>> = Vec::new();
-        let mut slot_by_ptr: HashMap<*const EventStore, u32> = HashMap::new();
-        let mut store_of: Vec<u32> = Vec::with_capacity(histories.len());
-        for h in histories {
-            let ptr = Arc::as_ptr(h.store());
-            let slot = *slot_by_ptr.entry(ptr).or_insert_with(|| {
-                stores.push(h.store());
-                (stores.len() - 1) as u32
-            });
-            store_of.push(slot);
-        }
-
-        // Merged vocabulary over every store's interner — the global
-        // symbol table uniting per-shard interners (values also merge
-        // across code systems, matching `EntryPredicate::CodeMatches`).
-        let mut values: Vec<&str> = stores
-            .iter()
-            .flat_map(|s| s.interner().iter().map(|c| c.value.as_str()))
-            .collect();
-        values.sort_unstable();
-        values.dedup();
-        // Per store: CodeId (append index) → merged vocabulary slot.
-        let tables: Vec<Vec<u32>> = stores
-            .iter()
-            .map(|s| {
-                s.interner()
-                    .iter()
-                    .map(|c| {
-                        values
-                            .binary_search(&c.value.as_str())
-                            // lint:allow(no-panic-hot-path) phase 1 merged every value
-                            .expect("interned value is in the merged vocabulary")
-                            as u32
-                    })
-                    .collect()
-            })
-            .collect();
-
-        // Phase 2: post shard-relative positions, one fixed-width block
-        // at a time. Within a shard, chunks parallelize and merge back in
+        let dict = Arc::clone(collection.dictionary());
+        let codes = dict.len();
+        // Post shard-relative positions, one fixed-width block at a
+        // time. Within a shard, chunks parallelize and merge back in
         // position order; across shards the loop is sequential, so peak
         // uncompressed state is one shard's lists.
         let rows = histories.len() as u32;
         let shard_count = histories.len().div_ceil(shard_rows as usize);
         let mut shards = Vec::with_capacity(shard_count);
-        let mut counts = vec![0u32; values.len()];
+        let mut counts = vec![0u32; codes];
         for s in 0..shard_count {
             let base = s * shard_rows as usize;
             // lint:allow(no-panic-hot-path) base < len for every s < shard_count
             let span = &histories[base..(base + shard_rows as usize).min(histories.len())];
             let chunks = pastas_par::par_chunks(span, PAR_MIN_HISTORIES, |start, chunk| {
-                let mut lists: Vec<Vec<u16>> = vec![Vec::new(); values.len()];
+                let mut lists: Vec<Vec<u16>> = vec![Vec::new(); codes];
                 for (offset, h) in chunk.iter().enumerate() {
                     let rel = (start + offset) as u16;
-                    // lint:allow(no-panic-hot-path) store_of has one entry per history
-                    let table = &tables[store_of[base + start + offset] as usize];
-                    for e in h.entries() {
-                        if let Some(id) = e.code_id() {
-                            // lint:allow(no-panic-hot-path) table maps every CodeId of its store
-                            let list = &mut lists[table[id.0 as usize] as usize];
+                    for (_, id) in h.entries().scan() {
+                        if let Some(id) = id {
+                            // lint:allow(no-panic-hot-path) every row's dictionary is a prefix of dict
+                            let list = &mut lists[id.0 as usize];
                             if list.last() != Some(&rel) {
                                 list.push(rel);
                             }
@@ -242,168 +185,122 @@ impl CodeIndex {
             // Each position lives in exactly one chunk and chunks come
             // back in ascending position order, so appending per-slot
             // lists chunk by chunk keeps every list ascending and unique.
-            let mut merged: Vec<Vec<u16>> = vec![Vec::new(); values.len()];
+            let mut merged: Vec<Vec<u16>> = vec![Vec::new(); codes];
             for lists in chunks {
                 for (slot, list) in lists.into_iter().enumerate() {
-                    // lint:allow(no-panic-hot-path) every chunk allocates values.len() slots
+                    // lint:allow(no-panic-hot-path) every chunk allocates one list a code
                     merged[slot].extend(list);
                 }
             }
-            let postings: Vec<Bitmap> = merged
+            let postings = merged
                 .into_iter()
-                .enumerate()
-                .map(|(slot, list)| {
-                    // lint:allow(no-panic-hot-path) counts has values.len() slots
-                    counts[slot] += list.len() as u32;
-                    list.into_iter().map(u32::from).collect()
+                .zip(&mut counts)
+                .map(|(list, count)| {
+                    *count += list.len() as u32;
+                    Arc::new(list.into_iter().map(u32::from).collect())
                 })
                 .collect();
-            shards.push((base as u32, span.len() as u32, postings));
+            let (base, rows) = (base as u32, span.len() as u32);
+            shards.push(Arc::new(IndexShard { base, rows, postings }));
         }
-
-        // A shared arena's interner may carry codes belonging to patients
-        // outside this (sub-)collection; keep only values actually seen.
-        let keep: Vec<usize> =
-            // lint:allow(no-panic-hot-path) slots range over values.len()
-            (0..values.len()).filter(|&slot| counts[slot] > 0).collect();
-        // lint:allow(no-panic-hot-path) keep holds indexes below values.len()
-        let vocab: Vec<Box<str>> = keep.iter().map(|&slot| Box::from(values[slot])).collect();
-        // lint:allow(no-panic-hot-path) keep holds indexes below values.len()
-        let counts: Vec<u32> = keep.iter().map(|&slot| counts[slot]).collect();
-        let shards = shards
-            .into_iter()
-            .map(|(base, rows, mut postings)| {
-                let postings = keep
-                    .iter()
-                    // lint:allow(no-panic-hot-path) every shard has values.len() postings
-                    .map(|&slot| Arc::new(std::mem::take(&mut postings[slot])))
-                    .collect();
-                Arc::new(IndexShard { base, rows, postings })
-            })
-            .collect();
-        CodeIndex { vocab, counts, shards, rows, shard_rows, compiled: Mutex::default() }
+        CodeIndex { dict, counts, shards, rows, shard_rows, compiled: Mutex::default() }
     }
 
     /// The index of `collection` after the rows `newly_dirty` changed,
     /// patched from this one. Rows past [`Self::rows`] were appended and
     /// are dirty whether or not the caller lists them.
     ///
-    /// Each dirty row's old code set is read off this index's postings
-    /// (one `contains` a slot), its new one off one walk of its entries,
+    /// Each dirty row's old codes are read off this index's postings
+    /// (one `contains` a slot), its new ones off one walk of its entries,
     /// and only the (shard, slot) postings a row joins or leaves are
     /// copied and patched, `old ∩ ¬left ∪ joined`. Every other posting,
-    /// and every shard no dirty row falls in, is shared (`Arc`). A value
-    /// new to the vocabulary gets a slot in sorted order (an empty posting
-    /// in every shard), a value whose count drops to 0 leaves it, and
-    /// appended rows fill the last shard and then open new ones of the
-    /// same width: the result is structurally equal to [`Self::build`] of
-    /// `collection`. The streaming path (`Workbench::apply_ingest`) calls
-    /// this after every sealed delta batch.
+    /// and every shard no dirty row falls in, is shared (`Arc`). A code
+    /// new to the dictionary grows every shard by the shared empty
+    /// posting, and appended rows fill the last shard and then open new
+    /// ones of the same width: the result is structurally equal to
+    /// [`Self::build`] of `collection`. The streaming path
+    /// (`Workbench::apply_ingest`) calls this after every sealed delta
+    /// batch.
     pub fn with_delta(&self, collection: &HistoryCollection, newly_dirty: &[u32]) -> CodeIndex {
         let width = self.shard_width();
+        let dict = Arc::clone(collection.dictionary());
+        if !self.dict.is_prefix_of(&dict) {
+            // Not a successor of the collection this index describes.
+            return Self::build_with_shard_rows(collection, width);
+        }
         let rows = collection.len() as u32;
         debug_assert!(newly_dirty.iter().all(|&p| p < rows), "dirty position beyond rows");
         let mut dirty: Vec<u32> = newly_dirty.iter().copied().filter(|&p| p < self.rows).collect();
         dirty.extend(self.rows..rows);
         dirty.sort_unstable();
         dirty.dedup();
-        // Each dirty row's current values, from one walk of its entries.
-        let histories = collection.histories();
-        let current: Vec<Vec<&str>> = dirty
-            .iter()
-            .map(|&p| {
-                // lint:allow(no-panic-hot-path) dirty positions are below collection.len()
-                let entries = histories[p as usize].entries();
-                let mut values: Vec<&str> =
-                    entries.into_iter().filter_map(|e| e.code()).map(|c| c.value.as_str()).collect();
-                values.sort_unstable();
-                values.dedup();
-                values
-            })
-            .collect();
-        // The merged vocabulary: every old value plus the fresh ones, and
-        // where each old slot lands in it.
-        let mut vocab = self.vocab.clone();
-        vocab.extend(
-            current.iter().flatten().filter(|v| self.slot_of(v).is_none()).map(|&v| Box::from(v)),
-        );
-        vocab.sort_unstable();
-        vocab.dedup();
-        let slot_in = |v: &str| vocab.binary_search_by(|x| (**x).cmp(v)).ok();
-        let remap: Vec<usize> = self.vocab.iter().filter_map(|v| slot_in(v)).collect();
-        let mut counts = vec![0u32; vocab.len()];
-        for (&slot, &n) in remap.iter().zip(&self.counts) {
-            // lint:allow(no-panic-hot-path) remap holds slots of the merged vocabulary
-            counts[slot] = n;
-        }
-        // (shard, merged slot) → the shard-relative rows that join and
-        // leave its posting, ascending since dirty rows are.
+        let mut counts = self.counts.clone();
+        counts.resize(dict.len(), 0);
+        // (shard, slot) → the shard-relative rows that join and leave its
+        // posting, ascending since dirty rows are.
         let mut patches: BTreeMap<(usize, usize), (Vec<u32>, Vec<u32>)> = BTreeMap::new();
-        for (&p, values) in dirty.iter().zip(&current) {
+        let histories = collection.histories();
+        for &p in &dirty {
             let (shard, rel) = ((p / width) as usize, p % width);
-            let now: Vec<usize> = values.iter().filter_map(|v| slot_in(v)).collect();
+            // lint:allow(no-panic-hot-path) dirty positions are below collection.len()
+            let mut now: Vec<usize> = histories[p as usize]
+                .entries()
+                .scan()
+                .filter_map(|(_, id)| id.map(|id| id.0 as usize))
+                .collect();
+            now.sort_unstable();
+            now.dedup();
             let was: Vec<usize> = match self.shards.get(shard) {
-                Some(old) if p < self.rows => old
-                    .postings
-                    .iter()
-                    .zip(&remap)
-                    .filter(|(bm, _)| bm.contains(rel))
-                    .map(|(_, &slot)| slot)
-                    .collect(),
+                Some(old) if p < self.rows => {
+                    let held = old.postings.iter().enumerate().filter(|(_, bm)| bm.contains(rel));
+                    held.map(|(slot, _)| slot).collect()
+                }
                 _ => Vec::new(),
             };
             for &slot in now.iter().filter(|s| was.binary_search(s).is_err()) {
                 patches.entry((shard, slot)).or_default().0.push(rel);
-                // lint:allow(no-panic-hot-path) slots index the merged vocabulary
+                // lint:allow(no-panic-hot-path) a row's ids are below the dictionary's length
                 counts[slot] += 1;
             }
             for &slot in was.iter().filter(|s| now.binary_search(s).is_err()) {
                 patches.entry((shard, slot)).or_default().1.push(rel);
-                // lint:allow(no-panic-hot-path) slots index the merged vocabulary
+                // lint:allow(no-panic-hot-path) old slots are below the old dictionary's length
                 counts[slot] -= 1;
             }
         }
-        let same_slots = vocab.len() == self.vocab.len() && counts.iter().all(|&n| n > 0);
         let empty = Arc::new(Bitmap::new());
         let mut shards = Vec::with_capacity(rows.div_ceil(width) as usize);
         for (s, base) in (0..rows).step_by(width as usize).enumerate() {
             let span = width.min(rows - base);
-            let old = self.shards.get(s);
             let mut touched = patches.range((s, 0)..(s + 1, 0)).peekable();
-            if let Some(old) = old {
-                if same_slots && old.rows == span && touched.peek().is_none() {
+            let old = self.shards.get(s);
+            if let Some(old) = old.filter(|o| o.rows == span && o.postings.len() == dict.len()) {
+                if touched.peek().is_none() {
                     shards.push(Arc::clone(old));
                     continue;
                 }
             }
-            let mut postings = vec![Arc::clone(&empty); vocab.len()];
-            for (bm, &slot) in old.iter().flat_map(|o| &o.postings).zip(&remap) {
-                // lint:allow(no-panic-hot-path) remap holds slots of the merged vocabulary
-                postings[slot] = Arc::clone(bm);
-            }
+            let mut postings = old.map_or_else(Vec::new, |o| o.postings.clone());
+            postings.resize(dict.len(), Arc::clone(&empty));
             for (&(_, slot), (joined, left)) in touched {
-                // lint:allow(no-panic-hot-path) patches key slots of the merged vocabulary
+                // lint:allow(no-panic-hot-path) patches key slots below the dictionary's length
                 let mut patched = postings[slot].union(&Bitmap::from_sorted(joined));
                 if !left.is_empty() {
                     patched = patched.intersect(&Bitmap::from_sorted(left).complement_up_to(span));
                 }
-                // lint:allow(no-panic-hot-path) patches key slots of the merged vocabulary
+                // lint:allow(no-panic-hot-path) patches key slots below the dictionary's length
                 postings[slot] = Arc::new(patched);
             }
-            let postings = postings.into_iter().zip(&counts).filter(|(_, &n)| n > 0);
-            let postings = postings.map(|(bm, _)| bm).collect();
             shards.push(Arc::new(IndexShard { base, rows: span, postings }));
         }
-        // A value no row holds any more leaves the vocabulary.
-        let (vocab, counts) = vocab.into_iter().zip(counts).filter(|&(_, n)| n > 0).unzip();
-        CodeIndex { vocab, counts, shards, rows, shard_rows: width, compiled: Mutex::default() }
+        CodeIndex { dict, counts, shards, rows, shard_rows: width, compiled: Mutex::default() }
     }
 
     /// An index sharing every shard with this one. [`Self::with_delta`]
     /// leaves nothing to fold; kept for `benchmark/src/replay.rs`.
     pub fn compact(&self) -> CodeIndex {
         CodeIndex {
-            vocab: self.vocab.clone(),
+            dict: Arc::clone(&self.dict),
             counts: self.counts.clone(),
             shards: self.shards.clone(),
             rows: self.rows,
@@ -421,9 +318,9 @@ impl CodeIndex {
         postings.filter(|bm| !shared.contains(&Arc::as_ptr(bm))).map(|bm| bm.heap_bytes()).sum()
     }
 
-    /// Number of distinct codes indexed.
+    /// Number of distinct codes indexed: the dictionary's.
     pub fn vocabulary_size(&self) -> usize {
-        self.vocab.len()
+        self.dict.len()
     }
 
     /// Total history positions indexed (the complement universe).
@@ -436,10 +333,10 @@ impl CodeIndex {
         &self.shards
     }
 
-    /// Vocabulary, counts and shards: what equals a fresh build's.
+    /// Dictionary, counts and shards: what equals a fresh build's.
     #[cfg(test)]
-    pub(crate) fn parts(&self) -> (&[Box<str>], &[u32], &[Arc<IndexShard>]) {
-        (&self.vocab, &self.counts, &self.shards)
+    pub(crate) fn parts(&self) -> (&CodeDictionary, &[u32], &[Arc<IndexShard>]) {
+        (&self.dict, &self.counts, &self.shards)
     }
 
     /// The width shards are tiled with.
@@ -449,11 +346,6 @@ impl CodeIndex {
         } else {
             self.shard_rows
         }
-    }
-
-    /// The vocabulary slot holding `value`, if any.
-    fn slot_of(&self, value: &str) -> Option<usize> {
-        self.vocab.binary_search_by(|v| (**v).cmp(value)).ok()
     }
 
     /// Compressed-postings memory accounting for E5 and `/metrics`.
@@ -476,15 +368,14 @@ impl CodeIndex {
 
     /// Deep invariant check (debug builds only; a no-op in release).
     ///
-    /// Panics unless the vocabulary is strictly sorted (sorted *and*
-    /// deduplicated — what binary search and the prefix walk assume),
-    /// shards tile `0..rows` exactly in blocks of the index's width (the
-    /// last one possibly narrower) with one postings list per vocabulary
-    /// slot, every posting bitmap honours its own container invariants
-    /// ([`Bitmap::debug_validate`]) inside the shard's row range, the
-    /// per-slot counts match the shard totals and none is 0, and
-    /// `collection` (the one this index describes, or a successor that
-    /// grew) holds every row the index covers.
+    /// Panics unless the dictionary validates, shards tile `0..rows`
+    /// exactly in blocks of the index's width (the last one possibly
+    /// narrower) with one postings list per code, every posting bitmap
+    /// honours its own container invariants ([`Bitmap::debug_validate`])
+    /// inside the shard's row range, the per-code counts match the shard
+    /// totals, and `collection` (the one this index describes, or a
+    /// successor that grew) holds every row the index covers, on an
+    /// extension of the index's dictionary.
     #[cfg(debug_assertions)]
     pub fn debug_validate(&self, collection: &HistoryCollection) {
         assert!(
@@ -493,16 +384,14 @@ impl CodeIndex {
             self.rows,
             collection.len()
         );
-        assert_eq!(
-            self.counts.len(),
-            self.vocab.len(),
-            "index: vocabulary and counts differ in length"
+        assert!(
+            self.dict.is_prefix_of(collection.dictionary()),
+            "index: the collection's dictionary does not extend the index's"
         );
-        for (a, b) in self.vocab.iter().zip(self.vocab.iter().skip(1)) {
-            assert!(a < b, "index: vocabulary out of order or duplicated at {a:?} / {b:?}");
-        }
+        self.dict.debug_validate();
+        assert_eq!(self.counts.len(), self.dict.len(), "index: dictionary and counts differ");
         let mut next_base = 0u32;
-        let mut totals = vec![0u64; self.vocab.len()];
+        let mut totals = vec![0u64; self.dict.len()];
         for shard in &self.shards {
             assert_eq!(shard.base, next_base, "index: shards must tile 0..rows");
             assert!(shard.rows > 0 && shard.rows <= self.shard_width(), "index: bad shard width");
@@ -511,33 +400,17 @@ impl CodeIndex {
                 "index: a narrow shard before the last"
             );
             next_base += shard.rows;
-            assert_eq!(
-                shard.postings.len(),
-                self.vocab.len(),
-                "index: shard postings and vocabulary differ in length"
-            );
-            for (slot, bm) in shard.postings.iter().enumerate() {
+            assert_eq!(shard.postings.len(), self.dict.len(), "index: postings and dictionary differ");
+            for ((slot, bm), total) in shard.postings.iter().enumerate().zip(&mut totals) {
                 bm.debug_validate();
-                // lint:allow(no-panic-hot-path) totals sized to vocab above
-                totals[slot] += bm.len() as u64;
-                if let Some(last) = bm.iter().last() {
-                    assert!(
-                        last < shard.rows,
-                        "index: posting beyond shard rows at slot {slot}"
-                    );
-                }
+                *total += bm.len() as u64;
+                let last = bm.iter().last();
+                assert!(last.is_none_or(|l| l < shard.rows), "index: slot {slot} posts past the shard");
             }
         }
         assert_eq!(next_base, self.rows, "index: shards must cover every row");
-        for (slot, &total) in totals.iter().enumerate() {
-            assert_eq!(
-                // lint:allow(no-panic-hot-path) counts and totals share vocab length
-                u64::from(self.counts[slot]),
-                total,
-                "index: cached count != shard totals at slot {slot}"
-            );
-            assert!(total > 0, "index: slot {slot} posts nothing");
-        }
+        let counts: Vec<u64> = self.counts.iter().map(|&n| u64::from(n)).collect();
+        assert_eq!(counts, totals, "index: cached counts != shard totals");
     }
 
     /// Deep invariant check (debug builds only; a no-op in release).
@@ -545,36 +418,18 @@ impl CodeIndex {
     #[inline(always)]
     pub fn debug_validate(&self, _collection: &HistoryCollection) {}
 
-    /// Vocabulary slots whose value fully matches the regex. Uses the
-    /// pattern's literal prefix to restrict the range — an exact literal
-    /// is one binary search, a prefix pattern walks only its contiguous
-    /// run. Returned ascending (and therefore unique).
+    /// Slots (code ids) whose value fully matches the regex, in every
+    /// system. Walks the dictionary's sorted view from the pattern's
+    /// literal prefix to the end of its run — an exact literal is one
+    /// binary search and its value's codes, a prefix pattern only its
+    /// contiguous run. Returned ascending (and therefore unique).
     pub(crate) fn matching_slots(&self, re: &Regex) -> Vec<u32> {
         let info = re.prefix_info();
-        if info.exact {
-            // lint:allow(no-silent-truncation) vocabulary slots fit u32
-            return self.slot_of(&info.prefix).map(|i| i as u32).into_iter().collect();
-        }
-        let mut out = Vec::new();
-        if info.prefix.is_empty() {
-            for (slot, value) in self.vocab.iter().enumerate() {
-                if re.is_full_match(value) {
-                    out.push(slot as u32);
-                }
-            }
-        } else {
-            let prefix = info.prefix.as_str();
-            let start = self.vocab.partition_point(|v| v.as_ref() < prefix);
-            // lint:allow(no-panic-hot-path) partition_point returns start <= len
-            for (slot, value) in self.vocab[start..].iter().enumerate() {
-                if !value.starts_with(prefix) {
-                    break;
-                }
-                if re.is_full_match(value) {
-                    out.push((start + slot) as u32);
-                }
-            }
-        }
+        let prefix = info.prefix.as_str();
+        let run = self.dict.sorted_from(prefix).take_while(|(_, c)| c.value.starts_with(prefix));
+        let hit = |c: &Code| if info.exact { c.value == prefix } else { re.is_full_match(&c.value) };
+        let mut out: Vec<u32> = run.filter(|(_, c)| hit(c)).map(|(id, _)| id.0).collect();
+        out.sort_unstable();
         out
     }
 
@@ -598,21 +453,24 @@ impl CodeIndex {
     /// Like [`Self::candidates_for_regex`] but forcing the full-vocabulary
     /// scan — the prefix-path ablation baseline.
     pub fn candidates_scan_vocabulary(&self, re: &Regex) -> Bitmap {
-        let slots: Vec<u32> = (0..self.vocab.len() as u32)
-            // lint:allow(no-panic-hot-path) slot ranges over the vocabulary
-            .filter(|&slot| re.is_full_match(&self.vocab[slot as usize]))
-            .collect();
+        let codes = (0u32..).zip(self.dict.iter());
+        let slots: Vec<u32> = codes.filter(|(_, c)| re.is_full_match(&c.value)).map(|(id, _)| id).collect();
         self.union_slots(&slots)
     }
 
     /// Compile `pattern`, memoizing successes on this index. Returns
     /// `None` for invalid patterns (callers fall back to the scan path).
+    /// A memo holding [`COMPILED_CAP`] patterns is cleared before the
+    /// next one joins it.
     fn compiled(&self, pattern: &str) -> Option<Regex> {
         let mut cache = self.compiled.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(re) = cache.get(pattern) {
             return Some(re.clone());
         }
         let re = Regex::new(pattern).ok()?;
+        if cache.len() >= COMPILED_CAP {
+            cache.clear();
+        }
         cache.insert(pattern.to_owned(), re.clone());
         Some(re)
     }
@@ -647,7 +505,7 @@ impl CodeIndex {
         for p in patterns {
             let Some(re) = self.compiled(p) else { continue };
             for slot in self.matching_slots(&re) {
-                // lint:allow(no-panic-hot-path) matching_slots yields vocab indexes
+                // lint:allow(no-panic-hot-path) matching_slots yields code ids below counts.len()
                 total += self.counts[slot as usize] as usize;
             }
         }
@@ -864,7 +722,7 @@ mod tests {
         let serial = pastas_par::with_threads(1, || CodeIndex::build(&c));
         for threads in [2, 8] {
             let par = pastas_par::with_threads(threads, || CodeIndex::build(&c));
-            assert_eq!(par.vocab, serial.vocab, "threads {threads}");
+            assert_eq!(par.dict, serial.dict, "threads {threads}");
             assert_eq!(par.counts, serial.counts, "threads {threads}");
             assert_eq!(par.shards, serial.shards, "threads {threads}");
         }
@@ -888,6 +746,8 @@ mod tests {
         }
     }
 
+    /// Patterns are compiled once, but the memo never holds more than
+    /// `COMPILED_CAP` of them, however many distinct ones a client sends.
     #[test]
     fn pattern_cache_memoizes_compilation() {
         let c = collection();
@@ -896,14 +756,23 @@ mod tests {
         let first = idx.candidates_for_patterns(&patterns).unwrap();
         let second = idx.candidates_for_patterns(&patterns).unwrap();
         assert_eq!(first, second);
-        let cache = idx.compiled.lock().unwrap();
-        assert_eq!(cache.len(), 2, "both patterns cached after first call");
+        let held = || idx.compiled.lock().unwrap().len();
+        assert_eq!(held(), 2, "both patterns cached after first call");
+        for i in 2..COMPILED_CAP * 2 + 7 {
+            let pattern = format!("Z{i}");
+            assert!(idx.candidates_for_patterns(&[pattern]).is_some());
+            assert!(held() <= COMPILED_CAP, "{} patterns memoized", held());
+        }
+        assert_eq!(held(), 7, "the memo was cleared twice and refilled");
+        assert!(idx.candidates_for_patterns(&["T90".to_owned()]).is_some());
+        assert!(idx.compiled.lock().unwrap().contains_key("T90"));
     }
 
     // -- streaming: with_delta --------------------------------------------
 
-    use pastas_codes::Code;
-    use pastas_model::{Entry, History, OpenEpoch, Patient, PatientId, Payload, Sex, SourceKind};
+    use pastas_codes::{Code, CodeSystem};
+    use pastas_model::{CodeId, Entry, History, OpenEpoch, Patient, PatientId, Payload, Sex};
+    use pastas_model::SourceKind;
     use pastas_time::Date;
 
     fn new_patient(id: u64) -> Patient {
@@ -997,11 +866,11 @@ mod tests {
         let mut c = large_collection();
         let idx = CodeIndex::build_with_shard_rows(&c, 256);
         assert!(idx.shards.len() > 3, "want several shards, got {}", idx.shards.len());
-        // A value the vocabulary holds and row 300 (shard 1) does not.
-        let held: Vec<&str> =
-            c.histories()[300].entries().iter().filter_map(|e| e.code()).map(|c| c.value.as_str()).collect();
-        let slot = (0..idx.vocab.len()).find(|&s| !held.contains(&&*idx.vocab[s])).unwrap();
-        let value = idx.vocab[slot].to_string();
+        // An ICPC code the dictionary holds and row 300 (shard 1) does not.
+        let held: Vec<CodeId> = c.histories()[300].entries().iter().filter_map(|e| e.code_id()).collect();
+        let icpc = |s: usize| idx.dict.resolve(CodeId(s as u32)).system == CodeSystem::Icpc2;
+        let slot = (0..idx.dict.len()).find(|&s| icpc(s) && !held.contains(&CodeId(s as u32))).unwrap();
+        let value = idx.dict.resolve(CodeId(slot as u32)).value.clone();
         let existing = *c.histories()[300].patient();
         let idx2 = apply_delta(&mut c, &idx, vec![(existing, vec![diag(2016, &value)])]);
         assert_fresh(&idx2, &c);
@@ -1009,7 +878,7 @@ mod tests {
             assert!(Arc::ptr_eq(&idx2.shards[s], &idx.shards[s]), "shard {s} untouched");
         }
         let (old, new) = (&idx.shards[1].postings, &idx2.shards[1].postings);
-        for s in 0..idx.vocab.len() {
+        for s in 0..idx.dict.len() {
             assert_eq!(Arc::ptr_eq(&old[s], &new[s]), s != slot, "slot {s}");
         }
         assert_eq!(idx2.posting_bytes_copied_from(&idx), new[slot].heap_bytes());

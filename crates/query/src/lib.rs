@@ -21,7 +21,7 @@
 //! * [`plan`] — the physical planner/executor: set algebra over posting
 //!   lists with residual verification and `Explain` introspection;
 //! * [`ops`] — the workbench operators: sort, and align on a code bound
-//!   once per interner.
+//!   once to the collection's code dictionary.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

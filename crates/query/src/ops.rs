@@ -55,11 +55,10 @@ pub fn align_on(collection: &HistoryCollection, pred: &EntryPredicate) -> Alignm
 /// [`align_on`] for a code regex, over `candidates` only: the positions
 /// of every history holding a matching code (the planner's
 /// `has(pattern)`), so a history outside them has no anchor. The regex is
-/// tested through a [`BoundPredicate`]: bound once per interner, one flag
-/// per [`pastas_model::CodeId`], so each entry is tested by a lookup on
-/// its `kinds`/`aux` words, never by a string match. Interners are few:
-/// one per arena, plus one for each history that detached with a code
-/// its arena lacked. Returns the alignment and its display order:
+/// tested through a [`BoundPredicate`]: one flag per
+/// [`pastas_model::CodeId`] of the collection's one dictionary, bound
+/// once, so each entry is tested by a lookup on its `kinds`/`aux` words,
+/// never by a string match. Returns the alignment and its display order:
 /// anchored rows by `(anchor, position)`, then every other row in
 /// position order.
 pub fn align_rows(

@@ -733,8 +733,8 @@ enum ExecKind<'q> {
     /// The one operator that opens a history: `query` evaluated against
     /// each candidate of `input`, or against every row of the universe
     /// when there is none (`Filter`, `PatternScan` and `FullScan` all
-    /// lower to this), with each entry predicate of `query` bound per
-    /// interner ([`BoundQuery`]). With `pattern` each candidate is one
+    /// lower to this), with each entry predicate of `query` bound to the
+    /// code dictionary ([`BoundQuery`]). With `pattern` each candidate is one
     /// pattern scan, and the candidate / scan totals feed [`ExecStats`]
     /// (the serve layer's pattern gauges).
     Verify { query: &'q HistoryQuery, input: Option<Box<ExecNode<'q>>>, pattern: bool },
@@ -929,8 +929,8 @@ fn exec_shard(
                     node_counters.push(("automaton_runs".to_owned(), n));
                 }
             }
-            // One binding a chunk: each interner is bound at most once
-            // per chunk, never per candidate.
+            // One binding a chunk: each code is bound at most once per
+            // chunk, never per candidate.
             let histories = collection.histories();
             let kept = pastas_par::par_chunks(&candidates, PAR_MIN_CANDIDATES, |_, chunk| {
                 let mut bound = BoundQuery::new(query);

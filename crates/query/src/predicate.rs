@@ -2,11 +2,10 @@
 
 use pastas_codes::{Code, CodeSystem};
 use pastas_model::{
-    CodeInterner, EntryRef, EntryView, EventStore, MeasurementKind, PayloadRef, SourceKind,
+    CodeDictionary, EntryRef, EntryView, EventStore, MeasurementKind, PayloadRef, SourceKind,
 };
 use pastas_regex::Regex;
 use pastas_time::Date;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A predicate over a single entry. This is the atom of the Fig. 4
@@ -198,24 +197,23 @@ impl EntryPredicate {
 /// An [`EntryPredicate`] bound once for one pass over columnar entries
 /// (a render, a density matrix, an alignment). A code leaf tests one
 /// flag byte per [`pastas_model::CodeId`], computed from the code
-/// strings the first time a store with that interner is met; the other
-/// leaves read the entry's kinds byte, its side table or its `i64`
-/// seconds. No entry is tested by a string.
+/// strings of the collection's dictionary as far as the stores met so
+/// far reach into it; the other leaves read the entry's kinds byte, its
+/// side table or its `i64` seconds. No entry is tested by a string.
 #[derive(Debug)]
 pub struct BoundPredicate<'p> {
     pred: &'p EntryPredicate,
     /// The code leaves of `pred`, by address.
     leaves: Vec<&'p EntryPredicate>,
-    /// Per interner met: its `Arc`, held so that its address, the map's
-    /// key, cannot be reused while bound, and one flag a (code, leaf) at
-    /// `id * leaves.len() + leaf`.
-    bound: Vec<(Arc<CodeInterner>, Vec<bool>)>,
-    by_address: HashMap<usize, usize>,
-    last: usize,
+    /// The longest dictionary version met: every store met is on a
+    /// prefix of it.
+    dict: Arc<CodeDictionary>,
+    /// One flag a (code, leaf) of `dict`, at `id * leaves.len() + leaf`.
+    flags: Vec<bool>,
 }
 
 impl<'p> BoundPredicate<'p> {
-    /// Bind `pred`; interners are bound as their stores are met.
+    /// Bind `pred`; codes are bound as stores reaching them are met.
     pub fn new(pred: &'p EntryPredicate) -> BoundPredicate<'p> {
         fn code_leaves<'p>(p: &'p EntryPredicate, out: &mut Vec<&'p EntryPredicate>) {
             match p {
@@ -231,37 +229,31 @@ impl<'p> BoundPredicate<'p> {
         }
         let mut leaves = Vec::new();
         code_leaves(pred, &mut leaves);
-        BoundPredicate { pred, leaves, bound: Vec::new(), by_address: HashMap::new(), last: 0 }
+        BoundPredicate { pred, leaves, dict: Arc::default(), flags: Vec::new() }
     }
 
     /// The test for entries of `store` (a history's
-    /// [`pastas_model::History::store`]), binding its interner first if
-    /// this is the first store met with it.
+    /// [`pastas_model::History::store`]). A store on a longer dictionary
+    /// than any met so far binds the codes it adds; one on another
+    /// dictionary altogether (a store from a different collection)
+    /// rebinds from scratch.
     pub fn on(&mut self, store: &EventStore) -> EntryTest<'_> {
-        let interner = store.interner_arc();
-        let held = self.bound.get(self.last).is_some_and(|(held, _)| Arc::ptr_eq(held, interner));
-        if !self.leaves.is_empty() && !held {
-            let address = Arc::as_ptr(interner) as usize;
-            self.last = match self.by_address.get(&address) {
-                Some(&i) => i,
-                None => {
-                    let flags = interner
-                        .iter()
-                        .flat_map(|c| self.leaves.iter().map(move |leaf| leaf.holds_for(c)))
-                        .collect();
-                    self.bound.push((Arc::clone(interner), flags));
-                    self.by_address.insert(address, self.bound.len() - 1);
-                    self.bound.len() - 1
-                }
-            };
+        let dict = store.dictionary();
+        if !self.leaves.is_empty() && !dict.is_prefix_of(&self.dict) {
+            if !self.dict.is_prefix_of(dict) {
+                self.flags.clear();
+            }
+            let (leaves, bound) = (&self.leaves, self.flags.len() / self.leaves.len());
+            let codes = dict.iter().skip(bound);
+            self.flags.extend(codes.flat_map(|c| leaves.iter().map(move |leaf| leaf.holds_for(c))));
+            self.dict = Arc::clone(dict);
         }
-        let flags = self.bound.get(self.last).map_or(&[] as &[bool], |(_, f)| f);
-        EntryTest { pred: self.pred, leaves: &self.leaves, flags }
+        EntryTest { pred: self.pred, leaves: &self.leaves, flags: &self.flags }
     }
 }
 
-/// A [`BoundPredicate`] bound to one store's interner: test entries of
-/// that store with [`EntryTest::matches`].
+/// A [`BoundPredicate`] bound as far as one store's dictionary reaches:
+/// test entries of that store with [`EntryTest::matches`].
 #[derive(Debug, Clone, Copy)]
 pub struct EntryTest<'b> {
     pred: &'b EntryPredicate,
@@ -284,8 +276,8 @@ impl EntryTest<'_> {
             | EntryPredicate::System(_) => e.code_id().is_some_and(|id| {
                 let leaf = self.leaves.iter().position(|l| std::ptr::eq(*l, p)).unwrap_or(0);
                 let at = id.0 as usize * self.leaves.len() + leaf;
-                debug_assert!(at < self.flags.len(), "code id {} past its interner's flags", id.0);
-                // lint:allow(no-panic-hot-path) the interner is held, so each of its ids is bound
+                debug_assert!(at < self.flags.len(), "code id {} past the bound flags", id.0);
+                // lint:allow(no-panic-hot-path) the store's dictionary is a prefix of the bound one
                 self.flags[at]
             }),
             EntryPredicate::Source(s) => e.source() == *s,
@@ -426,7 +418,8 @@ mod tests {
             h.insert(diag(code));
             h
         };
-        // Each history has its own store; only the second interner holds Z99.
+        // Each history has its own store on a dictionary of its own; only
+        // the second holds Z99, and each switch between them rebinds.
         let (a, b) = (history(1, "T90"), history(2, "Z99"));
         let z99 = EntryPredicate::code_regex("Z99").unwrap();
         for pred in [z99.clone(), z99.not()] {

@@ -152,8 +152,8 @@ impl HistoryQuery {
 /// A [`HistoryQuery`] whose entry predicates (count leaves and pattern
 /// steps) are each bound as a [`BoundPredicate`], for one pass over many
 /// histories: [`BoundQuery::matches`] answers as [`HistoryQuery::matches`]
-/// does, and tests no entry by a string. Each predicate binds an
-/// interner the first time one of its stores is met.
+/// does, and tests no entry by a string. Each predicate binds the codes
+/// of the collection's dictionary as far as the stores met reach.
 pub(crate) struct BoundQuery<'q> {
     query: &'q HistoryQuery,
     bound: Vec<(&'q EntryPredicate, BoundPredicate<'q>)>,

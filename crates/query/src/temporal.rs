@@ -22,10 +22,10 @@
 //! [`find_matches`](TemporalPattern::find_matches) and
 //! [`matches`](TemporalPattern::matches) pass
 //! [`EntryPredicate::matches`]; the planner's verification passes tests
-//! bound to each store's interner ([`crate::BoundPredicate`]), so a code
-//! step reads one flag per entry. `matches` stops at the first hit. The
-//! original per-history scan survives only as the `#[cfg(test)]`
-//! differential oracle.
+//! bound once to the collection's code dictionary
+//! ([`crate::BoundPredicate`]), so a code step reads one flag per entry.
+//! `matches` stops at the first hit. The original per-history scan
+//! survives only as the `#[cfg(test)]` differential oracle.
 
 use crate::predicate::EntryPredicate;
 use pastas_model::{Entries, EntryRef, History};

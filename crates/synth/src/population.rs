@@ -20,8 +20,8 @@ pub struct SynthConfig {
     /// Background (non-condition) GP contacts per person-year.
     pub noise_contacts_per_year: f64,
     /// Seal the collection's arena every this many patients (a fresh
-    /// [`pastas_model::EventStore`] with its own interner per patient
-    /// range — the sharded layout the query index scales on). `0` (the
+    /// [`pastas_model::EventStore`] per patient range, all on the one
+    /// code dictionary — the sharded layout the query index scales on). `0` (the
     /// default) keeps the single shared arena. Align with the query
     /// index's 65,536-row shard width for one arena per index shard.
     /// The width is also the unit of parallel generation: each
@@ -188,11 +188,12 @@ impl Population {
 /// Patients land in shared columnar [`pastas_model::EventStore`]
 /// arena(s) via [`CollectionBuilder`] — one arena by default, one per
 /// [`SynthConfig::shard_patients`]-sized patient range when set — so
-/// each code value interns once per arena and entries pack in
-/// struct-of-arrays form. The arena ranges are simulated on
+/// each code interns once in the collection's dictionary and entries
+/// pack in struct-of-arrays form. The arena ranges are simulated on
 /// [`pastas_par`] chunks, one builder a chunk, joined in order by
-/// [`CollectionBuilder::append`]: the histories and arena layout are
-/// identical at every thread count. Persons still stream within each
+/// [`CollectionBuilder::append`]: the histories, the arena layout, the
+/// dictionary and every arena's code ids are identical at every thread
+/// count. Persons still stream within each
 /// worker: each is generated, simulated, appended, and dropped, so peak
 /// RSS at the 10M tier is the arenas themselves, not a materialized
 /// population.
@@ -349,10 +350,16 @@ mod tests {
         hasher.finish()
     }
 
-    /// Each arena's row count and interned codes, in arena order.
-    fn arena_layout(c: &HistoryCollection) -> Vec<(usize, Vec<pastas_codes::Code>)> {
+    /// The collection's dictionary, then each arena's code ids (its
+    /// `aux` words on code rows), in arena order.
+    type Layout = (Vec<pastas_codes::Code>, Vec<Vec<Option<pastas_model::CodeId>>>);
+    fn arena_layout(c: &HistoryCollection) -> Layout {
         let store = c.sharded_store();
-        store.shards().iter().map(|s| (s.len(), s.interner().iter().cloned().collect())).collect()
+        let ids = |s: &std::sync::Arc<pastas_model::EventStore>| {
+            (0..s.len_u32()).map(|i| s.get(i).code_id()).collect()
+        };
+        let arenas = store.shards().iter().map(ids).collect();
+        (c.dictionary().iter().cloned().collect(), arenas)
     }
 
     #[test]
@@ -369,6 +376,7 @@ mod tests {
             assert_eq!(fingerprint(&serial), fingerprint(&mono), "width {width}");
             assert_eq!(fingerprint(&parallel), fingerprint(&serial), "width {width}");
             assert_eq!(arena_layout(&parallel), arena_layout(&serial), "width {width}");
+            assert_eq!(arena_layout(&serial).0, arena_layout(&mono).0, "width {width}");
         }
     }
 

@@ -82,8 +82,8 @@ fn arb_varied_entry() -> impl Strategy<Value = Entry> {
 }
 
 /// A random collection of the varied entries, with one more patient's
-/// rows sealed in by an ingest epoch onto a store of its own whose
-/// interner holds a code no other store has.
+/// rows sealed in by an ingest epoch onto a store of its own, on a grown
+/// dictionary version that holds a code no other store has.
 fn arb_ingested_collection() -> impl Strategy<Value = HistoryCollection> {
     proptest::collection::vec(proptest::collection::vec(arb_varied_entry(), 0..14), 1..9).prop_map(
         |patients| {

@@ -1,7 +1,7 @@
 #!/bin/bash
-# CI gate: release build, full test suite, the repo's own static-analysis
-# pass (pastas-lint), and a warning-free clippy pass over every target
-# (benches and examples included). Stricter than
+# CI gate: release build with no warning on any target, full test suite,
+# the repo's own static-analysis pass (pastas-lint), and a warning-free
+# clippy pass over every target (benches and examples included). Stricter than
 # scripts/tier1.sh (which trades lint coverage for a paper-scale smoke
 # run); run both before merging.
 #
@@ -20,6 +20,21 @@ stage() {
 }
 
 stage "cargo build --release" cargo build --release
+# Every target (tests, benches, examples) builds in release without a
+# warning. Cargo replays the warnings of crates it does not recompile, so
+# a warning fails this stage on a warm cache as well as a cold one.
+no_warnings() {
+    local out
+    if ! out=$(cargo build --release --all-targets 2>&1); then
+        printf '%s\n' "$out" >&2
+        return 1
+    fi
+    if grep '^warning' <<<"$out" >&2; then
+        echo "ci: the release build of every target warns (lines above)" >&2
+        return 1
+    fi
+}
+stage "no warnings (release, all targets)" no_warnings
 stage "cargo test" cargo test -q
 # The benchmark harness (BENCHMARK.json, benchmark/) is a package outside
 # this workspace that compiles against crate internals (`Workbench::
@@ -63,7 +78,7 @@ stage "planner smoke (sharded 1M)" \
 # PatternScan (no full-scan operator, nonzero candidate/pattern-scan
 # stats), and cover-free patterns must plan to an honest full scan. The
 # second run seals an arena per 256 patients, so the planned scans' bound
-# entry tests cross eight interners.
+# entry tests cross eight arenas on one code dictionary.
 stage "temporal smoke (pattern scans)" \
     cargo run --release --example plan_explain -- --smoke-temporal --patients 2000
 stage "temporal smoke (eight arenas)" \
