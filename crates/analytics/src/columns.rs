@@ -16,7 +16,9 @@
 
 use crate::dimensions::*;
 use crate::tables::{CodeDims, NO_BUCKET};
-use pastas_model::{CodeDictionary, Entries, History, HistoryCollection, Sex, SourceKind, FAR_START};
+use pastas_model::{
+    CodeDictionary, Entries, History, HistoryCollection, RowSpan, Sex, SourceKind, FAR_START,
+};
 use pastas_ontology::integration::IntegrationOntology;
 use pastas_time::{Date, DateTime};
 use std::ops::Range;
@@ -289,20 +291,21 @@ impl PatientColumns {
     /// over chunks). `ontology` resolves condition membership — pass a
     /// saturated instance; construction is expensive.
     pub fn build(collection: &HistoryCollection, ontology: &IntegrationOntology) -> PatientColumns {
-        let histories = collection.histories();
         let dict = Arc::clone(collection.dictionary());
         let dims: Vec<CodeDims> = dict.iter().map(|code| CodeDims::of(code, ontology)).collect();
         let months = months_of(collection);
         let calendar = Calendar::of(&months);
-        let spans: Vec<&[Arc<History>]> = histories.chunks(CHUNK_ROWS).collect();
-        let chunks = pastas_par::par_map_min(&spans, 1, |span| {
+        // The row table's chunks are whole multiples of ours.
+        let spans = collection.spans(0..collection.len());
+        let pieces: Vec<RowSpan<'_>> = spans.flat_map(|span| span.pieces(CHUNK_ROWS)).collect();
+        let chunks = pastas_par::par_map_min(&pieces, 1, |piece| {
             let mut chunk = Chunk::default();
-            for history in *span {
+            for history in piece.histories {
                 chunk.push_history(history, &calendar, &dims);
             }
             chunk.shrink()
         });
-        PatientColumns { chunks, len: histories.len(), dict, dims: Arc::new(dims), months }
+        PatientColumns { chunks, len: collection.len(), dict, dims: Arc::new(dims), months }
     }
 
     /// The column of `collection` given this one describes it but for the
@@ -326,19 +329,18 @@ impl PatientColumns {
             let fresh = dict.iter().skip(known).map(|code| CodeDims::of(code, ontology));
             Arc::make_mut(&mut dims).extend(fresh);
         }
-        let histories = collection.histories();
         let months = months_of(collection);
         let calendar = Calendar::of(&months);
         let mut chunks = self.chunks.clone();
-        chunks.resize_with(histories.len().div_ceil(CHUNK_ROWS), Default::default);
+        chunks.resize_with(collection.len().div_ceil(CHUNK_ROWS), Default::default);
         let mut dirty = dirty.to_vec();
         dirty.sort_unstable();
         for run in dirty.chunk_by(|a, b| *a as usize / CHUNK_ROWS == *b as usize / CHUNK_ROWS) {
             let at = run[0] as usize / CHUNK_ROWS;
             let lo = at * CHUNK_ROWS;
             let mut next = Chunk::default();
-            let span = &histories[lo..histories.len().min(lo + CHUNK_ROWS)];
-            for (history, pos) in span.iter().zip(lo..) {
+            let span = collection.spans(lo..lo + CHUNK_ROWS).flat_map(|span| span.histories);
+            for (history, pos) in span.zip(lo..) {
                 if run.binary_search(&(pos as u32)).is_err() {
                     let (row, codes) = chunks[at].row(pos - lo);
                     next.push_row(row, codes, chunks[at].runs(pos - lo));
@@ -348,7 +350,7 @@ impl PatientColumns {
             }
             chunks[at] = next.shrink();
         }
-        PatientColumns { chunks, len: histories.len(), dict, dims, months }
+        PatientColumns { chunks, len: collection.len(), dict, dims, months }
     }
 
     /// The number of codes the column's dictionary holds.

@@ -271,7 +271,7 @@ proptest! {
             }));
         }
         let far_row = collection.position_of(PatientId(7_000_002)).expect("upserted");
-        let (_, offsets) = collection.histories()[far_row].entries().start_offsets();
+        let (_, offsets) = collection.histories().get(far_row).unwrap().entries().start_offsets();
         prop_assert!(offsets.contains(&pastas_model::FAR_START), "a far start");
         // Every special row is in the cohort, beside a random sample.
         let mut positions = random_cohort(&mut rng, special as usize, keep);

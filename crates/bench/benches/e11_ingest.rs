@@ -7,7 +7,8 @@
 //! (b) bounded per-batch apply lag, and (c) an index patch per publish
 //! (`CodeIndex::with_delta`) that copies only the postings the batch
 //! touches: its time and the posting bytes it copied are reported per
-//! publish. Results go to stderr as report rows and to
+//! publish, beside the row-table bytes the publish copied (the row
+//! chunks and id sub-maps its touched rows live in). Results go to stderr as report rows and to
 //! `BENCH_ingest.json` at the repo root as a machine-readable artifact
 //! (compare the planned-select columns against `BENCH_plan.json` at the
 //! same scale).
@@ -165,11 +166,12 @@ fn main() {
 
     // The writer: apply each batch to a cloned snapshot and publish. After
     // each publish, off the clock, the index patch that apply made is
-    // timed once more on its own, and the posting bytes the published
-    // index does not share with its predecessor are counted.
+    // timed once more on its own, and the posting and row-table bytes the
+    // published snapshot does not share with its predecessor are counted.
     let mut apply_ms: Vec<f64> = Vec::with_capacity(batches.len());
     let mut delta_ms: Vec<f64> = Vec::with_capacity(batches.len());
     let mut copied_bytes: Vec<f64> = Vec::with_capacity(batches.len());
+    let mut row_bytes: Vec<f64> = Vec::with_capacity(batches.len());
     let mut measuring_s = 0.0;
     let t_ingest = Instant::now();
     for batch in &batches {
@@ -191,6 +193,7 @@ fn main() {
         drop(std::hint::black_box(prev.index().with_delta(wb.collection(), &dirty)));
         delta_ms.push(patch.elapsed().as_secs_f64() * 1e3);
         copied_bytes.push(wb.index().posting_bytes_copied_from(prev.index()) as f64);
+        row_bytes.push(wb.collection().row_bytes_copied_from(prev.collection()) as f64);
         measuring_s += t.elapsed().as_secs_f64();
     }
     let ingest_elapsed = t_ingest.elapsed().as_secs_f64() - measuring_s;
@@ -210,6 +213,7 @@ fn main() {
     let apply_sorted = sorted(apply_ms);
     let delta_sorted = sorted(delta_ms);
     let copied_sorted = sorted(copied_bytes);
+    let rows_sorted = sorted(row_bytes);
     let (lag_p50, lag_p99) =
         (percentile(&apply_sorted, 0.50), percentile(&apply_sorted, 0.99));
     let (during_p50, during_p99) =
@@ -219,6 +223,8 @@ fn main() {
     let delta_max = delta_sorted.last().copied().unwrap_or(0.0);
     let copied_p50 = percentile(&copied_sorted, 0.50);
     let copied_max = copied_sorted.last().copied().unwrap_or(0.0);
+    let rows_p50 = percentile(&rows_sorted, 0.50);
+    let rows_max = rows_sorted.last().copied().unwrap_or(0.0);
     let reads = during_ms.len();
     let ratio = if baseline_med > 0.0 { during_p50 / baseline_med } else { 0.0 };
     let target_met = reads > 0 && during_p50 <= 2.0 * baseline_med.max(0.05);
@@ -229,6 +235,7 @@ fn main() {
          {reads} concurrent selects p50 {during_p50:.3} ms p99 {during_p99:.3} ms \
          ({ratio:.2}x baseline)  with_delta p50 {delta_p50:.2} ms max {delta_max:.2} ms  \
          posting bytes copied p50 {copied_p50:.0} max {copied_max:.0}  \
+         row bytes copied p50 {rows_p50:.0} max {rows_max:.0}  \
          post-ingest select {post_med:.3} ms  \
          [target ≤2x baseline during ingest: {}]",
         if target_met { "met" } else { "NOT met at this scale" },
@@ -248,6 +255,7 @@ fn main() {
          \"with_delta_p50_ms\":{delta_p50:.4},\"with_delta_max_ms\":{delta_max:.4},\
          \"posting_bytes_copied_p50\":{copied_p50:.0},\
          \"posting_bytes_copied_max\":{copied_max:.0},\
+         \"row_bytes_copied_p50\":{rows_p50:.0},\"row_bytes_copied_max\":{rows_max:.0},\
          \"post_ingest_planned_ms\":{post_med:.4},\
          \"target_ratio\":2.0,\"target_met\":{target_met}}}\n",
         apply_sorted.len(),

@@ -28,7 +28,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// A snapshot of the mutable view state (what undo/redo restores).
 #[derive(Debug, Clone)]
 pub struct ViewState {
-    pub(crate) order: Vec<u32>,
+    pub(crate) order: Arc<Vec<u32>>,
     pub(crate) axis: AxisMode,
     pub(crate) filter: Option<EntryPredicate>,
 }
@@ -161,7 +161,10 @@ pub struct Workbench {
     /// again.
     columns: Arc<OnceLock<PatientColumns>>,
     // View state.
-    order: Vec<u32>,
+    /// The display order, shared with snapshots and view states until
+    /// one of them writes it: a sort or an alignment replaces it, an
+    /// ingest that appends patients copies it, and anything else shares.
+    order: Arc<Vec<u32>>,
     axis: AxisMode,
     filter: Option<EntryPredicate>,
 }
@@ -192,7 +195,7 @@ impl Workbench {
     /// Build from an already-aggregated collection.
     pub fn from_collection(collection: HistoryCollection) -> Workbench {
         let index = Arc::new(CodeIndex::build(&collection));
-        let order = (0..collection.len() as u32).collect();
+        let order = Arc::new((0..collection.len() as u32).collect());
         let collection_fingerprint = fingerprint_collection(&collection);
         Workbench {
             collection,
@@ -218,7 +221,7 @@ impl Workbench {
     /// with the old collection, and stay internally consistent.
     pub fn set_collection(&mut self, collection: HistoryCollection) {
         self.index = Arc::new(CodeIndex::build(&collection));
-        self.order = (0..collection.len() as u32).collect();
+        self.order = Arc::new((0..collection.len() as u32).collect());
         self.axis = AxisMode::Calendar;
         self.collection_fingerprint = fingerprint_collection(&collection);
         self.collection = collection;
@@ -316,10 +319,12 @@ impl Workbench {
         let carried =
             self.columns.get().map(|c| c.with_rows(&self.collection, &self.ontology, &dirty));
         self.columns = Arc::new(carried.map_or_else(OnceLock::new, OnceLock::from));
-        // Appended patients join the end of the display order; existing
-        // rows keep their positions, so the current sort/alignment stays
-        // meaningful.
-        self.order.extend(rows_before as u32..self.collection.len() as u32);
+        // Appended patients join the end of the display order (copying
+        // it if a snapshot shares it); existing rows keep their
+        // positions, so the current sort/alignment stays meaningful.
+        if self.collection.len() > rows_before {
+            Arc::make_mut(&mut self.order).extend(rows_before as u32..self.collection.len() as u32);
+        }
         // Fold the parse/linkage accounting into the quality report.
         let quality = self.quality.get_or_insert_with(QualityReport::default);
         for batch in batches {
@@ -337,12 +342,14 @@ impl Workbench {
         false
     }
 
-    /// A cheap immutable snapshot sharing all heavy state: the collection
-    /// spine (row vector and id map, copy-on-write), code index, ontology,
-    /// selection cache and alignment are `Arc`-shared, so nothing is
-    /// touched per history; the collection summary and fingerprint come
-    /// along by value. Only `order` (4 bytes a row) and the filter are
-    /// copied, so the snapshot and the original diverge freely afterwards.
+    /// A cheap immutable snapshot sharing all heavy state: the
+    /// collection's row chunks and id sub-maps (one pointer each,
+    /// copy-on-write), code index, ontology, selection cache, digest
+    /// column, display order and alignment are `Arc`-shared, so nothing
+    /// is copied or touched per history; the collection summary,
+    /// fingerprint and filter come along by value. The snapshot and the
+    /// original diverge freely afterwards: whichever writes a shared part
+    /// copies that part (a row chunk, the order) and only that.
     ///
     /// This is the serving layer's unit of publication: readers hold a
     /// snapshot and never block a writer that is building the next one.
@@ -355,7 +362,7 @@ impl Workbench {
             quality: self.quality.clone(),
             selections: Arc::clone(&self.selections),
             columns: Arc::clone(&self.columns),
-            order: self.order.clone(),
+            order: Arc::clone(&self.order),
             axis: self.axis.clone(),
             filter: self.filter.clone(),
         }
@@ -496,7 +503,7 @@ impl Workbench {
     /// unit of undo/redo in [`crate::session::Session`].
     pub fn view_state(&self) -> ViewState {
         ViewState {
-            order: self.order.clone(),
+            order: Arc::clone(&self.order),
             axis: self.axis.clone(),
             filter: self.filter.clone(),
         }
@@ -566,13 +573,13 @@ impl Workbench {
     }
 
     /// Extract the matching sub-collection into a new workbench. The
-    /// sub-collection shares the selected histories with this one
-    /// (O(matches) pointer copies — no entry data is cloned).
+    /// sub-collection shares the selected histories' arenas with this one
+    /// (O(matches) 32-byte row copies — no entry data is cloned).
     pub fn select(&self, query: &HistoryQuery) -> Workbench {
         let positions = self.select_positions(query);
         let histories = self.collection.histories();
-        let sub = HistoryCollection::from_shared(
-            positions.iter().map(|&i| Arc::clone(&histories[i as usize])),
+        let sub = HistoryCollection::from_histories(
+            positions.iter().filter_map(|&i| histories.get(i as usize)).cloned(),
         );
         Workbench::from_collection(sub)
     }
@@ -630,7 +637,7 @@ impl Workbench {
 
     /// Re-sort the display order.
     pub fn sort(&mut self, key: &SortKey) {
-        self.order = sort_histories(&self.collection, key);
+        self.order = Arc::new(sort_histories(&self.collection, key));
     }
 
     /// Group the display order by trajectory similarity: cluster the
@@ -659,7 +666,7 @@ impl Workbench {
         });
         let assignment_in_order: Vec<usize> =
             order.iter().map(|&i| assignment[i as usize]).collect();
-        self.order = order;
+        self.order = Arc::new(order);
         assignment_in_order
     }
 
@@ -674,7 +681,7 @@ impl Workbench {
             self.select_positions(&HistoryQuery::any(EntryPredicate::CodeMatches(re.clone())));
         let (alignment, order) = align_rows(&self.collection, &re, &candidates);
         let n = alignment.len();
-        self.order = order;
+        self.order = Arc::new(order);
         self.axis = AxisMode::Aligned(alignment);
         Ok(n)
     }
@@ -1147,6 +1154,44 @@ mod tests {
         assert_eq!(wb.collection().len(), 301);
     }
 
+    /// The display order is shared until something writes it: a snapshot
+    /// and an ingest that only extends known patients share it, an ingest
+    /// that appends a patient copies it (the snapshot keeps its own), and
+    /// a sort replaces it. Neither ingest copies a row chunk it does not
+    /// touch.
+    #[test]
+    fn the_display_order_is_copied_only_when_written() {
+        use pastas_codes::Code;
+        use pastas_ingest::PatientDelta;
+        use pastas_model::{Entry, Payload, SourceKind};
+        let wb = wb();
+        let shared = |a: &Workbench, b: &Workbench| std::ptr::eq(a.order(), b.order());
+        let mut next = wb.snapshot();
+        assert!(shared(&wb, &next), "a snapshot shares the order");
+        let event = Entry::event(
+            Date::new(2014, 3, 1).unwrap().at_midnight(),
+            Payload::Diagnosis(Code::icpc("T90")),
+            SourceKind::PrimaryCare,
+        );
+        let known = *wb.collection().histories()[5].patient();
+        let batch = |patient| DeltaBatch {
+            deltas: vec![PatientDelta { patient, entries: vec![event.clone()] }],
+            ..DeltaBatch::default()
+        };
+        assert_eq!(next.apply_ingest(&[batch(known)]).patients_created, 0);
+        assert!(shared(&wb, &next), "extending a known patient shares the order");
+        let copied = next.collection().row_bytes_copied_from(wb.collection());
+        assert!(copied > 0 && copied <= next.collection().row_bytes_at(&[5]), "row 5's chunk");
+        let newcomer = pastas_model::Patient { id: PatientId(900_001), ..known };
+        assert_eq!(next.apply_ingest(&[batch(newcomer)]).patients_created, 1);
+        assert!(!shared(&wb, &next), "an append copies the order");
+        assert_eq!((wb.order().len(), next.order().len()), (300, 301));
+        let mut sorted = next.snapshot();
+        sorted.sort(&SortKey::EntryCount);
+        assert!(!shared(&next, &sorted) && shared(&next, &next.snapshot()));
+        next.debug_validate();
+    }
+
     /// The fingerprint `apply_ingest` maintains from the touched rows is
     /// the one a from-scratch pass over the same collection computes, and
     /// every call that changes the collection changes it.
@@ -1395,7 +1440,8 @@ mod tests {
                 let mut wb = Workbench::from_collection(collection.clone());
                 wb.apply_ingest(std::slice::from_ref(&batch));
                 let detached = wb.collection().get(existing.id).unwrap().store().dictionary();
-                let arena = collection.histories()[at].store().dictionary();
+                let histories = collection.histories();
+                let arena = histories[at].store().dictionary();
                 prop_assert!(!Arc::ptr_eq(detached, arena), "a grown dictionary");
                 prop_assert!(arena.is_prefix_of(detached));
                 for pattern in ["T90", "K.*", "T9[01]|K86", "X99", "C07AB02", "ZZ9"] {

@@ -116,7 +116,7 @@ pub fn aggregate(src: SourceTexts<'_>) -> (HistoryCollection, QualityReport) {
     // Deduplicated entries accumulate per patient; the columnar arena is
     // built once at the end so every history shares one allocation.
     let mut histories: HashMap<u64, (Patient, Vec<Entry>)> =
-        registry.patients().map(|p| (p.id.0, (*p, Vec::new()))).collect();
+        registry.patients().map(|p| (p.id.0, (p, Vec::new()))).collect();
     let mut seen: HashSet<EntryFingerprint> = HashSet::new();
     let mut report = QualityReport::default();
     for batch in [persons, claims, hospital, municipal, prescriptions] {

@@ -127,7 +127,7 @@ impl Grouper {
 
     /// Link a raw identifier, counting the row as unlinked on a miss.
     fn resolve(&mut self, registry: &IdentityRegistry, raw: &str) -> Option<Patient> {
-        let patient = registry.resolve(raw).and_then(|id| registry.patient(id)).copied();
+        let patient = registry.resolve(raw).and_then(|id| registry.patient(id));
         if patient.is_none() {
             self.batch.unlinked_rows += 1;
         }
@@ -178,7 +178,7 @@ fn persons_delta(text: &str, registry: &mut IdentityRegistry) -> DeltaBatch {
     let mut out = Grouper::new(rows.len(), issues.len());
     for row in rows {
         registry.register(row.id, row.birth_date, row.sex);
-        let patient = *registry
+        let patient = registry
             .patient(pastas_model::PatientId(row.id))
             // register() on the line above inserts this id
             .expect("just registered");

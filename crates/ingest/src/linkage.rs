@@ -10,10 +10,13 @@ use pastas_model::{Patient, PatientId, Sex};
 use pastas_time::Date;
 use std::collections::HashMap;
 
-/// The linkage anchor: canonical ids plus demographics.
+/// The linkage anchor: canonical ids plus demographics. An id's slot
+/// holds its birth date and sex only (the id is the key): 16 bytes an
+/// entry instead of a whole [`Patient`]'s 24, which matters to a server
+/// that seeds one with every patient it holds.
 #[derive(Debug, Default, Clone)]
 pub struct IdentityRegistry {
-    by_id: HashMap<u64, Patient>,
+    by_id: HashMap<u64, (Date, Sex)>,
 }
 
 impl IdentityRegistry {
@@ -24,7 +27,7 @@ impl IdentityRegistry {
 
     /// Register a person under their canonical numeric id.
     pub fn register(&mut self, id: u64, birth_date: Date, sex: Sex) {
-        self.by_id.insert(id, Patient { id: PatientId(id), birth_date, sex });
+        self.by_id.insert(id, (birth_date, sex));
     }
 
     /// Number of registered persons.
@@ -38,13 +41,14 @@ impl IdentityRegistry {
     }
 
     /// Demographics for a canonical id.
-    pub fn patient(&self, id: PatientId) -> Option<&Patient> {
-        self.by_id.get(&id.0)
+    pub fn patient(&self, id: PatientId) -> Option<Patient> {
+        let &(birth_date, sex) = self.by_id.get(&id.0)?;
+        Some(Patient { id, birth_date, sex })
     }
 
     /// All registered patients (arbitrary order).
-    pub fn patients(&self) -> impl Iterator<Item = &Patient> {
-        self.by_id.values()
+    pub fn patients(&self) -> impl Iterator<Item = Patient> + '_ {
+        self.by_id.iter().map(|(&id, &(birth_date, sex))| Patient { id: PatientId(id), birth_date, sex })
     }
 
     /// Resolve a raw identifier in any of the four schemes:
@@ -121,6 +125,18 @@ mod tests {
         assert_eq!(p.sex, Sex::Male);
         assert!(r.patient(PatientId(999)).is_none());
         assert_eq!(r.len(), 2);
+    }
+
+    /// A slot holds birth date and sex beside its id key: 16 bytes, not
+    /// the 24 of an id and a whole `Patient`.
+    #[test]
+    fn a_registry_slot_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<(u64, (Date, Sex))>(), 16);
+        assert_eq!(std::mem::size_of::<(u64, Patient)>(), 24);
+        let r = registry();
+        let mut ids: Vec<u64> = r.patients().map(|p| p.id.0).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, [7, 123]);
     }
 
     #[test]

@@ -115,13 +115,13 @@ impl OpenEpoch {
         for patient in order {
             touched.push(patient.id);
             let mut entries = grouped.remove(&patient.id).unwrap_or_default();
-            match collection.get_shared(patient.id) {
+            match collection.get(patient.id) {
                 Some(existing) => {
                     // Merge into the existing history: one rebuild,
                     // replaced in place (stable display position).
-                    let mut history = History::clone(existing);
+                    let mut history = existing.clone();
                     history.rebuild_on(Arc::clone(&dict), entries);
-                    collection.upsert_shared(Arc::new(history));
+                    collection.upsert(history);
                 }
                 None => {
                     entries.sort_by_key(|e| (e.start(), e.end()));
@@ -136,12 +136,7 @@ impl OpenEpoch {
         if !fresh_spans.is_empty() {
             let arena = Arc::new(fresh);
             for (patient, lo, hi) in fresh_spans {
-                collection.upsert_shared(Arc::new(History::from_span(
-                    patient,
-                    Arc::clone(&arena),
-                    lo,
-                    hi,
-                )));
+                collection.upsert(History::from_span(patient, Arc::clone(&arena), lo, hi));
             }
         }
         self.arena = EventStore::new();
@@ -231,8 +226,8 @@ mod tests {
         h3.debug_validate();
         // Both new patients share one fresh arena.
         assert!(Arc::ptr_eq(
-            collection.get_shared(PatientId(7)).unwrap().store(),
-            collection.get_shared(PatientId(3)).unwrap().store(),
+            collection.get(PatientId(7)).unwrap().store(),
+            collection.get(PatientId(3)).unwrap().store(),
         ));
     }
 
@@ -273,7 +268,7 @@ mod tests {
         epoch.append(patient(1), vec![diag(2015, 1, 1, "T90"), diag(2015, 2, 1, "K74")]);
         epoch.append(patient(2), vec![diag(2015, 3, 1, "A01")]);
         epoch.seal_into(&mut collection);
-        let old = Arc::clone(collection.get_shared(PatientId(1)).unwrap());
+        let old = collection.get(PatientId(1)).unwrap().clone();
         epoch.append(patient(1), vec![diag(2016, 1, 1, "K74"), diag(2016, 2, 1, "A01")]);
         epoch.seal_into(&mut collection);
         let new = collection.get(PatientId(1)).unwrap();

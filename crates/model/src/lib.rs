@@ -15,8 +15,9 @@
 //!   [`Payload`] and a [`SourceKind`] provenance tag;
 //! * [`History`] — one patient's validated, time-ordered entry sequence;
 //! * [`HistoryCollection`] — the in-memory cohort the workbench operates on,
-//!   with sub-collection extraction, summary statistics and the per-row
-//!   sort keys ([`RowColumns`]);
+//!   a copy-on-write row table of [`CHUNK_ROWS`]-row chunks (histories
+//!   inline beside the per-row sort keys and demographics, read as
+//!   [`RowSpan`]s), with sub-collection extraction and summary statistics;
 //! * [`EventStore`] — the columnar arena behind histories, its code ids
 //!   into the collection's one [`CodeDictionary`],
 //!   with the zero-copy [`EntryRef`]/[`Entries`] views the hot query, viz,
@@ -31,7 +32,9 @@ mod epoch;
 mod history;
 mod store;
 
-pub use collection::{CollectionStats, HistoryCollection, RowColumns};
+pub use collection::{
+    CollectionStats, Histories, HistoriesIter, HistoryCollection, RowSpan, CHUNK_ROWS,
+};
 pub use entry::{EpisodeKind, Entry, Event, Interval, MeasurementKind, Payload, SourceKind};
 pub use epoch::OpenEpoch;
 pub use history::{History, Patient, Sex, ValidationReport};

@@ -410,8 +410,9 @@ proptest! {
                     h.insert_all(existing.unwrap_or_default());
                     c.upsert(h);
                     let at = c.position_of(PatientId(id)).unwrap();
-                    prop_assert_eq!(c.rows().births()[at] as i64, birth_date.day_number());
-                    prop_assert_eq!(c.rows().sexes()[at], sex);
+                    let row = c.spans(at..at + 1).next().unwrap();
+                    prop_assert_eq!(row.births[0] as i64, birth_date.day_number());
+                    prop_assert_eq!(row.sexes[0], sex);
                 }
                 _ => {
                     epoch.append(person(id), entries.clone());
@@ -443,4 +444,101 @@ proptest! {
         let b: Vec<_> = once.iter().map(|h| h.id()).collect();
         prop_assert_eq!(a, b);
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
+
+    /// The chunked row table after random writes equals a fresh
+    /// `from_histories` build of a plain row list kept beside it (the
+    /// oracle: a `Vec` and last write wins): rows, columns, id map and
+    /// summary. The table starts a few rows short of a chunk boundary, so
+    /// appends open chunks; every step keeps a clone, which must not see
+    /// the later writes. Re-registrations change a row's birth date and
+    /// sex; sealed epochs extend known rows and append new ones.
+    #[test]
+    fn chunked_table_equals_a_fresh_build(
+        short in 0usize..6,
+        steps in proptest::collection::vec(
+            (0u8..5, 0usize..1 << 16, proptest::collection::vec(arb_entry(), 0..3)),
+            1..24,
+        ),
+    ) {
+        for threads in [1, 4] {
+            pastas_par::with_threads(threads, || table_matches_its_oracle(short, steps.clone()))?;
+        }
+    }
+}
+
+/// The body of `chunked_table_equals_a_fresh_build`.
+fn table_matches_its_oracle(
+    short: usize,
+    steps: Vec<(u8, usize, Vec<Entry>)>,
+) -> Result<(), TestCaseError> {
+    let person = |id: u64| Patient { id: PatientId(id), ..patient() };
+    let rows = CHUNK_ROWS - short;
+    let mut model: Vec<History> = (0..rows as u64).map(|id| History::new(person(id))).collect();
+    let mut c = HistoryCollection::from_histories(model.clone());
+    c.stats();
+    let mut clones = Vec::new();
+    let mut epoch = OpenEpoch::new();
+    for (kind, pick, entries) in steps {
+        clones.push((c.clone(), model.clone()));
+        let at = pick % model.len();
+        match kind {
+            // A known row grows.
+            0 => {
+                let mut h = model[at].clone();
+                h.insert_all(entries);
+                model[at] = h.clone();
+                c.upsert(h);
+            }
+            // A brand-new patient (two, crossing the boundary).
+            1 => {
+                for _ in 0..2 {
+                    let mut h = History::new(person(model.len() as u64));
+                    h.insert_all(entries.clone());
+                    model.push(h.clone());
+                    c.upsert(h);
+                }
+            }
+            // Re-registered: another birth date and sex.
+            2 => {
+                let old = model[at].patient();
+                let sex = if old.sex == Sex::Male { Sex::Female } else { Sex::Male };
+                let birth_date = Date::new(1901 + (pick % 90) as i32, 2, 28).unwrap();
+                let mut h = History::new(Patient { birth_date, sex, ..*old });
+                h.insert_all(model[at].entries().to_vec());
+                model[at] = h.clone();
+                c.upsert(h);
+            }
+            // The last write of a patient id wins.
+            3 => {
+                let h = History::new(person(at as u64));
+                model[at] = h.clone();
+                c.upsert(h);
+            }
+            // A sealed epoch: one known row, one new patient.
+            _ => {
+                let new = model.len() as u64;
+                epoch.append(person(at as u64), entries.clone());
+                epoch.append(person(new), entries);
+                for id in epoch.seal_into(&mut c) {
+                    let h = c.get(id).unwrap().clone();
+                    match model.get_mut(id.0 as usize) {
+                        Some(row) => *row = h,
+                        None => model.push(h),
+                    }
+                }
+            }
+        }
+        c.debug_validate();
+    }
+    let diff = c.table_diff(&HistoryCollection::from_histories(model));
+    prop_assert!(diff.is_none(), "{:?}", diff);
+    for (i, (clone, rows)) in clones.into_iter().enumerate() {
+        let diff = clone.table_diff(&HistoryCollection::from_histories(rows));
+        prop_assert!(diff.is_none(), "clone {}: {:?}", i, diff);
+    }
+    Ok(())
 }

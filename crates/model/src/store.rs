@@ -1094,6 +1094,9 @@ pub struct MemoryFootprint {
     pub postings_compressed_bytes: usize,
     /// What the same postings cost as `Vec<u32>`, when attached.
     pub postings_uncompressed_bytes_est: usize,
+    /// Bytes of the row table: its chunks (histories inline, row
+    /// columns) and its id map ([`crate::HistoryCollection::row_bytes`]).
+    pub row_bytes: usize,
 }
 
 impl MemoryFootprint {
@@ -1124,6 +1127,7 @@ impl MemoryFootprint {
         f.stores = seen.len();
         f.split.dictionary = collection.dictionary().heap_bytes();
         f.columnar_bytes = f.split.total();
+        f.row_bytes = collection.row_bytes();
         f
     }
 

@@ -71,6 +71,25 @@ impl Bits {
         self.ones = self.words.iter().map(|w| w.count_ones()).sum();
     }
 
+    /// Set the bit of each of `rows`, from bit `offset` on, that `keep`
+    /// accepts ([`Bitmap::from_column`]); the bits must fit.
+    fn fill<T>(&mut self, offset: usize, rows: &[T], keep: &impl Fn(&T) -> bool) {
+        let (head, body) = rows.split_at((offset.next_multiple_of(64) - offset).min(rows.len()));
+        if let Some(word) = self.words.get_mut(offset / 64) {
+            for (bit, row) in (offset % 64..).zip(head) {
+                *word |= u64::from(keep(row)) << bit;
+            }
+        }
+        let words = self.words.iter_mut().skip((offset + head.len()) / 64);
+        for (word, rows) in words.zip(body.chunks(64)) {
+            let mut kept = [0u8; 64];
+            for (k, row) in kept.iter_mut().zip(rows) {
+                *k = u8::from(keep(row));
+            }
+            *word |= pack_bytes(&kept);
+        }
+    }
+
     /// Number of runs of consecutive set bits (for normalization).
     fn run_count(&self) -> usize {
         let mut runs = 0u32;
@@ -698,30 +717,44 @@ impl Bitmap {
         b.finish()
     }
 
-    /// The positions of `column` whose value `keep` accepts: one dense
+    /// The positions of a column whose value `keep` accepts, the column
+    /// given as consecutive `parts` (a row table's chunks): one dense
     /// pass, 64 rows a word, no position list in between — how a
     /// per-row column (birth day numbers, sexes) becomes a set the
     /// algebra can intersect with postings. Each word's 64 answers are
     /// written as bytes first, so the test loop carries no shift
-    /// dependency, and then packed eight to a multiply.
-    pub fn from_column<T>(column: &[T], keep: impl Fn(&T) -> bool) -> Bitmap {
-        let mut containers = Vec::with_capacity(column.len().div_ceil(1 << 16));
-        let mut len = 0usize;
-        for (key, chunk) in column.chunks(1 << 16).enumerate() {
-            let mut bits = Bits::zeroed();
-            for (word, rows) in bits.words.iter_mut().zip(chunk.chunks(64)) {
-                let mut kept = [0u8; 64];
-                for (k, row) in kept.iter_mut().zip(rows) {
-                    *k = u8::from(keep(row));
-                }
-                *word = pack_bytes(&kept);
-            }
-            bits.recount();
+    /// dependency, and then packed eight to a multiply; only a part that
+    /// starts inside a word sets its first bits one by one.
+    pub fn from_column<'a, T: 'a>(
+        parts: impl IntoIterator<Item = &'a [T]>,
+        keep: impl Fn(&T) -> bool,
+    ) -> Bitmap {
+        const SPAN: usize = 1 << 16;
+        let (mut containers, mut len) = (Vec::new(), 0usize);
+        let mut seal = |bits: Box<Bits>, key: usize| {
             if bits.ones > 0 {
                 len += bits.ones as usize;
-                // lint:allow(no-silent-truncation) positions are u32, so at most 65536 chunks
+                // lint:allow(no-silent-truncation) positions are u32, so at most 65536 containers
                 containers.push((key as u16, norm_bits(bits)));
             }
+        };
+        let (mut bits, mut at) = (Bits::zeroed(), 0usize);
+        for part in parts {
+            let mut rest = part;
+            while !rest.is_empty() {
+                let offset = at % SPAN;
+                let (now, later) = rest.split_at(rest.len().min(SPAN - offset));
+                bits.fill(offset, now, &keep);
+                (at, rest) = (at + now.len(), later);
+                if at % SPAN == 0 {
+                    bits.recount();
+                    seal(std::mem::replace(&mut bits, Bits::zeroed()), at / SPAN - 1);
+                }
+            }
+        }
+        if at % SPAN != 0 {
+            bits.recount();
+            seal(bits, at / SPAN);
         }
         Bitmap { containers, len }
     }
@@ -1280,7 +1313,7 @@ mod tests {
                 for &v in &vals {
                     column[v as usize] = true;
                 }
-                let bm = Bitmap::from_column(&column, |&set| set);
+                let bm = Bitmap::from_column([&column[..]], |&set| set);
                 bm.debug_validate();
                 assert_eq!(bm, Bitmap::from_sorted(&vals), "{rows} rows, {} set", vals.len());
             }
@@ -1295,9 +1328,17 @@ mod tests {
         use pastas_model::Sex;
         fn check<T>(column: &[T], keep: impl Fn(&T) -> bool) {
             let kept: Vec<u32> = (0..column.len() as u32).filter(|&i| keep(&column[i as usize])).collect();
-            let bm = Bitmap::from_column(column, keep);
+            let bm = Bitmap::from_column([column], &keep);
             bm.debug_validate();
             assert_eq!(bm, Bitmap::from_sorted(&kept), "{} rows, {} kept", column.len(), kept.len());
+            // Cut into parts on and off the word and the container.
+            for cut in [1, 63, 4_096, 65_535] {
+                let parts = column.chunks(cut).flat_map(|c| {
+                    let (a, b) = c.split_at(c.len() / 3);
+                    [a, b]
+                });
+                assert_eq!(Bitmap::from_column(parts, &keep), bm, "{} rows cut at {cut}", column.len());
+            }
         }
         let mut rng = Rng(29);
         for rows in [0usize, 1, 63, 64, 65, 65_535, 65_536, 65_537, 131_073] {

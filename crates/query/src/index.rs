@@ -31,19 +31,20 @@
 //!
 //! The index holds codes only: the planner answers `age(..)` / `sex(..)`
 //! leaves from the collection's own demographic columns
-//! ([`pastas_model::RowColumns::births`] and `sexes`).
+//! ([`pastas_model::RowSpan::births`] and `sexes`, read chunk by chunk).
 
 use crate::bitmap::Bitmap;
 use crate::query::HistoryQuery;
 use pastas_codes::Code;
-use pastas_model::{CodeDictionary, HistoryCollection};
+use pastas_model::{CodeDictionary, HistoryCollection, RowSpan};
 use pastas_regex::Regex;
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
-/// Per-thread minimum number of histories before index building or
-/// candidate verification goes parallel. Predicate evaluation is cheap per
-/// history, so small cohorts stay on the serial path.
+/// Rows a piece of an index build or a scan holds at most: the unit its
+/// threads share out. Predicate evaluation is cheap per history, so small
+/// cohorts stay on the serial path.
 const PAR_MIN_HISTORIES: usize = 256;
 
 /// History positions per index shard. Matches the bitmap container width
@@ -151,25 +152,23 @@ impl CodeIndex {
         shard_rows: u32,
     ) -> CodeIndex {
         assert!(shard_rows > 0 && shard_rows <= SHARD_ROWS, "bad shard width");
-        let histories = collection.histories();
         let dict = Arc::clone(collection.dictionary());
         let codes = dict.len();
         // Post shard-relative positions, one fixed-width block at a
-        // time. Within a shard, chunks parallelize and merge back in
-        // position order; across shards the loop is sequential, so peak
-        // uncompressed state is one shard's lists.
-        let rows = histories.len() as u32;
-        let shard_count = histories.len().div_ceil(shard_rows as usize);
+        // time. Within a shard, pieces of the row table parallelize and
+        // merge back in position order; across shards the loop is
+        // sequential, so peak uncompressed state is one shard's lists.
+        let rows = collection.len() as u32;
+        let shard_count = collection.len().div_ceil(shard_rows as usize);
         let mut shards = Vec::with_capacity(shard_count);
         let mut counts = vec![0u32; codes];
         for s in 0..shard_count {
             let base = s * shard_rows as usize;
-            // lint:allow(no-panic-hot-path) base < len for every s < shard_count
-            let span = &histories[base..(base + shard_rows as usize).min(histories.len())];
-            let chunks = pastas_par::par_chunks(span, PAR_MIN_HISTORIES, |start, chunk| {
+            let pieces = row_pieces(collection, base..base + shard_rows as usize);
+            let chunks = pastas_par::par_chunks(&pieces, 1, |_, pieces| {
                 let mut lists: Vec<Vec<u16>> = vec![Vec::new(); codes];
-                for (offset, h) in chunk.iter().enumerate() {
-                    let rel = (start + offset) as u16;
+                for (h, p) in pieces.iter().flat_map(|piece| piece.histories.iter().zip(piece.start..)) {
+                    let rel = (p - base) as u16;
                     for (_, id) in h.entries().scan() {
                         if let Some(id) = id {
                             // lint:allow(no-panic-hot-path) every row's dictionary is a prefix of dict
@@ -200,7 +199,8 @@ impl CodeIndex {
                     Arc::new(list.into_iter().map(u32::from).collect())
                 })
                 .collect();
-            let (base, rows) = (base as u32, span.len() as u32);
+            let span = pieces.iter().map(RowSpan::len).sum::<usize>();
+            let (base, rows) = (base as u32, span as u32);
             shards.push(Arc::new(IndexShard { base, rows, postings }));
         }
         CodeIndex { dict, counts, shards, rows, shard_rows, compiled: Mutex::default() }
@@ -526,12 +526,22 @@ impl CodeIndex {
 }
 
 
-/// The naive path: evaluate the query against every history (chunked
-/// across threads, order-preserving).
+/// The naive path: evaluate the query against every history (pieces of
+/// the row table across threads, order-preserving).
 pub fn select_scan(collection: &HistoryCollection, query: &HistoryQuery) -> Vec<u32> {
-    pastas_par::par_filter_indices_min(collection.histories(), PAR_MIN_HISTORIES, |h| {
-        query.matches(h)
-    })
+    let pieces = row_pieces(collection, 0..collection.len());
+    let kept = pastas_par::par_chunks(&pieces, 1, |_, pieces| {
+        let rows = pieces.iter().flat_map(|piece| piece.histories.iter().zip(piece.start as u32..));
+        rows.filter(|(h, _)| query.matches(h)).map(|(_, p)| p).collect::<Vec<u32>>()
+    });
+    kept.concat()
+}
+
+/// Rows `rows` of `collection` in pieces of at most
+/// [`PAR_MIN_HISTORIES`], chunk by chunk: the work units a parallel scan
+/// deals out to its threads.
+fn row_pieces(collection: &HistoryCollection, rows: Range<usize>) -> Vec<RowSpan<'_>> {
+    collection.spans(rows).flat_map(|span| span.pieces(PAR_MIN_HISTORIES)).collect()
 }
 
 #[cfg(test)]
@@ -710,7 +720,7 @@ mod tests {
         assert_eq!(fp.postings_uncompressed_bytes_est, total * 4);
     }
 
-    /// Large enough that `PAR_MIN_HISTORIES` admits several chunks — the
+    /// Large enough to make several `PAR_MIN_HISTORIES` pieces — the
     /// parallel-equivalence tests must actually take the parallel path.
     fn large_collection() -> HistoryCollection {
         generate_collection(SynthConfig::with_patients(1500), 71)
@@ -884,7 +894,7 @@ mod tests {
         assert_eq!(idx2.posting_bytes_copied_from(&idx), new[slot].heap_bytes());
         assert_eq!(idx2.counts[slot], idx.counts[slot] + 1);
         // Row 600 re-registered with other demographics, same entries.
-        let was = Arc::clone(&c.histories()[600]);
+        let was = c.histories()[600].clone();
         let mut reborn = History::new(Patient {
             birth_date: Date::new(1901, 2, 28).unwrap(),
             sex: if was.patient().sex == Sex::Female { Sex::Male } else { Sex::Female },
@@ -912,7 +922,7 @@ mod tests {
         let idx = CodeIndex::build_with_shard_rows(&c, 256);
         let at = Date::new(2015, 1, 1).unwrap();
         let aged = HistoryQuery::AgeBetween { at, min: 110, max: 120 };
-        let was = Arc::clone(&c.histories()[300]);
+        let was = c.histories()[300].clone();
         let sex = if was.patient().sex == Sex::Female { Sex::Male } else { Sex::Female };
         let queries = [
             aged.clone(),

@@ -7,11 +7,12 @@
 //! out of the aligned view.
 
 use crate::predicate::{BoundPredicate, EntryPredicate};
-use crate::radix::radix_order;
-use pastas_model::{HistoryCollection, PatientId};
+use crate::radix::{radix_order, RowKeys};
+use pastas_model::{HistoryCollection, PatientId, RowSpan};
 use pastas_regex::Regex;
 use pastas_time::DateTime;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Per-history anchors for the aligned axis mode. Immutable once computed
@@ -115,32 +116,64 @@ pub enum SortKey {
 /// keys keep position order). Empty histories sort after every other row
 /// by first entry and before every other row by span.
 ///
-/// Entry counts, first starts and spans are read straight from the
-/// collection's [`pastas_model::RowColumns`]; only patient ids are read
-/// off the histories. No key array is built: the radix order reads each
-/// row's key off the columns in its first pass.
+/// Every key is read straight off the collection's row table, a chunk's
+/// slices at a time: entry counts, first starts and last
+/// ends from its columns, patient ids from its inline histories. No key
+/// array is built: the radix order reads each row's key in its first
+/// pass.
 pub fn sort_histories(collection: &HistoryCollection, key: &SortKey) -> Vec<u32> {
-    let rows = collection.rows();
-    let (counts, firsts, lasts) = (rows.entry_counts(), rows.first_starts(), rows.last_ends());
-    let n = counts.len();
+    let n = collection.len();
     match key {
         SortKey::PatientId => {
-            let ids: Vec<u64> = collection.histories().iter().map(|h| h.id().0).collect();
-            // lint:allow(no-panic-hot-path) radix_order asks for p < n only
-            radix_order(n, |p| Some(ids[p]))
+            radix_order(n, ColumnKeys::new(collection, |s, i| s.histories.get(i).map(|h| h.id().0)))
         }
-        // lint:allow(no-panic-hot-path) radix_order asks for p < n only
-        SortKey::EntryCount => radix_order(n, |p| Some(u64::from(counts[p]))),
+        SortKey::EntryCount => {
+            radix_order(n, ColumnKeys::new(collection, |s, i| s.entry_counts.get(i).map(|&c| c.into())))
+        }
         // The sign flip orders `i64` seconds as `u64`; empty rows go last.
-        SortKey::FirstEntry => radix_order(n, |p| {
-            // lint:allow(no-panic-hot-path) radix_order asks for p < n only
-            (counts[p] > 0).then(|| firsts[p] as u64 ^ 1 << 63)
-        }),
+        SortKey::FirstEntry => radix_order(
+            n,
+            ColumnKeys::new(collection, |s, i| {
+                let (&count, &first) = (s.entry_counts.get(i)?, s.first_starts.get(i)?);
+                (count > 0).then_some(first as u64 ^ 1 << 63)
+            }),
+        ),
         // A span is never negative; an empty row (0) goes before them all.
-        SortKey::Span => radix_order(n, |p| {
-            // lint:allow(no-panic-hot-path) radix_order asks for p < n only
-            Some(if counts[p] > 0 { lasts[p].abs_diff(firsts[p]) + 1 } else { 0 })
-        }),
+        SortKey::Span => radix_order(
+            n,
+            ColumnKeys::new(collection, |s, i| {
+                let (&count, &first, &last) =
+                    (s.entry_counts.get(i)?, s.first_starts.get(i)?, s.last_ends.get(i)?);
+                Some(if count > 0 { last.abs_diff(first) + 1 } else { 0 })
+            }),
+        ),
+    }
+}
+
+/// A sort key read off the row table: `key(span, i)` is the key of row
+/// `i` of `span`.
+struct ColumnKeys<'a, K> {
+    collection: &'a HistoryCollection,
+    key: K,
+}
+
+impl<'a, K: Fn(&RowSpan<'_>, usize) -> Option<u64> + Sync> ColumnKeys<'a, K> {
+    fn new(collection: &'a HistoryCollection, key: K) -> Self {
+        ColumnKeys { collection, key }
+    }
+}
+
+impl<K: Fn(&RowSpan<'_>, usize) -> Option<u64> + Sync> RowKeys for ColumnKeys<'_, K> {
+    fn each(&self, rows: Range<usize>, mut f: impl FnMut(usize, Option<u64>)) {
+        for span in self.collection.spans(rows) {
+            for i in 0..span.len() {
+                f(span.start + i, (self.key)(&span, i));
+            }
+        }
+    }
+
+    fn key(&self, p: usize) -> Option<u64> {
+        self.collection.spans(p..p + 1).next().and_then(|span| (self.key)(&span, 0))
     }
 }
 

@@ -39,7 +39,7 @@ use crate::normalize::{is_never, normalize};
 use crate::predicate::EntryPredicate;
 use crate::query::{BoundQuery, HistoryQuery};
 use pastas_ingest::json::write_string;
-use pastas_model::{History, HistoryCollection, RowColumns, Sex};
+use pastas_model::{History, HistoryCollection, Sex};
 use pastas_time::Date;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -740,8 +740,8 @@ enum ExecKind<'q> {
     Verify { query: &'q HistoryQuery, input: Option<Box<ExecNode<'q>>>, pattern: bool },
 }
 
-/// What a demographic leaf asks of one row of
-/// [`pastas_model::RowColumns`].
+/// What a demographic leaf asks of one row's birth or sex column
+/// ([`pastas_model::RowSpan`]).
 enum ColumnTest {
     /// Born on a day number within `first..=last`, `first <= last`.
     Born { first: i32, last: i32 },
@@ -777,17 +777,17 @@ impl ColumnTest {
         }
     }
 
-    /// The rows of `span` that pass, relative to its start.
-    fn rows(&self, columns: &RowColumns, span: Range<usize>) -> Bitmap {
+    /// The rows of `span` that pass, relative to its start: one pass over
+    /// the column's slice in each chunk the span covers.
+    fn rows(&self, collection: &HistoryCollection, span: Range<usize>) -> Bitmap {
+        let spans = collection.spans(span);
         match *self {
             // `&`, not `&&`: a birth date falls inside the interval about
             // as often as not, and a branch on that cannot be predicted.
             ColumnTest::Born { first, last } => {
-                // lint:allow(no-panic-hot-path) spans are rows of the collection the index describes
-                Bitmap::from_column(&columns.births()[span], |&born| (first <= born) & (born <= last))
+                Bitmap::from_column(spans.map(|s| s.births), |&born| (first <= born) & (born <= last))
             }
-            // lint:allow(no-panic-hot-path) spans are rows of the collection the index describes
-            ColumnTest::Sex(sex) => Bitmap::from_column(&columns.sexes()[span], |&s| s == sex),
+            ColumnTest::Sex(sex) => Bitmap::from_column(spans.map(|s| s.sexes), |&s| s == sex),
             ColumnTest::Nobody => Bitmap::new(),
         }
     }
@@ -880,7 +880,7 @@ fn exec_shard(
         ExecKind::Fetch(slots) => shard.union_slots(slots),
         ExecKind::Column(test) => {
             let start = shard.base as usize;
-            test.rows(collection.rows(), start..start + shard.rows as usize)
+            test.rows(collection, start..start + shard.rows as usize)
         }
         ExecKind::Complement(c) => {
             let inner = child(exec_shard(c, collection, shard, trace, counters));
@@ -1245,7 +1245,7 @@ mod tests {
             for (min, max) in ranges {
                 let q = HistoryQuery::AgeBetween { at, min, max };
                 let test = ColumnTest::bind(&q);
-                let got = test.rows(c.rows(), 0..c.len()).to_vec();
+                let got = test.rows(&c, 0..c.len()).to_vec();
                 let want: Vec<u32> = (0..c.len() as u32)
                     .filter(|&i| (min..=max).contains(&ages[i as usize]))
                     .collect();

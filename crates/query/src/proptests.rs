@@ -627,7 +627,7 @@ proptest! {
             .collect();
         let idx = idx.with_delta(&c, &dirty);
         prop_assert!(dictionary_versions(&c) >= 2, "{} versions", dictionary_versions(&c));
-        let histories = c.histories();
+        let histories: Vec<&pastas_model::History> = c.iter().collect();
         let naive_hits: Vec<_> = histories.iter().map(|h| pat.naive_find_matches(h)).collect();
         let naive_hit: Vec<bool> = histories.iter().map(|h| pat.naive_matches(h)).collect();
         prop_assert_eq!(
@@ -644,8 +644,8 @@ proptest! {
         for threads in [1usize, 4] {
             let (hits, hit, planned) = pastas_par::with_threads(threads, || {
                 (
-                    pastas_par::par_map_min(histories, 1, |h| pat.find_matches(h)),
-                    pastas_par::par_map_min(histories, 1, |h| pat.matches(h)),
+                    pastas_par::par_map_min(&histories, 1, |h| pat.find_matches(h)),
+                    pastas_par::par_map_min(&histories, 1, |h| pat.matches(h)),
                     plan.execute(&c, &idx),
                 )
             });
@@ -705,8 +705,8 @@ proptest! {
             let reference = crate::ops::reference_sort(&c, &key);
             // The same rows already in the key's order, and reversed.
             let reordered = |order: &mut dyn Iterator<Item = &u32>| {
-                pastas_model::HistoryCollection::from_shared(
-                    order.map(|&p| std::sync::Arc::clone(&c.histories()[p as usize])),
+                pastas_model::HistoryCollection::from_histories(
+                    order.map(|&p| c.histories()[p as usize].clone()),
                 )
             };
             let sorted = reordered(&mut reference.iter());

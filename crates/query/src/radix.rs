@@ -1,7 +1,33 @@
 //! The stable radix order the view sorts run on.
 // lint:allow-file(no-panic-hot-path) indices are buckets <= BUCKETS or slots the prefix sums bound
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
+
+/// The keys [`radix_order`] sorts, by position: read in position order
+/// over a range, as the first pass reads them (a row table's chunk
+/// slice at a time), or one position at a time, as a later pass reads a
+/// key too wide to carry beside the order.
+pub(crate) trait RowKeys: Sync {
+    /// Call `f(p, key)` for each position `p` of `rows`, in order.
+    fn each(&self, rows: Range<usize>, f: impl FnMut(usize, Option<u64>));
+
+    /// The key of position `p`.
+    fn key(&self, p: usize) -> Option<u64>;
+}
+
+/// A function of the position is a key source.
+impl<F: Fn(usize) -> Option<u64> + Sync> RowKeys for F {
+    fn each(&self, rows: Range<usize>, mut f: impl FnMut(usize, Option<u64>)) {
+        for p in rows {
+            f(p, self(p));
+        }
+    }
+
+    fn key(&self, p: usize) -> Option<u64> {
+        self(p)
+    }
+}
 
 /// Bits a radix digit covers: 2,048 buckets, whose counts fit in L1.
 const DIGIT_BITS: u32 = 11;
@@ -45,13 +71,13 @@ fn slots<A: Default>(rows: usize) -> Vec<A> {
 /// whose key is `None` last in position order: an LSD radix sort over
 /// 11-bit digits with a pass only for a digit that differs between two
 /// rows, and none when the keys are already in order. The first pass
-/// runs in position order, without an order array: each `pastas_par`
-/// chunk counts its lowest digit and folds in the key range and whether
+/// runs in position order ([`RowKeys::each`]), without an order array:
+/// each `pastas_par` chunk counts its lowest digit and folds in the key range and whether
 /// the keys are in order, then scatters its positions to where it starts
 /// in each digit's bucket, and, when passes follow, the keys' remaining
 /// bits beside them, which a later pass reads in order instead of
 /// gathering. Every pass is stable at every thread count.
-pub(crate) fn radix_order(rows: usize, key: impl Fn(usize) -> Option<u64> + Sync) -> Vec<u32> {
+pub(crate) fn radix_order(rows: usize, keys: impl RowKeys) -> Vec<u32> {
     if rows < 2 {
         return (0..rows as u32).collect();
     }
@@ -61,14 +87,14 @@ pub(crate) fn radix_order(rows: usize, key: impl Fn(usize) -> Option<u64> + Sync
     let mut chunks = pastas_par::par_chunks(&units, RADIX_MIN_PER_THREAD, |start, chunk| {
         let mut at = [0; BUCKETS + 1];
         let (mut or, mut and, mut sorted) = (0, u64::MAX, true);
-        let first = rank(key(start));
+        let first = rank(keys.key(start));
         let mut last = first;
-        for k in (start..start + chunk.len()).map(&key) {
+        keys.each(start..start + chunk.len(), |_, k| {
             at[bucket(k, 0)] += 1;
             (or, and) = k.map_or((or, and), |k| (or | k, and & k));
             sorted &= last <= rank(k);
             last = rank(k);
-        }
+        });
         (start, at, (or, and, sorted, first, last))
     });
     let stats = || chunks.iter().map(|c| c.2);
@@ -85,9 +111,7 @@ pub(crate) fn radix_order(rows: usize, key: impl Fn(usize) -> Option<u64> + Sync
     if first_shift != 0 {
         chunks = pastas_par::par_chunks(&units, RADIX_MIN_PER_THREAD, |start, chunk| {
             let mut at = [0; BUCKETS + 1];
-            for p in start..start + chunk.len() {
-                at[bucket(key(p), first_shift)] += 1;
-            }
+            keys.each(start..start + chunk.len(), |_, k| at[bucket(k, first_shift)] += 1);
             (start, at, chunks[0].2)
         });
     }
@@ -99,18 +123,17 @@ pub(crate) fn radix_order(rows: usize, key: impl Fn(usize) -> Option<u64> + Sync
     let base = later.first().copied().unwrap_or(0);
     let carry = !later.is_empty() && (or ^ and) >> base <= u64::from(u32::MAX);
     let narrow = |k: u64| ((k ^ and) >> base) as u32;
-    let mut keys: Vec<AtomicU32> = if carry { slots(keyed) } else { Vec::new() };
+    let mut carried: Vec<AtomicU32> = if carry { slots(keyed) } else { Vec::new() };
     pastas_par::par_chunks(&units, RADIX_MIN_PER_THREAD, |start, chunk| {
         let mut at = starts_of(&chunks, start);
-        for p in start..start + chunk.len() {
-            let k = key(p);
+        keys.each(start..start + chunk.len(), |p, k| {
             let b = bucket(k, first_shift);
             order[at[b] as usize].store(p as u32, Relaxed);
-            if let (Some(k), Some(slot)) = (k, keys.get(at[b] as usize)) {
+            if let (Some(k), Some(slot)) = (k, carried.get(at[b] as usize)) {
                 slot.store(narrow(k), Relaxed);
             }
             at[b] += 1;
-        }
+        });
     });
     // The later passes order the keyed rows; the keyless ones stay last.
     let mut spare: Vec<AtomicU32> = Vec::new();
@@ -120,14 +143,14 @@ pub(crate) fn radix_order(rows: usize, key: impl Fn(usize) -> Option<u64> + Sync
             to.store(from.load(Relaxed), Relaxed);
         }
     }
-    let mut next_keys: Vec<AtomicU32> = Vec::new();
+    let mut next_carried: Vec<AtomicU32> = Vec::new();
     for (i, &shift) in later.iter().enumerate() {
         let more = carry && i + 1 < later.len();
-        next_keys.resize_with(if more { keyed } else { 0 }, AtomicU32::default);
+        next_carried.resize_with(if more { keyed } else { 0 }, AtomicU32::default);
         // The digit of the row at `slot` of the order, holding position `p`.
-        let digit = |slot: usize, p: u32| match keys.get(slot) {
+        let digit = |slot: usize, p: u32| match carried.get(slot) {
             Some(k) => (u64::from(k.load(Relaxed)) >> (shift - base) & MASK) as usize,
-            None => bucket(key(p as usize), shift),
+            None => bucket(keys.key(p as usize), shift),
         };
         let ordered = &order[..keyed];
         let mut chunks = pastas_par::par_chunks(ordered, RADIX_MIN_PER_THREAD, |start, chunk| {
@@ -143,14 +166,14 @@ pub(crate) fn radix_order(rows: usize, key: impl Fn(usize) -> Option<u64> + Sync
             for (slot, p) in (start..).zip(chunk) {
                 let (p, d) = (p.load(Relaxed), digit(slot, p.load(Relaxed)));
                 spare[at[d] as usize].store(p, Relaxed);
-                if let (Some(to), Some(k)) = (next_keys.get(at[d] as usize), keys.get(slot)) {
+                if let (Some(to), Some(k)) = (next_carried.get(at[d] as usize), carried.get(slot)) {
                     to.store(k.load(Relaxed), Relaxed);
                 }
                 at[d] += 1;
             }
         });
         std::mem::swap(&mut order, &mut spare);
-        std::mem::swap(&mut keys, &mut next_keys);
+        std::mem::swap(&mut carried, &mut next_carried);
     }
     order.into_iter().map(AtomicU32::into_inner).collect()
 }

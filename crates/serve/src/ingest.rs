@@ -90,12 +90,13 @@ const MAX_APPLY_PAUSE: Duration = Duration::from_millis(80);
 /// batch that arrives after a quiet spell is applied at once; under a
 /// sustained stream the passes follow a clock (a 200-entry increment every
 /// 50 ms) and whatever queued up meanwhile rides in one publish. Every
-/// publish copies the row pointers and the view order (12 MB at 1M
-/// patients) and retires every cached response, so the pace bounds what a
-/// writer can cost the readers, and it makes a streamed batch's lag to
-/// visibility the pause its predecessor earned rather than what the
-/// scheduler made of the hand-offs between client, connection worker and
-/// apply worker. A synchronous `POST /compact` is not paced.
+/// publish copies the row chunks its touched rows live in (about 230 KiB
+/// each; whole-population arrays, 30.5 MiB at 1M patients, before the row
+/// table was chunked) and retires every cached response, so the pace
+/// bounds what a writer can cost the readers, and it makes a streamed
+/// batch's lag to visibility the pause its predecessor earned rather than
+/// what the scheduler made of the hand-offs between client, connection
+/// worker and apply worker. A synchronous `POST /compact` is not paced.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ApplyPacer {
     /// Earliest start of the next pass that has batches to apply.

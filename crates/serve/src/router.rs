@@ -560,6 +560,7 @@ fn metrics_response(ctx: &RouterCtx) -> Response {
         ("select_scan_fallbacks", wb.select_scan_fallbacks() as f64),
         ("pattern_candidates", wb.pattern_candidates() as f64),
         ("pattern_automaton_runs", wb.pattern_automaton_runs() as f64),
+        ("row_table_bytes", wb.collection().row_bytes() as f64),
         ("shards", index_footprint.shards as f64),
         ("postings_compressed_bytes", index_footprint.postings_compressed_bytes as f64),
         (
@@ -724,6 +725,7 @@ mod tests {
         let metrics = String::from_utf8(route(&get("/metrics"), &ctx).body).unwrap();
         assert!(metrics.contains("\"shards\":1"), "{metrics}");
         assert!(metrics.contains("\"postings_compressed_bytes\":"), "{metrics}");
+        assert!(metrics.contains("\"row_table_bytes\":"), "{metrics}");
         assert!(metrics.contains("\"postings_uncompressed_bytes_est\":"), "{metrics}");
     }
 

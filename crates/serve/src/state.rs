@@ -5,13 +5,15 @@
 //! snapshot — a slow render never blocks a `/command` or an ingest, and
 //! vice versa. Writers serialize among themselves, build the *next*
 //! snapshot off to the side ([`pastas_core::Workbench::snapshot`] shares
-//! the collection spine, so that touches nothing per history), and
-//! publish it with one pointer swap. A publish costs what changed: a view
-//! command copies the display order, an ingest copies the row-pointer
-//! vector once and adjusts summary, fingerprint and the code index's
-//! postings from the touched rows. Every snapshot carries a monotone version; response-cache keys
-//! include it, so stale cached responses are unreachable the moment a new
-//! snapshot lands.
+//! the collection's row chunks and the display order, so that touches
+//! nothing per history), and publish it with one pointer swap. A publish
+//! costs what changed: a sort or an alignment writes a new display
+//! order, an ingest copies the row chunks (4,096 rows each) and id
+//! sub-maps its touched rows live in, the order only if it appends
+//! patients, and adjusts summary, fingerprint and the code index's
+//! postings from the touched rows. Every snapshot carries a monotone
+//! version; response-cache keys include it, so stale cached responses are
+//! unreachable the moment a new snapshot lands.
 
 use pastas_core::{CoreError, IngestStats, ViewCommand, Workbench};
 use pastas_ingest::DeltaBatch;
@@ -168,8 +170,9 @@ impl ServeState {
         // readers are about to share; release builds skip the walk.
         next.debug_validate();
         // Swap under the lock, drop after it: if this was the last handle
-        // on the previous state, releasing its row vector is O(histories)
-        // and must not stall readers.
+        // on the previous state, releasing it frees the chunks the publish
+        // replaced (4,096 history handles each) and must not stall
+        // readers.
         let previous =
             std::mem::replace(&mut *self.current.write().unwrap_or_else(|e| e.into_inner()), next);
         drop(previous);
@@ -223,13 +226,15 @@ mod tests {
     }
 
     /// A view command publishes a new version that shares everything a
-    /// view command cannot change: the row allocation itself (so nothing
-    /// was copied or ref-counted per history), fingerprint and reference
-    /// date.
+    /// view command cannot change: every row chunk and id sub-map (no
+    /// row byte copied, nothing touched per history), fingerprint and
+    /// reference date — and a command that leaves the display order alone
+    /// shares that too.
     #[test]
     fn view_commands_share_the_collection_spine() {
         let state = state();
         let before = state.snapshot();
+        let mut previous = state.snapshot();
         for command in [
             ViewCommand::Sort(SortKey::Span),
             ViewCommand::AlignOnCode("T90".into()),
@@ -240,17 +245,21 @@ mod tests {
             let after = state.snapshot();
             assert_eq!(after.version, version);
             assert!(version > before.version);
-            let (rows_before, rows_after) =
-                (before.workbench.collection().histories(), after.workbench.collection().histories());
-            assert!(std::ptr::eq(rows_before, rows_after), "{command:?} copied the rows");
+            let (rows_before, rows_after) = (before.workbench.collection(), after.workbench.collection());
+            assert_eq!(rows_after.row_bytes_copied_from(rows_before), 0, "{command:?} copied rows");
+            let keeps_order = matches!(command, ViewCommand::SetFilter(_) | ViewCommand::ClearAlignment);
+            assert_eq!(
+                std::ptr::eq(previous.workbench.order(), after.workbench.order()),
+                keeps_order,
+                "{command:?}"
+            );
             assert_eq!(after.reference_date, before.reference_date);
             assert_eq!(
                 after.workbench.collection_fingerprint(),
                 before.workbench.collection_fingerprint()
             );
+            previous = after;
         }
-        let rows = before.workbench.collection().histories();
-        assert!(rows.iter().all(|h| Arc::strong_count(h) == 1), "no per-history refcount moved");
     }
 
     /// An ingest publish moves reference date and fingerprint with the

@@ -3,7 +3,7 @@
 //! ```text
 //! cargo run --release --example plan_explain -- [--patients N] [--seed S]
 //!     [--shard-patients K] [--budget-ms B] [--smoke] [--smoke-temporal]
-//!     [--explain "QUERY"]
+//!     [--smoke-publish] [--explain "QUERY"]
 //! ```
 //!
 //! Default mode compiles and executes a few representative cohort
@@ -29,15 +29,58 @@
 //! index prefilter feeding a `PatternScan` operator (never a full
 //! scan) and must report pattern scans through the execution stats,
 //! while cover-free patterns must fall back to an honest full scan.
+//! `--smoke-publish` streams [`SMOKE_PUBLISHES`] benchmark-shaped delta
+//! batches the way the server publishes them (a snapshot of the current
+//! workbench, `apply_ingest`, then the previous one dropped), with the
+//! previous snapshot alive while the next is built, and fails when any
+//! publish copies more row-table bytes than the chunks and id sub-maps
+//! of its touched rows hold — a count, not a timing. It prints the
+//! `apply_ingest` and drop times and the bytes each publish allocated.
 
 use pastas_core::Workbench;
+use pastas_ingest::{parse_delta, DeltaFormat, IdentityRegistry};
 use pastas_query::index::select_scan;
 use pastas_query::{parse_query, HistoryQuery, QueryPlan};
 use pastas_synth::{generate_collection, SynthConfig};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 #[path = "common.rs"]
 mod common;
 use common::{arg, arg_str, flag};
+
+/// Bytes this process has asked the allocator for (a reallocation counts
+/// its new size): `--smoke-publish` reads it around each publish.
+static ALLOCATED: AtomicU64 = AtomicU64::new(0);
+
+/// The system allocator, counting into [`ALLOCATED`].
+struct Counting;
+
+// SAFETY: every call forwards to `System` with the caller's arguments.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATED.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATED.fetch_add(new_size as u64, Ordering::Relaxed);
+        // SAFETY: `ptr` came from `System` with this layout.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Publishes `--smoke-publish` streams.
+const SMOKE_PUBLISHES: usize = 60;
 
 /// The battery of query-language shapes the smoke test runs. The
 /// triples are (text, must_be_index_served, budgeted): `must_index`
@@ -103,6 +146,9 @@ fn main() {
     }
     if flag("--smoke-temporal") {
         std::process::exit(run_temporal_smoke(&workbench, reference_date));
+    }
+    if flag("--smoke-publish") {
+        std::process::exit(run_publish_smoke(workbench));
     }
 
     let queries: Vec<String> = match arg_str("--explain") {
@@ -389,6 +435,96 @@ fn run_temporal_smoke(workbench: &Workbench, reference_date: pastas_time::Date) 
         1
     } else {
         eprintln!("TEMPORAL SMOKE: all checks passed");
+        0
+    }
+}
+
+/// `text` (a source file with a header line) in increments of 200 rows,
+/// each carrying the header: how the benchmark streams a source.
+fn increments(text: &str) -> Vec<String> {
+    let mut lines = text.lines();
+    let header = lines.next().unwrap_or_default();
+    let rows: Vec<&str> = lines.collect();
+    rows.chunks(200).map(|rows| format!("{header}\n{}\n", rows.join("\n"))).collect()
+}
+
+/// The publish smoke: the benchmark's delta stream — 2,000 persons drawn
+/// with seed 4077 (ids 1 to 2,000, so at this scale they re-register
+/// patients the collection holds), then claims and prescriptions
+/// increments in turn — against a registry seeded from the collection,
+/// as the server's is. Each of the first [`SMOKE_PUBLISHES`] increments is
+/// one publish, built while its predecessor is alive. Fails when a
+/// publish copies more row bytes (`row_bytes_copied_from`) than the
+/// chunks and id sub-maps of its touched rows hold (`row_bytes_at`).
+/// Returns the exit code.
+fn run_publish_smoke(workbench: Workbench) -> i32 {
+    use pastas_synth::emit::{emit, MessConfig};
+    let mut registry = IdentityRegistry::new();
+    for h in workbench.collection() {
+        let p = h.patient();
+        registry.register(p.id.0, p.birth_date, p.sex);
+    }
+    let population = pastas_synth::generate_population(SynthConfig::with_patients(2_000), 4077);
+    let mess = MessConfig { duplicate_prob: 0.0, invalid_date_prob: 0.0, ..MessConfig::default() };
+    let raw = emit(&population, mess);
+    for text in increments(&raw.persons) {
+        parse_delta(DeltaFormat::Persons, &text, &mut registry);
+    }
+    let claims = increments(&raw.claims).into_iter().map(|t| (DeltaFormat::Claims, t));
+    let prescriptions =
+        increments(&raw.prescriptions).into_iter().map(|t| (DeltaFormat::Prescriptions, t));
+    let stream = claims.zip(prescriptions).flat_map(|(a, b)| [a, b]).take(SMOKE_PUBLISHES);
+    let mut current = workbench;
+    let (mut apply_ms, mut drop_ms, mut allocated, mut copied) = (vec![], vec![], vec![], vec![]);
+    let mut failures = 0;
+    for (i, (format, text)) in stream.enumerate() {
+        let batch = parse_delta(format, &text, &mut registry);
+        let before = ALLOCATED.load(Ordering::Relaxed);
+        let t = std::time::Instant::now();
+        let mut next = current.snapshot();
+        next.apply_ingest(std::slice::from_ref(&batch));
+        apply_ms.push(t.elapsed().as_secs_f64() * 1e3);
+        allocated.push((ALLOCATED.load(Ordering::Relaxed) - before) as f64);
+        let collection = next.collection();
+        let dirty: Vec<u32> = batch
+            .deltas
+            .iter()
+            .filter_map(|d| collection.position_of(d.patient.id))
+            .map(|p| p as u32)
+            .collect();
+        let (bytes, bound) =
+            (collection.row_bytes_copied_from(current.collection()), collection.row_bytes_at(&dirty));
+        if bytes > bound {
+            eprintln!("  FAIL publish {i}: copied {bytes} row bytes, its {} rows' chunks hold {bound}", dirty.len());
+            failures += 1;
+        }
+        copied.push(bytes as f64);
+        let previous = std::mem::replace(&mut current, next);
+        let t = std::time::Instant::now();
+        drop(previous);
+        drop_ms.push(t.elapsed().as_secs_f64() * 1e3);
+    }
+    let p50 = |v: &mut Vec<f64>| {
+        v.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+        (v.get(v.len() / 2).copied().unwrap_or(0.0), v.last().copied().unwrap_or(0.0))
+    };
+    let ((apply, apply_max), (dropped, _)) = (p50(&mut apply_ms), p50(&mut drop_ms));
+    let ((alloc, alloc_max), (rows, rows_max)) = (p50(&mut allocated), p50(&mut copied));
+    eprintln!(
+        "  {} publishes: apply_ingest p50 {apply:.2} ms (max {apply_max:.2}), drop of the \
+         previous snapshot p50 {dropped:.3} ms; allocated p50 {:.0} KiB (max {:.0}); row bytes \
+         copied p50 {:.0} KiB (max {:.0})",
+        apply_ms.len(),
+        alloc / 1024.0,
+        alloc_max / 1024.0,
+        rows / 1024.0,
+        rows_max / 1024.0
+    );
+    if failures > 0 || apply_ms.len() < SMOKE_PUBLISHES {
+        eprintln!("PUBLISH SMOKE: {failures} check(s) FAILED, {} publishes", apply_ms.len());
+        1
+    } else {
+        eprintln!("PUBLISH SMOKE: all checks passed");
         0
     }
 }

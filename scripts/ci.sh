@@ -73,6 +73,16 @@ stage "planner smoke (differential)" \
 stage "planner smoke (sharded 1M)" \
     cargo run --release --example plan_explain -- --smoke --patients 1000000 \
     --shard-patients 65536 --budget-ms 100
+# Publish smoke at one million patients: 60 benchmark-shaped delta
+# batches (claims and prescriptions increments of re-registered patients)
+# each published the way the server does, built while the previous
+# snapshot is alive. Fails when any publish copies more row-table bytes
+# than the chunks and id sub-maps of its touched rows hold: a byte count,
+# not a timing. Prints apply_ingest p50, the drop of the previous
+# snapshot and the bytes a publish allocates.
+stage "publish smoke (chunked rows, 1M)" \
+    cargo run --release --example plan_explain -- --smoke-publish --patients 1000000 \
+    --shard-patients 65536
 # Temporal smoke: every seq(...) shape's planned result must equal the
 # full scan, code-bearing patterns must execute as an index-prefiltered
 # PatternScan (no full-scan operator, nonzero candidate/pattern-scan
