@@ -10,7 +10,7 @@
 //! Not a criterion bench: the subject is a multi-threaded server, so the
 //! harness is a plain `main` driving keep-alive client threads.
 
-use pastas_bench::{base_scale, cohort, header};
+use pastas_bench::{base_scale, cohort, header, percentile};
 use pastas_core::Workbench;
 use pastas_serve::client::Conn;
 use pastas_serve::{serve, ServerConfig};
@@ -24,13 +24,6 @@ const QUERIES: [&str; 4] = [
     "has(T90) and age(50..80)",
     "count(any) >= 20 and has(A.*)",
 ];
-
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    sorted[((sorted.len() - 1) as f64 * q).round() as usize]
-}
 
 fn main() {
     header(

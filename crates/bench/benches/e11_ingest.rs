@@ -17,15 +17,19 @@
 //! atomically swapped snapshot, so the harness is a plain `main` with one
 //! reader thread hammering selects while the main thread streams batches
 //! the way `ServeState::ingest` does (clone-snapshot, mutate, publish).
+//! After each publish the writer waits, off the clock like its other
+//! measurements, until the reader has taken four more selects, so the
+//! during-ingest latencies stay a sample of hundreds however quickly the
+//! batches publish (`during_ingest_selects` in the JSON).
 
-use pastas_bench::{base_scale, cohort, header, median_ms};
+use pastas_bench::{base_scale, cohort, header, median_ms, percentile};
 use pastas_core::Workbench;
 use pastas_ingest::{parse_delta, DeltaBatch, DeltaFormat, IdentityRegistry};
 use pastas_query::{parse_query, HistoryQuery};
 use pastas_synth::emit::{emit, MessConfig};
 use pastas_synth::{generate_population, SynthConfig};
 use pastas_time::Date;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
@@ -34,12 +38,10 @@ const QUERIES: [&str; 3] = ["has(T90)", "lacks(T90)", "has(K.*) and lacks(T90)"]
 /// How many rows each streamed increment carries.
 const CHUNK_ROWS: usize = 200;
 
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    sorted[((sorted.len() - 1) as f64 * q).round() as usize]
-}
+/// Selects the reader completes after each publish before the writer
+/// publishes the next batch: the during-ingest sample is at least this
+/// many times the batch count, however fast publishes get.
+const SELECTS_PER_PUBLISH: u64 = 4;
 
 fn sorted(mut v: Vec<f64>) -> Vec<f64> {
     v.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
@@ -144,9 +146,11 @@ fn main() {
     // the select lock-free, exactly as ServeState's snapshot swap works.
     let current: Arc<RwLock<Arc<Workbench>>> = Arc::new(RwLock::new(Arc::new(workbench)));
     let stop = Arc::new(AtomicBool::new(false));
+    let taken = Arc::new(AtomicU64::new(0));
     let reader = {
         let current = Arc::clone(&current);
         let stop = Arc::clone(&stop);
+        let taken = Arc::clone(&taken);
         let queries = queries.clone();
         std::thread::spawn(move || {
             let mut latencies = Vec::new();
@@ -159,6 +163,7 @@ fn main() {
                     Arc::clone(&current.read().unwrap_or_else(|e| e.into_inner()));
                 std::hint::black_box(planned(&snap, q).len());
                 latencies.push(t.elapsed().as_secs_f64() * 1e3);
+                taken.fetch_add(1, Ordering::Release);
             }
             latencies
         })
@@ -166,8 +171,10 @@ fn main() {
 
     // The writer: apply each batch to a cloned snapshot and publish. After
     // each publish, off the clock, the index patch that apply made is
-    // timed once more on its own, and the posting and row-table bytes the
-    // published snapshot does not share with its predecessor are counted.
+    // timed once more on its own, the posting and row-table bytes the
+    // published snapshot does not share with its predecessor are counted,
+    // and the writer waits for the reader to take SELECTS_PER_PUBLISH
+    // more selects.
     let mut apply_ms: Vec<f64> = Vec::with_capacity(batches.len());
     let mut delta_ms: Vec<f64> = Vec::with_capacity(batches.len());
     let mut copied_bytes: Vec<f64> = Vec::with_capacity(batches.len());
@@ -183,6 +190,7 @@ fn main() {
         *current.write().unwrap_or_else(|e| e.into_inner()) = Arc::clone(&wb);
         apply_ms.push(t.elapsed().as_secs_f64() * 1e3);
         let t = Instant::now();
+        let selects_before = taken.load(Ordering::Acquire);
         let dirty: Vec<u32> = batch
             .deltas
             .iter()
@@ -194,6 +202,9 @@ fn main() {
         delta_ms.push(patch.elapsed().as_secs_f64() * 1e3);
         copied_bytes.push(wb.index().posting_bytes_copied_from(prev.index()) as f64);
         row_bytes.push(wb.collection().row_bytes_copied_from(prev.collection()) as f64);
+        while taken.load(Ordering::Acquire) < selects_before + SELECTS_PER_PUBLISH {
+            std::thread::yield_now();
+        }
         measuring_s += t.elapsed().as_secs_f64();
     }
     let ingest_elapsed = t_ingest.elapsed().as_secs_f64() - measuring_s;

@@ -47,6 +47,15 @@ pub fn median_ms<F: FnMut()>(mut f: F) -> f64 {
     times[2]
 }
 
+/// The `q` quantile (0 to 1) of ascending `sorted`, the nearest rank;
+/// 0 for no samples.
+pub fn percentile(sorted: &[f64], q: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    sorted[((sorted.len() - 1) as f64 * q).round() as usize]
+}
+
 /// Print one memory-accounting row: resident bytes-per-entry of the
 /// columnar arena next to the array-of-structs estimate it replaced
 /// (recorded per experiment in `EXPERIMENTS.md`). Returns the footprint

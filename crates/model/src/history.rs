@@ -103,6 +103,11 @@ impl History {
         &self.store
     }
 
+    /// The rows of [`Self::store`] this history views.
+    pub fn rows(&self) -> std::ops::Range<u32> {
+        self.lo..self.hi
+    }
+
     /// Deep invariant check (debug builds only; a no-op in release).
     ///
     /// Panics unless the row span lies inside the arena and its entries

@@ -40,7 +40,7 @@ pub use epoch::OpenEpoch;
 pub use history::{History, Patient, Sex, ValidationReport};
 pub use store::{
     CodeDictionary, CodeId, CollectionBuilder, Entries, EntriesIter, EntryRef, EntryView,
-    EventStore, MemoryFootprint, PayloadRef, ShardedStore, StoreBytes, FAR_START,
+    EventStore, MemoryFootprint, PayloadRef, Row, RowItem, ShardedStore, StoreBytes, FAR_START,
 };
 
 /// A patient identifier, unique within a collection.

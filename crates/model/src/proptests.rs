@@ -66,6 +66,54 @@ fn arb_far_entry() -> impl Strategy<Value = Entry> {
     )
 }
 
+/// Entries for the row-form test: far starts, and times drawn from a
+/// pool of four so equal `(start, end)` keys tie often; every payload
+/// kind, codes of three systems.
+fn arb_row_entry() -> impl Strategy<Value = Entry> {
+    let pool = |i: usize| {
+        let base = Date::new(2001, 3, 1).unwrap().at_midnight();
+        base.add(pastas_time::Duration::days(i as i64 * 3_000))
+    };
+    let payload = prop_oneof![
+        arb_payload(),
+        Just(Payload::Diagnosis(Code::icd10("T90"))),
+        Just(Payload::Medication(Code::atc("A10BA02"))),
+    ];
+    let tied = (0usize..4, 0usize..4, payload.clone(), any::<bool>(), 0usize..5).prop_map(
+        move |(a, b, payload, point, source)| {
+            if point {
+                Entry::event(pool(a), payload, SourceKind::ALL[source])
+            } else {
+                Entry::interval(pool(a), pool(b), payload, SourceKind::ALL[source])
+            }
+        },
+    );
+    prop_oneof![arb_far_entry(), tied.clone(), tied]
+}
+
+/// Every column of an arena, side tables included.
+type Columns = (
+    DateTime,
+    Vec<u32>,
+    Vec<u8>,
+    Vec<u32>,
+    Vec<(u32, DateTime, DateTime)>,
+    Vec<(MeasurementKind, f64)>,
+    Vec<String>,
+);
+
+fn columns(s: &EventStore) -> Columns {
+    (
+        s.base,
+        s.starts.clone(),
+        s.kinds.clone(),
+        s.aux.clone(),
+        s.wide.iter().map(|w| (w.row, w.start, w.end)).collect(),
+        s.measurements.clone(),
+        s.notes.clone(),
+    )
+}
+
 fn patient() -> Patient {
     Patient { id: PatientId(7), birth_date: Date::new(1940, 1, 1).unwrap(), sex: Sex::Male }
 }
@@ -205,6 +253,103 @@ proptest! {
         prop_assert_eq!(built.len(), reference.len());
         for (a, b) in built.entries().iter().zip(reference.entries()) {
             prop_assert_eq!(a, b);
+        }
+    }
+
+    /// A patient given as rows (`add_rows`, codes by index into a code
+    /// table with repeats) builds what the same patient given as entries
+    /// (`add_patient`) builds: per-patient and merged reports, the
+    /// dictionary in id order, every arena column by column, and each
+    /// history's arena and span. Pre-birth entries, far starts, equal
+    /// `(start, end)` keys, intervals and every payload kind included.
+    #[test]
+    fn rows_build_what_entries_build(
+        people in proptest::collection::vec(
+            (1930i32..2030, proptest::collection::vec(arb_row_entry(), 0..12)),
+            0..10,
+        ),
+        width in 0usize..4,
+    ) {
+        let table = vec![
+            Code::icpc("K74"),
+            Code::icpc("T90"),
+            Code::atc("C07AB02"),
+            Code::icd10("T90"),
+            Code::icpc("T90"),
+            Code::atc("A10BA02"),
+            Code::icpc("K74"),
+        ];
+        // The first or last slot of a code, by the row's position.
+        let index = |c: &Code, k: usize| {
+            let slot = if k.is_multiple_of(2) {
+                table.iter().position(|t| t == c)
+            } else {
+                table.iter().rposition(|t| t == c)
+            };
+            slot.unwrap() as u32
+        };
+        let row = |e: &Entry, k: usize| {
+            let item = match e.payload().clone() {
+                Payload::Diagnosis(c) => RowItem::Diagnosis(index(&c, k)),
+                Payload::Medication(c) => RowItem::Medication(index(&c, k)),
+                Payload::Measurement { kind, value } => RowItem::Measurement { kind, value },
+                Payload::Episode(kind) => RowItem::Episode(kind),
+                Payload::Note(text) => RowItem::Note(text),
+            };
+            if e.is_interval() {
+                Row::interval(e.start(), e.end(), item, e.source())
+            } else {
+                Row::event(e.start(), item, e.source())
+            }
+        };
+        let person = |i: usize, year: i32| Patient {
+            id: PatientId(i as u64),
+            birth_date: Date::new(year, 1, 1).unwrap(),
+            sex: Sex::Male,
+        };
+        let mut by_entries = CollectionBuilder::new().with_shard_patients(width);
+        let mut by_rows =
+            CollectionBuilder::new().with_shard_patients(width).with_codes(table.clone());
+        let mut rows = Vec::new();
+        for (i, (year, entries)) in people.iter().enumerate() {
+            let expect = by_entries.add_patient(person(i, *year), entries.clone());
+            rows.extend(entries.iter().enumerate().map(|(k, e)| row(e, k)));
+            prop_assert_eq!(by_rows.add_rows(person(i, *year), &mut rows), expect);
+            prop_assert!(rows.is_empty(), "add_rows drains its buffer");
+        }
+        let (a, report_a) = by_entries.build();
+        let (b, report_b) = by_rows.build();
+        prop_assert_eq!(report_a, report_b);
+        let codes = |c: &HistoryCollection| c.dictionary().iter().cloned().collect::<Vec<_>>();
+        prop_assert_eq!(codes(&a), codes(&b));
+        // Ids follow the order codes first appear in the sorted arena:
+        // a code is interned when its first kept row is pushed.
+        let mut first_seen: Vec<Code> = Vec::new();
+        for (i, (year, entries)) in people.iter().enumerate() {
+            let p = person(i, *year);
+            let mut kept: Vec<&Entry> = entries.iter().filter(|e| p.admits(e.start())).collect();
+            kept.sort_by_key(|e| (e.start(), e.end()));
+            for c in kept.iter().filter_map(|e| e.code()) {
+                if !first_seen.contains(c) {
+                    first_seen.push(c.clone());
+                }
+            }
+        }
+        prop_assert_eq!(codes(&b), first_seen);
+        let (arenas_a, arenas_b) = (a.sharded_store(), b.sharded_store());
+        prop_assert_eq!(arenas_a.shard_count(), arenas_b.shard_count());
+        for (x, y) in arenas_a.shards().iter().zip(arenas_b.shards()) {
+            y.debug_validate();
+            prop_assert_eq!(columns(x), columns(y));
+        }
+        let arena_of = |c: &HistoryCollection, h: &History| {
+            c.sharded_store().shards().iter().position(|s| std::sync::Arc::ptr_eq(s, h.store()))
+        };
+        prop_assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(b.iter()) {
+            prop_assert_eq!(x.patient(), y.patient());
+            prop_assert_eq!(arena_of(&a, x), arena_of(&b, y));
+            prop_assert_eq!(x.rows(), y.rows());
         }
     }
 

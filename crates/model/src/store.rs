@@ -24,9 +24,11 @@
 //! * [`Entries`] — one history's contiguous row span, iterable like the
 //!   old `&[Entry]` slice;
 //! * [`CollectionBuilder`] — builds one shared arena for a whole
-//!   collection (the `ingest::aggregate` and `synth` path), or one per
-//!   patient range, all on one dictionary, so cohort extraction shares a
-//!   single allocation.
+//!   collection, or one per patient range, all on one dictionary, so
+//!   cohort extraction shares a single allocation. Patients arrive as
+//!   encoded [`Row`]s (synthesis: codes by index into a code table, no
+//!   heap object per entry) or as [`Entry`] values (`ingest::aggregate`),
+//!   which it converts to rows: one validate-sort-append path.
 //!
 //! [`Entry`] stays as the construction/export/materialization type; the
 //! store ⇄ `Vec<Entry>` round trip is lossless (property-tested in
@@ -37,6 +39,7 @@ use crate::history::{History, Patient, ValidationReport};
 use crate::HistoryCollection;
 use pastas_codes::Code;
 use pastas_time::{DateTime, Duration};
+use std::borrow::Cow;
 use std::collections::HashSet;
 use std::fmt::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -286,6 +289,15 @@ pub(crate) struct WideRow {
     pub(crate) end: DateTime,
 }
 
+/// A payload as the arena stores it: a code already interned, a note
+/// borrowed from an [`Entry`] or moved out of a [`Row`].
+enum Stored<'a> {
+    Code(u8, CodeId),
+    Measurement(MeasurementKind, f64),
+    Episode(EpisodeKind),
+    Note(Cow<'a, str>),
+}
+
 /// The struct-of-arrays entry arena. One store backs one or many
 /// histories; each [`History`] views a contiguous row span.
 #[derive(Debug, Clone, Default)]
@@ -489,24 +501,15 @@ impl EventStore {
         self.dict = Arc::clone(dict);
     }
 
-    fn encode_payload(&mut self, payload: &Payload) -> (u8, u32) {
-        let mut code = |c| CodeDictionary::intern_shared(&mut self.dict, c).0;
+    /// `payload` as the arena stores it, its code interned.
+    fn stored<'e>(&mut self, payload: &'e Payload) -> Stored<'e> {
+        let mut code = |tag, c| Stored::Code(tag, CodeDictionary::intern_shared(&mut self.dict, c));
         match payload {
-            Payload::Diagnosis(c) => (TAG_DIAGNOSIS, code(c)),
-            Payload::Medication(c) => (TAG_MEDICATION, code(c)),
-            Payload::Measurement { kind, value } => {
-                self.measurements.push((*kind, *value));
-                let idx = u32::try_from(self.measurements.len() - 1)
-                    .expect("measurement side table holds < 2^32 rows");
-                (TAG_MEASUREMENT, idx)
-            }
-            Payload::Episode(k) => (TAG_EPISODE, episode_to_u32(*k)),
-            Payload::Note(text) => {
-                self.notes.push(text.clone());
-                let idx = u32::try_from(self.notes.len() - 1)
-                    .expect("note side table holds < 2^32 rows");
-                (TAG_NOTE, idx)
-            }
+            Payload::Diagnosis(c) => code(TAG_DIAGNOSIS, c),
+            Payload::Medication(c) => code(TAG_MEDICATION, c),
+            Payload::Measurement { kind, value } => Stored::Measurement(*kind, *value),
+            Payload::Episode(k) => Stored::Episode(*k),
+            Payload::Note(text) => Stored::Note(Cow::Borrowed(text)),
         }
     }
 
@@ -516,36 +519,74 @@ impl EventStore {
         u32::try_from(start.since(self.base).as_seconds()).unwrap_or(FAR_START)
     }
 
-    /// The `(starts, kinds, aux)` words of `entry`. The first entry a
-    /// store sees fixes its base.
-    fn encode(&mut self, entry: &Entry) -> (u32, u8, u32) {
+    /// The `(starts, kinds, aux)` words of a row, its measurement or note
+    /// appended to the side tables: the one encoder of the arena. The
+    /// first row a store sees fixes its base.
+    fn encode(
+        &mut self,
+        start: DateTime,
+        interval: bool,
+        source: SourceKind,
+        item: Stored<'_>,
+    ) -> (u32, u8, u32) {
         if self.kinds.is_empty() {
-            let midnight = entry.start().date().at_midnight();
+            let midnight = start.date().at_midnight();
             self.base = midnight.add(Duration::days(-DAYS_BEFORE_FIRST));
         }
-        let (tag, aux) = self.encode_payload(entry.payload());
+        let (tag, aux) = match item {
+            Stored::Code(tag, id) => (tag, id.0),
+            Stored::Measurement(kind, value) => {
+                self.measurements.push((kind, value));
+                let idx = u32::try_from(self.measurements.len() - 1)
+                    .expect("measurement side table holds < 2^32 rows");
+                (TAG_MEASUREMENT, idx)
+            }
+            Stored::Episode(k) => (TAG_EPISODE, episode_to_u32(k)),
+            Stored::Note(text) => {
+                self.notes.push(text.into_owned());
+                let idx = u32::try_from(self.notes.len() - 1)
+                    .expect("note side table holds < 2^32 rows");
+                (TAG_NOTE, idx)
+            }
+        };
         // lint:allow(no-silent-truncation) dense_index() is below 5
-        let source = (entry.source().dense_index() as u8) << SOURCE_SHIFT;
-        let flag = if entry.is_interval() { FLAG_INTERVAL } else { 0 };
-        (self.offset_of(entry.start()), tag | source | flag, aux)
+        let source = (source.dense_index() as u8) << SOURCE_SHIFT;
+        let flag = if interval { FLAG_INTERVAL } else { 0 };
+        (self.offset_of(start), tag | source | flag, aux)
     }
 
-    /// Append one entry.
-    pub fn push(&mut self, entry: &Entry) {
-        let (offset, kind, aux) = self.encode(entry);
+    /// Append one row: both instants, the interval flag, the source and
+    /// the stored payload.
+    fn push_stored(
+        &mut self,
+        start: DateTime,
+        end: DateTime,
+        interval: bool,
+        source: SourceKind,
+        item: Stored<'_>,
+    ) {
+        let (offset, kind, aux) = self.encode(start, interval, source, item);
         if is_wide(offset, kind) {
             let row = self.len_u32();
-            self.wide.push(WideRow { row, start: entry.start(), end: entry.end() });
+            self.wide.push(WideRow { row, start, end });
         }
         self.starts.push(offset);
         self.kinds.push(kind);
         self.aux.push(aux);
     }
 
+    /// Append one entry.
+    pub fn push(&mut self, entry: &Entry) {
+        let item = self.stored(entry.payload());
+        self.push_stored(entry.start(), entry.end(), entry.is_interval(), entry.source(), item);
+    }
+
     /// Splice one entry in at row `at` (used by the in-place insert fast
     /// path; side tables are append-only so other rows stay valid).
     pub(crate) fn insert_at(&mut self, at: u32, entry: &Entry) {
-        let (offset, kind, aux) = self.encode(entry);
+        let item = self.stored(entry.payload());
+        let (offset, kind, aux) =
+            self.encode(entry.start(), entry.is_interval(), entry.source(), item);
         let behind = self.wide.partition_point(|w| w.row < at);
         for w in &mut self.wide[behind..] {
             w.row += 1;
@@ -1267,13 +1308,73 @@ impl ShardedStore {
 // Collection building
 // ---------------------------------------------------------------------------
 
+/// One entry in the form [`CollectionBuilder::add_rows`] takes: both
+/// instants, the interval flag, the source and the payload, a coded one
+/// by its index in the builder's code table.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Row {
+    /// The anchor time: event time, or interval start.
+    pub start: DateTime,
+    /// The end time: the start for a point event.
+    pub end: DateTime,
+    /// True for intervals.
+    pub interval: bool,
+    /// The provenance tag.
+    pub source: SourceKind,
+    /// The payload.
+    pub item: RowItem,
+}
+
+impl Row {
+    /// A point event.
+    pub fn event(time: DateTime, item: RowItem, source: SourceKind) -> Row {
+        Row { start: time, end: time, interval: false, source, item }
+    }
+
+    /// An interval, `start` and `end` swapped if reversed (as
+    /// [`Entry::interval`] does).
+    pub fn interval(start: DateTime, end: DateTime, item: RowItem, source: SourceKind) -> Row {
+        let (start, end) = if start <= end { (start, end) } else { (end, start) };
+        Row { start, end, interval: true, source, item }
+    }
+}
+
+/// A [`Row`]'s payload. A code is an index into the code table the
+/// builder was given ([`CollectionBuilder::with_codes`]); it is interned
+/// when the first row naming it is pushed.
+#[derive(Debug, Clone, PartialEq)]
+pub enum RowItem {
+    /// A recorded diagnosis: its code's index in the code table.
+    Diagnosis(u32),
+    /// A medication: its code's index in the code table.
+    Medication(u32),
+    /// A clinical measurement.
+    Measurement {
+        /// What was measured.
+        kind: MeasurementKind,
+        /// The value, in [`MeasurementKind::unit`] units.
+        value: f64,
+    },
+    /// A care episode.
+    Episode(EpisodeKind),
+    /// Free text, moved into the arena's note table.
+    Note(String),
+}
+
 /// Builds the shared [`EventStore`] arena(s) for a whole collection.
 ///
-/// `ingest::aggregate` and `synth::generate_collection` funnel through
-/// here: per-patient entries are birth-validated and stably sorted by
-/// `(start, end)` (exactly the order repeated [`History::insert`] calls
-/// produce), then appended to an arena that every resulting [`History`]
-/// views by span — cohort extraction and sorting never copy entry data.
+/// A patient arrives as [`Row`]s ([`CollectionBuilder::add_rows`], the
+/// synthesis path) or as [`Entry`] values
+/// ([`CollectionBuilder::add_patient`], the `ingest::aggregate` path,
+/// which converts them to rows). Either way the rows are birth-validated
+/// and stably sorted by `(start, end)` (exactly the order repeated
+/// [`History::insert`] calls produce), then appended to an arena that
+/// every resulting [`History`] views by span — cohort extraction and
+/// sorting never copy entry data. A row's code resolves through the
+/// builder's memo of its code table (index → [`CodeId`]): the first row
+/// pushed that names a code interns it, after the sort, so the
+/// dictionary's id order is the order codes first appear in the sorted
+/// arena, whichever form the patients came in.
 ///
 /// By default the whole collection shares one arena. At the 1M–10M
 /// patient scale a single arena becomes the memory and parallelism
@@ -1296,6 +1397,11 @@ pub struct CollectionBuilder {
     /// Seal threshold; 0 = monolithic (the default).
     shard_patients: u32,
     report: ValidationReport,
+    /// The code table a [`RowItem`] code indexes.
+    codes: Vec<Code>,
+    /// `ids[i]`: the id of `codes[i]` in `store`'s dictionary, once a
+    /// pushed row has named it.
+    ids: Vec<Option<CodeId>>,
 }
 
 impl CollectionBuilder {
@@ -1313,45 +1419,95 @@ impl CollectionBuilder {
         self
     }
 
+    /// The code table the coded [`RowItem`]s of [`Self::add_rows`] index.
+    /// A code may appear more than once; nothing is interned until a row
+    /// naming it is pushed.
+    pub fn with_codes(mut self, codes: Vec<Code>) -> CollectionBuilder {
+        self.ids = vec![None; codes.len()];
+        self.codes = codes;
+        self
+    }
+
     /// Seal the open arena and open the next on its dictionary.
     fn seal(&mut self) {
         let next = EventStore::with_dictionary(Arc::clone(&self.store.dict));
         self.sealed.push(std::mem::replace(&mut self.store, next));
     }
 
-    /// Add one patient's entries (any order; they are validated against
-    /// the birth date and sorted here). Returns this patient's report.
-    pub fn add_patient(
-        &mut self,
-        patient: Patient,
-        entries: impl IntoIterator<Item = Entry>,
-    ) -> ValidationReport {
+    /// Add one patient's rows (any order; they are validated against the
+    /// birth date and sorted here), draining `rows` so its buffer serves
+    /// the next patient. Returns this patient's report. Panics if a coded
+    /// row's index is outside the code table.
+    pub fn add_rows(&mut self, patient: Patient, rows: &mut Vec<Row>) -> ValidationReport {
         if self.shard_patients > 0 && self.in_current >= self.shard_patients {
             self.seal();
             self.in_current = 0;
         }
-        let mut report = ValidationReport::default();
-        let entries = entries.into_iter();
-        let mut accepted: Vec<Entry> = Vec::with_capacity(entries.size_hint().0);
-        for e in entries {
-            if !patient.admits(e.start()) {
-                report.dropped_pre_birth += 1;
-            } else {
-                report.accepted += 1;
-                accepted.push(e);
-            }
-        }
-        accepted.sort_by_key(|e| (e.start(), e.end()));
+        let offered = rows.len();
+        rows.retain(|row| patient.admits(row.start));
+        let report =
+            ValidationReport { accepted: rows.len(), dropped_pre_birth: offered - rows.len() };
+        rows.sort_by_key(|row| (row.start, row.end));
         // lint:allow(no-silent-truncation) arena count stays far below u32::MAX
         let slot = self.sealed.len() as u32;
         let lo = self.store.len_u32();
-        for e in &accepted {
-            self.store.push(e);
+        for row in rows.drain(..) {
+            let mut code = |tag, i: u32| {
+                let id = &mut self.ids[i as usize];
+                let id = *id.get_or_insert_with(|| {
+                    CodeDictionary::intern_shared(&mut self.store.dict, &self.codes[i as usize])
+                });
+                Stored::Code(tag, id)
+            };
+            let item = match row.item {
+                RowItem::Diagnosis(i) => code(TAG_DIAGNOSIS, i),
+                RowItem::Medication(i) => code(TAG_MEDICATION, i),
+                RowItem::Measurement { kind, value } => Stored::Measurement(kind, value),
+                RowItem::Episode(k) => Stored::Episode(k),
+                RowItem::Note(text) => Stored::Note(Cow::Owned(text)),
+            };
+            self.store.push_stored(row.start, row.end, row.interval, row.source, item);
         }
         let hi = self.store.len_u32();
         self.patients.push((patient, slot, lo, hi));
         self.in_current += 1;
         self.report.merge(&report);
+        report
+    }
+
+    /// Add one patient's entries: [`Self::add_rows`] over them, their
+    /// codes appended to the code table for the call.
+    pub fn add_patient(
+        &mut self,
+        patient: Patient,
+        entries: impl IntoIterator<Item = Entry>,
+    ) -> ValidationReport {
+        let table = self.codes.len();
+        let mut code = |c| {
+            self.codes.push(c);
+            self.ids.push(None);
+            u32::try_from(self.codes.len() - 1).expect("code table holds < 2^32 codes")
+        };
+        let entries = entries.into_iter();
+        let mut rows = Vec::with_capacity(entries.size_hint().0);
+        for e in entries {
+            let (start, end, interval, source) = (e.start(), e.end(), e.is_interval(), e.source());
+            let payload = match e {
+                Entry::Event(e) => e.payload,
+                Entry::Interval(i) => i.payload,
+            };
+            let item = match payload {
+                Payload::Diagnosis(c) => RowItem::Diagnosis(code(c)),
+                Payload::Medication(c) => RowItem::Medication(code(c)),
+                Payload::Measurement { kind, value } => RowItem::Measurement { kind, value },
+                Payload::Episode(k) => RowItem::Episode(k),
+                Payload::Note(text) => RowItem::Note(text),
+            };
+            rows.push(Row { start, end, interval, source, item });
+        }
+        let report = self.add_rows(patient, &mut rows);
+        self.codes.truncate(table);
+        self.ids.truncate(table);
         report
     }
 

@@ -28,6 +28,7 @@
 
 pub mod conditions;
 pub mod emit;
+pub mod golden;
 mod pathways;
 mod population;
 

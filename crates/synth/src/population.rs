@@ -2,8 +2,8 @@
 //! into the in-memory collection.
 
 use crate::conditions::CONDITION_MODELS;
-use crate::pathways;
-use pastas_model::{CollectionBuilder, Entry, History, HistoryCollection, Patient, PatientId, Sex};
+use crate::pathways::{self, RawEvent, Window};
+use pastas_model::{CollectionBuilder, History, HistoryCollection, Patient, PatientId, Row, Sex};
 use pastas_time::Date;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -153,20 +153,25 @@ pub fn generate_population(config: SynthConfig, seed: u64) -> Population {
 
 impl Population {
     /// Simulate one person's raw events (deterministic in `(seed, person)`).
-    pub fn events_for(&self, index: usize) -> Vec<pathways::RawEvent> {
-        let person = &self.persons[index];
+    pub fn events_for(&self, index: usize) -> Vec<RawEvent> {
         let mut rng = person_rng(self.seed, index as u64, 1);
-        pathways::simulate(person, &self.config, &mut rng)
+        let mut events = Vec::new();
+        pathways::simulate(&self.persons[index], &Window::new(self.config), &mut rng, &mut events);
+        events
     }
 
-    /// Build the full in-memory history for one person.
+    /// Build the full in-memory history for one person: a one-patient
+    /// collection built from its rows, as [`generate_collection`] builds
+    /// every patient.
     pub fn history_for(&self, index: usize) -> History {
         let person = &self.persons[index];
-        let mut entries = Vec::new();
-        push_person_entries(&self.config, self.seed, index, person, &mut entries);
-        let mut h = History::new(*person.patient());
-        h.insert_all(entries);
-        h
+        let mut rows = Vec::new();
+        let window = Window::new(self.config);
+        push_person_rows(&window, self.seed, index, person, &mut Vec::new(), &mut rows);
+        let mut builder = CollectionBuilder::new().with_codes(pathways::code_table());
+        builder.add_rows(*person.patient(), &mut rows);
+        let (collection, _) = builder.build();
+        collection.iter().next().cloned().expect("the collection holds the one patient added")
     }
 
     /// Fraction of persons having the named condition.
@@ -193,10 +198,13 @@ impl Population {
 /// [`pastas_par`] chunks, one builder a chunk, joined in order by
 /// [`CollectionBuilder::append`]: the histories, the arena layout, the
 /// dictionary and every arena's code ids are identical at every thread
-/// count. Persons still stream within each
-/// worker: each is generated, simulated, appended, and dropped, so peak
-/// RSS at the 10M tier is the arenas themselves, not a materialized
-/// population.
+/// count (`pastas_synth::golden` pins them). Each worker works out the
+/// window's day numbers and gives its builder the generator's code
+/// table once; a person is then generated, simulated into a reused
+/// event buffer, handed to the builder as encoded rows (codes by table
+/// index, interned by the builder when first pushed) and dropped —
+/// no `Entry`, heap code or dictionary search per entry, and peak RSS at
+/// the 10M tier is the arenas themselves, not a materialized population.
 pub fn generate_collection(config: SynthConfig, seed: u64) -> HistoryCollection {
     let width = match config.shard_patients {
         0 => config.patients.max(1),
@@ -204,13 +212,16 @@ pub fn generate_collection(config: SynthConfig, seed: u64) -> HistoryCollection 
     };
     let blocks: Vec<usize> = (0..config.patients).step_by(width).collect();
     let builders = pastas_par::par_chunks(&blocks, 1, |_, starts| {
-        let mut builder = CollectionBuilder::new().with_shard_patients(config.shard_patients);
-        let mut entries = Vec::new();
+        let window = Window::new(config);
+        let mut builder = CollectionBuilder::new()
+            .with_shard_patients(config.shard_patients)
+            .with_codes(pathways::code_table());
+        let (mut events, mut rows) = (Vec::new(), Vec::new());
         for &lo in starts {
             for i in lo..(lo + width).min(config.patients) {
                 let person = person_at(&config, seed, i);
-                push_person_entries(&config, seed, i, &person, &mut entries);
-                builder.add_patient(*person.patient(), entries.drain(..));
+                push_person_rows(&window, seed, i, &person, &mut events, &mut rows);
+                builder.add_rows(*person.patient(), &mut rows);
             }
         }
         builder
@@ -222,19 +233,21 @@ pub fn generate_collection(config: SynthConfig, seed: u64) -> HistoryCollection 
     collection
 }
 
-/// Simulate person `index` and append its entries to `out`: the one
-/// per-person path behind [`Population::history_for`] and
+/// Simulate person `index` into `events` and append its rows to `rows`:
+/// the one per-person path behind [`Population::history_for`] and
 /// [`generate_collection`].
-fn push_person_entries(
-    config: &SynthConfig,
+fn push_person_rows(
+    window: &Window,
     seed: u64,
     index: usize,
     person: &Person,
-    out: &mut Vec<Entry>,
+    events: &mut Vec<RawEvent>,
+    rows: &mut Vec<Row>,
 ) {
     let mut rng = person_rng(seed, index as u64, 1);
-    for raw in pathways::simulate(person, config, &mut rng) {
-        raw.push_entries(out);
+    pathways::simulate(person, window, &mut rng, events);
+    for raw in events.iter() {
+        raw.push_rows(rows);
     }
 }
 
@@ -251,6 +264,7 @@ fn person_rng(seed: u64, person: u64, stream: u64) -> StdRng {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::golden::content_hash;
 
     #[test]
     fn population_is_deterministic() {
@@ -350,18 +364,6 @@ mod tests {
         hasher.finish()
     }
 
-    /// The collection's dictionary, then each arena's code ids (its
-    /// `aux` words on code rows), in arena order.
-    type Layout = (Vec<pastas_codes::Code>, Vec<Vec<Option<pastas_model::CodeId>>>);
-    fn arena_layout(c: &HistoryCollection) -> Layout {
-        let store = c.sharded_store();
-        let ids = |s: &std::sync::Arc<pastas_model::EventStore>| {
-            (0..s.len_u32()).map(|i| s.get(i).code_id()).collect()
-        };
-        let arenas = store.shards().iter().map(ids).collect();
-        (c.dictionary().iter().cloned().collect(), arenas)
-    }
-
     #[test]
     fn sharded_generation_matches_monolithic_contents() {
         let mono = pastas_par::with_threads(1, || {
@@ -374,9 +376,8 @@ mod tests {
             let parallel = pastas_par::with_threads(4, || generate_collection(config, 17));
             assert_eq!(serial.sharded_store().shard_count(), arenas, "ceil(300/{width})");
             assert_eq!(fingerprint(&serial), fingerprint(&mono), "width {width}");
-            assert_eq!(fingerprint(&parallel), fingerprint(&serial), "width {width}");
-            assert_eq!(arena_layout(&parallel), arena_layout(&serial), "width {width}");
-            assert_eq!(arena_layout(&serial).0, arena_layout(&mono).0, "width {width}");
+            assert_eq!(content_hash(&parallel), content_hash(&serial), "width {width}");
+            assert_eq!(serial.dictionary(), mono.dictionary(), "width {width}");
         }
     }
 

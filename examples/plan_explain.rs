@@ -3,7 +3,7 @@
 //! ```text
 //! cargo run --release --example plan_explain -- [--patients N] [--seed S]
 //!     [--shard-patients K] [--budget-ms B] [--smoke] [--smoke-temporal]
-//!     [--smoke-publish] [--explain "QUERY"]
+//!     [--smoke-publish] [--smoke-synth] [--explain "QUERY"]
 //! ```
 //!
 //! Default mode compiles and executes a few representative cohort
@@ -36,11 +36,17 @@
 //! publish copies more row-table bytes than the chunks and id sub-maps
 //! of its touched rows hold — a count, not a timing. It prints the
 //! `apply_ingest` and drop times and the bytes each publish allocated.
+//! `--smoke-synth` generates the benchmark's collection (seed 2016) and
+//! fails unless its content hash (`pastas_synth::golden`) equals the one
+//! recorded for `--patients` and `--shard-patients` — an equality check,
+//! not a timing. It prints the generation's wall time an entry and its
+//! allocations a patient.
 
 use pastas_core::Workbench;
 use pastas_ingest::{parse_delta, DeltaFormat, IdentityRegistry};
 use pastas_query::index::select_scan;
 use pastas_query::{parse_query, HistoryQuery, QueryPlan};
+use pastas_synth::golden::{content_hash, RECORDED, RECORDED_SEED};
 use pastas_synth::{generate_collection, SynthConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -53,13 +59,18 @@ use common::{arg, arg_str, flag};
 /// its new size): `--smoke-publish` reads it around each publish.
 static ALLOCATED: AtomicU64 = AtomicU64::new(0);
 
-/// The system allocator, counting into [`ALLOCATED`].
+/// Allocations (and reallocations) this process has made:
+/// `--smoke-synth` reads it around the generation.
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+/// The system allocator, counting into [`ALLOCATED`] and [`ALLOCATIONS`].
 struct Counting;
 
 // SAFETY: every call forwards to `System` with the caller's arguments.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATED.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
@@ -71,6 +82,7 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATED.fetch_add(new_size as u64, Ordering::Relaxed);
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         // SAFETY: `ptr` came from `System` with this layout.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -125,8 +137,11 @@ fn main() {
     let patients = arg("--patients", 5_000) as usize;
     let seed = arg("--seed", 7);
     let shard_patients = arg("--shard-patients", 0) as usize;
-    eprintln!("Generating {patients} patients (seed {seed}, shard_patients {shard_patients}) …");
     let config = SynthConfig { shard_patients, ..SynthConfig::with_patients(patients) };
+    if flag("--smoke-synth") {
+        std::process::exit(run_synth_smoke(config));
+    }
+    eprintln!("Generating {patients} patients (seed {seed}, shard_patients {shard_patients}) …");
     let collection = generate_collection(config, seed);
     let reference_date = collection
         .stats()
@@ -526,5 +541,45 @@ fn run_publish_smoke(workbench: Workbench) -> i32 {
     } else {
         eprintln!("PUBLISH SMOKE: all checks passed");
         0
+    }
+}
+
+/// The synthesis smoke: generate the collection of seed
+/// [`RECORDED_SEED`] at `config` and compare its content hash with the
+/// one recorded for that configuration. Prints the generation's wall
+/// time an entry and its allocations a patient. Returns the exit code.
+fn run_synth_smoke(config: SynthConfig) -> i32 {
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed);
+    let t = std::time::Instant::now();
+    let collection = generate_collection(config, RECORDED_SEED);
+    let elapsed = t.elapsed().as_secs_f64();
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - allocations;
+    let entries = collection.stats().entries;
+    let hash = content_hash(&collection);
+    eprintln!(
+        "  {} patients, {entries} entries in {elapsed:.2} s on {} thread(s): {:.0} ns an entry \
+         (wall), {:.1} allocations a patient; content hash {hash:#018x}",
+        config.patients,
+        pastas_par::thread_count(),
+        elapsed * 1e9 / entries.max(1) as f64,
+        allocations as f64 / config.patients.max(1) as f64,
+    );
+    let recorded = RECORDED.iter().find(|r| (r.0, r.1) == (config.patients, config.shard_patients));
+    match recorded {
+        Some(&(_, _, expect)) if expect == hash => {
+            eprintln!("SYNTH SMOKE: content hash equals the recorded one");
+            0
+        }
+        Some(&(_, _, expect)) => {
+            eprintln!("SYNTH SMOKE: FAILED: content hash {hash:#018x}, recorded {expect:#018x}");
+            1
+        }
+        None => {
+            eprintln!(
+                "SYNTH SMOKE: FAILED: no hash recorded for {} patients at shard width {}",
+                config.patients, config.shard_patients
+            );
+            1
+        }
     }
 }

@@ -83,6 +83,15 @@ stage "planner smoke (sharded 1M)" \
 stage "publish smoke (chunked rows, 1M)" \
     cargo run --release --example plan_explain -- --smoke-publish --patients 1000000 \
     --shard-patients 65536
+# Synthesis smoke at one million patients: generates the benchmark's
+# collection (seed 2016, an arena per 65,536 patients) and fails unless
+# its content hash (the dictionary in id order, the arena layout, every
+# decoded entry; pastas_synth::golden) equals the one recorded for that
+# configuration: an equality check, not a timing. Prints the wall time
+# an entry and the allocations a patient.
+stage "synth smoke (1M, golden)" \
+    cargo run --release --example plan_explain -- --smoke-synth --patients 1000000 \
+    --shard-patients 65536
 # Temporal smoke: every seq(...) shape's planned result must equal the
 # full scan, code-bearing patterns must execute as an index-prefiltered
 # PatternScan (no full-scan operator, nonzero candidate/pattern-scan
