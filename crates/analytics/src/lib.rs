@@ -11,22 +11,19 @@
 //! over the selected patients.
 //!
 //! The design is dense ids end to end: [`dimensions`] fixes small bucket
-//! vocabularies per dimension, and a [`PatientColumns`] digest column —
-//! one 24-byte row per patient plus its distinct code ids, built
-//! once per collection and carried across ingests from the touched rows —
-//! holds every patient-level attribute, so the fold indexes `u32`
-//! accumulator arrays over `|cohort|` rows: no entries, no strings, no
-//! hashing. The same column keeps each patient's (month, count) runs, so
-//! the cohort's monthly series ([`PatientColumns::monthly`]) folds runs,
-//! not entries. Partial accumulators merge by vector addition via
-//! `pastas_par::par_fold`, so the profile is deterministic and
+//! vocabularies per dimension, and the collection's row table holds every
+//! patient-level input as a column, the digest columns (dominant
+//! buckets, first-contact year, distinct code ids, month runs) included.
+//! [`cohort_profile`] folds `|cohort|` rows into `u32` accumulator arrays
+//! — no entries, no strings, no hashing — ORing one [`condition_mask`] a
+//! code over each row's codes; [`cohort_monthly`] folds their month runs.
+//! Partial accumulators merge by vector addition, so the profile is
 //! independent of thread count, which the property tests check against
 //! the naive serial per-entry oracle ([`cohort_profile_serial`]).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-mod columns;
 pub mod dimensions;
 pub mod profile;
 mod tables;
@@ -34,5 +31,7 @@ mod tables;
 #[cfg(test)]
 mod proptests;
 
-pub use columns::PatientColumns;
-pub use profile::{cohort_profile_serial, CohortProfile, Histogram, DEFAULT_TOP_K};
+pub use profile::{
+    cohort_monthly, cohort_profile, cohort_profile_serial, CohortProfile, Histogram, DEFAULT_TOP_K,
+};
+pub use tables::condition_mask;

@@ -1,21 +1,22 @@
 //! The cohort dimension aggregation and its serial oracle.
 //!
-//! [`PatientColumns::profile`] folds the digest rows of the selected
+//! [`cohort_profile`] folds the row-table columns of the selected
 //! patients — given as sorted positions into the collection, exactly
 //! what the query planner returns — into a [`CohortProfile`] in one
 //! parallel pass: each worker carries a dense [`Accum`] of `u32` bucket
 //! arrays (plus a vocabulary-sized count column for top-k codes) and the
 //! partial accumulators merge by vector addition, so the result is
-//! independent of chunking and thread count. [`PatientColumns::monthly`]
-//! folds the same patients' month runs into the monthly series.
+//! independent of chunking and thread count. [`cohort_monthly`] folds
+//! the same patients' month runs into the monthly series.
 //! [`cohort_profile_serial`] is the deliberately naive per-history,
 //! per-entry reference implementation the property tests diff against.
 
-use crate::columns::{dominant, Digest, PatientColumns, CHUNK_ROWS, NO_YEAR};
 use crate::dimensions::*;
-use crate::tables::NO_BUCKET;
 use pastas_ingest::json::write_string;
-use pastas_model::{CodeDictionary, History, HistoryCollection, Sex, SourceKind};
+use pastas_model::{
+    dominant, CodeDictionary, CodeGroups, History, HistoryCollection, RowSpan, Sex, SourceKind,
+    CHUNK_ROWS, NO_YEAR,
+};
 use pastas_ontology::integration::{IntegrationOntology, CONDITIONS};
 use pastas_time::Date;
 use std::collections::BTreeMap;
@@ -219,29 +220,34 @@ impl Accum {
         }
     }
 
-    /// Fold one patient's digest row into the accumulator, aged by the
-    /// reference date's `ages` cutoffs and its calendar year `ref_year`.
-    fn add(&mut self, row: &Digest, codes: &[u32], ages: &AgeCutoffs, ref_year: i32) {
+    /// Fold row `i` of `span` into the accumulator, aged by the
+    /// reference date's `ages` cutoffs and its calendar year `ref_year`;
+    /// its conditions are the OR of `masks` over its distinct codes.
+    fn add(&mut self, span: &RowSpan<'_>, i: usize, masks: &[u32], ages: &AgeCutoffs, ref_year: i32) {
+        let entries = span.entry_counts[i];
         self.cohort += 1;
-        self.entries += u64::from(row.entries);
-        self.age[ages.band(row.birth)] += 1;
-        self.sex[row.sex as usize] += 1;
-        self.entry_bands[entry_bucket(row.entries as usize)] += 1;
-        self.first_contact[match row.first_year {
+        self.entries += u64::from(entries);
+        self.age[ages.band(span.births[i])] += 1;
+        self.sex[span.sexes[i] as usize] += 1;
+        self.entry_bands[entry_bucket(entries as usize)] += 1;
+        self.first_contact[match span.first_years[i] {
             NO_YEAR => FIRST_CONTACT_NONE,
             year => first_contact_bucket(ref_year, i32::from(year)),
         }] += 1;
-        self.span[row.span as usize] += 1;
-        self.source[row.source as usize] += 1;
-        self.chapters[row.chapter as usize] += 1;
-        self.atc[row.atc as usize] += 1;
-        let mut mask = row.cond_mask;
+        let seconds = (entries > 0).then(|| span.last_ends[i] - span.first_starts[i]);
+        self.span[span_bucket(seconds.map(|s| s as f64 / 86_400.0))] += 1;
+        let dominant = span.dominant[i];
+        self.source[usize::from(dominant.source)] += 1;
+        self.chapters[usize::from(dominant.chapter)] += 1;
+        self.atc[usize::from(dominant.atc)] += 1;
+        let mut mask = 0;
+        for &id in span.codes.get(i) {
+            self.code_counts[id.0 as usize] += 1;
+            mask |= masks[id.0 as usize];
+        }
         while mask != 0 {
             self.cond_counts[mask.trailing_zeros() as usize] += 1;
             mask &= mask - 1;
-        }
-        for &id in codes {
-            self.code_counts[id as usize] += 1;
         }
     }
 
@@ -268,59 +274,96 @@ impl Accum {
     }
 }
 
-impl PatientColumns {
-    /// The full dimension profile of the cohort at `positions` (sorted
-    /// indices into the collection this column describes, as returned by
-    /// the query planner), aged against `reference`: one parallel fold
-    /// over `positions.len()` digest rows into one accumulator a chunk.
-    /// No entry is read and the calendar is consulted once a call.
-    pub fn profile(&self, positions: &[u32], reference: Date, top_k: usize) -> CohortProfile {
-        let (ages, ref_year) = (AgeCutoffs::at(reference), reference.year());
-        let folded = pastas_par::par_fold(
-            positions,
-            || Accum::new(self.codes()),
-            |acc, &pos| {
-                let (row, codes) = self.row(pos);
-                acc.add(row, codes, &ages, ref_year);
-            },
-            Accum::merge,
-        );
-        finish(folded, &self.dict, reference, top_k)
-    }
+/// Fold the rows at `positions` (sorted) of `collection` in parallel:
+/// each worker takes a run of positions and folds it, one row-table
+/// chunk at a time, into its own `make()` accumulator; the partial
+/// accumulators merge left to right.
+fn fold_rows<A: Send>(
+    collection: &HistoryCollection,
+    positions: &[u32],
+    make: impl Fn() -> A + Sync,
+    fold: impl Fn(&mut A, &RowSpan<'_>, usize) + Sync,
+    merge: impl FnMut(A, A) -> A,
+) -> A {
+    let parts = pastas_par::par_chunks(positions, pastas_par::DEFAULT_MIN_PER_THREAD, |_, part| {
+        let mut acc = make();
+        for group in part.chunk_by(|a, b| *a as usize / CHUNK_ROWS == *b as usize / CHUNK_ROWS) {
+            let lo = group[0] as usize / CHUNK_ROWS * CHUNK_ROWS;
+            for span in collection.spans(lo..lo + CHUNK_ROWS) {
+                group.iter().for_each(|&pos| fold(&mut acc, &span, pos as usize - lo));
+            }
+        }
+        acc
+    });
+    parts.into_iter().reduce(merge).unwrap_or_else(make)
+}
 
-    /// Monthly event counts over the cohort at `positions` (sorted
-    /// indices, as for [`Self::profile`]): one `(first-of-month, entries
-    /// starting that month)` row per month between the cohort's first and
-    /// last entry, gaps filled with zeros. One parallel fold over the
-    /// cohort's month runs, a chunk's positions at a time — a shift, an
-    /// add and an increment a run; no entry is read and the calendar is
-    /// consulted once an output month.
-    pub fn monthly(&self, positions: &[u32]) -> Vec<(Date, u64)> {
-        let base = self.months.start;
-        let by_chunk: Vec<&[u32]> = positions
-            .chunk_by(|a, b| *a as usize / CHUNK_ROWS == *b as usize / CHUNK_ROWS)
-            .collect();
-        let counts = pastas_par::par_fold(
-            &by_chunk,
-            || vec![0u64; self.months.len()],
-            |acc, group| self.add_runs(group, base, acc),
-            |mut a, b| {
-                a.iter_mut().zip(&b).for_each(|(mine, theirs)| *mine += theirs);
-                a
-            },
-        );
-        // The cohort's own first and last month bound the series.
-        let end = counts.iter().rposition(|&c| c > 0).map_or(0, |at| at + 1);
-        let begin = counts.iter().position(|&c| c > 0).unwrap_or(end);
-        let months = counts[begin..end].iter().zip(base + begin as i32..);
-        months
-            .map(|(&count, slot)| {
-                let (year, month) = (slot.div_euclid(12), slot.rem_euclid(12) as u32 + 1);
-                // the slot lies between two dates of the collection, so the year is in range; the month is 1..=12 and day 1 is valid in every month
-                (Date::new(year, month, 1).expect("month slot is valid"), count)
-            })
-            .collect()
-    }
+/// The full dimension profile of the cohort at `positions` (sorted
+/// indices into `collection`, as returned by the query planner), aged
+/// against `reference`: one parallel fold over `positions.len()` rows of
+/// the row table's columns into one accumulator a worker. `masks[id]` is
+/// the condition mask of `CodeId(id)` ([`crate::condition_mask`]), one a code of
+/// the collection's dictionary. No entry is read and the calendar is
+/// consulted once a call.
+pub fn cohort_profile(
+    collection: &HistoryCollection,
+    masks: &[u32],
+    positions: &[u32],
+    reference: Date,
+    top_k: usize,
+) -> CohortProfile {
+    let (ages, ref_year) = (AgeCutoffs::at(reference), reference.year());
+    let dict = collection.dictionary();
+    let folded = fold_rows(
+        collection,
+        positions,
+        || Accum::new(dict.len()),
+        |acc, span, i| acc.add(span, i, masks, &ages, ref_year),
+        Accum::merge,
+    );
+    finish(folded, dict, reference, top_k)
+}
+
+/// Monthly event counts over the cohort at `positions` (sorted indices,
+/// as for [`cohort_profile`]): one `(first-of-month, entries starting
+/// that month)` row per month between the cohort's first and last entry,
+/// gaps filled with zeros. One parallel fold over the cohort's month runs
+/// into a table of the collection's months (from its summary) — a shift,
+/// an add and an increment a run; no entry is read and the calendar is
+/// consulted once an output month.
+pub fn cohort_monthly(collection: &HistoryCollection, positions: &[u32]) -> Vec<(Date, u64)> {
+    let stats = collection.stats();
+    let month = |t: Option<pastas_time::DateTime>| t.map(|t| t.date().year() * 12 + t.date().month() as i32 - 1);
+    let (Some(base), Some(last)) = (month(stats.first), month(stats.last)) else {
+        return Vec::new();
+    };
+    let counts = fold_rows(
+        collection,
+        positions,
+        || vec![0u64; (last - base + 1) as usize],
+        |acc, span, i| {
+            let mut slot = i32::from(span.first_years[i]) * 12 - base;
+            for &run in span.runs.get(i) {
+                slot += i32::from(run >> 8);
+                acc[slot as usize] += u64::from(run & 0xff);
+            }
+        },
+        |mut a, b| {
+            a.iter_mut().zip(&b).for_each(|(mine, theirs)| *mine += theirs);
+            a
+        },
+    );
+    // The cohort's own first and last month bound the series.
+    let end = counts.iter().rposition(|&c| c > 0).map_or(0, |at| at + 1);
+    let begin = counts.iter().position(|&c| c > 0).unwrap_or(end);
+    let months = counts[begin..end].iter().zip(base + begin as i32..);
+    months
+        .map(|(&count, slot)| {
+            let (year, month) = (slot.div_euclid(12), slot.rem_euclid(12) as u32 + 1);
+            // the slot lies between two dates of the collection, so the year is in range; the month is 1..=12 and day 1 is valid in every month
+            (Date::new(year, month, 1).expect("month slot is valid"), count)
+        })
+        .collect()
 }
 
 /// Widen a folded accumulator into the public profile.
@@ -356,7 +399,7 @@ fn finish(acc: Accum, dict: &CodeDictionary, reference: Date, top_k: usize) -> C
 }
 
 /// The serial naive reference: one history at a time and every entry of
-/// it, sets and maps instead of digest rows, no sharding, no `pastas_par`.
+/// it, sets and maps instead of row columns, no sharding, no `pastas_par`.
 /// Exists so the property tests can diff the parallel pass against an
 /// independently structured implementation.
 pub fn cohort_profile_serial(
@@ -395,13 +438,12 @@ pub fn cohort_profile_serial(
         for entry in history.entries().iter() {
             per_source[entry.source().dense_index()] += 1;
             if let Some(code) = entry.code() {
-                let chapter = crate::tables::chapter_of(code);
-                if chapter != NO_BUCKET {
-                    per_chapter[chapter as usize] += 1;
+                let groups = CodeGroups::of(code);
+                if let Some(count) = per_chapter.get_mut(usize::from(groups.chapter)) {
+                    *count += 1;
                 }
-                let group = crate::tables::atc_group_of(code);
-                if group != NO_BUCKET {
-                    per_atc[group as usize] += 1;
+                if let Some(count) = per_atc.get_mut(usize::from(groups.atc)) {
+                    *count += 1;
                 }
                 conditions.extend(ontology.conditions_of(code));
                 seen.insert(code.to_string());
@@ -435,6 +477,7 @@ pub fn cohort_profile_serial(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::condition_mask;
     use pastas_synth::{generate_collection, SynthConfig};
 
     fn fixture() -> (HistoryCollection, IntegrationOntology, Date) {
@@ -453,7 +496,9 @@ mod tests {
         positions: &[u32],
         reference: Date,
     ) -> CohortProfile {
-        PatientColumns::build(collection, ontology).profile(positions, reference, DEFAULT_TOP_K)
+        let masks: Vec<u32> =
+            collection.dictionary().iter().map(|code| condition_mask(ontology, code)).collect();
+        cohort_profile(collection, &masks, positions, reference, DEFAULT_TOP_K)
     }
 
     #[test]
@@ -484,15 +529,15 @@ mod tests {
         let p = folded(&collection, &ontology, &[], reference);
         assert_eq!(p.cohort_size, 0);
         assert!(p.top_codes.is_empty());
-        assert!(PatientColumns::build(&collection, &ontology).monthly(&[]).is_empty());
+        assert!(cohort_monthly(&collection, &[]).is_empty());
         assert!(p.to_json().starts_with("{\"cohort_size\":0,"));
     }
 
     #[test]
     fn monthly_timeline_is_contiguous_and_totals_entries() {
-        let (collection, ontology, _) = fixture();
+        let (collection, _, _) = fixture();
         let positions: Vec<u32> = (0..collection.len() as u32).collect();
-        let months = PatientColumns::build(&collection, &ontology).monthly(&positions);
+        let months = cohort_monthly(&collection, &positions);
         let total: u64 = months.iter().map(|&(_, c)| c).sum();
         let entries: u64 = positions
             .iter()

@@ -1,11 +1,11 @@
-//! Property tests: the digest-column fold must agree with the serial
+//! Property tests: the row-table fold must agree with the serial
 //! naive per-entry fold, and the month-run fold with a naive per-entry
 //! map, on arbitrary collections, cohorts and thread counts; every
 //! partition histogram's bucket totals must sum to the cohort size.
 
 use crate::dimensions::{age_bucket, AGE_BANDS};
 use crate::profile::{cohort_profile_serial, AgeCutoffs};
-use crate::PatientColumns;
+use crate::{cohort_monthly, cohort_profile, condition_mask};
 use pastas_model::{Entry, History, HistoryCollection, Patient, PatientId, Payload, Sex, SourceKind};
 use pastas_ontology::integration::IntegrationOntology;
 use pastas_synth::{generate_collection, SynthConfig};
@@ -77,11 +77,6 @@ fn history_of(id: u64, entries: Vec<Entry>) -> History {
     history
 }
 
-/// The cohort's monthly series from a freshly built column.
-fn run_fold(collection: &HistoryCollection, positions: &[u32]) -> Vec<(Date, u64)> {
-    PatientColumns::build(collection, &IntegrationOntology::new()).monthly(positions)
-}
-
 /// Histories whose entries are further apart than an arena's `u32`
 /// window, out to both ends of the calendar: the row's runs take the far
 /// starts through `EntryRef`, carry gaps of centuries in `(255, 0)` runs,
@@ -99,17 +94,17 @@ fn monthly_walk_counts_starts_outside_an_arena_window() {
     ]));
     let positions: Vec<u32> = (0..collection.len() as u32).collect();
     assert_eq!(collection.histories()[40].entries().start_offsets().1[2], FAR_START);
-    let months = run_fold(&collection, &positions);
+    let months = cohort_monthly(&collection, &positions);
     assert_eq!(months, naive_monthly(&collection, &positions));
     assert_eq!(months[0], (Date::new(1812, 2, 1).expect("valid"), 1));
-    assert_eq!(run_fold(&collection, &positions[40..]).len(), (2013 - 1812) * 12 + 5);
+    assert_eq!(cohort_monthly(&collection, &positions[40..]).len(), (2013 - 1812) * 12 + 5);
 
     collection.upsert(history_of(6_000_001, vec![
         Entry::event(Date::MAX.at(23, 59, 59).expect("valid"), stay.clone(), SourceKind::Hospital),
         Entry::event(Date::MIN.at_midnight(), stay, SourceKind::Hospital),
     ]));
     let positions: Vec<u32> = (0..collection.len() as u32).collect();
-    let months = run_fold(&collection, &positions);
+    let months = cohort_monthly(&collection, &positions);
     assert_eq!(months.len(), 19_999 * 12);
     assert_eq!(months, naive_monthly(&collection, &positions));
 }
@@ -184,11 +179,18 @@ proptest! {
 
         let serial =
             cohort_profile_serial(&collection, &ontology, &positions, reference, 25);
+        let masks: Vec<u32> =
+            collection.dictionary().iter().map(|code| condition_mask(&ontology, code)).collect();
         let serial_monthly = naive_monthly(&collection, &positions);
         for threads in THREADS {
+            // The rows rebuilt at this thread count: the parallel chunk
+            // fill writes every digest column.
             let (profile, monthly) = pastas_par::with_threads(threads, || {
-                let columns = PatientColumns::build(&collection, &ontology);
-                (columns.profile(&positions, reference, 25), columns.monthly(&positions))
+                let rows = HistoryCollection::from_histories(collection.iter().cloned());
+                (
+                    cohort_profile(&rows, &masks, &positions, reference, 25),
+                    cohort_monthly(&rows, &positions),
+                )
             });
             prop_assert_eq!(&profile, &serial, "threads {}", threads);
             prop_assert_eq!(&monthly, &serial_monthly, "threads {}", threads);
@@ -278,7 +280,7 @@ proptest! {
         positions.extend(special..collection.len() as u32);
         let naive = naive_monthly(&collection, &positions);
         for threads in THREADS {
-            let folded = pastas_par::with_threads(threads, || run_fold(&collection, &positions));
+            let folded = pastas_par::with_threads(threads, || cohort_monthly(&collection, &positions));
             prop_assert_eq!(&folded, &naive, "threads {}", threads);
         }
     }

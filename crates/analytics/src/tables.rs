@@ -1,65 +1,15 @@
-//! Code → dimension translation: one record a code of the collection's
-//! dictionary, indexed by [`pastas_model::CodeId`].
-//!
-//! A code id names the same code in every arena of a collection, so the
-//! digest column keeps one `Vec<CodeDims>` beside the collection's
-//! [`pastas_model::CodeDictionary`]: each code's ICD-10 chapter, ATC main
-//! group and condition bitmask in an 8-byte record, resolved once, so
-//! the bulk build's per-entry loop is one array read and never touches a
-//! string or a hash map. Labels come from the dictionary itself.
+//! Code → condition translation, the one ontology-derived input of a
+//! cohort profile: the model, which knows no ontology, holds each code's
+//! chapter and ATC group ([`pastas_model::CodeGroups`]); a workbench
+//! keeps one [`condition_mask`] a code of its dictionary.
 
-use pastas_codes::atc::AtcCode;
-use pastas_codes::icd10::Icd10Code;
-use pastas_codes::{Code, CodeSystem};
+use pastas_codes::Code;
 use pastas_ontology::integration::{IntegrationOntology, CONDITIONS};
 
-/// Sentinel for "this code has no bucket in the dimension".
-pub(crate) const NO_BUCKET: u8 = u8::MAX;
-
-/// Everything the digest builder needs to know about one code.
-#[derive(Clone, Copy)]
-pub(crate) struct CodeDims {
-    /// ICD-10 chapter index (`NO_BUCKET` for non-ICD codes).
-    pub chapter: u8,
-    /// ATC main-group index (`NO_BUCKET` for non-ATC codes).
-    pub atc: u8,
-    /// Bit `i` set ⇔ the code indicates `CONDITIONS[i]`.
-    pub cond_mask: u32,
-}
-
-impl CodeDims {
-    /// Parse `code` and resolve its conditions through `ontology`.
-    pub fn of(code: &Code, ontology: &IntegrationOntology) -> CodeDims {
-        const _: () = assert!(CONDITIONS.len() <= 32, "condition mask is a u32");
-        CodeDims {
-            chapter: chapter_of(code),
-            atc: atc_group_of(code),
-            cond_mask: condition_mask(ontology, code),
-        }
-    }
-}
-
-/// ICD-10 chapter index of a code, or `NO_BUCKET`.
-pub(crate) fn chapter_of(code: &Code) -> u8 {
-    if code.system != CodeSystem::Icd10 {
-        return NO_BUCKET;
-    }
-    Icd10Code::parse(&code.value)
-        .and_then(|c| c.chapter_index())
-        .map(|i| i as u8)
-        .unwrap_or(NO_BUCKET)
-}
-
-/// ATC main-group index of a code, or `NO_BUCKET`.
-pub(crate) fn atc_group_of(code: &Code) -> u8 {
-    if code.system != CodeSystem::Atc {
-        return NO_BUCKET;
-    }
-    AtcCode::parse(&code.value).map(|c| c.main_group_index() as u8).unwrap_or(NO_BUCKET)
-}
-
-/// Bitmask over [`CONDITIONS`] of the conditions a code indicates.
-pub(crate) fn condition_mask(ontology: &IntegrationOntology, code: &Code) -> u32 {
+/// Bitmask over [`CONDITIONS`] of the conditions `code` indicates: bit
+/// `i` set ⇔ it indicates `CONDITIONS[i]`.
+pub fn condition_mask(ontology: &IntegrationOntology, code: &Code) -> u32 {
+    const _: () = assert!(CONDITIONS.len() <= 32, "condition mask is a u32");
     let mut mask = 0u32;
     for name in ontology.conditions_of(code) {
         if let Some(i) = IntegrationOntology::condition_index(name) {
@@ -72,13 +22,15 @@ pub(crate) fn condition_mask(ontology: &IntegrationOntology, code: &Code) -> u32
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pastas_model::{CodeGroups, NO_GROUP};
 
     #[test]
     fn chapter_and_group_sentinels() {
-        assert_eq!(chapter_of(&Code::icd10("E11")), 3); // chapter IV
-        assert_eq!(chapter_of(&Code::icpc("T90")), NO_BUCKET);
-        assert_eq!(atc_group_of(&Code::atc("C07AB02")), 2); // C = cardiovascular
-        assert_eq!(atc_group_of(&Code::icd10("E11")), NO_BUCKET);
+        let groups = |code: Code| CodeGroups::of(&code);
+        assert_eq!(groups(Code::icd10("E11")).chapter, 3); // chapter IV
+        assert_eq!(groups(Code::icpc("T90")).chapter, NO_GROUP);
+        assert_eq!(groups(Code::atc("C07AB02")).atc, 2); // C = cardiovascular
+        assert_eq!(groups(Code::icd10("E11")).atc, NO_GROUP);
     }
 
     #[test]

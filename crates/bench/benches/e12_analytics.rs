@@ -1,4 +1,4 @@
-//! E12 — cohort analytics: the nine-dimension digest-column fold and
+//! E12 — cohort analytics: the nine-dimension row-table fold and
 //! the materialized-registry hit path.
 //!
 //! Two claims under test, both against Shneiderman's 0.1 s budget the
@@ -7,9 +7,9 @@
 //! * the dimension pass — age band, sex, dominant source, entries per
 //!   patient, history span, ICD-10 chapter, ATC main group, first
 //!   contact year, top-k codes + conditions — is one parallel fold over
-//!   the cohort's rows of the per-patient digest column (built once per
-//!   collection, `column_build_ms`) and stays under 100 ms at a million
-//!   patients, for the paper-shaped cohort the benchmark reads (41% of
+//!   the cohort's rows of the row table's digest columns (written with
+//!   the rows, when the collection is built) and stays under 100 ms at a
+//!   million patients, for the paper-shaped cohort the benchmark reads (41% of
 //!   the patients) as well as for the Fig. 4 one (7.6%);
 //! * answering `/cohort/{id}/stats` from a frozen posting bitmap (one
 //!   chunked decode + fold) beats re-running the cold path (plan +
@@ -46,11 +46,6 @@ fn tier(json: &mut String, first: bool, patients: usize, shard_patients: usize) 
         .unwrap_or_else(|| Date::new(2013, 1, 1).expect("valid"));
     let wb = Workbench::from_collection(collection);
     eprintln!("generated + indexed in {:.1} s ({shards} shards)", t.elapsed().as_secs_f64());
-    // The first profile of a collection builds its digest column.
-    let t = std::time::Instant::now();
-    black_box(wb.cohort_profile(&[], reference, 20));
-    let column_build_ms = t.elapsed().as_secs_f64() * 1e3;
-    eprintln!("digest column built in {column_build_ms:.1} ms");
 
     let shapes = [
         // The Fig. 4 diabetes-flavoured selection, same shape as E5.
@@ -127,8 +122,7 @@ fn tier(json: &mut String, first: bool, patients: usize, shard_patients: usize) 
         }
         let _ = write!(
             json,
-            "    {{\"patients\": {patients}, \"shards\": {shards}, \
-             \"column_build_ms\": {column_build_ms:.1}, \"shape\": \"{shape}\", \
+            "    {{\"patients\": {patients}, \"shards\": {shards}, \"shape\": \"{shape}\", \
              \"cohort\": {cohort}, \"cohort_entries\": {}, \
              \"profile_ms\": {profile_ms:.3}, \"profile_1t_ms\": {profile_1t_ms:.3}, \
              \"timeline_ms\": {timeline_ms:.3}, \
@@ -142,7 +136,7 @@ fn tier(json: &mut String, first: bool, patients: usize, shard_patients: usize) 
 
 fn main() {
     header(
-        "E12: cohort analytics (9-dimension digest-column fold + registry hit path)",
+        "E12: cohort analytics (9-dimension row-table fold + registry hit path)",
         "dimension histograms over the selected cohort inside the 0.1 s budget",
     );
     // Default: the bench scale, the paper's 168k, and one million sharded

@@ -5,11 +5,10 @@
 //! benches against Shneiderman's 0.1 s budget: select, sort, align, filter,
 //! zoom, hover.
 
-use pastas_analytics::PatientColumns;
 use pastas_ingest::{
     aggregate, entry_fingerprint, DeltaBatch, EntryFingerprint, QualityReport, SourceTexts,
 };
-use pastas_model::{History, HistoryCollection, OpenEpoch, PatientId};
+use pastas_model::{HistoryCollection, OpenEpoch, PatientId};
 use pastas_ontology::integration::IntegrationOntology;
 use pastas_query::{
     align_rows, sort_histories, CodeIndex, EntryPredicate, Explain, HistoryQuery, QueryPlan,
@@ -21,9 +20,8 @@ use pastas_viz::html::{personal_timeline, PersonalTimelineOptions};
 use pastas_viz::timeline::aligned_viewport;
 use pastas_viz::{ascii, hit::HitMap, svg, AxisMode, Scene, TimelineOptions, TimelineView, Viewport};
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// A snapshot of the mutable view state (what undo/redo restores).
 #[derive(Debug, Clone)]
@@ -146,20 +144,13 @@ pub struct IngestStats {
 /// The workbench. See the crate docs for a tour.
 pub struct Workbench {
     collection: HistoryCollection,
-    /// Cheap content fingerprint of `collection` (see
-    /// [`Self::collection_fingerprint`]).
-    collection_fingerprint: u64,
     index: Arc<CodeIndex>,
     ontology: Arc<IntegrationOntology>,
     quality: Option<QualityReport>,
     selections: Arc<SelectionCache>,
-    /// The per-patient digest column of `collection` (see
-    /// `pastas-analytics`): the first [`Self::cohort_profile`] or
-    /// [`Self::cohort_monthly`] call builds it, snapshots share it, and
-    /// [`Self::apply_ingest`] carries a built one forward from the touched
-    /// rows, so no later read or publish walks the collection for it
-    /// again.
-    columns: Arc<OnceLock<PatientColumns>>,
+    /// `cond_masks[id]`: the [`pastas_analytics::condition_mask`] of code
+    /// `CodeId(id)`, the one profile input that is not a row-table column.
+    cond_masks: Arc<Vec<u32>>,
     // View state.
     /// The display order, shared with snapshots and view states until
     /// one of them writes it: a sort or an alignment replaces it, an
@@ -169,26 +160,15 @@ pub struct Workbench {
     filter: Option<EntryPredicate>,
 }
 
-/// One row's share of the collection fingerprint: a hash of `(position,
-/// patient id, entry count)`. Fixed-key, so every workbench of a process
-/// agrees; nothing persists it.
-fn row_fingerprint(position: usize, history: &History) -> u64 {
-    let mut hasher = DefaultHasher::new();
-    (position, history.id(), history.len()).hash(&mut hasher);
-    hasher.finish()
-}
-
-/// The collection fingerprint from scratch: the wrapping sum of every
-/// row's [`row_fingerprint`] — O(histories), no entry is read. It
-/// distinguishes any two collections this workspace produces and keys
-/// server-side response caches together with
-/// [`HistoryQuery::fingerprint`]. Because the rows combine by addition,
-/// [`Workbench::apply_ingest`] swaps the touched rows' shares in and out
-/// and never comes back here; construction, tests and `debug_validate`
-/// do.
-fn fingerprint_collection(collection: &HistoryCollection) -> u64 {
-    let rows = collection.histories().iter().enumerate();
-    rows.fold(0, |sum, (at, history)| sum.wrapping_add(row_fingerprint(at, history)))
+/// `masks` extended to every code of `collection`'s dictionary (shared
+/// if it has them all); the dictionary only grows, so ids keep their masks.
+fn grow_masks(masks: &Arc<Vec<u32>>, collection: &HistoryCollection, ontology: &IntegrationOntology) -> Arc<Vec<u32>> {
+    let (mut masks, codes) = (Arc::clone(masks), collection.dictionary().iter());
+    if codes.len() > masks.len() {
+        let fresh = codes.skip(masks.len()).map(|code| pastas_analytics::condition_mask(ontology, code));
+        Arc::make_mut(&mut masks).extend(fresh);
+    }
+    masks
 }
 
 impl Workbench {
@@ -196,15 +176,15 @@ impl Workbench {
     pub fn from_collection(collection: HistoryCollection) -> Workbench {
         let index = Arc::new(CodeIndex::build(&collection));
         let order = Arc::new((0..collection.len() as u32).collect());
-        let collection_fingerprint = fingerprint_collection(&collection);
+        let ontology = Arc::new(IntegrationOntology::new());
+        let cond_masks = grow_masks(&Arc::default(), &collection, &ontology);
         Workbench {
             collection,
-            collection_fingerprint,
             index,
-            ontology: Arc::new(IntegrationOntology::new()),
+            ontology,
             quality: None,
             selections: SelectionCache::new(),
-            columns: Arc::new(OnceLock::new()),
+            cond_masks,
             order,
             axis: AxisMode::Calendar,
             filter: None,
@@ -223,10 +203,9 @@ impl Workbench {
         self.index = Arc::new(CodeIndex::build(&collection));
         self.order = Arc::new((0..collection.len() as u32).collect());
         self.axis = AxisMode::Calendar;
-        self.collection_fingerprint = fingerprint_collection(&collection);
+        self.cond_masks = grow_masks(&Arc::default(), &collection, &self.ontology);
         self.collection = collection;
         self.selections = SelectionCache::new();
-        self.columns = Arc::new(OnceLock::new());
     }
 
     /// Apply parsed ingest deltas ([`pastas_ingest::parse_delta`])
@@ -238,18 +217,16 @@ impl Workbench {
     /// stage in a [`OpenEpoch`] (which applies the §IV pre-birth rule),
     /// and seal into the collection: existing patients keep their
     /// display position and code ids, new patients append at the end of
-    /// the display order. The code index is patched by
-    /// [`CodeIndex::with_delta`] — only the postings the touched rows join
-    /// or leave are copied, every other one is shared — and the selection
-    /// cache is replaced (snapshots of the old collection keep the old
-    /// one).
+    /// the display order. Sealing writes the touched rows' columns, digest
+    /// included, into copies of their row chunks. The code index is
+    /// patched by [`CodeIndex::with_delta`] — only the postings the
+    /// touched rows join or leave are copied, every other one is shared —
+    /// the condition masks grow by the codes the dictionary gained, and
+    /// the selection cache is replaced (snapshots of the old collection
+    /// keep the old one).
     pub fn apply_ingest(&mut self, batches: &[DeltaBatch]) -> IngestStats {
         let mut stats = IngestStats::default();
         let mut epoch = OpenEpoch::new();
-        // The fingerprint less the share of every existing row this call
-        // stages a delta for; the sealed rows' shares go back in below.
-        let mut fingerprint = self.collection_fingerprint;
-        let mut staged: HashSet<PatientId> = HashSet::new();
         // Per-patient fingerprints of already-loaded entries, extended
         // with each accepted delta entry so duplicates are dropped both
         // against the collection and within this call.
@@ -283,12 +260,6 @@ impl Workbench {
                 if fresh.is_empty() && self.collection.get(pid).is_some() {
                     continue;
                 }
-                if staged.insert(pid) {
-                    if let Some(at) = self.collection.position_of(pid) {
-                        let old = row_fingerprint(at, &self.collection.histories()[at]);
-                        fingerprint = fingerprint.wrapping_sub(old);
-                    }
-                }
                 let report = epoch.append(delta.patient, fresh);
                 stats.entries_applied += report.accepted;
                 stats.dropped_pre_birth += report.dropped_pre_birth;
@@ -309,16 +280,8 @@ impl Workbench {
             })
             .collect();
         self.index = Arc::new(self.index.with_delta(&self.collection, &dirty));
-        let histories = self.collection.histories();
-        self.collection_fingerprint = dirty.iter().fold(fingerprint, |sum, &at| {
-            sum.wrapping_add(row_fingerprint(at as usize, &histories[at as usize]))
-        });
+        self.cond_masks = grow_masks(&self.cond_masks, &self.collection, &self.ontology);
         self.selections = SelectionCache::new();
-        // A new cell, not a write into the shared one: snapshots of the
-        // old collection keep the column that describes it.
-        let carried =
-            self.columns.get().map(|c| c.with_rows(&self.collection, &self.ontology, &dirty));
-        self.columns = Arc::new(carried.map_or_else(OnceLock::new, OnceLock::from));
         // Appended patients join the end of the display order (copying
         // it if a snapshot shares it); existing rows keep their
         // positions, so the current sort/alignment stays meaningful.
@@ -344,24 +307,23 @@ impl Workbench {
 
     /// A cheap immutable snapshot sharing all heavy state: the
     /// collection's row chunks and id sub-maps (one pointer each,
-    /// copy-on-write), code index, ontology, selection cache, digest
-    /// column, display order and alignment are `Arc`-shared, so nothing
-    /// is copied or touched per history; the collection summary,
-    /// fingerprint and filter come along by value. The snapshot and the
-    /// original diverge freely afterwards: whichever writes a shared part
-    /// copies that part (a row chunk, the order) and only that.
+    /// copy-on-write), code index, ontology, selection cache, condition
+    /// masks, display order and alignment are `Arc`-shared, so nothing
+    /// is copied or touched per history; the collection summary and the
+    /// filter come along by value. The snapshot and the original diverge
+    /// freely afterwards: whichever writes a shared part copies that part
+    /// (a row chunk, the order) and only that.
     ///
     /// This is the serving layer's unit of publication: readers hold a
     /// snapshot and never block a writer that is building the next one.
     pub fn snapshot(&self) -> Workbench {
         Workbench {
             collection: self.collection.clone(),
-            collection_fingerprint: self.collection_fingerprint,
             index: Arc::clone(&self.index),
             ontology: Arc::clone(&self.ontology),
             quality: self.quality.clone(),
             selections: Arc::clone(&self.selections),
-            columns: Arc::clone(&self.columns),
+            cond_masks: Arc::clone(&self.cond_masks),
             order: Arc::clone(&self.order),
             axis: self.axis.clone(),
             filter: self.filter.clone(),
@@ -388,44 +350,21 @@ impl Workbench {
         Ok(())
     }
 
-    /// Content fingerprint of the current collection. Two workbenches over
-    /// the same aggregated data agree; any ingest/set_collection changes
-    /// it. Response caches key on `(this, query fingerprint, params)`.
-    pub fn collection_fingerprint(&self) -> u64 {
-        self.collection_fingerprint
-    }
-
     /// Deep invariant check (debug builds only; a no-op in release): the
-    /// collection's own check (id map, maintained summary against the
-    /// from-entries walk), the maintained fingerprint against the
-    /// from-scratch one, and a built digest column against a rebuilt one.
+    /// collection's own check (id map, row and digest columns against a
+    /// rebuild, maintained summary against the from-entries walk) and the
+    /// condition masks against the dictionary's codes.
     #[cfg(debug_assertions)]
     pub fn debug_validate(&self) {
         self.collection.debug_validate();
-        assert_eq!(
-            self.collection_fingerprint,
-            fingerprint_collection(&self.collection),
-            "workbench: maintained fingerprint drifted from the from-scratch one"
-        );
-        if let Some(columns) = self.columns.get() {
-            assert!(
-                *columns == PatientColumns::build(&self.collection, &self.ontology),
-                "workbench: maintained digest column drifted from the rebuilt one"
-            );
-        }
+        let masks = grow_masks(&Arc::default(), &self.collection, &self.ontology);
+        assert!(masks == self.cond_masks, "workbench: condition masks drifted from the dictionary");
     }
 
     /// Deep invariant check (debug builds only; a no-op in release).
     #[cfg(not(debug_assertions))]
     #[inline(always)]
     pub fn debug_validate(&self) {}
-
-    /// True while [`Self::cohort_profile`] and [`Self::cohort_monthly`]
-    /// answer without walking the collection.
-    #[cfg(test)]
-    pub(crate) fn holds_columns(&self) -> bool {
-        self.columns.get().is_some()
-    }
 
     /// Number of memoized selections.
     pub fn selection_cache_len(&self) -> usize {
@@ -595,31 +534,23 @@ impl Workbench {
     /// `positions` (sorted history positions, e.g. a
     /// [`Self::select_positions`] result or a materialized handle's
     /// decoded bitmap), aged against `reference`: one parallel fold over
-    /// `positions.len()` rows of the digest column — see
-    /// `pastas-analytics`. Reads no entry and does **not** touch the
-    /// planner or the selection cache. The first call on a collection
-    /// nobody has profiled yet builds the column (a walk of every entry).
+    /// `positions.len()` rows of the row table's columns and the
+    /// condition masks — see `pastas-analytics`. Reads no entry and does
+    /// **not** touch the planner or the selection cache.
     pub fn cohort_profile(
         &self,
         positions: &[u32],
         reference: Date,
         top_k: usize,
     ) -> pastas_analytics::CohortProfile {
-        self.columns().profile(positions, reference, top_k)
+        pastas_analytics::cohort_profile(&self.collection, &self.cond_masks, positions, reference, top_k)
     }
 
     /// Monthly event counts of the cohort at `positions` (gap-filled,
     /// first-of-month keyed) — the cohort-level timeline: one parallel
-    /// fold over the cohort's month runs in the same digest column as
-    /// [`Self::cohort_profile`], which builds it the same way if nobody
-    /// has yet.
+    /// fold over the cohort's month runs, a column of the row table.
     pub fn cohort_monthly(&self, positions: &[u32]) -> Vec<(Date, u64)> {
-        self.columns().monthly(positions)
-    }
-
-    /// The shared digest column, built on first use.
-    fn columns(&self) -> &PatientColumns {
-        self.columns.get_or_init(|| PatientColumns::build(&self.collection, &self.ontology))
+        pastas_analytics::cohort_monthly(&self.collection, positions)
     }
 
     /// Patient ids matching the query.
@@ -1113,7 +1044,6 @@ mod tests {
         let mut wb = wb();
         let q = QueryBuilder::new().has_code("T90").unwrap().build();
         let before = wb.select_positions(&q);
-        let fp_before = wb.collection_fingerprint();
         assert_eq!(wb.selection_cache_len(), 1);
         let mut registry = IdentityRegistry::new();
         let persons = parse_delta(
@@ -1132,7 +1062,6 @@ mod tests {
         assert_eq!(stats.entries_applied, 1);
         assert_eq!(wb.collection().len(), 301);
         assert_eq!(wb.order().len(), 301, "appended row joins the display order");
-        assert_ne!(wb.collection_fingerprint(), fp_before);
         assert_eq!(wb.selection_cache_len(), 0, "selection cache replaced");
         let after = wb.select_positions(&q);
         assert_eq!(after.len(), before.len() + 1, "new T90 patient is selectable");
@@ -1192,60 +1121,6 @@ mod tests {
         next.debug_validate();
     }
 
-    /// The fingerprint `apply_ingest` maintains from the touched rows is
-    /// the one a from-scratch pass over the same collection computes, and
-    /// every call that changes the collection changes it.
-    #[test]
-    fn maintained_fingerprint_equals_the_from_scratch_one() {
-        use pastas_codes::Code;
-        use pastas_ingest::PatientDelta;
-        use pastas_model::{Entry, Patient, Payload, SourceKind};
-        let mut wb = wb();
-        let known = *wb.collection().histories()[5].patient();
-        let other = *wb.collection().histories()[250].patient();
-        let newcomer = Patient { id: PatientId(900_001), ..known };
-        let event = |day: u32| {
-            Entry::event(
-                Date::new(2014, 3, day).unwrap().at_midnight(),
-                Payload::Diagnosis(Code::icpc("T90")),
-                SourceKind::PrimaryCare,
-            )
-        };
-        let batch = |deltas: &[(Patient, Vec<u32>)]| DeltaBatch {
-            deltas: deltas
-                .iter()
-                .map(|(patient, days)| PatientDelta {
-                    patient: *patient,
-                    entries: days.iter().map(|&d| event(d)).collect(),
-                })
-                .collect(),
-            ..DeltaBatch::default()
-        };
-        let calls = [
-            vec![batch(&[(known, vec![1])])],
-            vec![batch(&[(newcomer, vec![2]), (other, vec![3, 4])])],
-            // One call, the same rows twice: their shares leave once.
-            vec![batch(&[(newcomer, vec![5]), (known, vec![6])]), batch(&[(known, vec![7])])],
-            vec![batch(&[(Patient { id: PatientId(900_002), ..other }, vec![])])],
-        ];
-        let mut seen = vec![wb.collection_fingerprint()];
-        assert_eq!(seen[0], fingerprint_collection(wb.collection()));
-        for call in &calls {
-            let stats = wb.apply_ingest(call);
-            assert!(stats.patients_touched > 0);
-            let fp = wb.collection_fingerprint();
-            assert_eq!(fp, fingerprint_collection(wb.collection()), "after {call:?}");
-            assert!(!seen.contains(&fp), "ingest must change the fingerprint");
-            seen.push(fp);
-            wb.debug_validate();
-        }
-        // A replay nets out to nothing and leaves the fingerprint alone.
-        let stats = wb.apply_ingest(&calls[2]);
-        assert_eq!((stats.patients_touched, stats.duplicates_dropped), (0, 3));
-        assert_eq!(Some(&wb.collection_fingerprint()), seen.last());
-        assert_eq!(wb.collection().len(), 302);
-    }
-
     /// One ingest batch of T90-style diagnosis events: `(patient, code,
     /// day of March 2014)` per delta.
     fn diagnosis_batch(deltas: &[(pastas_model::Patient, pastas_codes::Code, u32)]) -> DeltaBatch {
@@ -1267,54 +1142,101 @@ mod tests {
         }
     }
 
-    /// The first cohort read after an ingest publish pays no
-    /// full-collection walk: whoever built the digest column, every
-    /// snapshot shares it and `apply_ingest` carries it forward.
+    /// An ingest publish writes the touched rows' digest columns: the
+    /// first cohort read after it folds them, a snapshot from before reads
+    /// its own rows, and a collection swap brings its own masks.
     #[test]
     fn ingest_publishes_carry_the_digest_column() {
         use pastas_codes::Code;
         let mut wb = wb();
         let reference = Date::new(2014, 12, 31).unwrap();
-        assert!(!wb.holds_columns(), "construction does not walk for it");
         let reader = wb.snapshot();
         let before = reader.cohort_profile(&[5, 250], reference, 20);
-        assert!(wb.holds_columns(), "a snapshot's first read fills the shared cell");
         let known = *wb.collection().histories()[5].patient();
         let newcomer = pastas_model::Patient { id: PatientId(900_001), ..known };
         let batch =
             diagnosis_batch(&[(known, Code::icpc("T90"), 1), (newcomer, Code::icd10("Z99"), 2)]);
         assert_eq!(wb.apply_ingest(&[batch]).patients_touched, 2);
-        assert!(wb.holds_columns() && wb.snapshot().holds_columns(), "ingest kept the column");
         wb.debug_validate();
         let after = wb.snapshot().cohort_profile(&[5, 250], reference, 20);
         assert_eq!(after.total_entries, before.total_entries + 1);
         assert_eq!(after, pastas_analytics::cohort_profile_serial(
             wb.collection(), wb.ontology(), &[5, 250], reference, 20,
         ));
-        // The pre-ingest snapshot still reads the column of its own rows.
+        // The pre-ingest snapshot still reads its own rows.
         assert_eq!(reader.cohort_profile(&[5, 250], reference, 20), before);
-        // A collection swap starts over.
         wb.set_collection(generate_collection(SynthConfig::with_patients(50), 7));
-        assert!(!wb.holds_columns());
+        wb.debug_validate();
     }
 
-    /// A `/timeline` read on a snapshot nobody has profiled builds the
-    /// shared column; the stats read after it, on the writer's side of
-    /// the cell, folds that one and agrees on the entry total.
+    /// A freshly built workbench answers its first cohort reads from the
+    /// row table, with nothing built on the way: the profile equals the
+    /// serial oracle, and the timeline totals its entries.
     #[test]
-    fn a_first_timeline_read_builds_the_column_stats_reuse() {
+    fn a_fresh_workbench_reads_cohorts_without_a_lazy_cell() {
         let wb = wb();
         let reference = Date::new(2014, 12, 31).unwrap();
-        assert!(!wb.holds_columns());
-        let months = wb.snapshot().cohort_monthly(&[5, 250]);
-        assert!(wb.holds_columns(), "the timeline read fills the shared cell");
-        let profile = wb.cohort_profile(&[5, 250], reference, 20);
-        let total: u64 = months.iter().map(|&(_, count)| count).sum();
-        assert_eq!(total, profile.total_entries);
+        let all: Vec<u32> = (0..wb.collection().len() as u32).collect();
+        let months = wb.snapshot().cohort_monthly(&all);
+        let profile = wb.cohort_profile(&all, reference, 20);
+        assert_eq!(profile, pastas_analytics::cohort_profile_serial(
+            wb.collection(), wb.ontology(), &all, reference, 20,
+        ));
+        assert_eq!(months.iter().map(|&(_, count)| count).sum::<u64>(), profile.total_entries);
     }
 
-    /// Ingest leaves nothing to fold: `compact` changes no result, no
-    /// fingerprint and no index.
+    /// An ingested ICD-10 subcode nobody registered indicates its
+    /// category's condition: an `E11.9` row counts towards Diabetes in
+    /// the profile and in `conditions_of`, as the serial oracle says.
+    #[test]
+    fn an_ingested_subcode_indicates_its_category() {
+        use pastas_codes::Code;
+        let mut wb = wb();
+        let reference = Date::new(2014, 12, 31).unwrap();
+        let diabetes = |wb: &Workbench| {
+            let all: Vec<u32> = (0..wb.collection().len() as u32).collect();
+            let profile = wb.cohort_profile(&all, reference, 20);
+            let serial = pastas_analytics::cohort_profile_serial(
+                wb.collection(), wb.ontology(), &all, reference, 20,
+            );
+            assert_eq!(profile, serial);
+            profile.conditions.iter().find(|(name, _)| name == "Diabetes").map_or(0, |&(_, n)| n)
+        };
+        let was = diabetes(&wb);
+        let patient = (0..300)
+            .map(|p| *wb.collection().histories()[p].patient())
+            .find(|p| !wb.conditions_of(p.id).contains(&"Diabetes"))
+            .expect("a patient without diabetes");
+        wb.apply_ingest(&[diagnosis_batch(&[(patient, Code::icd10("E11.9"), 3)])]);
+        wb.debug_validate();
+        assert_eq!(diabetes(&wb), was + 1);
+        assert!(wb.conditions_of(patient.id).contains(&"Diabetes"));
+    }
+
+    /// The condition masks grow only by the codes the dictionary gained:
+    /// an ingest of known codes shares them with the snapshot before it,
+    /// a new code joins a copy and the row lists it.
+    #[test]
+    fn a_new_code_joins_a_copy_of_the_vocabulary() {
+        use pastas_codes::Code;
+        let mut wb = wb();
+        let known = *wb.collection().histories()[7].patient();
+        let before = wb.snapshot();
+        wb.apply_ingest(&[diagnosis_batch(&[(known, Code::icpc("T90"), 4)])]);
+        assert!(Arc::ptr_eq(&before.cond_masks, &wb.cond_masks), "no new code, no copy");
+        let codes = wb.collection().dictionary().len();
+        wb.apply_ingest(&[diagnosis_batch(&[(known, Code::icd10("I50.1"), 5)])]);
+        assert_eq!((before.cond_masks.len(), wb.cond_masks.len()), (codes, codes + 1));
+        let id = wb.collection().dictionary().lookup(&Code::icd10("I50.1")).expect("interned");
+        let row = wb.collection().spans(7..8).next().expect("row 7");
+        assert!(row.codes.get(0).contains(&id), "the row lists the new code");
+        let heart_failure = IntegrationOntology::condition_index("HeartFailure").expect("tracked");
+        assert_eq!(wb.cond_masks[id.0 as usize], 1 << heart_failure);
+        wb.debug_validate();
+    }
+
+    /// Ingest leaves nothing to fold: `compact` changes no result and no
+    /// index.
     #[test]
     fn compact_after_ingest_changes_nothing() {
         use pastas_ingest::{parse_delta, DeltaFormat, IdentityRegistry};
@@ -1333,12 +1255,10 @@ mod tests {
         wb.apply_ingest(&[persons, claims]);
         let q = QueryBuilder::new().has_code("T90").unwrap().build();
         let mid = wb.select_positions(&q);
-        let fp = wb.collection_fingerprint();
         let index: *const CodeIndex = wb.index();
         assert!(!wb.compact(), "nothing to fold");
         assert!(std::ptr::eq(wb.index(), index), "the same index");
         assert_eq!(wb.select_positions(&q), mid, "compaction changes no result");
-        assert_eq!(wb.collection_fingerprint(), fp, "same data, same fingerprint");
     }
 
     /// The streaming path's convergence contract: an empty workbench fed
@@ -1463,15 +1383,16 @@ mod tests {
             }
         }
 
-        /// The digest column `apply_ingest` carries forward equals the one
-        /// rebuilt from scratch after every publish of a random ingest
-        /// sequence — an existing patient extended, a new patient
-        /// appended, a code no vocabulary has seen, a replayed batch that
-        /// nets out to nothing, and one fixed row dirtied every round —
-        /// and no publish drops it. The patched index answers like the
-        /// scan. Half the cases start from the collection rebuilt from
-        /// independently built histories, every row re-encoded onto one
-        /// dictionary by `from_histories`.
+        /// The digest columns `apply_ingest` writes equal a rebuild
+        /// (`debug_validate`), and every snapshot's profile equals the
+        /// serial oracle, after every publish of a random ingest sequence
+        /// — an existing patient extended, a new patient appended, a code
+        /// no vocabulary has seen and an unseen subcode of a condition
+        /// category, a replayed batch that nets out to nothing, and one
+        /// fixed row dirtied every round. The patched index answers like
+        /// the scan. Half the cases start from the collection rebuilt
+        /// from independently built histories, every row re-encoded onto
+        /// one dictionary by `from_histories`.
         #[test]
         fn maintained_columns_equal_the_rebuilt_ones(
             collection_seed in 0u64..20,
@@ -1479,6 +1400,7 @@ mod tests {
             rebuilt in proptest::prelude::any::<bool>(),
         ) {
             use pastas_codes::Code;
+            use pastas_ontology::integration::CONDITIONS;
             use proptest::prelude::*;
             // Several arenas, several chunks, a partial last chunk.
             let config = SynthConfig { shard_patients: 100, ..SynthConfig::with_patients(300) };
@@ -1496,8 +1418,6 @@ mod tests {
             ];
             let mut wb = Workbench::from_collection(collection);
             let reference = Date::new(2014, 12, 31).unwrap();
-            let _ = wb.cohort_profile(&[], reference, 5);
-            prop_assert!(wb.holds_columns(), "the first read builds the column");
             let pinned = *wb.collection().histories()[7].patient();
             let mut replay: Option<DeltaBatch> = None;
             for (round, (kind, at, day)) in steps.into_iter().enumerate() {
@@ -1514,7 +1434,10 @@ mod tests {
                     }
                     (2, _) => {
                         let unseen = Code::icd10(&format!("Z{round}{day}"));
-                        diagnosis_batch(&[(existing, unseen, day)])
+                        let (_, _, categories, _) = CONDITIONS[at % CONDITIONS.len()];
+                        let category = categories[day as usize % categories.len()];
+                        let subcode = Code::icd10(&format!("{category}.{}", round % 10));
+                        diagnosis_batch(&[(existing, unseen, day), (existing, subcode, day)])
                     }
                     (_, Some(last)) => last,
                     (_, None) => DeltaBatch::default(),
@@ -1523,9 +1446,6 @@ mod tests {
                 let before = wb.snapshot();
                 wb.apply_ingest(&[batch.clone(), pin]);
                 replay = Some(batch);
-                prop_assert!(wb.holds_columns(), "round {} dropped the column", round);
-                let rebuilt = PatientColumns::build(wb.collection(), wb.ontology());
-                prop_assert!(wb.columns.get() == Some(&rebuilt), "round {} (kind {})", round, kind);
                 wb.debug_validate();
                 for q in &queries {
                     prop_assert_eq!(

@@ -1,6 +1,7 @@
 //! Collections of histories — the unit the workbench visualizes and queries.
 
-use crate::{CodeDictionary, History, PatientId, Sex};
+use crate::digest::{Csr, Digest};
+use crate::{CodeDictionary, CodeId, Dominant, History, Lists, PatientId, Run, Sex};
 use pastas_time::DateTime;
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
@@ -120,14 +121,19 @@ fn id_map_bytes(map: &HashMap<PatientId, usize>) -> usize {
     buckets * (std::mem::size_of::<(PatientId, usize)>() + 1)
 }
 
+/// Write `value` at `at` of `column`; `at == len` appends.
+fn put<T>(column: &mut Vec<T>, at: usize, value: T) {
+    match column.get_mut(at) {
+        Some(slot) => *slot = value,
+        None => column.push(value),
+    }
+}
+
 /// Up to [`CHUNK_ROWS`] consecutive rows: the histories inline (patient,
 /// arena handle and row span, 32 bytes each, no allocation of their own)
-/// and the per-row columns — first start and last end (seconds since the
-/// epoch, what [`History::first_time`] and [`History::last_time`] return;
-/// 0 for an empty history), entry count, and the patient's birth date (a
-/// day number) and sex: 25 bytes a row. The sort keys are read from here
-/// instead of one history and two binary searches per row; a demographic
-/// leaf of the query planner reads one column.
+/// and the per-row columns ([`RowSpan`] lists them): the sort keys, the
+/// demographics a planner leaf reads, and the digest a cohort profile
+/// folds, its code ids and month runs CSR style.
 #[derive(Debug, Clone, Default)]
 struct RowChunk {
     histories: Vec<History>,
@@ -136,59 +142,103 @@ struct RowChunk {
     entry_counts: Vec<u32>,
     births: Vec<i32>,
     sexes: Vec<Sex>,
+    dominant: Vec<Dominant>,
+    first_years: Vec<i16>,
+    codes: Csr<CodeId>,
+    runs: Csr<Run>,
 }
 
 impl RowChunk {
     /// Write row `at` from `history`; `at == len` appends.
     fn set(&mut self, at: usize, history: History) {
+        self.set_columns(at, &history, &mut Digest::default());
+        put(&mut self.histories, at, history);
+    }
+
+    /// Write row `at`'s columns from `history` (`at` == the column length
+    /// appends), computing its digest in `digest`'s buffers.
+    fn set_columns(&mut self, at: usize, history: &History, digest: &mut Digest) {
         let seconds = |t: Option<DateTime>| t.map_or(0, DateTime::second_number);
         let (first, last) = (seconds(history.first_time()), seconds(history.last_time()));
         let count = u32::try_from(history.len()).unwrap_or(u32::MAX);
         let patient = *history.patient();
         // Calendar day numbers lie within ±3.7M, far inside `i32`.
         let birth = i32::try_from(patient.birth_date.day_number()).unwrap_or(i32::MAX);
-        if at == self.histories.len() {
-            self.histories.push(history);
-            self.first_starts.push(first);
-            self.last_ends.push(last);
-            self.entry_counts.push(count);
-            self.births.push(birth);
-            self.sexes.push(patient.sex);
-        } else {
-            self.histories[at] = history;
-            (self.first_starts[at], self.last_ends[at], self.entry_counts[at]) = (first, last, count);
-            (self.births[at], self.sexes[at]) = (birth, patient.sex);
+        digest.fill(history);
+        self.codes.set(at, &digest.codes);
+        self.runs.set(at, &digest.runs);
+        put(&mut self.first_starts, at, first);
+        put(&mut self.last_ends, at, last);
+        put(&mut self.entry_counts, at, count);
+        put(&mut self.births, at, birth);
+        put(&mut self.sexes, at, patient.sex);
+        put(&mut self.dominant, at, digest.dominant);
+        put(&mut self.first_years, at, digest.first_year);
+    }
+
+    /// The columns of a full chunk of `rows` (its histories left empty),
+    /// written in one pass with one digest buffer and no spare capacity.
+    fn columns_of(rows: &[History]) -> RowChunk {
+        let mut chunk = RowChunk::default();
+        let mut digest = Digest::default();
+        for (at, history) in rows.iter().enumerate() {
+            chunk.set_columns(at, history, &mut digest);
         }
+        chunk.codes.shrink();
+        chunk.runs.shrink();
+        chunk
     }
 
     /// Rows `rows` of this chunk, the first at position `start`.
     fn span(&self, rows: Range<usize>, start: usize) -> RowSpan<'_> {
-        RowSpan {
-            start,
-            histories: &self.histories[rows.clone()],
-            first_starts: &self.first_starts[rows.clone()],
-            last_ends: &self.last_ends[rows.clone()],
-            entry_counts: &self.entry_counts[rows.clone()],
-            births: &self.births[rows.clone()],
-            sexes: &self.sexes[rows],
-        }
+        let all = RowSpan {
+            start: start - rows.start,
+            histories: &self.histories,
+            first_starts: &self.first_starts,
+            last_ends: &self.last_ends,
+            entry_counts: &self.entry_counts,
+            births: &self.births,
+            sexes: &self.sexes,
+            dominant: &self.dominant,
+            first_years: &self.first_years,
+            codes: self.codes.lists(),
+            runs: self.runs.lists(),
+        };
+        all.slice(rows)
     }
 
-    /// True if the two chunks' columns are equal (histories have no `==`).
+    /// True if the two chunks' columns are equal (histories have no `==`),
+    /// the code ids compared as the codes they name in `dicts`.
     #[cfg(any(test, debug_assertions))]
-    fn same_columns(&self, other: &RowChunk) -> bool {
+    fn same_columns(&self, other: &RowChunk, dicts: [&CodeDictionary; 2]) -> bool {
+        let codes = |chunk: &RowChunk, dict: &CodeDictionary, i: usize| {
+            let mut codes: Vec<pastas_codes::Code> =
+                chunk.codes.lists().get(i).iter().map(|&id| dict.resolve(id).clone()).collect();
+            codes.sort();
+            codes
+        };
         (&self.first_starts, &self.last_ends, &self.entry_counts)
             == (&other.first_starts, &other.last_ends, &other.entry_counts)
             && (&self.births, &self.sexes) == (&other.births, &other.sexes)
+            && (&self.dominant, &self.first_years) == (&other.dominant, &other.first_years)
+            && (0..self.entry_counts.len()).all(|i| {
+                self.runs.lists().get(i) == other.runs.lists().get(i)
+                    && codes(self, dicts[0], i) == codes(other, dicts[1], i)
+            })
     }
 
-    /// Heap bytes of the rows: 57 a row at full capacity.
+    /// Heap bytes of the rows: 70 a row at full capacity, and the code
+    /// ids and month runs.
     fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         self.histories.capacity() * size_of::<History>()
             + (self.first_starts.capacity() + self.last_ends.capacity()) * size_of::<i64>()
             + (self.entry_counts.capacity() + self.births.capacity()) * size_of::<u32>()
             + self.sexes.capacity() * size_of::<Sex>()
+            + self.dominant.capacity() * size_of::<Dominant>()
+            + self.first_years.capacity() * size_of::<i16>()
+            + self.codes.heap_bytes()
+            + self.runs.heap_bytes()
     }
 }
 
@@ -211,6 +261,14 @@ pub struct RowSpan<'a> {
     pub births: &'a [i32],
     /// Each row's patient sex.
     pub sexes: &'a [Sex],
+    /// Each row's dominant source, ICD-10 chapter and ATC main group.
+    pub dominant: &'a [Dominant],
+    /// Each row's first-contact year ([`crate::NO_YEAR`] when empty).
+    pub first_years: &'a [i16],
+    /// Each row's distinct code ids (the collection's), ascending.
+    pub codes: Lists<'a, CodeId>,
+    /// Each row's month runs, in month order.
+    pub runs: Lists<'a, Run>,
 }
 
 impl<'a> RowSpan<'a> {
@@ -228,18 +286,24 @@ impl<'a> RowSpan<'a> {
     /// perhaps shorter: the work units of a parallel scan.
     pub fn pieces(self, rows: usize) -> impl Iterator<Item = RowSpan<'a>> {
         let (rows, len) = (rows.max(1), self.len());
-        (0..len).step_by(rows).map(move |lo| {
-            let r = lo..(lo + rows).min(len);
-            RowSpan {
-                start: self.start + lo,
-                histories: &self.histories[r.clone()],
-                first_starts: &self.first_starts[r.clone()],
-                last_ends: &self.last_ends[r.clone()],
-                entry_counts: &self.entry_counts[r.clone()],
-                births: &self.births[r.clone()],
-                sexes: &self.sexes[r],
-            }
-        })
+        (0..len).step_by(rows).map(move |lo| self.slice(lo..(lo + rows).min(len)))
+    }
+
+    /// Rows `r` of this span.
+    fn slice(self, r: Range<usize>) -> RowSpan<'a> {
+        RowSpan {
+            start: self.start + r.start,
+            histories: &self.histories[r.clone()],
+            first_starts: &self.first_starts[r.clone()],
+            last_ends: &self.last_ends[r.clone()],
+            entry_counts: &self.entry_counts[r.clone()],
+            births: &self.births[r.clone()],
+            sexes: &self.sexes[r.clone()],
+            dominant: &self.dominant[r.clone()],
+            first_years: &self.first_years[r.clone()],
+            codes: self.codes.slice(r.clone()),
+            runs: self.runs.slice(r),
+        }
     }
 }
 
@@ -283,13 +347,39 @@ impl HistoryCollection {
     }
 
     /// Build from histories. Later duplicates of a patient id replace
-    /// earlier ones (last write wins, as when re-importing a source).
+    /// earlier ones (last write wins, as when re-importing a source). One
+    /// serial pass places the rows and fills the id map; the chunks'
+    /// columns, digests included, are then written in parallel, a chunk a
+    /// task.
     pub fn from_histories<I: IntoIterator<Item = History>>(histories: I) -> HistoryCollection {
         let mut c = HistoryCollection::new();
-        for h in histories {
-            c.upsert(h);
+        let mut groups: Vec<Vec<History>> = Vec::new();
+        let mut rows = 0;
+        for history in histories {
+            let history = c.onto_dictionary(history);
+            if let Some(at) = c.position_of(history.id()) {
+                groups[at / CHUNK_ROWS][at % CHUNK_ROWS] = history;
+                continue;
+            }
+            c.index_row(history.id(), rows);
+            if rows.is_multiple_of(CHUNK_ROWS) {
+                groups.push(Vec::new());
+            }
+            groups[rows / CHUNK_ROWS].push(history);
+            rows += 1;
         }
+        let columns = pastas_par::par_map_min(&groups, 1, |rows| RowChunk::columns_of(rows));
+        let chunks = columns.into_iter().zip(groups);
+        c.chunks = chunks.map(|(chunk, histories)| Arc::new(RowChunk { histories, ..chunk })).collect();
         c
+    }
+
+    /// Enter a new patient at position `p` into the id map.
+    fn index_row(&mut self, id: PatientId, p: usize) {
+        if self.by_id.is_empty() {
+            self.by_id = vec![Arc::default(); ID_SHARDS];
+        }
+        Arc::make_mut(&mut self.by_id[id_shard(id)]).insert(id, p);
     }
 
     /// Insert or replace the history for a patient: the only way a row
@@ -314,10 +404,7 @@ impl HistoryCollection {
         }
         let at = at.unwrap_or_else(|| {
             let p = self.len();
-            if self.by_id.is_empty() {
-                self.by_id = vec![Arc::default(); ID_SHARDS];
-            }
-            Arc::make_mut(&mut self.by_id[id_shard(id)]).insert(id, p);
+            self.index_row(id, p);
             if p.is_multiple_of(CHUNK_ROWS) {
                 self.chunks.push(Arc::default());
             }
@@ -484,16 +571,15 @@ impl HistoryCollection {
             let rows = chunk.histories.len();
             let last = c + 1 == self.chunks.len();
             assert!(rows == CHUNK_ROWS || last && rows > 0, "collection: chunk {c} holds {rows} rows");
-            let mut rebuilt = RowChunk::default();
             for (i, h) in chunk.histories.iter().enumerate() {
                 assert!(
                     h.store().dictionary().is_prefix_of(&self.dict),
                     "collection: row {}'s store is not on a prefix of the dictionary",
                     c * CHUNK_ROWS + i
                 );
-                rebuilt.set(i, h.clone());
             }
-            assert!(chunk.same_columns(&rebuilt), "collection: chunk {c}'s columns drifted");
+            let rebuilt = RowChunk::columns_of(&chunk.histories);
+            assert!(chunk.same_columns(&rebuilt, [&self.dict; 2]), "collection: chunk {c}'s columns drifted");
         }
         if let Some(summary) = self.summary.get() {
             assert_eq!(
@@ -518,7 +604,7 @@ impl HistoryCollection {
             return Some(format!("{} rows in {} chunks vs {} in {}", self.len(), self.chunks.len(), other.len(), other.chunks.len()));
         }
         for (c, (a, b)) in self.chunks.iter().zip(&other.chunks).enumerate() {
-            if !a.same_columns(b) {
+            if !a.same_columns(b, [&self.dict, &other.dict]) {
                 return Some(format!("chunk {c}: columns differ"));
             }
             for (i, (x, y)) in a.histories.iter().zip(&b.histories).enumerate() {
@@ -807,7 +893,7 @@ mod tests {
         grown.debug_validate();
         assert_eq!(chunks_shared(&c, &grown), [true, false, true, true]);
         assert_eq!(maps_copied(&c, &grown), 0, "a known patient copies no id sub-map");
-        assert_eq!(grown.row_bytes_copied_from(&c), c.chunks[1].heap_bytes());
+        assert_eq!(grown.row_bytes_copied_from(&c), grown.chunks[1].heap_bytes());
         assert!(grown.row_bytes_copied_from(&c) <= grown.row_bytes_at(&[at as u32]));
         assert_eq!(column(&c, |s| s.entry_counts)[at], 0, "parent's rows untouched");
 

@@ -27,6 +27,7 @@
 #![deny(missing_docs)]
 
 mod collection;
+mod digest;
 mod entry;
 mod epoch;
 mod history;
@@ -35,6 +36,7 @@ mod store;
 pub use collection::{
     CollectionStats, Histories, HistoriesIter, HistoryCollection, RowSpan, CHUNK_ROWS,
 };
+pub use digest::{dominant, CodeGroups, Dominant, Lists, Run, NO_GROUP, NO_YEAR};
 pub use entry::{EpisodeKind, Entry, Event, Interval, MeasurementKind, Payload, SourceKind};
 pub use epoch::OpenEpoch;
 pub use history::{History, Patient, Sex, ValidationReport};

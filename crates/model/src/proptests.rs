@@ -34,6 +34,7 @@ fn arb_payload() -> impl Strategy<Value = Payload> {
         Just(Payload::Diagnosis(Code::icpc("T90"))),
         Just(Payload::Diagnosis(Code::icpc("K74"))),
         Just(Payload::Medication(Code::atc("C07AB02"))),
+        Just(Payload::Diagnosis(Code::icd10("E11.9"))),
         (90.0f64..200.0).prop_map(|v| Payload::Measurement {
             kind: MeasurementKind::SystolicBp,
             value: v
@@ -278,6 +279,7 @@ proptest! {
             Code::icpc("T90"),
             Code::atc("A10BA02"),
             Code::icpc("K74"),
+            Code::icd10("E11.9"),
         ];
         // The first or last slot of a code, by the row's position.
         let index = |c: &Code, k: usize| {
@@ -596,8 +598,9 @@ proptest! {
 
     /// The chunked row table after random writes equals a fresh
     /// `from_histories` build of a plain row list kept beside it (the
-    /// oracle: a `Vec` and last write wins): rows, columns, id map and
-    /// summary. The table starts a few rows short of a chunk boundary, so
+    /// oracle: a `Vec` and last write wins): rows, columns (the digest
+    /// columns included), id map and summary, and so does a build that
+    /// meets every id twice, its stale row first. The table starts a few rows short of a chunk boundary, so
     /// appends open chunks; every step keeps a clone, which must not see
     /// the later writes. Re-registrations change a row's birth date and
     /// sex; sealed epochs extend known rows and append new ones.
@@ -679,8 +682,16 @@ fn table_matches_its_oracle(
         }
         c.debug_validate();
     }
-    let diff = c.table_diff(&HistoryCollection::from_histories(model));
+    let fresh = HistoryCollection::from_histories(model.clone());
+    let diff = c.table_diff(&fresh);
     prop_assert!(diff.is_none(), "{:?}", diff);
+    // Duplicate ids through the parallel build: every row of the first
+    // clone's list again after its stale version. The first appearance
+    // places a row, the last write fills it.
+    let stale = clones.first().map(|(_, rows)| rows.clone()).unwrap_or_default();
+    let twice = HistoryCollection::from_histories(stale.into_iter().chain(model));
+    let diff = twice.table_diff(&fresh);
+    prop_assert!(diff.is_none(), "duplicates: {:?}", diff);
     for (i, (clone, rows)) in clones.into_iter().enumerate() {
         let diff = clone.table_diff(&HistoryCollection::from_histories(rows));
         prop_assert!(diff.is_none(), "clone {}: {:?}", i, diff);

@@ -34,6 +34,7 @@
 //! store ⇄ `Vec<Entry>` round trip is lossless (property-tested in
 //! `proptests.rs`).
 
+use crate::digest::CodeGroups;
 use crate::entry::{Entry, EpisodeKind, MeasurementKind, Payload, SourceKind};
 use crate::history::{History, Patient, ValidationReport};
 use crate::HistoryCollection;
@@ -80,6 +81,8 @@ pub struct CodeDictionary {
     /// from the version that append made, so they agree on every id up
     /// to it.
     stamps: Vec<u64>,
+    /// `groups[id]`: the ICD-10 chapter and ATC group of code `id`.
+    groups: Vec<CodeGroups>,
 }
 
 /// Two dictionaries are equal when they hold the same codes under the
@@ -133,6 +136,7 @@ impl CodeDictionary {
                 self.codes.push(code.clone());
                 self.sorted.insert(pos, id);
                 self.stamps.push(NEXT_STAMP.fetch_add(1, Ordering::Relaxed));
+                self.groups.push(CodeGroups::of(code));
                 CodeId(id)
             }
         }
@@ -155,6 +159,12 @@ impl CodeDictionary {
             && self.stamps.last().is_none_or(|s| newer.stamps[self.stamps.len() - 1] == *s)
     }
 
+    /// The ICD-10 chapter and ATC group of the code behind an id, parsed
+    /// once when it was interned.
+    pub fn groups(&self, id: CodeId) -> CodeGroups {
+        self.groups[id.0 as usize]
+    }
+
     /// Iterate codes in id order (index `i` is `CodeId(i)`).
     pub fn iter(&self) -> impl ExactSizeIterator<Item = &Code> {
         self.codes.iter()
@@ -174,6 +184,7 @@ impl CodeDictionary {
             + self.codes.iter().map(|c| c.value.len()).sum::<usize>()
             + self.sorted.len() * std::mem::size_of::<u32>()
             + self.stamps.len() * std::mem::size_of::<u64>()
+            + self.groups.len() * std::mem::size_of::<CodeGroups>()
     }
 
     /// Deep invariant check (debug builds only; a no-op in release).
@@ -190,6 +201,8 @@ impl CodeDictionary {
             "dictionary: sorted view and id space differ in length"
         );
         assert_eq!(self.stamps.len(), self.codes.len(), "dictionary: an id without its stamp");
+        let groups: Vec<CodeGroups> = self.codes.iter().map(CodeGroups::of).collect();
+        assert_eq!(self.groups, groups, "dictionary: code groups drifted from the codes");
         let mut seen = vec![false; self.codes.len()];
         for &id in &self.sorted {
             let slot = seen

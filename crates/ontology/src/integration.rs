@@ -216,9 +216,14 @@ impl IntegrationOntology {
     }
 
     /// The conditions a code indicates, via subsumption (so `E11.9` rolls
-    /// up through `E11` to `Diabetes`). Unregistered codes yield nothing.
+    /// up through `E11` to `Diabetes`). A code without a class of its own
+    /// — an ingested subcode nobody registered — indicates what its
+    /// nearest ancestor with one does; a code with neither yields nothing.
     pub fn conditions_of(&self, code: &Code) -> Vec<&'static str> {
-        let Some(class) = self.lookup(&code_class_name(code)) else {
+        let own = self.lookup(&code_class_name(code));
+        let Some(class) = own.or_else(|| {
+            code.ancestors().iter().find_map(|ancestor| self.lookup(&code_class_name(ancestor)))
+        }) else {
             return Vec::new();
         };
         CONDITIONS
@@ -395,6 +400,17 @@ mod tests {
         o.saturate();
         assert!(o.is_subclass("ICD10:E11.9", "cond:Diabetes"));
         assert_eq!(o.conditions_of(&Code::icd10("E11.9")), vec!["Diabetes"]);
+    }
+
+    /// An ingested subcode nobody registered indicates what its category
+    /// does: the fresh ontology has no class for `E11.9`, only for `E11`.
+    #[test]
+    fn an_unregistered_subcode_rolls_up_to_its_category() {
+        let o = IntegrationOntology::new();
+        assert!(o.lookup("ICD10:E11.9").is_none(), "E11.9 is not registered");
+        assert_eq!(o.conditions_of(&Code::icd10("E11.9")), vec!["Diabetes"]);
+        assert_eq!(o.conditions_of(&Code::icd10("I50.1")), vec!["HeartFailure"]);
+        assert!(o.conditions_of(&Code::icd10("E12.9")).is_empty());
     }
 
     #[test]

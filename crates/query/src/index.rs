@@ -134,10 +134,10 @@ pub struct CodeIndex {
 impl CodeIndex {
     /// Build the index over a collection.
     ///
-    /// Each [`SHARD_ROWS`]-wide position block posts every entry's
-    /// [`pastas_model::EntryRef::code_id`] shard-relatively — the id is
-    /// the slot, so posting is one integer index — chunked across
-    /// threads; per-chunk postings merge in position order so the result
+    /// Each [`SHARD_ROWS`]-wide position block posts every row's distinct
+    /// code ids (the row table's [`RowSpan::codes`]) shard-relatively —
+    /// the id is the slot, so posting is one integer index — chunked
+    /// across threads; per-chunk postings merge in position order so the result
     /// is identical at every thread count, and the uncompressed
     /// intermediate never exceeds one shard.
     pub fn build(collection: &HistoryCollection) -> CodeIndex {
@@ -167,15 +167,11 @@ impl CodeIndex {
             let pieces = row_pieces(collection, base..base + shard_rows as usize);
             let chunks = pastas_par::par_chunks(&pieces, 1, |_, pieces| {
                 let mut lists: Vec<Vec<u16>> = vec![Vec::new(); codes];
-                for (h, p) in pieces.iter().flat_map(|piece| piece.histories.iter().zip(piece.start..)) {
-                    let rel = (p - base) as u16;
-                    for (_, id) in h.entries().scan() {
-                        if let Some(id) = id {
+                for piece in pieces {
+                    for (i, p) in (piece.start..piece.start + piece.len()).enumerate() {
+                        for id in piece.codes.get(i) {
                             // lint:allow(no-panic-hot-path) every row's dictionary is a prefix of dict
-                            let list = &mut lists[id.0 as usize];
-                            if list.last() != Some(&rel) {
-                                list.push(rel);
-                            }
+                            lists[id.0 as usize].push((p - base) as u16);
                         }
                     }
                 }
@@ -211,7 +207,7 @@ impl CodeIndex {
     /// are dirty whether or not the caller lists them.
     ///
     /// Each dirty row's old codes are read off this index's postings
-    /// (one `contains` a slot), its new ones off one walk of its entries,
+    /// (one `contains` a slot), its new ones off its row's code list,
     /// and only the (shard, slot) postings a row joins or leaves are
     /// copied and patched, `old ∩ ¬left ∪ joined`. Every other posting,
     /// and every shard no dirty row falls in, is shared (`Arc`). A code
@@ -239,17 +235,10 @@ impl CodeIndex {
         // (shard, slot) → the shard-relative rows that join and leave its
         // posting, ascending since dirty rows are.
         let mut patches: BTreeMap<(usize, usize), (Vec<u32>, Vec<u32>)> = BTreeMap::new();
-        let histories = collection.histories();
         for &p in &dirty {
             let (shard, rel) = ((p / width) as usize, p % width);
-            // lint:allow(no-panic-hot-path) dirty positions are below collection.len()
-            let mut now: Vec<usize> = histories[p as usize]
-                .entries()
-                .scan()
-                .filter_map(|(_, id)| id.map(|id| id.0 as usize))
-                .collect();
-            now.sort_unstable();
-            now.dedup();
+            let Some(row) = collection.spans(p as usize..p as usize + 1).next() else { continue };
+            let now: Vec<usize> = row.codes.get(0).iter().map(|id| id.0 as usize).collect();
             let was: Vec<usize> = match self.shards.get(shard) {
                 Some(old) if p < self.rows => {
                     let held = old.postings.iter().enumerate().filter(|(_, bm)| bm.contains(rel));

@@ -1,7 +1,6 @@
 //! A bounded LRU response cache.
 //!
-//! Keys are strings of the form
-//! `v{state version}:c{collection fingerprint}:{endpoint}:{params…}` —
+//! Keys are strings of the form `v{state version}:{endpoint}:{params…}` —
 //! the query component reuses [`pastas_query::HistoryQuery::fingerprint`],
 //! so two structurally identical queries share an entry no matter how they
 //! were written. Including the state version means a `/command` or ingest
@@ -250,13 +249,13 @@ mod tests {
     #[test]
     fn a_newer_version_retires_older_entries_once() {
         let cache = ResponseCache::new(8, 1024);
-        for key in ["v1:c0:svg", "v2:c0:svg", "v10:c0:svg", "metrics"] {
+        for key in ["v1:svg", "v2:svg", "v10:svg", "metrics"] {
             cache.put(key.into(), resp("body"));
         }
         cache.retire_before(2);
-        assert!(cache.get("v1:c0:svg").is_none(), "v1 retired");
+        assert!(cache.get("v1:svg").is_none(), "v1 retired");
         assert_eq!((cache.len(), cache.bytes()), (3, 12));
-        cache.put("v1:c0:svg".into(), resp("late"));
+        cache.put("v1:svg".into(), resp("late"));
         cache.retire_before(2);
         assert_eq!(cache.len(), 4, "a version retires once");
         cache.debug_validate();

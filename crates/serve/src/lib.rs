@@ -20,7 +20,7 @@
 //!   (`/select`, `/timeline/{patient}`, `/cohort.svg`, `/command`,
 //!   `/details`, `/metrics`);
 //! * [`cache`] — an LRU response cache keyed by
-//!   `(version, collection fingerprint, query fingerprint, render params)`;
+//!   `(version, query fingerprint, render params)`;
 //! * [`ingest`] — the streaming path: a bounded delta queue behind
 //!   `POST /ingest` (429 + `Retry-After` when full) and the apply worker
 //!   that drains it into freshly published snapshots;

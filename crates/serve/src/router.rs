@@ -18,8 +18,8 @@
 //! | `GET /healthz` | liveness probe (text) |
 //!
 //! Cacheable GET/select responses go through the [`ResponseCache`]; the
-//! key prefix is the snapshot's `(version, collection fingerprint)` pair,
-//! the suffix the endpoint's own parameters — for `/select`, the query's
+//! key prefix is the snapshot's version (monotone per server), the
+//! suffix the endpoint's own parameters — for `/select`, the query's
 //! canonical [`HistoryQuery::fingerprint`](pastas_query::HistoryQuery::fingerprint).
 
 use crate::cache::ResponseCache;

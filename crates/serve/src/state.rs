@@ -10,8 +10,8 @@
 //! costs what changed: a sort or an alignment writes a new display
 //! order, an ingest copies the row chunks (4,096 rows each) and id
 //! sub-maps its touched rows live in, the order only if it appends
-//! patients, and adjusts summary, fingerprint and the code index's
-//! postings from the touched rows. Every snapshot carries a monotone
+//! patients, and adjusts the summary and the code index's postings from
+//! the touched rows. Every snapshot carries a monotone
 //! version; response-cache keys include it, so stale cached responses are
 //! unreachable the moment a new snapshot lands.
 
@@ -35,13 +35,10 @@ pub struct Snapshot {
 
 impl Snapshot {
     /// The response-cache key prefix binding an entry to this exact state:
-    /// publication version plus collection fingerprint.
+    /// the publication version, monotone per [`ServeState`], so no two
+    /// states of one server share it.
     pub fn cache_prefix(&self) -> String {
-        format!(
-            "v{}:c{:016x}",
-            self.version,
-            self.workbench.collection_fingerprint()
-        )
+        format!("v{}", self.version)
     }
 
     /// Deep invariant check (debug builds only; a no-op in release).
@@ -51,8 +48,8 @@ impl Snapshot {
     /// pointer first, then a set: O(entries) however many private stores
     /// streamed ingest has left behind), the inverted code index, and
     /// what a publish maintains instead of recomputing — the collection
-    /// summary against the from-entries walk, the fingerprint against the
-    /// from-scratch one, a built digest column against a rebuilt one, the
+    /// summary against the from-entries walk, the row and digest columns
+    /// against a rebuild, the condition masks against the dictionary, the
     /// reference date against the summary.
     #[cfg(debug_assertions)]
     pub fn debug_validate(&self) {
@@ -217,19 +214,15 @@ mod tests {
         // The pre-command snapshot still reads its own consistent state.
         assert_ne!(before.workbench.order(), after.workbench.order());
         assert_eq!(before.version, 1);
-        // Same collection → same fingerprint, different version → new keys.
-        assert_ne!(before.cache_prefix(), after.cache_prefix());
-        assert_eq!(
-            before.workbench.collection_fingerprint(),
-            after.workbench.collection_fingerprint()
-        );
+        // A new version → new keys.
+        assert_eq!((before.cache_prefix(), after.cache_prefix()), ("v1".to_owned(), "v2".to_owned()));
     }
 
     /// A view command publishes a new version that shares everything a
     /// view command cannot change: every row chunk and id sub-map (no
-    /// row byte copied, nothing touched per history), fingerprint and
-    /// reference date — and a command that leaves the display order alone
-    /// shares that too.
+    /// row byte copied, nothing touched per history) and the reference
+    /// date — and a command that leaves the display order alone shares
+    /// that too. Each version keys its own cache entries.
     #[test]
     fn view_commands_share_the_collection_spine() {
         let state = state();
@@ -254,17 +247,15 @@ mod tests {
                 "{command:?}"
             );
             assert_eq!(after.reference_date, before.reference_date);
-            assert_eq!(
-                after.workbench.collection_fingerprint(),
-                before.workbench.collection_fingerprint()
-            );
+            assert_eq!(after.cache_prefix(), format!("v{version}"));
+            assert_ne!(after.cache_prefix(), previous.cache_prefix());
             previous = after;
         }
     }
 
-    /// An ingest publish moves reference date and fingerprint with the
-    /// touched rows, and (debug builds) `publish` has checked both against
-    /// their from-scratch oracles.
+    /// An ingest publish moves the reference date with the touched rows
+    /// under a new version and cache key, and (debug builds) `publish` has
+    /// checked what it maintains against the from-scratch oracles.
     #[test]
     fn ingest_publishes_advance_the_maintained_summary() {
         use pastas_ingest::{parse_delta, DeltaFormat, IdentityRegistry};
@@ -283,10 +274,7 @@ mod tests {
         let after = state.snapshot();
         assert_eq!(after.reference_date, Date::new(2031, 5, 4).unwrap());
         assert!(after.reference_date > before.reference_date);
-        assert_ne!(
-            after.workbench.collection_fingerprint(),
-            before.workbench.collection_fingerprint()
-        );
+        assert_ne!(after.cache_prefix(), before.cache_prefix());
         assert_eq!(
             after.workbench.collection().stats().entries,
             before.workbench.collection().stats().entries + 1
@@ -303,7 +291,7 @@ mod tests {
     #[test]
     fn replace_swaps_the_collection() {
         let state = state();
-        let fp_before = state.snapshot().workbench.collection_fingerprint();
+        let key_before = state.snapshot().cache_prefix();
         let v = state.replace(Workbench::from_collection(generate_collection(
             SynthConfig::with_patients(40),
             9,
@@ -311,7 +299,7 @@ mod tests {
         assert_eq!(v, 2);
         let snap = state.snapshot();
         assert_eq!(snap.workbench.collection().len(), 40);
-        assert_ne!(snap.workbench.collection_fingerprint(), fp_before);
+        assert_ne!(snap.cache_prefix(), key_before);
     }
 
     #[test]

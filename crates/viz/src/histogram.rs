@@ -141,7 +141,7 @@ pub fn panel_ascii(profile: &CohortProfile, cols: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pastas_analytics::PatientColumns;
+    use pastas_analytics::cohort_profile_serial;
     use pastas_ontology::integration::IntegrationOntology;
     use pastas_synth::{generate_collection, SynthConfig};
     use pastas_time::Date;
@@ -154,7 +154,7 @@ mod tests {
             .map(|dt| dt.date())
             .unwrap_or_else(|| Date::new(2013, 1, 1).expect("valid"));
         let positions: Vec<u32> = (0..collection.len() as u32).collect();
-        PatientColumns::build(&collection, &IntegrationOntology::new()).profile(&positions, reference, 10)
+        cohort_profile_serial(&collection, &IntegrationOntology::new(), &positions, reference, 10)
     }
 
     #[test]
@@ -181,11 +181,8 @@ mod tests {
     #[test]
     fn empty_profile_renders_without_panicking() {
         let collection = generate_collection(SynthConfig::with_patients(10), 31);
-        let p = PatientColumns::build(&collection, &IntegrationOntology::new()).profile(
-            &[],
-            Date::new(2013, 1, 1).expect("valid"),
-            10,
-        );
+        let reference = Date::new(2013, 1, 1).expect("valid");
+        let p = cohort_profile_serial(&collection, &IntegrationOntology::new(), &[], reference, 10);
         assert!(panel_svg(&p, 400.0, 300.0).contains("<svg"));
         assert!(panel_ascii(&p, 80).contains("0 patients"));
     }

@@ -22,8 +22,9 @@
 //! (`Workbench::sort`, median of five), each command of the view
 //! phase's eight-command cycle and the `render_svg` after it (median of
 //! five each, every number printed) and the paper-shaped cohort's
-//! profile and monthly series (median of five on a built digest column)
-//! — the 1M-patient CI stage runs with `--budget-ms 100`.
+//! profile and monthly series (median of five, folded from the row
+//! table's digest columns) — the 1M-patient CI stage runs with
+//! `--budget-ms 100`.
 //! `--smoke-temporal` runs the same differential discipline over
 //! `seq(...)` temporal shapes: code-bearing patterns must plan to an
 //! index prefilter feeding a `PatternScan` operator (never a full
@@ -34,8 +35,10 @@
 //! workbench, `apply_ingest`, then the previous one dropped), with the
 //! previous snapshot alive while the next is built, and fails when any
 //! publish copies more row-table bytes than the chunks and id sub-maps
-//! of its touched rows hold — a count, not a timing. It prints the
-//! `apply_ingest` and drop times and the bytes each publish allocated.
+//! of its touched rows hold, or leaves a touched row whose digest
+//! columns differ from a fresh digest of its history — counts, not
+//! timings. It prints the `apply_ingest` and drop times, the row-table
+//! bytes each publish copied and the bytes it allocated.
 //! `--smoke-synth` generates the benchmark's collection (seed 2016) and
 //! fails unless its content hash (`pastas_synth::golden`) equals the one
 //! recorded for `--patients` and `--shard-patients` — an equality check,
@@ -345,7 +348,7 @@ fn median_of_five(mut run: impl FnMut()) -> f64 {
 }
 
 /// The paper-shaped cohort's two reads held to the budget: its profile
-/// and its monthly series, median of five each on a built digest column.
+/// and its monthly series, median of five each.
 /// Reports (and counts) only the reads over it.
 fn cohort_reads_over_budget(
     workbench: &Workbench,
@@ -355,8 +358,6 @@ fn cohort_reads_over_budget(
     let text = "has(K.*) and lacks(A98) and age(0..150)";
     let query = parse_query(text, reference).expect("the paper-shaped cohort parses");
     let positions = workbench.select_positions(&query);
-    // The first read builds the digest column; the budget is for reads.
-    std::hint::black_box(workbench.cohort_profile(&[], reference, 20));
     let reads = [
         ("profile", median_of_five(|| {
             std::hint::black_box(workbench.cohort_profile(&positions, reference, 20));
@@ -470,8 +471,9 @@ fn increments(text: &str) -> Vec<String> {
 /// as the server's is. Each of the first [`SMOKE_PUBLISHES`] increments is
 /// one publish, built while its predecessor is alive. Fails when a
 /// publish copies more row bytes (`row_bytes_copied_from`) than the
-/// chunks and id sub-maps of its touched rows hold (`row_bytes_at`).
-/// Returns the exit code.
+/// chunks and id sub-maps of its touched rows hold (`row_bytes_at`), or
+/// when a touched row's digest columns differ from a fresh digest of
+/// its history ([`digest_is_fresh`]). Returns the exit code.
 fn run_publish_smoke(workbench: Workbench) -> i32 {
     use pastas_synth::emit::{emit, MessConfig};
     let mut registry = IdentityRegistry::new();
@@ -513,6 +515,12 @@ fn run_publish_smoke(workbench: Workbench) -> i32 {
             eprintln!("  FAIL publish {i}: copied {bytes} row bytes, its {} rows' chunks hold {bound}", dirty.len());
             failures += 1;
         }
+        for &pos in &dirty {
+            if !digest_is_fresh(collection, pos as usize) {
+                eprintln!("  FAIL publish {i}: row {pos}'s digest columns differ from a fresh digest");
+                failures += 1;
+            }
+        }
         copied.push(bytes as f64);
         let previous = std::mem::replace(&mut current, next);
         let t = std::time::Instant::now();
@@ -542,6 +550,17 @@ fn run_publish_smoke(workbench: Workbench) -> i32 {
         eprintln!("PUBLISH SMOKE: all checks passed");
         0
     }
+}
+
+/// True if row `pos`'s digest columns equal those of a one-row table
+/// built afresh from its history (on the same dictionary version, so the
+/// code ids agree).
+fn digest_is_fresh(collection: &pastas_model::HistoryCollection, pos: usize) -> bool {
+    let Some(row) = collection.spans(pos..pos + 1).next() else { return false };
+    let fresh = pastas_model::HistoryCollection::from_histories(row.histories.to_vec());
+    let Some(once) = fresh.spans(0..1).next() else { return false };
+    let digest = |r: &pastas_model::RowSpan<'_>| (r.dominant.to_vec(), r.first_years.to_vec(), r.codes.get(0).to_vec(), r.runs.get(0).to_vec());
+    digest(&row) == digest(&once)
 }
 
 /// The synthesis smoke: generate the collection of seed
