@@ -32,7 +32,7 @@ impl Json {
     /// Parse a complete JSON document (trailing whitespace allowed,
     /// anything else is an error).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -126,9 +126,17 @@ pub fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// The deepest nesting of arrays and objects a document may have. The
+/// parser, and the drop of the value it builds, recurse once a level, so
+/// a request-sized document nested past this is refused rather than
+/// overflowing the stack.
+const MAX_NESTING: usize = 64;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -157,8 +165,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::String(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -166,6 +174,21 @@ impl Parser<'_> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    /// Parse one array or object a level deeper, refusing past
+    /// [`MAX_NESTING`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err(&format!("nested deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, text: &str, value: Json) -> Result<Json, JsonError> {
@@ -385,6 +408,24 @@ mod tests {
         assert_eq!(Json::parse("{}").unwrap(), Json::Object(BTreeMap::new()));
         assert_eq!(Json::parse("[]").unwrap(), Json::Array(Vec::new()));
         assert_eq!(Json::parse("[ ]").unwrap(), Json::Array(Vec::new()));
+    }
+
+    /// Arrays and objects nested past `MAX_NESTING` are a typed error,
+    /// also on a 2 MiB thread (the std default a server worker runs on),
+    /// where 10,000 levels used to overflow the stack.
+    #[test]
+    fn nesting_is_capped_on_a_small_stack() {
+        let worker = std::thread::Builder::new().stack_size(2 << 20).spawn(|| {
+            for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
+                let nest = |n: usize| format!("{}0{}", open.repeat(n), close.repeat(n));
+                assert!(Json::parse(&nest(MAX_NESTING)).is_ok());
+                for n in [MAX_NESTING + 1, 10_000] {
+                    let e = Json::parse(&nest(n)).unwrap_err();
+                    assert!(e.message.contains("nested deeper"), "{open:?} x {n}: {e}");
+                }
+            }
+        });
+        worker.expect("spawn").join().expect("no panic, no overflow");
     }
 
     #[test]

@@ -16,9 +16,9 @@
 //! The static pass has a dynamic twin: `debug_validate()` deep invariant
 //! checks on `EventStore`, `CodeIndex`, `ResponseCache`, and `Snapshot`,
 //! compiled under `cfg(debug_assertions)` and exercised by proptests and
-//! at snapshot publication. The lint rules keep panics and unbudgeted
-//! allocations out of the hot paths; the validators prove the data
-//! structures those paths rely on are internally consistent.
+//! at snapshot publication. The lint rules keep panics out of the hot
+//! paths and request-fed allocations clamped; the validators prove the
+//! data structures those paths rely on are internally consistent.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

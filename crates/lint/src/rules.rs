@@ -53,12 +53,7 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         "budget-enforced-alloc",
-        "flag request-fed with_capacity/read_to_end in serve/http.rs without a budget \
-         clamp, bitmap decodes (`to_vec`) inside loops in the query crate, and any Vec \
-         allocation inside the loops of the regex VM (regex/engine.rs) and the pattern \
-         scan (query/temporal.rs) (pooled scratch only), any String built inside a loop of \
-         viz/svg.rs (one output buffer), and any String or Vec built inside the per-entry \
-         loops of viz/timeline.rs (one tooltip a drawn element)",
+        "flag request-fed with_capacity/read_to_end in serve/http.rs without a budget clamp",
     ),
     (
         "no-unwrap-on-lock",
@@ -380,19 +375,10 @@ fn rule_no_silent_truncation(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
     }
 }
 
+/// Request-fed allocations in the HTTP parser need a budget clamp. The
+/// hot loops' allocations are budgeted at run time, by
+/// `crates/core/tests/alloc_budgets.rs`.
 fn rule_budget_enforced_alloc(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
-    // The regex VM and the pattern scan get the stricter temporal-hot-loop
-    // arm (which subsumes the decode arm's `to_vec` check); every other
-    // query/analytics file keeps the decode-loop arm. The analytics
-    // dimension pass consumes frozen bitmaps the same way the planner
-    // does, so it inherits the decode-loop arm verbatim.
-    if ctx.path.ends_with("query/src/temporal.rs") || ctx.path.ends_with("regex/src/engine.rs") {
-        budget_alloc_temporal_hot_loops(ctx, out);
-    } else if ctx.path.contains("query/src/") || ctx.path.contains("analytics/src/") {
-        budget_alloc_query_decode_loops(ctx, out);
-    } else if ctx.path.ends_with("viz/src/svg.rs") || ctx.path.ends_with("viz/src/timeline.rs") {
-        budget_alloc_renderer_loops(ctx, out);
-    }
     if !ctx.path.ends_with("serve/src/http.rs") {
         return;
     }
@@ -431,144 +417,6 @@ fn rule_budget_enforced_alloc(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
             ));
         }
     }
-}
-
-/// Sig-token ranges of loop bodies: `for … in … {…}`, `while … {…}`,
-/// `loop {…}` (`impl Trait for Type` and `for<'a>` bounds are excluded
-/// — a `for` loop header always carries `in` before its brace).
-fn loop_body_ranges(ctx: &FileContext<'_>) -> Vec<(usize, usize)> {
-    let mut bodies: Vec<(usize, usize)> = Vec::new();
-    for p in 0..ctx.sig.len() {
-        let kw = ctx.sig_text(p);
-        if kw != "for" && kw != "while" && kw != "loop" {
-            continue;
-        }
-        let mut saw_in = false;
-        let mut open = None;
-        for q in p + 1..ctx.sig.len() {
-            let t = ctx.sig_token(q);
-            if t.is_punct(ctx.src, ';') || t.is_punct(ctx.src, '}') {
-                break;
-            }
-            if t.is_punct(ctx.src, '{') {
-                open = Some(q);
-                break;
-            }
-            if ctx.sig_text(q) == "in" {
-                saw_in = true;
-            }
-        }
-        if kw == "for" && !saw_in {
-            continue;
-        }
-        let Some(open) = open else { continue };
-        let Some(close) = ctx.pair[open] else { continue };
-        bodies.push((open, close));
-    }
-    bodies
-}
-
-/// The loop arms of `budget-enforced-alloc`: every allocation `alloc_at`
-/// names at a non-test position inside one of the loop `bodies` is a
-/// finding, ``"`{alloc}` {why}"``.
-fn flag_loop_allocs<'c>(
-    ctx: &'c FileContext<'_>,
-    out: &mut Vec<Finding>,
-    why: &str,
-    bodies: &[(usize, usize)],
-    alloc_at: impl Fn(usize) -> Option<&'c str>,
-) {
-    for p in 0..ctx.sig.len() {
-        if ctx.sig_is_test(p) || !bodies.iter().any(|&(open, close)| open < p && p < close) {
-            continue;
-        }
-        if let Some(alloc) = alloc_at(p) {
-            let message = format!("`{alloc}` {why}");
-            out.push(ctx.finding(ctx.sig_token(p), "budget-enforced-alloc", message));
-        }
-    }
-}
-
-/// True if sig position `p` is a call, not the `fn` that defines it.
-fn is_call(ctx: &FileContext<'_>, p: usize) -> bool {
-    p == 0 || ctx.sig_text(p - 1) != "fn"
-}
-
-/// True if sig position `p` holds `new` in `<ty>::new` (the `::` lexes as
-/// two `:` puncts).
-fn is_new_of(ctx: &FileContext<'_>, p: usize, ty: &str) -> bool {
-    p >= 3 && ctx.sig_token(p - 1).is_punct(ctx.src, ':') && ctx.sig_text(p - 3) == ty
-}
-
-/// True if the token after sig position `p` is the punct `c`.
-fn next_is(ctx: &FileContext<'_>, p: usize, c: char) -> bool {
-    p + 1 < ctx.sig.len() && ctx.sig_token(p + 1).is_punct(ctx.src, c)
-}
-
-/// The query-crate arm: decoding a compressed posting bitmap to
-/// `Vec<u32>` (`to_vec`) inside a loop body defeats the compression the
-/// planner's latency budget rests on — set algebra must stay in
-/// container space (intersect/union/complement), with at most one
-/// decode hoisted after the loop.
-fn budget_alloc_query_decode_loops(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
-    let why = "decodes a full compressed bitmap inside a loop — keep the set algebra in \
-               container space (intersect/union/complement) and hoist a single decode out \
-               of the loop";
-    flag_loop_allocs(ctx, out, why, &loop_body_ranges(ctx), |p| {
-        (ctx.sig_text(p) == "to_vec" && is_call(ctx, p)).then_some("to_vec")
-    });
-}
-
-/// The temporal-hot-loop arm, applied to the regex VM
-/// (`regex/src/engine.rs`) and the pattern scan (`query/src/temporal.rs`):
-/// their loops run once per code or entry per history across the whole
-/// cohort, so a Vec allocation inside them (`Vec::new`, `vec![…]`,
-/// `with_capacity`, `to_vec`) multiplies into millions of allocator calls
-/// per selection. Both files own pooled scratch (recycled saves buffers,
-/// the thread-local step buffer) — loop bodies must draw from the pool
-/// instead.
-fn budget_alloc_temporal_hot_loops(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
-    let why = "allocates inside a regex VM or pattern scan loop that runs per entry per \
-               history — draw from the pooled scratch (recycled saves buffers / the \
-               thread-local step buffer) instead of allocating";
-    flag_loop_allocs(ctx, out, why, &loop_body_ranges(ctx), |p| match ctx.sig_text(p) {
-        text @ ("with_capacity" | "to_vec") if is_call(ctx, p) => Some(text),
-        "new" if is_new_of(ctx, p, "Vec") => Some("Vec::new"),
-        "vec" if next_is(ctx, p, '!') => Some("vec!"),
-        _ => None,
-    });
-}
-
-/// The renderer arm. In `viz/src/svg.rs` its loops run once per drawn
-/// element, thousands of times a view, so a `String` built there
-/// (`format!`, `.to_owned()`, `.to_string()`, `String::new`, `.collect()`,
-/// `.join(`) is thousands of allocator calls a render: elements are
-/// written into the one output buffer instead. In `viz/src/timeline.rs`
-/// the loops nested in the per-row loop run once per entry of a visible
-/// row; there a `String` or a `vec!` is an allocation per visited entry,
-/// where a drawn element may make one, its tooltip, outside the loop.
-fn budget_alloc_renderer_loops(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
-    let mut bodies = loop_body_ranges(ctx);
-    let why = if ctx.path.ends_with("viz/src/timeline.rs") {
-        let outer = bodies.clone();
-        bodies.retain(|&(open, close)| outer.iter().any(|&(o, c)| o < open && close < c));
-        "allocates inside a per-entry layout loop — write the tooltip into one buffer sized \
-         once and reuse buffers hoisted out of the loop"
-    } else {
-        "builds a String inside a per-element render loop — write into the output buffer \
-         (push_str / write!) instead"
-    };
-    flag_loop_allocs(ctx, out, why, &bodies, |p| match ctx.sig_text(p) {
-        "format" if next_is(ctx, p, '!') => Some("format!"),
-        "vec" if next_is(ctx, p, '!') => Some("vec!"),
-        text @ ("to_owned" | "to_string" | "collect" | "join")
-            if p > 0 && ctx.sig_token(p - 1).is_punct(ctx.src, '.') =>
-        {
-            Some(text)
-        }
-        "new" if is_new_of(ctx, p, "String") => Some("String::new"),
-        _ => None,
-    });
 }
 
 /// `.lock()`/`.read()`/`.write()` immediately followed by `.unwrap()`:

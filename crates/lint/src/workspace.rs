@@ -50,14 +50,16 @@ pub fn analyze_sources(inputs: &[(String, String)]) -> Vec<Finding> {
     findings
 }
 
+/// `file` relative to `root` with forward slashes: the path diagnostics
+/// show and crate scoping reads.
+fn relative(root: &Path, file: &Path) -> String {
+    file.strip_prefix(root).unwrap_or(file).to_string_lossy().replace('\\', "/")
+}
+
 /// Check one file on disk. `root` is the workspace root used to derive
 /// the path shown in diagnostics and the crate scoping.
 pub fn check_path(root: &Path, file: &Path) -> Vec<Finding> {
-    let rel = file
-        .strip_prefix(root)
-        .unwrap_or(file)
-        .to_string_lossy()
-        .replace('\\', "/");
+    let rel = relative(root, file);
     // Lossy decoding keeps the tool total on any byte soup; Rust sources
     // are UTF-8 so real files round-trip exactly.
     let Ok(bytes) = fs::read(file) else {
@@ -83,13 +85,8 @@ fn workspace_inputs(root: &Path) -> Vec<(String, String)> {
         let mut files = Vec::new();
         rust_files(&crate_dir.join("src"), &mut files);
         for file in files {
-            let rel = file
-                .strip_prefix(root)
-                .unwrap_or(&file)
-                .to_string_lossy()
-                .replace('\\', "/");
             let Ok(bytes) = fs::read(&file) else { continue };
-            inputs.push((rel, String::from_utf8_lossy(&bytes).into_owned()));
+            inputs.push((relative(root, &file), String::from_utf8_lossy(&bytes).into_owned()));
         }
     }
     inputs

@@ -118,59 +118,10 @@ fn budget_flags_unclamped_request_fed_allocations() {
 }
 
 #[test]
-fn budget_flags_bitmap_decodes_inside_query_loops() {
-    let findings = check_fixture("bitmap_decode");
-    assert_eq!(
-        shape(&findings),
-        vec![
-            ("budget-enforced-alloc", 10),
-            ("budget-enforced-alloc", 14),
-            ("budget-enforced-alloc", 17),
-        ]
-    );
-}
-
-#[test]
-fn budget_flags_bitmap_decodes_inside_analytics_loops() {
-    let findings = check_fixture("analytics_decode");
-    assert_eq!(shape(&findings), vec![("budget-enforced-alloc", 9)]);
-}
-
-#[test]
-fn budget_flags_allocations_inside_automaton_loops() {
-    let findings = check_fixture("temporal_alloc");
-    assert_eq!(
-        shape(&findings),
-        vec![
-            ("budget-enforced-alloc", 9),
-            ("budget-enforced-alloc", 10),
-            ("budget-enforced-alloc", 11),
-            ("budget-enforced-alloc", 17),
-        ]
-    );
-    assert!(
-        findings.iter().any(|f| f.message.contains("pooled scratch")),
-        "the message points at the pool idiom"
-    );
-}
-
-#[test]
-fn budget_flags_strings_built_inside_svg_element_loops() {
-    let lines: Vec<_> = check_fixture("svg_alloc").iter().map(|f| (f.rule, f.line)).collect();
-    assert_eq!(lines, [7, 8, 9, 9, 10, 11].map(|line| ("budget-enforced-alloc", line)));
-}
-
-#[test]
 fn lock_unwrap_flags_non_test_unwraps_only() {
     let findings = check_fixture("lock_unwrap");
     assert_eq!(
         shape(&findings),
         vec![("no-unwrap-on-lock", 5), ("no-unwrap-on-lock", 11)]
     );
-}
-
-#[test]
-fn timeline_alloc_flags_per_entry_loops_only() {
-    let lines: Vec<_> = check_fixture("timeline_alloc").iter().map(|f| (f.rule, f.line)).collect();
-    assert_eq!(lines, [10, 11, 12, 13, 14, 18].map(|line| ("budget-enforced-alloc", line)));
 }

@@ -14,7 +14,6 @@
 //! Abstraction ("beta blocker" vs "atenolol" — the LifeLines example the
 //! paper cites) is served by [`PresentationOntology::abstract_label`].
 
-use crate::integration::code_class_name;
 use pastas_codes::{atc::AtcCode, catalog, Code, CodeSystem};
 use pastas_model::{EntryView, EpisodeKind, PayloadRef};
 
@@ -211,12 +210,6 @@ impl PresentationOntology {
         }
         out
     }
-}
-
-/// The presentation-ontology name of a code class (shared with the
-/// integration ontology; both formalizations refer to codes the same way).
-pub fn viz_code_class(code: &Code) -> String {
-    code_class_name(code)
 }
 
 #[cfg(test)]

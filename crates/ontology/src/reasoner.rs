@@ -229,12 +229,6 @@ impl Reasoner {
             .filter(|&x| self.subs[x.0 as usize].contains(&b))
             .collect()
     }
-
-    /// Entailed role edges `x →r y` (from CR3).
-    pub fn role_edges(&self) -> &HashSet<(ClassId, RoleId, ClassId)> {
-        assert!(self.saturated, "call saturate() before querying");
-        &self.edges
-    }
 }
 
 #[cfg(test)]

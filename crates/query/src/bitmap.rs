@@ -26,7 +26,8 @@
 //! container on the compressed form: galloping intersection for skewed
 //! array×array pairs, word-AND/OR for bits×bits, interval merges for
 //! runs — no decode to `Vec<u32>` in the middle of the algebra (the
-//! `budget-enforced-alloc` lint enforces this).
+//! select budget of `crates/core/tests/alloc_budgets.rs` counts the
+//! bytes a planned select allocates and fails on one).
 
 use std::cmp::Ordering;
 
@@ -811,8 +812,8 @@ impl Bitmap {
     /// [`decode_into`](Bitmap::decode_into); calling `select(i)` in a
     /// dense loop re-walks the header prefix every time, and calling
     /// `to_vec()` in a loop defeats the compression outright (the
-    /// `budget-enforced-alloc` lint flags the latter in `query/` and
-    /// `analytics/`).
+    /// allocation budgets of `crates/core/tests/alloc_budgets.rs` fail
+    /// on the latter in a planned select or a cohort read).
     pub fn select(&self, i: usize) -> Option<u32> {
         if i >= self.len {
             return None;
@@ -954,7 +955,8 @@ impl Bitmap {
     /// Decode to a sorted `Vec<u32>`. Fine at boundaries (tests, final
     /// result assembly); never call this between set operations — that is
     /// exactly the allocation the compressed form exists to avoid, and
-    /// the `budget-enforced-alloc` lint flags it inside loops.
+    /// the select budget of `crates/core/tests/alloc_budgets.rs` fails
+    /// on it inside an operator.
     pub fn to_vec(&self) -> Vec<u32> {
         let mut out = Vec::with_capacity(self.len);
         self.decode_into(0, &mut out);

@@ -61,9 +61,15 @@ impl fmt::Display for QueryParseError {
 
 impl std::error::Error for QueryParseError {}
 
+/// The deepest nesting of parentheses and `not`s a query may have. Each
+/// level is a stack frame here and in every pass over the query after
+/// it, so a request-sized query nested past this is refused rather than
+/// overflowing a worker's stack.
+const MAX_NESTING: usize = 64;
+
 /// Parse a query. `age(..)` clauses evaluate at `reference_date`.
 pub fn parse_query(text: &str, reference_date: Date) -> Result<HistoryQuery, QueryParseError> {
-    let mut p = P { text, pos: 0, reference_date };
+    let mut p = P { text, pos: 0, depth: 0, reference_date };
     p.ws();
     let q = p.or_expr()?;
     p.ws();
@@ -76,6 +82,8 @@ pub fn parse_query(text: &str, reference_date: Date) -> Result<HistoryQuery, Que
 struct P<'a> {
     text: &'a str,
     pos: usize,
+    /// Open parentheses and `not`s around `pos`.
+    depth: usize,
     reference_date: Date,
 }
 
@@ -90,9 +98,23 @@ impl P<'_> {
     }
 
     fn ws(&mut self) {
-        while self.rest().starts_with(|c: char| c.is_whitespace()) {
-            self.pos += 1;
+        while let Some(c) = self.rest().chars().next().filter(|c| c.is_whitespace()) {
+            self.pos += c.len_utf8();
         }
+    }
+
+    /// Parse one level deeper with `parse`, refusing past [`MAX_NESTING`].
+    fn nested(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<HistoryQuery, QueryParseError>,
+    ) -> Result<HistoryQuery, QueryParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err(&format!("nested deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let q = parse(self);
+        self.depth -= 1;
+        q
     }
 
     /// Consume a keyword followed by a non-word boundary.
@@ -147,7 +169,7 @@ impl P<'_> {
 
     fn not_expr(&mut self) -> Result<HistoryQuery, QueryParseError> {
         if self.keyword("not") {
-            return Ok(HistoryQuery::Not(Box::new(self.not_expr()?)));
+            return Ok(HistoryQuery::Not(Box::new(self.nested(Self::not_expr)?)));
         }
         self.primary()
     }
@@ -155,7 +177,7 @@ impl P<'_> {
     fn primary(&mut self) -> Result<HistoryQuery, QueryParseError> {
         if self.rest().starts_with('(') {
             self.eat("(")?;
-            let q = self.or_expr()?;
+            let q = self.nested(Self::or_expr)?;
             self.eat(")")?;
             return Ok(q);
         }
@@ -496,6 +518,38 @@ mod tests {
                 e.message
             );
         }
+    }
+
+    /// Unicode whitespace is skipped a whole char at a time: stepping a
+    /// byte at a time sliced inside it and panicked.
+    #[test]
+    fn unicode_whitespace_separates_tokens() {
+        let plain = q("has(T90) and has(K74)").fingerprint();
+        for text in [
+            "has(T90) \u{2003}and has(K74)",
+            "\u{3000}has(T90) and has(K74)",
+            "has(T90) and has(K74)\u{a0}",
+        ] {
+            assert_eq!(q(text).fingerprint(), plain, "{text:?}");
+        }
+    }
+
+    /// Parentheses and `not`s nested past `MAX_NESTING` are a typed
+    /// error, also on a 2 MiB thread (the std default a server worker
+    /// runs on), where 10,000 levels used to overflow the stack.
+    #[test]
+    fn nesting_is_capped_on_a_small_stack() {
+        let worker = std::thread::Builder::new().stack_size(2 << 20).spawn(|| {
+            for (open, close) in [("(", ")"), ("not ", "")] {
+                let nest = |n: usize| format!("{}has(T90){}", open.repeat(n), close.repeat(n));
+                assert!(parse_query(&nest(MAX_NESTING), reference()).is_ok());
+                for n in [MAX_NESTING + 1, 10_000] {
+                    let e = parse_query(&nest(n), reference()).unwrap_err();
+                    assert!(e.message.contains("nested deeper"), "{open:?} x {n}: {e}");
+                }
+            }
+        });
+        worker.expect("spawn").join().expect("no panic, no overflow");
     }
 
     #[test]

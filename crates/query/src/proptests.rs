@@ -791,3 +791,61 @@ proptest! {
         }
     }
 }
+
+/// Valid queries the mutator starts from, and what it splices in: the
+/// language's punctuation and keywords, and multi-byte text — Unicode
+/// whitespace among it, where a parser stepping by bytes slices a char.
+const QUERY_SEEDS: [&str; 4] = [
+    "has(T90|T89) and age(50..80) and count(diagnosis) >= 3",
+    "(has(K77) or has(I50.*)) and not lacks(C07.*) and sex(F)",
+    "seq(E1(0|1).* then[-30d..90d] interval then any)",
+    "not (has(E1(0|1|4).*) or count(K.*) <= 2)",
+];
+const QUERY_PIECES: [&str; 16] = [
+    "(", ")", "[", " ", "\u{a0}", "\u{2003}", "\u{3000}", "é", "and ", "or ", "not ", "has(",
+    "seq(", " then", "..", ">=",
+];
+
+/// A near-valid query: a seed with pieces spliced in or chars deleted,
+/// wrapped `depth` levels deep in parentheses, `not`s or regex groups.
+fn arb_queryish() -> impl Strategy<Value = String> {
+    let edits = proptest::collection::vec((any::<usize>(), 0..QUERY_PIECES.len()), 0..6);
+    (0..QUERY_SEEDS.len(), edits, 0usize..3, 0usize..130).prop_map(|(seed, edits, wrap, depth)| {
+        let mut chars: Vec<char> = QUERY_SEEDS[seed].chars().collect();
+        for (at, piece) in edits {
+            // Every third position deletes a char; the rest insert.
+            let at = at % (chars.len() + 1);
+            if at.is_multiple_of(3) && at < chars.len() {
+                chars.remove(at);
+            } else {
+                chars.splice(at..at, QUERY_PIECES[piece].chars());
+            }
+        }
+        let body: String = chars.into_iter().collect();
+        let (open, close) = ("(".repeat(depth), ")".repeat(depth));
+        match wrap {
+            0 => format!("{open}{body}{close}"),
+            1 => format!("{}{body}", "not ".repeat(depth)),
+            _ => format!("has({open}T90{close}) and {body}"),
+        }
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Byte soup, and mutated near-valid queries with Unicode whitespace
+    /// and deep nesting, never panic the query parser; what parses
+    /// normalizes.
+    #[test]
+    fn query_parser_is_total(
+        bytes in proptest::collection::vec(any::<u8>(), 0..200),
+        text in arb_queryish(),
+    ) {
+        for text in [String::from_utf8_lossy(&bytes).into_owned(), text] {
+            if let Ok(q) = crate::parse_query(&text, Date::MIN) {
+                normalize(&q).fingerprint();
+            }
+        }
+    }
+}

@@ -7,6 +7,11 @@ use std::fmt;
 /// adversarial `{100000}` must be rejected rather than allocated.
 const MAX_COUNTED_REPEAT: u32 = 1_000;
 
+/// The deepest group nesting a pattern may have. Parsing, compiling and
+/// analysing the syntax tree each recurse once a level, so a pattern
+/// nested past this is refused rather than overflowing the stack.
+const MAX_NESTING: u32 = 64;
+
 /// Why a pattern failed to parse.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ParseErrorKind {
@@ -30,6 +35,8 @@ pub enum ParseErrorKind {
     InvalidRepeat,
     /// Counted repetition above the compilation limit.
     RepeatTooLarge,
+    /// Groups nested deeper than the parser allows.
+    NestedTooDeep,
 }
 
 /// Pattern parse error with position information.
@@ -54,6 +61,7 @@ impl fmt::Display for ParseError {
             ParseErrorKind::NothingToRepeat => "quantifier with nothing to repeat",
             ParseErrorKind::InvalidRepeat => "malformed {m,n} quantifier",
             ParseErrorKind::RepeatTooLarge => "counted repetition too large",
+            ParseErrorKind::NestedTooDeep => "groups nested too deeply",
         };
         write!(f, "{what} at byte {}", self.position)
     }
@@ -138,6 +146,7 @@ impl Parser {
     fn parse_atom(&mut self, depth: u32) -> Result<Ast, ParseError> {
         match self.peek() {
             None => Err(self.error(ParseErrorKind::UnexpectedEnd)),
+            Some('(') if depth == MAX_NESTING => Err(self.error(ParseErrorKind::NestedTooDeep)),
             Some('(') => {
                 self.pos += 1;
                 let capturing = if self.peek() == Some('?') {
@@ -481,6 +490,23 @@ mod tests {
         assert_eq!(kind("a{2,1}"), ParseErrorKind::InvalidRepeat);
         assert_eq!(kind("a{}"), ParseErrorKind::InvalidRepeat);
         assert_eq!(kind("a{999999}"), ParseErrorKind::RepeatTooLarge);
+    }
+
+    /// Groups nested past `MAX_NESTING` are a typed error, also on a
+    /// 2 MiB thread (the std default a server worker runs on), where
+    /// 4,000 levels used to overflow the stack.
+    #[test]
+    fn nesting_is_capped_on_a_small_stack() {
+        let nest = |n: usize| format!("{}K{}", "(".repeat(n), ")".repeat(n));
+        let deepest = MAX_NESTING as usize;
+        let worker = std::thread::Builder::new().stack_size(2 << 20).spawn(move || {
+            assert!(crate::Regex::new(&nest(deepest)).is_ok());
+            for n in [deepest + 1, 4_000] {
+                let e = crate::Regex::new(&nest(n)).unwrap_err();
+                assert_eq!((e.kind, e.position), (ParseErrorKind::NestedTooDeep, deepest));
+            }
+        });
+        worker.expect("spawn").join().expect("no panic, no overflow");
     }
 
     #[test]

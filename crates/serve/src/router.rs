@@ -913,6 +913,28 @@ mod tests {
         assert_eq!(route(&post("/cohort", "has(T90["), &ctx).status, 400);
     }
 
+    /// Bodies nested past the parsers' caps are answered 400 on a 2 MiB
+    /// thread (the std default a worker runs on), and the next request
+    /// is served: they used to overflow the worker's stack and abort the
+    /// process.
+    #[test]
+    fn deeply_nested_bodies_get_400_and_the_server_keeps_serving() {
+        let ctx = ctx();
+        let query = format!("{}has(T90){}", "(".repeat(10_000), ")".repeat(10_000));
+        let regex = format!("has({}T90{})", "(".repeat(4_000), ")".repeat(4_000));
+        let json = format!("{}0{}", "[".repeat(10_000), "]".repeat(10_000));
+        let bodies = [&query, &regex].map(|body| [("/select", body), ("/cohort", body)]);
+        std::thread::scope(|s| {
+            let worker = std::thread::Builder::new().stack_size(2 << 20).spawn_scoped(s, || {
+                for (path, body) in bodies.into_iter().flatten().chain([("/command", &json)]) {
+                    assert_eq!(route(&post(path, body), &ctx).status, 400, "{path} {}", body.len());
+                }
+                assert_eq!(route(&post("/select", "has(T90)"), &ctx).status, 200);
+            });
+            worker.expect("spawn").join().expect("no panic, no overflow");
+        });
+    }
+
     /// One entry dated on the calendar's last day moves the reference
     /// date every age is taken at to `Date::MAX`: age selects and the
     /// profile fold still answer.

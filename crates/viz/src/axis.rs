@@ -6,7 +6,7 @@
 //! the alignment point."
 
 use pastas_query::Alignment;
-use pastas_time::{Date, DateTime, Duration};
+use pastas_time::{DateTime, Duration};
 
 /// Axis mode: calendar time or months-from-anchor.
 #[derive(Debug, Clone)]
@@ -108,15 +108,10 @@ pub fn aligned_offset(alignment: &Alignment, patient: pastas_model::PatientId, t
     Some(t - alignment.anchor(patient)?)
 }
 
-/// Tick helpers for tests and the SVG axis: whether a date lies on a year
-/// boundary.
-pub fn is_year_start(d: Date) -> bool {
-    d.month() == 1 && d.day() == 1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pastas_time::Date;
 
     fn t(y: i32, m: u32, d: u32) -> DateTime {
         Date::new(y, m, d).unwrap().at_midnight()

@@ -51,9 +51,18 @@ stage "benchmark harness tests" \
 stage "tests at PASTAS_THREADS=1" env PASTAS_THREADS=1 cargo test -q --release \
     -p pastas-query -p pastas-core -p pastas-serve -p pastas-ingest -p pastas-analytics -p pastas-par \
     -p pastas-synth -p pastas-model
+# Allocation budgets (DESIGN.md §9): a counting allocator holds each hot
+# path to a count per unit of work — synthesis per patient, a planned
+# select per shard (and bytes per row), a pattern scan per shard not per
+# candidate, the timeline per drawn element, the SVG writer per render,
+# cohort reads not per row, the regex VM per call. --nocapture puts every
+# number in the log.
+stage "allocation budgets (release)" \
+    cargo test -q --release -p pastas-core --test alloc_budgets -- --nocapture
 # Repo-specific invariants (DESIGN.md §9) the compiler cannot check: no
 # panics on hot paths, no unwrap on a lock, no silent narrowing casts,
-# budget-clamped allocations, reasoned exceptions. The lock order and the
+# request-fed allocations clamped to a budget in the HTTP parser,
+# reasoned exceptions. The lock order and the
 # docs are compiler-checked (guard parameters, deny(missing_docs)). Any
 # finding exits non-zero.
 stage "lint (pastas-lint)" cargo run -q -p pastas-lint -- --workspace
