@@ -10,8 +10,9 @@
 //! * The slot is the [`pastas_model::CodeId`]: every arena shares the
 //!   one dictionary, so posting an entry is one integer index, with no
 //!   per-entry string and no per-arena translation. The dictionary's
-//!   `(value, system)`-sorted view serves the probes: the regex's literal
-//!   prefix ([`pastas_regex::PrefixInfo`]) turns `K.*` into a
+//!   `(value, system)`-sorted view serves the probes: the planner resolves
+//!   a code leaf to slots once a query through the one prefix resolver
+//!   (`EntryPredicate::code_ids`), which turns `K.*` into a
 //!   `partition_point` and a walk over the `K…` run, and `T90` into one
 //!   binary search.
 //! * Postings are **compressed bitmaps** ([`crate::bitmap::Bitmap`]), so
@@ -27,20 +28,18 @@
 //!   postings sit behind `Arc`, a publish copies only the (shard, slot)
 //!   postings its dirty rows join or leave, and the result equals a fresh
 //!   [`CodeIndex::build`].
-//! * Compiled regexes are memoized per index (a bounded memo).
 //!
 //! The index holds codes only: the planner answers `age(..)` / `sex(..)`
 //! leaves from the collection's own demographic columns
 //! ([`pastas_model::RowSpan::births`] and `sexes`, read chunk by chunk).
 
 use crate::bitmap::Bitmap;
+use crate::predicate::EntryPredicate;
 use crate::query::HistoryQuery;
-use pastas_codes::Code;
 use pastas_model::{CodeDictionary, HistoryCollection, RowSpan};
-use pastas_regex::Regex;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::ops::Range;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Rows a piece of an index build or a scan holds at most: the unit its
 /// threads share out. Predicate evaluation is cheap per history, so small
@@ -73,12 +72,8 @@ pub(crate) struct IndexShard {
 impl IndexShard {
     /// Union the postings of `slots` within this shard (shard-relative).
     pub(crate) fn union_slots(&self, slots: &[u32]) -> Bitmap {
-        let mut acc = Bitmap::new();
-        for &slot in slots {
-            // lint:allow(no-panic-hot-path) slots come from vocabulary walks
-            acc = acc.union(&self.postings[slot as usize]);
-        }
-        acc
+        let postings = slots.iter().filter_map(|&slot| self.postings.get(slot as usize));
+        postings.fold(Bitmap::new(), |acc, posting| acc.union(posting))
     }
 }
 
@@ -96,11 +91,6 @@ pub struct IndexFootprint {
     pub postings_uncompressed_bytes_est: usize,
 }
 
-/// The most compiled patterns one index memoizes. A client that sends
-/// more distinct `/select` patterns than this between two publishes
-/// clears the memo and starts refilling it.
-const COMPILED_CAP: usize = 256;
-
 /// Inverted index: code → compressed history-position set, one slot per
 /// [`pastas_model::CodeId`] of the collection's [`CodeDictionary`].
 ///
@@ -110,8 +100,8 @@ const COMPILED_CAP: usize = 256;
 #[derive(Debug, Default)]
 pub struct CodeIndex {
     /// The collection's dictionary when this index was derived: slot
-    /// `id` posts `CodeId(id)`, and its sorted view serves the probes.
-    dict: Arc<CodeDictionary>,
+    /// `id` posts `CodeId(id)`, and code leaves resolve against it.
+    pub(crate) dict: Arc<CodeDictionary>,
     /// `counts[id]`: total positions holding the code across all shards
     /// — O(1) planner cardinality estimates. 0 for a code no row holds.
     counts: Vec<u32>,
@@ -126,9 +116,6 @@ pub struct CodeIndex {
     /// tiles appended rows with the same width. `0` only in `Default`
     /// (treated as [`SHARD_ROWS`]).
     shard_rows: u32,
-    /// Compiled patterns memoized across selections on this index, at
-    /// most [`COMPILED_CAP`] of them.
-    compiled: Mutex<HashMap<String, Regex>>,
 }
 
 impl CodeIndex {
@@ -199,7 +186,7 @@ impl CodeIndex {
             let (base, rows) = (base as u32, span as u32);
             shards.push(Arc::new(IndexShard { base, rows, postings }));
         }
-        CodeIndex { dict, counts, shards, rows, shard_rows, compiled: Mutex::default() }
+        CodeIndex { dict, counts, shards, rows, shard_rows }
     }
 
     /// The index of `collection` after the rows `newly_dirty` changed,
@@ -282,7 +269,7 @@ impl CodeIndex {
             }
             shards.push(Arc::new(IndexShard { base, rows: span, postings }));
         }
-        CodeIndex { dict, counts, shards, rows, shard_rows: width, compiled: Mutex::default() }
+        CodeIndex { dict, counts, shards, rows, shard_rows: width }
     }
 
     /// An index sharing every shard with this one. [`Self::with_delta`]
@@ -294,7 +281,6 @@ impl CodeIndex {
             shards: self.shards.clone(),
             rows: self.rows,
             shard_rows: self.shard_rows,
-            compiled: Mutex::default(),
         }
     }
 
@@ -407,21 +393,6 @@ impl CodeIndex {
     #[inline(always)]
     pub fn debug_validate(&self, _collection: &HistoryCollection) {}
 
-    /// Slots (code ids) whose value fully matches the regex, in every
-    /// system. Walks the dictionary's sorted view from the pattern's
-    /// literal prefix to the end of its run — an exact literal is one
-    /// binary search and its value's codes, a prefix pattern only its
-    /// contiguous run. Returned ascending (and therefore unique).
-    pub(crate) fn matching_slots(&self, re: &Regex) -> Vec<u32> {
-        let info = re.prefix_info();
-        let prefix = info.prefix.as_str();
-        let run = self.dict.sorted_from(prefix).take_while(|(_, c)| c.value.starts_with(prefix));
-        let hit = |c: &Code| if info.exact { c.value == prefix } else { re.is_full_match(&c.value) };
-        let mut out: Vec<u32> = run.filter(|(_, c)| hit(c)).map(|(id, _)| id.0).collect();
-        out.sort_unstable();
-        out
-    }
-
     /// Union the postings of `slots` into one global bitmap: shard-local
     /// unions on compressed form, then container concatenation — one
     /// result set, no per-term vectors, no post-hoc sort/dedup.
@@ -433,72 +404,17 @@ impl CodeIndex {
         out
     }
 
-    /// History positions whose entries contain a code fully matching the
-    /// regex, as one compressed bitmap (ascending by construction).
-    pub fn candidates_for_regex(&self, re: &Regex) -> Bitmap {
-        self.union_slots(&self.matching_slots(re))
+    /// History positions holding a code the code leaf (`CodeMatches`,
+    /// `CodeWithin`, `System`) holds for, as one compressed bitmap.
+    pub fn candidates(&self, leaf: &EntryPredicate) -> Bitmap {
+        self.union_slots(&leaf.code_ids(&self.dict))
     }
 
-    /// Like [`Self::candidates_for_regex`] but forcing the full-vocabulary
-    /// scan — the prefix-path ablation baseline.
-    pub fn candidates_scan_vocabulary(&self, re: &Regex) -> Bitmap {
-        let codes = (0u32..).zip(self.dict.iter());
-        let slots: Vec<u32> = codes.filter(|(_, c)| re.is_full_match(&c.value)).map(|(id, _)| id).collect();
-        self.union_slots(&slots)
-    }
-
-    /// Compile `pattern`, memoizing successes on this index. Returns
-    /// `None` for invalid patterns (callers fall back to the scan path).
-    /// A memo holding [`COMPILED_CAP`] patterns is cleared before the
-    /// next one joins it.
-    fn compiled(&self, pattern: &str) -> Option<Regex> {
-        let mut cache = self.compiled.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(re) = cache.get(pattern) {
-            return Some(re.clone());
-        }
-        let re = Regex::new(pattern).ok()?;
-        if cache.len() >= COMPILED_CAP {
-            cache.clear();
-        }
-        cache.insert(pattern.to_owned(), re.clone());
-        Some(re)
-    }
-
-    /// Vocabulary slots matched by any of `patterns` (sorted, unique), or
-    /// `None` if a pattern fails to compile.
-    pub(crate) fn slots_for_patterns(&self, patterns: &[String]) -> Option<Vec<u32>> {
-        let mut slots = Vec::new();
-        for p in patterns {
-            let re = self.compiled(p)?;
-            slots.extend(self.matching_slots(&re));
-        }
-        slots.sort_unstable();
-        slots.dedup();
-        Some(slots)
-    }
-
-    /// History positions for a set of regex patterns (union), as one
-    /// compressed bitmap.
-    pub fn candidates_for_patterns(&self, patterns: &[String]) -> Option<Bitmap> {
-        Some(self.union_slots(&self.slots_for_patterns(patterns)?))
-    }
-
-    /// Upper-bound candidate estimate for a pattern set: the summed
-    /// cached cardinalities over the vocabulary range each pattern
-    /// selects (duplicates across patterns counted twice — this is a
-    /// planning estimate, not a result). Costs a vocabulary walk but
-    /// touches no posting list. Patterns that fail to compile estimate
-    /// as 0 (they fetch nothing, too).
-    pub fn estimated_candidates(&self, patterns: &[String]) -> usize {
-        let mut total = 0usize;
-        for p in patterns {
-            let Some(re) = self.compiled(p) else { continue };
-            for slot in self.matching_slots(&re) {
-                // lint:allow(no-panic-hot-path) matching_slots yields code ids below counts.len()
-                total += self.counts[slot as usize] as usize;
-            }
-        }
-        total
+    /// Upper-bound candidate estimate for a set of slots: their summed
+    /// cached cardinalities (a history holding two of them counts twice —
+    /// this is a planning estimate, not a result). Touches no posting.
+    pub(crate) fn estimated_candidates(&self, slots: &[u32]) -> usize {
+        slots.iter().filter_map(|&slot| self.counts.get(slot as usize)).map(|&n| n as usize).sum()
     }
 
     /// Evaluate a query over the collection through the physical planner
@@ -577,6 +493,10 @@ mod tests {
         assert!(!got.is_empty(), "most patients lack diabetes");
     }
 
+    fn code(pattern: &str) -> EntryPredicate {
+        EntryPredicate::code_regex(pattern).unwrap()
+    }
+
     /// The estimate bounds both the fetch and the selection, on an index
     /// a delta gave a brand-new patient with a code nobody else holds.
     #[test]
@@ -589,50 +509,27 @@ mod tests {
             &built,
             vec![(existing, vec![diag(2016, "T90")]), (new_patient(1), vec![diag(2015, "Z99")])],
         );
-        for patterns in [
-            vec!["T90".to_owned()],
-            vec!["K.*".to_owned()],
-            vec!["T90".to_owned(), "K.*".to_owned()],
-            vec![".*".to_owned()],
-            vec!["Z99".to_owned()],
-        ] {
-            let est = idx.estimated_candidates(&patterns);
-            let got = idx.candidates_for_patterns(&patterns).unwrap();
-            assert!(est >= got.len(), "estimate {est} < fetched {} for {patterns:?}", got.len());
-            let q = HistoryQuery::Or(
-                patterns.iter().map(|p| QueryBuilder::new().has_code(p).unwrap().build()).collect(),
-            );
-            let selected = idx.select(&c, &q).len();
-            assert!(est >= selected, "estimate {est} < selected {selected} for {patterns:?}");
+        for pattern in ["T90", "K.*", "T90|K.*", ".*", "Z99"] {
+            let est = idx.estimated_candidates(&code(pattern).code_ids(&idx.dict));
+            let got = idx.candidates(&code(pattern)).len();
+            assert!(est >= got, "estimate {est} < fetched {got} for {pattern}");
+            let selected = idx.select(&c, &HistoryQuery::any(code(pattern))).len();
+            assert!(est >= selected, "estimate {est} < selected {selected} for {pattern}");
         }
-        assert_eq!(idx.estimated_candidates(&["Z99".to_owned()]), 1, "the new patient counts");
-    }
-
-    #[test]
-    fn prefix_path_agrees_with_vocabulary_scan() {
-        let c = collection();
-        let idx = CodeIndex::build(&c);
-        for pattern in ["T90", "K.*", "E1[014].*", "C07AB..", "T90|T89", "F.*|H.*", ".*", "[KR].*"] {
-            let re = Regex::new(pattern).unwrap();
-            assert_eq!(
-                idx.candidates_for_regex(&re),
-                idx.candidates_scan_vocabulary(&re),
-                "pattern {pattern}"
-            );
-        }
+        assert_eq!(idx.estimated_candidates(&code("Z99").code_ids(&idx.dict)), 1, "the new patient counts");
+        assert_eq!(idx.estimated_candidates(&[u32::MAX]), 0, "a slot past the dictionary holds nothing");
     }
 
     #[test]
     fn exact_literal_is_an_equality_probe() {
         let c = collection();
         let idx = CodeIndex::build(&c);
-        let re = Regex::new("T90").unwrap();
-        assert!(re.prefix_info().exact);
-        let hits = idx.candidates_for_regex(&re);
+        let t90 = code("T90");
+        assert!(matches!(&t90, EntryPredicate::CodeMatches(re) if re.prefix_info().exact));
+        let hits = idx.candidates(&t90);
         assert!(!hits.is_empty());
         // And a literal that indexes nothing returns nothing.
-        let re = Regex::new("Z99").unwrap();
-        assert!(idx.candidates_for_regex(&re).is_empty());
+        assert!(idx.candidates(&code("Z99")).is_empty());
     }
 
     #[test]
@@ -653,10 +550,10 @@ mod tests {
     fn broad_regex_returns_one_unioned_bitmap() {
         let c = collection();
         let idx = CodeIndex::build(&c);
-        let re = Regex::new("[KRT].*").unwrap();
-        let slots = idx.matching_slots(&re);
+        let broad = code("[KRT].*");
+        let slots = broad.code_ids(&idx.dict);
         assert!(slots.len() > 3, "broad regex must match many terms, got {}", slots.len());
-        let got = idx.candidates_for_regex(&re);
+        let got = idx.candidates(&broad);
         got.debug_validate(); // one canonical set, not a concatenation
         let decoded = got.to_vec();
         for w in decoded.windows(2) {
@@ -677,8 +574,8 @@ mod tests {
     fn chapter_regex_selects_superset_of_leaf() {
         let c = collection();
         let idx = CodeIndex::build(&c);
-        let leaf = idx.candidates_for_regex(&Regex::new("K86").unwrap());
-        let chapter = idx.candidates_for_regex(&Regex::new("K.*").unwrap());
+        let leaf = idx.candidates(&code("K86"));
+        let chapter = idx.candidates(&code("K.*"));
         for x in leaf.iter() {
             assert!(chapter.contains(x));
         }
@@ -743,28 +640,6 @@ mod tests {
                 assert_eq!(par, serial, "threads {threads}, query {q:?}");
             }
         }
-    }
-
-    /// Patterns are compiled once, but the memo never holds more than
-    /// `COMPILED_CAP` of them, however many distinct ones a client sends.
-    #[test]
-    fn pattern_cache_memoizes_compilation() {
-        let c = collection();
-        let idx = CodeIndex::build(&c);
-        let patterns = vec!["T90".to_owned(), "K.*".to_owned()];
-        let first = idx.candidates_for_patterns(&patterns).unwrap();
-        let second = idx.candidates_for_patterns(&patterns).unwrap();
-        assert_eq!(first, second);
-        let held = || idx.compiled.lock().unwrap().len();
-        assert_eq!(held(), 2, "both patterns cached after first call");
-        for i in 2..COMPILED_CAP * 2 + 7 {
-            let pattern = format!("Z{i}");
-            assert!(idx.candidates_for_patterns(&[pattern]).is_some());
-            assert!(held() <= COMPILED_CAP, "{} patterns memoized", held());
-        }
-        assert_eq!(held(), 7, "the memo was cleared twice and refilled");
-        assert!(idx.candidates_for_patterns(&["T90".to_owned()]).is_some());
-        assert!(idx.compiled.lock().unwrap().contains_key("T90"));
     }
 
     // -- streaming: with_delta --------------------------------------------

@@ -45,7 +45,7 @@ pub use index::{CodeIndex, IndexFootprint};
 pub use normalize::{canonical_fingerprint, normalize};
 pub use ops::{align_on, align_rows, sort_histories, Alignment, SortKey};
 pub use plan::{Explain, ExplainNode, PlanNode, QueryPlan};
-pub use predicate::{BoundPredicate, EntryPredicate, EntryTest};
+pub use predicate::{BoundPredicate, EntryPredicate};
 pub use parse::parse_query;
 pub use query::{HistoryQuery, QueryBuilder};
 pub use temporal::{GapBound, StepConstraint, TemporalPattern};

@@ -56,10 +56,10 @@ pub fn align_on(collection: &HistoryCollection, pred: &EntryPredicate) -> Alignm
 /// [`align_on`] for a code regex, over `candidates` only: the positions
 /// of every history holding a matching code (the planner's
 /// `has(pattern)`), so a history outside them has no anchor. The regex is
-/// tested through a [`BoundPredicate`]: one flag per
-/// [`pastas_model::CodeId`] of the collection's one dictionary, bound
-/// once, so each entry is tested by a lookup on its `kinds`/`aux` words,
-/// never by a string match. Returns the alignment and its display order:
+/// bound once a call against the collection's dictionary, through the
+/// one prefix resolver ([`BoundPredicate`]): each entry is tested by a
+/// flag lookup on its `kinds`/`aux` words, never by a string match.
+/// Returns the alignment and its display order:
 /// anchored rows by `(anchor, position)`, then every other row in
 /// position order.
 pub fn align_rows(
@@ -69,13 +69,12 @@ pub fn align_rows(
 ) -> (Alignment, Vec<u32>) {
     let histories = collection.histories();
     let pred = EntryPredicate::CodeMatches(re.clone());
-    let mut bound = BoundPredicate::new(&pred);
+    let bound = BoundPredicate::new(&pred, collection.dictionary());
     let mut anchors = HashMap::with_capacity(candidates.len());
     let mut anchored = Vec::with_capacity(candidates.len());
     for &p in candidates {
         let Some(h) = histories.get(p as usize) else { continue };
-        let test = bound.on(h.store());
-        if let Some(e) = h.entries().iter().find(|&e| test.matches(e)) {
+        if let Some(e) = h.entries().iter().find(|&e| bound.matches(e)) {
             anchors.insert(h.id(), e.start());
             anchored.push((e.start(), p));
         }

@@ -38,11 +38,13 @@ use crate::index::{CodeIndex, IndexShard};
 use crate::normalize::{is_never, normalize};
 use crate::predicate::EntryPredicate;
 use crate::query::{BoundQuery, HistoryQuery};
+use crate::temporal::TemporalPattern;
 use pastas_ingest::json::write_string;
-use pastas_model::{History, HistoryCollection, Sex};
+use pastas_model::{CodeDictionary, History, HistoryCollection, Sex};
 use pastas_time::Date;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Per-thread minimum candidates before residual verification goes
 /// parallel (same threshold as the index's candidate verification).
@@ -141,8 +143,11 @@ pub enum PlanNode {
     /// Union of the posting lists selected by a set of code-regex
     /// patterns — the leaf the inverted index answers directly.
     IndexFetch {
-        /// Regex patterns whose matching vocabulary postings are unioned.
+        /// The regex patterns, for Explain and rendering.
         patterns: Vec<String>,
+        /// The index slots (code ids) they match, sorted and unique:
+        /// resolved once, when the plan is built.
+        slots: Vec<u32>,
     },
     /// The rows whose patient-column entry satisfies a demographic leaf
     /// ([`HistoryQuery::AgeBetween`] or [`HistoryQuery::SexIs`]) — read
@@ -227,7 +232,7 @@ impl PlanNode {
     /// Human-readable operand summary for Explain / rendering.
     fn detail(&self) -> String {
         match self {
-            PlanNode::IndexFetch { patterns } => patterns.join(" ∪ "),
+            PlanNode::IndexFetch { patterns, .. } => patterns.join(" ∪ "),
             PlanNode::ColumnFetch { query } => format!("column={}", query.fingerprint()),
             PlanNode::Filter { query, .. }
             | PlanNode::FullScan { query }
@@ -241,20 +246,20 @@ impl PlanNode {
 // Planning
 // ---------------------------------------------------------------------------
 
-/// How completely a set of code-regex patterns covers an entry
-/// predicate: `Exact` means *entry matches predicate ⇔ entry's code
-/// matches one of the patterns*; `Superset` means ⇐ only (the postings
+/// How completely a set of the query's own code-regex leaves covers an
+/// entry predicate: `Exact` means *entry matches predicate ⇔ entry's
+/// code matches one of the leaves*; `Superset` means ⇐ only (the postings
 /// bound the candidates but each needs verification).
-enum CodeCover {
-    Exact(Vec<String>),
-    Superset(Vec<String>),
+enum CodeCover<'q> {
+    Exact(Vec<&'q EntryPredicate>),
+    Superset(Vec<&'q EntryPredicate>),
 }
 
 /// The code-regex cover of a predicate, if one exists. Conservative:
 /// `None` when no posting set bounds the matching entries.
-fn code_cover(p: &EntryPredicate) -> Option<CodeCover> {
+fn code_cover(p: &EntryPredicate) -> Option<CodeCover<'_>> {
     match p {
-        EntryPredicate::CodeMatches(re) => Some(CodeCover::Exact(vec![re.pattern().to_owned()])),
+        EntryPredicate::CodeMatches(_) => Some(CodeCover::Exact(vec![p])),
         EntryPredicate::Or(ps) => {
             // Every branch must be covered; the union covers the Or.
             // Exact only if every branch is exact.
@@ -294,8 +299,9 @@ pub struct QueryPlan {
 
 impl QueryPlan {
     /// Normalize `query` and compile it into a physical operator tree
-    /// against `index`. Cheap: posting sizes are estimated (no posting
-    /// list is materialized) and no regex is compiled at plan time.
+    /// against `index`. Cheap: a fetch resolves its code leaves to slots
+    /// once, here, and posting sizes are estimated from those slots (no
+    /// posting list is materialized, no regex compiled).
     pub fn build(
         index: &CodeIndex,
         collection: &HistoryCollection,
@@ -405,10 +411,10 @@ impl QueryPlan {
         index: &CodeIndex,
         trace: bool,
     ) -> (Vec<u32>, Option<ExplainNode>, ExecStats) {
-        // Lower once: IndexFetch pattern sets resolve to vocabulary slots
-        // before the shard fan-out, so the vocabulary walk (and the regex
-        // compile-cache lock) happens once per plan, not once per shard.
-        let lowered = lower(&self.root, index, trace);
+        // Lower once, before the shard fan-out: every residual query is
+        // bound to the dictionary once per execution, not per shard or
+        // chunk (the fetches' slots were resolved when the plan was built).
+        let lowered = lower(&self.root, collection.dictionary(), trace);
         let counters = PatternCounters::default();
         let shards = index.shards();
         // Per-shard evaluation of the whole tree. Shards partition the
@@ -496,6 +502,19 @@ fn render_node(node: &PlanNode, depth: usize, out: &mut String) {
     }
 }
 
+/// The fetch of the postings of `leaves`' codes: each leaf resolved to
+/// its slots once, through the one resolver ([`EntryPredicate::code_ids`]).
+fn fetch(index: &CodeIndex, leaves: &[&EntryPredicate]) -> PlanNode {
+    let mut slots: Vec<u32> = leaves.iter().flat_map(|l| l.code_ids(&index.dict)).collect();
+    slots.sort_unstable();
+    slots.dedup();
+    let pattern = |l: &&EntryPredicate| match l {
+        EntryPredicate::CodeMatches(re) => Some(re.pattern().to_owned()),
+        _ => None,
+    };
+    PlanNode::IndexFetch { patterns: leaves.iter().filter_map(pattern).collect(), slots }
+}
+
 /// Compile one canonical (normalized) query node.
 fn plan_node(index: &CodeIndex, rows: u32, q: &HistoryQuery) -> PlanNode {
     match q {
@@ -504,31 +523,27 @@ fn plan_node(index: &CodeIndex, rows: u32, q: &HistoryQuery) -> PlanNode {
         HistoryQuery::CountAtLeast(p, n) => match code_cover(p) {
             // Postings are exactly "histories with ≥1 matching entry",
             // so an exact cover at n == 1 needs no verification at all.
-            Some(CodeCover::Exact(patterns)) if *n == 1 => PlanNode::IndexFetch { patterns },
-            Some(CodeCover::Exact(patterns) | CodeCover::Superset(patterns)) => PlanNode::Filter {
+            Some(CodeCover::Exact(leaves)) if *n == 1 => fetch(index, &leaves),
+            Some(CodeCover::Exact(leaves) | CodeCover::Superset(leaves)) => PlanNode::Filter {
                 query: q.clone(),
-                input: Box::new(PlanNode::IndexFetch { patterns }),
+                input: Box::new(fetch(index, &leaves)),
             },
             None => PlanNode::FullScan { query: q.clone() },
         },
         HistoryQuery::CountAtMost(p, n) => match code_cover(p) {
             // "No matching entry" is exactly the complement of the
             // posting union.
-            Some(CodeCover::Exact(patterns)) if *n == 0 => {
-                PlanNode::Complement(Box::new(PlanNode::IndexFetch { patterns }))
+            Some(CodeCover::Exact(leaves)) if *n == 0 => {
+                PlanNode::Complement(Box::new(fetch(index, &leaves)))
             }
             // count ≤ n can only *fail* inside the fetch set: outside it
             // a history has zero covered entries, hence zero matching
             // ones. Result = complement(fetch) ∪ verified(fetch).
-            Some(CodeCover::Exact(patterns) | CodeCover::Superset(patterns)) => {
+            Some(CodeCover::Exact(leaves) | CodeCover::Superset(leaves)) => {
+                let fetched = fetch(index, &leaves);
                 PlanNode::Union(vec![
-                    PlanNode::Complement(Box::new(PlanNode::IndexFetch {
-                        patterns: patterns.clone(),
-                    })),
-                    PlanNode::Filter {
-                        query: q.clone(),
-                        input: Box::new(PlanNode::IndexFetch { patterns }),
-                    },
+                    PlanNode::Complement(Box::new(fetched.clone())),
+                    PlanNode::Filter { query: q.clone(), input: Box::new(fetched) },
                 ])
             }
             None => PlanNode::FullScan { query: q.clone() },
@@ -537,7 +552,7 @@ fn plan_node(index: &CodeIndex, rows: u32, q: &HistoryQuery) -> PlanNode {
         // step's code cover bounds the candidates, their intersection
         // feeds the pattern scan. (A *negated* pattern falls through to the
         // Not arm below — absence of a step is not bounded by postings.)
-        HistoryQuery::Pattern(pat) => plan_pattern(q, pat),
+        HistoryQuery::Pattern(pat) => plan_pattern(index, q, pat),
         HistoryQuery::AgeBetween { .. } | HistoryQuery::SexIs(_) => {
             PlanNode::ColumnFetch { query: q.clone() }
         }
@@ -563,16 +578,18 @@ fn plan_node(index: &CodeIndex, rows: u32, q: &HistoryQuery) -> PlanNode {
 /// pattern scan. Steps whose predicate has no code cover simply
 /// contribute no prefilter; if no step is covered at all, the honest
 /// plan is a full scan.
-fn plan_pattern(q: &HistoryQuery, pat: &crate::temporal::TemporalPattern) -> PlanNode {
+fn plan_pattern(index: &CodeIndex, q: &HistoryQuery, pat: &TemporalPattern) -> PlanNode {
     let mut fetches: Vec<PlanNode> = Vec::new();
-    let mut seen: Vec<Vec<String>> = Vec::new();
     for pred in pat.step_predicates() {
-        if let Some(CodeCover::Exact(patterns) | CodeCover::Superset(patterns)) = code_cover(pred)
-        {
-            // Two steps with the same cover prefilter identically once.
-            if !seen.contains(&patterns) {
-                seen.push(patterns.clone());
-                fetches.push(PlanNode::IndexFetch { patterns });
+        if let Some(CodeCover::Exact(leaves) | CodeCover::Superset(leaves)) = code_cover(pred) {
+            let step = fetch(index, &leaves);
+            // Two steps with the same slots prefilter identically once.
+            let same = |f: &PlanNode| match (f, &step) {
+                (PlanNode::IndexFetch { slots: a, .. }, PlanNode::IndexFetch { slots: b, .. }) => a == b,
+                _ => false,
+            };
+            if !fetches.iter().any(same) {
+                fetches.push(step);
             }
         }
     }
@@ -684,8 +701,8 @@ fn estimate(index: &CodeIndex, rows: u32, node: &PlanNode) -> u32 {
     match node {
         PlanNode::AllRows => rows,
         PlanNode::Empty => 0,
-        PlanNode::IndexFetch { patterns } => {
-            u32::try_from(index.estimated_candidates(patterns)).unwrap_or(rows).min(rows)
+        PlanNode::IndexFetch { slots, .. } => {
+            u32::try_from(index.estimated_candidates(slots)).unwrap_or(rows).min(rows)
         }
         // Complement of an upper bound is a lower bound — for the
         // common Complement(IndexFetch) the postings sum *is* close
@@ -709,8 +726,9 @@ fn estimate(index: &CodeIndex, rows: u32, node: &PlanNode) -> u32 {
 // Execution
 // ---------------------------------------------------------------------------
 
-/// The lowered, shard-executable form of one [`PlanNode`]: pattern sets
-/// resolved to vocabulary slots, Explain labels precomputed.
+/// The lowered, shard-executable form of one [`PlanNode`]: residual
+/// queries bound to the collection's dictionary, Explain labels
+/// precomputed.
 struct ExecNode<'q> {
     op: &'static str,
     /// Explain label; computed only when tracing (the fingerprint of a
@@ -723,7 +741,7 @@ enum ExecKind<'q> {
     AllRows,
     Empty,
     /// Union of the postings of these vocabulary slots (sorted, unique).
-    Fetch(Vec<u32>),
+    Fetch(&'q [u32]),
     /// A demographic leaf bound to its test of the collection's
     /// demographic columns.
     Column(ColumnTest),
@@ -733,11 +751,12 @@ enum ExecKind<'q> {
     /// The one operator that opens a history: `query` evaluated against
     /// each candidate of `input`, or against every row of the universe
     /// when there is none (`Filter`, `PatternScan` and `FullScan` all
-    /// lower to this), with each entry predicate of `query` bound to the
-    /// code dictionary ([`BoundQuery`]). With `pattern` each candidate is one
-    /// pattern scan, and the candidate / scan totals feed [`ExecStats`]
-    /// (the serve layer's pattern gauges).
-    Verify { query: &'q HistoryQuery, input: Option<Box<ExecNode<'q>>>, pattern: bool },
+    /// lower to this), with each entry predicate of `query` bound once a
+    /// plan execution to the collection's dictionary ([`BoundQuery`]),
+    /// shared by every shard worker and chunk. With `pattern` each
+    /// candidate is one pattern scan, and the candidate / scan totals
+    /// feed [`ExecStats`] (the serve layer's pattern gauges).
+    Verify { query: BoundQuery<'q>, input: Option<Box<ExecNode<'q>>>, pattern: bool },
 }
 
 /// What a demographic leaf asks of one row's birth or sex column
@@ -814,33 +833,30 @@ pub struct ExecStats {
     pub pattern_automaton_runs: u64,
 }
 
-/// Resolve a plan tree for execution. Pattern compilation cannot fail
-/// here — `IndexFetch` is only emitted for patterns the planner compiled
-/// — but an (impossible) failure degrades to an empty fetch, which is
-/// still sound for the same reason the old executor's was.
-fn lower<'q>(node: &'q PlanNode, index: &CodeIndex, trace: bool) -> ExecNode<'q> {
+/// Prepare a plan tree for execution: fetches read the slots the plan
+/// resolved, and every residual query is bound once to `dict`, the
+/// collection's dictionary.
+fn lower<'q>(node: &'q PlanNode, dict: &Arc<CodeDictionary>, trace: bool) -> ExecNode<'q> {
     let kind = match node {
         PlanNode::AllRows => ExecKind::AllRows,
         PlanNode::Empty => ExecKind::Empty,
-        PlanNode::IndexFetch { patterns } => {
-            ExecKind::Fetch(index.slots_for_patterns(patterns).unwrap_or_default())
-        }
+        PlanNode::IndexFetch { slots, .. } => ExecKind::Fetch(slots),
         PlanNode::ColumnFetch { query } => ExecKind::Column(ColumnTest::bind(query)),
-        PlanNode::Complement(c) => ExecKind::Complement(Box::new(lower(c, index, trace))),
+        PlanNode::Complement(c) => ExecKind::Complement(Box::new(lower(c, dict, trace))),
         PlanNode::Intersect(cs) => {
-            ExecKind::Intersect(cs.iter().map(|c| lower(c, index, trace)).collect())
+            ExecKind::Intersect(cs.iter().map(|c| lower(c, dict, trace)).collect())
         }
-        PlanNode::Union(cs) => {
-            ExecKind::Union(cs.iter().map(|c| lower(c, index, trace)).collect())
-        }
+        PlanNode::Union(cs) => ExecKind::Union(cs.iter().map(|c| lower(c, dict, trace)).collect()),
         PlanNode::Filter { query, input } | PlanNode::PatternScan { query, input } => {
             ExecKind::Verify {
-                query,
-                input: Some(Box::new(lower(input, index, trace))),
+                query: BoundQuery::new(query, dict),
+                input: Some(Box::new(lower(input, dict, trace))),
                 pattern: matches!(node, PlanNode::PatternScan { .. }),
             }
         }
-        PlanNode::FullScan { query } => ExecKind::Verify { query, input: None, pattern: false },
+        PlanNode::FullScan { query } => {
+            ExecKind::Verify { query: BoundQuery::new(query, dict), input: None, pattern: false }
+        }
     };
     ExecNode {
         op: node.op(),
@@ -929,19 +945,19 @@ fn exec_shard(
                     node_counters.push(("automaton_runs".to_owned(), n));
                 }
             }
-            // One binding a chunk: each code is bound at most once per
-            // chunk, never per candidate.
+            // Each chunk writes its survivors, ascending, straight into a
+            // bitmap; one chunk (one thread, or a shard worker) is the
+            // shard's answer with no merge.
             let histories = collection.histories();
             let kept = pastas_par::par_chunks(&candidates, PAR_MIN_CANDIDATES, |_, chunk| {
-                let mut bound = BoundQuery::new(query);
                 chunk
                     .iter()
                     .copied()
                     // lint:allow(no-panic-hot-path) candidates are shard positions and shards tile rows() exactly
-                    .filter(|&rel| bound.matches(&histories[(shard.base + rel) as usize]))
-                    .collect::<Vec<u32>>()
+                    .filter(|&rel| query.matches(&histories[(shard.base + rel) as usize]))
+                    .collect::<Bitmap>()
             });
-            kept.into_iter().flatten().collect()
+            kept.into_iter().reduce(|acc, chunk| acc.union(&chunk)).unwrap_or_default()
         }
     };
     let explain = started.map(|t0| ExplainNode {

@@ -1,10 +1,8 @@
 //! Entry-level predicates with boolean composition.
 
 use pastas_codes::{Code, CodeSystem};
-use pastas_model::{
-    CodeDictionary, EntryRef, EntryView, EventStore, MeasurementKind, PayloadRef, SourceKind,
-};
-use pastas_regex::Regex;
+use pastas_model::{CodeDictionary, EntryRef, EntryView, MeasurementKind, PayloadRef, SourceKind};
+use pastas_regex::{PrefixInfo, Regex};
 use pastas_time::Date;
 use std::sync::Arc;
 
@@ -94,9 +92,40 @@ impl EntryPredicate {
         }
     }
 
+    /// The ids (`CodeId.0`) of the codes of `dict` that this code leaf
+    /// (`CodeMatches`, `CodeWithin`, `System`) holds for, ascending; none
+    /// for any other variant. This is the one way a code leaf becomes
+    /// [`pastas_model::CodeId`]s: the index's fetches and every bound
+    /// predicate read it.
+    ///
+    /// A regex walks only its literal prefix's run of the dictionary's
+    /// sorted view: an exact literal is one binary search and makes no VM
+    /// call, and a prefix pattern runs the VM on its run alone.
+    /// `CodeWithin` and `System` test the codes of the whole dictionary,
+    /// by system first: a code can lie within a root its value does not
+    /// start with (ICD-10 `E11.9` is within chapter `IV`).
+    pub(crate) fn code_ids(&self, dict: &CodeDictionary) -> Vec<u32> {
+        let mut ids: Vec<u32> = match self {
+            EntryPredicate::CodeMatches(re) => {
+                let PrefixInfo { prefix, exact } = re.prefix_info();
+                let run = dict.sorted_from(prefix).take_while(|(_, c)| {
+                    c.value.starts_with(prefix.as_str()) && (!exact || c.value == *prefix)
+                });
+                run.filter(|(_, c)| *exact || self.holds_for(c)).map(|(id, _)| id.0).collect()
+            }
+            EntryPredicate::CodeWithin(_) | EntryPredicate::System(_) => {
+                let codes = (0u32..).zip(dict.iter());
+                codes.filter(|(_, c)| self.holds_for(c)).map(|(id, _)| id).collect()
+            }
+            _ => Vec::new(),
+        };
+        ids.sort_unstable();
+        ids
+    }
+
     /// For a code leaf (`CodeMatches`, `CodeWithin`, `System`), whether
     /// `code` satisfies it; false for every other variant.
-    fn holds_for(&self, code: &Code) -> bool {
+    pub(crate) fn holds_for(&self, code: &Code) -> bool {
         match self {
             EntryPredicate::CodeMatches(re) => re.is_full_match(&code.value),
             EntryPredicate::CodeWithin(root) => code.is_within(root),
@@ -194,109 +223,83 @@ impl EntryPredicate {
     }
 }
 
-/// An [`EntryPredicate`] bound once for one pass over columnar entries
-/// (a render, a density matrix, an alignment). A code leaf tests one
-/// flag byte per [`pastas_model::CodeId`], computed from the code
-/// strings of the collection's dictionary as far as the stores met so
-/// far reach into it; the other leaves read the entry's kinds byte, its
-/// side table or its `i64` seconds. No entry is tested by a string.
+/// An [`EntryPredicate`] bound once to a code dictionary, for passes
+/// over columnar entries (a plan's verification, a render, a density
+/// matrix, an alignment). Each code leaf is resolved at bind time by
+/// `EntryPredicate::code_ids` into its own flag per
+/// [`pastas_model::CodeId`], so it tests an entry by one lookup; the
+/// other leaves read the entry's kinds byte, its side table or its
+/// seconds. No entry is tested by a string, and one binding serves every
+/// thread of a pass.
 #[derive(Debug)]
 pub struct BoundPredicate<'p> {
-    pred: &'p EntryPredicate,
-    /// The code leaves of `pred`, by address.
-    leaves: Vec<&'p EntryPredicate>,
-    /// The longest dictionary version met: every store met is on a
-    /// prefix of it.
+    root: Node<'p>,
+    /// The dictionary bound: every store tested must be on a prefix of it.
     dict: Arc<CodeDictionary>,
-    /// One flag a (code, leaf) of `dict`, at `id * leaves.len() + leaf`.
-    flags: Vec<bool>,
+}
+
+/// One node of a bound predicate, mirroring the predicate's tree.
+#[derive(Debug)]
+enum Node<'p> {
+    /// A code leaf: `flags[id]` is whether the code `CodeId(id)` holds.
+    Code(Vec<bool>),
+    /// Any other leaf, tested by [`EntryPredicate::matches`].
+    Leaf(&'p EntryPredicate),
+    And(Vec<Node<'p>>),
+    Or(Vec<Node<'p>>),
+    Not(Box<Node<'p>>),
 }
 
 impl<'p> BoundPredicate<'p> {
-    /// Bind `pred`; codes are bound as stores reaching them are met.
-    pub fn new(pred: &'p EntryPredicate) -> BoundPredicate<'p> {
-        fn code_leaves<'p>(p: &'p EntryPredicate, out: &mut Vec<&'p EntryPredicate>) {
+    /// Bind `pred` to `dict`, the newest dictionary of the collection
+    /// whose entries it will test.
+    pub fn new(pred: &'p EntryPredicate, dict: &Arc<CodeDictionary>) -> BoundPredicate<'p> {
+        fn bind<'p>(p: &'p EntryPredicate, dict: &CodeDictionary) -> Node<'p> {
             match p {
-                EntryPredicate::And(ps) | EntryPredicate::Or(ps) => {
-                    ps.iter().for_each(|p| code_leaves(p, out));
-                }
-                EntryPredicate::Not(p) => code_leaves(p, out),
                 EntryPredicate::CodeMatches(_)
                 | EntryPredicate::CodeWithin(_)
-                | EntryPredicate::System(_) => out.push(p),
-                _ => {}
-            }
-        }
-        let mut leaves = Vec::new();
-        code_leaves(pred, &mut leaves);
-        BoundPredicate { pred, leaves, dict: Arc::default(), flags: Vec::new() }
-    }
-
-    /// The test for entries of `store` (a history's
-    /// [`pastas_model::History::store`]). A store on a longer dictionary
-    /// than any met so far binds the codes it adds; one on another
-    /// dictionary altogether (a store from a different collection)
-    /// rebinds from scratch.
-    pub fn on(&mut self, store: &EventStore) -> EntryTest<'_> {
-        let dict = store.dictionary();
-        if !self.leaves.is_empty() && !dict.is_prefix_of(&self.dict) {
-            if !self.dict.is_prefix_of(dict) {
-                self.flags.clear();
-            }
-            let (leaves, bound) = (&self.leaves, self.flags.len() / self.leaves.len());
-            let codes = dict.iter().skip(bound);
-            self.flags.extend(codes.flat_map(|c| leaves.iter().map(move |leaf| leaf.holds_for(c))));
-            self.dict = Arc::clone(dict);
-        }
-        EntryTest { pred: self.pred, leaves: &self.leaves, flags: &self.flags }
-    }
-}
-
-/// A [`BoundPredicate`] bound as far as one store's dictionary reaches:
-/// test entries of that store with [`EntryTest::matches`].
-#[derive(Debug, Clone, Copy)]
-pub struct EntryTest<'b> {
-    pred: &'b EntryPredicate,
-    leaves: &'b [&'b EntryPredicate],
-    flags: &'b [bool],
-}
-
-impl EntryTest<'_> {
-    /// True if `entry`, a row of the store this test was bound to,
-    /// satisfies the predicate.
-    pub fn matches(&self, entry: EntryRef<'_>) -> bool {
-        self.eval(self.pred, entry)
-    }
-
-    fn eval(&self, p: &EntryPredicate, e: EntryRef<'_>) -> bool {
-        match p {
-            EntryPredicate::Any => true,
-            EntryPredicate::CodeMatches(_)
-            | EntryPredicate::CodeWithin(_)
-            | EntryPredicate::System(_) => e.code_id().is_some_and(|id| {
-                let leaf = self.leaves.iter().position(|l| std::ptr::eq(*l, p)).unwrap_or(0);
-                let at = id.0 as usize * self.leaves.len() + leaf;
-                debug_assert!(at < self.flags.len(), "code id {} past the bound flags", id.0);
-                // lint:allow(no-panic-hot-path) the store's dictionary is a prefix of the bound one
-                self.flags[at]
-            }),
-            EntryPredicate::Source(s) => e.source() == *s,
-            EntryPredicate::IsDiagnosis => matches!(e.payload(), PayloadRef::Diagnosis(_)),
-            EntryPredicate::IsMedication => matches!(e.payload(), PayloadRef::Medication(_)),
-            EntryPredicate::MeasurementIn { kind, lo, hi } => match e.payload() {
-                PayloadRef::Measurement { kind: k, value } => {
-                    k == *kind && (*lo..=*hi).contains(&value)
+                | EntryPredicate::System(_) => {
+                    let mut flags = vec![false; dict.len()];
+                    for id in p.code_ids(dict) {
+                        if let Some(flag) = flags.get_mut(id as usize) {
+                            *flag = true;
+                        }
+                    }
+                    Node::Code(flags)
                 }
-                _ => false,
-            },
-            EntryPredicate::IsInterval => e.is_interval(),
-            EntryPredicate::InWindow { from, to } => {
-                let (from, to) = (from.at_midnight(), to.at_midnight().second_number() + 86_399);
-                e.start().second_number() <= to && e.end() >= from
+                EntryPredicate::And(ps) => Node::And(ps.iter().map(|p| bind(p, dict)).collect()),
+                EntryPredicate::Or(ps) => Node::Or(ps.iter().map(|p| bind(p, dict)).collect()),
+                EntryPredicate::Not(p) => Node::Not(Box::new(bind(p, dict))),
+                _ => Node::Leaf(p),
             }
-            EntryPredicate::And(ps) => ps.iter().all(|p| self.eval(p, e)),
-            EntryPredicate::Or(ps) => ps.iter().any(|p| self.eval(p, e)),
-            EntryPredicate::Not(p) => !self.eval(p, e),
+        }
+        BoundPredicate { root: bind(pred, dict), dict: Arc::clone(dict) }
+    }
+
+    /// True if `entry`, a row of a store on a prefix of the bound
+    /// dictionary, satisfies the predicate. A store on any other
+    /// dictionary is a caller's bug: debug builds assert against it, and
+    /// a code id past the bound dictionary panics.
+    pub fn matches(&self, entry: EntryRef<'_>) -> bool {
+        debug_assert!(
+            entry.code_id().zip(entry.code()).is_none_or(|(id, code)| {
+                self.dict.iter().nth(id.0 as usize) == Some(code)
+            }),
+            "an entry of a store off the bound dictionary"
+        );
+        self.root.matches(entry)
+    }
+}
+
+impl Node<'_> {
+    fn matches(&self, e: EntryRef<'_>) -> bool {
+        match self {
+            // lint:allow(no-panic-hot-path) an id past the bound dictionary is a store off it: a bug, not a miss
+            Node::Code(flags) => e.code_id().is_some_and(|id| flags[id.0 as usize]),
+            Node::Leaf(p) => p.matches(e),
+            Node::And(ns) => ns.iter().all(|n| n.matches(e)),
+            Node::Or(ns) => ns.iter().any(|n| n.matches(e)),
+            Node::Not(n) => !n.matches(e),
         }
     }
 }
@@ -334,6 +337,28 @@ mod tests {
         assert!(p.matches(&med("C07AB02")));
         assert!(!p.matches(&med("A10BA02")));
         assert!(!p.matches(&diag("K74")), "cross-system never matches");
+        // Within does not imply a value prefix, so the resolver cannot
+        // walk the root's run of the sorted view.
+        assert!(Code::icd10("E11.9").is_within(&Code::icd10("IV")));
+        assert!(Code::icd10("E11").is_within(&Code::icd10("E10-E14")));
+    }
+
+    /// An exact literal resolves to its value's codes in every system and
+    /// to nothing its value only starts; a prefix pattern to its run.
+    #[test]
+    fn code_leaves_resolve_to_their_run() {
+        let mut dict = CodeDictionary::default();
+        for code in [Code::icpc("T90"), Code::icd10("T90"), Code::icpc("T9"), Code::icd10("T90.1"), Code::icpc("K74")] {
+            dict.intern(&code);
+        }
+        let ids = |pattern: &str| EntryPredicate::code_regex(pattern).unwrap().code_ids(&dict);
+        assert_eq!(ids("T90"), [0, 1]);
+        assert_eq!(ids("T9"), [2]);
+        assert_eq!(ids("T9.*"), [0, 1, 2, 3]);
+        assert_eq!(ids("T90|K74"), [0, 1, 4]);
+        assert_eq!(ids("T90^"), [] as [u32; 0]);
+        assert_eq!(EntryPredicate::System(CodeSystem::Icd10).code_ids(&dict), [1, 3]);
+        assert_eq!(EntryPredicate::IsDiagnosis.code_ids(&dict), [] as [u32; 0]);
     }
 
     #[test]
@@ -403,37 +428,5 @@ mod tests {
         );
         assert!(EntryPredicate::IsInterval.matches(&stay));
         assert!(!EntryPredicate::IsInterval.matches(&diag("A01")));
-    }
-
-    #[test]
-    fn a_code_of_one_interner_binds_per_interner() {
-        use pastas_model::{History, Patient, PatientId, Sex};
-        let history = |id: u64, code: &str| {
-            let mut h = History::new(Patient {
-                id: PatientId(id),
-                birth_date: Date::new(1950, 1, 1).unwrap(),
-                sex: Sex::Female,
-            });
-            h.insert(diag("A01"));
-            h.insert(diag(code));
-            h
-        };
-        // Each history has its own store on a dictionary of its own; only
-        // the second holds Z99, and each switch between them rebinds.
-        let (a, b) = (history(1, "T90"), history(2, "Z99"));
-        let z99 = EntryPredicate::code_regex("Z99").unwrap();
-        for pred in [z99.clone(), z99.not()] {
-            let mut bound = BoundPredicate::new(&pred);
-            for h in [&a, &b, &a] {
-                let test = bound.on(h.store());
-                for e in h.entries() {
-                    assert_eq!(test.matches(e), pred.matches(e), "{pred:?} on {e:?}");
-                }
-            }
-        }
-        let pred = EntryPredicate::code_regex("Z99").unwrap();
-        let mut bound = BoundPredicate::new(&pred);
-        assert_eq!(b.entries().iter().filter(|&e| bound.on(b.store()).matches(e)).count(), 1);
-        assert_eq!(a.entries().iter().filter(|&e| bound.on(a.store()).matches(e)).count(), 0);
     }
 }

@@ -20,8 +20,9 @@ use pastas_time::{Date, Duration};
 use proptest::prelude::*;
 
 /// Patterns covering the probe shapes: exact literal, prefix run,
-/// alternation, char class, full wildcard, and a value that never matches.
-const PATTERNS: [&str; 7] = ["T90", "K.*", "T90|K74", "E1[014].*", "[KR].*", ".*", "Z99"];
+/// alternation, char class, full wildcard, a value that never matches,
+/// and a literal a start anchor after text makes match nothing.
+const PATTERNS: [&str; 8] = ["T90", "K.*", "T90|K74", "E1[014].*", "[KR].*", ".*", "Z99", "K74^"];
 
 const THREADS: [usize; 3] = [1, 2, 8];
 
@@ -294,6 +295,37 @@ fn random_set(rng: &mut Rng, shape: u64) -> Vec<u32> {
     out
 }
 
+/// A random code regex: one of [`PATTERNS`], or a prefix of a random
+/// code's value with a random tail (a wildcard, a class, an alternative,
+/// a start anchor after text), so the prefix walk meets exact literals,
+/// runs of every length and prefixes no code shares.
+fn random_code_pattern(rng: &mut Rng) -> String {
+    const TAILS: [&str; 9] = ["", ".*", ".", "[0-9]*", "|K.*", "9?", "$", "^", "(0|1).*"];
+    if rng.below(3) == 0 {
+        return PATTERNS[rng.below(PATTERNS.len() as u64) as usize].to_owned();
+    }
+    let value = random_code(rng).value;
+    let cut = rng.below(value.len() as u64 + 1) as usize;
+    let head = ["", "^"][rng.below(2) as usize];
+    format!("{head}{}{}", &value[..cut], TAILS[rng.below(TAILS.len() as u64) as usize])
+}
+
+/// A random ICPC-, ICD-10- or ATC-shaped code, most often one the
+/// synthetic vocabulary lacks.
+fn random_code(rng: &mut Rng) -> pastas_codes::Code {
+    use pastas_codes::Code;
+    let system = rng.below(3);
+    let mut fill = |shape: &str| -> String {
+        let digit = |rng: &mut Rng, base: u8, n: u64| char::from(base + rng.below(n) as u8);
+        shape.chars().map(|c| match c { 'A' => digit(rng, b'A', 26), '9' => digit(rng, b'0', 10), c => c }).collect()
+    };
+    match system {
+        0 => Code::icpc(&fill("A99")),
+        1 => Code::icd10(&fill("A99.9")),
+        _ => Code::atc(&fill("A99AA99")),
+    }
+}
+
 /// A random entry predicate of bounded depth over every
 /// [`EntryPredicate`] variant, for the bound-predicate differential.
 fn random_entry_predicate(rng: &mut Rng, depth: u32) -> EntryPredicate {
@@ -303,11 +335,10 @@ fn random_entry_predicate(rng: &mut Rng, depth: u32) -> EntryPredicate {
     let day = |rng: &mut Rng| Date::new(2010, 1, 1).expect("valid date").add_days(rng.below(2_500) as i64);
     match choice {
         0 => EntryPredicate::Any,
-        1 => EntryPredicate::code_regex(PATTERNS[rng.below(PATTERNS.len() as u64) as usize])
-            .expect("valid pattern"),
+        1 => EntryPredicate::code_regex(&random_code_pattern(rng)).expect("valid pattern"),
         2 => EntryPredicate::CodeWithin(
-            [Code::icpc("K"), Code::icpc("T90"), Code::atc("C07"), Code::atc("N02BE01"), Code::icpc("Z99")]
-                [rng.below(5) as usize]
+            [Code::icpc("K"), Code::icpc("T90"), Code::atc("C07"), Code::atc("N02BE01"), Code::icpc("Z99"), Code::icd10("IV")]
+                [rng.below(6) as usize]
                 .clone(),
         ),
         3 => EntryPredicate::System([CodeSystem::Icpc2, CodeSystem::Icd10, CodeSystem::Atc][rng.below(3) as usize]),
@@ -385,10 +416,10 @@ proptest! {
         idx.debug_validate(&c);
         // The reduced-width index answers exactly like the full-width one.
         let full = CodeIndex::build(&c);
-        let broad = pastas_regex::Regex::new("[KR].*").expect("valid pattern");
+        let broad = EntryPredicate::code_regex("[KR].*").expect("valid pattern");
         prop_assert_eq!(
-            idx.candidates_for_regex(&broad).to_vec(),
-            full.candidates_for_regex(&broad).to_vec()
+            idx.candidates(&broad).to_vec(),
+            full.candidates(&broad).to_vec()
         );
         let mut rng = Rng(ast_seed);
         planned_equals_scan(&c, &idx, &random_query(&mut rng, depth))?;
@@ -399,7 +430,7 @@ proptest! {
     fn indexed_parallel_select_agrees_with_serial_scan(
         seed in 0u64..200,
         patients in 300u32..900,
-        pattern_i in 0u32..7,
+        pattern_i in 0u32..8,
         negate_i in 0u32..2,
     ) {
         let negate = negate_i == 1;
@@ -720,36 +751,44 @@ proptest! {
             }
         }
     }
-    /// A bound predicate answers every entry as the string-testing
-    /// `EntryPredicate::matches` does, for random trees over every
-    /// variant, over entries of several arenas and of stores an ingest
-    /// epoch detached onto a dictionary version grown by codes their
-    /// arena lacked.
+    /// The one resolver and the binding on it agree with the string
+    /// tests at every dictionary version. After each of several ingest
+    /// epochs that grow the dictionary by random codes (most of them new),
+    /// random leaves resolve to exactly the ids whose codes `holds_for`
+    /// accepts over the whole dictionary, and random trees over every
+    /// variant bound to that version answer every entry of every arena as
+    /// `EntryPredicate::matches` does.
     #[test]
     fn bound_predicate_agrees_with_matches(seed in 0u64..200, tree_seed in 0u64..u64::MAX) {
-        use pastas_codes::Code;
-        use pastas_model::{Entry, MeasurementKind, OpenEpoch, Payload, SourceKind};
+        use pastas_model::{Entry, OpenEpoch, Payload, SourceKind};
         let mut c = generate_collection(SynthConfig { shard_patients: 64, ..SynthConfig::with_patients(240) }, seed);
         let mut rng = Rng(tree_seed);
-        let mut epoch = OpenEpoch::new();
-        for _ in 0..4 {
-            let p = *c.histories()[rng.below(c.len() as u64) as usize].patient();
-            let at = Date::new(2013, 1 + rng.below(12) as u32, 1).expect("valid date").at_midnight();
-            epoch.append(p, vec![
-                Entry::event(at, Payload::Diagnosis(Code::icpc("Z99")), SourceKind::PrimaryCare),
-                Entry::event(at, Payload::Medication(Code::atc("N02BE01")), SourceKind::Prescription),
-                Entry::event(at, Payload::Measurement { kind: MeasurementKind::Hba1c, value: 7.5 }, SourceKind::PrimaryCare),
-            ]);
-        }
-        epoch.seal_into(&mut c);
-        prop_assert!(dictionary_versions(&c) >= 2, "{} versions", dictionary_versions(&c));
-        for _ in 0..8 {
-            let pred = random_entry_predicate(&mut rng, 3);
-            let mut bound = crate::BoundPredicate::new(&pred);
-            for h in c.histories() {
-                let test = bound.on(h.store());
-                for e in h.entries() {
-                    prop_assert_eq!(test.matches(e), pred.matches(e), "{:?} on {:?}", pred, e);
+        for version in 0..3 {
+            if version > 0 {
+                let mut epoch = OpenEpoch::new();
+                for _ in 0..4 {
+                    let p = *c.histories()[rng.below(c.len() as u64) as usize].patient();
+                    let at = Date::new(2013, 1 + rng.below(12) as u32, 1).expect("valid date").at_midnight();
+                    let entry = Entry::event(at, Payload::Diagnosis(random_code(&mut rng)), SourceKind::PrimaryCare);
+                    epoch.append(p, vec![entry]);
+                }
+                epoch.seal_into(&mut c);
+                prop_assert!(dictionary_versions(&c) >= 2, "{} versions", dictionary_versions(&c));
+            }
+            let dict = c.dictionary();
+            for _ in 0..12 {
+                let leaf = random_entry_predicate(&mut rng, 0);
+                let codes = (0u32..).zip(dict.iter());
+                let expect: Vec<u32> = codes.filter(|(_, code)| leaf.holds_for(code)).map(|(id, _)| id).collect();
+                prop_assert_eq!(leaf.code_ids(dict), expect, "{:?}", leaf);
+            }
+            for _ in 0..6 {
+                let pred = random_entry_predicate(&mut rng, 3);
+                let bound = crate::BoundPredicate::new(&pred, dict);
+                for h in c.histories() {
+                    for e in h.entries() {
+                        prop_assert_eq!(bound.matches(e), pred.matches(e), "{:?} on {:?}", pred, e);
+                    }
                 }
             }
         }

@@ -2,8 +2,9 @@
 
 use crate::predicate::{BoundPredicate, EntryPredicate};
 use crate::temporal::TemporalPattern;
-use pastas_model::{EntryRef, History, Sex};
+use pastas_model::{CodeDictionary, EntryRef, History, Sex};
 use pastas_time::Date;
+use std::sync::Arc;
 
 /// A query over a whole patient history — the unit the cohort selector
 /// evaluates. "General practitioners cannot be expected to be acquainted
@@ -54,35 +55,19 @@ impl HistoryQuery {
     /// [`EntryPredicate::matches`] — the reference that
     /// [`crate::index::select_scan`] runs.
     pub fn matches(&self, history: &History) -> bool {
-        self.eval(history, &mut |p, e| p.matches(e))
-    }
-
-    /// Evaluate against one history, testing one of this query's entry
-    /// predicates (a count leaf or a pattern step) on an entry with
-    /// `test`. Counts stop at the first entry that decides them.
-    pub(crate) fn eval<'h>(
-        &self,
-        history: &'h History,
-        test: &mut impl FnMut(&EntryPredicate, EntryRef<'h>) -> bool,
-    ) -> bool {
         match self {
             HistoryQuery::All => true,
-            HistoryQuery::CountAtLeast(p, n) => {
-                history.entries().iter().filter(|&e| test(p, e)).take(*n).count() == *n
-            }
-            HistoryQuery::CountAtMost(p, n) => {
-                history.entries().iter().filter(|&e| test(p, e)).take(n.saturating_add(1)).count()
-                    <= *n
-            }
-            HistoryQuery::Pattern(pat) => pat.matches_with(history.entries(), test),
+            HistoryQuery::CountAtLeast(p, n) => at_least(history, *n, |e| p.matches(e)),
+            HistoryQuery::CountAtMost(p, n) => !at_least(history, n.saturating_add(1), |e| p.matches(e)),
+            HistoryQuery::Pattern(pat) => pat.matches(history),
             HistoryQuery::AgeBetween { at, min, max } => {
                 let age = history.age_at(*at);
                 (*min..=*max).contains(&age)
             }
             HistoryQuery::SexIs(s) => history.patient().sex == *s,
-            HistoryQuery::And(qs) => qs.iter().all(|q| q.eval(history, test)),
-            HistoryQuery::Or(qs) => qs.iter().any(|q| q.eval(history, test)),
-            HistoryQuery::Not(q) => !q.eval(history, test),
+            HistoryQuery::And(qs) => qs.iter().all(|q| q.matches(history)),
+            HistoryQuery::Or(qs) => qs.iter().any(|q| q.matches(history)),
+            HistoryQuery::Not(q) => !q.matches(history),
         }
     }
 
@@ -149,48 +134,65 @@ impl HistoryQuery {
     }
 }
 
+/// True if at least `n` entries of `history` pass `test`, testing
+/// entries only until the `n`-th passes.
+fn at_least<'h>(history: &'h History, n: usize, mut test: impl FnMut(EntryRef<'h>) -> bool) -> bool {
+    history.entries().iter().filter(|&e| test(e)).take(n).count() == n
+}
+
 /// A [`HistoryQuery`] whose entry predicates (count leaves and pattern
-/// steps) are each bound as a [`BoundPredicate`], for one pass over many
-/// histories: [`BoundQuery::matches`] answers as [`HistoryQuery::matches`]
-/// does, and tests no entry by a string. Each predicate binds the codes
-/// of the collection's dictionary as far as the stores met reach.
-pub(crate) struct BoundQuery<'q> {
-    query: &'q HistoryQuery,
-    bound: Vec<(&'q EntryPredicate, BoundPredicate<'q>)>,
+/// steps) are each bound once to the collection's code dictionary
+/// ([`BoundPredicate`]), in a tree that mirrors the query's:
+/// [`BoundQuery::matches`] answers as [`HistoryQuery::matches`] does and
+/// tests no entry by a string. One binding a plan execution serves every
+/// shard worker and chunk.
+pub(crate) enum BoundQuery<'q> {
+    /// A clause that reads the patient, not the entries (`All`,
+    /// `AgeBetween`, `SexIs`).
+    Patient(&'q HistoryQuery),
+    AtLeast(BoundPredicate<'q>, usize),
+    AtMost(BoundPredicate<'q>, usize),
+    /// A pattern and its steps' predicates, in step order.
+    Pattern(&'q TemporalPattern, Vec<BoundPredicate<'q>>),
+    And(Vec<BoundQuery<'q>>),
+    Or(Vec<BoundQuery<'q>>),
+    Not(Box<BoundQuery<'q>>),
 }
 
 impl<'q> BoundQuery<'q> {
-    pub(crate) fn new(query: &'q HistoryQuery) -> BoundQuery<'q> {
-        fn walk<'q>(q: &'q HistoryQuery, out: &mut Vec<(&'q EntryPredicate, BoundPredicate<'q>)>) {
-            match q {
-                HistoryQuery::CountAtLeast(p, _) | HistoryQuery::CountAtMost(p, _) => {
-                    out.push((p, BoundPredicate::new(p)));
-                }
-                HistoryQuery::Pattern(pat) => {
-                    out.extend(pat.step_predicates().map(|p| (p, BoundPredicate::new(p))));
-                }
-                HistoryQuery::And(qs) | HistoryQuery::Or(qs) => qs.iter().for_each(|q| walk(q, out)),
-                HistoryQuery::Not(q) => walk(q, out),
-                HistoryQuery::All | HistoryQuery::AgeBetween { .. } | HistoryQuery::SexIs(_) => {}
+    /// Bind `query` to `dict`, the dictionary of the collection whose
+    /// histories it will test.
+    pub(crate) fn new(query: &'q HistoryQuery, dict: &Arc<CodeDictionary>) -> BoundQuery<'q> {
+        let all = |qs: &'q [HistoryQuery]| qs.iter().map(|q| BoundQuery::new(q, dict)).collect();
+        match query {
+            HistoryQuery::CountAtLeast(p, n) => BoundQuery::AtLeast(BoundPredicate::new(p, dict), *n),
+            HistoryQuery::CountAtMost(p, n) => BoundQuery::AtMost(BoundPredicate::new(p, dict), *n),
+            HistoryQuery::Pattern(pat) => BoundQuery::Pattern(
+                pat,
+                pat.step_predicates().map(|p| BoundPredicate::new(p, dict)).collect(),
+            ),
+            HistoryQuery::And(qs) => BoundQuery::And(all(qs)),
+            HistoryQuery::Or(qs) => BoundQuery::Or(all(qs)),
+            HistoryQuery::Not(q) => BoundQuery::Not(Box::new(BoundQuery::new(q, dict))),
+            HistoryQuery::All | HistoryQuery::AgeBetween { .. } | HistoryQuery::SexIs(_) => {
+                BoundQuery::Patient(query)
             }
         }
-        let mut bound = Vec::new();
-        walk(query, &mut bound);
-        BoundQuery { query, bound }
     }
 
     /// Evaluate the query against `history`.
-    pub(crate) fn matches(&mut self, history: &History) -> bool {
-        let store = history.store();
-        let bound = &mut self.bound;
-        self.query.eval(history, &mut |p, e| {
-            // `eval` hands back the query's own predicates, each bound
-            // above, so the lookup by address always finds one.
-            bound
-                .iter_mut()
-                .find(|(q, _)| std::ptr::eq(*q, p))
-                .is_some_and(|(_, b)| b.on(store).matches(e))
-        })
+    pub(crate) fn matches(&self, history: &History) -> bool {
+        match self {
+            BoundQuery::Patient(q) => q.matches(history),
+            BoundQuery::AtLeast(p, n) => at_least(history, *n, |e| p.matches(e)),
+            BoundQuery::AtMost(p, n) => !at_least(history, n.saturating_add(1), |e| p.matches(e)),
+            BoundQuery::Pattern(pat, steps) => pat.matches_with(history.entries(), &mut |step, e| {
+                steps.get(step).is_some_and(|p| p.matches(e))
+            }),
+            BoundQuery::And(qs) => qs.iter().all(|q| q.matches(history)),
+            BoundQuery::Or(qs) => qs.iter().any(|q| q.matches(history)),
+            BoundQuery::Not(q) => !q.matches(history),
+        }
     }
 }
 

@@ -18,12 +18,13 @@
 //!   start *before* the previous match — and never reuses an entry of the
 //!   hit.
 //!
-//! The interpreter takes its entry test as a parameter. The per-history
-//! [`find_matches`](TemporalPattern::find_matches) and
-//! [`matches`](TemporalPattern::matches) pass
-//! [`EntryPredicate::matches`]; the planner's verification passes tests
-//! bound once to the collection's code dictionary
-//! ([`crate::BoundPredicate`]), so a code step reads one flag per entry.
+//! The interpreter takes its entry test, by step number, as a parameter.
+//! The per-history [`find_matches`](TemporalPattern::find_matches) and
+//! [`matches`](TemporalPattern::matches) pass [`EntryPredicate::matches`];
+//! the planner's verification passes the steps bound once a query to the
+//! collection's code dictionary ([`crate::BoundPredicate`], each code
+//! leaf resolved by the one prefix resolver), so a code step reads one
+//! flag per entry.
 //! `matches` stops at the first hit. The original per-history scan
 //! survives only as the `#[cfg(test)]` differential oracle.
 
@@ -161,7 +162,7 @@ impl TemporalPattern {
     /// event chart, which the paper discusses: one line per search hit.)
     pub fn find_matches(&self, history: &History) -> Vec<PatternHit> {
         let mut hits = Vec::new();
-        self.scan(history.entries(), &mut |p, e| p.matches(e), |steps| {
+        self.scan(history.entries(), &mut |step, e| self.step_matches(step, e), |steps| {
             hits.push(PatternHit { steps: steps.to_vec() });
             true
         });
@@ -171,15 +172,20 @@ impl TemporalPattern {
     /// True if the history contains at least one match. Stops at the
     /// first hit — no hit vector is materialized.
     pub fn matches(&self, history: &History) -> bool {
-        self.matches_with(history.entries(), &mut |p, e| p.matches(e))
+        self.matches_with(history.entries(), &mut |step, e| self.step_matches(step, e))
     }
 
-    /// [`matches`](TemporalPattern::matches) over `entries`, testing a
-    /// step's predicate on an entry with `test`.
+    /// Whether `e` satisfies the predicate of step `step` (0 = first).
+    fn step_matches(&self, step: usize, e: EntryRef<'_>) -> bool {
+        self.step_predicates().nth(step).is_some_and(|p| p.matches(e))
+    }
+
+    /// [`matches`](TemporalPattern::matches) over `entries`, testing an
+    /// entry against step `i`'s predicate (0 = first) with `test(i, e)`.
     pub(crate) fn matches_with<'e>(
         &self,
         entries: Entries<'e>,
-        test: &mut impl FnMut(&EntryPredicate, EntryRef<'e>) -> bool,
+        test: &mut impl FnMut(usize, EntryRef<'e>) -> bool,
     ) -> bool {
         let mut found = false;
         self.scan(entries, test, |_| {
@@ -195,13 +201,13 @@ impl TemporalPattern {
     fn scan<'e>(
         &self,
         entries: Entries<'e>,
-        test: &mut impl FnMut(&EntryPredicate, EntryRef<'e>) -> bool,
+        test: &mut impl FnMut(usize, EntryRef<'e>) -> bool,
         mut on_hit: impl FnMut(&[usize]) -> bool,
     ) {
         STEP_SCRATCH.with(|buf| {
             let mut steps = buf.borrow_mut();
             for (anchor, e) in entries.iter().enumerate() {
-                if test(&self.first, e)
+                if test(0, e)
                     && self.complete(entries, anchor, test, &mut steps)
                     && !on_hit(&steps)
                 {
@@ -220,27 +226,27 @@ impl TemporalPattern {
         &self,
         entries: Entries<'e>,
         anchor: usize,
-        test: &mut impl FnMut(&EntryPredicate, EntryRef<'e>) -> bool,
+        test: &mut impl FnMut(usize, EntryRef<'e>) -> bool,
         steps: &mut Vec<usize>,
     ) -> bool {
         steps.clear();
         steps.push(anchor);
         let (mut at, mut prev) = (anchor, entries.get(anchor));
-        for (constraint, pred) in &self.rest {
+        for (step, (constraint, _)) in (1..).zip(&self.rest) {
             let next = match *constraint {
                 StepConstraint::Gap(gap) => {
                     let (lo, hi) = (prev.end() + gap.min, prev.end() + gap.max);
                     (at + 1..entries.len())
                         .map(|j| (j, entries.get(j)))
                         .take_while(|(_, e)| e.start() <= hi)
-                        .find(|&(_, e)| e.start() >= lo && test(pred, e))
+                        .find(|&(_, e)| e.start() >= lo && test(step, e))
                 }
                 StepConstraint::Allen(rels) => {
                     let span = (prev.start(), prev.end());
                     (0..entries.len()).map(|j| (j, entries.get(j))).find(|&(j, e)| {
                         !steps.contains(&j)
                             && rels.contains(AllenRel::between_times((e.start(), e.end()), span))
-                            && test(pred, e)
+                            && test(step, e)
                     })
                 }
             };
@@ -447,9 +453,9 @@ mod tests {
         let h = history(vec![diag(t(2013, 1, 1), "T90"), diag(t(2013, 2, 1), "T90")]);
         let pat = TemporalPattern::starting_with(p("T90"));
         let mut tested = 0;
-        let found = pat.matches_with(h.entries(), &mut |q, e| {
+        let found = pat.matches_with(h.entries(), &mut |step, e| {
             tested += 1;
-            q.matches(e)
+            pat.step_matches(step, e)
         });
         assert!(found);
         assert_eq!(tested, 1, "the first anchor is a hit, so no later entry is tested");

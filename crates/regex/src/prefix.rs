@@ -21,33 +21,35 @@ pub struct PrefixInfo {
 
 /// Compute the prefix facts of a parsed pattern.
 pub fn analyze(ast: &Ast) -> PrefixInfo {
-    let (prefix, total) = walk(ast);
+    let (prefix, total) = walk(ast, true);
     PrefixInfo { exact: total, prefix }
 }
 
-/// Returns `(literal prefix, whole-node-is-exactly-that-literal)`.
-fn walk(ast: &Ast) -> (String, bool) {
+/// Returns `(literal prefix, whole-node-is-exactly-that-literal)` for a
+/// node that starts the haystack (`at_start`) or follows other text.
+fn walk(ast: &Ast, at_start: bool) -> (String, bool) {
     match ast {
         Ast::Empty => (String::new(), true),
         Ast::Literal(c) => (c.to_string(), true),
-        Ast::AnchorStart => (String::new(), true), // matches "" at the front
+        // `^` matches "" at the front and nothing after text: `K74^` is
+        // no literal.
+        Ast::AnchorStart => (String::new(), at_start),
         Ast::Concat(parts) => {
             let mut prefix = String::new();
-            for (i, p) in parts.iter().enumerate() {
-                let (sub, total) = walk(p);
+            for p in parts {
+                let (sub, total) = walk(p, at_start && prefix.is_empty());
                 prefix.push_str(&sub);
                 if !total {
                     return (prefix, false);
                 }
-                let _ = i;
             }
             (prefix, true)
         }
-        Ast::Group { inner, .. } | Ast::NonCapturing(inner) => walk(inner),
+        Ast::Group { inner, .. } | Ast::NonCapturing(inner) => walk(inner, at_start),
         Ast::Alternate(branches) => {
             // Common prefix of all branches; exact only if every branch is
             // the same exact literal (pathological, treat as not exact).
-            let mut iter = branches.iter().map(walk);
+            let mut iter = branches.iter().map(|b| walk(b, at_start));
             let Some((mut common, _)) = iter.next() else {
                 return (String::new(), false);
             };
@@ -69,7 +71,7 @@ fn walk(ast: &Ast) -> (String, bool) {
                 return (String::new(), false);
             }
             // One mandatory copy contributes its prefix.
-            let (sub, _) = walk(inner);
+            let (sub, _) = walk(inner, at_start);
             (sub, false)
         }
         // Classes, dot, end anchors contribute nothing certain.
@@ -91,6 +93,14 @@ mod tests {
         assert_eq!(info("T90"), PrefixInfo { prefix: "T90".into(), exact: true });
         assert_eq!(info(""), PrefixInfo { prefix: String::new(), exact: true });
         assert_eq!(info("^T90"), PrefixInfo { prefix: "T90".into(), exact: true });
+        assert!(info("^(^T)90").exact);
+    }
+
+    #[test]
+    fn a_start_anchor_after_text_is_no_literal() {
+        for p in ["K74^", "K7^4", "(K74)^", "K(^)74"] {
+            assert!(!info(p).exact, "{p}");
+        }
     }
 
     #[test]

@@ -56,16 +56,15 @@ pub fn density(
     let span = (to - from).as_seconds().max(1) as f64;
     let histories = collection.histories();
     let mut counts = vec![vec![0u32; buckets]; blocks];
-    let mut filter = filter.map(BoundPredicate::new);
+    let filter = filter.map(|f| BoundPredicate::new(f, collection.dictionary()));
     for (row, &hi) in order.iter().enumerate() {
         let block = row / block_size;
         if block >= blocks {
             break;
         }
         let history = &histories[hi as usize];
-        let test = filter.as_mut().map(|f| f.on(history.store()));
         for e in history.entries() {
-            if test.is_some_and(|t| !t.matches(e)) {
+            if filter.as_ref().is_some_and(|f| !f.matches(e)) {
                 continue;
             }
             if e.end() < from || e.start() > to {

@@ -122,7 +122,8 @@ impl<'a> TimelineView<'a> {
         let bar_h = (row_h * 0.62).clamp(1.0, 26.0);
         let histories = self.collection.histories();
         let epoch = aligned_epoch();
-        let mut filter = self.options.filter.as_ref().map(BoundPredicate::new);
+        let dict = self.collection.dictionary();
+        let filter = self.options.filter.as_ref().map(|f| BoundPredicate::new(f, dict));
         let mut glyphs = Vec::new();
 
         for row in vp.visible_rows(self.rows()) {
@@ -162,10 +163,9 @@ impl<'a> TimelineView<'a> {
                 );
             }
 
-            let test = filter.as_mut().map(|f| f.on(hist.store()));
             glyphs.clear();
             for (ei, e) in hist.entries().iter().enumerate() {
-                if test.is_some_and(|t| !t.matches(e)) {
+                if filter.as_ref().is_some_and(|f| !f.matches(e)) {
                     continue;
                 }
                 let (ex0, ex1) = (x_of(e.start()), x_of(e.end()));

@@ -53,10 +53,11 @@ stage "tests at PASTAS_THREADS=1" env PASTAS_THREADS=1 cargo test -q --release \
     -p pastas-synth -p pastas-model
 # Allocation budgets (DESIGN.md §9): a counting allocator holds each hot
 # path to a count per unit of work — synthesis per patient, a planned
-# select per shard (and bytes per row), a pattern scan per shard not per
-# candidate, the timeline per drawn element, the SVG writer per render,
-# cohort reads not per row, the regex VM per call. --nocapture puts every
-# number in the log.
+# select per shard (and bytes per row), a pattern scan to a fixed count a
+# query (its one bind included) and none per candidate, a code leaf's bind
+# per matching code not per vocabulary code, the timeline per drawn
+# element, the SVG writer per render, cohort reads not per row, the regex
+# VM per call. --nocapture puts every number in the log.
 stage "allocation budgets (release)" \
     cargo test -q --release -p pastas-core --test alloc_budgets -- --nocapture
 # Repo-specific invariants (DESIGN.md §9) the compiler cannot check: no
