@@ -2,7 +2,7 @@
 //!
 //! Every dimension here is a *partition*: each patient lands in exactly
 //! one bucket, so the bucket totals of every histogram sum to the cohort
-//! size — the invariant the property tests in [`crate::proptests`] hold
+//! size — the invariant the property tests in `crate::proptests` hold
 //! the parallel pass to. Buckets are identified by small dense indices so
 //! the aggregation pass is pure integer indexing into `u32` accumulator
 //! arrays; the label functions here are only touched when a finished

@@ -3,7 +3,7 @@
 //! [`cohort_profile`] folds the row-table columns of the selected
 //! patients — given as sorted positions into the collection, exactly
 //! what the query planner returns — into a [`CohortProfile`] in one
-//! parallel pass: each worker carries a dense [`Accum`] of `u32` bucket
+//! parallel pass: each worker carries a dense `Accum` of `u32` bucket
 //! arrays (plus a vocabulary-sized count column for top-k codes) and the
 //! partial accumulators merge by vector addition, so the result is
 //! independent of chunking and thread count. [`cohort_monthly`] folds

@@ -7,7 +7,7 @@
 
 /// The 17 ICPC-2 chapters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[allow(missing_docs)]
+#[expect(missing_docs, reason = "a trailing comment names each chapter")]
 pub enum Chapter {
     A, // General and unspecified
     B, // Blood, blood forming organs

@@ -6,7 +6,7 @@
 //! format at a time. This module parses one such increment into
 //! per-patient entry deltas ([`PatientDelta`]): adapters, linkage,
 //! measurement extraction and the source→entry conventions all live
-//! here. The batch pipeline ([`crate::aggregate`]) is the same parser
+//! here. The batch pipeline ([`crate::aggregate`](mod@crate::aggregate)) is the same parser
 //! run over five complete files, so a collection grown from deltas
 //! converges to what a batch build of the same rows produces (the serve
 //! layer's convergence e2e asserts this).
@@ -141,7 +141,6 @@ impl Grouper {
             deltas.len() - 1
         });
         if let Some(e) = entry {
-            // lint:allow(no-panic-hot-path) slot indexes the deltas by construction
             deltas[slot].entries.push(e);
         }
     }
@@ -150,7 +149,7 @@ impl Grouper {
 /// Parse one increment of `format` into per-patient deltas.
 ///
 /// This is the one place the source→entry conventions live (the batch
-/// pipeline, [`crate::aggregate`], is this parser over five whole files):
+/// pipeline, [`crate::aggregate`](mod@crate::aggregate), is this parser over five whole files):
 /// claims become a noon diagnosis event (plus one measurement event per
 /// extracted note reading) attributed to `Specialist` for `SPEC`
 /// providers and `PrimaryCare` otherwise; hospital rows become an episode

@@ -5,7 +5,7 @@
 //! CSV dialects with four patient-identifier schemes and assorted data-
 //! quality problems (duplicates, "clearly invalid" dates, free text with
 //! "differing conventions and many typing errors"). This crate turns them
-//! into one validated [`HistoryCollection`]:
+//! into one validated [`HistoryCollection`](pastas_model::HistoryCollection):
 //!
 //! * [`csv`] — a small delimiter-configurable line parser;
 //! * [`adapters`] — one adapter per source file, each tolerant of bad rows
@@ -17,12 +17,15 @@
 //! * [`delta`] — one source text (a whole file or a streamed increment)
 //!   parsed into per-patient entry deltas: adapters, linkage and the
 //!   source→entry conventions, in one place;
-//! * [`aggregate`] — the batch pipeline: the delta parser over the five
+//! * [`aggregate`](mod@aggregate) — the batch pipeline: the delta parser over the five
 //!   files, then merge → dedup → validate, with a [`QualityReport`]
 //!   accounting for every dropped row.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+// DESIGN.md §9: no unwrap outside tests, and each exception is an
+// `expect` attribute with a reason, which fails once it goes stale.
+#![deny(clippy::unwrap_used, clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
 pub mod adapters;
 pub mod aggregate;

@@ -110,6 +110,7 @@ const ID_SHARDS: usize = 256;
 
 /// The id sub-map `id` lives in: the top eight bits of a Fibonacci hash,
 /// fixed, so every collection of every process agrees.
+#[expect(clippy::cast_possible_truncation, reason = "the top eight bits fit any usize")]
 fn id_shard(id: PatientId) -> usize {
     (id.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (u64::BITS - ID_SHARDS.ilog2())) as usize
 }
@@ -704,7 +705,10 @@ impl<'a> IntoIterator for Histories<'a> {
 /// Iterator over the `&History` rows of a collection, chunk by chunk.
 #[derive(Debug, Clone)]
 pub struct HistoriesIter<'a> {
-    #[allow(clippy::type_complexity)]
+    #[expect(
+        clippy::type_complexity,
+        reason = "a named FlatMap over chunk slices; an alias would hide one field's type"
+    )]
     rows: std::iter::FlatMap<
         std::slice::Iter<'a, Arc<RowChunk>>,
         &'a [History],

@@ -213,7 +213,6 @@ impl Digest {
         while at < offsets.len() {
             let day = day_of(at);
             let date = Date::from_day_number(day).unwrap_or(Date::MAX);
-            // lint:allow(no-silent-truncation) a month is 1..=12
             let run_month = date.year() * 12 + date.month() as i32 - 1;
             // A far start is never below the limit: it opens a run.
             let next = day + i64::from(date.days_in_month() - date.day()) + 1;
@@ -244,8 +243,9 @@ impl Digest {
         }
         while count > 0 {
             let part = count.min(255);
-            // lint:allow(no-silent-truncation) step and part are 0..=255 here
-            self.runs.push((step as Run) << 8 | part as Run);
+            #[expect(clippy::cast_possible_truncation, reason = "step and part are 0..=255 here")]
+            let run = (step as Run) << 8 | part as Run;
+            self.runs.push(run);
             (step, count) = (0, count - part);
         }
     }

@@ -25,6 +25,11 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+// DESIGN.md §9: no unwrap outside tests, and each exception is an
+// `expect` attribute with a reason, which fails once it goes stale.
+#![deny(clippy::unwrap_used, clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+// No silent narrowing cast (tests may narrow).
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
 mod collection;
 mod digest;
@@ -69,13 +74,10 @@ impl PatientId {
         let mut rest = self.0;
         while rest > 0 {
             at -= 1;
-            // lint:allow(no-panic-hot-path) a u64 has at most twenty digits, so at >= 0
-            // lint:allow(no-silent-truncation) rest % 10 < 10
             digits[at] = b'0' + (rest % 10) as u8;
             rest /= 10;
         }
         out.push('P');
-        // lint:allow(no-panic-hot-path) at.min(13) <= 20 == digits.len()
         out.extend(digits[at.min(digits.len() - 7)..].iter().map(|&d| char::from(d)));
     }
 }

@@ -507,7 +507,6 @@ impl EventStore {
     fn renumber(&mut self, ids: &[u32], dict: &Arc<CodeDictionary>) {
         for (aux, &kind) in self.aux.iter_mut().zip(&self.kinds) {
             if code_id_of(kind, *aux).is_some() {
-                // lint:allow(no-panic-hot-path) ids maps every id of this store's dictionary
                 *aux = ids[*aux as usize];
             }
         }
@@ -562,7 +561,7 @@ impl EventStore {
                 (TAG_NOTE, idx)
             }
         };
-        // lint:allow(no-silent-truncation) dense_index() is below 5
+        #[expect(clippy::cast_possible_truncation, reason = "dense_index() is below 5")]
         let source = (source.dense_index() as u8) << SOURCE_SHIFT;
         let flag = if interval { FLAG_INTERVAL } else { 0 };
         (self.offset_of(start), tag | source | flag, aux)
@@ -1021,9 +1020,9 @@ impl<'a> Entries<'a> {
 
     /// The `i`-th entry of the span (panics when out of bounds, like
     /// slice indexing did).
+    #[expect(clippy::cast_possible_truncation, reason = "asserted i < len, and len fits u32")]
     pub fn get(&self, i: usize) -> EntryRef<'a> {
         assert!(i < self.len(), "entry index {i} out of bounds (len {})", self.len());
-        // lint:allow(no-silent-truncation) asserted i < len, and len fits u32
         EntryRef { store: self.store, idx: self.lo + i as u32 }
     }
 
@@ -1461,7 +1460,7 @@ impl CollectionBuilder {
         let report =
             ValidationReport { accepted: rows.len(), dropped_pre_birth: offered - rows.len() };
         rows.sort_by_key(|row| (row.start, row.end));
-        // lint:allow(no-silent-truncation) arena count stays far below u32::MAX
+        #[expect(clippy::cast_possible_truncation, reason = "arena count stays far below u32::MAX")]
         let slot = self.sealed.len() as u32;
         let lo = self.store.len_u32();
         for row in rows.drain(..) {
@@ -1547,7 +1546,7 @@ impl CollectionBuilder {
         if !self.patients.is_empty() {
             self.sealed.push(open);
         }
-        // lint:allow(no-silent-truncation) arena count stays far below u32::MAX
+        #[expect(clippy::cast_possible_truncation, reason = "arena count stays far below u32::MAX")]
         let base = self.sealed.len() as u32;
         self.sealed.extend(other.sealed);
         let rebased = other.patients.into_iter().map(|(p, slot, lo, hi)| (p, slot + base, lo, hi));
@@ -1569,7 +1568,6 @@ impl CollectionBuilder {
         arenas.push(Arc::new(self.store));
         let collection = HistoryCollection::from_histories(
             self.patients.into_iter().map(|(patient, slot, lo, hi)| {
-                // lint:allow(no-panic-hot-path) every recorded slot was sealed above
                 History::from_span(patient, Arc::clone(&arenas[slot as usize]), lo, hi)
             }),
         );

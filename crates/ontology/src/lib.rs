@@ -31,6 +31,9 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+// DESIGN.md §9: no unwrap outside tests, and each exception is an
+// `expect` attribute with a reason, which fails once it goes stale.
+#![deny(clippy::unwrap_used, clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
 pub mod integration;
 pub mod presentation;

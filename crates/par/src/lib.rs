@@ -31,6 +31,12 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+// DESIGN.md §9: no unwrap outside tests, and each exception is an
+// `expect` attribute with a reason, which fails once it goes stale.
+#![deny(clippy::unwrap_used, clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+// A request path degrades to a typed error, never a panic.
+#![deny(clippy::indexing_slicing, clippy::string_slice, clippy::expect_used, clippy::panic)]
+#![deny(clippy::todo, clippy::unreachable, clippy::unimplemented)]
 
 pub mod pool;
 
@@ -112,17 +118,20 @@ where
             let mut start = 0usize;
             for i in 0..threads {
                 let size = base + usize::from(i < rem);
-                // lint:allow(no-panic-hot-path) chunk sizes sum to len by construction
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "chunk sizes sum to len by construction"
+                )]
                 let chunk = &items[start..start + size];
                 let chunk_start = start;
                 let work = &work;
                 handles.push(scope.spawn(move || work(chunk_start, chunk)));
                 start += size;
             }
+            // A worker's panic goes on unwinding here, with its own payload.
             handles
                 .into_iter()
-                // lint:allow(no-panic-hot-path) re-raises the worker's own panic
-                .map(|h| h.join().expect("pastas-par worker panicked"))
+                .map(|h| h.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
                 .collect::<Vec<R>>()
         })
     }
@@ -195,10 +204,8 @@ where
         }
         acc
     });
-    let mut iter = chunks.into_iter();
-    // lint:allow(no-panic-hot-path) par_chunks returns >= 1 chunk even for empty input
-    let first = iter.next().expect("par_chunks returns at least one chunk");
-    iter.fold(first, &mut merge)
+    // par_chunks returns at least one chunk, even for empty input.
+    chunks.into_iter().reduce(&mut merge).unwrap_or_else(make)
 }
 
 /// Run two independent closures, possibly concurrently, returning both
@@ -216,8 +223,8 @@ where
         std::thread::scope(|scope| {
             let hb = scope.spawn(b);
             let ra = a();
-            // lint:allow(no-panic-hot-path) re-raises the worker's own panic
-            (ra, hb.join().expect("pastas-par join worker panicked"))
+            // `b`'s panic goes on unwinding here, with its own payload.
+            (ra, hb.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
         })
     }
 }

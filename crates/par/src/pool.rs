@@ -153,6 +153,7 @@ impl WorkerPool {
             panics: AtomicU64::new(0),
             completed: AtomicU64::new(0),
         });
+        #[expect(clippy::expect_used, reason = "unrecoverable startup failure")]
         let workers = (0..threads.max(1))
             .map(|i| {
                 let shared = Arc::clone(&shared);
@@ -162,7 +163,6 @@ impl WorkerPool {
                     // One-time pool construction, not a request path: if the OS
                     // cannot spawn threads at startup the process has no useful
                     // degraded mode to fall back to.
-                    // lint:allow(no-panic-hot-path) unrecoverable startup failure
                     .expect("spawn pool worker")
             })
             .collect();

@@ -57,14 +57,14 @@ impl Bits {
     }
 
     #[inline]
+    #[expect(clippy::indexing_slicing, reason = "u16 >> 6 < 1024 == WORDS by construction")]
     fn contains(&self, v: u16) -> bool {
-        // lint:allow(no-panic-hot-path) u16 >> 6 < 1024 == WORDS by construction
         self.words[(v >> 6) as usize] & (1u64 << (v & 63)) != 0
     }
 
     #[inline]
+    #[expect(clippy::indexing_slicing, reason = "u16 >> 6 < 1024 == WORDS by construction")]
     fn set(&mut self, v: u16) {
-        // lint:allow(no-panic-hot-path) u16 >> 6 < 1024 == WORDS by construction
         self.words[(v >> 6) as usize] |= 1u64 << (v & 63);
     }
 
@@ -205,12 +205,11 @@ impl Container {
     fn rank(&self, v: u16) -> usize {
         match self {
             Container::Array(a) => a.partition_point(|&x| x <= v),
+            #[expect(clippy::indexing_slicing, reason = "u16 >> 6 < 1024 == WORDS by construction")]
             Container::Bits(b) => {
                 let wi = (v >> 6) as usize;
-                // lint:allow(no-panic-hot-path) u16 >> 6 < 1024 == WORDS by construction
                 let full: u32 = b.words[..wi].iter().map(|w| w.count_ones()).sum();
                 let shift = 63 - (v & 63) as u32;
-                // lint:allow(no-panic-hot-path) u16 >> 6 < 1024 == WORDS by construction
                 full as usize + ((b.words[wi] << shift).count_ones()) as usize
             }
             Container::Runs(r) => {
@@ -229,8 +228,9 @@ impl Container {
     /// The `i`-th smallest value (0-based; `i < self.len()`).
     fn select(&self, i: usize) -> u16 {
         match self {
-            // lint:allow(no-panic-hot-path) caller contract: i < self.len()
+            #[expect(clippy::indexing_slicing, reason = "caller contract: i < self.len()")]
             Container::Array(a) => a[i],
+            #[expect(clippy::unreachable, reason = "i < len guarantees a hit")]
             Container::Bits(b) => {
                 let mut remaining = i as u32;
                 for (wi, &w) in b.words.iter().enumerate() {
@@ -244,9 +244,9 @@ impl Container {
                     }
                     remaining -= ones;
                 }
-                // lint:allow(no-panic-hot-path) i < len guarantees a hit above
                 unreachable!("select index within cached cardinality")
             }
+            #[expect(clippy::unreachable, reason = "i < len guarantees a hit")]
             Container::Runs(r) => {
                 let mut remaining = i;
                 for &(s, l) in r {
@@ -256,7 +256,6 @@ impl Container {
                     }
                     remaining -= n;
                 }
-                // lint:allow(no-panic-hot-path) i < len guarantees a hit above
                 unreachable!("select index within run cardinality")
             }
         }
@@ -319,6 +318,7 @@ fn array_to_bits(vals: &[u16]) -> Box<Bits> {
     b
 }
 
+#[expect(clippy::indexing_slicing, reason = "u16 >> 6 < 1024 == WORDS by construction")]
 fn runs_to_bits(runs: &[(u16, u16)]) -> Box<Bits> {
     let mut b = Bits::zeroed();
     for &(s, l) in runs {
@@ -327,16 +327,12 @@ fn runs_to_bits(runs: &[(u16, u16)]) -> Box<Bits> {
         let first = u64::MAX << (s & 63);
         let last = u64::MAX >> (63 - (l & 63));
         if ws == wl {
-            // lint:allow(no-panic-hot-path) u16 >> 6 < 1024 == WORDS by construction
             b.words[ws] |= first & last;
         } else {
-            // lint:allow(no-panic-hot-path) u16 >> 6 < 1024 == WORDS by construction
             b.words[ws] |= first;
-            // lint:allow(no-panic-hot-path) u16 >> 6 < 1024 == WORDS by construction
             for w in &mut b.words[ws + 1..wl] {
                 *w = u64::MAX;
             }
-            // lint:allow(no-panic-hot-path) u16 >> 6 < 1024 == WORDS by construction
             b.words[wl] |= last;
         }
     }
@@ -408,6 +404,10 @@ fn norm_runs(runs: Vec<(u16, u16)>) -> Container {
 /// Array ∩ array. Gallops from the smaller side when the size ratio is
 /// large (the skewed case: a rare code against a broad chapter), linear
 /// merge otherwise.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the probe checks hi < large.len() first, and the clamp keeps lo <= hi <= large.len()"
+)]
 fn and_arrays(a: &[u16], b: &[u16]) -> Vec<u16> {
     let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
     let mut out = Vec::with_capacity(small.len());
@@ -418,7 +418,6 @@ fn and_arrays(a: &[u16], b: &[u16]) -> Vec<u16> {
         for &v in small {
             let mut step = 1usize;
             let mut hi = lo;
-            // lint:allow(no-panic-hot-path) hi < large.len() checked first
             while hi < large.len() && large[hi] < v {
                 lo = hi;
                 hi += step;
@@ -428,7 +427,6 @@ fn and_arrays(a: &[u16], b: &[u16]) -> Vec<u16> {
             // so the match may sit exactly at `hi` — the search range must
             // include it (lo..=hi), hence the +1 before clamping.
             let hi = (hi + 1).min(large.len());
-            // lint:allow(no-panic-hot-path) lo ≤ hi ≤ large.len() by the clamp above
             match large[lo..hi].binary_search(&v) {
                 Ok(i) => {
                     out.push(v);
@@ -478,13 +476,11 @@ fn or_arrays(a: &[u16], b: &[u16]) -> Vec<u16> {
                 }
             },
             (Some(_), None) => {
-                // lint:allow(no-panic-hot-path) a.get(i) was Some, so i < a.len()
-                out.extend_from_slice(&a[i..]);
+                out.extend_from_slice(a.get(i..).unwrap_or_default());
                 break;
             }
             (None, Some(_)) => {
-                // lint:allow(no-panic-hot-path) b.get(j) was Some, so j < b.len()
-                out.extend_from_slice(&b[j..]);
+                out.extend_from_slice(b.get(j..).unwrap_or_default());
                 break;
             }
             (None, None) => break,
@@ -493,11 +489,11 @@ fn or_arrays(a: &[u16], b: &[u16]) -> Vec<u16> {
     out
 }
 
+#[expect(clippy::indexing_slicing, reason = "ri < runs.len() checked first")]
 fn and_array_runs(vals: &[u16], runs: &[(u16, u16)]) -> Vec<u16> {
     let mut out = Vec::new();
     let mut ri = 0usize;
     for &v in vals {
-        // lint:allow(no-panic-hot-path) ri < runs.len() checked first
         while ri < runs.len() && runs[ri].1 < v {
             ri += 1;
         }
@@ -655,6 +651,7 @@ fn not(c: &Container, last: u16) -> Container {
     match c {
         Container::Array(a) => norm_runs(not_runs(&array_to_runs(a), last)),
         Container::Runs(r) => norm_runs(not_runs(r, last)),
+        #[expect(clippy::indexing_slicing, reason = "u16 >> 6 < 1024 == WORDS by construction")]
         Container::Bits(b) => {
             let mut out = Bits::zeroed();
             for (o, &w) in out.words.iter_mut().zip(&b.words) {
@@ -662,9 +659,7 @@ fn not(c: &Container, last: u16) -> Container {
             }
             // Clear everything above `last`.
             let wl = (last >> 6) as usize;
-            // lint:allow(no-panic-hot-path) u16 >> 6 < 1024 == WORDS by construction
             out.words[wl] &= u64::MAX >> (63 - (last & 63));
-            // lint:allow(no-panic-hot-path) u16 >> 6 < 1024 == WORDS by construction
             for w in &mut out.words[wl + 1..] {
                 *w = 0;
             }
@@ -735,7 +730,6 @@ impl Bitmap {
         let mut seal = |bits: Box<Bits>, key: usize| {
             if bits.ones > 0 {
                 len += bits.ones as usize;
-                // lint:allow(no-silent-truncation) positions are u32, so at most 65536 containers
                 containers.push((key as u16, norm_bits(bits)));
             }
         };
@@ -771,11 +765,11 @@ impl Bitmap {
     }
 
     /// Membership test.
+    #[expect(clippy::indexing_slicing, reason = "Ok(i) from binary_search is in bounds")]
     pub fn contains(&self, v: u32) -> bool {
         let key = (v >> 16) as u16;
         self.containers
             .binary_search_by_key(&key, |&(k, _)| k)
-            // lint:allow(no-panic-hot-path) Ok(i) from binary_search is in bounds
             .is_ok_and(|i| self.containers[i].1.contains(v as u16))
     }
 
@@ -1042,13 +1036,10 @@ impl Bitmap {
             match c {
                 Container::Array(a) => {
                     assert!(a.len() <= ARRAY_MAX, "bitmap: array container over-full");
-                    for w in a.windows(2) {
-                        assert!(
-                            // lint:allow(no-panic-hot-path) windows(2) yields pairs
-                            w[0] < w[1],
-                            "bitmap: array container out of order or duplicated at key {key}"
-                        );
-                    }
+                    assert!(
+                        a.is_sorted_by(|x, y| x < y),
+                        "bitmap: array container out of order or duplicated at key {key}"
+                    );
                 }
                 Container::Bits(b) => {
                     let pop: u32 = b.words.iter().map(|w| w.count_ones()).sum();
@@ -1066,13 +1057,10 @@ impl Bitmap {
                     for &(s, l) in r {
                         assert!(s <= l, "bitmap: reversed run at key {key}");
                     }
-                    for w in r.windows(2) {
-                        assert!(
-                            // lint:allow(no-panic-hot-path) windows(2) yields pairs
-                            (w[0].1 as u32) + 1 < w[1].0 as u32,
-                            "bitmap: overlapping or adjacent runs at key {key}"
-                        );
-                    }
+                    assert!(
+                        r.is_sorted_by(|x, y| u32::from(x.1) + 1 < u32::from(y.0)),
+                        "bitmap: overlapping or adjacent runs at key {key}"
+                    );
                 }
             }
         }
@@ -1182,7 +1170,6 @@ impl Iterator for BitmapIter<'_> {
                 }
                 Container::Bits(b) => {
                     let IterState::Bits { wi, word } = &mut self.state else {
-                        // lint:allow(no-panic-hot-path) WORDS == 1024 words always exist
                         self.state = IterState::Bits { wi: 0, word: b.words[0] };
                         continue;
                     };
@@ -1201,8 +1188,8 @@ impl Iterator for BitmapIter<'_> {
                 }
                 Container::Runs(r) => {
                     let IterState::Runs { ri, next } = &mut self.state else {
-                        // lint:allow(no-panic-hot-path) run containers are never empty
-                        self.state = IterState::Runs { ri: 0, next: u32::from(r[0].0) };
+                        let first = r.first().map_or(0, |&(s, _)| u32::from(s));
+                        self.state = IterState::Runs { ri: 0, next: first };
                         continue;
                     };
                     if let Some(&(s, l)) = r.get(*ri) {

@@ -152,12 +152,15 @@ impl CodeIndex {
         for s in 0..shard_count {
             let base = s * shard_rows as usize;
             let pieces = row_pieces(collection, base..base + shard_rows as usize);
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "every row's dictionary is a prefix of dict"
+            )]
             let chunks = pastas_par::par_chunks(&pieces, 1, |_, pieces| {
                 let mut lists: Vec<Vec<u16>> = vec![Vec::new(); codes];
                 for piece in pieces {
                     for (i, p) in (piece.start..piece.start + piece.len()).enumerate() {
                         for id in piece.codes.get(i) {
-                            // lint:allow(no-panic-hot-path) every row's dictionary is a prefix of dict
                             lists[id.0 as usize].push((p - base) as u16);
                         }
                     }
@@ -169,9 +172,8 @@ impl CodeIndex {
             // lists chunk by chunk keeps every list ascending and unique.
             let mut merged: Vec<Vec<u16>> = vec![Vec::new(); codes];
             for lists in chunks {
-                for (slot, list) in lists.into_iter().enumerate() {
-                    // lint:allow(no-panic-hot-path) every chunk allocates one list a code
-                    merged[slot].extend(list);
+                for (into, list) in merged.iter_mut().zip(lists) {
+                    into.extend(list);
                 }
             }
             let postings = merged
@@ -204,6 +206,10 @@ impl CodeIndex {
     /// [`Self::build`] of `collection`. The streaming path
     /// (`Workbench::apply_ingest`) calls this after every sealed delta
     /// batch.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "slots are a row's ids or old posting slots, all below the dictionary's length"
+    )]
     pub fn with_delta(&self, collection: &HistoryCollection, newly_dirty: &[u32]) -> CodeIndex {
         let width = self.shard_width();
         let dict = Arc::clone(collection.dictionary());
@@ -235,12 +241,10 @@ impl CodeIndex {
             };
             for &slot in now.iter().filter(|s| was.binary_search(s).is_err()) {
                 patches.entry((shard, slot)).or_default().0.push(rel);
-                // lint:allow(no-panic-hot-path) a row's ids are below the dictionary's length
                 counts[slot] += 1;
             }
             for &slot in was.iter().filter(|s| now.binary_search(s).is_err()) {
                 patches.entry((shard, slot)).or_default().1.push(rel);
-                // lint:allow(no-panic-hot-path) old slots are below the old dictionary's length
                 counts[slot] -= 1;
             }
         }
@@ -259,12 +263,10 @@ impl CodeIndex {
             let mut postings = old.map_or_else(Vec::new, |o| o.postings.clone());
             postings.resize(dict.len(), Arc::clone(&empty));
             for (&(_, slot), (joined, left)) in touched {
-                // lint:allow(no-panic-hot-path) patches key slots below the dictionary's length
                 let mut patched = postings[slot].union(&Bitmap::from_sorted(joined));
                 if !left.is_empty() {
                     patched = patched.intersect(&Bitmap::from_sorted(left).complement_up_to(span));
                 }
-                // lint:allow(no-panic-hot-path) patches key slots below the dictionary's length
                 postings[slot] = Arc::new(patched);
             }
             shards.push(Arc::new(IndexShard { base, rows: span, postings }));

@@ -16,7 +16,7 @@
 //!   compressed postings, that keeps selection interactive from 168k to
 //!   10M patients (the indexed-vs-scan ablation of E5/E8 compares
 //!   against the naive path);
-//! * [`normalize`] — logical rewriting into one canonical form per query
+//! * [`normalize`](mod@normalize) — logical rewriting into one canonical form per query
 //!   meaning (negation at the leaves, flat sorted clauses);
 //! * [`plan`] — the physical planner/executor: set algebra over posting
 //!   lists with residual verification and `Explain` introspection;
@@ -25,6 +25,12 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+// DESIGN.md §9: no unwrap outside tests, and each exception is an
+// `expect` attribute with a reason, which fails once it goes stale.
+#![deny(clippy::unwrap_used, clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+// A request path degrades to a typed error, never a panic.
+#![deny(clippy::indexing_slicing, clippy::string_slice, clippy::expect_used, clippy::panic)]
+#![deny(clippy::todo, clippy::unreachable, clippy::unimplemented)]
 
 pub mod bitmap;
 pub mod index;

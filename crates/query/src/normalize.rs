@@ -30,7 +30,7 @@
 //! property-tested in `proptests.rs`. The canonical fingerprint of a
 //! query is simply `normalize(q).fingerprint()`.
 
-use crate::query::HistoryQuery;
+use crate::query::{one_or, HistoryQuery};
 
 /// Rewrite a query into its canonical form (see the module docs).
 pub fn normalize(query: &HistoryQuery) -> HistoryQuery {
@@ -140,29 +140,14 @@ fn combine(qs: &[HistoryQuery], negate: bool, as_or: bool) -> HistoryQuery {
         flat.into_iter().map(|q| (q.fingerprint(), q)).collect();
     keyed.sort_by(|a, b| a.0.cmp(&b.0));
     keyed.dedup_by(|a, b| a.0 == b.0);
-    let mut flat: Vec<HistoryQuery> = keyed.into_iter().map(|(_, q)| q).collect();
-    match flat.len() {
-        // An empty conjunction is vacuously true; an empty disjunction
-        // (every branch absorbed as never-matching) is false.
-        0 => {
-            if as_or {
-                never()
-            } else {
-                HistoryQuery::All
-            }
-        }
-        1 => match flat.pop() {
-            Some(only) => only,
-            // lint:allow(no-panic-hot-path) len == 1 proved by the match arm
-            None => unreachable!(),
-        },
-        _ => {
-            if as_or {
-                HistoryQuery::Or(flat)
-            } else {
-                HistoryQuery::And(flat)
-            }
-        }
+    let flat: Vec<HistoryQuery> = keyed.into_iter().map(|(_, q)| q).collect();
+    // An empty conjunction is vacuously true; an empty disjunction
+    // (every branch absorbed as never-matching) is false.
+    match (flat.is_empty(), as_or) {
+        (true, true) => never(),
+        (true, false) => HistoryQuery::All,
+        (false, true) => one_or(flat, HistoryQuery::Or),
+        (false, false) => one_or(flat, HistoryQuery::And),
     }
 }
 

@@ -37,8 +37,12 @@
 //! coded `T90` is followed within 90 days by an interval entry; a bare
 //! `then` allows any later time, and a negative minimum permits overlap.
 
+// The parser turns request text into numbers: no silent narrowing cast
+// (DESIGN.md §9), although the rest of the crate may narrow; tests may too.
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+
 use crate::predicate::EntryPredicate;
-use crate::query::HistoryQuery;
+use crate::query::{one_or, HistoryQuery};
 use crate::temporal::{GapBound, TemporalPattern};
 use pastas_model::Sex;
 use pastas_time::{Date, Duration};
@@ -93,8 +97,8 @@ impl P<'_> {
     }
 
     fn rest(&self) -> &str {
-        // lint:allow(no-panic-hot-path) pos advances by whole chars, stays <= len
-        &self.text[self.pos..]
+        // pos advances by whole chars, so it stays a boundary <= len.
+        self.text.get(self.pos..).unwrap_or_default()
     }
 
     fn ws(&mut self) {
@@ -146,12 +150,7 @@ impl P<'_> {
         while self.keyword("or") {
             branches.push(self.and_expr()?);
         }
-        Ok(if branches.len() == 1 {
-            // lint:allow(no-panic-hot-path) len == 1 checked on the line above
-            branches.pop().expect("one branch")
-        } else {
-            HistoryQuery::Or(branches)
-        })
+        Ok(one_or(branches, HistoryQuery::Or))
     }
 
     fn and_expr(&mut self) -> Result<HistoryQuery, QueryParseError> {
@@ -159,12 +158,7 @@ impl P<'_> {
         while self.keyword("and") {
             parts.push(self.not_expr()?);
         }
-        Ok(if parts.len() == 1 {
-            // lint:allow(no-panic-hot-path) len == 1 checked on the line above
-            parts.pop().expect("one part")
-        } else {
-            HistoryQuery::And(parts)
-        })
+        Ok(one_or(parts, HistoryQuery::And))
     }
 
     fn not_expr(&mut self) -> Result<HistoryQuery, QueryParseError> {
@@ -207,11 +201,12 @@ impl P<'_> {
             } else {
                 return Err(self.err("expected >= or <= after count(...)"));
             };
-            let n = self.integer()?;
+            // A count past usize::MAX saturates: no history holds more.
+            let n = usize::try_from(self.integer()?).unwrap_or(usize::MAX);
             return Ok(if at_least {
-                HistoryQuery::CountAtLeast(pred, n as usize)
+                HistoryQuery::CountAtLeast(pred, n)
             } else {
-                HistoryQuery::CountAtMost(pred, n as usize)
+                HistoryQuery::CountAtMost(pred, n)
             });
         }
         if self.keyword("age") {
@@ -285,10 +280,9 @@ impl P<'_> {
                 }
                 // A top-level `then` at a word boundary ends the step.
                 let boundary = !prev.is_some_and(|p| p.is_alphanumeric() || p == '_');
-                // lint:allow(no-panic-hot-path) at is a char_indices offset into text
-                if boundary && c == 't' && self.text[at..].starts_with("then") {
-                    // lint:allow(no-panic-hot-path) "then" just matched at `at`
-                    let after = self.text[at + 4..].chars().next();
+                let rest = self.text.get(at..).unwrap_or_default();
+                if boundary && c == 't' && rest.starts_with("then") {
+                    let after = rest.get(4..).and_then(|after| after.chars().next());
                     if !after.is_some_and(|a| a.is_alphanumeric() || a == '_') {
                         end = Some(at);
                         break;
@@ -305,8 +299,7 @@ impl P<'_> {
         let Some(end) = end else {
             return Err(self.err("unclosed seq(...)"));
         };
-        // lint:allow(no-panic-hot-path) start and end are char boundaries by construction
-        let body = self.text[start..end].trim();
+        let body = self.text.get(start..end).unwrap_or_default().trim();
         if body.is_empty() {
             return Err(self.err("expected a step: diagnosis/medication/interval/any or a regex"));
         }
@@ -345,8 +338,7 @@ impl P<'_> {
                 ')' => {
                     depth -= 1;
                     if depth == 0 {
-                        // lint:allow(no-panic-hot-path) i is a char_indices offset of rest()
-                        let inner = self.text[start..start + i].to_owned();
+                        let inner = self.text.get(start..start + i).unwrap_or_default().to_owned();
                         self.pos = start + i + 1;
                         self.ws();
                         return Ok(inner);

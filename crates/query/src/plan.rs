@@ -37,7 +37,7 @@ use crate::bitmap::Bitmap;
 use crate::index::{CodeIndex, IndexShard};
 use crate::normalize::{is_never, normalize};
 use crate::predicate::EntryPredicate;
-use crate::query::{BoundQuery, HistoryQuery};
+use crate::query::{one_or, BoundQuery, HistoryQuery};
 use crate::temporal::TemporalPattern;
 use pastas_ingest::json::write_string;
 use pastas_model::{CodeDictionary, History, HistoryCollection, Sex};
@@ -100,13 +100,11 @@ pub(crate) mod reference {
                     }
                 },
                 (Some(_), None) => {
-                    // lint:allow(no-panic-hot-path) i never passes a.len() by the merge
-                    out.extend_from_slice(&a[i..]);
+                    out.extend_from_slice(a.get(i..).unwrap_or_default());
                     break;
                 }
                 (None, Some(_)) => {
-                    // lint:allow(no-panic-hot-path) j never passes b.len() by the merge
-                    out.extend_from_slice(&b[j..]);
+                    out.extend_from_slice(b.get(j..).unwrap_or_default());
                     break;
                 }
                 (None, None) => break,
@@ -593,15 +591,10 @@ fn plan_pattern(index: &CodeIndex, q: &HistoryQuery, pat: &TemporalPattern) -> P
             }
         }
     }
-    let input = match fetches.len() {
-        0 => return PlanNode::FullScan { query: q.clone() },
-        1 => match fetches.pop() {
-            Some(only) => only,
-            // lint:allow(no-panic-hot-path) len == 1 proved by the match arm
-            None => unreachable!(),
-        },
-        _ => PlanNode::Intersect(fetches),
-    };
+    if fetches.is_empty() {
+        return PlanNode::FullScan { query: q.clone() };
+    }
+    let input = one_or(fetches, PlanNode::Intersect);
     PlanNode::PatternScan { query: q.clone(), input: Box::new(input) }
 }
 
@@ -634,28 +627,12 @@ fn plan_and(index: &CodeIndex, rows: u32, qs: &[HistoryQuery]) -> PlanNode {
     // Stable sort: equal estimates keep the canonical clause order, so
     // plans are deterministic.
     indexed.sort_by_key(|(e, _)| *e);
-    let mut plans: Vec<PlanNode> = indexed.into_iter().map(|(_, p)| p).collect();
-    let base = if plans.len() == 1 {
-        match plans.pop() {
-            Some(only) => only,
-            // lint:allow(no-panic-hot-path) len == 1 proved by the branch
-            None => unreachable!(),
-        }
-    } else {
-        PlanNode::Intersect(plans)
-    };
+    let plans: Vec<PlanNode> = indexed.into_iter().map(|(_, p)| p).collect();
+    let base = one_or(plans, PlanNode::Intersect);
     if residual.is_empty() {
         base
     } else {
-        let query = if residual.len() == 1 {
-            match residual.pop() {
-                Some(only) => only,
-                // lint:allow(no-panic-hot-path) len == 1 proved by the branch
-                None => unreachable!(),
-            }
-        } else {
-            HistoryQuery::And(residual)
-        };
+        let query = one_or(residual, HistoryQuery::And);
         PlanNode::Filter { query, input: Box::new(base) }
     }
 }
@@ -673,25 +650,12 @@ fn plan_or(index: &CodeIndex, rows: u32, qs: &[HistoryQuery]) -> PlanNode {
     }
     // Merge all scan-only branches into ONE pass over the collection.
     if !scans.is_empty() {
-        let query = if scans.len() == 1 {
-            match scans.pop() {
-                Some(only) => only,
-                // lint:allow(no-panic-hot-path) len == 1 proved by the branch
-                None => unreachable!(),
-            }
-        } else {
-            HistoryQuery::Or(scans)
-        };
-        parts.push(PlanNode::FullScan { query });
+        parts.push(PlanNode::FullScan { query: one_or(scans, HistoryQuery::Or) });
     }
-    match parts.len() {
-        0 => PlanNode::Empty,
-        1 => match parts.pop() {
-            Some(only) => only,
-            // lint:allow(no-panic-hot-path) len == 1 proved by the match arm
-            None => unreachable!(),
-        },
-        _ => PlanNode::Union(parts),
+    if parts.is_empty() {
+        PlanNode::Empty
+    } else {
+        one_or(parts, PlanNode::Union)
     }
 }
 
@@ -949,11 +913,14 @@ fn exec_shard(
             // bitmap; one chunk (one thread, or a shard worker) is the
             // shard's answer with no merge.
             let histories = collection.histories();
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "candidates are shard positions and shards tile rows() exactly"
+            )]
             let kept = pastas_par::par_chunks(&candidates, PAR_MIN_CANDIDATES, |_, chunk| {
                 chunk
                     .iter()
                     .copied()
-                    // lint:allow(no-panic-hot-path) candidates are shard positions and shards tile rows() exactly
                     .filter(|&rel| query.matches(&histories[(shard.base + rel) as usize]))
                     .collect::<Bitmap>()
             });

@@ -82,8 +82,8 @@ impl EntryPredicate {
                 _ => false,
             },
             EntryPredicate::IsInterval => entry.is_interval(),
+            #[expect(clippy::expect_used, reason = "23:59:59 is a valid constant clock time")]
             EntryPredicate::InWindow { from, to } => {
-                // lint:allow(no-panic-hot-path) 23:59:59 is a valid constant clock time
                 entry.overlaps_window(from.at_midnight(), to.at(23, 59, 59).expect("valid clock"))
             }
             EntryPredicate::And(ps) => ps.iter().all(|p| p.matches(entry)),
@@ -157,7 +157,10 @@ impl EntryPredicate {
     }
 
     /// Convenience negation.
-    #[allow(clippy::should_implement_trait)]
+    #[expect(
+        clippy::should_implement_trait,
+        reason = "a builder beside `and`/`or`, not the `!` operator"
+    )]
     pub fn not(self) -> EntryPredicate {
         EntryPredicate::Not(Box::new(self))
     }
@@ -294,7 +297,10 @@ impl<'p> BoundPredicate<'p> {
 impl Node<'_> {
     fn matches(&self, e: EntryRef<'_>) -> bool {
         match self {
-            // lint:allow(no-panic-hot-path) an id past the bound dictionary is a store off it: a bug, not a miss
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "an id past the bound dictionary is a store off it: a bug, not a miss"
+            )]
             Node::Code(flags) => e.code_id().is_some_and(|id| flags[id.0 as usize]),
             Node::Leaf(p) => p.matches(e),
             Node::And(ns) => ns.iter().all(|n| n.matches(e)),

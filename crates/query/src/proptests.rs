@@ -307,7 +307,7 @@ fn random_code_pattern(rng: &mut Rng) -> String {
     let value = random_code(rng).value;
     let cut = rng.below(value.len() as u64 + 1) as usize;
     let head = ["", "^"][rng.below(2) as usize];
-    format!("{head}{}{}", &value[..cut], TAILS[rng.below(TAILS.len() as u64) as usize])
+    format!("{head}{}{}", value.get(..cut).unwrap(), TAILS[rng.below(TAILS.len() as u64) as usize])
 }
 
 /// A random ICPC-, ICD-10- or ATC-shaped code, most often one the

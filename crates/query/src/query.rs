@@ -262,12 +262,20 @@ impl QueryBuilder {
 
     /// Build the conjunction of all clauses.
     pub fn build(self) -> HistoryQuery {
-        match self.clauses.len() {
-            0 => HistoryQuery::All,
-            // lint:allow(no-panic-hot-path) this match arm proved len == 1
-            1 => self.clauses.into_iter().next().expect("one clause"),
-            _ => HistoryQuery::And(self.clauses),
+        if self.clauses.is_empty() {
+            HistoryQuery::All
+        } else {
+            one_or(self.clauses, HistoryQuery::And)
         }
+    }
+}
+
+/// The one item of `items` when it holds exactly one, else `many(items)`:
+/// a conjunction, disjunction or intersection of one is its member.
+pub(crate) fn one_or<T>(items: Vec<T>, many: impl FnOnce(Vec<T>) -> T) -> T {
+    match <[T; 1]>::try_from(items) {
+        Ok([only]) => only,
+        Err(items) => many(items),
     }
 }
 

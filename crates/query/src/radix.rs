@@ -1,5 +1,8 @@
 //! The stable radix order the view sorts run on.
-// lint:allow-file(no-panic-hot-path) indices are buckets <= BUCKETS or slots the prefix sums bound
+#![expect(
+    clippy::indexing_slicing,
+    reason = "indices are buckets <= BUCKETS or slots the prefix sums bound"
+)]
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU32, Ordering::Relaxed};

@@ -195,9 +195,9 @@ impl ResponseCache {
     /// the `/__fault` route behind it does not exist in release binaries.
     #[cfg(debug_assertions)]
     #[doc(hidden)]
-    pub fn poison_for_test(&self) {
+    #[expect(clippy::panic, reason = "deliberate fault injection, debug builds only")]
+    pub fn poison_for_test(&self) -> ! {
         let _guard = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        // lint:allow(no-panic-hot-path) deliberate fault injection, debug builds only
         panic!("injected fault: poisoning the response-cache lock");
     }
 }

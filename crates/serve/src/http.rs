@@ -605,6 +605,29 @@ mod tests {
         assert_eq!(parse(b""), Err(HttpError::ConnectionClosed));
     }
 
+    /// The reader's buffer grows by what one read brings, never by what a
+    /// request declares or by what the client keeps sending: a head that
+    /// declares the whole body budget and then sends ten bytes, and a
+    /// ten-byte body trailed by 256 KiB more, both leave a small buffer.
+    #[test]
+    fn request_bytes_do_not_size_the_buffer() {
+        let limits = Limits::default();
+        let head = |len: usize| format!("POST /ingest HTTP/1.1\r\nContent-Length: {len}\r\n\r\n");
+        let mut short = head(limits.max_body_bytes).into_bytes();
+        short.extend_from_slice(b"0123456789");
+        let mut reader = RequestReader::new(&short[..], limits);
+        assert_eq!(reader.next_request(), Err(HttpError::Truncated));
+        let capacity = reader.buf.capacity();
+        assert!(capacity < 64 * 1024, "{capacity} bytes buffered for a declared body");
+
+        let mut long = head(10).into_bytes();
+        long.extend_from_slice(&[b'x'; 10 + 256 * 1024]);
+        let mut reader = RequestReader::new(&long[..], limits);
+        assert_eq!(reader.next_request().map(|r| r.body.len()), Ok(10));
+        let capacity = reader.buf.capacity();
+        assert!(capacity < 64 * 1024, "{capacity} bytes buffered past a 10-byte body");
+    }
+
     #[test]
     fn percent_decoding() {
         assert_eq!(percent_decode("a%20b+c"), "a b c");

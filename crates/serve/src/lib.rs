@@ -32,6 +32,14 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+// DESIGN.md §9: no unwrap outside tests, and each exception is an
+// `expect` attribute with a reason, which fails once it goes stale.
+#![deny(clippy::unwrap_used, clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+// A request path degrades to a typed error, never a panic.
+#![deny(clippy::indexing_slicing, clippy::string_slice, clippy::expect_used, clippy::panic)]
+#![deny(clippy::todo, clippy::unreachable, clippy::unimplemented)]
+// No silent narrowing cast (tests may narrow).
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
 #[cfg(test)]
 mod proptests;

@@ -1,7 +1,7 @@
 //! Live server metrics: lock-free counters and a latency ring.
 //!
 //! Every request increments atomic counters and stamps its wall-clock
-//! latency into a fixed ring of the most recent [`RING`] observations;
+//! latency into a fixed ring of the most recent `RING` observations;
 //! `GET /metrics` sorts a copy of the ring to report p50/p99. The ring
 //! trades exactness-over-all-time for zero allocation and bounded memory —
 //! the percentiles are over the last few thousand requests, which is what
@@ -65,8 +65,9 @@ impl Metrics {
         class.fetch_add(1, Ordering::Relaxed);
         let micros = u64::try_from(latency.as_micros()).unwrap_or(u64::MAX - 1);
         let slot = self.ring_next.fetch_add(1, Ordering::Relaxed) % RING;
-        // lint:allow(no-panic-hot-path) slot < RING == ring.len() by the modulo
-        self.ring[slot].store(micros, Ordering::Relaxed);
+        if let Some(cell) = self.ring.get(slot) {
+            cell.store(micros, Ordering::Relaxed);
+        }
     }
 
     /// Record a request shed with `503` because the queue was full.
@@ -113,9 +114,9 @@ impl Metrics {
         }
         sample.sort_unstable();
         let at = |q: f64| {
+            #[expect(clippy::cast_possible_truncation, reason = "q <= 1.0 keeps idx <= len - 1")]
             let idx = ((sample.len() - 1) as f64 * q).round() as usize;
-            // lint:allow(no-panic-hot-path) q <= 1.0 keeps idx <= len - 1
-            sample[idx] as f64 / 1e3
+            sample.get(idx).map_or(0.0, |&us| us as f64 / 1e3)
         };
         (at(0.50), (at(0.99)))
     }
@@ -145,6 +146,10 @@ impl Metrics {
         );
         for (name, value) in extra {
             if value.fract() == 0.0 && value.abs() < 1e15 {
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "a whole number below 1e15 fits i64"
+                )]
                 let _ = write!(out, ",\"{name}\":{}", *value as i64);
             } else {
                 let _ = write!(out, ",\"{name}\":{value:.4}");

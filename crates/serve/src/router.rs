@@ -119,11 +119,7 @@ pub fn route(req: &Request, ctx: &RouterCtx) -> Response {
         // while holding the cache mutex. Debug builds only — the route
         // does not exist in a release binary.
         #[cfg(debug_assertions)]
-        ("POST", "/__fault/cache-poison") => {
-            ctx.cache.poison_for_test();
-            // lint:allow(no-panic-hot-path) deliberate fault injection, debug builds only
-            unreachable!("poison_for_test always panics")
-        }
+        ("POST", "/__fault/cache-poison") => ctx.cache.poison_for_test(),
         (
             _,
             "/select" | "/cohort" | "/command" | "/ingest" | "/compact" | "/cohort.svg"
@@ -783,9 +779,8 @@ mod tests {
     fn select_lists_ids_ascending_with_and_without_explain() {
         fn ids(body: &[u8]) -> String {
             let text = String::from_utf8_lossy(body).into_owned();
-            let from = text.find("\"ids\":[").expect("ids in the body");
-            let to = from + text[from..].find(']').expect("ids end");
-            text[from..=to].to_owned()
+            let ids = text.get(text.find("\"ids\":[").expect("ids in the body")..).unwrap();
+            ids.get(..=ids.find(']').expect("ids end")).unwrap().to_owned()
         }
         let ctx = ctx();
         let persons = "nin;birth_date;sex\nNIN-0000000;1950-01-01;F\n";

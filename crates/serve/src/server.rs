@@ -111,19 +111,13 @@ pub fn start(ctx: RouterCtx, config: ServerConfig) -> io::Result<ServerHandle> {
         let submit = pool.submitter();
         std::thread::Builder::new()
             .name("pastas-serve-acceptor".to_owned())
-            .spawn(move || accept_loop(listener, shared, submit))
-            // One-time server startup, not a request path.
-            // lint:allow(no-panic-hot-path) unrecoverable startup failure
-            .expect("spawn acceptor")
+            .spawn(move || accept_loop(listener, shared, submit))?
     };
     let ingest = {
         let shared = Arc::clone(&shared);
         std::thread::Builder::new()
             .name("pastas-serve-ingest".to_owned())
-            .spawn(move || apply_loop(&shared))
-            // One-time server startup, not a request path.
-            // lint:allow(no-panic-hot-path) unrecoverable startup failure
-            .expect("spawn ingest worker")
+            .spawn(move || apply_loop(&shared))?
     };
 
     Ok(ServerHandle {

@@ -179,13 +179,13 @@ impl ServeState {
 
 /// The collection's last event, from its maintained summary: O(1) on every
 /// publish after the first (which builds the summary, once per process).
+#[expect(clippy::expect_used, reason = "2013-01-01 is a valid constant date")]
 fn reference_date_of(workbench: &Workbench) -> Date {
     workbench
         .collection()
         .stats()
         .last
         .map(|dt| dt.date())
-        // lint:allow(no-panic-hot-path) 2013-01-01 is a valid constant date
         .unwrap_or_else(|| Date::new(2013, 1, 1).expect("valid"))
 }
 

@@ -8,7 +8,7 @@ pub const DAYS_PER_400_YEARS: i64 = 146_097;
 
 /// A day of the week. `Monday` is day 1, per ISO-8601.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[allow(missing_docs)]
+#[expect(missing_docs, reason = "the day names document themselves")]
 pub enum Weekday {
     Monday = 1,
     Tuesday = 2,

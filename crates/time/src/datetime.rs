@@ -69,7 +69,7 @@ impl DateTime {
     /// Add a (possibly negative) duration, saturating at the calendar bounds.
     /// Deliberately an inherent method, not `std::ops::Add`: operators
     /// should not silently saturate.
-    #[allow(clippy::should_implement_trait)]
+    #[expect(clippy::should_implement_trait, reason = "operators should not silently saturate")]
     pub fn add(self, d: Duration) -> DateTime {
         DateTime(self.0.saturating_add(d.as_seconds()).clamp(MIN_SECS, MAX_SECS))
     }
