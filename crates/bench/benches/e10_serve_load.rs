@@ -121,12 +121,10 @@ fn main() {
         })
         .collect();
     std::thread::sleep(Duration::from_millis(50));
-    let pool = handle.ctx().pool_stats.get().cloned();
-    handle.shutdown();
+    let panics = handle.shutdown();
     for t in under_load {
         t.join().expect("shutdown-wave client panicked");
     }
-    let panics = pool.as_ref().map(|p| p.panic_count()).unwrap_or(0);
     assert_eq!(panics, 0, "worker panics under load");
 
     let target_met = throughput >= 1_000.0;

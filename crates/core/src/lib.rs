@@ -42,7 +42,7 @@ pub mod workbench;
 pub use cohorts::{CohortHandle, CohortLookup, CohortRegistry, RegistryConfig, MEMO_TOP_K};
 pub use error::CoreError;
 pub use recognition::{simulate_study, RecognitionModel, StudyOutcome};
-pub use session::{Selection, Session, ViewCommand};
+pub use session::{Session, ViewCommand};
 pub use workbench::{IngestStats, ViewState, Workbench};
 
 /// Convenient re-exports of the whole stack.
@@ -52,7 +52,7 @@ pub mod prelude {
     pub use crate::exposure::{medication_exposures, with_exposures};
     pub use crate::indicators::{indicators, IndicatorPanel};
     pub use crate::recognition::{simulate_study, RecognitionModel, StudyOutcome};
-    pub use crate::session::{Selection, Session, ViewCommand};
+    pub use crate::session::{Session, ViewCommand};
     pub use crate::workbench::{IngestStats, Workbench};
     pub use pastas_codes::{Code, CodeSystem};
     pub use pastas_ingest::{

@@ -9,15 +9,14 @@
 //! * **history** — [`Session`] wraps a [`Workbench`] and records every view
 //!   command with undo/redo, so an analyst can retrace an exploration;
 //! * **extraction** — see [`crate::export`], reachable from here via
-//!   [`Session::workbench`];
-//! * **relationships** — [`Selection`] sets with union/intersection/
-//!   difference combinators support linked selections across views.
+//!   [`Session::workbench`].
+//!
+//! Relationships between selections are the query language's own
+//! `and`/`or`/`not`, answered by [`Workbench::select_positions`].
 
 use crate::error::CoreError;
 use crate::workbench::{ViewState, Workbench};
-use pastas_model::PatientId;
-use pastas_query::{EntryPredicate, HistoryQuery, SortKey};
-use std::collections::BTreeSet;
+use pastas_query::{EntryPredicate, SortKey};
 
 /// A view-changing command (replayable; parameters are owned strings so
 /// the log can be serialized for session replay).
@@ -94,68 +93,6 @@ impl Session {
     }
 }
 
-/// A patient selection — the "relationships" task: selections compose
-/// across views with set algebra.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Selection {
-    ids: BTreeSet<PatientId>,
-}
-
-impl Selection {
-    /// The empty selection.
-    pub fn new() -> Selection {
-        Selection::default()
-    }
-
-    /// Build from patient ids.
-    pub fn from_ids<I: IntoIterator<Item = PatientId>>(ids: I) -> Selection {
-        Selection { ids: ids.into_iter().collect() }
-    }
-
-    /// Build from a query over a workbench. Goes through the workbench's
-    /// fingerprint-keyed selection cache ([`Workbench::select_positions`]),
-    /// so a selection repeated from *any* entry point — here, the server's
-    /// `/select` endpoint, or the workbench itself — is a cache hit.
-    pub fn from_query(wb: &Workbench, query: &HistoryQuery) -> Selection {
-        Selection::from_ids(wb.select_ids(query))
-    }
-
-    /// Membership test.
-    pub fn contains(&self, id: PatientId) -> bool {
-        self.ids.contains(&id)
-    }
-
-    /// Number of selected patients.
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// True if empty.
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-
-    /// Set union.
-    pub fn union(&self, other: &Selection) -> Selection {
-        Selection { ids: self.ids.union(&other.ids).copied().collect() }
-    }
-
-    /// Set intersection.
-    pub fn intersect(&self, other: &Selection) -> Selection {
-        Selection { ids: self.ids.intersection(&other.ids).copied().collect() }
-    }
-
-    /// Set difference (`self − other`).
-    pub fn subtract(&self, other: &Selection) -> Selection {
-        Selection { ids: self.ids.difference(&other.ids).copied().collect() }
-    }
-
-    /// Iterate ids in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = PatientId> + '_ {
-        self.ids.iter().copied()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,10 +166,10 @@ mod tests {
     fn from_query_goes_through_the_selection_cache() {
         let s = session();
         let q = QueryBuilder::new().has_code("T90").unwrap().build();
-        let first = Selection::from_query(s.workbench(), &q);
+        let first = s.workbench().select_positions(&q);
         assert_eq!(s.workbench().selection_cache_len(), 1, "query memoized");
         assert_eq!(s.workbench().selection_cache_misses(), 1);
-        let second = Selection::from_query(s.workbench(), &q);
+        let second = s.workbench().select_positions(&q);
         assert_eq!(first, second);
         assert_eq!(s.workbench().selection_cache_len(), 1, "no duplicate entry");
         assert!(s.workbench().selection_cache_hits() >= 1, "repeat was a hit");
@@ -241,36 +178,10 @@ mod tests {
         // original.
         let snap = s.workbench().snapshot();
         let hits_before = snap.selection_cache_hits();
-        let _ = Selection::from_query(&snap, &q);
+        let _ = snap.select_positions(&q);
         assert_eq!(snap.selection_cache_hits(), hits_before + 1);
         let q2 = QueryBuilder::new().has_code("K86").unwrap().build();
-        let _ = Selection::from_query(&snap, &q2);
+        let _ = snap.select_positions(&q2);
         assert_eq!(s.workbench().selection_cache_len(), 2);
-    }
-
-    #[test]
-    fn selection_algebra() {
-        let s = session();
-        let diabetics = Selection::from_query(
-            s.workbench(),
-            &QueryBuilder::new().has_code("T90").unwrap().build(),
-        );
-        let hypertensives = Selection::from_query(
-            s.workbench(),
-            &QueryBuilder::new().has_code("K86").unwrap().build(),
-        );
-        let both = diabetics.intersect(&hypertensives);
-        let either = diabetics.union(&hypertensives);
-        let only_dm = diabetics.subtract(&hypertensives);
-        assert_eq!(both.len() + only_dm.len(), diabetics.len());
-        assert_eq!(
-            either.len(),
-            diabetics.len() + hypertensives.len() - both.len(),
-            "inclusion–exclusion"
-        );
-        for id in both.iter() {
-            assert!(diabetics.contains(id) && hypertensives.contains(id));
-        }
-        assert!(Selection::new().is_empty());
     }
 }

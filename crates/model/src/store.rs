@@ -1268,10 +1268,11 @@ impl MemoryFootprint {
 /// A monolithic collection has one shard; a [`CollectionBuilder`] with
 /// [`CollectionBuilder::with_shard_patients`] produces one arena per
 /// patient range, all on the collection's one [`CodeDictionary`], so
-/// downstream code sees one vocabulary regardless of the split; this
-/// facade exists for accounting (per-shard arena bytes in E5 and the
-/// serve layer's `/metrics`) and for layers that want to walk arenas
-/// instead of histories.
+/// downstream code sees one vocabulary regardless of the split. No
+/// request path uses this facade: it serves the synthesis content hash
+/// (`pastas_synth::golden`), which walks the arena layout, the benches'
+/// per-shard byte rows (E5, E12), and the tests that check how a
+/// collection is split.
 #[derive(Debug, Clone, Default)]
 pub struct ShardedStore {
     shards: Vec<Arc<EventStore>>,

@@ -22,11 +22,16 @@
 //! then the `PASTAS_THREADS` environment variable (read once), then
 //! [`std::thread::available_parallelism`].
 //!
+//! Every thread here lives for one call. Long-lived threads belong to
+//! their owner: `pastas-serve`'s connection workers are its own.
+//!
 //! ```
-//! let doubled = pastas_par::par_map(&[1, 2, 3], |x| x * 2);
+//! let doubled = pastas_par::par_map_min(&[1, 2, 3], 1, |x| x * 2);
 //! assert_eq!(doubled, vec![2, 4, 6]);
-//! let evens = pastas_par::par_filter_indices_min(&[1, 2, 3, 4], 1, |x| x % 2 == 0);
-//! assert_eq!(evens, vec![1, 3]);
+//! let sums = pastas_par::par_chunks(&[1, 2, 3, 4], 1, |_, chunk| chunk.iter().sum::<i32>());
+//! assert_eq!(sums.iter().sum::<i32>(), 10);
+//! let (a, b) = pastas_par::join(|| 1, || 2);
+//! assert_eq!((a, b), (1, 2));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -37,8 +42,6 @@
 // A request path degrades to a typed error, never a panic.
 #![deny(clippy::indexing_slicing, clippy::string_slice, clippy::expect_used, clippy::panic)]
 #![deny(clippy::todo, clippy::unreachable, clippy::unimplemented)]
-
-pub mod pool;
 
 use std::cell::Cell;
 use std::sync::OnceLock;
@@ -54,9 +57,7 @@ thread_local! {
 
 fn env_threads() -> Option<usize> {
     static ENV: OnceLock<Option<usize>> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var("PASTAS_THREADS").ok().and_then(|v| v.trim().parse().ok())
-    })
+    *ENV.get_or_init(|| std::env::var("PASTAS_THREADS").ok().and_then(|v| v.trim().parse().ok()))
 }
 
 /// The configured worker-thread count: innermost [`with_threads`] scope,
@@ -66,9 +67,7 @@ pub fn thread_count() -> usize {
     THREAD_OVERRIDE
         .with(|c| c.get())
         .or_else(env_threads)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        })
+        .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
         .max(1)
 }
 
@@ -137,75 +136,16 @@ where
     }
 }
 
-/// Map `f` over `items` in parallel, preserving order.
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    par_map_min(items, DEFAULT_MIN_PER_THREAD, f)
-}
-
-/// [`par_map`] with an explicit per-thread minimum — use a small minimum
-/// when each item is expensive (e.g. a whole alignment row).
+/// Map `f` over `items` in parallel, preserving order. No thread gets
+/// fewer than `min_per_thread` items — use a small minimum when each item
+/// is expensive (e.g. a whole alignment row).
 pub fn par_map_min<T, R, F>(items: &[T], min_per_thread: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    concat(par_chunks(items, min_per_thread, |_, chunk| {
-        chunk.iter().map(&f).collect::<Vec<R>>()
-    }))
-}
-
-/// Indices (as `u32`, ascending) of the items satisfying `pred`,
-/// evaluated in parallel at the given per-thread minimum. Panics if
-/// `items.len()` exceeds `u32::MAX`.
-pub fn par_filter_indices_min<T, F>(items: &[T], min_per_thread: usize, pred: F) -> Vec<u32>
-where
-    T: Sync,
-    F: Fn(&T) -> bool + Sync,
-{
-    assert!(
-        u32::try_from(items.len()).is_ok(),
-        "par_filter_indices requires len <= u32::MAX"
-    );
-    concat(par_chunks(items, min_per_thread, |start, chunk| {
-        chunk
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| pred(t))
-            .map(|(i, _)| (start + i) as u32)
-            .collect::<Vec<u32>>()
-    }))
-}
-
-/// Parallel fold: each chunk builds one `make()` accumulator and folds
-/// its items into it **in place**, and the per-chunk accumulators are
-/// combined **left to right in chunk order** with `merge`. With one
-/// thread this is a plain serial fold (no `merge` call), so `merge` must
-/// agree with `fold` in the usual monoid-homomorphism sense for the two
-/// paths to coincide — true for the counters and month tables this
-/// workspace folds.
-pub fn par_fold<T, A, M, F, G>(items: &[T], make: M, fold: F, mut merge: G) -> A
-where
-    T: Sync,
-    A: Send,
-    M: Fn() -> A + Sync,
-    F: Fn(&mut A, &T) + Sync,
-    G: FnMut(A, A) -> A,
-{
-    let chunks = par_chunks(items, DEFAULT_MIN_PER_THREAD, |_, chunk| {
-        let mut acc = make();
-        for item in chunk {
-            fold(&mut acc, item);
-        }
-        acc
-    });
-    // par_chunks returns at least one chunk, even for empty input.
-    chunks.into_iter().reduce(&mut merge).unwrap_or_else(make)
+    concat(par_chunks(items, min_per_thread, |_, chunk| chunk.iter().map(&f).collect::<Vec<R>>()))
 }
 
 /// Run two independent closures, possibly concurrently, returning both
@@ -252,68 +192,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn filter_indices_are_ascending_and_complete() {
-        let items: Vec<u32> = (0..5_000).collect();
-        let expected: Vec<u32> = (0..5_000).filter(|i| i % 7 == 0).collect();
-        for threads in [1, 2, 8] {
-            let got =
-                with_threads(threads, || par_filter_indices_min(&items, 1, |x| x % 7 == 0));
-            assert_eq!(got, expected, "threads {threads}");
-        }
-    }
-
-    #[test]
-    fn fold_merges_in_chunk_order() {
-        // String concatenation is order-sensitive: any reordering of
-        // chunks or items would change the result.
-        let items: Vec<String> = (0..3_000).map(|i| format!("{i},")).collect();
-        let serial: String = items.concat();
-        for threads in [1, 2, 8] {
-            let got = with_threads(threads, || {
-                par_fold(
-                    &items,
-                    String::new,
-                    |acc, s| acc.push_str(s),
-                    |mut a, b| {
-                        a.push_str(&b);
-                        a
-                    },
-                )
-            });
-            assert_eq!(got, serial, "threads {threads}");
-        }
-    }
-
-    #[test]
-    fn fold_builds_one_accumulator_a_chunk() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let items: Vec<u32> = (0..3_000).collect();
-        for threads in [1, 2, 8] {
-            let made = AtomicUsize::new(0);
-            let merged = std::cell::Cell::new(0);
-            let got = with_threads(threads, || {
-                par_fold(
-                    &items,
-                    || {
-                        made.fetch_add(1, Ordering::Relaxed);
-                        Vec::new()
-                    },
-                    |acc: &mut Vec<u32>, &x| acc.push(x),
-                    |mut a, mut b| {
-                        merged.set(merged.get() + 1);
-                        a.append(&mut b);
-                        a
-                    },
-                )
-            });
-            assert_eq!(got, items, "threads {threads}");
-            // 3,000 items are enough for 11 chunks of DEFAULT_MIN_PER_THREAD.
-            assert_eq!(made.into_inner(), threads, "one Vec a chunk (threads {threads})");
-            assert_eq!(merged.get(), threads - 1, "threads {threads}");
-        }
-    }
-
     /// The threads a section ran on: one id per chunk.
     fn chunk_threads(items: &[u32], min_per_thread: usize) -> Vec<std::thread::ThreadId> {
         par_chunks(items, min_per_thread, |_, _| std::thread::current().id())
@@ -348,20 +226,15 @@ mod tests {
 
     #[test]
     fn empty_inputs() {
-        assert!(par_map(&[] as &[u32], |x| *x).is_empty());
-        assert!(par_filter_indices_min(&[] as &[u32], 1, |_| true).is_empty());
-        assert_eq!(
-            par_fold(&[] as &[u32], || 7u64, |a, &x| *a += x as u64, |a, b| a + b),
-            7
-        );
+        assert!(par_map_min(&[] as &[u32], 1, |x| *x).is_empty());
+        assert_eq!(par_chunks(&[] as &[u32], 1, |start, chunk| (start, chunk.len())), [(0, 0)]);
     }
 
     #[test]
     fn join_returns_both_results() {
         for threads in [1, 4] {
-            let (a, b) = with_threads(threads, || {
-                join(|| (0..100u64).sum::<u64>(), || "right".to_owned())
-            });
+            let (a, b) =
+                with_threads(threads, || join(|| (0..100u64).sum::<u64>(), || "right".to_owned()));
             assert_eq!(a, 4950);
             assert_eq!(b, "right");
         }

@@ -4,7 +4,7 @@
 //! behind a socket so many analysts (or one dashboard polling hard) can
 //! share a single loaded collection. Everything is hand-rolled on
 //! `std::net` — no async runtime, no HTTP dependency — because the
-//! workloads are CPU-bound renders and selections, which a worker pool of
+//! workloads are CPU-bound renders and selections, which a fixed set of
 //! OS threads handles with far less machinery than an executor.
 //!
 //! The moving parts, one module each:
@@ -25,7 +25,7 @@
 //!   `POST /ingest` (429 + `Retry-After` when full) and the apply worker
 //!   that drains it into freshly published snapshots;
 //! * [`metrics`] — lock-free counters plus a latency ring for p50/p99;
-//! * [`server`] — acceptor thread + bounded worker pool with load
+//! * [`server`] — acceptor thread + workers on a bounded channel, with load
 //!   shedding (`503 Retry-After`) and graceful drain;
 //! * [`client`] — the loopback client the tests, smoke mode, and load
 //!   bench drive the server with.

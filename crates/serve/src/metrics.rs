@@ -7,7 +7,7 @@
 //! the percentiles are over the last few thousand requests, which is what
 //! an operator watching a live system wants anyway.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// Latency observations kept (most recent wins; power of two).
@@ -27,6 +27,15 @@ pub struct Metrics {
     bad_requests: AtomicU64,
     /// Handler panics converted to 500s by the connection loop's catch.
     handler_panics: AtomicU64,
+    /// Accepted connections waiting for a worker. Signed: a worker may
+    /// take a connection off before the acceptor counts it in.
+    queue_depth: AtomicI64,
+    /// Connections a worker is serving now.
+    connections_in_flight: AtomicUsize,
+    /// Connections served to the end (panicked ones included).
+    connections_completed: AtomicU64,
+    /// Connections whose worker caught a panic outside the handler.
+    worker_panics: AtomicU64,
     ring: Vec<AtomicU64>,
     ring_next: AtomicUsize,
 }
@@ -49,6 +58,10 @@ impl Metrics {
             shed_total: AtomicU64::new(0),
             bad_requests: AtomicU64::new(0),
             handler_panics: AtomicU64::new(0),
+            queue_depth: AtomicI64::new(0),
+            connections_in_flight: AtomicUsize::new(0),
+            connections_completed: AtomicU64::new(0),
+            worker_panics: AtomicU64::new(0),
             ring: (0..RING).map(|_| AtomicU64::new(u64::MAX)).collect(),
             ring_next: AtomicUsize::new(0),
         }
@@ -83,6 +96,34 @@ impl Metrics {
     /// Record a handler panic caught and converted to a 500.
     pub fn record_handler_panic(&self) {
         self.handler_panics.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The acceptor put one connection in the queue.
+    pub fn record_queued(&self) {
+        self.queue_depth.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// A worker takes one connection off the queue and starts serving it.
+    pub fn record_connection_start(&self) {
+        self.queue_depth.fetch_sub(1, Ordering::Relaxed);
+        self.connections_in_flight.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// A worker is done with a connection; `panicked` if it caught a panic.
+    pub fn record_connection_end(&self, panicked: bool) {
+        self.connections_in_flight.fetch_sub(1, Ordering::Relaxed);
+        self.connections_completed.fetch_add(1, Ordering::Relaxed);
+        self.worker_panics.fetch_add(u64::from(panicked), Ordering::Relaxed);
+    }
+
+    /// Accepted connections waiting for a worker.
+    pub fn queue_depth(&self) -> u64 {
+        u64::try_from(self.queue_depth.load(Ordering::Relaxed)).unwrap_or(0)
+    }
+
+    /// Panics caught outside the handler, one connection each.
+    pub fn worker_panics(&self) -> u64 {
+        self.worker_panics.load(Ordering::Relaxed)
     }
 
     /// Handler panics caught so far.
@@ -122,8 +163,8 @@ impl Metrics {
     }
 
     /// Render the full metrics document as JSON. The caller contributes
-    /// the gauges only it can see (queue depth, cache counters, worker
-    /// panics) via `extra` — pairs of `(name, value)` appended verbatim.
+    /// the gauges only it can see (cache, snapshot and ingest counters)
+    /// via `extra` — pairs of `(name, value)` appended verbatim.
     pub fn render_json(&self, extra: &[(&str, f64)]) -> String {
         use std::fmt::Write as _;
         let (p50, p99) = self.latency_percentiles_ms();
@@ -133,7 +174,8 @@ impl Metrics {
             out,
             "\"uptime_s\":{:.1},\"requests_total\":{},\"responses_2xx\":{},\
              \"responses_4xx\":{},\"responses_5xx\":{},\"shed_total\":{},\
-             \"bad_requests\":{},\"handler_panics\":{},\
+             \"bad_requests\":{},\"handler_panics\":{},\"queue_depth\":{},\
+             \"connections_in_flight\":{},\"worker_panics\":{},\"connections_completed\":{},\
              \"latency_p50_ms\":{p50:.3},\"latency_p99_ms\":{p99:.3}",
             self.started.elapsed().as_secs_f64(),
             self.requests_total.load(Ordering::Relaxed),
@@ -143,6 +185,10 @@ impl Metrics {
             self.shed_total.load(Ordering::Relaxed),
             self.bad_requests.load(Ordering::Relaxed),
             self.handler_panics.load(Ordering::Relaxed),
+            self.queue_depth(),
+            self.connections_in_flight.load(Ordering::Relaxed),
+            self.worker_panics.load(Ordering::Relaxed),
+            self.connections_completed.load(Ordering::Relaxed),
         );
         for (name, value) in extra {
             if value.fract() == 0.0 && value.abs() < 1e15 {
@@ -172,14 +218,19 @@ mod tests {
         m.record(404, Duration::from_micros(50));
         m.record(503, Duration::from_micros(10));
         m.record_shed();
+        m.record_connection_start();
+        m.record_queued();
+        m.record_queued();
         assert_eq!(m.requests_total(), 4);
         assert_eq!(m.shed_total(), 1);
-        let json = m.render_json(&[("queue_depth", 3.0), ("cache_hit_rate", 0.5)]);
+        let json = m.render_json(&[("cache_entries", 3.0), ("cache_hit_rate", 0.5)]);
         assert!(json.contains("\"requests_total\":4"), "{json}");
         assert!(json.contains("\"responses_2xx\":2"));
         assert!(json.contains("\"responses_4xx\":1"));
         assert!(json.contains("\"responses_5xx\":1"));
-        assert!(json.contains("\"queue_depth\":3"));
+        assert!(json.contains("\"cache_entries\":3"));
+        // Counted out before in, the queue still reads one deep.
+        assert!(json.contains("\"queue_depth\":1,\"connections_in_flight\":1"), "{json}");
         assert!(json.contains("\"cache_hit_rate\":0.5000"));
         // Parses with the workspace's own JSON parser.
         assert!(pastas_ingest::json::Json::parse(&json).is_ok());

@@ -49,8 +49,6 @@ pub struct RouterCtx {
     /// `GET /cohort/{id}/*`, pinned to the snapshot version they were
     /// frozen against.
     pub cohorts: CohortRegistry,
-    /// Worker-pool gauges, wired in by the server once the pool exists.
-    pub pool_stats: std::sync::OnceLock<pastas_par::pool::PoolStats>,
 }
 
 impl RouterCtx {
@@ -78,7 +76,6 @@ impl RouterCtx {
             state: ServeState::new(workbench),
             cache: ResponseCache::new(cache_entries, cache_bytes),
             metrics: crate::metrics::Metrics::new(),
-            pool_stats: std::sync::OnceLock::new(),
             cohorts: CohortRegistry::new(RegistryConfig::default()),
         }
     }
@@ -541,7 +538,7 @@ fn metrics_response(ctx: &RouterCtx) -> Response {
     } else {
         ctx.cache.hits() as f64 / cache_lookups as f64
     };
-    let mut extra: Vec<(&'static str, f64)> = vec![
+    let extra = [
         ("state_version", snapshot.version as f64),
         ("patients", wb.collection().len() as f64),
         ("cache_entries", ctx.cache.len() as f64),
@@ -576,12 +573,6 @@ fn metrics_response(ctx: &RouterCtx) -> Response {
         ("cohort_stale_hits_total", ctx.cohorts.stale_hits_total() as f64),
         ("cohort_profile_folds_total", ctx.cohorts.profile_folds_total() as f64),
     ];
-    if let Some(pool) = ctx.pool_stats.get() {
-        extra.push(("queue_depth", pool.queue_depth() as f64));
-        extra.push(("connections_in_flight", pool.in_flight() as f64));
-        extra.push(("worker_panics", pool.panic_count() as f64));
-        extra.push(("connections_completed", pool.completed() as f64));
-    }
     Response::json(200, ctx.metrics.render_json(&extra))
 }
 

@@ -1,29 +1,33 @@
-//! The server proper: acceptor thread, bounded worker pool, per-connection
-//! keep-alive loop, load shedding, and graceful shutdown.
+//! The server proper: acceptor thread, bounded connection channel,
+//! per-connection keep-alive loop, load shedding, and graceful shutdown.
 //!
 //! Threading model (DESIGN.md §8):
 //!
 //! * **one acceptor** blocks on [`TcpListener::accept`] and does almost
-//!   nothing per connection — stamp socket timeouts, try to hand the
-//!   connection to the pool;
-//! * **`workers` pool threads** each own one connection at a time and run
-//!   its whole keep-alive session (read → route → write, repeat);
-//! * when the pool's bounded queue is full the **acceptor itself** writes
+//!   nothing per connection — stamp socket timeouts, try to send the
+//!   stream into a bounded `sync_channel`;
+//! * **`workers` threads** share the channel's receiver behind one mutex;
+//!   each owns one connection at a time and runs its whole keep-alive
+//!   session (read → route → write, repeat) under one `catch_unwind`, so
+//!   a panic costs that connection and not the thread;
+//! * when the channel is full the **acceptor itself** writes
 //!   `503 Service Unavailable` + `Retry-After` and closes — overload
 //!   degrades into fast, explicit rejections instead of unbounded queues;
-//! * [`ServerHandle::shutdown`] stops admissions, nudges the acceptor
-//!   awake, and drains: every connection already accepted finishes its
-//!   in-flight request (responses carry `Connection: close` once draining
-//!   starts) before the workers are joined.
+//! * [`ServerHandle::shutdown`] stops admissions and nudges the acceptor
+//!   awake; the acceptor exits and drops the sender, and every worker
+//!   serves what is already queued (responses carry `Connection: close`
+//!   once draining starts) and stops when the channel is empty.
 
 use crate::http::{HttpError, Limits, RequestReader, Response};
 use crate::ingest::{ApplyPacer, IngestConfig};
 use crate::router::{route, RouterCtx};
-use pastas_par::pool::{Submitter, WorkerPool};
-use std::io::{self, ErrorKind, Write as _};
+use std::io::{self, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::{Arc, Mutex, PoisonError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Server tuning knobs. The defaults suit the loopback benches; a real
@@ -85,9 +89,9 @@ struct ServerShared {
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<ServerShared>,
-    acceptor: Option<std::thread::JoinHandle<()>>,
-    ingest: Option<std::thread::JoinHandle<()>>,
-    pool: Option<WorkerPool>,
+    acceptor: Option<JoinHandle<()>>,
+    ingest: Option<JoinHandle<()>>,
+    workers: Vec<JoinHandle<()>>,
 }
 
 /// Bind, spawn the acceptor and workers, and return immediately.
@@ -102,16 +106,23 @@ pub fn start(ctx: RouterCtx, config: ServerConfig) -> io::Result<ServerHandle> {
     } else {
         config.workers
     };
-    let pool = WorkerPool::new(workers, config.queue_capacity);
-    let _ = ctx.pool_stats.set(pool.stats());
+    let (queue, inbox) = sync_channel(config.queue_capacity.max(1));
+    let inbox = Arc::new(Mutex::new(inbox));
     let shared = Arc::new(ServerShared { ctx, config, draining: AtomicBool::new(false) });
 
+    let workers = (0..workers)
+        .map(|i| {
+            let (inbox, shared) = (Arc::clone(&inbox), Arc::clone(&shared));
+            std::thread::Builder::new()
+                .name(format!("pastas-serve-worker-{i}"))
+                .spawn(move || worker_loop(&inbox, &shared, handle_connection))
+        })
+        .collect::<io::Result<Vec<_>>>()?;
     let acceptor = {
         let shared = Arc::clone(&shared);
-        let submit = pool.submitter();
         std::thread::Builder::new()
             .name("pastas-serve-acceptor".to_owned())
-            .spawn(move || accept_loop(listener, shared, submit))?
+            .spawn(move || accept_loop(|| Ok(listener.accept()?.0), &shared, &queue))?
     };
     let ingest = {
         let shared = Arc::clone(&shared);
@@ -120,13 +131,7 @@ pub fn start(ctx: RouterCtx, config: ServerConfig) -> io::Result<ServerHandle> {
             .spawn(move || apply_loop(&shared))?
     };
 
-    Ok(ServerHandle {
-        addr,
-        shared,
-        acceptor: Some(acceptor),
-        ingest: Some(ingest),
-        pool: Some(pool),
-    })
+    Ok(ServerHandle { addr, shared, acceptor: Some(acceptor), ingest: Some(ingest), workers })
 }
 
 /// Convenience: serve a workbench with a config in one call.
@@ -177,15 +182,33 @@ fn apply_loop(shared: &ServerShared) {
     }
 }
 
-/// Accept until drain. Per accepted connection: stamp socket options,
-/// submit a connection job to the pool; on a full queue, shed with 503
-/// right here — the acceptor never blocks on workers.
-fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>, submit: Submitter) {
+/// Pause before `accept` is retried after it failed.
+const ACCEPT_RETRY: Duration = Duration::from_millis(10);
+
+/// Accept until drain. Per accepted connection: stamp socket options and
+/// send the stream to the workers; on a full queue, shed with 503 right
+/// here — the acceptor never blocks on workers. Returning drops `queue`,
+/// which lets the workers drain and stop.
+///
+/// A failed `accept` stops the loop only once draining has begun;
+/// otherwise it waits [`ACCEPT_RETRY`] and accepts again. accept(2) fails
+/// transiently — `ECONNABORTED`, `EMFILE`, `ENFILE`, and on Linux network
+/// errors already pending on the new socket — and an acceptor that
+/// stopped on one would leave a server that looks alive and never
+/// accepts again.
+fn accept_loop(
+    mut accept: impl FnMut() -> io::Result<TcpStream>,
+    shared: &ServerShared,
+    queue: &SyncSender<TcpStream>,
+) {
     loop {
-        let (stream, _) = match listener.accept() {
-            Ok(pair) => pair,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => break,
+        let stream = match accept() {
+            Ok(stream) => stream,
+            Err(_) if shared.draining.load(Ordering::SeqCst) => break,
+            Err(_) => {
+                std::thread::sleep(ACCEPT_RETRY);
+                continue;
+            }
         };
         if shared.draining.load(Ordering::SeqCst) {
             break;
@@ -193,17 +216,33 @@ fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>, submit: Submitt
         let _ = stream.set_nodelay(true);
         let _ = stream.set_read_timeout(Some(shared.config.read_timeout));
         let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
-        // The job needs the stream, and shedding needs it back on refusal;
-        // a fd-level clone gives both paths a handle.
-        let Ok(job_stream) = stream.try_clone() else {
-            continue;
-        };
-        let job_shared = Arc::clone(&shared);
-        let submitted =
-            submit.try_submit(move || handle_connection(job_stream, &job_shared));
-        if submitted.is_err() {
-            shed(&stream, &shared);
+        match queue.try_send(stream) {
+            Ok(()) => shared.ctx.metrics.record_queued(),
+            Err(TrySendError::Full(stream)) => shed(&stream, shared),
+            Err(TrySendError::Disconnected(_)) => break,
         }
+    }
+}
+
+/// A worker: take the next queued connection and serve it with `serve`
+/// until the acceptor is gone and the queue is empty. A panic outside the
+/// handler's own catch costs its connection, is counted in
+/// `worker_panics`, and the thread goes on to the next connection.
+fn worker_loop(
+    inbox: &Mutex<Receiver<TcpStream>>,
+    shared: &ServerShared,
+    serve: impl Fn(TcpStream, &ServerShared),
+) {
+    loop {
+        // The guard drops with this statement, so the next worker waits
+        // for a connection while this one serves (a `while let` scrutinee
+        // would hold it through the loop body).
+        let next = inbox.lock().unwrap_or_else(PoisonError::into_inner).recv();
+        let Ok(stream) = next else { return };
+        let metrics = &shared.ctx.metrics;
+        metrics.record_connection_start();
+        let panicked = catch_unwind(AssertUnwindSafe(|| serve(stream, shared))).is_err();
+        metrics.record_connection_end(panicked);
     }
 }
 
@@ -219,20 +258,24 @@ impl ServerHandle {
     }
 
     /// Graceful shutdown: stop accepting, finish in-flight requests,
-    /// drain the accepted-connection queue, join every thread.
-    pub fn shutdown(mut self) {
+    /// drain the accepted-connection queue, join every thread. Returns the
+    /// worker panics counted over the server's life, the drain included.
+    pub fn shutdown(mut self) -> u64 {
         self.begin_shutdown();
+        self.shared.ctx.metrics.worker_panics()
     }
 
     fn begin_shutdown(&mut self) {
         self.shared.draining.store(true, Ordering::SeqCst);
         // Nudge the blocked acceptor with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
+        // The acceptor exits and drops the sender; each worker serves what
+        // is already queued and stops when the channel is empty.
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
         }
-        if let Some(pool) = self.pool.take() {
-            pool.shutdown();
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
         }
         // Workers are done: nudge the apply worker so its final pass
         // applies every remaining 202'd batch, then join it.
@@ -261,17 +304,15 @@ fn handle_connection(stream: TcpStream, shared: &ServerShared) {
         match reader.next_request() {
             Ok(request) => {
                 let t0 = Instant::now();
-                // A panicking handler must cost one 500, not a pool worker:
+                // A panicking handler must cost one 500, not a connection:
                 // the catch keeps the keep-alive loop (and the worker
                 // running it) alive, and poisoned locks recover on the next
                 // use via `unwrap_or_else(PoisonError::into_inner)`.
-                let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                    || route(&request, &shared.ctx),
-                ))
-                .unwrap_or_else(|_| {
-                    shared.ctx.metrics.record_handler_panic();
-                    Response::json(500, "{\"error\":\"internal handler panic\"}")
-                });
+                let response = catch_unwind(AssertUnwindSafe(|| route(&request, &shared.ctx)))
+                    .unwrap_or_else(|_| {
+                        shared.ctx.metrics.record_handler_panic();
+                        Response::json(500, "{\"error\":\"internal handler panic\"}")
+                    });
                 let status = response.status;
                 let draining = shared.draining.load(Ordering::SeqCst);
                 let last = request.wants_close()
@@ -318,6 +359,117 @@ fn shed(mut stream: &TcpStream, shared: &ServerShared) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::Conn;
+    use pastas_core::Workbench;
+    use pastas_synth::{generate_collection, SynthConfig};
+    use std::io::Read as _;
+    use std::sync::atomic::AtomicUsize;
+
+    fn test_shared() -> ServerShared {
+        let workbench =
+            Workbench::from_collection(generate_collection(SynthConfig::with_patients(50), 11));
+        ServerShared {
+            ctx: RouterCtx::new(workbench, 8, 1 << 20),
+            config: ServerConfig::default(),
+            draining: AtomicBool::new(false),
+        }
+    }
+
+    /// A failed `accept` is retried while the server runs and stops the
+    /// acceptor only once draining has begun.
+    #[test]
+    fn accept_errors_stop_the_acceptor_only_when_draining() {
+        let shared = test_shared();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (queue, inbox) = sync_channel(2);
+        let mut calls = 0;
+        let accept = || -> io::Result<TcpStream> {
+            calls += 1;
+            if calls == 2 {
+                return Ok(listener.accept()?.0);
+            }
+            // The first failure is retried; the one after it, while draining, stops the loop.
+            shared.draining.store(calls > 2, Ordering::SeqCst);
+            Err(io::ErrorKind::ConnectionAborted.into())
+        };
+        accept_loop(accept, &shared, &queue);
+        assert!(inbox.try_recv().is_ok(), "the accept after the failed one was queued");
+        assert_eq!(shared.ctx.metrics.queue_depth(), 1);
+    }
+
+    /// The receiver's lock is held while a worker waits for a connection,
+    /// not while it serves one: two workers serve two connections at once.
+    #[test]
+    fn workers_serve_connections_side_by_side() {
+        let shared = test_shared();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (queue, inbox) = sync_channel(2);
+        let mut clients = Vec::new();
+        for _ in 0..2 {
+            clients.push(TcpStream::connect(addr).unwrap());
+            queue.send(listener.accept().unwrap().0).unwrap();
+        }
+        drop(queue);
+
+        let (inbox, inside) = (Mutex::new(inbox), AtomicUsize::new(0));
+        let serve = |_: TcpStream, _: &ServerShared| {
+            inside.fetch_add(1, Ordering::SeqCst);
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while inside.load(Ordering::SeqCst) < 2 {
+                assert!(Instant::now() < deadline, "the other worker never started serving");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                let (inbox, shared) = (&inbox, &shared);
+                scope.spawn(move || worker_loop(inbox, shared, serve));
+            }
+        });
+        assert_eq!(inside.into_inner(), 2);
+        assert_eq!(shared.ctx.metrics.worker_panics(), 0, "both connections were served at once");
+    }
+
+    /// A panic outside `route` costs its connection, counts once in
+    /// `worker_panics`, and the same worker serves the next connection.
+    #[test]
+    fn connection_panic_costs_one_connection_and_the_worker_serves_on() {
+        let shared = test_shared();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut doomed = TcpStream::connect(addr).unwrap();
+        let (queue, inbox) = sync_channel(2);
+        queue.send(listener.accept().unwrap().0).unwrap();
+        let mut next = Conn::connect(addr, Duration::from_secs(30)).unwrap();
+        queue.send(listener.accept().unwrap().0).unwrap();
+        drop(queue);
+
+        let (inbox, calls) = (Mutex::new(inbox), AtomicUsize::new(0));
+        let serve = |stream, shared: &ServerShared| {
+            if calls.fetch_add(1, Ordering::SeqCst) == 0 {
+                panic!("connection fault outside route");
+            }
+            handle_connection(stream, shared);
+        };
+        std::thread::scope(|scope| {
+            let worker = scope.spawn(|| worker_loop(&inbox, &shared, serve));
+            doomed.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+            let mut reply = Vec::new();
+            doomed.read_to_end(&mut reply).unwrap();
+            assert!(reply.is_empty(), "the panicked connection is closed unanswered");
+
+            let metrics = next.get("/metrics").unwrap();
+            assert_eq!(metrics.status, 200);
+            assert!(metrics.body_str().contains("\"worker_panics\":1"), "{}", metrics.body_str());
+            drop(next);
+            // The queue is empty and its sender gone: the worker returns.
+            worker.join().expect("the worker thread survived the panic");
+        });
+        assert_eq!(calls.into_inner(), 2, "one worker served both connections");
+        assert_eq!(shared.ctx.metrics.worker_panics(), 1);
+    }
 
     /// Regression for the 503 half of the shared backpressure helper:
     /// shed responses must carry `Retry-After` (the 429 half is covered

@@ -182,6 +182,42 @@ fn graceful_shutdown_finishes_inflight_work_and_refuses_new() {
     }
 }
 
+/// Dropping the handle drains the queue: a connection that queued behind
+/// the one busy worker, its request already written, is still answered.
+#[test]
+fn dropped_handle_answers_a_request_queued_behind_a_busy_worker() {
+    let server = start(1, 4);
+    let addr = server.addr();
+    // `busy` holds the only worker between its keep-alive requests.
+    let mut busy = Conn::connect(addr, TIMEOUT).unwrap();
+    assert_eq!(busy.get("/healthz").unwrap().status, 200);
+    let mut queued = TcpStream::connect(addr).unwrap();
+    queued.set_read_timeout(Some(TIMEOUT)).unwrap();
+    queued.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
+    let deadline = std::time::Instant::now() + TIMEOUT;
+    while server.ctx().metrics.queue_depth() == 0 {
+        assert!(std::time::Instant::now() < deadline, "the acceptor never queued the request");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    let dropper = std::thread::spawn(move || drop(server));
+    // The worker keeps `busy` until a response says the drain has begun.
+    loop {
+        let resp = busy.get("/healthz").unwrap();
+        assert_eq!(resp.status, 200);
+        if resp.header("connection") == Some("close") {
+            break;
+        }
+        assert!(std::time::Instant::now() < deadline, "the drain never began");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let mut reply = String::new();
+    queued.read_to_string(&mut reply).unwrap();
+    assert!(reply.starts_with("HTTP/1.1 200"), "queued request dropped: {reply:?}");
+    assert!(reply.contains("Connection: close"), "{reply}");
+    dropper.join().expect("drop returns once the queue is drained");
+}
+
 /// A handler panic — injected while holding the response-cache mutex, the
 /// worst case — must cost exactly one 500. The worker survives, the same
 /// connection keeps serving, and the poisoned lock recovers on next use.

@@ -1,5 +1,6 @@
 #!/bin/bash
-# CI gate: release build with no warning on any target, full test suite,
+# CI gate: formatting of the crates formatted so far, release build with
+# no warning on any target, full test suite,
 # a warning-free clippy pass over every target (benches and examples
 # included) that carries the repo's invariant lints, and warning-free
 # rustdoc. Stricter than
@@ -20,6 +21,9 @@ stage() {
     printf 'ci: %-36s %5ds\n' "$name" "$((t1 - t0))" >&2
 }
 
+# Formatting by the root rustfmt.toml. Only crates already formatted are
+# gated: another crate joins this list in the change that formats it.
+stage "cargo fmt --check (formatted crates)" cargo fmt --check -p pastas-par
 stage "cargo build --release" cargo build --release
 # Every target (tests, benches, examples) builds in release without a
 # warning. Cargo replays the warnings of crates it does not recompile, so
