@@ -16,18 +16,19 @@
 //! may ask for is a prefix), the first timeline read the monthly series;
 //! every later read serializes the memo, which dies with the handle.
 //!
-//! The registry is bounded by handle count and by handle bytes (bitmap
-//! plus memos); least-recently-used handles are evicted first.
+//! The registry is a [`BoundedCache`] bounded by handle count and by
+//! handle bytes (bitmap plus memos, charged when a read fills one);
+//! least-recently-used handles are evicted first.
 //! Re-materializing an identical selection (same canonical fingerprint,
 //! same version) is deduplicated onto the existing handle.
 
+use crate::cache::BoundedCache;
 use crate::Workbench;
 use pastas_analytics::CohortProfile;
 use pastas_query::Bitmap;
 use pastas_time::Date;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 /// Top codes a handle's memoized profile keeps: the most a read may ask.
 pub const MEMO_TOP_K: usize = 200;
@@ -108,30 +109,10 @@ impl Default for RegistryConfig {
     }
 }
 
-struct Entry {
-    handle: Arc<CohortHandle>,
-    last_used: u64,
-}
-
-struct Inner {
-    handles: HashMap<String, Entry>,
-    next_id: u64,
-    tick: u64,
-}
-
-impl Inner {
-    /// Bytes pinned by live handles, summed on demand: a handle grows
-    /// when a read fills a memo, long after it was inserted.
-    fn bytes(&self) -> usize {
-        self.handles.values().map(|e| e.handle.bytes()).sum()
-    }
-}
-
 /// Bounded, versioned store of materialized cohort handles. Thread-safe;
 /// shared by reference between the HTTP router and the metrics endpoint.
 pub struct CohortRegistry {
-    inner: Mutex<Inner>,
-    config: RegistryConfig,
+    handles: BoundedCache<Arc<CohortHandle>>,
     materializations: AtomicU64,
     stale_hits: AtomicU64,
     profile_folds: AtomicU64,
@@ -141,12 +122,7 @@ impl CohortRegistry {
     /// An empty registry with the given bounds.
     pub fn new(config: RegistryConfig) -> CohortRegistry {
         CohortRegistry {
-            inner: Mutex::new(Inner {
-                handles: HashMap::new(),
-                next_id: 1,
-                tick: 0,
-            }),
-            config,
+            handles: BoundedCache::new(config.max_handles, config.max_bytes, |h| h.bytes()),
             materializations: AtomicU64::new(0),
             stale_hits: AtomicU64::new(0),
             profile_folds: AtomicU64::new(0),
@@ -163,72 +139,41 @@ impl CohortRegistry {
         query: &str,
         positions: &[u32],
     ) -> Arc<CohortHandle> {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.tick += 1;
-        let tick = inner.tick;
-        if let Some(entry) = inner
-            .handles
-            .values_mut()
-            .find(|e| e.handle.version == version && e.handle.fingerprint == fingerprint)
-        {
-            entry.last_used = tick;
-            return Arc::clone(&entry.handle);
-        }
-        let handle = Arc::new(CohortHandle {
-            id: format!("c{}", inner.next_id),
-            version,
-            count: positions.len() as u64,
-            fingerprint: fingerprint.to_owned(),
-            query: query.to_owned(),
-            positions: Bitmap::from_sorted(positions),
-            profile: OnceLock::new(),
-            monthly: OnceLock::new(),
-        });
-        inner.next_id += 1;
-        while !inner.handles.is_empty()
-            && (inner.handles.len() >= self.config.max_handles
-                || inner.bytes() + handle.bytes() > self.config.max_bytes)
-        {
-            let Some(oldest) = inner
-                .handles
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(id, _)| id.clone())
-            else {
-                break;
-            };
-            inner.handles.remove(&oldest);
-        }
-        inner
-            .handles
-            .insert(handle.id.clone(), Entry { handle: Arc::clone(&handle), last_used: tick });
-        self.materializations.fetch_add(1, Ordering::Relaxed);
-        handle
+        self.handles.find_or_insert(
+            |h| h.version == version && h.fingerprint == fingerprint,
+            || {
+                // Ids count materializations: c1, c2, …
+                let id = format!("c{}", self.materializations.fetch_add(1, Ordering::Relaxed) + 1);
+                let handle = Arc::new(CohortHandle {
+                    id: id.clone(),
+                    version,
+                    count: positions.len() as u64,
+                    fingerprint: fingerprint.to_owned(),
+                    query: query.to_owned(),
+                    positions: Bitmap::from_sorted(positions),
+                    profile: OnceLock::new(),
+                    monthly: OnceLock::new(),
+                });
+                (id, handle)
+            },
+        )
     }
 
     /// Resolve `id` against the current snapshot version. A version
     /// mismatch drops the handle and reports it stale (counted in
     /// [`Self::stale_hits_total`]).
     pub fn lookup(&self, id: &str, current_version: u64) -> CohortLookup {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.tick += 1;
-        let tick = inner.tick;
-        match inner.handles.get_mut(id) {
+        match self.handles.get(id) {
             None => return CohortLookup::Missing,
-            Some(entry) if entry.handle.version == current_version => {
-                entry.last_used = tick;
-                return CohortLookup::Hit(Arc::clone(&entry.handle));
-            }
+            Some(handle) if handle.version == current_version => return CohortLookup::Hit(handle),
             Some(_) => {}
         }
-        let Some(stale) = inner.handles.remove(id) else {
+        // Of two lookups racing to the same stale handle, one removes it.
+        let Some(stale) = self.handles.remove(id) else {
             return CohortLookup::Missing;
         };
         self.stale_hits.fetch_add(1, Ordering::Relaxed);
-        CohortLookup::Stale {
-            version: stale.handle.version,
-            query: stale.handle.query.clone(),
-        }
+        CohortLookup::Stale { version: stale.version, query: stale.query.clone() }
     }
 
     /// The profile of `handle`'s cohort with [`MEMO_TOP_K`] top codes (cut
@@ -241,7 +186,7 @@ impl CohortRegistry {
         workbench: &Workbench,
         reference: Date,
     ) -> &'h CohortProfile {
-        handle.profile.get_or_init(|| {
+        self.fill(&handle.profile, || {
             self.profile_folds.fetch_add(1, Ordering::Relaxed);
             workbench.cohort_profile(&handle.decode(), reference, MEMO_TOP_K)
         })
@@ -254,12 +199,23 @@ impl CohortRegistry {
         handle: &'h CohortHandle,
         workbench: &Workbench,
     ) -> &'h [(Date, u64)] {
-        handle.monthly.get_or_init(|| workbench.cohort_monthly(&handle.decode()))
+        self.fill(&handle.monthly, || workbench.cohort_monthly(&handle.decode())).as_slice()
+    }
+
+    /// A handle's memo, folded on first use. The fold grew the handle, so
+    /// the registry charges it at once, not at the next materialization.
+    fn fill<'h, T>(&self, memo: &'h OnceLock<T>, fold: impl FnOnce() -> T) -> &'h T {
+        if let Some(value) = memo.get() {
+            return value;
+        }
+        let value = memo.get_or_init(fold);
+        self.handles.trim();
+        value
     }
 
     /// Number of live handles.
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner()).handles.len()
+        self.handles.len()
     }
 
     /// True if no handles are live.
@@ -269,7 +225,7 @@ impl CohortRegistry {
 
     /// Approximate bytes pinned by live handles, memos included.
     pub fn bytes(&self) -> usize {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner()).bytes()
+        self.handles.bytes()
     }
 
     /// Handles materialized since startup (dedup hits not counted).
@@ -363,11 +319,37 @@ mod tests {
 
     #[test]
     fn byte_bound_evicts() {
-        let reg = CohortRegistry::new(RegistryConfig { max_handles: 64, max_bytes: 700 });
         let wide: Vec<u32> = (0..4096).map(|i| i * 131).collect();
+        let one = registry().materialize(1, "fp:a", "a", &wide).bytes();
+        let reg = CohortRegistry::new(RegistryConfig { max_handles: 64, max_bytes: one * 3 / 2 });
         reg.materialize(1, "fp:a", "a", &wide);
         reg.materialize(1, "fp:b", "b", &wide);
         assert_eq!(reg.len(), 1, "byte bound keeps only the newest wide handle");
-        assert!(reg.bytes() <= 700 + std::mem::size_of::<CohortHandle>() + wide.len() * 4);
+        assert!(matches!(reg.lookup("c2", 1), CohortLookup::Hit(_)));
+        let small = CohortRegistry::new(RegistryConfig { max_handles: 64, max_bytes: one - 1 });
+        assert_eq!(small.materialize(1, "fp:a", "a", &wide).count, 4096);
+        assert!(small.is_empty(), "a handle over the bound by itself is not kept");
+    }
+
+    /// A read that fills a handle's profile memo grows the handle, and
+    /// the registry charges it: under a bound only the filled memo
+    /// crosses, the next materialization evicts the filled handle.
+    #[test]
+    fn a_filled_profile_memo_is_charged_and_evicted() {
+        let wb = Workbench::from_collection(pastas_synth::generate_collection(
+            pastas_synth::SynthConfig::with_patients(200),
+            7,
+        ));
+        let (at, all) = (Date::new(2013, 1, 1).expect("valid"), (0..200).collect::<Vec<u32>>());
+        let probe = registry().materialize(1, "fp:a", "a", &all);
+        let bare = probe.bytes();
+        let filled = registry().profile(&probe, &wb, at).heap_bytes() + bare;
+        let reg = CohortRegistry::new(RegistryConfig { max_handles: 64, max_bytes: filled + bare - 1 });
+        let a = reg.materialize(1, "fp:a", "a", &all);
+        let _ = reg.profile(&a, &wb, at);
+        assert_eq!((reg.len(), reg.bytes()), (1, filled), "the filled handle alone fits");
+        reg.materialize(1, "fp:b", "b", &all);
+        assert!(matches!(reg.lookup("c1", 1), CohortLookup::Missing), "the memo was charged");
+        assert!(matches!(reg.lookup("c2", 1), CohortLookup::Hit(_)));
     }
 }

@@ -30,6 +30,10 @@
 // `expect` attribute with a reason, which fails once it goes stale.
 #![deny(clippy::unwrap_used, clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
+#[cfg(test)]
+mod proptests;
+
+pub mod cache;
 pub mod cohorts;
 pub mod error;
 pub mod export;
@@ -39,6 +43,7 @@ pub mod recognition;
 pub mod session;
 pub mod workbench;
 
+pub use cache::BoundedCache;
 pub use cohorts::{CohortHandle, CohortLookup, CohortRegistry, RegistryConfig, MEMO_TOP_K};
 pub use error::CoreError;
 pub use recognition::{simulate_study, RecognitionModel, StudyOutcome};

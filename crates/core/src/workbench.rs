@@ -5,6 +5,7 @@
 //! benches against Shneiderman's 0.1 s budget: select, sort, align, filter,
 //! zoom, hover.
 
+use crate::cache::BoundedCache;
 use pastas_ingest::{
     aggregate, entry_fingerprint, DeltaBatch, EntryFingerprint, QualityReport, SourceTexts,
 };
@@ -19,9 +20,9 @@ use pastas_time::{Date, Duration};
 use pastas_viz::html::{personal_timeline, PersonalTimelineOptions};
 use pastas_viz::timeline::aligned_viewport;
 use pastas_viz::{ascii, hit::HitMap, svg, AxisMode, Scene, TimelineOptions, TimelineView, Viewport};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// A snapshot of the mutable view state (what undo/redo restores).
 #[derive(Debug, Clone)]
@@ -43,17 +44,18 @@ pub struct ViewState {
 /// collection changes ([`Workbench::set_collection`]), which leaves
 /// snapshots of the *old* collection consistent with their own cache.
 ///
-/// Bounded ([`SelectionMemo`]): a server whose every query is new would
-/// otherwise pin one position vector per query it ever answered.
+/// A [`BoundedCache`] of [`SELECTION_MEMO_BYTES`]: a server whose every
+/// query is new would otherwise pin one position vector per query it
+/// ever answered. Least recently used results leave first, so the
+/// `has(pattern)` selection an alignment re-reads each view cycle
+/// outlives a stream of cold selects.
 ///
 /// Also home to the plan-path counters the serve layer exports:
 /// `index_hits` counts uncached selections answered by posting-list set
 /// algebra, `scan_fallbacks` those whose plan evaluated the query against
 /// every history.
 struct SelectionCache {
-    entries: Mutex<SelectionMemo>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    entries: BoundedCache<Vec<u32>>,
     index_hits: AtomicU64,
     scan_fallbacks: AtomicU64,
     pattern_candidates: AtomicU64,
@@ -63,9 +65,7 @@ struct SelectionCache {
 impl SelectionCache {
     fn new() -> Arc<SelectionCache> {
         Arc::new(SelectionCache {
-            entries: Mutex::new(SelectionMemo::default()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            entries: BoundedCache::new(usize::MAX, SELECTION_MEMO_BYTES, |p| p.len() * 4),
             index_hits: AtomicU64::new(0),
             scan_fallbacks: AtomicU64::new(0),
             pattern_candidates: AtomicU64::new(0),
@@ -92,35 +92,12 @@ impl SelectionCache {
     }
 }
 
-/// Most bytes of positions a [`SelectionMemo`] keeps: two results the
+/// Most bytes of positions the selection memo keeps: two results the
 /// size of a 1M-row collection, five of the paper's shape. A hit saves a
 /// plan execution of a few milliseconds, and a client sending cold
 /// selects fills any bound between two publishes — at 32 MiB that was
 /// +14% peak RSS at 168k once a select took 0.6 ms instead of 4.
 const SELECTION_MEMO_BYTES: usize = 8 << 20;
-
-/// Selection results by canonical fingerprint, first in first out beyond
-/// [`SELECTION_MEMO_BYTES`]; the newest result always stays.
-#[derive(Default)]
-struct SelectionMemo {
-    results: HashMap<String, Vec<u32>>,
-    oldest_first: VecDeque<String>,
-    bytes: usize,
-}
-
-impl SelectionMemo {
-    fn insert(&mut self, fingerprint: String, positions: Vec<u32>) {
-        self.bytes += positions.len() * 4;
-        match self.results.insert(fingerprint.clone(), positions) {
-            Some(replaced) => self.bytes -= replaced.len() * 4,
-            None => self.oldest_first.push_back(fingerprint),
-        }
-        while self.bytes > SELECTION_MEMO_BYTES && self.oldest_first.len() > 1 {
-            let evicted = self.oldest_first.pop_front().and_then(|k| self.results.remove(&k));
-            self.bytes -= evicted.map_or(0, |positions| positions.len() * 4);
-        }
-    }
-}
 
 /// Outcome accounting of one [`Workbench::apply_ingest`] call.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -352,11 +329,13 @@ impl Workbench {
 
     /// Deep invariant check (debug builds only; a no-op in release): the
     /// collection's own check (id map, row and digest columns against a
-    /// rebuild, maintained summary against the from-entries walk) and the
-    /// condition masks against the dictionary's codes.
+    /// rebuild, maintained summary against the from-entries walk), the
+    /// selection memo's bounds, and the condition masks against the
+    /// dictionary's codes.
     #[cfg(debug_assertions)]
     pub fn debug_validate(&self) {
         self.collection.debug_validate();
+        self.selections.entries.debug_validate();
         let masks = grow_masks(&Arc::default(), &self.collection, &self.ontology);
         assert!(masks == self.cond_masks, "workbench: condition masks drifted from the dictionary");
     }
@@ -368,17 +347,22 @@ impl Workbench {
 
     /// Number of memoized selections.
     pub fn selection_cache_len(&self) -> usize {
-        self.selections.entries.lock().unwrap_or_else(|e| e.into_inner()).results.len()
+        self.selections.entries.len()
+    }
+
+    /// Bytes of memoized selection positions.
+    pub fn selection_cache_bytes(&self) -> usize {
+        self.selections.entries.bytes()
     }
 
     /// Selection-cache hits since this collection was installed.
     pub fn selection_cache_hits(&self) -> u64 {
-        self.selections.hits.load(Ordering::Relaxed)
+        self.selections.entries.hits()
     }
 
     /// Selection-cache misses since this collection was installed.
     pub fn selection_cache_misses(&self) -> u64 {
-        self.selections.misses.load(Ordering::Relaxed)
+        self.selections.entries.misses()
     }
 
     /// Uncached selections whose physical plan was served by posting-list
@@ -467,14 +451,9 @@ impl Workbench {
     pub fn select_positions(&self, query: &HistoryQuery) -> Vec<u32> {
         let normalized = pastas_query::normalize(query);
         let fingerprint = normalized.fingerprint();
-        {
-            let cache = self.selections.entries.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(hit) = cache.results.get(&fingerprint) {
-                self.selections.hits.fetch_add(1, Ordering::Relaxed);
-                return hit.clone();
-            }
+        if let Some(hit) = self.selections.entries.get(&fingerprint) {
+            return hit;
         }
-        self.selections.misses.fetch_add(1, Ordering::Relaxed);
         let plan = QueryPlan::from_normalized(
             &self.index,
             &self.collection,
@@ -484,11 +463,7 @@ impl Workbench {
         self.selections.count_plan_path(plan.uses_full_scan());
         let (positions, stats) = plan.execute_stats(&self.collection, &self.index);
         self.selections.count_exec_stats(&stats);
-        self.selections
-            .entries
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(fingerprint, positions.clone());
+        self.selections.entries.put(fingerprint, positions.clone());
         positions
     }
 
@@ -503,11 +478,7 @@ impl Workbench {
         let (positions, explain, stats) =
             plan.execute_explain_stats(&self.collection, &self.index);
         self.selections.count_exec_stats(&stats);
-        self.selections
-            .entries
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(plan.canonical_fingerprint().to_owned(), positions.clone());
+        self.selections.entries.put(plan.canonical_fingerprint().to_owned(), positions.clone());
         (positions, explain)
     }
 
@@ -817,25 +788,23 @@ mod tests {
         }
     }
 
-    /// The selection memo holds at most its byte bound: the oldest
-    /// results leave first, the newest always stays, and replacing a
-    /// result charges it once.
+    /// The selection memo evicts the least recently used result: a hit
+    /// refreshes recency, so the result re-read (as `align` re-reads its
+    /// `has(pattern)` every view cycle) outlives colder ones inserted
+    /// after it.
     #[test]
-    fn selection_memo_is_bounded_first_in_first_out() {
+    fn a_selection_memo_hit_refreshes_recency() {
+        let wb = wb();
+        let memo = &wb.selections.entries;
         let third = SELECTION_MEMO_BYTES / 4 / 3;
-        let mut memo = SelectionMemo::default();
         for key in ["a", "b", "c"] {
-            memo.insert(key.to_owned(), vec![0; third]);
+            memo.put(key.to_owned(), vec![0; third]);
         }
-        memo.insert("b".to_owned(), vec![0; third]);
-        assert_eq!((memo.results.len(), memo.bytes), (3, third * 12), "a replacement is no growth");
-        memo.insert("d".to_owned(), vec![0; third]);
-        let mut held: Vec<&str> = memo.results.keys().map(String::as_str).collect();
-        held.sort_unstable();
-        assert_eq!(held, ["b", "c", "d"], "the oldest result left");
-        memo.insert("whole".to_owned(), vec![0; SELECTION_MEMO_BYTES / 4 + 1]);
-        assert_eq!(memo.results.len(), 1, "an oversized newest result still stays");
-        assert_eq!(memo.bytes, SELECTION_MEMO_BYTES + 4);
+        assert!(memo.get("a").is_some());
+        memo.put("d".to_owned(), vec![0; third]);
+        let held: Vec<bool> = ["a", "b", "c", "d"].iter().map(|k| memo.get(k).is_some()).collect();
+        assert_eq!(held, [true, false, true, true], "b, not the re-read a, left");
+        assert_eq!(wb.selection_cache_bytes(), third * 12);
     }
 
     #[test]

@@ -43,7 +43,6 @@ pub mod parse;
 pub mod predicate;
 pub mod query;
 mod radix;
-pub mod stats;
 pub mod temporal;
 
 pub use bitmap::Bitmap;

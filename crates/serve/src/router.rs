@@ -52,29 +52,18 @@ pub struct RouterCtx {
 }
 
 impl RouterCtx {
-    /// A context over an initial workbench with a cache bounded to
-    /// `cache_entries` responses / `cache_bytes` body bytes and default
-    /// ingest tuning.
-    pub fn new(
-        workbench: pastas_core::Workbench,
-        cache_entries: usize,
-        cache_bytes: usize,
-    ) -> RouterCtx {
-        RouterCtx::with_ingest_config(workbench, cache_entries, cache_bytes, IngestConfig::default())
+    /// A context over an initial workbench with default ingest tuning.
+    pub fn new(workbench: pastas_core::Workbench) -> RouterCtx {
+        RouterCtx::with_ingest_config(workbench, IngestConfig::default())
     }
 
     /// [`RouterCtx::new`] with explicit ingest tuning (queue capacity,
     /// 429 `Retry-After`).
-    pub fn with_ingest_config(
-        workbench: pastas_core::Workbench,
-        cache_entries: usize,
-        cache_bytes: usize,
-        ingest: IngestConfig,
-    ) -> RouterCtx {
+    pub fn with_ingest_config(workbench: pastas_core::Workbench, ingest: IngestConfig) -> RouterCtx {
         RouterCtx {
             ingest: IngestQueue::new(&workbench, ingest),
             state: ServeState::new(workbench),
-            cache: ResponseCache::new(cache_entries, cache_bytes),
+            cache: ResponseCache::default(),
             metrics: crate::metrics::Metrics::new(),
             cohorts: CohortRegistry::new(RegistryConfig::default()),
         }
@@ -549,6 +538,7 @@ fn metrics_response(ctx: &RouterCtx) -> Response {
         ("selection_cache_entries", wb.selection_cache_len() as f64),
         ("selection_cache_hits", wb.selection_cache_hits() as f64),
         ("selection_cache_misses", wb.selection_cache_misses() as f64),
+        ("selection_cache_bytes", wb.selection_cache_bytes() as f64),
         ("select_index_hits", wb.select_index_hits() as f64),
         ("select_scan_fallbacks", wb.select_scan_fallbacks() as f64),
         ("pattern_candidates", wb.pattern_candidates() as f64),
@@ -584,11 +574,10 @@ mod tests {
     use pastas_synth::{generate_collection, SynthConfig};
 
     fn ctx() -> RouterCtx {
-        RouterCtx::new(
-            Workbench::from_collection(generate_collection(SynthConfig::with_patients(150), 11)),
-            64,
-            1 << 20,
-        )
+        RouterCtx::new(Workbench::from_collection(generate_collection(
+            SynthConfig::with_patients(150),
+            11,
+        )))
     }
 
     fn request(raw: &[u8]) -> Request {
@@ -825,8 +814,6 @@ mod tests {
     fn ingest_backpressure_answers_429_with_retry_after() {
         let ctx = RouterCtx::with_ingest_config(
             Workbench::from_collection(generate_collection(SynthConfig::with_patients(50), 3)),
-            64,
-            1 << 20,
             crate::ingest::IngestConfig { queue_capacity: 1, ..Default::default() },
         );
         assert_eq!(route(&post("/ingest?format=persons", DELTA_PERSONS), &ctx).status, 202);
@@ -1088,11 +1075,10 @@ mod tests {
                 [0x2e9f6529a63fb8b1, 0x25eea5a46d878c8e, 0xc20ceaefe1f3b236],
             ),
         ];
-        let ctx = RouterCtx::new(
-            Workbench::from_collection(generate_collection(SynthConfig::with_patients(5000), 2016)),
-            64,
-            1 << 20,
-        );
+        let ctx = RouterCtx::new(Workbench::from_collection(generate_collection(
+            SynthConfig::with_patients(5000),
+            2016,
+        )));
         for (query, golden) in GOLDEN {
             let id = cohort_id(&route(&post("/cohort", query), &ctx).body);
             let reads = [
@@ -1310,6 +1296,8 @@ mod tests {
         ] {
             assert!(body.contains(field), "missing {field} in {body}");
         }
+        let memo = ctx.state.snapshot().workbench.selection_cache_bytes();
+        assert!(memo > 0 && body.contains(&format!("\"selection_cache_bytes\":{memo},")), "{body}");
         assert!(Json::parse(&body).is_ok(), "metrics is valid JSON");
         assert_eq!(route(&get("/nope"), &ctx).status, 404);
         assert_eq!(route(&get("/select"), &ctx).status, 405);

@@ -52,10 +52,6 @@ pub struct ServerConfig {
     pub max_requests_per_connection: usize,
     /// Request parsing budgets.
     pub limits: Limits,
-    /// Response-cache entry bound.
-    pub cache_entries: usize,
-    /// Response-cache byte bound.
-    pub cache_bytes: usize,
     /// Bounded ingest-delta queue; beyond this `POST /ingest` answers
     /// 429 with `Retry-After` — explicit backpressure, not a buffer.
     pub ingest_queue_capacity: usize,
@@ -72,8 +68,6 @@ impl Default for ServerConfig {
             retry_after_secs: 1,
             max_requests_per_connection: 10_000,
             limits: Limits::default(),
-            cache_entries: 512,
-            cache_bytes: 256 << 20,
             ingest_queue_capacity: 256,
         }
     }
@@ -143,13 +137,7 @@ pub fn serve(
         queue_capacity: config.ingest_queue_capacity,
         retry_after_secs: config.retry_after_secs,
     };
-    let ctx = RouterCtx::with_ingest_config(
-        workbench,
-        config.cache_entries,
-        config.cache_bytes,
-        ingest,
-    );
-    start(ctx, config)
+    start(RouterCtx::with_ingest_config(workbench, ingest), config)
 }
 
 /// The apply worker: sleep until a delta batch arrives and the pause the
@@ -369,7 +357,7 @@ mod tests {
         let workbench =
             Workbench::from_collection(generate_collection(SynthConfig::with_patients(50), 11));
         ServerShared {
-            ctx: RouterCtx::new(workbench, 8, 1 << 20),
+            ctx: RouterCtx::new(workbench),
             config: ServerConfig::default(),
             draining: AtomicBool::new(false),
         }

@@ -4,8 +4,8 @@
 //! Demonstrates the CNTRO-like layer the paper discusses (§II.D): gap-
 //! constrained sequences ("readmitted within 30 days"), qualitative Allen
 //! steps ("a stay *during* a home-care period"), conjunctive queries over
-//! the materialized triple view, and the summary statistics a researcher
-//! exports.
+//! the materialized triple view, and the cohort profile and monthly
+//! series the server's cohort reads serve.
 //!
 //! ```text
 //! cargo run --release --example temporal_patterns [--patients N]
@@ -17,7 +17,6 @@ use pastas_ontology::sparql::{solve, Pattern};
 use pastas_ontology::store::{Term, TripleStore};
 use pastas_ontology::temporal::AllenRel;
 use pastas_ontology::vocab::{ns, Vocabulary};
-use pastas_query::stats;
 
 #[path = "common.rs"]
 mod common;
@@ -79,31 +78,21 @@ fn main() {
         distinct.len()
     );
 
-    // --- 4. Cohort statistics -------------------------------------------
-    let cfg = SynthConfig::with_patients(patients);
-    println!("\nMonthly utilization (all entries):");
-    let series = stats::monthly_utilization(&collection, cfg.window_start, cfg.window_end(), None);
-    for chunk in series.chunks(6) {
+    // --- 4. Cohort statistics: what /cohort/{id}/stats and /timeline
+    // serve, here over every patient, aged at the last recorded event.
+    let reference = collection.stats().last.map_or(SynthConfig::with_patients(patients).window_start, |dt| dt.date());
+    let wb = Workbench::from_collection(collection);
+    let everyone: Vec<u32> = (0..wb.collection().len() as u32).collect();
+    println!("\nMonthly events (all patients):");
+    for chunk in wb.cohort_monthly(&everyone).chunks(6) {
         let row: Vec<String> =
             chunk.iter().map(|(m, n)| format!("{:04}-{:02}: {n:>6}", m.year(), m.month())).collect();
         println!("  {}", row.join("  "));
     }
-
-    println!("\nEntries per source:");
-    for (source, n) in stats::source_profile(&collection) {
-        println!("  {source:<14} {n:>8}");
-    }
-
-    println!("\nTop codes by patient count:");
-    for (code, n) in stats::code_frequency(&collection).into_iter().take(8) {
-        println!("  {code:<8} {n:>6}");
-    }
-
-    println!("\nAge pyramid (decades):");
-    let pyramid = stats::age_pyramid(&collection, cfg.window_start, 10);
-    let max = pyramid.iter().map(|&(_, n)| n).max().unwrap_or(1);
-    for (band, n) in pyramid {
-        let bar = "#".repeat(n * 50 / max);
-        println!("  {band:>3}–{:<3} {n:>6} {bar}", band + 9);
+    for histogram in wb.cohort_profile(&everyone, reference, 8).histograms() {
+        println!("\n{} (patients):", histogram.name);
+        for (label, n) in histogram.buckets {
+            println!("  {label:<24} {n:>8}");
+        }
     }
 }
