@@ -344,7 +344,8 @@ mod tests {
         let probe = registry().materialize(1, "fp:a", "a", &all);
         let bare = probe.bytes();
         let filled = registry().profile(&probe, &wb, at).heap_bytes() + bare;
-        let reg = CohortRegistry::new(RegistryConfig { max_handles: 64, max_bytes: filled + bare - 1 });
+        let reg =
+            CohortRegistry::new(RegistryConfig { max_handles: 64, max_bytes: filled + bare - 1 });
         let a = reg.materialize(1, "fp:a", "a", &all);
         let _ = reg.profile(&a, &wb, at);
         assert_eq!((reg.len(), reg.bytes()), (1, filled), "the filled handle alone fits");

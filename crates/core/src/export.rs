@@ -126,10 +126,8 @@ pub fn from_json(text: &str) -> Result<HistoryCollection, CoreError> {
         .ok_or_else(|| CoreError::document("missing patients array"))?;
     let mut histories = Vec::with_capacity(patients.len());
     for p in patients {
-        let id_text = p
-            .get("id")
-            .and_then(Json::as_str)
-            .ok_or_else(|| CoreError::document("missing id"))?;
+        let id_text =
+            p.get("id").and_then(Json::as_str).ok_or_else(|| CoreError::document("missing id"))?;
         let id: u64 = id_text
             .trim_start_matches('P')
             .parse()
@@ -144,8 +142,7 @@ pub fn from_json(text: &str) -> Result<HistoryCollection, CoreError> {
             Some("M") => Sex::Male,
             other => return Err(CoreError::document(format!("bad sex {other:?}"))),
         };
-        let mut history =
-            History::new(Patient { id: PatientId(id), birth_date, sex });
+        let mut history = History::new(Patient { id: PatientId(id), birth_date, sex });
         for e in p.get("entries").and_then(Json::as_array).unwrap_or(&[]) {
             let start = DateTime::parse_iso(
                 e.get("start")
@@ -179,9 +176,7 @@ pub fn from_json(text: &str) -> Result<HistoryCollection, CoreError> {
                     "ICPC2" => CodeSystem::Icpc2,
                     "ICD10" => CodeSystem::Icd10,
                     "ATC" => CodeSystem::Atc,
-                    _ => {
-                        return Err(CoreError::document(format!("bad code system {system:?}")))
-                    }
+                    _ => return Err(CoreError::document(format!("bad code system {system:?}"))),
                 };
                 Ok(Code::new(system, value))
             };
@@ -357,8 +352,10 @@ mod tests {
                 assert_eq!(a.end(), b.end());
                 assert_eq!(a.source(), b.source());
                 match (a.payload(), b.payload()) {
-                    (PayloadRef::Measurement { kind: ka, value: va },
-                     PayloadRef::Measurement { kind: kb, value: vb }) => {
+                    (
+                        PayloadRef::Measurement { kind: ka, value: va },
+                        PayloadRef::Measurement { kind: kb, value: vb },
+                    ) => {
                         assert_eq!(ka, kb);
                         // Values round-trip through {value:.2}.
                         assert!((va - vb).abs() < 0.005, "{va} vs {vb}");

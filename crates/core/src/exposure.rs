@@ -66,13 +66,23 @@ pub fn medication_exposures(history: &History, persistence: Duration) -> Vec<Exp
                 last = t;
                 count += 1;
             } else {
-                out.push(Exposure { code: code.clone(), start, end: last + persistence, dispensings: count });
+                out.push(Exposure {
+                    code: code.clone(),
+                    start,
+                    end: last + persistence,
+                    dispensings: count,
+                });
                 start = t;
                 last = t;
                 count = 1;
             }
         }
-        out.push(Exposure { code: code.clone(), start, end: last + persistence, dispensings: count });
+        out.push(Exposure {
+            code: code.clone(),
+            start,
+            end: last + persistence,
+            dispensings: count,
+        });
     }
     out.sort_by_key(|e| (e.start, e.code.value.clone()));
     out

@@ -184,8 +184,11 @@ mod tests {
         assert!((p.patient_years - 4_000.0).abs() < 20.0);
         // A chronically-ill-skewed adult population.
         assert!((1.0..8.0).contains(&p.gp_contacts_per_py), "gp {}", p.gp_contacts_per_py);
-        assert!((20.0..200.0).contains(&p.admissions_per_1000py),
-            "admissions {}", p.admissions_per_1000py);
+        assert!(
+            (20.0..200.0).contains(&p.admissions_per_1000py),
+            "admissions {}",
+            p.admissions_per_1000py
+        );
         assert!((1.0..15.0).contains(&p.mean_los_days), "LOS {}", p.mean_los_days);
         assert!(p.readmission_rate < 0.2);
         assert!(p.polypharmacy_rate > 0.005, "poly {}", p.polypharmacy_rate);
@@ -210,14 +213,10 @@ mod tests {
         let t0 = Date::new(2013, 1, 1).unwrap().at_midnight();
         let day = |d: i64| t0 + Duration::days(d);
         // Five substances in 80 days → positive.
-        let tight: Vec<_> = (0..5)
-            .map(|i| (day(i * 20), format!("C0{i}AA01")))
-            .collect();
+        let tight: Vec<_> = (0..5).map(|i| (day(i * 20), format!("C0{i}AA01"))).collect();
         assert!(has_polypharmacy(&tight));
         // Five substances spread over a year with no dense window → negative.
-        let sparse: Vec<_> = (0..5)
-            .map(|i| (day(i * 100), format!("C0{i}AA01")))
-            .collect();
+        let sparse: Vec<_> = (0..5).map(|i| (day(i * 100), format!("C0{i}AA01"))).collect();
         assert!(!has_polypharmacy(&sparse));
         // Repeats of one substance never count.
         let repeats: Vec<_> = (0..10).map(|i| (day(i * 7), "C07AB02".to_owned())).collect();
@@ -256,6 +255,10 @@ mod tests {
         let c = HistoryCollection::from_histories([h]);
         let (from, to) = window();
         let p = indicators(&c, from, to);
-        assert!((p.gp_contacts_per_py - 0.5).abs() < 1e-2, "one contact over two years: {}", p.gp_contacts_per_py);
+        assert!(
+            (p.gp_contacts_per_py - 0.5).abs() < 1e-2,
+            "one contact over two years: {}",
+            p.gp_contacts_per_py
+        );
     }
 }

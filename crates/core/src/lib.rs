@@ -65,8 +65,7 @@ pub mod prelude {
     };
     pub use pastas_model::{
         CodeId, Entry, EntryRef, EntryView, EpisodeKind, History, HistoryCollection,
-        MeasurementKind, MemoryFootprint, Patient, PatientId, Payload, PayloadRef, Sex,
-        SourceKind,
+        MeasurementKind, MemoryFootprint, Patient, PatientId, Payload, PayloadRef, Sex, SourceKind,
     };
     pub use pastas_query::{
         align_on, sort_histories, EntryPredicate, GapBound, HistoryQuery, QueryBuilder, SortKey,

@@ -86,7 +86,11 @@ pub struct StudyOutcome {
 }
 
 /// Simulate one patient's response.
-pub fn simulate_response(history: &History, model: &RecognitionModel, rng: &mut StdRng) -> Response {
+pub fn simulate_response(
+    history: &History,
+    model: &RecognitionModel,
+    rng: &mut StdRng,
+) -> Response {
     // Channel 1: linkage failure.
     if rng.gen_bool(model.record_swap_prob.clamp(0.0, 1.0)) {
         return Response::EverythingWrong;
@@ -163,10 +167,7 @@ mod tests {
         // chronically ill patients, whose trajectories are rich), so we
         // select the chronic cohort before running the study.
         let c = generate_collection(SynthConfig::with_patients(12_000), 7);
-        let q = pastas_query::QueryBuilder::new()
-            .has_code("T90|K74|K77|K86|R95")
-            .unwrap()
-            .build();
+        let q = pastas_query::QueryBuilder::new().has_code("T90|K74|K77|K86|R95").unwrap().build();
         let c = c.extract(|h| q.matches(h));
         assert!(c.len() > 1_000, "selected cohort size {}", c.len());
         let o = simulate_study(&c, &RecognitionModel::default(), 99);
@@ -191,7 +192,12 @@ mod tests {
         let base = simulate_study(&c, &RecognitionModel::default(), 5);
         let lossy = RecognitionModel { source_dropout: 0.5, ..RecognitionModel::default() };
         let o = simulate_study(&c, &lossy, 5);
-        assert!(o.recognized < base.recognized - 0.1, "{:.3} vs {:.3}", o.recognized, base.recognized);
+        assert!(
+            o.recognized < base.recognized - 0.1,
+            "{:.3} vs {:.3}",
+            o.recognized,
+            base.recognized
+        );
     }
 
     #[test]
@@ -206,9 +212,7 @@ mod tests {
         let model = RecognitionModel::default();
         let mut rng = StdRng::seed_from_u64(3);
         let forgotten = (0..5_000)
-            .filter(|_| {
-                simulate_response(&sparse, &model, &mut rng) == Response::DidNotRemember
-            })
+            .filter(|_| simulate_response(&sparse, &model, &mut rng) == Response::DidNotRemember)
             .count() as f64
             / 5_000.0;
         // Empty trajectory: forget probability ≈ floor + scale ≈ 46%.

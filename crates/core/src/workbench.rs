@@ -19,7 +19,9 @@ use pastas_regex::{ParseError, Regex};
 use pastas_time::{Date, Duration};
 use pastas_viz::html::{personal_timeline, PersonalTimelineOptions};
 use pastas_viz::timeline::aligned_viewport;
-use pastas_viz::{ascii, hit::HitMap, svg, AxisMode, Scene, TimelineOptions, TimelineView, Viewport};
+use pastas_viz::{
+    ascii, hit::HitMap, svg, AxisMode, Scene, TimelineOptions, TimelineView, Viewport,
+};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -86,8 +88,7 @@ impl SelectionCache {
             self.pattern_candidates.fetch_add(stats.pattern_candidates, Ordering::Relaxed);
         }
         if stats.pattern_automaton_runs > 0 {
-            self.pattern_automaton_runs
-                .fetch_add(stats.pattern_automaton_runs, Ordering::Relaxed);
+            self.pattern_automaton_runs.fetch_add(stats.pattern_automaton_runs, Ordering::Relaxed);
         }
     }
 }
@@ -139,10 +140,15 @@ pub struct Workbench {
 
 /// `masks` extended to every code of `collection`'s dictionary (shared
 /// if it has them all); the dictionary only grows, so ids keep their masks.
-fn grow_masks(masks: &Arc<Vec<u32>>, collection: &HistoryCollection, ontology: &IntegrationOntology) -> Arc<Vec<u32>> {
+fn grow_masks(
+    masks: &Arc<Vec<u32>>,
+    collection: &HistoryCollection,
+    ontology: &IntegrationOntology,
+) -> Arc<Vec<u32>> {
     let (mut masks, codes) = (Arc::clone(masks), collection.dictionary().iter());
     if codes.len() > masks.len() {
-        let fresh = codes.skip(masks.len()).map(|code| pastas_analytics::condition_mask(ontology, code));
+        let fresh =
+            codes.skip(masks.len()).map(|code| pastas_analytics::condition_mask(ontology, code));
         Arc::make_mut(&mut masks).extend(fresh);
     }
     masks
@@ -475,8 +481,7 @@ impl Workbench {
     pub fn select_explain(&self, query: &HistoryQuery) -> (Vec<u32>, Explain) {
         let plan = QueryPlan::build(&self.index, &self.collection, query);
         self.selections.count_plan_path(plan.uses_full_scan());
-        let (positions, explain, stats) =
-            plan.execute_explain_stats(&self.collection, &self.index);
+        let (positions, explain, stats) = plan.execute_explain_stats(&self.collection, &self.index);
         self.selections.count_exec_stats(&stats);
         self.selections.entries.put(plan.canonical_fingerprint().to_owned(), positions.clone());
         (positions, explain)
@@ -514,7 +519,13 @@ impl Workbench {
         reference: Date,
         top_k: usize,
     ) -> pastas_analytics::CohortProfile {
-        pastas_analytics::cohort_profile(&self.collection, &self.cond_masks, positions, reference, top_k)
+        pastas_analytics::cohort_profile(
+            &self.collection,
+            &self.cond_masks,
+            positions,
+            reference,
+            top_k,
+        )
     }
 
     /// Monthly event counts of the cohort at `positions` (gap-filled,
@@ -527,10 +538,7 @@ impl Workbench {
     /// Patient ids matching the query.
     pub fn select_ids(&self, query: &HistoryQuery) -> Vec<PatientId> {
         let histories = self.collection.histories();
-        self.select_positions(query)
-            .into_iter()
-            .map(|i| histories[i as usize].id())
-            .collect()
+        self.select_positions(query).into_iter().map(|i| histories[i as usize].id()).collect()
     }
 
     // ------------------------------------------------------------------
@@ -821,9 +829,8 @@ mod tests {
         assert_eq!(wb.selection_cache_hits(), 1, "commuted query is a cache hit");
         // `lacks(X)` and `not has(X)` also share an entry.
         let lacks = QueryBuilder::new().lacks_code("T90").unwrap().build();
-        let not_has = HistoryQuery::Not(Box::new(
-            QueryBuilder::new().has_code("T90").unwrap().build(),
-        ));
+        let not_has =
+            HistoryQuery::Not(Box::new(QueryBuilder::new().has_code("T90").unwrap().build()));
         assert_eq!(wb.select_positions(&lacks), wb.select_positions(&not_has));
         assert_eq!(wb.selection_cache_len(), 2);
     }
@@ -1129,9 +1136,16 @@ mod tests {
         wb.debug_validate();
         let after = wb.snapshot().cohort_profile(&[5, 250], reference, 20);
         assert_eq!(after.total_entries, before.total_entries + 1);
-        assert_eq!(after, pastas_analytics::cohort_profile_serial(
-            wb.collection(), wb.ontology(), &[5, 250], reference, 20,
-        ));
+        assert_eq!(
+            after,
+            pastas_analytics::cohort_profile_serial(
+                wb.collection(),
+                wb.ontology(),
+                &[5, 250],
+                reference,
+                20,
+            )
+        );
         // The pre-ingest snapshot still reads its own rows.
         assert_eq!(reader.cohort_profile(&[5, 250], reference, 20), before);
         wb.set_collection(generate_collection(SynthConfig::with_patients(50), 7));
@@ -1148,9 +1162,16 @@ mod tests {
         let all: Vec<u32> = (0..wb.collection().len() as u32).collect();
         let months = wb.snapshot().cohort_monthly(&all);
         let profile = wb.cohort_profile(&all, reference, 20);
-        assert_eq!(profile, pastas_analytics::cohort_profile_serial(
-            wb.collection(), wb.ontology(), &all, reference, 20,
-        ));
+        assert_eq!(
+            profile,
+            pastas_analytics::cohort_profile_serial(
+                wb.collection(),
+                wb.ontology(),
+                &all,
+                reference,
+                20,
+            )
+        );
         assert_eq!(months.iter().map(|&(_, count)| count).sum::<u64>(), profile.total_entries);
     }
 
@@ -1166,7 +1187,11 @@ mod tests {
             let all: Vec<u32> = (0..wb.collection().len() as u32).collect();
             let profile = wb.cohort_profile(&all, reference, 20);
             let serial = pastas_analytics::cohort_profile_serial(
-                wb.collection(), wb.ontology(), &all, reference, 20,
+                wb.collection(),
+                wb.ontology(),
+                &all,
+                reference,
+                20,
             );
             assert_eq!(profile, serial);
             profile.conditions.iter().find(|(name, _)| name == "Diabetes").map_or(0, |&(_, n)| n)

@@ -87,9 +87,14 @@ const SHARDED: usize = 65_536 + SMALL;
 /// 2016, built once for the binary.
 fn workbench(patients: usize) -> &'static Workbench {
     static BENCHES: [OnceLock<Workbench>; 3] = [OnceLock::new(), OnceLock::new(), OnceLock::new()];
-    BENCHES[[SMALL, LARGE, SHARDED].iter().position(|&p| p == patients).unwrap()].get_or_init(|| {
-        Workbench::from_collection(generate_collection(SynthConfig::with_patients(patients), 2016))
-    })
+    BENCHES[[SMALL, LARGE, SHARDED].iter().position(|&p| p == patients).unwrap()].get_or_init(
+        || {
+            Workbench::from_collection(generate_collection(
+                SynthConfig::with_patients(patients),
+                2016,
+            ))
+        },
+    )
 }
 
 /// The date `age(..)` clauses and profiles are taken at.

@@ -56,12 +56,7 @@ impl Conn {
     }
 
     /// Send one request and read one response.
-    pub fn request(
-        &mut self,
-        method: &str,
-        path: &str,
-        body: &[u8],
-    ) -> io::Result<ClientResponse> {
+    pub fn request(&mut self, method: &str, path: &str, body: &[u8]) -> io::Result<ClientResponse> {
         let head = format!(
             "{method} {path} HTTP/1.1\r\nHost: loopback\r\nContent-Length: {}\r\n\r\n",
             body.len()
@@ -89,11 +84,8 @@ impl Conn {
         let head = String::from_utf8_lossy(&head);
         let mut lines = head.split("\r\n");
         let status_line = lines.next().unwrap_or("");
-        let status = status_line
-            .split(' ')
-            .nth(1)
-            .and_then(|s| s.parse::<u16>().ok())
-            .ok_or_else(|| {
+        let status =
+            status_line.split(' ').nth(1).and_then(|s| s.parse::<u16>().ok()).ok_or_else(|| {
                 io::Error::new(
                     io::ErrorKind::InvalidData,
                     format!("bad status line {status_line:?}"),

@@ -63,9 +63,9 @@ impl HttpError {
     pub fn status(&self) -> Option<u16> {
         match self {
             HttpError::ConnectionClosed | HttpError::Truncated | HttpError::Io(_) => None,
-            HttpError::BadRequestLine
-            | HttpError::BadHeader
-            | HttpError::BadContentLength => Some(400),
+            HttpError::BadRequestLine | HttpError::BadHeader | HttpError::BadContentLength => {
+                Some(400)
+            }
             HttpError::UnsupportedVersion => Some(505),
             HttpError::HeadTooLarge | HttpError::TooManyHeaders => Some(431),
             HttpError::BodyTooLarge => Some(413),
@@ -135,8 +135,7 @@ impl Request {
     /// True when the client asked to close the connection after this
     /// exchange.
     pub fn wants_close(&self) -> bool {
-        self.header("connection")
-            .is_some_and(|v| v.eq_ignore_ascii_case("close"))
+        self.header("connection").is_some_and(|v| v.eq_ignore_ascii_case("close"))
     }
 }
 
@@ -217,8 +216,7 @@ impl<R: Read> RequestReader<R> {
                 Ok(n) => {
                     // A broken Read impl may report n > chunk.len(); treat it
                     // as a protocol error instead of panicking the worker.
-                    let filled =
-                        chunk.get(..n).ok_or(HttpError::Io(io::ErrorKind::InvalidData))?;
+                    let filled = chunk.get(..n).ok_or(HttpError::Io(io::ErrorKind::InvalidData))?;
                     self.buf.extend_from_slice(filled);
                     return Ok(());
                 }
@@ -257,8 +255,7 @@ fn parse_head(head: &str, limits: &Limits) -> Result<Request, HttpError> {
     let mut lines = head.split('\n').map(|l| l.strip_suffix('\r').unwrap_or(l));
     let request_line = lines.next().ok_or(HttpError::BadRequestLine)?;
     let mut parts = request_line.split(' ');
-    let (method, target, version) = match (parts.next(), parts.next(), parts.next(), parts.next())
-    {
+    let (method, target, version) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
         (Some(m), Some(t), Some(v), None) if !m.is_empty() && !t.is_empty() => (m, t, v),
         _ => return Err(HttpError::BadRequestLine),
     };
@@ -301,10 +298,7 @@ fn parse_head(head: &str, limits: &Limits) -> Result<Request, HttpError> {
 }
 
 fn content_length(req: &Request) -> Result<usize, HttpError> {
-    if req
-        .header("transfer-encoding")
-        .is_some_and(|v| !v.eq_ignore_ascii_case("identity"))
-    {
+    if req.header("transfer-encoding").is_some_and(|v| !v.eq_ignore_ascii_case("identity")) {
         return Err(HttpError::UnsupportedTransferEncoding);
     }
     let mut lengths = req.headers.iter().filter(|(n, _)| n == "content-length");
@@ -386,9 +380,7 @@ impl Response {
 
     /// A response with a body and content type.
     pub fn with_body(status: u16, content_type: &str, body: impl Into<Vec<u8>>) -> Response {
-        Response::status(status)
-            .header("Content-Type", content_type)
-            .body_bytes(body.into())
+        Response::status(status).header("Content-Type", content_type).body_bytes(body.into())
     }
 
     /// JSON body.
@@ -430,21 +422,13 @@ impl Response {
     pub fn write_to(&self, w: &mut impl Write, keep_alive: bool) -> io::Result<()> {
         let mut head = String::with_capacity(128);
         use std::fmt::Write as _;
-        let _ = write!(
-            head,
-            "HTTP/1.1 {} {}\r\n",
-            self.status,
-            status_reason(self.status)
-        );
+        let _ = write!(head, "HTTP/1.1 {} {}\r\n", self.status, status_reason(self.status));
         for (name, value) in &self.headers {
             let _ = write!(head, "{name}: {value}\r\n");
         }
         let _ = write!(head, "Content-Length: {}\r\n", self.body.len());
-        let _ = write!(
-            head,
-            "Connection: {}\r\n\r\n",
-            if keep_alive { "keep-alive" } else { "close" }
-        );
+        let _ =
+            write!(head, "Connection: {}\r\n\r\n", if keep_alive { "keep-alive" } else { "close" });
         w.write_all(head.as_bytes())?;
         w.write_all(&self.body)?;
         w.flush()
@@ -500,16 +484,16 @@ mod tests {
                 "{:?}",
                 resp.headers
             );
-            assert!(
-                resp.headers.iter().any(|(n, v)| n == "Content-Type" && v == "application/json")
-            );
+            assert!(resp
+                .headers
+                .iter()
+                .any(|(n, v)| n == "Content-Type" && v == "application/json"));
         }
     }
 
     #[test]
     fn parses_a_post_with_body() {
-        let req =
-            parse(b"POST /select HTTP/1.1\r\nContent-Length: 8\r\n\r\nhas(T90)").unwrap();
+        let req = parse(b"POST /select HTTP/1.1\r\nContent-Length: 8\r\n\r\nhas(T90)").unwrap();
         assert_eq!(req.method, "POST");
         assert_eq!(req.body_str(), "has(T90)");
     }
@@ -542,9 +526,8 @@ mod tests {
         }
         let bytes = b"POST /select HTTP/1.1\r\nContent-Length: 8\r\n\r\nhas(T90)";
         let whole = parse(bytes).unwrap();
-        let trickled = RequestReader::new(OneByte(bytes), Limits::default())
-            .next_request()
-            .unwrap();
+        let trickled =
+            RequestReader::new(OneByte(bytes), Limits::default()).next_request().unwrap();
         assert_eq!(whole, trickled);
     }
 
@@ -640,9 +623,7 @@ mod tests {
     #[test]
     fn responses_serialize_with_explicit_length() {
         let mut out = Vec::new();
-        Response::json(200, "{\"ok\":true}")
-            .write_to(&mut out, true)
-            .unwrap();
+        Response::json(200, "{\"ok\":true}").write_to(&mut out, true).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Length: 11\r\n"));
@@ -650,10 +631,7 @@ mod tests {
         assert!(text.ends_with("{\"ok\":true}"));
 
         let mut out = Vec::new();
-        Response::status(503)
-            .header("Retry-After", "2")
-            .write_to(&mut out, false)
-            .unwrap();
+        Response::status(503).header("Retry-After", "2").write_to(&mut out, false).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("503 Service Unavailable"));
         assert!(text.contains("Retry-After: 2\r\n"));

@@ -211,8 +211,7 @@ impl IngestQueue {
             let queued: usize = batches.iter().map(DeltaBatch::entries).sum();
             let (version, stats) = state.ingest(&writer, &batches);
             self.pending_entries.fetch_sub(queued as u64, Ordering::Relaxed);
-            self.applied_entries_total
-                .fetch_add(stats.entries_applied as u64, Ordering::Relaxed);
+            self.applied_entries_total.fetch_add(stats.entries_applied as u64, Ordering::Relaxed);
             report.entries_applied = stats.entries_applied;
             report.version = version;
         }
@@ -274,10 +273,7 @@ mod tests {
         "claim_id;patient;date;provider;icpc;note\nX1;NIN-0900001;04.05.2013;GP;T90;\n";
 
     fn queue_and_state(capacity: usize) -> (IngestQueue, ServeState) {
-        let wb = Workbench::from_collection(generate_collection(
-            SynthConfig::with_patients(80),
-            5,
-        ));
+        let wb = Workbench::from_collection(generate_collection(SynthConfig::with_patients(80), 5));
         let queue = IngestQueue::new(
             &wb,
             IngestConfig { queue_capacity: capacity, ..IngestConfig::default() },

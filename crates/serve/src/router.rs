@@ -59,7 +59,10 @@ impl RouterCtx {
 
     /// [`RouterCtx::new`] with explicit ingest tuning (queue capacity,
     /// 429 `Retry-After`).
-    pub fn with_ingest_config(workbench: pastas_core::Workbench, ingest: IngestConfig) -> RouterCtx {
+    pub fn with_ingest_config(
+        workbench: pastas_core::Workbench,
+        ingest: IngestConfig,
+    ) -> RouterCtx {
         RouterCtx {
             ingest: IngestQueue::new(&workbench, ingest),
             state: ServeState::new(workbench),
@@ -170,16 +173,18 @@ fn select(req: &Request, ctx: &RouterCtx) -> Response {
         } else {
             (workbench.select_positions(&query), None)
         };
-        let mut body = String::with_capacity(
-            64 + if count_only { 0 } else { positions.len() * 11 },
-        );
+        let mut body =
+            String::with_capacity(64 + if count_only { 0 } else { positions.len() * 11 });
         let _ = write!(body, "{{\"version\":{},\"count\":{}", snapshot.version, positions.len());
         if !count_only {
             // Ascending patient id, whatever the row order: a collection
             // holding ingest-appended patients is not id-ordered.
             let histories = workbench.collection().histories();
-            let mut ids: Vec<PatientId> =
-                positions.iter().filter_map(|&at| histories.get(at as usize)).map(|h| h.id()).collect();
+            let mut ids: Vec<PatientId> = positions
+                .iter()
+                .filter_map(|&at| histories.get(at as usize))
+                .map(|h| h.id())
+                .collect();
             if !ids.is_sorted() {
                 ids.sort_unstable();
             }
@@ -305,8 +310,7 @@ fn cohort_read(path: &str, req: &Request, ctx: &RouterCtx) -> Response {
                     if i > 0 {
                         body.push(',');
                     }
-                    let _ =
-                        write!(body, "[\"{:04}-{:02}\",{n}]", month.year(), month.month());
+                    let _ = write!(body, "[\"{:04}-{:02}\",{n}]", month.year(), month.month());
                 }
                 body.push_str("]}");
                 Response::json(200, body)
@@ -507,11 +511,7 @@ fn details(req: &Request, ctx: &RouterCtx) -> Response {
     match snapshot.workbench.details_at(&viewport, x, y) {
         Some(text) => Response::json(
             200,
-            format!(
-                "{{\"version\":{},\"details\":{}}}",
-                snapshot.version,
-                quoted(&text)
-            ),
+            format!("{{\"version\":{},\"details\":{}}}", snapshot.version, quoted(&text)),
         ),
         None => error_json(404, "nothing under the cursor"),
     }
@@ -522,11 +522,8 @@ fn metrics_response(ctx: &RouterCtx) -> Response {
     let wb = &snapshot.workbench;
     let index_footprint = wb.index().footprint();
     let cache_lookups = ctx.cache.hits() + ctx.cache.misses();
-    let hit_rate = if cache_lookups == 0 {
-        0.0
-    } else {
-        ctx.cache.hits() as f64 / cache_lookups as f64
-    };
+    let hit_rate =
+        if cache_lookups == 0 { 0.0 } else { ctx.cache.hits() as f64 / cache_lookups as f64 };
     let extra = [
         ("state_version", snapshot.version as f64),
         ("patients", wb.collection().len() as f64),
@@ -546,10 +543,7 @@ fn metrics_response(ctx: &RouterCtx) -> Response {
         ("row_table_bytes", wb.collection().row_bytes() as f64),
         ("shards", index_footprint.shards as f64),
         ("postings_compressed_bytes", index_footprint.postings_compressed_bytes as f64),
-        (
-            "postings_uncompressed_bytes_est",
-            index_footprint.postings_uncompressed_bytes_est as f64,
-        ),
+        ("postings_uncompressed_bytes_est", index_footprint.postings_uncompressed_bytes_est as f64),
         // Always 0; benchmark/src/phases.rs reads it.
         ("side_index_rows", 0.0),
         ("ingest_queue_depth", ctx.ingest.depth() as f64),
@@ -764,7 +758,8 @@ mod tests {
         }
         let ctx = ctx();
         let persons = "nin;birth_date;sex\nNIN-0000000;1950-01-01;F\n";
-        let claims = "claim_id;patient;date;provider;icpc;note\nX1;NIN-0000000;04.05.2013;GP;T90;\n";
+        let claims =
+            "claim_id;patient;date;provider;icpc;note\nX1;NIN-0000000;04.05.2013;GP;T90;\n";
         assert_eq!(route(&post("/ingest?format=persons", persons), &ctx).status, 202);
         assert_eq!(route(&post("/ingest?format=claims", claims), &ctx).status, 202);
         assert_eq!(route(&post("/compact", ""), &ctx).status, 200);
@@ -775,7 +770,11 @@ mod tests {
             let plain = route(&post("/select", query), &ctx);
             let explained = route(&post("/select?explain=1", query), &ctx);
             assert_eq!((plain.status, explained.status), (200, 200));
-            assert!(ids(&plain.body).starts_with("\"ids\":[\"P0000000\",\"P"), "{}", ids(&plain.body));
+            assert!(
+                ids(&plain.body).starts_with("\"ids\":[\"P0000000\",\"P"),
+                "{}",
+                ids(&plain.body)
+            );
             assert_eq!(ids(&plain.body), ids(&explained.body), "{query}");
             assert_eq!(count_of(&plain.body), count_of(&explained.body), "{query}");
             assert_eq!(count_of(&plain.body) as usize, ids(&plain.body).matches('P').count());
@@ -914,7 +913,8 @@ mod tests {
     #[test]
     fn an_entry_on_the_last_calendar_day_keeps_ages_answering() {
         let ctx = ctx();
-        let claims = "claim_id;patient;date;provider;icpc;note\nX1;NIN-0900001;31.12.9999;GP;T90;\n";
+        let claims =
+            "claim_id;patient;date;provider;icpc;note\nX1;NIN-0900001;31.12.9999;GP;T90;\n";
         assert_eq!(route(&post("/ingest?format=persons", DELTA_PERSONS), &ctx).status, 202);
         assert_eq!(route(&post("/ingest?format=claims", claims), &ctx).status, 202);
         assert_eq!(route(&post("/compact", ""), &ctx).status, 200);
@@ -1049,7 +1049,9 @@ mod tests {
 
     /// FNV-1a over a response body.
     fn fnv(bytes: &[u8]) -> u64 {
-        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+        bytes
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
     }
 
     /// The three cohort reads over the benchmark's six query kinds at

@@ -129,10 +129,7 @@ pub fn start(ctx: RouterCtx, config: ServerConfig) -> io::Result<ServerHandle> {
 }
 
 /// Convenience: serve a workbench with a config in one call.
-pub fn serve(
-    workbench: pastas_core::Workbench,
-    config: ServerConfig,
-) -> io::Result<ServerHandle> {
+pub fn serve(workbench: pastas_core::Workbench, config: ServerConfig) -> io::Result<ServerHandle> {
     let ingest = IngestConfig {
         queue_capacity: config.ingest_queue_capacity,
         retry_after_secs: config.retry_after_secs,

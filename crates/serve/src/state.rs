@@ -215,7 +215,10 @@ mod tests {
         assert_ne!(before.workbench.order(), after.workbench.order());
         assert_eq!(before.version, 1);
         // A new version → new keys.
-        assert_eq!((before.cache_prefix(), after.cache_prefix()), ("v1".to_owned(), "v2".to_owned()));
+        assert_eq!(
+            (before.cache_prefix(), after.cache_prefix()),
+            ("v1".to_owned(), "v2".to_owned())
+        );
     }
 
     /// A view command publishes a new version that shares everything a
@@ -238,9 +241,11 @@ mod tests {
             let after = state.snapshot();
             assert_eq!(after.version, version);
             assert!(version > before.version);
-            let (rows_before, rows_after) = (before.workbench.collection(), after.workbench.collection());
+            let (rows_before, rows_after) =
+                (before.workbench.collection(), after.workbench.collection());
             assert_eq!(rows_after.row_bytes_copied_from(rows_before), 0, "{command:?} copied rows");
-            let keeps_order = matches!(command, ViewCommand::SetFilter(_) | ViewCommand::ClearAlignment);
+            let keeps_order =
+                matches!(command, ViewCommand::SetFilter(_) | ViewCommand::ClearAlignment);
             assert_eq!(
                 std::ptr::eq(previous.workbench.order(), after.workbench.order()),
                 keeps_order,

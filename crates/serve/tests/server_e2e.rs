@@ -46,9 +46,7 @@ fn keep_alive_session_covers_every_endpoint() {
     assert_eq!(txt.status, 200);
     assert_eq!(txt.body_str().lines().count(), 12);
 
-    let cmd = conn
-        .post("/command", br#"{"command":"sort","key":"entry_count"}"#)
-        .unwrap();
+    let cmd = conn.post("/command", br#"{"command":"sort","key":"entry_count"}"#).unwrap();
     assert_eq!(cmd.status, 200);
     assert!(cmd.body_str().contains("\"version\":2"));
 
@@ -69,10 +67,8 @@ fn keep_alive_session_covers_every_endpoint() {
 fn concurrent_clients_all_get_consistent_answers() {
     let server = start(4, 64);
     let addr = server.addr();
-    let expected = client::post(addr, "/select", b"has(T90)", TIMEOUT)
-        .unwrap()
-        .body_str()
-        .into_owned();
+    let expected =
+        client::post(addr, "/select", b"has(T90)", TIMEOUT).unwrap().body_str().into_owned();
     let threads: Vec<_> = (0..8)
         .map(|_| {
             let expected = expected.clone();
@@ -132,8 +128,7 @@ fn malformed_requests_get_400_and_close() {
     // Oversized declared body: typed rejection, not a hang.
     let mut raw = TcpStream::connect(server.addr()).unwrap();
     raw.set_read_timeout(Some(TIMEOUT)).unwrap();
-    raw.write_all(b"POST /select HTTP/1.1\r\nContent-Length: 999999999\r\n\r\n")
-        .unwrap();
+    raw.write_all(b"POST /select HTTP/1.1\r\nContent-Length: 999999999\r\n\r\n").unwrap();
     let mut reply = String::new();
     raw.read_to_string(&mut reply).unwrap();
     assert!(reply.starts_with("HTTP/1.1 413"), "{reply}");

@@ -37,12 +37,8 @@ fn main() {
     // --- Step 2: temporal pattern — early readmission ------------------
     let readmit = TemporalPattern::starting_with(EntryPredicate::IsInterval)
         .then(GapBound::within(Duration::days(30)), EntryPredicate::IsInterval);
-    let readmitted: Vec<PatientId> = cohort
-        .collection()
-        .iter()
-        .filter(|h| readmit.matches(h))
-        .map(|h| h.id())
-        .collect();
+    let readmitted: Vec<PatientId> =
+        cohort.collection().iter().filter(|h| readmit.matches(h)).map(|h| h.id()).collect();
     println!(
         "Early readmission (two stays within 30 days): {} of {} HF patients ({:.1}%)",
         readmitted.len(),
@@ -63,7 +59,10 @@ fn main() {
         .collect();
     let rules = mine_rules(&sequences, 0.08, 0.3);
     println!("\nTop code-relation rules in the HF cohort (support ≥ 8%, confidence ≥ 30%):");
-    println!("{:<10} {:<10} {:>8} {:>11} {:>6}", "earlier", "later", "support", "confidence", "lift");
+    println!(
+        "{:<10} {:<10} {:>8} {:>11} {:>6}",
+        "earlier", "later", "support", "confidence", "lift"
+    );
     for r in rules.iter().take(8) {
         println!(
             "{:<10} {:<10} {:>7.1}% {:>10.1}% {:>6.2}",
@@ -98,10 +97,7 @@ fn main() {
         }
         let mut sizes: Vec<_> = sizes.into_iter().collect();
         sizes.sort();
-        println!(
-            "\nTrajectory clusters (alignment distance, average linkage): {:?}",
-            sizes
-        );
+        println!("\nTrajectory clusters (alignment distance, average linkage): {:?}", sizes);
     }
 
     // --- Step 7: the Fails-style event chart of readmissions ------------

@@ -53,10 +53,7 @@ fn main() {
 
     // The predefined characteristic: diabetes (T90/T89 in primary care,
     // E10/E11/E14 in hospital data).
-    let query = QueryBuilder::new()
-        .has_code("T90|T89|E1[014].*")
-        .expect("valid regex")
-        .build();
+    let query = QueryBuilder::new().has_code("T90|T89|E1[014].*").expect("valid regex").build();
 
     let t0 = Instant::now();
     let indexed = index.select(&collection, &query);
@@ -100,10 +97,9 @@ fn main() {
     let with_t90 = indexed
         .iter()
         .filter(|&&i| {
-            histories[i as usize]
-                .entries()
-                .iter()
-                .any(|e| e.code().is_some_and(|c| c.value.starts_with("T9") || c.value.starts_with("E1")))
+            histories[i as usize].entries().iter().any(|e| {
+                e.code().is_some_and(|c| c.value.starts_with("T9") || c.value.starts_with("E1"))
+            })
         })
         .count();
     println!("verified: {with_t90} of {} selected histories carry a diabetes code", indexed.len());

@@ -38,13 +38,13 @@ fn main() {
     let m = crowding(&small, &small_layout);
     println!(
         "  nodes {}, edges {}, crossings {}, max edge weight {}",
-        m.nodes, m.edges, m.crossings, small.max_edge_weight()
+        m.nodes,
+        m.edges,
+        m.crossings,
+        small.max_edge_weight()
     );
-    let svg = pastas_viz::svg::render(&render_graph(
-        &small,
-        &small_layout,
-        &GraphViewOptions::default(),
-    ));
+    let svg =
+        pastas_viz::svg::render(&render_graph(&small, &small_layout, &GraphViewOptions::default()));
     let path = std::env::temp_dir().join("pastas_nsepter_small.svg");
     std::fs::write(&path, svg).expect("write SVG");
     println!("  wrote {}", path.display());

@@ -32,10 +32,7 @@ fn main() {
     let wb = Workbench::from_collection(collection);
 
     // The feedback study presented *selected* patients their trajectories.
-    let chronic = QueryBuilder::new()
-        .has_code("T90|K74|K77|K86|R95|P76")
-        .expect("regex")
-        .build();
+    let chronic = QueryBuilder::new().has_code("T90|K74|K77|K86|R95|P76").expect("regex").build();
     let ids: Vec<PatientId> = wb.select_ids(&chronic).into_iter().take(count).collect();
     assert!(!ids.is_empty(), "no chronic patients found — increase --count context");
 

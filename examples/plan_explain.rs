@@ -359,12 +359,18 @@ fn cohort_reads_over_budget(
     let query = parse_query(text, reference).expect("the paper-shaped cohort parses");
     let positions = workbench.select_positions(&query);
     let reads = [
-        ("profile", median_of_five(|| {
-            std::hint::black_box(workbench.cohort_profile(&positions, reference, 20));
-        })),
-        ("monthly series", median_of_five(|| {
-            std::hint::black_box(workbench.cohort_monthly(&positions));
-        })),
+        (
+            "profile",
+            median_of_five(|| {
+                std::hint::black_box(workbench.cohort_profile(&positions, reference, 20));
+            }),
+        ),
+        (
+            "monthly series",
+            median_of_five(|| {
+                std::hint::black_box(workbench.cohort_monthly(&positions));
+            }),
+        ),
     ];
     let mut failures = 0;
     for (read, median) in reads {
@@ -509,15 +515,22 @@ fn run_publish_smoke(workbench: Workbench) -> i32 {
             .filter_map(|d| collection.position_of(d.patient.id))
             .map(|p| p as u32)
             .collect();
-        let (bytes, bound) =
-            (collection.row_bytes_copied_from(current.collection()), collection.row_bytes_at(&dirty));
+        let (bytes, bound) = (
+            collection.row_bytes_copied_from(current.collection()),
+            collection.row_bytes_at(&dirty),
+        );
         if bytes > bound {
-            eprintln!("  FAIL publish {i}: copied {bytes} row bytes, its {} rows' chunks hold {bound}", dirty.len());
+            eprintln!(
+                "  FAIL publish {i}: copied {bytes} row bytes, its {} rows' chunks hold {bound}",
+                dirty.len()
+            );
             failures += 1;
         }
         for &pos in &dirty {
             if !digest_is_fresh(collection, pos as usize) {
-                eprintln!("  FAIL publish {i}: row {pos}'s digest columns differ from a fresh digest");
+                eprintln!(
+                    "  FAIL publish {i}: row {pos}'s digest columns differ from a fresh digest"
+                );
                 failures += 1;
             }
         }
@@ -559,7 +572,14 @@ fn digest_is_fresh(collection: &pastas_model::HistoryCollection, pos: usize) -> 
     let Some(row) = collection.spans(pos..pos + 1).next() else { return false };
     let fresh = pastas_model::HistoryCollection::from_histories(row.histories.to_vec());
     let Some(once) = fresh.spans(0..1).next() else { return false };
-    let digest = |r: &pastas_model::RowSpan<'_>| (r.dominant.to_vec(), r.first_years.to_vec(), r.codes.get(0).to_vec(), r.runs.get(0).to_vec());
+    let digest = |r: &pastas_model::RowSpan<'_>| {
+        (
+            r.dominant.to_vec(),
+            r.first_years.to_vec(),
+            r.codes.get(0).to_vec(),
+            r.runs.get(0).to_vec(),
+        )
+    };
     digest(&row) == digest(&once)
 }
 

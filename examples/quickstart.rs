@@ -48,10 +48,7 @@ fn main() {
     );
 
     // 3. Cohort identification: the diabetes cohort (Fig. 4 headless).
-    let query = QueryBuilder::new()
-        .has_code("T90|T89")
-        .expect("valid regex")
-        .build();
+    let query = QueryBuilder::new().has_code("T90|T89").expect("valid regex").build();
     let mut cohort = wb.select(&query);
     println!(
         "  selected {} of {} patients ({:.1}%) — the paper selected 13,000 of 168,000 (7.7%)",

@@ -23,10 +23,8 @@ fn main() {
 
     println!("Generating {patients} patients and selecting the chronic cohort …");
     let collection = generate_collection(SynthConfig::with_patients(patients), seed);
-    let chronic = QueryBuilder::new()
-        .has_code("T90|T89|K74|K77|K86|R95|P76")
-        .expect("regex")
-        .build();
+    let chronic =
+        QueryBuilder::new().has_code("T90|T89|K74|K77|K86|R95|P76").expect("regex").build();
     let cohort = collection.extract(|h| chronic.matches(h));
     println!(
         "  study cohort: {} patients ({:.1}% — the paper studied 13,000 of 168,000)",

@@ -47,11 +47,8 @@ fn main() {
     let workbench = pastas_core::Workbench::from_collection(collection);
     eprintln!("Loaded in {:.1?}", t0.elapsed());
 
-    let config = ServerConfig {
-        addr,
-        workers: arg("--threads", 0) as usize,
-        ..ServerConfig::default()
-    };
+    let config =
+        ServerConfig { addr, workers: arg("--threads", 0) as usize, ..ServerConfig::default() };
     let handle = serve(workbench, config).expect("bind");
     eprintln!("Serving on http://{}", handle.addr());
     eprintln!("  POST /select            body = query text, e.g. has(T90) and age(50..80)");
@@ -184,11 +181,7 @@ fn run_smoke(addr: std::net::SocketAddr) -> u32 {
     let gauge = |doc: &Option<Json>, name: &str| {
         doc.as_ref().and_then(|d| d.get(name).and_then(Json::as_f64))
     };
-    check(
-        "GET /metrics",
-        doc.is_some(),
-        format!("{:?}", metrics.as_ref().map(|r| r.status)),
-    );
+    check("GET /metrics", doc.is_some(), format!("{:?}", metrics.as_ref().map(|r| r.status)));
     check(
         "response cache hit on repeated /select",
         gauge(&doc, "cache_hits").is_some_and(|v| v >= 1.0),
@@ -232,21 +225,15 @@ fn run_smoke_ingest(addr: std::net::SocketAddr) -> u32 {
             .map(|v| v as u64)
     };
     let before = conn.post("/select?count_only=1", b"has(T90)");
-    let before_count = before
-        .as_ref()
-        .ok()
-        .filter(|r| r.status == 200)
-        .and_then(|r| count_of(&r.body_str()));
+    let before_count =
+        before.as_ref().ok().filter(|r| r.status == 200).and_then(|r| count_of(&r.body_str()));
     check("POST /select (baseline count)", before_count.is_some(), format!("{before:?}"));
 
     // One increment per source format, all for patient NIN-0990001 —
     // an id far above anything the synthetic collection generates.
     let deltas: [(&str, &str); 5] = [
         ("persons", "nin;birth_date;sex\nNIN-0990001;1950-01-01;F\n"),
-        (
-            "claims",
-            "claim_id;patient;date;provider;icpc;note\nX9;NIN-0990001;04.05.2013;GP;T90;\n",
-        ),
+        ("claims", "claim_id;patient;date;provider;icpc;note\nX9;NIN-0990001;04.05.2013;GP;T90;\n"),
         (
             "hospital",
             "episode_id,patient,admitted,discharged,icd10_main,care_level\n\
@@ -262,9 +249,8 @@ fn run_smoke_ingest(addr: std::net::SocketAddr) -> u32 {
         let resp = conn.post(&format!("/ingest?format={format}"), body.as_bytes());
         check(
             &format!("POST /ingest?format={format}"),
-            resp.as_ref().is_ok_and(|r| {
-                r.status == 202 && r.body_str().contains("\"accepted\":true")
-            }),
+            resp.as_ref()
+                .is_ok_and(|r| r.status == 202 && r.body_str().contains("\"accepted\":true")),
             format!("{resp:?}"),
         );
     }
@@ -294,11 +280,8 @@ fn run_smoke_ingest(addr: std::net::SocketAddr) -> u32 {
     check("the background writer drains the queue", drained, "timed out".to_owned());
 
     let after = conn.post("/select?count_only=1", b"has(T90)");
-    let after_count = after
-        .as_ref()
-        .ok()
-        .filter(|r| r.status == 200)
-        .and_then(|r| count_of(&r.body_str()));
+    let after_count =
+        after.as_ref().ok().filter(|r| r.status == 200).and_then(|r| count_of(&r.body_str()));
     check(
         "streamed patient joins the has(T90) cohort before any /compact",
         matches!((before_count, after_count), (Some(b), Some(a)) if a == b + 1),
@@ -309,9 +292,7 @@ fn run_smoke_ingest(addr: std::net::SocketAddr) -> u32 {
     let compact = conn.post("/compact", b"");
     check(
         "POST /compact",
-        compact
-            .as_ref()
-            .is_ok_and(|r| r.status == 200 && r.body_str().contains("\"side_rows\":0")),
+        compact.as_ref().is_ok_and(|r| r.status == 200 && r.body_str().contains("\"side_rows\":0")),
         format!("{compact:?}"),
     );
 
@@ -394,9 +375,7 @@ fn run_smoke_analytics(addr: std::net::SocketAddr) -> u32 {
     let timeline = conn.get(&format!("/cohort/{id}/timeline"));
     check(
         "GET /cohort/{id}/timeline",
-        timeline
-            .as_ref()
-            .is_ok_and(|r| r.status == 200 && r.body_str().contains("\"months\":[")),
+        timeline.as_ref().is_ok_and(|r| r.status == 200 && r.body_str().contains("\"months\":[")),
         format!("{:?}", timeline.as_ref().map(|r| r.status)),
     );
     let svg = conn.get(&format!("/cohort/{id}.svg?w=800&h=500"));
@@ -423,8 +402,7 @@ fn run_smoke_analytics(addr: std::net::SocketAddr) -> u32 {
     // Publish a new version: the handle must go stale, not silently
     // answer against the superseded snapshot.
     let persons = "nin;birth_date;sex\nNIN-0990002;1947-03-02;M\n";
-    let claims =
-        "claim_id;patient;date;provider;icpc;note\nX10;NIN-0990002;04.05.2013;GP;T90;\n";
+    let claims = "claim_id;patient;date;provider;icpc;note\nX10;NIN-0990002;04.05.2013;GP;T90;\n";
     let p = conn.post("/ingest?format=persons", persons.as_bytes());
     let c = conn.post("/ingest?format=claims", claims.as_bytes());
     check(
@@ -433,11 +411,7 @@ fn run_smoke_analytics(addr: std::net::SocketAddr) -> u32 {
         format!("{:?} / {:?}", p.as_ref().map(|r| r.status), c.as_ref().map(|r| r.status)),
     );
     let compact = conn.post("/compact", b"");
-    check(
-        "POST /compact",
-        compact.as_ref().is_ok_and(|r| r.status == 200),
-        format!("{compact:?}"),
-    );
+    check("POST /compact", compact.as_ref().is_ok_and(|r| r.status == 200), format!("{compact:?}"));
     let gone = conn.get(&format!("/cohort/{id}/stats?k=10"));
     check(
         "stale handle answers 410 Gone with a re-materialize hint",

@@ -34,22 +34,14 @@ fn main() {
     println!("Pattern A — two care episodes within 30 days: {readmissions} patients");
 
     // --- 2. Allen-constrained step: a hospital stay DURING home care ---
-    let frail_admission = TemporalPattern::starting_with(EntryPredicate::Source(
-        SourceKind::Hospital,
-    ))
-    .then_related(
-        AllenRel::Contains, // the next entry contains the stay
-        EntryPredicate::Source(SourceKind::Municipal),
-    );
-    let frail: Vec<PatientId> = collection
-        .iter()
-        .filter(|h| frail_admission.matches(h))
-        .map(|h| h.id())
-        .collect();
-    println!(
-        "Pattern B — hospital stay during a municipal-care period: {} patients",
-        frail.len()
-    );
+    let frail_admission =
+        TemporalPattern::starting_with(EntryPredicate::Source(SourceKind::Hospital)).then_related(
+            AllenRel::Contains, // the next entry contains the stay
+            EntryPredicate::Source(SourceKind::Municipal),
+        );
+    let frail: Vec<PatientId> =
+        collection.iter().filter(|h| frail_admission.matches(h)).map(|h| h.id()).collect();
+    println!("Pattern B — hospital stay during a municipal-care period: {} patients", frail.len());
 
     // --- 3. The SPARQL view: who has both a dispensing and a stay? -----
     let onto = IntegrationOntology::new();
@@ -80,13 +72,18 @@ fn main() {
 
     // --- 4. Cohort statistics: what /cohort/{id}/stats and /timeline
     // serve, here over every patient, aged at the last recorded event.
-    let reference = collection.stats().last.map_or(SynthConfig::with_patients(patients).window_start, |dt| dt.date());
+    let reference = collection
+        .stats()
+        .last
+        .map_or(SynthConfig::with_patients(patients).window_start, |dt| dt.date());
     let wb = Workbench::from_collection(collection);
     let everyone: Vec<u32> = (0..wb.collection().len() as u32).collect();
     println!("\nMonthly events (all patients):");
     for chunk in wb.cohort_monthly(&everyone).chunks(6) {
-        let row: Vec<String> =
-            chunk.iter().map(|(m, n)| format!("{:04}-{:02}: {n:>6}", m.year(), m.month())).collect();
+        let row: Vec<String> = chunk
+            .iter()
+            .map(|(m, n)| format!("{:04}-{:02}: {n:>6}", m.year(), m.month()))
+            .collect();
         println!("  {}", row.join("  "));
     }
     for histogram in wb.cohort_profile(&everyone, reference, 8).histograms() {

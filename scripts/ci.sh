@@ -23,7 +23,8 @@ stage() {
 
 # Formatting by the root rustfmt.toml. Only crates already formatted are
 # gated: another crate joins this list in the change that formats it.
-stage "cargo fmt --check (formatted crates)" cargo fmt --check -p pastas-par
+stage "cargo fmt --check (formatted crates)" cargo fmt --check -p pastas-par -p pastas-core \
+    -p pastas-serve
 stage "cargo build --release" cargo build --release
 # Every target (tests, benches, examples) builds in release without a
 # warning. Cargo replays the warnings of crates it does not recompile, so

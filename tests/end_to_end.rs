@@ -49,16 +49,16 @@ fn full_pipeline_produces_consistent_artifacts() {
 
 #[test]
 fn messy_sources_degrade_gracefully_and_are_accounted() {
-    let clean = build_workbench(300, 33, MessConfig {
-        duplicate_prob: 0.0,
-        invalid_date_prob: 0.0,
-        note_prob: 0.0,
-    });
-    let messy = build_workbench(300, 33, MessConfig {
-        duplicate_prob: 0.15,
-        invalid_date_prob: 0.02,
-        note_prob: 0.2,
-    });
+    let clean = build_workbench(
+        300,
+        33,
+        MessConfig { duplicate_prob: 0.0, invalid_date_prob: 0.0, note_prob: 0.0 },
+    );
+    let messy = build_workbench(
+        300,
+        33,
+        MessConfig { duplicate_prob: 0.15, invalid_date_prob: 0.02, note_prob: 0.2 },
+    );
     let (cq, mq) = (clean.quality().unwrap(), messy.quality().unwrap());
     assert!(mq.duplicates_dropped > cq.duplicates_dropped);
     assert!(mq.dropped_pre_birth > 0);
@@ -83,12 +83,8 @@ fn temporal_patterns_agree_between_query_and_manual_scan() {
     let wb = build_workbench(400, 55, MessConfig::default());
     let pattern = TemporalPattern::starting_with(EntryPredicate::code_regex("T90").unwrap())
         .then(GapBound::within(Duration::days(120)), EntryPredicate::IsInterval);
-    let via_pattern: Vec<PatientId> = wb
-        .collection()
-        .iter()
-        .filter(|h| pattern.matches(h))
-        .map(|h| h.id())
-        .collect();
+    let via_pattern: Vec<PatientId> =
+        wb.collection().iter().filter(|h| pattern.matches(h)).map(|h| h.id()).collect();
     // Manual: T90 event followed by an interval starting within 120 days.
     let mut manual = Vec::new();
     for h in wb.collection() {
@@ -158,5 +154,8 @@ fn event_store_stays_half_width() {
         footprint.summary()
     );
     assert_eq!(footprint.split.total(), footprint.columnar_bytes);
-    assert_eq!(footprint.split.time + footprint.split.aux + footprint.split.kinds, 9 * footprint.entries);
+    assert_eq!(
+        footprint.split.time + footprint.split.aux + footprint.split.kinds,
+        9 * footprint.entries
+    );
 }

@@ -85,10 +85,7 @@ fn nsepter_pathway(seqs: &[Vec<Code>]) -> Vec<Code> {
     let merged = merge_on_regex(&mut g, &re);
     let Some(&anchor) = merged.first() else { return Vec::new() };
     merge_neighbors(&mut g, &merged, 4);
-    pastas_graph::merge::serial_pathway(&g, anchor)
-        .into_iter()
-        .map(|v| Code::icpc(&v))
-        .collect()
+    pastas_graph::merge::serial_pathway(&g, anchor).into_iter().map(|v| Code::icpc(&v)).collect()
 }
 
 #[test]
@@ -149,10 +146,7 @@ fn noise_sweep_shows_graceful_vs_brittle_degradation() {
             c_total += recovery(&consensus_sequence(&seqs, 0.5, &Scoring::default()));
         }
         let c_mean = c_total / trials as f64;
-        assert!(
-            c_mean <= prev_consensus + 0.1,
-            "recovery should not improve with more noise"
-        );
+        assert!(c_mean <= prev_consensus + 0.1, "recovery should not improve with more noise");
         if k <= 2 {
             assert!(c_mean > 0.85, "k={k}: consensus recovery {c_mean:.2}");
         }

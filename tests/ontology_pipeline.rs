@@ -57,10 +57,7 @@ fn the_bridge_makes_gp_and_hospital_diabetes_the_same_condition() {
     for e in h.entries() {
         if e.code().is_some_and(|c| c.value == "T90" || c.value == "E11") {
             let classes = integration.classify_entry(e);
-            assert!(
-                classes.iter().any(|c| c == "pastas-int:EntryFor/Diabetes"),
-                "{classes:?}"
-            );
+            assert!(classes.iter().any(|c| c == "pastas-int:EntryFor/Diabetes"), "{classes:?}");
         }
     }
 }

@@ -53,13 +53,9 @@ fn post_with_backoff(addr: std::net::SocketAddr, path: &str, body: &str) {
 }
 
 fn server_count(addr: std::net::SocketAddr, query: &str) -> u64 {
-    let resp = client::post(
-        addr,
-        "/select?count_only=1",
-        query.as_bytes(),
-        Duration::from_secs(30),
-    )
-    .expect("select");
+    let resp =
+        client::post(addr, "/select?count_only=1", query.as_bytes(), Duration::from_secs(30))
+            .expect("select");
     assert_eq!(resp.status, 200, "{}", resp.body_str());
     let body = resp.body_str().into_owned();
     pastas_ingest::json::Json::parse(&body)
@@ -86,13 +82,8 @@ fn concurrent_ingest_converges_to_the_batch_build() {
     // The system under test starts EMPTY and learns everything from the
     // stream. A tight queue: backpressure (429) actually happens during
     // the run.
-    let config = ServerConfig {
-        workers: 4,
-        ingest_queue_capacity: 4,
-        ..ServerConfig::default()
-    };
-    let handle = serve(Workbench::from_collection(HistoryCollection::new()), config)
-        .expect("bind");
+    let config = ServerConfig { workers: 4, ingest_queue_capacity: 4, ..ServerConfig::default() };
+    let handle = serve(Workbench::from_collection(HistoryCollection::new()), config).expect("bind");
     let addr = handle.addr();
 
     // A reader hammering /select the whole time: reads must never block
@@ -147,12 +138,7 @@ fn concurrent_ingest_converges_to_the_batch_build() {
     assert!(reads > 0, "the reader actually exercised /select during ingest");
 
     // Convergence: every cohort count equals the batch oracle's.
-    let queries = [
-        "has(T90)",
-        "lacks(T90)",
-        "has(K.*) and lacks(T90)",
-        "has(T90) and has(A.*)",
-    ];
+    let queries = ["has(T90)", "lacks(T90)", "has(K.*) and lacks(T90)", "has(T90) and has(A.*)"];
     let reference = batch.collection().stats().last.map(|dt| dt.date());
     for query in queries {
         let oracle = {

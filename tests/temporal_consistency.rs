@@ -59,7 +59,12 @@ fn allen_relations_match_entry_overlap_semantics() {
                         (a.start() - b.end()).as_seconds()
                     };
                     if gap_secs > 1 {
-                        assert!(!overlap, "{rel:?} but overlapping: {} vs {}", a.describe(), b.describe());
+                        assert!(
+                            !overlap,
+                            "{rel:?} but overlapping: {} vs {}",
+                            a.describe(),
+                            b.describe()
+                        );
                     }
                 }
             }

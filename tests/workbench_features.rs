@@ -63,10 +63,7 @@ fn derived_exposures_become_medication_bands_in_the_scene() {
         .collection()
         .iter()
         .find(|h| {
-            h.entries()
-                .iter()
-                .filter(|e| matches!(e.payload(), PayloadRef::Medication(_)))
-                .count()
+            h.entries().iter().filter(|e| matches!(e.payload(), PayloadRef::Medication(_))).count()
                 >= 6
         })
         .expect("a medicated patient");
@@ -117,11 +114,7 @@ fn event_chart_and_pattern_query_agree() {
     let readmit = TemporalPattern::starting_with(EntryPredicate::IsInterval)
         .then(GapBound::within(Duration::days(30)), EntryPredicate::IsInterval);
     let rows = collect_rows(wb.collection(), &readmit);
-    let total_hits: usize = wb
-        .collection()
-        .iter()
-        .map(|h| readmit.find_matches(h).len())
-        .sum();
+    let total_hits: usize = wb.collection().iter().map(|h| readmit.find_matches(h).len()).sum();
     assert_eq!(rows.len(), total_hits);
     let (scene, hits) = render_event_chart(wb.collection(), &rows, &EventChartOptions::default());
     if !rows.is_empty() {
