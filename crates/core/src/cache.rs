@@ -106,16 +106,19 @@ impl<V: Clone> BoundedCache<V> {
     /// The one eviction loop. Weights are read here, so a value that
     /// grew since its insert is charged.
     fn evict(&self, slots: &mut Slots<V>) {
-        let weight = self.weight;
-        slots.map.retain(|_, slot| weight(&slot.value) <= self.max_bytes);
-        let mut bytes: usize = slots.map.values().map(|slot| weight(&slot.value)).sum();
+        let (weight, mut bytes) = (self.weight, 0);
+        slots.map.retain(|_, slot| {
+            let size = weight(&slot.value);
+            bytes += size;
+            size <= self.max_bytes || {
+                bytes -= size;
+                false
+            }
+        });
         while slots.map.len() > self.max_entries || bytes > self.max_bytes {
-            let oldest = slots.map.values().map(|slot| (slot.last_used, weight(&slot.value))).min();
-            let Some((tick, size)) = oldest else { break };
-            // Ticks are unique: this drops the oldest entry alone,
-            // without cloning its key.
-            slots.map.retain(|_, slot| slot.last_used != tick);
-            bytes -= size;
+            let oldest = slots.map.iter().min_by_key(|(_, slot)| slot.last_used);
+            let Some(key) = oldest.map(|(key, _)| key.clone()) else { break };
+            bytes -= slots.map.remove(&key).map_or(0, |slot| weight(&slot.value));
         }
     }
 
