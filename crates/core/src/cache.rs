@@ -109,11 +109,9 @@ impl<V: Clone> BoundedCache<V> {
         let (weight, mut bytes) = (self.weight, 0);
         slots.map.retain(|_, slot| {
             let size = weight(&slot.value);
-            bytes += size;
-            size <= self.max_bytes || {
-                bytes -= size;
-                false
-            }
+            let keep = size <= self.max_bytes;
+            bytes += if keep { size } else { 0 };
+            keep
         });
         while slots.map.len() > self.max_entries || bytes > self.max_bytes {
             let oldest = slots.map.iter().min_by_key(|(_, slot)| slot.last_used);
