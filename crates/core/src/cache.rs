@@ -3,30 +3,81 @@
 //! workbench's selection memo are each a [`BoundedCache`].
 //!
 //! Bounded by entry count and by bytes. A value's bytes are its `weight`,
-//! read each time a bound is checked rather than stored at insert: a
-//! cohort handle grows when a read fills its memos. One eviction policy:
-//! an entry larger than the byte bound by itself is not kept, and the
-//! least-recently-used entries (by a monotone use tick) leave until both
-//! bounds hold. Each check is O(entries), which the bounds keep small.
+//! read when it is inserted and again by [`BoundedCache::trim`], the call
+//! a value that grew makes (a cohort handle grows when a read fills its
+//! memos); the map keeps their running total. One eviction policy: an
+//! entry larger than the byte bound by itself is not kept, and the
+//! least-recently-used entries (by a monotone use tick, indexed oldest
+//! first) leave until both bounds hold. A lookup or an insert is
+//! O(log entries); only `trim` and `retain` walk every entry.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 struct Slot<V> {
     last_used: u64,
+    bytes: usize,
     value: V,
 }
 
 struct Slots<V> {
     map: HashMap<String, Slot<V>>,
+    /// Each entry's key under its `last_used` tick: oldest first.
+    by_use: BTreeMap<u64, String>,
     tick: u64,
-    hits: u64,
-    misses: u64,
+    /// The sum of the slots' `bytes`.
+    bytes: usize,
+}
+
+impl<V> Slots<V> {
+    /// Insert `key` stamped with a fresh tick, replacing its old entry.
+    fn insert(&mut self, key: String, value: V, bytes: usize) {
+        self.remove(&key);
+        self.tick += 1;
+        self.by_use.insert(self.tick, key.clone());
+        self.map.insert(key, Slot { last_used: self.tick, bytes, value });
+        self.bytes += bytes;
+    }
+
+    /// Stamp the entry last used at `used` with a fresh tick.
+    fn touch(&mut self, used: u64) -> Option<&Slot<V>> {
+        let key = self.by_use.remove(&used)?;
+        let slot = self.map.get_mut(&key)?;
+        self.tick += 1;
+        slot.last_used = self.tick;
+        self.by_use.insert(self.tick, key);
+        Some(slot)
+    }
+
+    fn remove(&mut self, key: &str) -> Option<Slot<V>> {
+        let slot = self.map.remove(key)?;
+        self.by_use.remove(&slot.last_used);
+        self.bytes -= slot.bytes;
+        Some(slot)
+    }
+
+    /// Keep the entries `keep` accepts; it may re-weigh the slot first.
+    fn retain(&mut self, mut keep: impl FnMut(&str, &mut Slot<V>) -> bool) {
+        let Slots { map, by_use, bytes, .. } = self;
+        map.retain(|key, slot| {
+            *bytes -= slot.bytes;
+            let kept = keep(key, slot);
+            if kept {
+                *bytes += slot.bytes;
+            } else {
+                by_use.remove(&slot.last_used);
+            }
+            kept
+        });
+    }
 }
 
 /// A string-keyed LRU map bounded by entry count and by value bytes.
 pub struct BoundedCache<V> {
     slots: Mutex<Slots<V>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
     max_entries: usize,
     max_bytes: usize,
     weight: fn(&V) -> usize,
@@ -36,36 +87,40 @@ impl<V: Clone> BoundedCache<V> {
     /// An empty cache of at most `max_entries` entries and `max_bytes`
     /// bytes, a value's bytes being `weight(value)`.
     pub fn new(max_entries: usize, max_bytes: usize, weight: fn(&V) -> usize) -> BoundedCache<V> {
-        let slots = Mutex::new(Slots { map: HashMap::new(), tick: 0, hits: 0, misses: 0 });
-        BoundedCache { slots, max_entries, max_bytes, weight }
+        let slots = Slots { map: HashMap::new(), by_use: BTreeMap::new(), tick: 0, bytes: 0 };
+        BoundedCache {
+            slots: Mutex::new(slots),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            max_entries,
+            max_bytes,
+            weight,
+        }
     }
 
-    /// The lock with the clock advanced, recovered if a panicking holder
-    /// poisoned it: no method leaves the map half edited.
+    /// The lock, recovered if a panicking holder poisoned it: no method
+    /// leaves the map half edited.
     fn lock(&self) -> MutexGuard<'_, Slots<V>> {
-        let mut slots = self.slots.lock().unwrap_or_else(|e| e.into_inner());
-        slots.tick += 1;
-        slots
+        self.slots.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Look up `key`, refreshing its recency on a hit.
     pub fn get(&self, key: &str) -> Option<V> {
-        let mut slots = self.lock();
-        let tick = slots.tick;
-        let found = slots.map.get_mut(key).map(|slot| {
-            slot.last_used = tick;
-            slot.value.clone()
-        });
-        *if found.is_some() { &mut slots.hits } else { &mut slots.misses } += 1;
+        let found = {
+            let mut slots = self.lock();
+            let used = slots.map.get(key).map(|slot| slot.last_used);
+            used.and_then(|used| slots.touch(used)).map(|slot| slot.value.clone())
+        };
+        let counter = if found.is_some() { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
         found
     }
 
     /// Insert (or replace) `key`, then evict until both bounds hold.
     pub fn put(&self, key: String, value: V) {
+        let bytes = (self.weight)(&value);
         let mut slots = self.lock();
-        let last_used = slots.tick;
-        slots.map.insert(key, Slot { last_used, value });
-        self.evict(&mut slots);
+        self.admit(&mut slots, key, value, bytes);
     }
 
     /// The first value `matches` accepts, its recency refreshed; else
@@ -77,46 +132,53 @@ impl<V: Clone> BoundedCache<V> {
         make: impl FnOnce() -> (String, V),
     ) -> V {
         let mut slots = self.lock();
-        let last_used = slots.tick;
-        if let Some(slot) = slots.map.values_mut().find(|slot| matches(&slot.value)) {
-            slot.last_used = last_used;
+        let used = slots.map.values().find(|slot| matches(&slot.value)).map(|slot| slot.last_used);
+        if let Some(slot) = used.and_then(|used| slots.touch(used)) {
             return slot.value.clone();
         }
         let (key, value) = make();
-        slots.map.insert(key, Slot { last_used, value: value.clone() });
-        self.evict(&mut slots);
+        let bytes = (self.weight)(&value);
+        self.admit(&mut slots, key, value.clone(), bytes);
         value
     }
 
     /// Remove `key`, returning its value.
     pub fn remove(&self, key: &str) -> Option<V> {
-        self.lock().map.remove(key).map(|slot| slot.value)
+        self.lock().remove(key).map(|slot| slot.value)
     }
 
     /// Keep only the entries whose key `keep` accepts.
     pub fn retain(&self, mut keep: impl FnMut(&str) -> bool) {
-        self.lock().map.retain(|key, _| keep(key));
+        self.lock().retain(|key, _| keep(key));
     }
 
-    /// Evict until both bounds hold: after a value's weight grew.
+    /// Weigh every entry again, then evict until both bounds hold: the
+    /// call to make after a value's weight grew.
     pub fn trim(&self) {
-        self.evict(&mut self.lock());
+        let mut slots = self.lock();
+        slots.retain(|_, slot| {
+            slot.bytes = (self.weight)(&slot.value);
+            slot.bytes <= self.max_bytes
+        });
+        self.evict(&mut slots);
     }
 
-    /// The one eviction loop. Weights are read here, so a value that
-    /// grew since its insert is charged.
+    /// Insert `key` unless its value alone is over the byte bound (an old
+    /// entry under `key` leaves either way), then evict.
+    fn admit(&self, slots: &mut Slots<V>, key: String, value: V, bytes: usize) {
+        if bytes > self.max_bytes {
+            slots.remove(&key);
+            return;
+        }
+        slots.insert(key, value, bytes);
+        self.evict(slots);
+    }
+
+    /// The one eviction loop: least recently used first.
     fn evict(&self, slots: &mut Slots<V>) {
-        let (weight, mut bytes) = (self.weight, 0);
-        slots.map.retain(|_, slot| {
-            let size = weight(&slot.value);
-            let keep = size <= self.max_bytes;
-            bytes += if keep { size } else { 0 };
-            keep
-        });
-        while slots.map.len() > self.max_entries || bytes > self.max_bytes {
-            let oldest = slots.map.iter().min_by_key(|(_, slot)| slot.last_used);
-            let Some(key) = oldest.map(|(key, _)| key.clone()) else { break };
-            bytes -= slots.map.remove(&key).map_or(0, |slot| weight(&slot.value));
+        while slots.map.len() > self.max_entries || slots.bytes > self.max_bytes {
+            let Some((_, key)) = slots.by_use.pop_first() else { break };
+            slots.bytes -= slots.map.remove(&key).map_or(0, |slot| slot.bytes);
         }
     }
 
@@ -130,35 +192,41 @@ impl<V: Clone> BoundedCache<V> {
         self.len() == 0
     }
 
-    /// The entries' bytes, weighed now.
+    /// The entries' bytes as last weighed.
     pub fn bytes(&self) -> usize {
-        self.lock().map.values().map(|slot| (self.weight)(&slot.value)).sum()
+        self.lock().bytes
     }
 
     /// Lookups that found an entry.
     pub fn hits(&self) -> u64 {
-        self.lock().hits
+        self.hits.load(Ordering::Relaxed)
     }
 
     /// Lookups that found nothing.
     pub fn misses(&self) -> u64 {
-        self.lock().misses
+        self.misses.load(Ordering::Relaxed)
     }
 
     /// Deep invariant check (debug builds only; a no-op in release):
-    /// both bounds hold over the exact resident bytes, weighed now, and
-    /// no entry claims a use tick from the future.
+    /// every entry's stored bytes are its weight now (a value that grew
+    /// was trimmed) and sum to the running total, both bounds hold, the
+    /// recency index names each entry under its tick, and no tick is
+    /// from the future.
     #[cfg(debug_assertions)]
     pub fn debug_validate(&self) {
-        // The bare lock: a check that advanced the clock could not see
-        // an entry stamped ahead of it.
-        let slots = self.slots.lock().unwrap_or_else(|e| e.into_inner());
-        let bytes: usize = slots.map.values().map(|slot| (self.weight)(&slot.value)).sum();
+        let slots = self.lock();
+        let mut bytes = 0;
+        for (key, slot) in &slots.map {
+            assert_eq!(slot.bytes, (self.weight)(&slot.value), "cache: {key:?} weighed stale");
+            assert!(slot.last_used <= slots.tick, "cache: {key:?} used after the clock");
+            let indexed = slots.by_use.get(&slot.last_used);
+            assert!(indexed == Some(key), "cache: {key:?} missing from the recency index");
+            bytes += slot.bytes;
+        }
+        assert_eq!(slots.by_use.len(), slots.map.len(), "cache: recency index of dropped keys");
+        assert_eq!(bytes, slots.bytes, "cache: running byte total drifted");
         assert!(slots.map.len() <= self.max_entries, "cache: {} entries", slots.map.len());
         assert!(bytes <= self.max_bytes, "cache: {bytes} bytes exceed {}", self.max_bytes);
-        for (key, slot) in &slots.map {
-            assert!(slot.last_used <= slots.tick, "cache: {key:?} used after the clock");
-        }
     }
 
     /// Deep invariant check (debug builds only; a no-op in release).
