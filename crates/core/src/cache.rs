@@ -3,13 +3,12 @@
 //! workbench's selection memo are each a [`BoundedCache`].
 //!
 //! Bounded by entry count and by bytes. A value's bytes are its `weight`,
-//! read when it is inserted and again by [`BoundedCache::trim`], the call
-//! a value that grew makes (a cohort handle grows when a read fills its
-//! memos); the map keeps their running total. One eviction policy: an
-//! entry larger than the byte bound by itself is not kept, and the
-//! least-recently-used entries (by a monotone use tick, indexed oldest
-//! first) leave until both bounds hold. A lookup or an insert is
-//! O(log entries); only `trim` and `retain` walk every entry.
+//! read at insert and again by [`BoundedCache::trim`], the call a value
+//! that grew makes (a cohort handle grows when a read fills its memos).
+//! One eviction policy: an entry larger than the byte bound by itself is
+//! not kept, and the least-recently-used entries leave until both bounds
+//! hold. A get, a put and an eviction are O(log entries); only `trim` and
+//! `retain` walk the map.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -88,14 +87,8 @@ impl<V: Clone> BoundedCache<V> {
     /// bytes, a value's bytes being `weight(value)`.
     pub fn new(max_entries: usize, max_bytes: usize, weight: fn(&V) -> usize) -> BoundedCache<V> {
         let slots = Slots { map: HashMap::new(), by_use: BTreeMap::new(), tick: 0, bytes: 0 };
-        BoundedCache {
-            slots: Mutex::new(slots),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            max_entries,
-            max_bytes,
-            weight,
-        }
+        let (hits, misses) = (AtomicU64::new(0), AtomicU64::new(0));
+        BoundedCache { slots: Mutex::new(slots), hits, misses, max_entries, max_bytes, weight }
     }
 
     /// The lock, recovered if a panicking holder poisoned it: no method
@@ -119,8 +112,7 @@ impl<V: Clone> BoundedCache<V> {
     /// Insert (or replace) `key`, then evict until both bounds hold.
     pub fn put(&self, key: String, value: V) {
         let bytes = (self.weight)(&value);
-        let mut slots = self.lock();
-        self.admit(&mut slots, key, value, bytes);
+        self.admit(&mut self.lock(), key, value, bytes);
     }
 
     /// The first value `matches` accepts, its recency refreshed; else
@@ -168,10 +160,10 @@ impl<V: Clone> BoundedCache<V> {
     fn admit(&self, slots: &mut Slots<V>, key: String, value: V, bytes: usize) {
         if bytes > self.max_bytes {
             slots.remove(&key);
-            return;
+        } else {
+            slots.insert(key, value, bytes);
+            self.evict(slots);
         }
-        slots.insert(key, value, bytes);
-        self.evict(slots);
     }
 
     /// The one eviction loop: least recently used first.
@@ -208,25 +200,22 @@ impl<V: Clone> BoundedCache<V> {
     }
 
     /// Deep invariant check (debug builds only; a no-op in release):
-    /// every entry's stored bytes are its weight now (a value that grew
+    /// each entry's stored bytes are its weight now (a value that grew
     /// was trimmed) and sum to the running total, both bounds hold, the
     /// recency index names each entry under its tick, and no tick is
     /// from the future.
     #[cfg(debug_assertions)]
     pub fn debug_validate(&self) {
         let slots = self.lock();
-        let mut bytes = 0;
+        let (len, mut bytes) = (slots.map.len(), 0);
         for (key, slot) in &slots.map {
             assert_eq!(slot.bytes, (self.weight)(&slot.value), "cache: {key:?} weighed stale");
             assert!(slot.last_used <= slots.tick, "cache: {key:?} used after the clock");
-            let indexed = slots.by_use.get(&slot.last_used);
-            assert!(indexed == Some(key), "cache: {key:?} missing from the recency index");
+            assert!(slots.by_use.get(&slot.last_used) == Some(key), "cache: {key:?} not indexed");
             bytes += slot.bytes;
         }
-        assert_eq!(slots.by_use.len(), slots.map.len(), "cache: recency index of dropped keys");
-        assert_eq!(bytes, slots.bytes, "cache: running byte total drifted");
-        assert!(slots.map.len() <= self.max_entries, "cache: {} entries", slots.map.len());
-        assert!(bytes <= self.max_bytes, "cache: {bytes} bytes exceed {}", self.max_bytes);
+        assert!(slots.by_use.len() == len && bytes == slots.bytes, "cache: index or total drifted");
+        assert!(len <= self.max_entries && bytes <= self.max_bytes, "cache: {len}, {bytes} B");
     }
 
     /// Deep invariant check (debug builds only; a no-op in release).
