@@ -118,7 +118,8 @@ fn id_shard(id: PatientId) -> usize {
 /// Approximate heap bytes of one id sub-map: its buckets, an entry and a
 /// control byte each.
 fn id_map_bytes(map: &HashMap<PatientId, usize>) -> usize {
-    let buckets = if map.capacity() == 0 { 0 } else { (map.capacity() * 8 / 7).next_power_of_two() };
+    let buckets =
+        if map.capacity() == 0 { 0 } else { (map.capacity() * 8 / 7).next_power_of_two() };
     buckets * (std::mem::size_of::<(PatientId, usize)>() + 1)
 }
 
@@ -371,7 +372,8 @@ impl HistoryCollection {
         }
         let columns = pastas_par::par_map_min(&groups, 1, |rows| RowChunk::columns_of(rows));
         let chunks = columns.into_iter().zip(groups);
-        c.chunks = chunks.map(|(chunk, histories)| Arc::new(RowChunk { histories, ..chunk })).collect();
+        c.chunks =
+            chunks.map(|(chunk, histories)| Arc::new(RowChunk { histories, ..chunk })).collect();
         c
     }
 
@@ -471,7 +473,9 @@ impl HistoryCollection {
 
     /// Number of histories.
     pub fn len(&self) -> usize {
-        self.chunks.last().map_or(0, |last| (self.chunks.len() - 1) * CHUNK_ROWS + last.histories.len())
+        self.chunks
+            .last()
+            .map_or(0, |last| (self.chunks.len() - 1) * CHUNK_ROWS + last.histories.len())
     }
 
     /// True if no histories.
@@ -531,7 +535,8 @@ impl HistoryCollection {
             let shared = |i: usize, a: &Arc<T>| was.get(i).is_some_and(|b| Arc::ptr_eq(a, b));
             now.iter().enumerate().filter(move |&(i, a)| !shared(i, a)).map(|(_, a)| a.as_ref())
         }
-        let chunks: usize = fresh(&self.chunks, &predecessor.chunks).map(RowChunk::heap_bytes).sum();
+        let chunks: usize =
+            fresh(&self.chunks, &predecessor.chunks).map(RowChunk::heap_bytes).sum();
         chunks + fresh(&self.by_id, &predecessor.by_id).map(id_map_bytes).sum::<usize>()
     }
 
@@ -541,10 +546,15 @@ impl HistoryCollection {
     pub fn row_bytes_at(&self, positions: &[u32]) -> usize {
         let chunks: HashSet<usize> = positions.iter().map(|&p| p as usize / CHUNK_ROWS).collect();
         let histories = self.histories();
-        let maps: HashSet<usize> =
-            positions.iter().filter_map(|&p| histories.get(p as usize)).map(|h| id_shard(h.id())).collect();
-        let chunk_bytes: usize = chunks.iter().filter_map(|&c| self.chunks.get(c)).map(|c| c.heap_bytes()).sum();
-        chunk_bytes + maps.iter().filter_map(|&m| self.by_id.get(m)).map(|m| id_map_bytes(m)).sum::<usize>()
+        let maps: HashSet<usize> = positions
+            .iter()
+            .filter_map(|&p| histories.get(p as usize))
+            .map(|h| id_shard(h.id()))
+            .collect();
+        let chunk_bytes: usize =
+            chunks.iter().filter_map(|&c| self.chunks.get(c)).map(|c| c.heap_bytes()).sum();
+        chunk_bytes
+            + maps.iter().filter_map(|&m| self.by_id.get(m)).map(|m| id_map_bytes(m)).sum::<usize>()
     }
 
     /// Deep invariant check (debug builds only; a no-op in release).
@@ -565,13 +575,20 @@ impl HistoryCollection {
         for (shard, map) in self.by_id.iter().enumerate() {
             for (&id, &p) in map.iter() {
                 assert_eq!(id_shard(id), shard, "collection: {id} in the wrong sub-map");
-                assert_eq!(histories.get(p).map(History::id), Some(id), "collection: {id} not at row {p}");
+                assert_eq!(
+                    histories.get(p).map(History::id),
+                    Some(id),
+                    "collection: {id} not at row {p}"
+                );
             }
         }
         for (c, chunk) in self.chunks.iter().enumerate() {
             let rows = chunk.histories.len();
             let last = c + 1 == self.chunks.len();
-            assert!(rows == CHUNK_ROWS || last && rows > 0, "collection: chunk {c} holds {rows} rows");
+            assert!(
+                rows == CHUNK_ROWS || last && rows > 0,
+                "collection: chunk {c} holds {rows} rows"
+            );
             for (i, h) in chunk.histories.iter().enumerate() {
                 assert!(
                     h.store().dictionary().is_prefix_of(&self.dict),
@@ -580,7 +597,10 @@ impl HistoryCollection {
                 );
             }
             let rebuilt = RowChunk::columns_of(&chunk.histories);
-            assert!(chunk.same_columns(&rebuilt, [&self.dict; 2]), "collection: chunk {c}'s columns drifted");
+            assert!(
+                chunk.same_columns(&rebuilt, [&self.dict; 2]),
+                "collection: chunk {c}'s columns drifted"
+            );
         }
         if let Some(summary) = self.summary.get() {
             assert_eq!(
@@ -602,7 +622,13 @@ impl HistoryCollection {
     #[cfg(test)]
     pub(crate) fn table_diff(&self, other: &HistoryCollection) -> Option<String> {
         if self.len() != other.len() || self.chunks.len() != other.chunks.len() {
-            return Some(format!("{} rows in {} chunks vs {} in {}", self.len(), self.chunks.len(), other.len(), other.chunks.len()));
+            return Some(format!(
+                "{} rows in {} chunks vs {} in {}",
+                self.len(),
+                self.chunks.len(),
+                other.len(),
+                other.chunks.len()
+            ));
         }
         for (c, (a, b)) in self.chunks.iter().zip(&other.chunks).enumerate() {
             if !a.same_columns(b, [&self.dict, &other.dict]) {
@@ -610,7 +636,12 @@ impl HistoryCollection {
             }
             for (i, (x, y)) in a.histories.iter().zip(&b.histories).enumerate() {
                 if x.patient() != y.patient() || x.entries().to_vec() != y.entries().to_vec() {
-                    return Some(format!("row {}: {:?} vs {:?}", c * CHUNK_ROWS + i, x.patient(), y.patient()));
+                    return Some(format!(
+                        "row {}: {:?} vs {:?}",
+                        c * CHUNK_ROWS + i,
+                        x.patient(),
+                        y.patient()
+                    ));
                 }
             }
         }
@@ -620,7 +651,8 @@ impl HistoryCollection {
         if maps(self) != maps(other) {
             return Some("id maps differ".to_owned());
         }
-        (self.stats() != other.stats()).then(|| format!("{:?} vs {:?}", self.stats(), other.stats()))
+        (self.stats() != other.stats())
+            .then(|| format!("{:?} vs {:?}", self.stats(), other.stats()))
     }
 
     /// True while [`Self::stats`] answers without walking.
@@ -787,20 +819,16 @@ mod tests {
             history(1, &[("A01", 2015)]),
             history(2, &[("T90", 2016)]),
         ]);
-        let diabetics = c.extract(|h| {
-            h.entries().iter().any(|e| e.code().is_some_and(|c| c.value == "T90"))
-        });
+        let diabetics =
+            c.extract(|h| h.entries().iter().any(|e| e.code().is_some_and(|c| c.value == "T90")));
         let ids: Vec<_> = diabetics.iter().map(|h| h.id().0).collect();
         assert_eq!(ids, vec![3, 2]);
     }
 
     #[test]
     fn extract_ids_orders_by_request() {
-        let c = HistoryCollection::from_histories([
-            history(1, &[]),
-            history(2, &[]),
-            history(3, &[]),
-        ]);
+        let c =
+            HistoryCollection::from_histories([history(1, &[]), history(2, &[]), history(3, &[])]);
         let sub = c.extract_ids(&[PatientId(3), PatientId(1), PatientId(99)]);
         let ids: Vec<_> = sub.iter().map(|h| h.id().0).collect();
         assert_eq!(ids, vec![3, 1]);
@@ -851,10 +879,7 @@ mod tests {
 
     #[test]
     fn upsert_leaves_a_sharing_collection_untouched() {
-        let c = HistoryCollection::from_histories([
-            history(1, &[("A01", 2015)]),
-            history(2, &[]),
-        ]);
+        let c = HistoryCollection::from_histories([history(1, &[("A01", 2015)]), history(2, &[])]);
         let mut sub = c.extract(|_| true);
         let mut h = sub.get(PatientId(1)).unwrap().clone();
         h.insert(Entry::event(
@@ -911,7 +936,8 @@ mod tests {
         assert_eq!(appended.position_of(PatientId(rows as u64)), Some(rows));
 
         // A new patient that opens a chunk: the full ones stay shared.
-        let full = HistoryCollection::from_histories((0..CHUNK_ROWS as u64).map(|id| history(id, &[])));
+        let full =
+            HistoryCollection::from_histories((0..CHUNK_ROWS as u64).map(|id| history(id, &[])));
         let mut opened = full.clone();
         opened.upsert(history(CHUNK_ROWS as u64, &[]));
         opened.debug_validate();
@@ -946,7 +972,10 @@ mod tests {
         assert_eq!(cuts(rows + 1..rows + 9), []);
         for span in c.spans(3..rows) {
             let ids: Vec<u64> = span.histories.iter().map(|h| h.id().0).collect();
-            assert_eq!(ids, (span.start as u64..(span.start + span.len()) as u64).collect::<Vec<_>>());
+            assert_eq!(
+                ids,
+                (span.start as u64..(span.start + span.len()) as u64).collect::<Vec<_>>()
+            );
         }
         let histories = c.histories();
         assert_eq!(histories.iter().len(), rows);

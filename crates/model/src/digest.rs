@@ -38,7 +38,8 @@ pub struct CodeGroups {
 impl CodeGroups {
     /// Parse `code` once.
     pub fn of(code: &Code) -> CodeGroups {
-        let byte = |index: Option<usize>| index.and_then(|i| u8::try_from(i).ok()).unwrap_or(NO_GROUP);
+        let byte =
+            |index: Option<usize>| index.and_then(|i| u8::try_from(i).ok()).unwrap_or(NO_GROUP);
         let icd = (code.system == CodeSystem::Icd10).then(|| Icd10Code::parse(&code.value));
         let atc = (code.system == CodeSystem::Atc).then(|| AtcCode::parse(&code.value));
         CodeGroups {

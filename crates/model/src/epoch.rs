@@ -154,7 +154,12 @@ impl OpenEpoch {
         let mut next = 0u32;
         for (i, &(_, lo, hi)) in self.spans.iter().enumerate() {
             assert!(lo <= hi, "epoch: span {i} is reversed ({lo}, {hi})");
-            assert_eq!(lo, next, "epoch: span {i} does not start where span {} ended", i.max(1) - 1);
+            assert_eq!(
+                lo,
+                next,
+                "epoch: span {i} does not start where span {} ended",
+                i.max(1) - 1
+            );
             next = hi;
         }
         assert_eq!(
@@ -179,11 +184,7 @@ mod tests {
     use pastas_time::Date;
 
     fn patient(id: u64) -> Patient {
-        Patient {
-            id: PatientId(id),
-            birth_date: Date::new(1950, 6, 15).unwrap(),
-            sex: Sex::Female,
-        }
+        Patient { id: PatientId(id), birth_date: Date::new(1950, 6, 15).unwrap(), sex: Sex::Female }
     }
 
     fn diag(y: i32, m: u32, d: u32, code: &str) -> Entry {
@@ -197,10 +198,8 @@ mod tests {
     #[test]
     fn append_validates_and_stages() {
         let mut epoch = OpenEpoch::new();
-        let report = epoch.append(
-            patient(1),
-            vec![diag(1949, 1, 1, "A01"), diag(2015, 3, 1, "T90")],
-        );
+        let report =
+            epoch.append(patient(1), vec![diag(1949, 1, 1, "A01"), diag(2015, 3, 1, "T90")]);
         assert_eq!(report, ValidationReport { accepted: 1, dropped_pre_birth: 1 });
         assert_eq!(epoch.len(), 1);
         assert_eq!(epoch.pending_deltas(), 1);
@@ -220,8 +219,7 @@ mod tests {
         assert_eq!(ids, vec![7, 3], "arrival order");
         // Entries come out (start, end)-sorted despite arrival order.
         let h3 = collection.get(PatientId(3)).unwrap();
-        let codes: Vec<_> =
-            h3.entries().iter().map(|e| e.code().unwrap().value.clone()).collect();
+        let codes: Vec<_> = h3.entries().iter().map(|e| e.code().unwrap().value.clone()).collect();
         assert_eq!(codes, vec!["A01", "K74"]);
         h3.debug_validate();
         // Both new patients share one fresh arena.
@@ -248,8 +246,7 @@ mod tests {
         assert_eq!(collection.position_of(PatientId(1)), Some(0), "position kept");
         let h = collection.get(PatientId(1)).unwrap();
         assert_eq!(h.len(), 2);
-        let codes: Vec<_> =
-            h.entries().iter().map(|e| e.code().unwrap().value.clone()).collect();
+        let codes: Vec<_> = h.entries().iter().map(|e| e.code().unwrap().value.clone()).collect();
         assert_eq!(codes, vec!["A01", "T90"], "merged into sorted order");
         // The grown dictionary still resolves the old id to the same code.
         assert_eq!(h.store().dictionary().resolve(t90), &Code::icpc("T90"));

@@ -78,12 +78,7 @@ impl History {
     }
 
     /// A history viewing rows `[lo, hi)` of a shared arena.
-    pub(crate) fn from_span(
-        patient: Patient,
-        store: Arc<EventStore>,
-        lo: u32,
-        hi: u32,
-    ) -> History {
+    pub(crate) fn from_span(patient: Patient, store: Arc<EventStore>, lo: u32, hi: u32) -> History {
         History { patient, store, lo, hi }
     }
 
@@ -243,11 +238,7 @@ impl History {
     }
 
     /// Entries overlapping the closed window `[from, to]`, in order.
-    pub fn entries_in(
-        &self,
-        from: DateTime,
-        to: DateTime,
-    ) -> impl Iterator<Item = EntryRef<'_>> {
+    pub fn entries_in(&self, from: DateTime, to: DateTime) -> impl Iterator<Item = EntryRef<'_>> {
         self.entries().iter().filter(move |e| e.overlaps(from, to))
     }
 
@@ -318,11 +309,7 @@ mod tests {
     use pastas_codes::Code;
 
     fn patient() -> Patient {
-        Patient {
-            id: PatientId(42),
-            birth_date: Date::new(1950, 6, 15).unwrap(),
-            sex: Sex::Female,
-        }
+        Patient { id: PatientId(42), birth_date: Date::new(1950, 6, 15).unwrap(), sex: Sex::Female }
     }
 
     fn t(y: i32, m: u32, d: u32) -> DateTime {
@@ -350,7 +337,7 @@ mod tests {
     fn pre_birth_entries_are_dropped() {
         let mut h = History::new(patient());
         let report = h.insert_all(vec![
-            diag(1949, 1, 1, "A01"), // before 1950-06-15 birth
+            diag(1949, 1, 1, "A01"),  // before 1950-06-15 birth
             diag(1950, 6, 15, "A01"), // birth day itself is valid
             diag(2000, 1, 1, "T90"),
         ]);
@@ -394,7 +381,10 @@ mod tests {
         b.add_patient(person(1), vec![diag(2015, 1, 1, "A01"), diag(2018, 1, 1, "T90")]);
         b.add_patient(person(2), vec![long_stay, diag(2015, 3, 1, "T90"), diag(2018, 6, 1, "K74")]);
         b.add_patient(person(3), vec![]);
-        b.add_patient(person(4), vec![diag(2013, 1, 1, "A01"), short_stay, diag(2017, 1, 1, "T90")]);
+        b.add_patient(
+            person(4),
+            vec![diag(2013, 1, 1, "A01"), short_stay, diag(2017, 1, 1, "T90")],
+        );
         let (collection, _) = b.build();
         let last = |id| collection.get(PatientId(id)).unwrap().last_time();
         assert_eq!(last(1), Some(t(2018, 1, 1)), "point events only: the last start");
@@ -420,7 +410,9 @@ mod tests {
     #[test]
     fn the_birth_rule_is_one_instant_for_every_caller() {
         let born = patient().birth_date;
-        let at = |time| Entry::event(time, Payload::Diagnosis(Code::icpc("A01")), SourceKind::PrimaryCare);
+        let at = |time| {
+            Entry::event(time, Payload::Diagnosis(Code::icpc("A01")), SourceKind::PrimaryCare)
+        };
         let eve = at(born.add_days(-1).at(23, 59, 59).unwrap());
         let midnight = at(born.at_midnight());
         assert!(!patient().admits(eve.start()));
@@ -446,8 +438,17 @@ mod tests {
         let (built, _) = builder.build();
         let mut streamed = crate::HistoryCollection::new();
         epoch.seal_into(&mut streamed);
-        for h in [&one_by_one, &at_once, built.get(patient().id).unwrap(), streamed.get(patient().id).unwrap()] {
-            assert_eq!(h.first_time(), Some(midnight.start()), "00:00:00 on the birth date is kept");
+        for h in [
+            &one_by_one,
+            &at_once,
+            built.get(patient().id).unwrap(),
+            streamed.get(patient().id).unwrap(),
+        ] {
+            assert_eq!(
+                h.first_time(),
+                Some(midnight.start()),
+                "00:00:00 on the birth date is kept"
+            );
             assert_eq!(h.len(), 2);
         }
     }
@@ -493,9 +494,8 @@ mod tests {
         h.insert(diag(2015, 1, 1, "A01"));
         h.insert(diag(2015, 6, 1, "T90"));
         h.insert(diag(2016, 1, 1, "T90"));
-        let anchor = h
-            .first_matching(|e| e.code().is_some_and(|c| c.value == "T90"))
-            .expect("anchor");
+        let anchor =
+            h.first_matching(|e| e.code().is_some_and(|c| c.value == "T90")).expect("anchor");
         assert_eq!(anchor.start(), t(2015, 6, 1));
     }
 
@@ -543,8 +543,7 @@ mod tests {
         h.insert(diag(2015, 1, 1, "A01"));
         h.insert(diag(2015, 1, 1, "T90"));
         h.insert(diag(2015, 1, 1, "K74"));
-        let codes: Vec<_> =
-            h.entries().iter().map(|e| e.code().unwrap().value.clone()).collect();
+        let codes: Vec<_> = h.entries().iter().map(|e| e.code().unwrap().value.clone()).collect();
         assert_eq!(codes, vec!["A01", "T90", "K74"], "ties append after existing");
     }
 }

@@ -42,7 +42,7 @@ pub use collection::{
     CollectionStats, Histories, HistoriesIter, HistoryCollection, RowSpan, CHUNK_ROWS,
 };
 pub use digest::{dominant, CodeGroups, Dominant, Lists, Run, NO_GROUP, NO_YEAR};
-pub use entry::{EpisodeKind, Entry, Event, Interval, MeasurementKind, Payload, SourceKind};
+pub use entry::{Entry, EpisodeKind, Event, Interval, MeasurementKind, Payload, SourceKind};
 pub use epoch::OpenEpoch;
 pub use history::{History, Patient, Sex, ValidationReport};
 pub use store::{

@@ -35,10 +35,8 @@ fn arb_payload() -> impl Strategy<Value = Payload> {
         Just(Payload::Diagnosis(Code::icpc("K74"))),
         Just(Payload::Medication(Code::atc("C07AB02"))),
         Just(Payload::Diagnosis(Code::icd10("E11.9"))),
-        (90.0f64..200.0).prop_map(|v| Payload::Measurement {
-            kind: MeasurementKind::SystolicBp,
-            value: v
-        }),
+        (90.0f64..200.0)
+            .prop_map(|v| Payload::Measurement { kind: MeasurementKind::SystolicBp, value: v }),
         Just(Payload::Episode(EpisodeKind::Inpatient)),
         ".{0,12}".prop_map(Payload::Note),
     ]

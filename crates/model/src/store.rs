@@ -452,10 +452,9 @@ impl EventStore {
                     aux < self.notes.len(),
                     "store: row {i} note index {aux} outside side table"
                 ),
-                TAG_EPISODE => assert!(
-                    self.aux[i] <= 6,
-                    "store: row {i} episode discriminant {aux} unknown"
-                ),
+                TAG_EPISODE => {
+                    assert!(self.aux[i] <= 6, "store: row {i} episode discriminant {aux} unknown")
+                }
                 other => panic!("store: row {i} has unknown payload tag {other}"),
             }
             let source = (self.kinds[i] & !FLAG_INTERVAL) >> SOURCE_SHIFT;
@@ -556,8 +555,8 @@ impl EventStore {
             Stored::Episode(k) => (TAG_EPISODE, episode_to_u32(k)),
             Stored::Note(text) => {
                 self.notes.push(text.into_owned());
-                let idx = u32::try_from(self.notes.len() - 1)
-                    .expect("note side table holds < 2^32 rows");
+                let idx =
+                    u32::try_from(self.notes.len() - 1).expect("note side table holds < 2^32 rows");
                 (TAG_NOTE, idx)
             }
         };
@@ -1538,8 +1537,12 @@ impl CollectionBuilder {
             return;
         }
         let mut dict = Arc::clone(&self.store.dict);
-        let ids: Vec<u32> =
-            other.store.dict.iter().map(|code| CodeDictionary::intern_shared(&mut dict, code).0).collect();
+        let ids: Vec<u32> = other
+            .store
+            .dict
+            .iter()
+            .map(|code| CodeDictionary::intern_shared(&mut dict, code).0)
+            .collect();
         for store in other.sealed.iter_mut().chain([&mut other.store]) {
             store.renumber(&ids, &dict);
         }
@@ -1567,11 +1570,11 @@ impl CollectionBuilder {
             .map(|store| Arc::new(EventStore { dict: Arc::clone(&dict), ..store }))
             .collect();
         arenas.push(Arc::new(self.store));
-        let collection = HistoryCollection::from_histories(
-            self.patients.into_iter().map(|(patient, slot, lo, hi)| {
+        let collection = HistoryCollection::from_histories(self.patients.into_iter().map(
+            |(patient, slot, lo, hi)| {
                 History::from_span(patient, Arc::clone(&arenas[slot as usize]), lo, hi)
-            }),
-        );
+            },
+        ));
         (collection, self.report)
     }
 }
@@ -1683,7 +1686,9 @@ mod tests {
 
     #[test]
     fn starts_outside_the_window_take_the_wide_path() {
-        let at = |time| Entry::event(time, Payload::Episode(EpisodeKind::HomeCare), SourceKind::Municipal);
+        let at = |time| {
+            Entry::event(time, Payload::Episode(EpisodeKind::HomeCare), SourceKind::Municipal)
+        };
         let base = t(1945, 2, 11); // 24,855 days before the first push
         let entries = vec![
             at(t(2013, 3, 1)),
@@ -1839,8 +1844,7 @@ mod tests {
         let (collection, report) = b.build();
         assert_eq!(report.accepted, 15);
         assert_eq!(collection.len(), 3);
-        let stores: Vec<_> =
-            collection.iter().map(|h| Arc::as_ptr(h.store())).collect();
+        let stores: Vec<_> = collection.iter().map(|h| Arc::as_ptr(h.store())).collect();
         assert!(stores.windows(2).all(|w| w[0] == w[1]), "one shared arena");
         for h in &collection {
             assert_eq!(h.len(), 5);
