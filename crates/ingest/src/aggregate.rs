@@ -183,7 +183,8 @@ mod tests {
     #[test]
     fn round_trips_a_clean_population() {
         let pop = generate_population(SynthConfig::with_patients(200), 31);
-        let raw = emit(&pop, MessConfig { duplicate_prob: 0.0, invalid_date_prob: 0.0, note_prob: 0.0 });
+        let raw =
+            emit(&pop, MessConfig { duplicate_prob: 0.0, invalid_date_prob: 0.0, note_prob: 0.0 });
         let (collection, report) = aggregate(sources(&raw));
 
         assert_eq!(collection.len(), 200);
@@ -214,8 +215,10 @@ mod tests {
     #[test]
     fn duplicates_are_dropped_and_counted() {
         let pop = generate_population(SynthConfig::with_patients(300), 37);
-        let clean = emit(&pop, MessConfig { duplicate_prob: 0.0, invalid_date_prob: 0.0, note_prob: 0.0 });
-        let messy = emit(&pop, MessConfig { duplicate_prob: 0.25, invalid_date_prob: 0.0, note_prob: 0.0 });
+        let clean =
+            emit(&pop, MessConfig { duplicate_prob: 0.0, invalid_date_prob: 0.0, note_prob: 0.0 });
+        let messy =
+            emit(&pop, MessConfig { duplicate_prob: 0.25, invalid_date_prob: 0.0, note_prob: 0.0 });
         let (cc, _) = aggregate(sources(&clean));
         let (mc, mr) = aggregate(sources(&messy));
         assert!(mr.duplicates_dropped > 0, "expected injected duplicates");
@@ -225,7 +228,8 @@ mod tests {
     #[test]
     fn pre_birth_dates_are_dropped_per_the_paper() {
         let pop = generate_population(SynthConfig::with_patients(400), 41);
-        let messy = emit(&pop, MessConfig { duplicate_prob: 0.0, invalid_date_prob: 0.05, note_prob: 0.0 });
+        let messy =
+            emit(&pop, MessConfig { duplicate_prob: 0.0, invalid_date_prob: 0.05, note_prob: 0.0 });
         let (_, report) = aggregate(sources(&messy));
         assert!(report.dropped_pre_birth > 0, "expected §IV validation drops");
     }
@@ -233,7 +237,8 @@ mod tests {
     #[test]
     fn note_measurements_are_recovered() {
         let pop = generate_population(SynthConfig::with_patients(300), 43);
-        let raw = emit(&pop, MessConfig { duplicate_prob: 0.0, invalid_date_prob: 0.0, note_prob: 0.5 });
+        let raw =
+            emit(&pop, MessConfig { duplicate_prob: 0.0, invalid_date_prob: 0.0, note_prob: 0.5 });
         let (collection, report) = aggregate(sources(&raw));
         assert!(report.measurements_extracted > 0);
         let measured = collection

@@ -158,11 +158,7 @@ impl Grouper {
 /// rows register (or re-register) patients in `registry` and emit an
 /// entry-less delta so a demographics-only arrival still creates the
 /// patient downstream.
-pub fn parse_delta(
-    format: DeltaFormat,
-    text: &str,
-    registry: &mut IdentityRegistry,
-) -> DeltaBatch {
+pub fn parse_delta(format: DeltaFormat, text: &str, registry: &mut IdentityRegistry) -> DeltaBatch {
     match format {
         DeltaFormat::Persons => persons_delta(text, registry),
         DeltaFormat::Claims => claims_delta(text, registry),
@@ -194,11 +190,8 @@ pub(crate) fn claims_delta(text: &str, registry: &IdentityRegistry) -> DeltaBatc
     let mut out = Grouper::new(rows.len(), issues.len());
     for row in rows {
         let Some(patient) = out.resolve(registry, &row.raw_patient) else { continue };
-        let source = if row.provider == "SPEC" {
-            SourceKind::Specialist
-        } else {
-            SourceKind::PrimaryCare
-        };
+        let source =
+            if row.provider == "SPEC" { SourceKind::Specialist } else { SourceKind::PrimaryCare };
         let time = row.date.at_midnight() + pastas_time::Duration::hours(12);
         out.push(patient, Some(Entry::event(time, Payload::Diagnosis(row.icpc), source)));
         for m in extract::extract_measurements(&row.note) {

@@ -85,8 +85,14 @@ mod tests {
     fn extracts_norwegian_bp_shorthand() {
         let got = extract_measurements("kontroll, BT 150/90, ellers fint");
         assert_eq!(got.len(), 2);
-        assert_eq!(got[0], ExtractedMeasurement { kind: MeasurementKind::SystolicBp, value: 150.0 });
-        assert_eq!(got[1], ExtractedMeasurement { kind: MeasurementKind::DiastolicBp, value: 90.0 });
+        assert_eq!(
+            got[0],
+            ExtractedMeasurement { kind: MeasurementKind::SystolicBp, value: 150.0 }
+        );
+        assert_eq!(
+            got[1],
+            ExtractedMeasurement { kind: MeasurementKind::DiastolicBp, value: 90.0 }
+        );
     }
 
     #[test]

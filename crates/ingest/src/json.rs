@@ -289,8 +289,7 @@ impl Parser<'_> {
                                 if !(0xDC00..0xE000).contains(&low) {
                                     return Err(self.err("bad low surrogate"));
                                 }
-                                let combined =
-                                    0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
+                                let combined = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
                                 char::from_u32(combined).ok_or_else(|| self.err("bad codepoint"))?
                             } else {
                                 char::from_u32(cp).ok_or_else(|| self.err("bad codepoint"))?

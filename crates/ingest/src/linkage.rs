@@ -48,7 +48,11 @@ impl IdentityRegistry {
 
     /// All registered patients (arbitrary order).
     pub fn patients(&self) -> impl Iterator<Item = Patient> + '_ {
-        self.by_id.iter().map(|(&id, &(birth_date, sex))| Patient { id: PatientId(id), birth_date, sex })
+        self.by_id.iter().map(|(&id, &(birth_date, sex))| Patient {
+            id: PatientId(id),
+            birth_date,
+            sex,
+        })
     }
 
     /// Resolve a raw identifier in any of the four schemes:
@@ -62,10 +66,7 @@ impl IdentityRegistry {
     /// not present in the register (an unlinked row).
     pub fn resolve(&self, raw: &str) -> Option<PatientId> {
         let raw = raw.trim();
-        let digits = raw
-            .strip_prefix("NIN-")
-            .or_else(|| raw.strip_prefix('M'))
-            .unwrap_or(raw);
+        let digits = raw.strip_prefix("NIN-").or_else(|| raw.strip_prefix('M')).unwrap_or(raw);
         if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
             return None;
         }
@@ -77,10 +78,7 @@ impl IdentityRegistry {
     /// by sources loaded before the person register).
     pub fn parse_raw(raw: &str) -> Option<u64> {
         let raw = raw.trim();
-        let digits = raw
-            .strip_prefix("NIN-")
-            .or_else(|| raw.strip_prefix('M'))
-            .unwrap_or(raw);
+        let digits = raw.strip_prefix("NIN-").or_else(|| raw.strip_prefix('M')).unwrap_or(raw);
         if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
             return None;
         }

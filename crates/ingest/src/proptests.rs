@@ -8,8 +8,7 @@ use proptest::prelude::*;
 
 fn arb_text() -> impl Strategy<Value = String> {
     // Lines of printable junk mixed with plausible field separators.
-    proptest::collection::vec("[ -~;|,\tæøå]{0,40}", 0..12)
-        .prop_map(|lines| lines.join("\n"))
+    proptest::collection::vec("[ -~;|,\tæøå]{0,40}", 0..12).prop_map(|lines| lines.join("\n"))
 }
 
 proptest! {
