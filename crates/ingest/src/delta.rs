@@ -12,14 +12,14 @@
 //! layer's convergence e2e asserts this).
 //!
 //! Linkage is stateful across deltas: `persons` increments register new
-//! patients into the caller's [`IdentityRegistry`]; rows of the other
-//! formats resolve against everything registered so far, and rows that
-//! do not resolve are counted (`unlinked_rows`), never fatal — the same
-//! tolerance as the batch path.
+//! patients into the caller's [`Linkage`] (a [`crate::IdentityRegistry`], or one
+//! over a published row table); rows of the other formats resolve against
+//! everything it knows, and rows that do not resolve are counted
+//! (`unlinked_rows`), never fatal — the same tolerance as the batch path.
 
 use crate::adapters;
 use crate::extract;
-use crate::linkage::IdentityRegistry;
+use crate::linkage::Linkage;
 use pastas_model::{Entry, Patient, Payload, SourceKind};
 use std::collections::HashMap;
 
@@ -126,8 +126,8 @@ impl Grouper {
     }
 
     /// Link a raw identifier, counting the row as unlinked on a miss.
-    fn resolve(&mut self, registry: &IdentityRegistry, raw: &str) -> Option<Patient> {
-        let patient = registry.resolve(raw).and_then(|id| registry.patient(id));
+    fn resolve<L: Linkage + ?Sized>(&mut self, linkage: &L, raw: &str) -> Option<Patient> {
+        let patient = linkage.resolve(raw);
         if patient.is_none() {
             self.batch.unlinked_rows += 1;
         }
@@ -155,41 +155,42 @@ impl Grouper {
 /// providers and `PrimaryCare` otherwise; hospital rows become an episode
 /// interval plus an admission-day diagnosis, both `Hospital`; municipal
 /// rows an episode interval; dispensings a medication event. `persons`
-/// rows register (or re-register) patients in `registry` and emit an
+/// rows register (or re-register) patients in `linkage` and emit an
 /// entry-less delta so a demographics-only arrival still creates the
 /// patient downstream.
-pub fn parse_delta(format: DeltaFormat, text: &str, registry: &mut IdentityRegistry) -> DeltaBatch {
+pub fn parse_delta<L: Linkage + ?Sized>(
+    format: DeltaFormat,
+    text: &str,
+    linkage: &mut L,
+) -> DeltaBatch {
     match format {
-        DeltaFormat::Persons => persons_delta(text, registry),
-        DeltaFormat::Claims => claims_delta(text, registry),
-        DeltaFormat::Hospital => hospital_delta(text, registry),
-        DeltaFormat::Municipal => municipal_delta(text, registry),
-        DeltaFormat::Prescriptions => prescriptions_delta(text, registry),
+        DeltaFormat::Persons => persons_delta(text, linkage),
+        DeltaFormat::Claims => claims_delta(text, linkage),
+        DeltaFormat::Hospital => hospital_delta(text, linkage),
+        DeltaFormat::Municipal => municipal_delta(text, linkage),
+        DeltaFormat::Prescriptions => prescriptions_delta(text, linkage),
     }
 }
 
-fn persons_delta(text: &str, registry: &mut IdentityRegistry) -> DeltaBatch {
+fn persons_delta<L: Linkage + ?Sized>(text: &str, linkage: &mut L) -> DeltaBatch {
     let (rows, issues) = adapters::parse_persons(text);
     let mut out = Grouper::new(rows.len(), issues.len());
     for row in rows {
-        registry.register(row.id, row.birth_date, row.sex);
-        let patient = registry
-            .patient(pastas_model::PatientId(row.id))
-            // register() on the line above inserts this id
-            .expect("just registered");
-        out.push(patient, None);
+        linkage.register(row.id, row.birth_date, row.sex);
+        let id = pastas_model::PatientId(row.id);
+        out.push(Patient { id, birth_date: row.birth_date, sex: row.sex }, None);
     }
     out.batch
 }
 
 /// Claims: diagnosis event + free-text measurement extraction. Like the
-/// other three event sources it only reads the register, so the batch
+/// other three event sources it only reads the linkage, so the batch
 /// pipeline runs the four side by side.
-pub(crate) fn claims_delta(text: &str, registry: &IdentityRegistry) -> DeltaBatch {
+pub(crate) fn claims_delta<L: Linkage + ?Sized>(text: &str, linkage: &L) -> DeltaBatch {
     let (rows, issues) = adapters::parse_claims(text);
     let mut out = Grouper::new(rows.len(), issues.len());
     for row in rows {
-        let Some(patient) = out.resolve(registry, &row.raw_patient) else { continue };
+        let Some(patient) = out.resolve(linkage, &row.raw_patient) else { continue };
         let source =
             if row.provider == "SPEC" { SourceKind::Specialist } else { SourceKind::PrimaryCare };
         let time = row.date.at_midnight() + pastas_time::Duration::hours(12);
@@ -204,11 +205,11 @@ pub(crate) fn claims_delta(text: &str, registry: &IdentityRegistry) -> DeltaBatc
 }
 
 /// Hospital: interval + main diagnosis at admission.
-pub(crate) fn hospital_delta(text: &str, registry: &IdentityRegistry) -> DeltaBatch {
+pub(crate) fn hospital_delta<L: Linkage + ?Sized>(text: &str, linkage: &L) -> DeltaBatch {
     let (rows, issues) = adapters::parse_hospital(text);
     let mut out = Grouper::new(rows.len(), issues.len());
     for row in rows {
-        let Some(patient) = out.resolve(registry, &row.raw_patient) else { continue };
+        let Some(patient) = out.resolve(linkage, &row.raw_patient) else { continue };
         let start = row.admitted.at_midnight();
         let end = row.discharged.at_midnight();
         let stay = Entry::interval(start, end, Payload::Episode(row.kind), SourceKind::Hospital);
@@ -220,11 +221,11 @@ pub(crate) fn hospital_delta(text: &str, registry: &IdentityRegistry) -> DeltaBa
 }
 
 /// Municipal care periods.
-pub(crate) fn municipal_delta(text: &str, registry: &IdentityRegistry) -> DeltaBatch {
+pub(crate) fn municipal_delta<L: Linkage + ?Sized>(text: &str, linkage: &L) -> DeltaBatch {
     let (rows, issues) = adapters::parse_municipal(text);
     let mut out = Grouper::new(rows.len(), issues.len());
     for row in rows {
-        let Some(patient) = out.resolve(registry, &row.raw_patient) else { continue };
+        let Some(patient) = out.resolve(linkage, &row.raw_patient) else { continue };
         let period = Entry::interval(
             row.from.at_midnight(),
             row.to.at_midnight(),
@@ -237,11 +238,11 @@ pub(crate) fn municipal_delta(text: &str, registry: &IdentityRegistry) -> DeltaB
 }
 
 /// Dispensings.
-pub(crate) fn prescriptions_delta(text: &str, registry: &IdentityRegistry) -> DeltaBatch {
+pub(crate) fn prescriptions_delta<L: Linkage + ?Sized>(text: &str, linkage: &L) -> DeltaBatch {
     let (rows, issues) = adapters::parse_prescriptions(text);
     let mut out = Grouper::new(rows.len(), issues.len());
     for row in rows {
-        let Some(patient) = out.resolve(registry, &row.raw_patient) else { continue };
+        let Some(patient) = out.resolve(linkage, &row.raw_patient) else { continue };
         let dispensing =
             Entry::event(row.time, Payload::Medication(row.atc), SourceKind::Prescription);
         out.push(patient, Some(dispensing));
@@ -252,6 +253,7 @@ pub(crate) fn prescriptions_delta(text: &str, registry: &IdentityRegistry) -> De
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::IdentityRegistry;
     use pastas_model::{PatientId, Sex};
     use pastas_time::Date;
 

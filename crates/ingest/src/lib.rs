@@ -11,7 +11,8 @@
 //! * [`adapters`] — one adapter per source file, each tolerant of bad rows
 //!   (errors are *counted*, not fatal);
 //! * [`linkage`] — identity resolution across the four id schemes, anchored
-//!   in the person register;
+//!   in the person register (or in the persons a feed registered, over a
+//!   row table already held);
 //! * [`extract`] — regex extraction of measurements from free-text notes
 //!   (`"BT 150/90"` → systolic + diastolic entries), per §IV.A;
 //! * [`delta`] — one source text (a whole file or a streamed increment)
@@ -37,7 +38,7 @@ pub mod linkage;
 
 pub use aggregate::{aggregate, entry_fingerprint, EntryFingerprint, QualityReport, SourceTexts};
 pub use delta::{parse_delta, DeltaBatch, DeltaFormat, PatientDelta};
-pub use linkage::IdentityRegistry;
+pub use linkage::{IdentityRegistry, Linkage, Overlay};
 
 #[cfg(test)]
 mod proptests;

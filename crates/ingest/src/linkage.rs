@@ -3,17 +3,44 @@
 //! The person register keys patients by national id (`NIN-0000123`); the
 //! other sources use their own forms of the same underlying number:
 //! zero-padded digits (hospital), `M`-prefixed (municipal), and plain
-//! digits (prescriptions). The registry canonicalizes all of them to
-//! [`PatientId`] and records demographics for validation.
+//! digits (prescriptions). A [`Linkage`] canonicalizes all of them to
+//! [`PatientId`] and answers the demographics a delta carries: an
+//! [`IdentityRegistry`] on its own (the batch pipeline), or the persons a
+//! live feed registered over the row table a server already publishes
+//! ([`IdentityRegistry::over`]).
 
-use pastas_model::{Patient, PatientId, Sex};
+use pastas_model::{HistoryCollection, Patient, PatientId, Sex};
 use pastas_time::Date;
 use std::collections::HashMap;
 
+/// What a delta parse links against: the demographics of canonical ids,
+/// and a place to register the persons a `persons` increment names.
+pub trait Linkage {
+    /// Demographics for a canonical id; `None` when the id is unknown.
+    fn patient(&self, id: PatientId) -> Option<Patient>;
+
+    /// Register (or re-register) a person under their canonical id.
+    fn register(&mut self, id: u64, birth_date: Date, sex: Sex);
+
+    /// Resolve a raw identifier in any of the four schemes:
+    ///
+    /// * `NIN-0000123` (claims / person register)
+    /// * `00000123` (hospital, zero-padded)
+    /// * `M123` (municipal)
+    /// * `123` (prescriptions)
+    ///
+    /// Whitespace is tolerated. Returns `None` for malformed ids or ids
+    /// not known here (an unlinked row).
+    fn resolve(&self, raw: &str) -> Option<Patient> {
+        self.patient(PatientId(IdentityRegistry::parse_raw(raw)?))
+    }
+}
+
 /// The linkage anchor: canonical ids plus demographics. An id's slot
 /// holds its birth date and sex only (the id is the key): 16 bytes an
-/// entry instead of a whole [`Patient`]'s 24, which matters to a server
-/// that seeds one with every patient it holds.
+/// entry instead of a whole [`Patient`]'s 24. A server keeps one of the
+/// persons its ingest registered, over its published row table
+/// ([`IdentityRegistry::over`]), not one of every patient it holds.
 #[derive(Debug, Default, Clone)]
 pub struct IdentityRegistry {
     by_id: HashMap<u64, (Date, Sex)>,
@@ -55,27 +82,16 @@ impl IdentityRegistry {
         })
     }
 
-    /// Resolve a raw identifier in any of the four schemes:
-    ///
-    /// * `NIN-0000123` (claims / person register)
-    /// * `00000123` (hospital, zero-padded)
-    /// * `M123` (municipal)
-    /// * `123` (prescriptions)
-    ///
-    /// Whitespace is tolerated. Returns `None` for malformed ids or ids
-    /// not present in the register (an unlinked row).
-    pub fn resolve(&self, raw: &str) -> Option<PatientId> {
-        let raw = raw.trim();
-        let digits = raw.strip_prefix("NIN-").or_else(|| raw.strip_prefix('M')).unwrap_or(raw);
-        if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
-            return None;
-        }
-        let id: u64 = digits.parse().ok()?;
-        self.by_id.contains_key(&id).then_some(PatientId(id))
+    /// This registry over `table`: an id links to what this registry
+    /// holds for it, else to its row's patient in `table`, and persons
+    /// register here. So a re-registration overrides the row's
+    /// demographics, and the table is read, never copied.
+    pub fn over<'a>(&'a mut self, table: &'a HistoryCollection) -> Overlay<'a> {
+        Overlay { registry: self, table }
     }
 
-    /// Parse a raw id without register membership (used by tests and
-    /// by sources loaded before the person register).
+    /// Parse a raw id in any of the four schemes, without register
+    /// membership (see [`Linkage::resolve`]).
     pub fn parse_raw(raw: &str) -> Option<u64> {
         let raw = raw.trim();
         let digits = raw.strip_prefix("NIN-").or_else(|| raw.strip_prefix('M')).unwrap_or(raw);
@@ -83,6 +99,33 @@ impl IdentityRegistry {
             return None;
         }
         digits.parse().ok()
+    }
+}
+
+impl Linkage for IdentityRegistry {
+    fn patient(&self, id: PatientId) -> Option<Patient> {
+        IdentityRegistry::patient(self, id)
+    }
+
+    fn register(&mut self, id: u64, birth_date: Date, sex: Sex) {
+        IdentityRegistry::register(self, id, birth_date, sex);
+    }
+}
+
+/// An [`IdentityRegistry`] over a row table: see [`IdentityRegistry::over`].
+#[derive(Debug)]
+pub struct Overlay<'a> {
+    registry: &'a mut IdentityRegistry,
+    table: &'a HistoryCollection,
+}
+
+impl Linkage for Overlay<'_> {
+    fn patient(&self, id: PatientId) -> Option<Patient> {
+        self.registry.patient(id).or_else(|| self.table.get(id).map(|h| *h.patient()))
+    }
+
+    fn register(&mut self, id: u64, birth_date: Date, sex: Sex) {
+        self.registry.register(id, birth_date, sex);
     }
 }
 
@@ -101,7 +144,7 @@ mod tests {
     fn resolves_all_four_schemes() {
         let r = registry();
         for raw in ["NIN-0000123", "00000123", "M123", "123", " 123 "] {
-            assert_eq!(r.resolve(raw), Some(PatientId(123)), "{raw:?}");
+            assert_eq!(r.resolve(raw).map(|p| p.id), Some(PatientId(123)), "{raw:?}");
         }
     }
 
@@ -135,6 +178,46 @@ mod tests {
         let mut ids: Vec<u64> = r.patients().map(|p| p.id.0).collect();
         ids.sort_unstable();
         assert_eq!(ids, [7, 123]);
+    }
+
+    /// Over a row table, an id links to the registry's entry first, then
+    /// to its row; persons register in the registry and the table stays
+    /// as it was.
+    #[test]
+    fn an_overlay_links_registered_persons_over_the_table() {
+        use pastas_model::History;
+        let row = |id, year| Patient {
+            id: PatientId(id),
+            birth_date: Date::new(year, 1, 1).unwrap(),
+            sex: Sex::Male,
+        };
+        let table = HistoryCollection::from_histories([
+            History::new(row(5, 1930)),
+            History::new(row(7, 1931)),
+        ]);
+        let mut r = registry();
+        let mut overlay = r.over(&table);
+        assert_eq!(overlay.resolve("M5"), Some(row(5, 1930)), "a table row");
+        assert_eq!(
+            overlay.resolve("NIN-0000123").map(|p| p.id),
+            Some(PatientId(123)),
+            "registered only"
+        );
+        assert_eq!(
+            overlay.resolve("00000007").map(|p| p.birth_date),
+            Some(Date::new(1940, 6, 1).unwrap()),
+            "the registry wins"
+        );
+        assert_eq!(overlay.resolve("8"), None);
+        assert_eq!(overlay.resolve("M5x"), None);
+        overlay.register(5, Date::new(1999, 9, 9).unwrap(), Sex::Female);
+        assert_eq!(
+            overlay.resolve("5").map(|p| p.sex),
+            Some(Sex::Female),
+            "a re-registration wins"
+        );
+        assert_eq!(r.len(), 3);
+        assert_eq!(table.get(PatientId(5)).map(|h| h.patient().sex), Some(Sex::Male));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use crate::digest::{Csr, Digest};
 use crate::{CodeDictionary, CodeId, Dominant, History, Lists, PatientId, Run, Sex};
 use pastas_time::DateTime;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
@@ -101,11 +101,13 @@ impl Summary {
 /// Rows one chunk of a [`HistoryCollection`] holds: row `p` is row
 /// `p % CHUNK_ROWS` of chunk `p / CHUNK_ROWS`, and every chunk but the
 /// last is full. A write copies the one chunk it lands in — 4,096 inline
-/// histories and their columns, about 230 KiB — and shares every other.
+/// histories and their columns, digest columns included, about 452 KiB
+/// at 1M patients ([`HistoryCollection::row_bytes`] less the id map,
+/// over the chunk count) — and shares every other.
 pub const CHUNK_ROWS: usize = 4096;
 
 /// Sub-maps the id map is split into ([`id_shard`]): a brand-new patient
-/// copies one of them, about 1/256 of the map.
+/// copies one of them, about 1/256 of the map (≈ 47 KB at 1M patients).
 const ID_SHARDS: usize = 256;
 
 /// The id sub-map `id` lives in: the top eight bits of a Fibonacci hash,
@@ -115,12 +117,148 @@ fn id_shard(id: PatientId) -> usize {
     (id.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (u64::BITS - ID_SHARDS.ilog2())) as usize
 }
 
-/// Approximate heap bytes of one id sub-map: its buckets, an entry and a
-/// control byte each.
-fn id_map_bytes(map: &HashMap<PatientId, usize>) -> usize {
-    let buckets =
-        if map.capacity() == 0 { 0 } else { (map.capacity() * 8 / 7).next_power_of_two() };
-    buckets * (std::mem::size_of::<(PatientId, usize)>() + 1)
+/// A row position as the id map stores it.
+fn row32(p: usize) -> u32 {
+    u32::try_from(p).expect("a collection holds < 2^32 rows")
+}
+
+/// One id sub-map: its patients' ids, ascending, and each one's row
+/// position beside it. 12 bytes a patient; a lookup is a binary search.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct IdShard {
+    ids: Vec<u64>,
+    rows: Vec<u32>,
+}
+
+impl IdShard {
+    /// The row of patient `id`.
+    fn get(&self, id: PatientId) -> Option<usize> {
+        let at = self.ids.binary_search(&id.0).ok()?;
+        self.rows.get(at).map(|&p| p as usize)
+    }
+
+    /// Enter a patient not yet in `shard` at row `row`: in place if no
+    /// other collection shares the sub-map, else into a copy of exactly
+    /// the new length.
+    fn insert(shard: &mut Arc<IdShard>, id: PatientId, row: u32) {
+        let at = shard.ids.partition_point(|&x| x < id.0);
+        if let Some(own) = Arc::get_mut(shard) {
+            own.ids.insert(at, id.0);
+            own.rows.insert(at, row);
+            return;
+        }
+        fn spliced<T: Copy>(column: &[T], at: usize, value: T) -> Vec<T> {
+            let mut out = Vec::with_capacity(column.len() + 1);
+            out.extend_from_slice(&column[..at]);
+            out.push(value);
+            out.extend_from_slice(&column[at..]);
+            out
+        }
+        let copy =
+            IdShard { ids: spliced(&shard.ids, at, id.0), rows: spliced(&shard.rows, at, row) };
+        *shard = Arc::new(copy);
+    }
+
+    /// Sort the entries by id, then row, in place.
+    fn sort(&mut self) {
+        if self.ids.is_sorted() {
+            return;
+        }
+        let mut pairs: Vec<(u64, u32)> =
+            self.ids.iter().copied().zip(self.rows.iter().copied()).collect();
+        pairs.sort_unstable();
+        for (k, (id, row)) in pairs.into_iter().enumerate() {
+            (self.ids[k], self.rows[k]) = (id, row);
+        }
+    }
+
+    /// Heap bytes: 12 a patient at full capacity.
+    fn heap_bytes(&self) -> usize {
+        self.ids.capacity() * size_of::<u64>() + self.rows.capacity() * size_of::<u32>()
+    }
+}
+
+/// The id map of the rows in `groups` (row `p` is row `p % CHUNK_ROWS`
+/// of group `p / CHUNK_ROWS`), every later duplicate of an id folded into
+/// its first appearance: that one places the row, the last write fills
+/// it. O(n) for ids in row order, O(n log n) for shuffled ones, and no
+/// memory beyond the map's 12 bytes a row (a sort's pairs aside, one
+/// sub-map at a time).
+fn index_rows(groups: &mut Vec<Vec<History>>) -> Vec<Arc<IdShard>> {
+    if groups.is_empty() {
+        return Vec::new();
+    }
+    let mut counts = [0; ID_SHARDS];
+    for h in groups.iter().flatten() {
+        counts[id_shard(h.id())] += 1;
+    }
+    let mut shards: Vec<IdShard> = counts
+        .iter()
+        .map(|&n| IdShard { ids: Vec::with_capacity(n), rows: Vec::with_capacity(n) })
+        .collect();
+    for (p, h) in groups.iter().flatten().enumerate() {
+        let shard = &mut shards[id_shard(h.id())];
+        shard.ids.push(h.id().0);
+        shard.rows.push(row32(p));
+    }
+    shards.iter_mut().for_each(IdShard::sort);
+    if shards.iter().any(|s| s.ids.windows(2).any(|w| w[0] == w[1])) {
+        fold_duplicates(groups, &mut shards);
+    }
+    shards.into_iter().map(Arc::new).collect()
+}
+
+/// [`index_rows`]' rare path: move each duplicated id's last history
+/// into its first appearance's row, drop the others, close the gaps and
+/// renumber the sorted sub-maps.
+fn fold_duplicates(groups: &mut Vec<Vec<History>>, shards: &mut [IdShard]) {
+    let mut slots: Vec<Option<History>> =
+        std::mem::take(groups).into_iter().flatten().map(Some).collect();
+    for shard in shards.iter() {
+        let mut k = 0;
+        for run in shard.ids.chunk_by(|a, b| a == b) {
+            let rows = &shard.rows[k..k + run.len()];
+            k += run.len();
+            if let [first, .., last] = rows {
+                let winner = slots[*last as usize].take();
+                rows.iter().for_each(|&later| slots[later as usize] = None);
+                slots[*first as usize] = winner;
+            }
+        }
+    }
+    let mut renumbered = Vec::with_capacity(slots.len());
+    let mut next = 0;
+    for slot in &slots {
+        renumbered.push(next);
+        next += u32::from(slot.is_some());
+    }
+    for shard in shards.iter_mut() {
+        let mut kept = 0;
+        for k in 0..shard.ids.len() {
+            if kept == 0 || shard.ids[kept - 1] != shard.ids[k] {
+                (shard.ids[kept], shard.rows[kept]) =
+                    (shard.ids[k], renumbered[shard.rows[k] as usize]);
+                kept += 1;
+            }
+        }
+        shard.ids.truncate(kept);
+        shard.rows.truncate(kept);
+        shard.ids.shrink_to_fit();
+        shard.rows.shrink_to_fit();
+    }
+    *groups = into_groups(slots.into_iter().flatten());
+}
+
+/// `rows` cut into groups of [`CHUNK_ROWS`], in order.
+fn into_groups(rows: impl Iterator<Item = History>) -> Vec<Vec<History>> {
+    let mut groups: Vec<Vec<History>> = Vec::new();
+    for history in rows {
+        match groups.last_mut() {
+            Some(group) if group.len() < CHUNK_ROWS => group.push(history),
+            _ => groups.push(vec![history]),
+        }
+    }
+    groups
 }
 
 /// Write `value` at `at` of `column`; `at == len` appends.
@@ -316,8 +454,9 @@ impl<'a> RowSpan<'a> {
 ///
 /// The rows live in chunks of [`CHUNK_ROWS`], each behind its own
 /// [`Arc`] and holding its histories inline beside the row columns
-/// ([`RowSpan`] lists them); the id map is 256 sub-maps, each
-/// behind its own `Arc`. A clone copies the two pointer vectors (one
+/// ([`RowSpan`] lists them); the id map is 256 sub-maps of sorted ids
+/// beside their rows, 12 bytes a patient, each behind its own `Arc`
+/// ([`Self::id_map_bytes`]). A clone copies the two pointer vectors (one
 /// pointer a chunk, one a sub-map), and a write copies only what it
 /// lands in: [`Self::upsert`] copies the one chunk holding the row and,
 /// for a brand-new patient, the one sub-map its id falls in. A publish
@@ -333,7 +472,7 @@ impl<'a> RowSpan<'a> {
 pub struct HistoryCollection {
     chunks: Vec<Arc<RowChunk>>,
     /// Patient id → position, by [`id_shard`]; empty until the first row.
-    by_id: Vec<Arc<HashMap<PatientId, usize>>>,
+    by_id: Vec<Arc<IdShard>>,
     /// The newest version of the code dictionary: every row's store is
     /// on a prefix of it.
     dict: Arc<CodeDictionary>,
@@ -349,27 +488,14 @@ impl HistoryCollection {
     }
 
     /// Build from histories. Later duplicates of a patient id replace
-    /// earlier ones (last write wins, as when re-importing a source). One
-    /// serial pass places the rows and fills the id map; the chunks'
-    /// columns, digests included, are then written in parallel, a chunk a
-    /// task.
+    /// earlier ones (last write wins, as when re-importing a source): the
+    /// first appearance places the row. Serial passes place the rows and
+    /// build the id map, sorted sub-map by sub-map; the chunks' columns,
+    /// digests included, are then written in parallel, a chunk a task.
     pub fn from_histories<I: IntoIterator<Item = History>>(histories: I) -> HistoryCollection {
         let mut c = HistoryCollection::new();
-        let mut groups: Vec<Vec<History>> = Vec::new();
-        let mut rows = 0;
-        for history in histories {
-            let history = c.onto_dictionary(history);
-            if let Some(at) = c.position_of(history.id()) {
-                groups[at / CHUNK_ROWS][at % CHUNK_ROWS] = history;
-                continue;
-            }
-            c.index_row(history.id(), rows);
-            if rows.is_multiple_of(CHUNK_ROWS) {
-                groups.push(Vec::new());
-            }
-            groups[rows / CHUNK_ROWS].push(history);
-            rows += 1;
-        }
+        let mut groups = into_groups(histories.into_iter().map(|h| c.onto_dictionary(h)));
+        c.by_id = index_rows(&mut groups);
         let columns = pastas_par::par_map_min(&groups, 1, |rows| RowChunk::columns_of(rows));
         let chunks = columns.into_iter().zip(groups);
         c.chunks =
@@ -382,7 +508,7 @@ impl HistoryCollection {
         if self.by_id.is_empty() {
             self.by_id = vec![Arc::default(); ID_SHARDS];
         }
-        Arc::make_mut(&mut self.by_id[id_shard(id)]).insert(id, p);
+        IdShard::insert(&mut self.by_id[id_shard(id)], id, row32(p));
     }
 
     /// Insert or replace the history for a patient: the only way a row
@@ -468,7 +594,7 @@ impl HistoryCollection {
     /// The display position of a patient's history — the row index the
     /// query layer's postings refer to.
     pub fn position_of(&self, id: PatientId) -> Option<usize> {
-        self.by_id.get(id_shard(id))?.get(&id).copied()
+        self.by_id.get(id_shard(id))?.get(id)
     }
 
     /// Number of histories.
@@ -523,7 +649,13 @@ impl HistoryCollection {
     pub fn row_bytes(&self) -> usize {
         let pointers = (self.chunks.capacity() + self.by_id.capacity()) * size_of::<usize>();
         let chunks: usize = self.chunks.iter().map(|c| c.heap_bytes()).sum();
-        chunks + self.by_id.iter().map(|m| id_map_bytes(m)).sum::<usize>() + pointers
+        chunks + self.id_map_bytes() + pointers
+    }
+
+    /// Heap bytes of the id map alone, a part of [`Self::row_bytes`]: 12
+    /// a patient, a sorted id and its row position.
+    pub fn id_map_bytes(&self) -> usize {
+        self.by_id.iter().map(|m| m.heap_bytes()).sum()
     }
 
     /// Heap bytes of the chunks and id sub-maps this collection holds and
@@ -537,7 +669,7 @@ impl HistoryCollection {
         }
         let chunks: usize =
             fresh(&self.chunks, &predecessor.chunks).map(RowChunk::heap_bytes).sum();
-        chunks + fresh(&self.by_id, &predecessor.by_id).map(id_map_bytes).sum::<usize>()
+        chunks + fresh(&self.by_id, &predecessor.by_id).map(IdShard::heap_bytes).sum::<usize>()
     }
 
     /// Heap bytes of the chunks holding `positions` and of the id
@@ -554,13 +686,14 @@ impl HistoryCollection {
         let chunk_bytes: usize =
             chunks.iter().filter_map(|&c| self.chunks.get(c)).map(|c| c.heap_bytes()).sum();
         chunk_bytes
-            + maps.iter().filter_map(|&m| self.by_id.get(m)).map(|m| id_map_bytes(m)).sum::<usize>()
+            + maps.iter().filter_map(|&m| self.by_id.get(m)).map(|m| m.heap_bytes()).sum::<usize>()
     }
 
     /// Deep invariant check (debug builds only; a no-op in release).
     ///
     /// Panics unless every chunk but the last is full and none is empty,
     /// the id map addresses every row from the sub-map its id hashes to,
+    /// each sub-map ascending by id,
     /// every row's store is on a prefix of the dictionary, the row
     /// columns equal a rebuild and a maintained summary equals the
     /// from-entries walk.
@@ -569,14 +702,17 @@ impl HistoryCollection {
     #[cfg(debug_assertions)]
     pub fn debug_validate(&self) {
         let histories = self.histories();
-        let ids: usize = self.by_id.iter().map(|m| m.len()).sum();
+        let ids: usize = self.by_id.iter().map(|m| m.ids.len()).sum();
         assert_eq!(ids, histories.len(), "collection: id map and rows differ");
         assert!(self.by_id.is_empty() || self.by_id.len() == ID_SHARDS, "collection: id sub-maps");
         for (shard, map) in self.by_id.iter().enumerate() {
-            for (&id, &p) in map.iter() {
+            assert_eq!(map.ids.len(), map.rows.len(), "collection: sub-map {shard}'s columns");
+            assert!(map.ids.is_sorted_by(|a, b| a < b), "collection: sub-map {shard} out of order");
+            for (&id, &p) in map.ids.iter().zip(&map.rows) {
+                let id = PatientId(id);
                 assert_eq!(id_shard(id), shard, "collection: {id} in the wrong sub-map");
                 assert_eq!(
-                    histories.get(p).map(History::id),
+                    histories.get(p as usize).map(History::id),
                     Some(id),
                     "collection: {id} not at row {p}"
                 );
@@ -645,8 +781,8 @@ impl HistoryCollection {
                 }
             }
         }
-        let maps = |c: &HistoryCollection| -> Vec<HashMap<PatientId, usize>> {
-            c.by_id.iter().map(|m| HashMap::clone(m)).collect()
+        let maps = |c: &HistoryCollection| -> Vec<IdShard> {
+            c.by_id.iter().map(|m| IdShard::clone(m)).collect()
         };
         if maps(self) != maps(other) {
             return Some("id maps differ".to_owned());

@@ -696,3 +696,73 @@ fn table_matches_its_oracle(
     }
     Ok(())
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+
+    /// The packed id map equals a `HashMap` model. A bulk build of
+    /// shuffled ids with duplicates places each id at its first
+    /// appearance and fills the row from its last; random upserts into a
+    /// clone (known ids and new ones) keep every lookup equal to the
+    /// model, and the original keeps its own. `lead` starts the draws a
+    /// few rows short of a chunk boundary, so folded duplicates regroup
+    /// across it.
+    #[test]
+    fn packed_id_map_equals_a_hash_map(
+        draws in proptest::collection::vec(0u64..500, 0..400),
+        salt in any::<u64>(),
+        lead in 0usize..2,
+        upserts in proptest::collection::vec(0u64..800, 0..60),
+    ) {
+        // Odd multipliers are bijections, so distinct draws stay distinct
+        // ids, spread over the sub-maps and shuffled against row order.
+        let id = |x: u64| PatientId(x.wrapping_mul(salt | 1));
+        let row = |k: usize, x: u64| {
+            let birth_date = Date::new(1900 + (k % 120) as i32, 1, 1).unwrap();
+            History::new(Patient { id: id(x), birth_date, sex: Sex::Male })
+        };
+        let xs: Vec<u64> = (1000..1000 + (lead * (CHUNK_ROWS - 40)) as u64).chain(draws).collect();
+        let mut model = IdModel::new();
+        xs.iter().enumerate().for_each(|(k, &x)| model.write(&row(k, x)));
+        let c = HistoryCollection::from_histories(xs.iter().enumerate().map(|(k, &x)| row(k, x)));
+        c.debug_validate();
+        model.check(&c)?;
+        prop_assert!(c.id_map_bytes() <= 12 * c.len(), "{} bytes for {} rows", c.id_map_bytes(), c.len());
+        let mut grown = (c.clone(), model.clone());
+        for (k, &x) in upserts.iter().enumerate() {
+            grown.1.write(&row(k, x));
+            grown.0.upsert(row(k, x));
+        }
+        grown.0.debug_validate();
+        grown.1.check(&grown.0)?;
+        model.check(&c)?;
+    }
+}
+
+/// The id map's model: patient id → (first-appearance row, the last
+/// write's birth date).
+#[derive(Clone)]
+struct IdModel(std::collections::HashMap<PatientId, (usize, Date)>);
+
+impl IdModel {
+    fn new() -> IdModel {
+        IdModel(std::collections::HashMap::new())
+    }
+
+    fn write(&mut self, h: &History) {
+        let next = self.0.len();
+        self.0.entry(h.id()).or_insert((next, h.patient().birth_date)).1 = h.patient().birth_date;
+    }
+
+    fn check(&self, c: &HistoryCollection) -> Result<(), TestCaseError> {
+        prop_assert_eq!(c.len(), self.0.len());
+        for (&id, &(p, birth)) in &self.0 {
+            prop_assert_eq!(c.position_of(id), Some(p), "{}", id);
+            prop_assert_eq!(c.get(id).map(|h| h.patient().birth_date), Some(birth), "{}", id);
+        }
+        for absent in (0..64).map(|k| PatientId(u64::MAX - k)) {
+            prop_assert!(self.0.contains_key(&absent) || c.position_of(absent).is_none());
+        }
+        Ok(())
+    }
+}

@@ -2,9 +2,12 @@
 //! the background apply worker.
 //!
 //! `POST /ingest` parses the posted rows *immediately* (so the client's
-//! 202 carries real parse/linkage counts) against a registry that lives
-//! for the whole server — persons batches register identities that later
-//! claims/hospital/municipal/prescription batches resolve against. The
+//! 202 carries real parse/linkage counts). A raw id links against the
+//! persons that ingest registered (a registry that lives for the whole
+//! server: persons batches register identities that later
+//! claims/hospital/municipal/prescription batches resolve against), then
+//! against the published row table, which already holds every other
+//! patient's id, birth date and sex. The
 //! parsed [`DeltaBatch`] then waits in a **bounded** queue; when the queue
 //! is full the endpoint answers `429 Too Many Requests` with a
 //! `Retry-After` header instead of buffering without limit — the same
@@ -20,11 +23,10 @@
 //! paced by the entries they applied (`ApplyPacer`).
 
 use crate::state::ServeState;
-use pastas_core::Workbench;
 use pastas_ingest::{parse_delta, DeltaBatch, DeltaFormat, IdentityRegistry};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Ingest tuning knobs, a sub-config of
@@ -90,8 +92,8 @@ const MAX_APPLY_PAUSE: Duration = Duration::from_millis(80);
 /// batch that arrives after a quiet spell is applied at once; under a
 /// sustained stream the passes follow a clock (a 200-entry increment every
 /// 50 ms) and whatever queued up meanwhile rides in one publish. Every
-/// publish copies the row chunks its touched rows live in (about 230 KiB
-/// each; whole-population arrays, 30.5 MiB at 1M patients, before the row
+/// publish copies the row chunks its touched rows live in (about 480 KiB
+/// each at 1M patients; whole-population arrays, 30.5 MiB, before the row
 /// table was chunked) and retires every cached response, so the pace
 /// bounds what a writer can cost the readers, and it makes a streamed
 /// batch's lag to visibility the pause its predecessor earned rather than
@@ -125,11 +127,17 @@ impl ApplyPacer {
 
 struct QueueInner {
     queue: VecDeque<DeltaBatch>,
-    registry: IdentityRegistry,
+    /// The persons ingest registered, re-registrations included: the
+    /// overlay a raw id links against before the published row table.
+    registered: IdentityRegistry,
 }
 
-/// The bounded ingest queue plus its identity registry and counters.
+/// The bounded ingest queue plus the persons it registered and its
+/// counters.
 pub struct IngestQueue {
+    /// Where batches are applied and published, and whose row table
+    /// links the ids the overlay does not hold.
+    state: Arc<ServeState>,
     inner: Mutex<QueueInner>,
     /// Wakes the apply worker when a batch arrives.
     work: Condvar,
@@ -143,17 +151,17 @@ pub struct IngestQueue {
 }
 
 impl IngestQueue {
-    /// A queue whose registry is seeded with every patient already in the
-    /// workbench, so deltas for known patients link without a fresh
-    /// persons upload.
-    pub fn new(workbench: &Workbench, config: IngestConfig) -> IngestQueue {
-        let mut registry = IdentityRegistry::new();
-        for history in workbench.collection().histories() {
-            let p = history.patient();
-            registry.register(p.id.0, p.birth_date, p.sex);
-        }
+    /// A queue that applies to and publishes through `state`. Deltas for
+    /// patients `state` already holds link against its published row
+    /// table, so they need no fresh persons upload, and the queue keeps no
+    /// copy of that table: only the persons ingest registers.
+    pub fn new(state: Arc<ServeState>, config: IngestConfig) -> IngestQueue {
         IngestQueue {
-            inner: Mutex::new(QueueInner { queue: VecDeque::new(), registry }),
+            state,
+            inner: Mutex::new(QueueInner {
+                queue: VecDeque::new(),
+                registered: IdentityRegistry::new(),
+            }),
             work: Condvar::new(),
             config,
             batches_total: AtomicU64::new(0),
@@ -166,14 +174,19 @@ impl IngestQueue {
     /// Parse `text` as one `format` increment and enqueue the resulting
     /// deltas. Fails fast (without parsing) when the queue is full.
     pub fn try_push(&self, format: DeltaFormat, text: &str) -> Result<IngestReceipt, QueueFull> {
+        // Read before the queue lock, so a push never holds it while
+        // waiting on the publication point. A patient this snapshot lacks
+        // was registered by ingest, and so is in the overlay.
+        let snapshot = self.state.snapshot();
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         if inner.queue.len() >= self.config.queue_capacity {
             self.rejected_total.fetch_add(1, Ordering::Relaxed);
             return Err(QueueFull { queue_depth: inner.queue.len() });
         }
-        // Parsing under the lock keeps registry updates (persons batches)
+        // Parsing under the lock keeps overlay updates (persons batches)
         // ordered with the deltas that resolve against them.
-        let batch = parse_delta(format, text, &mut inner.registry);
+        let mut linkage = inner.registered.over(snapshot.workbench.collection());
+        let batch = parse_delta(format, text, &mut linkage);
         let entries = batch.entries();
         let receipt = IngestReceipt {
             rows_read: batch.rows_read,
@@ -203,7 +216,8 @@ impl IngestQueue {
     /// Under the writer guard: drain every queued batch, apply them to a
     /// fresh snapshot and publish. Safe to call from both the apply worker
     /// and a synchronous `POST /compact`.
-    pub fn drain_and_apply(&self, state: &ServeState) -> AppliedReport {
+    pub fn drain_and_apply(&self) -> AppliedReport {
+        let state = &self.state;
         let writer = state.writer();
         let batches = self.drain(&writer);
         let mut report = AppliedReport { batches: batches.len(), ..AppliedReport::default() };
@@ -242,6 +256,12 @@ impl IngestQueue {
         self.pending_entries.load(Ordering::Relaxed)
     }
 
+    /// Persons ingest has registered (re-registrations counted once): the
+    /// overlay over the published row table.
+    pub fn registered_persons(&self) -> usize {
+        self.inner.lock().unwrap_or_else(|e| e.into_inner()).registered.len()
+    }
+
     /// Batches accepted since startup.
     pub fn batches_total(&self) -> u64 {
         self.batches_total.load(Ordering::Relaxed)
@@ -266,19 +286,18 @@ impl IngestQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pastas_core::Workbench;
     use pastas_synth::{generate_collection, SynthConfig};
 
     const PERSONS: &str = "nin;birth_date;sex\nNIN-0900001;1950-01-01;F\n";
     const CLAIMS: &str =
         "claim_id;patient;date;provider;icpc;note\nX1;NIN-0900001;04.05.2013;GP;T90;\n";
 
-    fn queue_and_state(capacity: usize) -> (IngestQueue, ServeState) {
+    fn queue_and_state(capacity: usize) -> (IngestQueue, Arc<ServeState>) {
         let wb = Workbench::from_collection(generate_collection(SynthConfig::with_patients(80), 5));
-        let queue = IngestQueue::new(
-            &wb,
-            IngestConfig { queue_capacity: capacity, ..IngestConfig::default() },
-        );
-        (queue, ServeState::new(wb))
+        let state = Arc::new(ServeState::new(wb));
+        let config = IngestConfig { queue_capacity: capacity, ..IngestConfig::default() };
+        (IngestQueue::new(Arc::clone(&state), config), state)
     }
 
     #[test]
@@ -289,7 +308,7 @@ mod tests {
         assert_eq!(receipt.entries, 1);
         assert_eq!(queue.depth(), 2);
         assert_eq!(queue.pending_entries(), 1);
-        let report = queue.drain_and_apply(&state);
+        let report = queue.drain_and_apply();
         assert_eq!(report.batches, 2);
         assert_eq!(report.entries_applied, 1);
         assert_eq!(queue.depth(), 0);
@@ -299,7 +318,7 @@ mod tests {
         assert_eq!(snap.workbench.collection().len(), 81);
         assert_eq!(snap.workbench.index().rows(), 81, "the index covers the new row");
         // A pass with nothing queued publishes nothing.
-        let report = queue.drain_and_apply(&state);
+        let report = queue.drain_and_apply();
         assert_eq!((report.batches, report.version), (0, 0));
         assert_eq!(state.snapshot().version, snap.version);
     }
@@ -368,7 +387,7 @@ mod tests {
         };
         let drain = || {
             let before = accepted.load(Ordering::SeqCst);
-            let version = queue.drain_and_apply(&state).version;
+            let version = queue.drain_and_apply().version;
             assert!(queue.applied_entries_total() >= before, "a drain overtook a pass");
             version
         };
@@ -395,7 +414,7 @@ mod tests {
             stop.store(true, Ordering::SeqCst);
             loops.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        queue.drain_and_apply(&state);
+        queue.drain_and_apply();
         let accepted = accepted.into_inner();
         assert_eq!(accepted, (PUSHERS * PUSHES) as u64);
         assert_eq!(queue.applied_entries_total(), accepted, "every entry applied exactly once");

@@ -206,9 +206,30 @@ impl Metrics {
     }
 }
 
+/// This process's resident set and its peak, in bytes: `VmRSS` and
+/// `VmHWM` of `/proc/self/status`, read afresh on each call. A field the
+/// system does not report reads 0.
+pub fn resident_bytes() -> (u64, u64) {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    let field = |name: &str| {
+        let line = status.lines().find_map(|line| line.strip_prefix(name));
+        let kib = line.and_then(|rest| rest.trim().strip_suffix(" kB")?.trim().parse::<u64>().ok());
+        kib.map_or(0, |kib| kib * 1024)
+    };
+    (field("VmRSS:"), field("VmHWM:"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn resident_bytes_reads_the_process_status() {
+        let (rss, hwm) = resident_bytes();
+        if std::path::Path::new("/proc/self/status").exists() {
+            assert!(rss > 0 && hwm >= rss, "rss {rss} hwm {hwm}");
+        }
+    }
 
     #[test]
     fn counters_and_classes() {

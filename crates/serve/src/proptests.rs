@@ -1,9 +1,13 @@
 //! Fuzz-style properties for the HTTP parser. The contract under test:
 //! **any** byte stream, delivered in **any** fragmentation, produces
 //! either well-formed [`Request`]s or a typed [`HttpError`] — never a
-//! panic, never an unbounded read.
+//! panic, never an unbounded read. Then a differential property of the
+//! ingest queue's linkage: an overlay of registered persons over the
+//! published row table links every row as a registry seeded with the
+//! whole table does.
 
 use crate::http::{HttpError, Limits, Request, RequestReader};
+use pastas_ingest::DeltaFormat;
 use proptest::prelude::*;
 use std::io::{self, Read};
 
@@ -163,5 +167,146 @@ proptest! {
         let head = format!("POST / HTTP/1.1\r\nContent-Length: {declared}\r\n\r\n");
         let results = drain(head.into_bytes(), vec![7], limits);
         prop_assert_eq!(results.last(), Some(&Err(HttpError::BodyTooLarge)));
+    }
+}
+
+/// One step of [`linkage_equals_a_seeded_registry`]: a format (0 persons,
+/// 1–4 the event sources, 5 a drain), a pick, a row selector and a row
+/// count.
+type Step = (u8, usize, usize, usize);
+
+/// The posted text of one step, its ids drawn from three boot patients,
+/// the persons registered so far (applied or not), unknown ids and
+/// malformed ones. A persons step registers new ids into `registered`
+/// and re-registers known ones with other demographics.
+fn step_text(
+    format: DeltaFormat,
+    (_, pick, select, rows): Step,
+    boot: &[u64],
+    registered: &mut Vec<u64>,
+) -> String {
+    let header = match format {
+        DeltaFormat::Persons => "nin;birth_date;sex",
+        DeltaFormat::Claims => "claim_id;patient;date;provider;icpc;note",
+        DeltaFormat::Hospital => "episode_id,patient,admitted,discharged,icd10_main,care_level",
+        DeltaFormat::Municipal => "patient|service|from|to",
+        DeltaFormat::Prescriptions => "patient\tdispensed\tatc\tddd",
+    };
+    let mut text = format!("{header}\n");
+    for r in 0..=rows {
+        let (k, day) = (pick + r, 1 + (pick + 7 * r) % 27);
+        // A few boot patients only, so that steps meet each other's ids.
+        let boot_id = boot[k % 3];
+        let known = registered.get(k % registered.len().max(1)).copied().unwrap_or(boot_id);
+        if format == DeltaFormat::Persons {
+            let id = match (select + r) % 4 {
+                0 => {
+                    registered.push(900_000 + registered.len() as u64);
+                    registered[registered.len() - 1]
+                }
+                1 => boot_id,
+                2 => known,
+                _ => {
+                    text.push_str("garbage;row\n");
+                    continue;
+                }
+            };
+            let sex = if k % 2 == 0 { "F" } else { "M" };
+            // One birth in three falls after every event date: the
+            // pre-birth rule then drops what a stale link would keep.
+            let year = if k % 3 == 0 { 2035 } else { 1900 + k % 100 };
+            text.push_str(&format!("NIN-{id:07};{year}-03-{day:02};{sex}\n"));
+            continue;
+        }
+        let id = match (select + r) % 5 {
+            0 | 1 => Some(boot_id),
+            2 => Some(known),
+            3 => Some(800_000 + k as u64),
+            _ => None,
+        };
+        let raw = |scheme: fn(u64) -> String| {
+            id.map_or_else(|| ["NIN-", "M12x", "PAT-7"][k % 3].to_owned(), scheme)
+        };
+        let line = match format {
+            DeltaFormat::Claims => {
+                format!("C{k};{};{day:02}.05.2031;GP;T90;", raw(|i| format!("NIN-{i:07}")))
+            }
+            DeltaFormat::Hospital => {
+                format!(
+                    "E{k},{},2031-06-{day:02},2031-06-28,E11,inpatient",
+                    raw(|i| format!("{i:08}"))
+                )
+            }
+            DeltaFormat::Municipal => {
+                format!("{}|home_care|2031-07-{day:02}|2031-08-01", raw(|i| format!("M{i}")))
+            }
+            _ => format!("{}\t2031-09-{day:02}T12:00:00\tA10BA02\t30", raw(|i| i.to_string())),
+        };
+        text.push_str(&line);
+        text.push('\n');
+    }
+    text
+}
+
+/// Each row of a collection: its patient and entries, in row order.
+fn table(
+    c: &pastas_model::HistoryCollection,
+) -> Vec<(pastas_model::Patient, Vec<pastas_model::Entry>)> {
+    c.iter().map(|h| (*h.patient(), h.entries().to_vec())).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The ingest queue links against the persons ingest registered over
+    /// the published row table. Its oracle is a registry seeded with every
+    /// boot patient, the queue's former state, with batches applied the
+    /// way the queue applies them. Over random persons batches (new ids,
+    /// re-registrations with other demographics, malformed rows), event
+    /// batches in the four formats (boot patients, registered persons
+    /// applied or not, unknown and malformed ids) and drains in between,
+    /// every receipt and every published collection equals the oracle's.
+    #[test]
+    fn linkage_equals_a_seeded_registry(
+        steps in proptest::collection::vec((0u8..6, 0usize..1000, 0usize..20, 0usize..3), 1..24),
+    ) {
+        use crate::ingest::{IngestConfig, IngestQueue};
+        use crate::state::ServeState;
+        use pastas_core::Workbench;
+        use pastas_ingest::{parse_delta, DeltaBatch, IdentityRegistry};
+        use pastas_synth::{generate_collection, SynthConfig};
+        use std::sync::Arc;
+
+        let boot = Workbench::from_collection(generate_collection(SynthConfig::with_patients(40), 3));
+        let ids: Vec<u64> = boot.collection().iter().map(|h| h.id().0).collect();
+        let state = Arc::new(ServeState::new(boot.snapshot()));
+        let config = IngestConfig { queue_capacity: 64, ..IngestConfig::default() };
+        let queue = IngestQueue::new(Arc::clone(&state), config);
+        let mut seeded = IdentityRegistry::new();
+        for h in boot.collection().iter() {
+            let p = h.patient();
+            seeded.register(p.id.0, p.birth_date, p.sex);
+        }
+        let (mut oracle, mut pending): (Workbench, Vec<DeltaBatch>) = (boot, Vec::new());
+        let mut registered = Vec::new();
+        for step in steps.into_iter().chain([(5, 0, 0, 0)]) {
+            let Some(&format) = DeltaFormat::ALL.get(usize::from(step.0)) else {
+                queue.drain_and_apply();
+                let mut next = oracle.snapshot();
+                next.apply_ingest(&std::mem::take(&mut pending));
+                oracle = next;
+                prop_assert_eq!(table(state.snapshot().workbench.collection()), table(oracle.collection()));
+                continue;
+            };
+            let text = step_text(format, step, &ids, &mut registered);
+            let receipt = queue.try_push(format, &text).unwrap();
+            let batch = parse_delta(format, &text, &mut seeded);
+            prop_assert_eq!(
+                (receipt.rows_read, receipt.parse_errors, receipt.unlinked_rows, receipt.entries),
+                (batch.rows_read, batch.parse_errors, batch.unlinked_rows, batch.entries()),
+                "{}", text
+            );
+            pending.push(batch);
+        }
     }
 }

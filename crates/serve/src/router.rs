@@ -37,8 +37,9 @@ use std::sync::Arc;
 /// Everything a handler can touch. The server owns one and hands
 /// references to every connection.
 pub struct RouterCtx {
-    /// The swap point for published snapshots.
-    pub state: ServeState,
+    /// The swap point for published snapshots, shared with the ingest
+    /// queue, which links ids against it and publishes through it.
+    pub state: Arc<ServeState>,
     /// The shared response cache.
     pub cache: ResponseCache,
     /// The server's request metrics; the router reads it for `/metrics`.
@@ -63,9 +64,10 @@ impl RouterCtx {
         workbench: pastas_core::Workbench,
         ingest: IngestConfig,
     ) -> RouterCtx {
+        let state = Arc::new(ServeState::new(workbench));
         RouterCtx {
-            ingest: IngestQueue::new(&workbench, ingest),
-            state: ServeState::new(workbench),
+            ingest: IngestQueue::new(Arc::clone(&state), ingest),
+            state,
             cache: ResponseCache::default(),
             metrics: crate::metrics::Metrics::new(),
             cohorts: CohortRegistry::new(RegistryConfig::default()),
@@ -371,7 +373,7 @@ fn ingest(req: &Request, ctx: &RouterCtx) -> Response {
 /// pace. The quiesce point — after a 200, everything previously 202'd is
 /// queryable.
 fn compact(ctx: &RouterCtx) -> Response {
-    let report = ctx.ingest.drain_and_apply(&ctx.state);
+    let report = ctx.ingest.drain_and_apply();
     let snapshot = ctx.state.snapshot();
     // `side_rows` is always 0; benchmark/src/phases.rs reads it.
     Response::json(
@@ -524,7 +526,10 @@ fn metrics_response(ctx: &RouterCtx) -> Response {
     let cache_lookups = ctx.cache.hits() + ctx.cache.misses();
     let hit_rate =
         if cache_lookups == 0 { 0.0 } else { ctx.cache.hits() as f64 / cache_lookups as f64 };
+    let (rss, hwm) = crate::metrics::resident_bytes();
     let extra = [
+        ("rss_bytes", rss as f64),
+        ("hwm_bytes", hwm as f64),
         ("state_version", snapshot.version as f64),
         ("patients", wb.collection().len() as f64),
         ("cache_entries", ctx.cache.len() as f64),
@@ -541,6 +546,7 @@ fn metrics_response(ctx: &RouterCtx) -> Response {
         ("pattern_candidates", wb.pattern_candidates() as f64),
         ("pattern_automaton_runs", wb.pattern_automaton_runs() as f64),
         ("row_table_bytes", wb.collection().row_bytes() as f64),
+        ("id_map_bytes", wb.collection().id_map_bytes() as f64),
         ("shards", index_footprint.shards as f64),
         ("postings_compressed_bytes", index_footprint.postings_compressed_bytes as f64),
         ("postings_uncompressed_bytes_est", index_footprint.postings_uncompressed_bytes_est as f64),
@@ -551,6 +557,7 @@ fn metrics_response(ctx: &RouterCtx) -> Response {
         ("ingest_batches_total", ctx.ingest.batches_total() as f64),
         ("ingest_rejected_total", ctx.ingest.rejected_total() as f64),
         ("ingest_applied_entries_total", ctx.ingest.applied_entries_total() as f64),
+        ("ingest_registered_persons", ctx.ingest.registered_persons() as f64),
         ("cohort_registry_size", ctx.cohorts.len() as f64),
         ("cohort_registry_bytes", ctx.cohorts.bytes() as f64),
         ("cohort_materializations_total", ctx.cohorts.materializations_total() as f64),

@@ -159,7 +159,7 @@ fn apply_loop(shared: &ServerShared) {
             due = pacer.due(due);
             std::thread::sleep(due.saturating_duration_since(Instant::now()));
         }
-        let report = shared.ctx.ingest.drain_and_apply(&shared.ctx.state);
+        let report = shared.ctx.ingest.drain_and_apply();
         if draining {
             break;
         }
@@ -271,7 +271,7 @@ impl ServerHandle {
         // A worker may have admitted one last batch after the apply
         // worker's final pass drained; apply it here so no 202 is ever
         // dropped.
-        let _ = self.shared.ctx.ingest.drain_and_apply(&self.shared.ctx.state);
+        let _ = self.shared.ctx.ingest.drain_and_apply();
     }
 }
 

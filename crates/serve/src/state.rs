@@ -8,8 +8,9 @@
 //! the collection's row chunks and the display order, so that touches
 //! nothing per history), and publish it with one pointer swap. A publish
 //! costs what changed: a sort or an alignment writes a new display
-//! order, an ingest copies the row chunks (4,096 rows each) and id
-//! sub-maps its touched rows live in, the order only if it appends
+//! order, an ingest copies the row chunks (4,096 rows each) its touched
+//! rows live in and the id sub-map of each patient it creates, the order
+//! only if it appends
 //! patients, and adjusts the summary and the code index's postings from
 //! the touched rows. Every snapshot carries a monotone
 //! version; response-cache keys include it, so stale cached responses are

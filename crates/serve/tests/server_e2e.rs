@@ -63,6 +63,38 @@ fn keep_alive_session_covers_every_endpoint() {
     server.shutdown();
 }
 
+/// `/metrics` reports the process's resident bytes and peak, the id
+/// map's share of the row table, and the persons ingest registered: one
+/// after a persons batch, none for a claims batch that links against the
+/// published rows.
+#[test]
+fn metrics_report_resident_bytes_the_id_map_and_registered_persons() {
+    use pastas_ingest::json::Json;
+    let server = start(2, 16);
+    let mut conn = Conn::connect(server.addr(), TIMEOUT).unwrap();
+    let gauge = |conn: &mut Conn, key: &str| -> f64 {
+        let text = conn.get("/metrics").unwrap().body_str().into_owned();
+        let doc = Json::parse(&text).unwrap_or_else(|e| panic!("{e:?}: {text}"));
+        doc.get(key).and_then(Json::as_f64).unwrap_or_else(|| panic!("missing {key} in {text}"))
+    };
+    assert_eq!(gauge(&mut conn, "ingest_registered_persons"), 0.0);
+    let id = server.ctx().state.snapshot().workbench.collection().histories()[0].id().0;
+    let claims =
+        format!("claim_id;patient;date;provider;icpc;note\nX1;NIN-{id:07};04.05.2013;GP;T90;\n");
+    let linked = conn.post("/ingest?format=claims", claims.as_bytes()).unwrap();
+    assert_eq!(linked.status, 202);
+    assert!(linked.body_str().contains("\"unlinked_rows\":0"), "{}", linked.body_str());
+    let persons = b"nin;birth_date;sex\nNIN-0900001;1950-01-01;F\n";
+    assert_eq!(conn.post("/ingest?format=persons", persons).unwrap().status, 202);
+    assert_eq!(conn.post("/compact", b"").unwrap().status, 200);
+    let (rss, hwm) = (gauge(&mut conn, "rss_bytes"), gauge(&mut conn, "hwm_bytes"));
+    assert!(rss > 0.0 && hwm >= rss, "rss {rss} hwm {hwm}");
+    let (rows, ids) = (gauge(&mut conn, "row_table_bytes"), gauge(&mut conn, "id_map_bytes"));
+    assert!(ids > 0.0 && ids < rows, "id map {ids} of {rows}");
+    assert_eq!(gauge(&mut conn, "ingest_registered_persons"), 1.0);
+    server.shutdown();
+}
+
 #[test]
 fn concurrent_clients_all_get_consistent_answers() {
     let server = start(4, 64);
