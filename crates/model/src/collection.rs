@@ -3,7 +3,7 @@
 use crate::digest::{Csr, Digest};
 use crate::{CodeDictionary, CodeId, Dominant, History, Lists, PatientId, Run, Sex};
 use pastas_time::DateTime;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
@@ -179,11 +179,11 @@ impl IdShard {
 }
 
 /// The id map of the rows in `groups` (row `p` is row `p % CHUNK_ROWS`
-/// of group `p / CHUNK_ROWS`), every later duplicate of an id folded into
-/// its first appearance: that one places the row, the last write fills
-/// it. O(n) for ids in row order, O(n log n) for shuffled ones, and no
-/// memory beyond the map's 12 bytes a row (a sort's pairs aside, one
-/// sub-map at a time).
+/// of group `p / CHUNK_ROWS`): each sub-map counted, filled and sorted,
+/// O(n) for ids in row order and O(n log n) for shuffled ones, with no
+/// memory beyond the map's 12 bytes a row. Duplicate ids, a rare input,
+/// are first folded by a hash map as a row-by-row build would: the first
+/// appearance places the row, the last write fills it.
 fn index_rows(groups: &mut Vec<Vec<History>>) -> Vec<Arc<IdShard>> {
     if groups.is_empty() {
         return Vec::new();
@@ -203,50 +203,19 @@ fn index_rows(groups: &mut Vec<Vec<History>>) -> Vec<Arc<IdShard>> {
     }
     shards.iter_mut().for_each(IdShard::sort);
     if shards.iter().any(|s| s.ids.windows(2).any(|w| w[0] == w[1])) {
-        fold_duplicates(groups, &mut shards);
+        let mut first: HashMap<PatientId, usize> = HashMap::new();
+        let mut rows: Vec<History> = Vec::new();
+        for h in std::mem::take(groups).into_iter().flatten() {
+            let next = rows.len();
+            match *first.entry(h.id()).or_insert(next) {
+                at if at == next => rows.push(h),
+                at => rows[at] = h,
+            }
+        }
+        *groups = into_groups(rows.into_iter());
+        return index_rows(groups);
     }
     shards.into_iter().map(Arc::new).collect()
-}
-
-/// [`index_rows`]' rare path: move each duplicated id's last history
-/// into its first appearance's row, drop the others, close the gaps and
-/// renumber the sorted sub-maps.
-fn fold_duplicates(groups: &mut Vec<Vec<History>>, shards: &mut [IdShard]) {
-    let mut slots: Vec<Option<History>> =
-        std::mem::take(groups).into_iter().flatten().map(Some).collect();
-    for shard in shards.iter() {
-        let mut k = 0;
-        for run in shard.ids.chunk_by(|a, b| a == b) {
-            let rows = &shard.rows[k..k + run.len()];
-            k += run.len();
-            if let [first, .., last] = rows {
-                let winner = slots[*last as usize].take();
-                rows.iter().for_each(|&later| slots[later as usize] = None);
-                slots[*first as usize] = winner;
-            }
-        }
-    }
-    let mut renumbered = Vec::with_capacity(slots.len());
-    let mut next = 0;
-    for slot in &slots {
-        renumbered.push(next);
-        next += u32::from(slot.is_some());
-    }
-    for shard in shards.iter_mut() {
-        let mut kept = 0;
-        for k in 0..shard.ids.len() {
-            if kept == 0 || shard.ids[kept - 1] != shard.ids[k] {
-                (shard.ids[kept], shard.rows[kept]) =
-                    (shard.ids[k], renumbered[shard.rows[k] as usize]);
-                kept += 1;
-            }
-        }
-        shard.ids.truncate(kept);
-        shard.rows.truncate(kept);
-        shard.ids.shrink_to_fit();
-        shard.rows.shrink_to_fit();
-    }
-    *groups = into_groups(slots.into_iter().flatten());
 }
 
 /// `rows` cut into groups of [`CHUNK_ROWS`], in order.
