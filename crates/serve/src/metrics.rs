@@ -209,7 +209,7 @@ impl Metrics {
 /// This process's resident set and its peak, in bytes: `VmRSS` and
 /// `VmHWM` of `/proc/self/status`, read afresh on each call. A field the
 /// system does not report reads 0.
-pub fn resident_bytes() -> (u64, u64) {
+pub(crate) fn resident_bytes() -> (u64, u64) {
     let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
     let field = |name: &str| {
         let line = status.lines().find_map(|line| line.strip_prefix(name));
